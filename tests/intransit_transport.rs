@@ -5,7 +5,9 @@
 //!   (`try_run_intransit_reference`, the seed's loop kept verbatim)
 //!   bit-for-bit — every duration in exact microseconds, every energy as
 //!   raw f64 bits — at every thread count, because the transport runs on
-//!   sim time and never consults the host.
+//!   sim time and never consults the host. What that reference produces
+//!   is pinned in `tests/golden/executor_identity.txt` (`sync/…` keys);
+//!   both executors are held to it.
 //! * **Queue invariants** (property-tested): in-flight samples never
 //!   exceed the configured depth; every sample of a clean run is shipped
 //!   and written; the makespan is monotonically non-increasing in depth.
@@ -13,6 +15,9 @@
 //!   division — a payload that does not divide evenly over the staging
 //!   fan-out must not be under-billed (the seed's floor division was).
 
+mod common;
+
+use common::{at_all_thread_counts, Golden};
 use ivis_core::campaign::Campaign;
 use ivis_core::intransit::{reported_kind, InTransitConfig};
 use ivis_core::metrics::PipelineMetrics;
@@ -21,8 +26,6 @@ use ivis_core::{
     TransportStats,
 };
 use proptest::prelude::*;
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn paper_pc(hours: f64) -> PipelineConfig {
     let mut pc = PipelineConfig::paper(PipelineKind::InSitu, hours);
@@ -38,21 +41,6 @@ fn it_config(staging: usize, transport: TransportConfig) -> InTransitConfig {
     }
 }
 
-/// Every observable of a run, bit-exact: durations in integer
-/// microseconds, energies and powers as raw f64 bits.
-fn fingerprint(m: &PipelineMetrics) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
-    (
-        m.execution_time.as_micros(),
-        m.t_sim.as_micros(),
-        m.t_io.as_micros(),
-        m.t_viz.as_micros(),
-        m.storage_bytes,
-        m.num_outputs,
-        m.compute_profile.energy().joules().to_bits(),
-        m.storage_profile.energy().joules().to_bits(),
-    )
-}
-
 fn run_staged(
     campaign: &Campaign,
     hours: f64,
@@ -63,25 +51,28 @@ fn run_staged(
         .expect("clean staged run cannot fail")
 }
 
+/// Both executors of the synchronous hand-off — the reference loop and
+/// the staged transport at depth 1 — checked against the golden `key`.
+fn check_sync_pair(golden: &Golden, key: &str, campaign: &Campaign, hours: f64, staging: usize) {
+    let it = it_config(staging, TransportConfig::synchronous());
+    let reference = campaign
+        .try_run_intransit_reference(&paper_pc(hours), &it)
+        .expect("reference run cannot fail");
+    let (staged, stats) = run_staged(campaign, hours, &it);
+    golden.check(key, &reference.digest());
+    golden.check(key, &staged.digest());
+    assert_eq!(stats.max_in_flight, 1);
+}
+
 #[test]
 fn depth1_reproduces_synchronous_reference_bit_identically() {
     // Across staging sizes and rates: the depth-1/no-compression staged
     // transport and the synchronous reference are the same simulation.
+    let golden = Golden::load();
     for staging in [10, 25, 75] {
         for hours in [8.0, 24.0, 72.0] {
-            let campaign = Campaign::paper();
-            let it = it_config(staging, TransportConfig::synchronous());
-            let reference = campaign
-                .try_run_intransit_reference(&paper_pc(hours), &it)
-                .expect("reference run cannot fail");
-            let (staged, stats) = run_staged(&campaign, hours, &it);
-            assert_eq!(
-                fingerprint(&staged),
-                fingerprint(&reference),
-                "staged depth-1 diverged from the synchronous reference \
-                 (staging {staging}, every {hours} h)"
-            );
-            assert_eq!(stats.max_in_flight, 1);
+            let key = format!("sync/s{staging}@{hours}h");
+            check_sync_pair(&golden, &key, &Campaign::paper(), hours, staging);
         }
     }
 }
@@ -91,23 +82,16 @@ fn depth1_bit_identity_holds_at_all_thread_counts() {
     // The transport is sim-time-only: thread count must not perturb a
     // single bit of either executor, and noisy campaigns (which exercise
     // the RNG draw order the equivalence depends on) agree too.
-    let mut first = None;
-    for n in THREAD_COUNTS {
-        rayon::set_num_threads(n);
-        let campaign = Campaign::paper_noisy(23);
-        let it = it_config(10, TransportConfig::synchronous());
-        let reference = campaign
-            .try_run_intransit_reference(&paper_pc(8.0), &it)
-            .expect("reference run cannot fail");
-        let (staged, _) = run_staged(&campaign, 8.0, &it);
-        let pair = (fingerprint(&staged), fingerprint(&reference));
-        assert_eq!(pair.0, pair.1, "noisy staged vs reference at {n} threads");
-        match &first {
-            None => first = Some(pair),
-            Some(f) => assert_eq!(&pair, f, "fingerprint changed at {n} threads"),
-        }
-    }
-    rayon::set_num_threads(0);
+    let golden = Golden::load();
+    at_all_thread_counts(|| {
+        check_sync_pair(
+            &golden,
+            "sync-noisy23/s10@8h",
+            &Campaign::paper_noisy(23),
+            8.0,
+            10,
+        );
+    });
 }
 
 #[test]
@@ -124,7 +108,7 @@ fn faulted_empty_plan_matches_clean_staged_run_at_depth_4() {
     let faulted = campaign
         .run_intransit_faulted(&paper_pc(8.0), &it, &ivis_fault::FaultScenario::none())
         .expect("empty scenario cannot fail");
-    assert_eq!(fingerprint(&clean), fingerprint(&faulted.metrics));
+    assert_eq!(clean.digest(), faulted.metrics.digest());
 }
 
 #[test]
@@ -142,13 +126,13 @@ fn non_divisible_payload_is_not_underbilled() {
         "non-divisible payload must round up (raw {raw}, staging {staging})"
     );
     // Both executors price the rounded-up share: they stay bit-identical.
-    let campaign = Campaign::paper();
-    let it = it_config(staging as usize, TransportConfig::synchronous());
-    let reference = campaign
-        .try_run_intransit_reference(&pc, &it)
-        .expect("reference run cannot fail");
-    let (staged, _) = run_staged(&campaign, 24.0, &it);
-    assert_eq!(fingerprint(&staged), fingerprint(&reference));
+    check_sync_pair(
+        &Golden::load(),
+        &format!("sync/s{staging}@24h"),
+        &Campaign::paper(),
+        24.0,
+        staging as usize,
+    );
 }
 
 #[test]
