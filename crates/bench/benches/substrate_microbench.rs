@@ -8,24 +8,21 @@ use ivis_ocean::okubo_weiss::okubo_weiss;
 use ivis_ocean::shallow_water::{ShallowWaterModel, SwParams};
 use ivis_ocean::vortex::seed_random_eddies;
 use ivis_sim::resource::FairShareServer;
-use ivis_sim::{SimDuration, SimTime, Simulation, TimeSeries};
+use ivis_sim::{DesEngine, SimDuration, SimTime, TimeSeries};
 
 fn bench_substrate(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate");
 
     g.bench_function("des_10k_events", |b| {
         b.iter(|| {
-            let mut sim: Simulation<u64> = Simulation::new();
-            let mut count = 0u64;
-            fn tick(sim: &mut Simulation<u64>, n: &mut u64) {
-                *n += 1;
-                if *n < 10_000 {
-                    sim.schedule_in(SimDuration::from_micros(13), tick);
+            let mut eng: DesEngine<u64> = DesEngine::new();
+            eng.schedule_at(SimTime::ZERO, 1);
+            eng.run(&mut |eng: &mut DesEngine<u64>, _: SimTime, n: u64| {
+                if n < 10_000 {
+                    eng.schedule_in(SimDuration::from_micros(13), n + 1);
                 }
-            }
-            sim.schedule_at(SimTime::ZERO, tick);
-            sim.run(&mut count);
-            count
+            });
+            eng.events_executed()
         })
     });
 

@@ -1,23 +1,21 @@
 //! Discrete-event-engine benchmark: raw [`ivis_sim::DesEngine`]
-//! throughput, the DES executors against the reference loops across the
-//! paper matrix, and the 10k-node *exascale what-if* campaign on
-//! [`Campaign::caddy_scaled`].
+//! throughput, the pipeline executors across the paper matrix, and the
+//! 10k-node *exascale what-if* campaign on [`Campaign::caddy_scaled`].
 //!
-//! The DES migration promises two things at once:
+//! Two things are tracked:
 //!
-//! * **identity** — `run_des` and friends reproduce the reference loops
-//!   bit-for-bit (`tests/des_identity.rs` is the full contract; this
-//!   bench re-asserts the digest half and records the digests so the
-//!   artifact doubles as a cross-machine determinism witness);
+//! * **identity** — each run's metrics digest is recorded, so the
+//!   artifact doubles as a cross-machine determinism witness
+//!   (`tests/des_identity.rs` is the full contract);
 //! * **speed** — the timer-wheel/arena engine sustains millions of
 //!   events per second, and a 10 000-node campaign stays interactive.
 //!
 //! Writes `BENCH_des.json` (or the path given as the first non-flag
-//! argument). With `--check`, exits nonzero if any DES digest diverges
-//! from its reference, the raw engine drops below 1M events/s, or the
-//! 10k-node campaign takes longer than 30 s of wall clock — generous
-//! floors meant to catch collapses, not jitter; trajectory gating is
-//! `bench_diff --ratios-only`'s job.
+//! argument). With `--check`, exits nonzero if any digest differs from
+//! the one the committed `BENCH_des.json` records, the raw engine drops
+//! below 1M events/s, or the 10k-node campaign takes longer than 30 s of
+//! wall clock — generous floors meant to catch collapses, not jitter;
+//! trajectory gating is `bench_diff --ratios-only`'s job.
 
 use std::time::Instant;
 
@@ -36,8 +34,8 @@ fn time_min_s(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One self-rescheduling event chain: the single-token shape every DES
-/// executor uses, so this is the per-event floor of the whole port.
+/// One self-rescheduling event chain: the single-token shape every
+/// executor uses, so this is the per-event floor of a campaign run.
 fn hot_chain(events: u64) {
     let mut eng: DesEngine<u64> = DesEngine::new();
     eng.schedule_at(SimTime::ZERO, 0);
@@ -75,8 +73,11 @@ fn wheel_churn(events: u64) {
     assert_eq!(fired, events);
 }
 
+/// The committed baseline `--check` compares digests against.
+const BASELINE: &str = "BENCH_des.json";
+
 fn main() {
-    let mut out_path = "BENCH_des.json".to_string();
+    let mut out_path = BASELINE.to_string();
     let mut check = false;
     for arg in std::env::args().skip(1) {
         if arg == "--check" {
@@ -85,6 +86,7 @@ fn main() {
             out_path = arg;
         }
     }
+    let baseline = ivis_bench::baseline::load_for_check(check, BASELINE);
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -106,71 +108,43 @@ fn main() {
         ));
     }
 
-    // --- DES executors vs reference loops, paper matrix ---
+    // --- the executors across the paper matrix ---
     let campaign = Campaign::paper();
-    let reps = 5;
+    let mut witnesses = Vec::new();
     let mut rows = Vec::new();
     for pc in PipelineConfig::paper_matrix() {
         let label = format!("{}@{}h", pc.kind.label(), pc.rate.every_hours);
-        let reference = campaign.run(&pc);
-        let (des, events) = campaign
+        let (m, events) = campaign
             .try_run_des_with_events(&pc)
-            .expect("clean DES run cannot fail");
-        let identical = des.digest() == reference.digest();
-        if !identical {
-            failures.push(format!(
-                "{label}: DES digest {} != reference {}",
-                des.digest(),
-                reference.digest()
-            ));
-        }
-        let ref_s = time_min_s(reps, || {
+            .expect("clean run cannot fail");
+        let wall_s = time_min_s(5, || {
             std::hint::black_box(campaign.run(&pc));
         });
-        let des_s = time_min_s(reps, || {
-            std::hint::black_box(campaign.run_des(&pc));
-        });
-        let des_eps = events as f64 / des_s;
-        let speedup = ref_s / des_s;
+        let eps = events as f64 / wall_s;
         eprintln!(
-            "{label:>22}: ref {:.3} ms, des {:.3} ms ({events} events, \
-             {des_eps:.0} ev/s, speedup {speedup:.2})",
-            ref_s * 1e3,
-            des_s * 1e3
+            "{label:>22}: {:.3} ms ({events} events, {eps:.0} ev/s)",
+            wall_s * 1e3
         );
-        rows.push((
-            label,
-            ref_s,
-            des_s,
-            events,
-            des_eps,
-            speedup,
-            identical,
-            des.digest(),
+        let digest = m.digest();
+        rows.push(format!(
+            "    {{ \"config\": \"{label}\", \"des_s\": {wall_s:.6}, \"des_events\": {events}, \
+             \"des_events_per_sec\": {eps:.0}, \"digest\": \"{digest}\" }}"
         ));
+        witnesses.push((label, digest));
     }
 
-    // --- the exascale what-if: a 10 000-node Caddy on the DES engine ---
+    // --- the exascale what-if: a 10 000-node Caddy ---
     let big = Campaign::caddy_scaled(10_000);
     let pc = PipelineConfig::paper(PipelineKind::InSitu, 8.0);
     let (big_m, big_events) = big
         .try_run_des_with_events(&pc)
-        .expect("clean DES run cannot fail");
-    let big_ref = big.run(&pc);
-    let big_identical = big_m.digest() == big_ref.digest();
-    if !big_identical {
-        failures.push(format!(
-            "caddy10k: DES digest {} != reference {}",
-            big_m.digest(),
-            big_ref.digest()
-        ));
-    }
+        .expect("clean run cannot fail");
     let big_s = time_min_s(3, || {
-        std::hint::black_box(big.run_des(&pc));
+        std::hint::black_box(big.run(&pc));
     });
+    let big_label = "caddy10k/in-situ@8h".to_string();
     eprintln!(
-        "{:>22}: {:.3} ms ({big_events} events) digest {}",
-        "caddy10k/in-situ@8h",
+        "{big_label:>22}: {:.3} ms ({big_events} events) digest {}",
         big_s * 1e3,
         big_m.digest()
     );
@@ -179,38 +153,31 @@ fn main() {
             "10k-node campaign took {big_s:.1} s of wall clock (30 s budget)"
         ));
     }
+    witnesses.push((big_label.clone(), big_m.digest()));
+    if let Some(baseline) = &baseline {
+        failures.extend(ivis_bench::baseline::digest_mismatches(
+            baseline, &witnesses,
+        ));
+    }
 
     // --- artifact ---
-    let row_json: Vec<String> = rows
-        .iter()
-        .map(|(label, r, d, ev, eps, sp, ok, digest)| {
-            format!(
-                "    {{ \"config\": \"{label}\", \"ref_s\": {r:.6}, \"des_s\": {d:.6}, \
-                 \"des_events\": {ev}, \"des_events_per_sec\": {eps:.0}, \
-                 \"des_speedup\": {sp:.3}, \"bit_identical\": {ok}, \"digest\": \"{digest}\" }}"
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"host\": {{ \"available_parallelism\": {host_threads}, \"zsim_threads\": {} }},\n  \
          \"engine\": {{ \"rows\": [\n    \
          {{ \"config\": \"engine/hot_chain\", \"events\": {CHAIN_EVENTS}, \"events_per_sec\": {chain_eps:.0} }},\n    \
          {{ \"config\": \"engine/wheel_churn\", \"events\": {CHURN_EVENTS}, \"events_per_sec\": {churn_eps:.0} }}\n  ] }},\n  \
-         \"des_vs_reference\": {{\n  \"rows\": [\n{}\n  ] }},\n  \
+         \"paper_matrix\": {{\n  \"rows\": [\n{}\n  ] }},\n  \
          \"exascale\": {{\n  \"rows\": [\n    \
-         {{ \"config\": \"caddy10k/in-situ@8h\", \"wall_s\": {big_s:.6}, \"des_events\": {big_events}, \
-         \"bit_identical\": {big_identical}, \"digest\": \"{}\" }}\n  ] }}\n}}\n",
+         {{ \"config\": \"{big_label}\", \"wall_s\": {big_s:.6}, \"des_events\": {big_events}, \
+         \"digest\": \"{}\" }}\n  ] }}\n}}\n",
         zsim.map_or("null".to_string(), |v| format!("\"{v}\"")),
-        row_json.join(",\n"),
+        rows.join(",\n"),
         big_m.digest(),
     );
     std::fs::write(&out_path, &json).expect("write benchmark json");
     eprintln!("wrote {out_path}");
 
-    if check && !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
+    if check {
+        ivis_bench::baseline::exit_on_failures(&failures);
     }
 }

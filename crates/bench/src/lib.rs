@@ -7,6 +7,7 @@
 //! machinery; the integration tests assert the shapes.
 
 pub mod adaptive;
+pub mod baseline;
 pub mod csv;
 pub mod obs_export;
 

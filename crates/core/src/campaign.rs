@@ -4,7 +4,10 @@
 //! A campaign run walks the machine through the pipeline's phase sequence,
 //! obtains I/O completion times from the Lustre model, and harvests the
 //! cage/rack meters into [`PipelineMetrics`] — the same artifact the paper's
-//! measurement campaign produced for each of its six configurations.
+//! measurement campaign produced for each of its six configurations. The
+//! phase sequences themselves (one event chain per pipeline family) live
+//! in [`des`](crate::des); this module holds the campaign's knobs, the
+//! shared tracing/harvest plumbing and the burst-buffer variant.
 //!
 //! ### Modeling notes (see DESIGN.md)
 //!
@@ -20,13 +23,14 @@
 
 use ivis_cluster::topology::ClusterTopology;
 use ivis_cluster::{IoWaitPolicy, JobPhase, Machine};
+use ivis_fault::FaultScenario;
 use ivis_obs::{attribute, AttrValue, Component, EnergyAttribution, Recorder, SpanId};
 use ivis_ocean::cost::SimulationCostModel;
 use ivis_power::node::NodePowerModel;
 use ivis_sim::{SimDuration, SimRng, SimTime};
 use ivis_storage::ParallelFileSystem;
 
-use crate::config::{PipelineConfig, PipelineKind};
+use crate::config::PipelineConfig;
 use crate::metrics::PipelineMetrics;
 use crate::resilience::PipelineError;
 
@@ -259,11 +263,12 @@ impl Campaign {
 
     /// Execute one pipeline configuration, threading storage failures out
     /// as [`PipelineError`] values instead of unwrapping mid-run.
+    ///
+    /// This is the fault-aware executor ([`des`](crate::des)) under
+    /// [`FaultScenario::none`].
     pub fn try_run(&self, pc: &PipelineConfig) -> Result<PipelineMetrics, PipelineError> {
-        match pc.kind {
-            PipelineKind::InSitu => self.run_insitu(pc),
-            PipelineKind::PostProcessing => self.run_postproc(pc),
-        }
+        self.run_on_engine(pc, &FaultScenario::none(), false)
+            .map(|(run, _)| run.metrics)
     }
 
     /// Run the full paper matrix (2 pipelines × 3 rates).
@@ -431,119 +436,12 @@ impl Campaign {
         rec.close(now, root);
         Ok(self.harvest(pc, machine, &pfs, now, n_out))
     }
-
-    fn run_insitu(&self, pc: &PipelineConfig) -> Result<PipelineMetrics, PipelineError> {
-        let mut rng = SimRng::new(self.config.seed);
-        let mut machine = self.machine();
-        let mut pfs = ParallelFileSystem::caddy_lustre();
-        let rec = &self.config.recorder;
-        let spec = &pc.spec;
-        let n_out = spec.num_outputs(pc.rate);
-        let spp = spec.steps_per_output(pc.rate);
-        let step_secs = self.cost.step_seconds(spec);
-        let mut now = SimTime::ZERO;
-        let root = self.open_root(pc, now);
-        let mut tracer = PhaseTracer::new(rec);
-        for k in 0..n_out {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            now += SimDuration::from_secs_f64(step_secs * spp as f64 * self.noise(&mut rng));
-            // Catalyst render of this sample.
-            tracer.begin(&mut machine, now, JobPhase::Visualize);
-            now += SimDuration::from_secs_f64(
-                self.config.viz_seconds_per_output * self.noise(&mut rng),
-            );
-            // Write the image set for this sample.
-            tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-            let path = format!("/insitu/cinema/ts_{k:06}.png");
-            let wid = rec.span(now, "pfs_write", Component::Storage);
-            rec.set_attr(
-                wid,
-                "bytes",
-                AttrValue::U64(self.config.image_bytes_per_output),
-            );
-            let submitted = now;
-            now = pfs
-                .write(now, &path, self.config.image_bytes_per_output)
-                .map_err(|source| PipelineError::storage(now, &path, source))?;
-            rec.close(now, wid);
-            note_write(
-                rec,
-                &pfs,
-                submitted,
-                now,
-                k,
-                self.config.image_bytes_per_output,
-            );
-        }
-        // Any trailing steps after the last output.
-        let trailing = spec.total_steps().saturating_sub(n_out * spp);
-        if trailing > 0 {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            now += SimDuration::from_secs_f64(step_secs * trailing as f64 * self.noise(&mut rng));
-        }
-        tracer.finish(&mut machine, now);
-        rec.close(now, root);
-        Ok(self.harvest(pc, machine, &pfs, now, n_out))
-    }
-
-    fn run_postproc(&self, pc: &PipelineConfig) -> Result<PipelineMetrics, PipelineError> {
-        let mut rng = SimRng::new(self.config.seed ^ 0x5151);
-        let mut machine = self.machine();
-        let mut pfs = ParallelFileSystem::caddy_lustre();
-        let rec = &self.config.recorder;
-        let spec = &pc.spec;
-        let n_out = spec.num_outputs(pc.rate);
-        let spp = spec.steps_per_output(pc.rate);
-        let step_secs = self.cost.step_seconds(spec);
-        let raw = spec.raw_output_bytes();
-        let mut now = SimTime::ZERO;
-        let root = self.open_root(pc, now);
-        let mut tracer = PhaseTracer::new(rec);
-        // Stage 1: simulate, write raw netCDF every sample.
-        for k in 0..n_out {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            now += SimDuration::from_secs_f64(step_secs * spp as f64 * self.noise(&mut rng));
-            tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-            let path = format!("/postproc/raw/out_{k:06}.nc");
-            let wid = rec.span(now, "pfs_write", Component::Storage);
-            rec.set_attr(wid, "bytes", AttrValue::U64(raw));
-            let submitted = now;
-            now = pfs
-                .write(now, &path, raw)
-                .map_err(|source| PipelineError::storage(now, &path, source))?;
-            rec.close(now, wid);
-            note_write(rec, &pfs, submitted, now, k, raw);
-        }
-        let trailing = spec.total_steps().saturating_sub(n_out * spp);
-        if trailing > 0 {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            now += SimDuration::from_secs_f64(step_secs * trailing as f64 * self.noise(&mut rng));
-        }
-        // Stage 2: read back and render every sample. Rendering overlaps the
-        // sequential read; the slower of the two bounds the phase.
-        tracer.begin(&mut machine, now, JobPhase::Visualize);
-        let render = self.config.viz_seconds_per_output * n_out as f64 * self.noise(&mut rng);
-        let read = (raw * n_out) as f64 / self.config.seq_read_bandwidth_bps;
-        tracer.attr("render_seconds", AttrValue::F64(render));
-        tracer.attr("read_seconds", AttrValue::F64(read));
-        now += SimDuration::from_secs_f64(render.max(read));
-        // The rendering stage saves its images too.
-        tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-        let images: u64 = self.config.image_bytes_per_output * n_out;
-        let submitted = now;
-        now = pfs
-            .write(now, "/postproc/images.tar", images)
-            .map_err(|source| PipelineError::storage(now, "/postproc/images.tar", source))?;
-        note_write(rec, &pfs, submitted, now, n_out, images);
-        tracer.finish(&mut machine, now);
-        rec.close(now, root);
-        Ok(self.harvest(pc, machine, &pfs, now, n_out))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PipelineKind;
     use crate::metrics::compare;
 
     fn run(kind: PipelineKind, hours: f64) -> PipelineMetrics {

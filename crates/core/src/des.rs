@@ -1,46 +1,36 @@
-//! The pipeline executors re-expressed on the indexed discrete-event
-//! engine ([`ivis_sim::DesEngine`]).
+//! The pipeline executors: one event chain per family on the indexed
+//! discrete-event engine ([`ivis_sim::DesEngine`]).
 //!
-//! The reference executors in [`campaign`](crate::campaign),
-//! [`resilience`](crate::resilience) and [`transport`](crate::transport)
-//! are imperative loops: one `now` cursor walks the run, calling the
-//! machine/storage/recorder side effects in program order. This module
-//! re-expresses each family as a chain of arena-allocated events on
-//! [`DesEngine`] — the exascale-facing engine whose queue is the
-//! hierarchical timer wheel instead of a `BinaryHeap` of boxed closures.
+//! Every [`Campaign`] entry point — clean or fault-aware, synchronous or
+//! staged — forwards into one of the three executors in this module
+//! (in-situ, post-hoc, in-transit). There is no second implementation
+//! to keep in step:
 //!
-//! **Determinism contract.** Each DES executor is **bit-identical** to
-//! its reference loop: same RNG draw order, same machine phase timeline,
-//! same storage submission schedule, same recorder trace byte-for-byte,
-//! at any host thread count. The construction makes this hold by design:
+//! * a **clean** run is the fault-aware executor under
+//!   [`FaultScenario::none`]: the session never consults its RNG, the
+//!   storage hooks stay nominal and every slowdown multiplies by
+//!   exactly `1.0`;
+//! * the **synchronous** in-transit hand-off is the staged transport at
+//!   depth 1 without compression.
 //!
-//! * exactly **one event is pending at a time** — the chain
+//! **Determinism contract.** A run — metrics, recorder trace, exporter
+//! artifacts, fault and transport stats — is a pure function of the
+//! campaign, the pipeline configuration and the fault scenario, at any
+//! host thread count. The chains keep that by construction:
+//!
+//! * exactly **one event is pending at a time** —
 //!   `Simulate(k) → Render(k) → Write(k) → Simulate(k+1) → …` fires in
-//!   `(time, seq)` order, which coincides with the reference loop's
-//!   program order;
-//! * every handler performs the *same side-effect sequence with the same
-//!   timestamps* as the corresponding loop segment (the timestamps come
-//!   from the same arithmetic on the same RNG stream);
+//!   `(time, seq)` order, which is program order;
 //! * storage completions, backoff schedules and staging-queue drains are
-//!   *analytic lookahead* — computed inside the event that submits them,
-//!   exactly as the loops do, never re-ordered by the queue.
+//!   *analytic lookahead* — computed inside the event that submits
+//!   them, never re-ordered by the queue.
 //!
-//! The in-transit family keeps the whole loop-body tail (compress →
-//! backpressure → hand-off → render → image write) in one `Chunk(k)`
-//! event: the reference interleaves side effects whose *timestamps* are
-//! not monotone within one iteration (the image write of sample `k`
-//! lands after the simulation of `k+1` starts), so splitting it across
-//! time-ordered events would reorder the trace. One event per iteration
-//! preserves program order and the byte-identical artifact.
-//!
-//! `tests/des_identity.rs` holds every family to this contract across
-//! the paper matrix, fault seeds and staging sweeps, at `ZSIM_THREADS`
-//! 1/2/8; the clean goldens stay pinned by the existing reference tests.
-//!
-//! Each family also carries a component-DAG description
-//! ([`family_dag`]): solver, adaptor, render, encode, transport, storage
-//! and fault nodes wired in the order the event chain visits them — the
-//! schedulable topology the engine executes.
+//! The outputs are pinned rather than re-derived:
+//! `tests/golden/executor_identity.txt` holds what the imperative loop
+//! executors these chains replaced produced (paper matrix with traces,
+//! fault seeds, staging sweep, synchronous hand-off), and
+//! `tests/des_identity.rs` / `tests/intransit_transport.rs` hold the
+//! chains to it at 1, 2 and 8 threads.
 
 use std::collections::VecDeque;
 
@@ -48,7 +38,7 @@ use ivis_cluster::{JobPhase, SharedLink};
 use ivis_fault::{FaultScenario, FaultSession};
 use ivis_obs::{AttrValue, Component};
 use ivis_ocean::cost::SimulationCostModel;
-use ivis_sim::{ComponentKind, Dag, DesEngine, SimDuration, SimRng, SimTime};
+use ivis_sim::{DesEngine, SimDuration, SimRng, SimTime};
 use ivis_storage::ParallelFileSystem;
 
 use crate::campaign::{note_write, Campaign, PhaseTracer};
@@ -60,96 +50,7 @@ use crate::resilience::{
 };
 use crate::transport::{per_node_payload, TransportStats};
 
-/// The executor families the DES engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DesFamily {
-    /// In-situ: render on the compute partition, write only images.
-    InSitu,
-    /// Post-hoc: dump raw fields, read back and render afterwards.
-    PostProcessing,
-    /// In-transit: ship fields to a staging partition over the staged
-    /// transport, render there.
-    InTransit,
-}
-
-/// The component DAG a family's event chain executes, with a
-/// [`ComponentKind::Fault`] injector wired in when `faulted`.
-///
-/// The graph is the schedulable topology: `topo_order` visits components
-/// in exactly the order the executor's event chain fires them for one
-/// sample.
-pub fn family_dag(family: DesFamily, faulted: bool) -> Dag {
-    let mut dag = Dag::new();
-    let solver = dag.add(ComponentKind::Solver, "pop-solver");
-    let mut storage_nodes = Vec::new();
-    let mut transport_node = None;
-    match family {
-        DesFamily::InSitu => {
-            let adaptor = dag.add(ComponentKind::Adaptor, "catalyst-adaptor");
-            let render = dag.add(ComponentKind::Render, "catalyst-render");
-            let encode = dag.add(ComponentKind::Encode, "png-encode");
-            let storage = dag.add(ComponentKind::Storage, "image-db");
-            for (a, b) in [(solver, adaptor), (adaptor, render), (render, encode)] {
-                dag.connect(a, b).expect("static dag is well-formed");
-            }
-            dag.connect(encode, storage)
-                .expect("static dag is well-formed");
-            storage_nodes.push(storage);
-        }
-        DesFamily::PostProcessing => {
-            let encode_raw = dag.add(ComponentKind::Encode, "netcdf-encode");
-            let raw = dag.add(ComponentKind::Storage, "raw-dump");
-            let render = dag.add(ComponentKind::Render, "posthoc-render");
-            let encode_img = dag.add(ComponentKind::Encode, "png-encode");
-            let images = dag.add(ComponentKind::Storage, "image-archive");
-            for (a, b) in [
-                (solver, encode_raw),
-                (encode_raw, raw),
-                (raw, render),
-                (render, encode_img),
-                (encode_img, images),
-            ] {
-                dag.connect(a, b).expect("static dag is well-formed");
-            }
-            storage_nodes.push(raw);
-            storage_nodes.push(images);
-        }
-        DesFamily::InTransit => {
-            let adaptor = dag.add(ComponentKind::Adaptor, "staging-adaptor");
-            let transport = dag.add(ComponentKind::Transport, "staged-handoff");
-            let render = dag.add(ComponentKind::Render, "staging-render");
-            let encode = dag.add(ComponentKind::Encode, "png-encode");
-            let storage = dag.add(ComponentKind::Storage, "image-db");
-            for (a, b) in [
-                (solver, adaptor),
-                (adaptor, transport),
-                (transport, render),
-                (render, encode),
-                (encode, storage),
-            ] {
-                dag.connect(a, b).expect("static dag is well-formed");
-            }
-            storage_nodes.push(storage);
-            transport_node = Some(transport);
-        }
-    }
-    if faulted {
-        let fault = dag.add(ComponentKind::Fault, "fault-injector");
-        // Stragglers gate the solver, retries/sheds wrap every storage
-        // write, and link brownouts derate the transport.
-        dag.connect(fault, solver)
-            .expect("static dag is well-formed");
-        for s in storage_nodes {
-            dag.connect(fault, s).expect("static dag is well-formed");
-        }
-        if let Some(t) = transport_node {
-            dag.connect(fault, t).expect("static dag is well-formed");
-        }
-    }
-    dag
-}
-
-/// Event chain of the in-situ family (clean and faulted).
+/// Event chain of the in-situ family.
 enum InsituEvent {
     /// Simulate chunk `k` (phase begins at the event time).
     Simulate(u64),
@@ -163,7 +64,7 @@ enum InsituEvent {
     Finish,
 }
 
-/// Event chain of the post-hoc family (clean and faulted).
+/// Event chain of the post-hoc family.
 enum PostprocEvent {
     /// Simulate chunk `k`.
     Simulate(u64),
@@ -179,119 +80,72 @@ enum PostprocEvent {
     Finish,
 }
 
-/// Event chain of the in-transit family: one event per sample (the
-/// loop-body side effects are not time-monotone within an iteration, so
-/// the whole body stays in program order inside one event), plus the
-/// trailing/drain tail.
+/// Event chain of the in-transit family: one event per sample plus the
+/// trailing/drain tail. A sample's side effects are not time-monotone
+/// (the image write of sample `k` lands after the simulation of `k+1`
+/// starts), so splitting them across time-ordered events would reorder
+/// the trace; one event per sample keeps program order.
 enum TransitEvent {
-    /// Full loop body for sample `k`: simulate, compress, backpressure,
-    /// hand-off, render, image write.
+    /// Sample `k` end to end: simulate, compress, backpressure, hand-off,
+    /// render, image write.
     Chunk(u64),
     /// Trailing steps, staging drain, machine finish.
     Tail,
 }
 
 impl Campaign {
-    /// Execute one pipeline configuration on the discrete-event engine.
-    ///
-    /// Bit-identical to [`Campaign::run`] — metrics digest, recorder
-    /// trace and exporter artifacts all match byte-for-byte.
-    ///
-    /// # Panics
-    /// Panics if the storage model rejects an operation;
-    /// [`try_run_des`](Self::try_run_des) returns the error instead.
+    /// [`Campaign::run`] under its former event-engine name. Kept for
+    /// `benchmark/`; remove when the benchmark is next redefined.
     pub fn run_des(&self, pc: &PipelineConfig) -> PipelineMetrics {
-        self.try_run_des(pc)
-            .unwrap_or_else(|e| panic!("pipeline run failed: {e}"))
+        self.run(pc)
     }
 
-    /// Fallible [`run_des`](Self::run_des).
-    pub fn try_run_des(&self, pc: &PipelineConfig) -> Result<PipelineMetrics, PipelineError> {
-        self.try_run_des_with_events(pc).map(|(m, _)| m)
-    }
-
-    /// [`try_run_des`](Self::try_run_des), also returning the number of
-    /// engine events executed — the unit the `des_bench` throughput gate
-    /// is denominated in.
+    /// [`Campaign::try_run`], also returning the number of engine events
+    /// executed. Kept for `benchmark/` and `des_bench`'s events-per-second
+    /// row; remove when the benchmark is next redefined.
     pub fn try_run_des_with_events(
         &self,
         pc: &PipelineConfig,
     ) -> Result<(PipelineMetrics, u64), PipelineError> {
-        // An inert session keeps every fault hook at its nominal value;
-        // the existing reference tests pin that a none-session run is
-        // bit-identical to the clean executor, so one DES executor per
-        // family covers both.
-        let scenario = FaultScenario::none();
-        let mut session = FaultSession::new(&scenario);
-        match pc.kind {
-            PipelineKind::InSitu => self.insitu_des(pc, &mut session),
-            PipelineKind::PostProcessing => self.postproc_des(pc, &mut session, false),
-        }
+        self.run_on_engine(pc, &FaultScenario::none(), false)
+            .map(|(run, events)| (run.metrics, events))
     }
 
-    /// Execute one pipeline configuration under a fault scenario on the
-    /// discrete-event engine. Bit-identical to
-    /// [`Campaign::run_faulted`] — digest, trace and stats.
-    pub fn run_faulted_des(
-        &self,
-        pc: &PipelineConfig,
-        scenario: &FaultScenario,
-    ) -> Result<FaultedRun, PipelineError> {
-        let mut session = FaultSession::new(scenario);
-        let (metrics, _) = match pc.kind {
-            PipelineKind::InSitu => self.insitu_des(pc, &mut session)?,
-            PipelineKind::PostProcessing => self.postproc_des(pc, &mut session, true)?,
-        };
-        Ok(FaultedRun::finish(metrics, session))
-    }
-
-    /// The staged in-transit executor on the discrete-event engine.
-    /// Bit-identical to
-    /// [`Campaign::try_run_intransit_with_stats`](Self::try_run_intransit_with_stats).
-    pub fn try_run_intransit_des_with_stats(
-        &self,
-        pc: &PipelineConfig,
-        it: &InTransitConfig,
-    ) -> Result<(PipelineMetrics, TransportStats), PipelineError> {
-        let scenario = FaultScenario::none();
-        let mut session = FaultSession::new(&scenario);
-        self.intransit_des(pc, it, &mut session)
-            .map(|(m, s, _)| (m, s))
-    }
-
-    /// Metrics-only [`try_run_intransit_des_with_stats`](Self::try_run_intransit_des_with_stats).
+    /// Metrics-only [`Campaign::try_run_intransit_with_stats`]. Kept for
+    /// `benchmark/`; remove when the benchmark is next redefined.
     pub fn try_run_intransit_des(
         &self,
         pc: &PipelineConfig,
         it: &InTransitConfig,
     ) -> Result<PipelineMetrics, PipelineError> {
-        self.try_run_intransit_des_with_stats(pc, it)
-            .map(|(m, _)| m)
+        self.try_run_intransit_with_stats(pc, it).map(|(m, _)| m)
     }
 
-    /// The in-transit pipeline under a fault scenario on the
-    /// discrete-event engine; bit-identical to
-    /// [`Campaign::run_intransit_faulted`].
-    pub fn run_intransit_faulted_des(
+    /// Run `pc`'s family (in-situ or post-hoc) under `scenario`, returning
+    /// the run and the engine events executed. `resilient_tail` is set by
+    /// the fault-aware entry point only; see
+    /// [`postproc_des`](Self::postproc_des).
+    pub(crate) fn run_on_engine(
         &self,
         pc: &PipelineConfig,
-        it: &InTransitConfig,
         scenario: &FaultScenario,
-    ) -> Result<FaultedRun, PipelineError> {
-        let mut session = FaultSession::new(scenario);
-        let metrics = self
-            .intransit_des(pc, it, &mut session)
-            .map(|(m, _, _)| m)?;
-        Ok(FaultedRun::finish(metrics, session))
+        resilient_tail: bool,
+    ) -> Result<(FaultedRun, u64), PipelineError> {
+        match pc.kind {
+            PipelineKind::InSitu => self.insitu_des(pc, scenario),
+            PipelineKind::PostProcessing => self.postproc_des(pc, scenario, resilient_tail),
+        }
     }
 
-    /// In-situ event chain; mirrors `run_insitu_faulted` side effect for
-    /// side effect.
+    /// The in-situ executor: simulate a chunk, render it in place, write
+    /// the image set through the resilient path; a degraded sample skips
+    /// its render and write.
     fn insitu_des(
         &self,
         pc: &PipelineConfig,
-        session: &mut FaultSession,
-    ) -> Result<(PipelineMetrics, u64), PipelineError> {
+        scenario: &FaultScenario,
+    ) -> Result<(FaultedRun, u64), PipelineError> {
+        let mut session = FaultSession::new(scenario);
         let mut rng = SimRng::new(self.config.seed);
         let mut machine = self.machine();
         let mut pfs = ParallelFileSystem::caddy_lustre();
@@ -332,7 +186,7 @@ impl Campaign {
                 );
                 if session.should_shed(k) {
                     // Degraded: skip the render and the write for this sample.
-                    note_degraded_shed(rec, session, done, k);
+                    note_degraded_shed(rec, &mut session, done, k);
                     eng.schedule_at(done, next_sim(k));
                 } else {
                     eng.schedule_at(done, InsituEvent::Render(k));
@@ -354,7 +208,7 @@ impl Campaign {
                     index: k,
                     counts: true,
                 };
-                match resilient_write(rec, session, &mut pfs, t, &op) {
+                match resilient_write(rec, &mut session, &mut pfs, t, &op) {
                     Ok(WriteOutcome::Written(done)) => {
                         written += 1;
                         eng.schedule_at(done, next_sim(k));
@@ -380,30 +234,36 @@ impl Campaign {
             InsituEvent::Finish => end = t,
         };
         engine.run(&mut handler);
-        let _ = handler;
         if let Some(e) = error {
             return Err(e);
         }
         tracer.finish(&mut machine, end);
         rec.close(end, root);
+        let metrics = self.harvest(pc, machine, &pfs, end, written);
         Ok((
-            self.harvest(pc, machine, &pfs, end, written),
+            FaultedRun::finish(metrics, session),
             engine.events_executed(),
         ))
     }
 
-    /// Post-hoc event chain; mirrors `run_postproc_faulted` when
-    /// `resilient_tail`, `run_postproc` otherwise. The two references
-    /// differ in exactly one observable: the clean loop commits the
-    /// image tarball with a bare `pfs.write` while the faulted loop
-    /// routes it through `resilient_write` (which opens a `pfs_write`
-    /// span), so trace bit-identity needs both tails.
+    /// The post-hoc executor: simulate and dump raw fields (degraded
+    /// samples skip their dump), then read back and render what landed
+    /// and commit the image tarball.
+    ///
+    /// Clean and fault-aware runs differ in exactly one observable, kept
+    /// because the clean trace is pinned (`paper_traced/post_*` in
+    /// `benchmark/expected/seed42.json`): the clean tail commits
+    /// `images.tar` with a bare `pfs.write`, the fault-aware one
+    /// (`resilient_tail`) through `resilient_write`, which adds a
+    /// `pfs_write` span. `resilience::tests::
+    /// empty_plan_trace_differs_only_by_the_posthoc_tail_span` pins that.
     fn postproc_des(
         &self,
         pc: &PipelineConfig,
-        session: &mut FaultSession,
+        scenario: &FaultScenario,
         resilient_tail: bool,
-    ) -> Result<(PipelineMetrics, u64), PipelineError> {
+    ) -> Result<(FaultedRun, u64), PipelineError> {
+        let mut session = FaultSession::new(scenario);
         let mut rng = SimRng::new(self.config.seed ^ 0x5151);
         let mut machine = self.machine();
         let mut pfs = ParallelFileSystem::caddy_lustre();
@@ -445,7 +305,7 @@ impl Campaign {
                         step_secs * spp as f64 * self.noise(&mut rng) * slow,
                     );
                     if session.should_shed(k) {
-                        note_degraded_shed(rec, session, done, k);
+                        note_degraded_shed(rec, &mut session, done, k);
                         eng.schedule_at(done, next_sim(k));
                     } else {
                         eng.schedule_at(done, PostprocEvent::RawWrite(k));
@@ -460,7 +320,7 @@ impl Campaign {
                         index: k,
                         counts: true,
                     };
-                    match resilient_write(rec, session, &mut pfs, t, &op) {
+                    match resilient_write(rec, &mut session, &mut pfs, t, &op) {
                         Ok(WriteOutcome::Written(done)) => {
                             written += 1;
                             eng.schedule_at(done, next_sim(k));
@@ -505,7 +365,7 @@ impl Campaign {
                             index: written,
                             counts: false,
                         };
-                        match resilient_write(rec, session, &mut pfs, t, &op) {
+                        match resilient_write(rec, &mut session, &mut pfs, t, &op) {
                             Ok(WriteOutcome::Written(done)) | Ok(WriteOutcome::SpaceShed(done)) => {
                                 eng.schedule_at(done, PostprocEvent::Finish);
                             }
@@ -527,27 +387,53 @@ impl Campaign {
                 PostprocEvent::Finish => end = t,
             };
         engine.run(&mut handler);
-        let _ = handler;
         if let Some(e) = error {
             return Err(e);
         }
         tracer.finish(&mut machine, end);
         rec.close(end, root);
+        let metrics = self.harvest(pc, machine, &pfs, end, written);
         Ok((
-            self.harvest(pc, machine, &pfs, end, written),
+            FaultedRun::finish(metrics, session),
             engine.events_executed(),
         ))
     }
 
-    /// In-transit event chain; mirrors `intransit_staged` with the whole
-    /// loop body of sample `k` inside `Chunk(k)`.
-    fn intransit_des(
+    /// The in-transit executor: visualization on a staging partition fed
+    /// by the staged compute→staging transport.
+    ///
+    /// After each chunk the compute partition (optionally) compresses the
+    /// field, waits for a free slot in the depth-`k` in-flight queue, and
+    /// ships it over the shared link; staging serves samples FIFO —
+    /// decompress, render, write the image set through the resilient
+    /// path — and the image write retires the sample.
+    ///
+    /// * **Backpressure.** Completed samples leave the queue silently; a
+    ///   full queue blocks the compute partition (busy-wait, billed as
+    ///   `WriteOutput`) until the oldest sample retires.
+    /// * **Depth 1 is the synchronous hand-off**: the compute partition
+    ///   also blocks through the transfer itself, so exactly one sample
+    ///   is ever in flight. Deeper queues overlap the transfer with the
+    ///   next chunk, and concurrent transfers contend FIFO on the link.
+    /// * **Compression** shrinks the field on the wire; compute pays the
+    ///   compress, staging the decompress, each scaled by its node count.
+    /// * **Faults.** Degradation sheds skip the hand-off entirely,
+    ///   stragglers slow the chunk, retry backoff delays the retire, and
+    ///   an active `LinkBrownout` derates the link while its window is
+    ///   open.
+    ///
+    /// Every hand-off is a [`Component::Transport`] span with queueing
+    /// attributes; queue depth is a gauge, stalls and shipped bytes are
+    /// counters — all no-ops when the recorder is off.
+    pub(crate) fn intransit_des(
         &self,
         pc: &PipelineConfig,
         it: &InTransitConfig,
-        session: &mut FaultSession,
-    ) -> Result<(PipelineMetrics, TransportStats, u64), PipelineError> {
-        it.transport.validate();
+        scenario: &FaultScenario,
+    ) -> Result<(FaultedRun, TransportStats), PipelineError> {
+        let total_nodes = self.topology.num_nodes();
+        it.validate(total_nodes)?;
+        let mut session = FaultSession::new(scenario);
         let mut rng = SimRng::new(self.config.seed ^ 0x17A7);
         let mut machine = self.machine();
         let mut pfs = ParallelFileSystem::caddy_lustre();
@@ -555,16 +441,13 @@ impl Campaign {
         let spec = &pc.spec;
         let n_out = spec.num_outputs(pc.rate);
         let spp = spec.steps_per_output(pc.rate);
-        let total_nodes = machine.topology().num_nodes();
-        assert!(
-            it.staging_nodes > 0 && it.staging_nodes < total_nodes,
-            "staging partition must be a proper subset of the machine"
-        );
         let staging = it.staging_nodes;
         let cores_per_node = machine.topology().cores_per_node();
+        // Compute-partition cost model: fewer cores, same problem.
         let mut cost: SimulationCostModel = self.cost.clone();
         cost.cores = ((total_nodes - staging) * cores_per_node) as u64;
         let step_secs = cost.step_seconds(spec);
+        // Rendering on the staging partition: β scales with partition size.
         let staging_viz_secs =
             self.config.viz_seconds_per_output * total_nodes as f64 / staging as f64;
         let raw = spec.raw_output_bytes();
@@ -647,7 +530,7 @@ impl Campaign {
                 now += chunk;
                 if session.should_shed(k) {
                     // Degraded: no hand-off, no render, no image for this sample.
-                    note_degraded_shed(rec, session, now, k);
+                    note_degraded_shed(rec, &mut session, now, k);
                     eng.schedule_at(now, next_chunk(k));
                     return;
                 }
@@ -739,17 +622,18 @@ impl Campaign {
                     index: k,
                     counts: true,
                 };
-                let completion = match resilient_write(rec, session, &mut pfs, render_done, &op) {
-                    Ok(WriteOutcome::Written(done)) => {
-                        written += 1;
-                        done
-                    }
-                    Ok(WriteOutcome::SpaceShed(at)) => at,
-                    Err(e) => {
-                        error = Some(e);
-                        return;
-                    }
-                };
+                let completion =
+                    match resilient_write(rec, &mut session, &mut pfs, render_done, &op) {
+                        Ok(WriteOutcome::Written(done)) => {
+                            written += 1;
+                            done
+                        }
+                        Ok(WriteOutcome::SpaceShed(at)) => at,
+                        Err(e) => {
+                            error = Some(e);
+                            return;
+                        }
+                    };
                 staging_busy_until = completion;
                 inflight.push_back(completion);
                 stats.samples_shipped += 1;
@@ -788,114 +672,32 @@ impl Campaign {
             }
         };
         engine.run(&mut handler);
-        let _ = handler;
         if let Some(e) = error {
             return Err(e);
         }
-        Ok((
-            self.harvest(pc, machine, &pfs, end, written),
-            stats,
-            engine.events_executed(),
-        ))
+        let metrics = self.harvest(pc, machine, &pfs, end, written);
+        Ok((FaultedRun::finish(metrics, session), stats))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intransit::reported_kind;
-    use crate::transport::{CompressionConfig, TransportConfig};
-    use ivis_fault::FaultPlan;
 
     #[test]
-    fn family_dags_validate_and_topo_sort() {
-        for family in [
-            DesFamily::InSitu,
-            DesFamily::PostProcessing,
-            DesFamily::InTransit,
-        ] {
-            for faulted in [false, true] {
-                let dag = family_dag(family, faulted);
-                dag.validate().expect("family dag is acyclic");
-                let order = dag.topo_order().expect("family dag topo-sorts");
-                assert_eq!(order.len(), dag.len());
-                // The first schedulable component is the solver — unless
-                // a fault injector gates it, in which case the injector
-                // is the unique source.
-                let expected_first = if faulted {
-                    ComponentKind::Fault
-                } else {
-                    ComponentKind::Solver
-                };
-                assert_eq!(dag.kind(order[0]), expected_first);
-                let faults = dag
-                    .ids()
-                    .filter(|&id| dag.kind(id) == ComponentKind::Fault)
-                    .count();
-                assert_eq!(faults, usize::from(faulted));
-            }
-        }
-    }
-
-    #[test]
-    fn insitu_des_is_bit_identical_to_the_reference_loop() {
+    fn chains_fire_a_fixed_number_of_events_per_sample() {
         let campaign = Campaign::paper();
-        let pc = PipelineConfig::paper(PipelineKind::InSitu, 8.0);
-        let (m, events) = campaign
-            .try_run_des_with_events(&pc)
-            .expect("clean run cannot fail");
-        assert_eq!(m.digest(), campaign.run(&pc).digest());
-        // Simulate + Render + Write per sample, plus Trailing and Finish.
-        assert_eq!(events, 3 * m.num_outputs + 2);
-    }
-
-    #[test]
-    fn postproc_des_is_bit_identical_to_the_reference_loop() {
-        let campaign = Campaign::paper();
-        let pc = PipelineConfig::paper(PipelineKind::PostProcessing, 24.0);
-        let (m, events) = campaign
-            .try_run_des_with_events(&pc)
-            .expect("clean run cannot fail");
-        assert_eq!(m.digest(), campaign.run(&pc).digest());
-        // Simulate + RawWrite per sample, plus the four stage-2 events.
-        assert_eq!(events, 2 * m.num_outputs + 4);
-    }
-
-    #[test]
-    fn intransit_des_is_bit_identical_including_stats() {
-        let campaign = Campaign::paper();
-        let mut pc = PipelineConfig::paper(PipelineKind::InSitu, 24.0);
-        pc.kind = reported_kind();
-        let it = InTransitConfig {
-            staging_nodes: 25,
-            transport: TransportConfig::pipelined(2)
-                .with_compression(CompressionConfig::zfp_like()),
-            ..InTransitConfig::caddy_default()
+        let events = |kind, hours| {
+            let (m, events) = campaign
+                .try_run_des_with_events(&PipelineConfig::paper(kind, hours))
+                .expect("clean run cannot fail");
+            (m.num_outputs, events)
         };
-        let (m_ref, s_ref) = campaign
-            .try_run_intransit_with_stats(&pc, &it)
-            .expect("clean staged run cannot fail");
-        let (m_des, s_des) = campaign
-            .try_run_intransit_des_with_stats(&pc, &it)
-            .expect("clean staged run cannot fail");
-        assert_eq!(m_des.digest(), m_ref.digest());
-        assert_eq!(s_des, s_ref);
-    }
-
-    #[test]
-    fn faulted_des_matches_the_reference_digest() {
-        let campaign = Campaign::paper();
-        let pc = PipelineConfig::paper(PipelineKind::InSitu, 8.0);
-        let scenario =
-            FaultScenario::with_plan(FaultPlan::random(42, SimDuration::from_secs(1_300)));
-        let a = campaign
-            .run_faulted(&pc, &scenario)
-            .expect("random plan at seed 42 completes")
-            .digest();
-        let b = campaign
-            .run_faulted_des(&pc, &scenario)
-            .expect("random plan at seed 42 completes")
-            .digest();
-        assert_eq!(a, b);
+        // Simulate + Render + Write per sample, plus Trailing and Finish.
+        let (n, fired) = events(PipelineKind::InSitu, 8.0);
+        assert_eq!(fired, 3 * n + 2);
+        // Simulate + RawWrite per sample, plus the four stage-2 events.
+        let (n, fired) = events(PipelineKind::PostProcessing, 24.0);
+        assert_eq!(fired, 2 * n + 4);
     }
 }

@@ -6,30 +6,26 @@
 //! partition, which renders while the simulation proceeds. This trades
 //! compute nodes for overlap.
 //!
-//! The hand-off itself is modeled by the staged transport in
+//! The hand-off is the staged transport configured by
 //! [`transport`](crate::transport): a bounded depth-`k` in-flight queue
 //! with optional wire compression and link contention. The default
-//! [`TransportConfig::synchronous`] (depth 1, no compression) reproduces
-//! the original synchronous executor — kept here verbatim as
-//! [`Campaign::try_run_intransit_reference`] — bit-identically; golden
-//! tests pin that equivalence.
+//! [`TransportConfig::synchronous`] (depth 1, no compression) is the
+//! classic blocking hand-off. The executor itself is the in-transit event
+//! chain in [`des`](crate::des); what it produces at depth 1 is pinned in
+//! `tests/golden/executor_identity.txt` (`sync/…`).
 //!
 //! This module extends the measurement campaign with
 //! [`Campaign::run_intransit`], producing the same [`PipelineMetrics`]
 //! artifact so in-transit drops straight into the Fig. 3/5/6/7 comparisons.
 
 use ivis_cluster::interconnect::Interconnect;
-use ivis_cluster::JobPhase;
-use ivis_fault::{FaultScenario, FaultSession};
-use ivis_ocean::cost::SimulationCostModel;
-use ivis_sim::{SimDuration, SimRng, SimTime};
-use ivis_storage::ParallelFileSystem;
+use ivis_fault::FaultScenario;
 
 use crate::campaign::Campaign;
 use crate::config::{PipelineConfig, PipelineKind};
 use crate::metrics::PipelineMetrics;
 use crate::resilience::PipelineError;
-use crate::transport::{per_node_payload, TransportConfig, TransportStats};
+use crate::transport::{TransportConfig, TransportStats};
 
 /// In-transit specific knobs.
 #[derive(Debug, Clone)]
@@ -38,8 +34,8 @@ pub struct InTransitConfig {
     pub staging_nodes: usize,
     /// Interconnect used for the compute→staging hand-off.
     pub interconnect: Interconnect,
-    /// How the hand-off is staged (queue depth, compression). The default
-    /// synchronous transport reproduces the original executor.
+    /// How the hand-off is staged (queue depth, compression); synchronous
+    /// by default.
     pub transport: TransportConfig,
 }
 
@@ -53,6 +49,20 @@ impl InTransitConfig {
             transport: TransportConfig::synchronous(),
         }
     }
+
+    /// Reject allocations the executor cannot run on a `total_nodes`
+    /// machine: an empty or non-proper staging partition, or an invalid
+    /// transport.
+    pub(crate) fn validate(&self, total_nodes: usize) -> Result<(), PipelineError> {
+        if self.staging_nodes == 0 || self.staging_nodes >= total_nodes {
+            return Err(PipelineError::invalid(format!(
+                "staging partition must be a proper subset of the machine, \
+                 got {} of {total_nodes} nodes",
+                self.staging_nodes
+            )));
+        }
+        self.transport.validate()
+    }
 }
 
 impl Campaign {
@@ -61,19 +71,13 @@ impl Campaign {
     /// The compute partition shrinks to `N − staging` nodes (the cost model
     /// scales accordingly); rendering time scales inversely with the staging
     /// partition size from the paper's whole-machine β.
+    ///
+    /// # Panics
+    /// Panics on an invalid `it` or a storage failure;
+    /// [`try_run_intransit_with_stats`](Self::try_run_intransit_with_stats)
+    /// returns both as typed errors.
     pub fn run_intransit(&self, pc: &PipelineConfig, it: &InTransitConfig) -> PipelineMetrics {
-        self.try_run_intransit(pc, it)
-            .unwrap_or_else(|e| panic!("pipeline run failed: {e}"))
-    }
-
-    /// [`run_intransit`](Self::run_intransit) with storage failures
-    /// returned as typed errors.
-    pub fn try_run_intransit(
-        &self,
-        pc: &PipelineConfig,
-        it: &InTransitConfig,
-    ) -> Result<PipelineMetrics, PipelineError> {
-        self.try_run_intransit_with_stats(pc, it).map(|(m, _)| m)
+        self.run_intransit_with_stats(pc, it).0
     }
 
     /// [`run_intransit`](Self::run_intransit), also returning the
@@ -88,114 +92,17 @@ impl Campaign {
             .unwrap_or_else(|e| panic!("pipeline run failed: {e}"))
     }
 
-    /// Fallible [`run_intransit_with_stats`](Self::run_intransit_with_stats).
+    /// Fallible [`run_intransit_with_stats`](Self::run_intransit_with_stats):
+    /// an invalid `it` is [`PipelineError::InvalidConfig`], a storage
+    /// failure [`PipelineError::Storage`]. This is the fault-aware
+    /// executor under [`FaultScenario::none`].
     pub fn try_run_intransit_with_stats(
         &self,
         pc: &PipelineConfig,
         it: &InTransitConfig,
     ) -> Result<(PipelineMetrics, TransportStats), PipelineError> {
-        // The staged executor is shared with the fault-aware path; a
-        // no-fault session keeps every hook at its nominal value, so the
-        // clean run stays bit-identical by construction.
-        let scenario = FaultScenario::none();
-        let mut session = FaultSession::new(&scenario);
-        self.intransit_staged(pc, it, &mut session)
-    }
-
-    /// The original synchronous in-transit executor, kept verbatim as the
-    /// golden reference: exactly one sample in flight, the compute
-    /// partition blocked through the whole hand-off, no instrumentation.
-    ///
-    /// [`try_run_intransit`](Self::try_run_intransit) with
-    /// [`TransportConfig::synchronous`] must reproduce this bit-identically
-    /// (metrics, machine timeline, storage schedule) — the
-    /// `intransit_transport` integration tests pin that equivalence at
-    /// several thread counts. The per-node payload uses the same
-    /// [`per_node_payload`] ceiling division as the staged transport.
-    pub fn try_run_intransit_reference(
-        &self,
-        pc: &PipelineConfig,
-        it: &InTransitConfig,
-    ) -> Result<PipelineMetrics, PipelineError> {
-        let mut rng = SimRng::new(self.config.seed ^ 0x17A7);
-        let mut machine = self.machine();
-        let mut pfs = ParallelFileSystem::caddy_lustre();
-        let spec = &pc.spec;
-        let n_out = spec.num_outputs(pc.rate);
-        let spp = spec.steps_per_output(pc.rate);
-        let total_nodes = machine.topology().num_nodes();
-        assert!(
-            it.staging_nodes > 0 && it.staging_nodes < total_nodes,
-            "staging partition must be a proper subset of the machine"
-        );
-        let staging = it.staging_nodes;
-        let cores_per_node = machine.topology().cores_per_node();
-
-        // Compute-partition cost model: fewer cores, same problem.
-        let mut cost: SimulationCostModel = self.cost.clone();
-        cost.cores = ((total_nodes - staging) * cores_per_node) as u64;
-        let step_secs = cost.step_seconds(spec);
-
-        // Rendering on the staging partition: β scales with partition size.
-        let staging_viz_secs =
-            self.config.viz_seconds_per_output * total_nodes as f64 / staging as f64;
-        // Hand-off: the raw field fans out over the staging nodes' links;
-        // the slowest link carries the rounded-up remainder.
-        let transfer = {
-            let per_node = per_node_payload(spec.raw_output_bytes(), staging as u64);
-            it.interconnect.ptp_time(per_node)
-        };
-
-        let mut now = SimTime::ZERO; // compute-partition clock
-        let mut staging_free = SimTime::ZERO; // staging-partition clock
-        for k in 0..n_out {
-            // Simulate the chunk; staging renders the previous sample (if
-            // still busy) in parallel.
-            let chunk = SimDuration::from_secs_f64(step_secs * spp as f64 * self.noise(&mut rng));
-            if staging_free > now {
-                machine.begin_split_phase(now, staging, JobPhase::Simulate, JobPhase::Visualize);
-                if staging_free < now + chunk {
-                    // Staging finishes mid-chunk.
-                    machine.begin_split_phase(
-                        staging_free,
-                        staging,
-                        JobPhase::Simulate,
-                        JobPhase::Idle,
-                    );
-                }
-            } else {
-                machine.begin_split_phase(now, staging, JobPhase::Simulate, JobPhase::Idle);
-            }
-            now += chunk;
-            // Hand-off: compute must wait until staging is free (synchronous
-            // staging, single in-flight sample). Ranks busy-wait.
-            if staging_free > now {
-                machine.begin_split_phase(now, staging, JobPhase::WriteOutput, JobPhase::Visualize);
-                now = staging_free;
-            }
-            machine.begin_split_phase(now, staging, JobPhase::WriteOutput, JobPhase::WriteOutput);
-            now += transfer;
-            // Staging renders this sample and writes its images.
-            let render = SimDuration::from_secs_f64(staging_viz_secs * self.noise(&mut rng));
-            let render_done = now + render;
-            let path = format!("/intransit/cinema/ts_{k:06}.png");
-            let image_done = pfs
-                .write(render_done, &path, self.config.image_bytes_per_output)
-                .map_err(|source| PipelineError::storage(render_done, &path, source))?;
-            staging_free = image_done;
-        }
-        // Trailing simulation steps, then wait out the staging tail.
-        let trailing = spec.total_steps().saturating_sub(n_out * spp);
-        if trailing > 0 {
-            machine.begin_split_phase(now, staging, JobPhase::Simulate, JobPhase::Idle);
-            now += SimDuration::from_secs_f64(step_secs * trailing as f64 * self.noise(&mut rng));
-        }
-        if staging_free > now {
-            machine.begin_split_phase(now, staging, JobPhase::Idle, JobPhase::Visualize);
-            now = staging_free;
-        }
-        machine.finish(now);
-        Ok(self.harvest(pc, machine, &pfs, now, n_out))
+        self.intransit_des(pc, it, &FaultScenario::none())
+            .map(|(run, stats)| (run.metrics, stats))
     }
 }
 
@@ -212,20 +119,22 @@ mod tests {
     use super::*;
     use crate::campaign::Campaign;
 
-    fn run_it(staging: usize, hours: f64) -> PipelineMetrics {
-        let campaign = Campaign::paper();
+    fn setup(staging: usize, hours: f64) -> (PipelineConfig, InTransitConfig) {
         let mut pc = PipelineConfig::paper(PipelineKind::InSitu, hours);
         pc.kind = reported_kind();
-        campaign.run_intransit(
-            &pc,
-            &InTransitConfig {
-                staging_nodes: staging,
-                ..InTransitConfig::caddy_default()
-            },
-        )
+        let it = InTransitConfig {
+            staging_nodes: staging,
+            ..InTransitConfig::caddy_default()
+        };
+        (pc, it)
     }
 
-    fn run_insitu(hours: f64) -> PipelineMetrics {
+    fn run_it(staging: usize, hours: f64) -> PipelineMetrics {
+        let (pc, it) = setup(staging, hours);
+        Campaign::paper().run_intransit(&pc, &it)
+    }
+
+    fn insitu_run(hours: f64) -> PipelineMetrics {
         Campaign::paper().run(&PipelineConfig::paper(PipelineKind::InSitu, hours))
     }
 
@@ -235,7 +144,7 @@ mod tests {
         // at the 8 h rate the renderer cannot keep up and in-transit is much
         // slower than in-situ.
         let it = run_it(10, 8.0);
-        let insitu = run_insitu(8.0);
+        let insitu = insitu_run(8.0);
         assert!(
             it.execution_time.as_secs_f64() > 2.0 * insitu.execution_time.as_secs_f64(),
             "in-transit {} vs in-situ {}",
@@ -249,7 +158,7 @@ mod tests {
         // With 50 staging nodes at the 72 h rate the render hides behind the
         // simulation; only the compute-partition slowdown (150/100) remains.
         let it = run_it(50, 72.0);
-        let insitu = run_insitu(72.0);
+        let insitu = insitu_run(72.0);
         let ratio = it.execution_time.as_secs_f64() / insitu.execution_time.as_secs_f64();
         assert!(
             ratio < 1.45,
@@ -260,7 +169,7 @@ mod tests {
     #[test]
     fn storage_footprint_matches_insitu() {
         let it = run_it(25, 24.0);
-        let insitu = run_insitu(24.0);
+        let insitu = insitu_run(24.0);
         assert_eq!(it.storage_bytes, insitu.storage_bytes);
         assert_eq!(it.num_outputs, insitu.num_outputs);
     }
@@ -270,7 +179,7 @@ mod tests {
         // At the 72 h rate with 25 staging nodes, staging idles most of the
         // time ⇒ average power drops below the all-busy in-situ level.
         let it = run_it(25, 72.0);
-        let insitu = run_insitu(72.0);
+        let insitu = insitu_run(72.0);
         assert!(
             it.avg_power_compute().watts() < insitu.avg_power_compute().watts(),
             "in-transit {} vs in-situ {}",
@@ -289,9 +198,35 @@ mod tests {
         assert!(it.t_sim.as_secs_f64() > 600.0, "slowed t_sim > 603 s");
     }
 
+    fn try_staging(staging: usize) -> Result<PipelineMetrics, PipelineError> {
+        let (pc, it) = setup(staging, 24.0);
+        Campaign::paper()
+            .try_run_intransit_with_stats(&pc, &it)
+            .map(|(m, _)| m)
+    }
+
+    #[test]
+    fn zero_staging_rejected() {
+        let err = try_staging(0).unwrap_err();
+        assert!(
+            matches!(&err, PipelineError::InvalidConfig { detail } if detail.contains("proper subset")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn whole_machine_staging_rejected() {
+        // Caddy has 150 nodes: staging must leave at least one to compute.
+        assert!(try_staging(149).is_ok());
+        for staging in [150, 151] {
+            let err = try_staging(staging).unwrap_err();
+            assert!(matches!(err, PipelineError::InvalidConfig { .. }), "{err}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "proper subset")]
-    fn zero_staging_rejected() {
+    fn panicking_convenience_still_panics_on_invalid_config() {
         let _ = run_it(0, 24.0);
     }
 }

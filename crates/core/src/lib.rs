@@ -17,17 +17,21 @@
 //!   the simulated 150-node *Caddy* machine ([`ivis_cluster`]) and its
 //!   Lustre rack ([`ivis_storage`]), with per-minute power meters attached,
 //!   and returns the full [`metrics::PipelineMetrics`] the paper reports.
+//!   Each pipeline family — in-situ, post-hoc, in-transit ([`intransit`],
+//!   [`transport`]) — has exactly one executor, an event chain in [`des`];
+//!   every `Campaign::run*` entry point forwards into one of the three.
 //! * [`native`] — the *laptop* backend: actually time-steps the ocean,
 //!   renders PNGs, encodes ncdf files and tracks eddies, measuring real
 //!   wall-clock time.
 //!
 //! Shared pieces: [`adaptor`] (the Catalyst analogue), [`config`]
 //! (pipeline kind, sampling rate, cost constants).
-
+//!
 //! A third concern cuts across both backends: [`resilience`] runs the same
-//! pipelines under an [`ivis_fault::FaultPlan`] with retry/timeout/
+//! executors under an [`ivis_fault::FaultPlan`] with retry/timeout/
 //! degradation machinery, producing a [`resilience::FaultedRun`] that
-//! degrades gracefully instead of panicking.
+//! degrades gracefully instead of panicking; a clean run is the same code
+//! under an empty plan.
 //!
 //! Every executor also feeds one observability hook: [`telemetry`] turns
 //! a finished run's harvested power profiles (or the native backend's
@@ -53,7 +57,6 @@ pub use adaptive::{
 pub use adaptor::{CatalystAdaptor, VizSnapshot};
 pub use campaign::{Campaign, CampaignConfig};
 pub use config::{PipelineConfig, PipelineKind};
-pub use des::{family_dag, DesFamily};
 pub use metrics::PipelineMetrics;
 pub use resilience::{FaultedRun, PipelineError};
 pub use telemetry::{native_power_timeline, RunTelemetry};

@@ -61,8 +61,8 @@ impl PipelineMetrics {
     /// A replay-stability witness: every duration in exact microseconds,
     /// every metered energy as raw `f64` bits. Two runs with equal
     /// digests are bit-identical in everything the paper reports — this
-    /// is what the differential DES harness (`tests/des_identity.rs`)
-    /// compares between the reference loops and the event-queue engine.
+    /// is what `tests/golden/executor_identity.txt` and the `BENCH_*.json`
+    /// baselines pin.
     pub fn digest(&self) -> String {
         format!(
             "kind={} rate_mh={} exec_us={} t_sim_us={} t_io_us={} t_viz_us={} bytes={} outputs={} e_compute={:#x} e_storage={:#x}",

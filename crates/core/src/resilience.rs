@@ -1,8 +1,8 @@
 //! Fault-aware pipeline execution: retries, timeouts and graceful
 //! degradation for the measured-cluster backend.
 //!
-//! The clean executors in [`campaign`](crate::campaign) model the paper's
-//! healthy machine. This module runs the *same* pipelines under an
+//! [`Campaign::run`] models the paper's healthy machine. This module runs
+//! the *same* executors ([`des`](crate::des)) under an
 //! [`ivis_fault::FaultPlan`] — OSS bandwidth brownouts, MDS stalls,
 //! transient I/O failures, full-disk pressure and compute stragglers —
 //! and gives them the machinery to survive:
@@ -22,22 +22,21 @@
 //! windows is reported separately ([`FaultedRun::retry_energy`]) so a
 //! degraded run's energy bill can be decomposed.
 //!
-//! **Determinism contract**: with an empty plan the faulted executors are
-//! bit-identical to the clean ones — the fault RNG is never consulted, the
-//! storage hooks stay at their nominal values, and every arithmetic path
-//! multiplies by exactly `1.0`. With a seeded plan the run (metrics, trace
-//! and stats) replays bit-for-bit at any host thread count; the CI fault
-//! matrix enforces both properties.
+//! **Determinism contract**: a clean run *is* a fault-aware run under an
+//! empty plan — the fault RNG is never consulted, the storage hooks stay
+//! at their nominal values, and every arithmetic path multiplies by
+//! exactly `1.0`. With a seeded plan the run (metrics, trace and stats)
+//! replays bit-for-bit at any host thread count; the CI fault matrix
+//! enforces it.
 
-use ivis_cluster::JobPhase;
 use ivis_fault::{FaultScenario, FaultSession, FaultStats};
 use ivis_obs::{AttrValue, Component, Recorder};
 use ivis_power::units::Joules;
-use ivis_sim::{SimDuration, SimRng, SimTime};
+use ivis_sim::SimTime;
 use ivis_storage::{ParallelFileSystem, PfsError};
 
-use crate::campaign::{note_write, Campaign, PhaseTracer};
-use crate::config::{PipelineConfig, PipelineKind};
+use crate::campaign::{note_write, Campaign};
+use crate::config::PipelineConfig;
 use crate::intransit::InTransitConfig;
 use crate::metrics::PipelineMetrics;
 
@@ -76,6 +75,13 @@ pub enum PipelineError {
         /// What the decoder rejected.
         detail: String,
     },
+    /// The run was asked for something the executor cannot model (an
+    /// empty or whole-machine staging partition, a zero-depth transport,
+    /// a compression ratio below 1). Nothing was simulated.
+    InvalidConfig {
+        /// Which setting was rejected, and why.
+        detail: String,
+    },
 }
 
 impl PipelineError {
@@ -85,6 +91,10 @@ impl PipelineError {
             path: path.to_string(),
             source,
         }
+    }
+
+    pub(crate) fn invalid(detail: String) -> Self {
+        PipelineError::InvalidConfig { detail }
     }
 }
 
@@ -106,6 +116,9 @@ impl std::fmt::Display for PipelineError {
             PipelineError::CorruptFrame { frame, detail } => {
                 write!(f, "corrupt frame {frame}: {detail}")
             }
+            PipelineError::InvalidConfig { detail } => {
+                write!(f, "invalid configuration: {detail}")
+            }
         }
     }
 }
@@ -115,7 +128,7 @@ impl std::error::Error for PipelineError {
         match self {
             PipelineError::Storage { source, .. }
             | PipelineError::RetriesExhausted { source, .. } => Some(source),
-            PipelineError::CorruptFrame { .. } => None,
+            PipelineError::CorruptFrame { .. } | PipelineError::InvalidConfig { .. } => None,
         }
     }
 }
@@ -359,24 +372,22 @@ pub(crate) fn resilient_write(
 impl Campaign {
     /// Execute one pipeline configuration under a fault scenario.
     ///
-    /// With [`FaultScenario::none`] the result's metrics and trace are
-    /// bit-identical to [`Campaign::run`]; with a seeded plan the run
-    /// degrades gracefully (retries, sheds) or fails with a typed
+    /// With [`FaultScenario::none`] the result's metrics are bit-identical
+    /// to [`Campaign::run`] (and so is the trace, up to the post-hoc
+    /// `images.tar` span noted on the executor); with a seeded plan the
+    /// run degrades gracefully (retries, sheds) or fails with a typed
     /// [`PipelineError`] — never a panic.
     pub fn run_faulted(
         &self,
         pc: &PipelineConfig,
         scenario: &FaultScenario,
     ) -> Result<FaultedRun, PipelineError> {
-        let mut session = FaultSession::new(scenario);
-        let metrics = match pc.kind {
-            PipelineKind::InSitu => self.run_insitu_faulted(pc, &mut session)?,
-            PipelineKind::PostProcessing => self.run_postproc_faulted(pc, &mut session)?,
-        };
-        Ok(FaultedRun::finish(metrics, session))
+        self.run_on_engine(pc, scenario, true).map(|(run, _)| run)
     }
 
-    /// The in-transit pipeline under a fault scenario; see
+    /// The in-transit pipeline under a fault scenario: degradation sheds,
+    /// retry backoff, compute stragglers and `LinkBrownout` derating all
+    /// compose with the depth-`k` queue. See
     /// [`run_faulted`](Self::run_faulted) for the contract.
     pub fn run_intransit_faulted(
         &self,
@@ -384,166 +395,17 @@ impl Campaign {
         it: &InTransitConfig,
         scenario: &FaultScenario,
     ) -> Result<FaultedRun, PipelineError> {
-        let mut session = FaultSession::new(scenario);
-        let metrics = self.intransit_faulted_inner(pc, it, &mut session)?;
-        Ok(FaultedRun::finish(metrics, session))
-    }
-
-    /// Fault-aware mirror of the clean in-situ executor.
-    fn run_insitu_faulted(
-        &self,
-        pc: &PipelineConfig,
-        session: &mut FaultSession,
-    ) -> Result<PipelineMetrics, PipelineError> {
-        let mut rng = SimRng::new(self.config.seed);
-        let mut machine = self.machine();
-        let mut pfs = ParallelFileSystem::caddy_lustre();
-        let rec = &self.config.recorder;
-        let spec = &pc.spec;
-        let n_out = spec.num_outputs(pc.rate);
-        let spp = spec.steps_per_output(pc.rate);
-        let step_secs = self.cost.step_seconds(spec);
-        let mut now = SimTime::ZERO;
-        let root = self.open_root(pc, now);
-        let mut tracer = PhaseTracer::new(rec);
-        let mut written = 0u64;
-        for k in 0..n_out {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            let slow = session.compute_slowdown(now);
-            now += SimDuration::from_secs_f64(step_secs * spp as f64 * self.noise(&mut rng) * slow);
-            if session.should_shed(k) {
-                // Degraded: skip the render and the write for this sample.
-                note_degraded_shed(rec, session, now, k);
-                continue;
-            }
-            tracer.begin(&mut machine, now, JobPhase::Visualize);
-            now += SimDuration::from_secs_f64(
-                self.config.viz_seconds_per_output * self.noise(&mut rng),
-            );
-            tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-            let path = format!("/insitu/cinema/ts_{k:06}.png");
-            let op = WriteOp {
-                path: &path,
-                bytes: self.config.image_bytes_per_output,
-                index: k,
-                counts: true,
-            };
-            match resilient_write(rec, session, &mut pfs, now, &op)? {
-                WriteOutcome::Written(done) => {
-                    now = done;
-                    written += 1;
-                }
-                WriteOutcome::SpaceShed(at) => now = at,
-            }
-        }
-        let trailing = spec.total_steps().saturating_sub(n_out * spp);
-        if trailing > 0 {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            let slow = session.compute_slowdown(now);
-            now += SimDuration::from_secs_f64(
-                step_secs * trailing as f64 * self.noise(&mut rng) * slow,
-            );
-        }
-        tracer.finish(&mut machine, now);
-        rec.close(now, root);
-        Ok(self.harvest(pc, machine, &pfs, now, written))
-    }
-
-    /// Fault-aware mirror of the clean post-processing executor. Degraded
-    /// samples skip their raw dump, and the read-back/render stage scales
-    /// with the outputs actually written.
-    fn run_postproc_faulted(
-        &self,
-        pc: &PipelineConfig,
-        session: &mut FaultSession,
-    ) -> Result<PipelineMetrics, PipelineError> {
-        let mut rng = SimRng::new(self.config.seed ^ 0x5151);
-        let mut machine = self.machine();
-        let mut pfs = ParallelFileSystem::caddy_lustre();
-        let rec = &self.config.recorder;
-        let spec = &pc.spec;
-        let n_out = spec.num_outputs(pc.rate);
-        let spp = spec.steps_per_output(pc.rate);
-        let step_secs = self.cost.step_seconds(spec);
-        let raw = spec.raw_output_bytes();
-        let mut now = SimTime::ZERO;
-        let root = self.open_root(pc, now);
-        let mut tracer = PhaseTracer::new(rec);
-        let mut written = 0u64;
-        for k in 0..n_out {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            let slow = session.compute_slowdown(now);
-            now += SimDuration::from_secs_f64(step_secs * spp as f64 * self.noise(&mut rng) * slow);
-            if session.should_shed(k) {
-                note_degraded_shed(rec, session, now, k);
-                continue;
-            }
-            tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-            let path = format!("/postproc/raw/out_{k:06}.nc");
-            let op = WriteOp {
-                path: &path,
-                bytes: raw,
-                index: k,
-                counts: true,
-            };
-            match resilient_write(rec, session, &mut pfs, now, &op)? {
-                WriteOutcome::Written(done) => {
-                    now = done;
-                    written += 1;
-                }
-                WriteOutcome::SpaceShed(at) => now = at,
-            }
-        }
-        let trailing = spec.total_steps().saturating_sub(n_out * spp);
-        if trailing > 0 {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            let slow = session.compute_slowdown(now);
-            now += SimDuration::from_secs_f64(
-                step_secs * trailing as f64 * self.noise(&mut rng) * slow,
-            );
-        }
-        // Stage 2 reads back and renders only what actually landed.
-        tracer.begin(&mut machine, now, JobPhase::Visualize);
-        let render = self.config.viz_seconds_per_output * written as f64 * self.noise(&mut rng);
-        let read = (raw * written) as f64 / self.config.seq_read_bandwidth_bps;
-        tracer.attr("render_seconds", AttrValue::F64(render));
-        tracer.attr("read_seconds", AttrValue::F64(read));
-        now += SimDuration::from_secs_f64(render.max(read));
-        tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-        let images: u64 = self.config.image_bytes_per_output * written;
-        let op = WriteOp {
-            path: "/postproc/images.tar",
-            bytes: images,
-            index: written,
-            counts: false,
-        };
-        match resilient_write(rec, session, &mut pfs, now, &op)? {
-            WriteOutcome::Written(done) | WriteOutcome::SpaceShed(done) => now = done,
-        }
-        tracer.finish(&mut machine, now);
-        rec.close(now, root);
-        Ok(self.harvest(pc, machine, &pfs, now, written))
-    }
-
-    /// Fault-aware mirror of the clean in-transit executor: the staged
-    /// transport ([`crate::transport`]) runs with the live session, so
-    /// degradation sheds, retry backoff, compute stragglers and
-    /// `LinkBrownout` derating all compose with the depth-`k` queue.
-    fn intransit_faulted_inner(
-        &self,
-        pc: &PipelineConfig,
-        it: &InTransitConfig,
-        session: &mut FaultSession,
-    ) -> Result<PipelineMetrics, PipelineError> {
-        self.intransit_staged(pc, it, session).map(|(m, _)| m)
+        self.intransit_des(pc, it, scenario).map(|(run, _)| run)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PipelineKind;
     use ivis_fault::{DegradationPolicy, FaultKind, FaultPlan, FaultWindow, RetryPolicy};
     use ivis_obs::to_jsonl;
+    use ivis_sim::SimDuration;
 
     fn insitu_8h() -> PipelineConfig {
         PipelineConfig::paper(PipelineKind::InSitu, 8.0)
@@ -581,23 +443,64 @@ mod tests {
         }
     }
 
+    /// JSONL trace of a noisy traced campaign after `run` ran on it.
+    fn traced(run: impl Fn(&Campaign)) -> String {
+        let mut campaign = Campaign::paper_noisy(11);
+        let rec = Recorder::in_memory();
+        campaign.config.recorder = rec.clone();
+        run(&campaign);
+        rec.with_buffer(to_jsonl).expect("recorder is on")
+    }
+
     #[test]
-    fn empty_scenario_trace_is_bit_identical() {
-        let trace = |faulted: bool| {
-            let mut campaign = Campaign::paper_noisy(11);
-            let rec = Recorder::in_memory();
-            campaign.config.recorder = rec.clone();
-            let pc = insitu_8h();
-            if faulted {
-                campaign
-                    .run_faulted(&pc, &FaultScenario::none())
-                    .expect("empty scenario cannot fail");
-            } else {
-                campaign.run(&pc);
+    fn empty_plan_trace_differs_only_by_the_posthoc_tail_span() {
+        // Why `postproc_des` carries `resilient_tail`: the fault-aware
+        // post-hoc tail commits `/postproc/images.tar` through
+        // `resilient_write`, which wraps the write in a `pfs_write` span;
+        // the clean tail (whose trace is pinned) writes it bare. That one
+        // span — and the meta line's span count — is the whole difference.
+        let none = FaultScenario::none();
+        for pc in PipelineConfig::paper_matrix() {
+            let clean = traced(|c| drop(c.run(&pc)));
+            let faulted = traced(|c| drop(c.run_faulted(&pc, &none).expect("empty plan")));
+            if pc.kind == PipelineKind::InSitu {
+                assert_eq!(clean, faulted, "in-situ @ {} h", pc.rate.every_hours);
+                continue;
             }
-            rec.with_buffer(to_jsonl).expect("recorder is on")
-        };
-        assert_eq!(trace(false), trace(true));
+            let c: Vec<&str> = clean.lines().collect();
+            let f: Vec<&str> = faulted.lines().collect();
+            assert_eq!(f.len(), c.len() + 1, "exactly one extra record");
+            let at = (1..c.len()).find(|&i| c[i] != f[i]).unwrap_or(c.len());
+            let images =
+                Campaign::paper().config.image_bytes_per_output * pc.spec.num_outputs(pc.rate);
+            assert!(
+                f[at].contains(r#""name":"pfs_write""#)
+                    && f[at].contains(&format!(r#""attrs":{{"bytes":{images}}}"#)),
+                "extra record is the images.tar write span: {}",
+                f[at]
+            );
+            assert_eq!(f[1..at], c[1..at]);
+            assert_eq!(f[at + 1..], c[at..]);
+            let spans = c.iter().filter(|l| l.contains(r#""type":"span""#)).count();
+            assert_eq!(
+                f[0],
+                c[0].replace(
+                    &format!(r#""spans":{spans},"#),
+                    &format!(r#""spans":{},"#, spans + 1)
+                )
+            );
+        }
+        // In-transit has no such tail: byte-identical.
+        let mut pc = insitu_8h();
+        pc.kind = crate::intransit::reported_kind();
+        let it = InTransitConfig::caddy_default();
+        assert_eq!(
+            traced(|c| drop(c.run_intransit(&pc, &it))),
+            traced(|c| drop(
+                c.run_intransit_faulted(&pc, &it, &none)
+                    .expect("empty plan")
+            ))
+        );
     }
 
     #[test]

@@ -1,47 +1,28 @@
-//! The staged compute→staging transport of the in-transit pipeline.
+//! Configuration and accounting of the staged compute→staging transport
+//! of the in-transit pipeline.
 //!
-//! The original in-transit executor models *synchronous* staging: one
-//! sample in flight, the compute partition blocked through the whole
-//! hand-off. Real in-transit deployments (DataSpaces, ADIOS staging)
-//! instead keep a bounded queue of samples in flight and ship them
-//! asynchronously, optionally compressed. This module grows the hand-off
-//! into that transport while keeping the synchronous behavior as the
-//! exactly-reproducible `depth = 1` corner:
+//! Real in-transit deployments (DataSpaces, ADIOS staging) keep a bounded
+//! queue of samples in flight and ship them asynchronously, optionally
+//! compressed; the blocking one-sample hand-off is the `depth = 1` corner:
 //!
 //! * [`TransportConfig`] — queue depth and optional [`CompressionConfig`];
-//!   the default ([`TransportConfig::synchronous`]) reproduces the
-//!   synchronous reference executor **bit-identically** (metrics, machine
-//!   timeline, RNG draw order and storage schedule) — a golden test pins
-//!   this.
+//!   the default is [`TransportConfig::synchronous`].
 //! * depth `k > 1` — the compute partition submits a sample and moves on;
 //!   it blocks (busy-wait, accounted as `WriteOutput` I/O time) only when
 //!   `k` samples are already in flight. Concurrent transfers contend on a
-//!   [`SharedLink`] (FIFO), so link serialization is priced, not ignored.
+//!   shared FIFO link, so link serialization is priced, not ignored.
 //! * compression — the raw field shrinks by `ratio` on the wire; the
 //!   compress cost is charged to the *compute* partition and the
 //!   decompress cost to the *staging* partition, each scaled by the
 //!   partition's node count.
+//! * [`TransportStats`] — what the transport did over one run.
 //!
-//! Instrumentation: every hand-off is a [`Component::Transport`] span with
-//! queueing attributes; queue depth is a gauge, stalls and shipped bytes
-//! are counters — all zero-cost when the recorder is off.
+//! The executor that runs this transport is the in-transit event chain in
+//! [`des`](crate::des).
 
-use std::collections::VecDeque;
+use ivis_sim::SimDuration;
 
-use ivis_cluster::{JobPhase, SharedLink};
-use ivis_fault::FaultSession;
-use ivis_obs::{AttrValue, Component};
-use ivis_ocean::cost::SimulationCostModel;
-use ivis_sim::{SimDuration, SimRng, SimTime};
-use ivis_storage::ParallelFileSystem;
-
-use crate::campaign::Campaign;
-use crate::config::PipelineConfig;
-use crate::intransit::InTransitConfig;
-use crate::metrics::PipelineMetrics;
-use crate::resilience::{
-    note_degraded_shed, resilient_write, PipelineError, WriteOp, WriteOutcome,
-};
+use crate::resilience::PipelineError;
 
 /// Per-staging-node share of a payload fanned out over `staging_nodes`
 /// links, rounded **up**: the hand-off completes when the most-loaded link
@@ -87,22 +68,24 @@ impl CompressionConfig {
         (raw as f64 / self.ratio).ceil() as u64
     }
 
-    fn validate(&self) {
-        assert!(
-            self.ratio.is_finite() && self.ratio >= 1.0,
-            "compression ratio must be finite and >= 1, got {}",
-            self.ratio
-        );
-        assert!(
-            self.compress_node_bps.is_finite() && self.compress_node_bps > 0.0,
-            "compress throughput must be finite and positive, got {}",
-            self.compress_node_bps
-        );
-        assert!(
-            self.decompress_node_bps.is_finite() && self.decompress_node_bps > 0.0,
-            "decompress throughput must be finite and positive, got {}",
-            self.decompress_node_bps
-        );
+    fn validate(&self) -> Result<(), PipelineError> {
+        if !(self.ratio.is_finite() && self.ratio >= 1.0) {
+            return Err(PipelineError::invalid(format!(
+                "compression ratio must be finite and >= 1, got {}",
+                self.ratio
+            )));
+        }
+        for (what, bps) in [
+            ("compress", self.compress_node_bps),
+            ("decompress", self.decompress_node_bps),
+        ] {
+            if !(bps.is_finite() && bps > 0.0) {
+                return Err(PipelineError::invalid(format!(
+                    "{what} throughput must be finite and positive, got {bps}"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -123,8 +106,7 @@ impl Default for TransportConfig {
 }
 
 impl TransportConfig {
-    /// The synchronous hand-off: depth 1, no compression. Reproduces the
-    /// reference executor bit-identically.
+    /// The synchronous hand-off: depth 1, no compression.
     pub fn synchronous() -> Self {
         TransportConfig {
             depth: 1,
@@ -145,8 +127,14 @@ impl TransportConfig {
     }
 
     /// Enable wire compression (builder style).
+    ///
+    /// # Panics
+    /// Panics if `compression` has a ratio below 1 or a non-positive
+    /// codec throughput.
     pub fn with_compression(mut self, compression: CompressionConfig) -> Self {
-        compression.validate();
+        if let Err(e) = compression.validate() {
+            panic!("{e}");
+        }
         self.compression = Some(compression);
         self
     }
@@ -156,11 +144,15 @@ impl TransportConfig {
         self.depth == 1
     }
 
-    pub(crate) fn validate(&self) {
-        assert!(self.depth >= 1, "transport depth must be at least 1");
-        if let Some(c) = &self.compression {
-            c.validate();
+    /// The checks the constructors make, for configurations built as
+    /// struct literals.
+    pub(crate) fn validate(&self) -> Result<(), PipelineError> {
+        if self.depth == 0 {
+            return Err(PipelineError::invalid(
+                "transport depth must be at least 1".to_string(),
+            ));
         }
+        self.compression.as_ref().map_or(Ok(()), |c| c.validate())
     }
 }
 
@@ -188,236 +180,13 @@ pub struct TransportStats {
     pub decompress_time: SimDuration,
 }
 
-impl Campaign {
-    /// The staged in-transit executor shared by the clean and fault-aware
-    /// entry points.
-    ///
-    /// With [`TransportConfig::synchronous`] and an empty fault plan this
-    /// reproduces the synchronous reference executor bit-identically:
-    /// same RNG draw order, same machine phase timeline, same storage
-    /// submission times. Asynchronous depths overlap the hand-off with
-    /// the next simulation chunk and block only on a full queue; an
-    /// active `LinkBrownout` derates the shared link's bandwidth while
-    /// its window is open.
-    pub(crate) fn intransit_staged(
-        &self,
-        pc: &PipelineConfig,
-        it: &InTransitConfig,
-        session: &mut FaultSession,
-    ) -> Result<(PipelineMetrics, TransportStats), PipelineError> {
-        it.transport.validate();
-        let mut rng = SimRng::new(self.config.seed ^ 0x17A7);
-        let mut machine = self.machine();
-        let mut pfs = ParallelFileSystem::caddy_lustre();
-        let rec = &self.config.recorder;
-        let spec = &pc.spec;
-        let n_out = spec.num_outputs(pc.rate);
-        let spp = spec.steps_per_output(pc.rate);
-        let total_nodes = machine.topology().num_nodes();
-        assert!(
-            it.staging_nodes > 0 && it.staging_nodes < total_nodes,
-            "staging partition must be a proper subset of the machine"
-        );
-        let staging = it.staging_nodes;
-        let cores_per_node = machine.topology().cores_per_node();
-        let mut cost: SimulationCostModel = self.cost.clone();
-        cost.cores = ((total_nodes - staging) * cores_per_node) as u64;
-        let step_secs = cost.step_seconds(spec);
-        let staging_viz_secs =
-            self.config.viz_seconds_per_output * total_nodes as f64 / staging as f64;
-
-        // Wire payload and codec costs. Compression shrinks the field on
-        // the wire; compute pays the compress, staging the decompress.
-        let raw = spec.raw_output_bytes();
-        let (wire_total, compress_t, decompress_t) = match &it.transport.compression {
-            Some(c) => (
-                c.wire_bytes(raw),
-                SimDuration::from_secs_f64(
-                    raw as f64 / (c.compress_node_bps * (total_nodes - staging) as f64),
-                ),
-                SimDuration::from_secs_f64(raw as f64 / (c.decompress_node_bps * staging as f64)),
-            ),
-            None => (raw, SimDuration::ZERO, SimDuration::ZERO),
-        };
-        let per_node = per_node_payload(wire_total, staging as u64);
-        let depth = it.transport.depth;
-        let mut link = SharedLink::new(it.interconnect.clone());
-
-        let root = self.open_root(pc, SimTime::ZERO);
-        rec.set_attr(root, "staging_nodes", AttrValue::U64(staging as u64));
-        rec.set_attr(root, "transport_depth", AttrValue::U64(depth as u64));
-        if let Some(c) = &it.transport.compression {
-            rec.set_attr(root, "compression_ratio", AttrValue::F64(c.ratio));
-        }
-
-        let mut now = SimTime::ZERO; // compute-partition clock
-        let mut staging_busy_until = SimTime::ZERO; // last queued completion
-        let mut inflight: VecDeque<SimTime> = VecDeque::with_capacity(depth);
-        let mut stats = TransportStats {
-            depth,
-            ..TransportStats::default()
-        };
-        let mut written = 0u64;
-        for k in 0..n_out {
-            // Simulate the chunk; staging works off its backlog alongside.
-            let slow = session.compute_slowdown(now);
-            let chunk =
-                SimDuration::from_secs_f64(step_secs * spp as f64 * self.noise(&mut rng) * slow);
-            if staging_busy_until > now {
-                machine.begin_split_phase(now, staging, JobPhase::Simulate, JobPhase::Visualize);
-                if staging_busy_until < now + chunk {
-                    // Staging drains its queue mid-chunk.
-                    machine.begin_split_phase(
-                        staging_busy_until,
-                        staging,
-                        JobPhase::Simulate,
-                        JobPhase::Idle,
-                    );
-                }
-            } else {
-                machine.begin_split_phase(now, staging, JobPhase::Simulate, JobPhase::Idle);
-            }
-            now += chunk;
-            if session.should_shed(k) {
-                // Degraded: no hand-off, no render, no image for this sample.
-                note_degraded_shed(rec, session, now, k);
-                continue;
-            }
-            // Compress on the compute partition before shipping.
-            if !compress_t.is_zero() {
-                let staging_phase = if staging_busy_until > now {
-                    JobPhase::Visualize
-                } else {
-                    JobPhase::Idle
-                };
-                machine.begin_split_phase(now, staging, JobPhase::Visualize, staging_phase);
-                let cid = rec.span(now, "compress", Component::Transport);
-                rec.set_attr(cid, "index", AttrValue::U64(k));
-                now += compress_t;
-                rec.close(now, cid);
-                stats.compress_time += compress_t;
-            }
-            // Backpressure: at most `depth` samples in flight. Completed
-            // samples leave the queue silently; a full queue blocks the
-            // compute partition (busy-wait, billed as WriteOutput) until
-            // the oldest sample retires — at depth 1 this is exactly the
-            // synchronous "wait for staging_free" of the reference.
-            while inflight.front().is_some_and(|&d| d <= now) {
-                inflight.pop_front();
-            }
-            if inflight.len() >= depth {
-                let free = inflight[0];
-                machine.begin_split_phase(now, staging, JobPhase::WriteOutput, JobPhase::Visualize);
-                stats.stall_time += free.duration_since(now);
-                rec.event(
-                    now,
-                    "transport_stall",
-                    Component::Transport,
-                    &[
-                        ("index", AttrValue::U64(k)),
-                        (
-                            "wait_seconds",
-                            AttrValue::F64(free.duration_since(now).as_secs_f64()),
-                        ),
-                    ],
-                );
-                rec.counter_add(now, "transport.stalls", 1.0);
-                rec.histogram_record(
-                    now,
-                    "transport.stall_seconds",
-                    free.duration_since(now).as_secs_f64(),
-                );
-                now = free;
-                while inflight.front().is_some_and(|&d| d <= now) {
-                    inflight.pop_front();
-                }
-            }
-            // Ship over the shared link. Synchronous depth blocks through
-            // the transfer; deeper queues overlap it with the next chunk.
-            link.set_bandwidth_scale(session.link_scale(now));
-            let submit = now;
-            if depth == 1 {
-                machine.begin_split_phase(
-                    now,
-                    staging,
-                    JobPhase::WriteOutput,
-                    JobPhase::WriteOutput,
-                );
-            }
-            let xfer = link.transfer(submit, per_node);
-            if depth == 1 {
-                now = xfer.done;
-            }
-            let hid = rec.span(submit, "handoff", Component::Transport);
-            rec.set_attr(hid, "index", AttrValue::U64(k));
-            rec.set_attr(hid, "wire_bytes", AttrValue::U64(per_node));
-            rec.set_attr(
-                hid,
-                "queued_seconds",
-                AttrValue::F64(xfer.queued(submit).as_secs_f64()),
-            );
-            rec.close(xfer.done, hid);
-            // Staging serves FIFO: decompress + render behind whatever is
-            // still queued, then the image write retires the sample.
-            let render = SimDuration::from_secs_f64(staging_viz_secs * self.noise(&mut rng));
-            let service_start = xfer.done.max(staging_busy_until);
-            let render_done = service_start + decompress_t + render;
-            stats.decompress_time += decompress_t;
-            let path = format!("/intransit/cinema/ts_{k:06}.png");
-            let op = WriteOp {
-                path: &path,
-                bytes: self.config.image_bytes_per_output,
-                index: k,
-                counts: true,
-            };
-            let completion = match resilient_write(rec, session, &mut pfs, render_done, &op)? {
-                WriteOutcome::Written(done) => {
-                    written += 1;
-                    done
-                }
-                WriteOutcome::SpaceShed(at) => at,
-            };
-            staging_busy_until = completion;
-            inflight.push_back(completion);
-            stats.samples_shipped += 1;
-            stats.bytes_shipped += per_node * staging as u64;
-            if inflight.len() > stats.max_in_flight {
-                stats.max_in_flight = inflight.len();
-            }
-            rec.gauge_set(submit, "transport.queue_depth", inflight.len() as f64);
-            rec.histogram_record(submit, "transport.queue_depth_dist", inflight.len() as f64);
-            rec.counter_add(
-                submit,
-                "transport.bytes_shipped",
-                (per_node * staging as u64) as f64,
-            );
-        }
-        // Trailing simulation steps, then wait out the staging tail.
-        let trailing = spec.total_steps().saturating_sub(n_out * spp);
-        if trailing > 0 {
-            machine.begin_split_phase(now, staging, JobPhase::Simulate, JobPhase::Idle);
-            let slow = session.compute_slowdown(now);
-            now += SimDuration::from_secs_f64(
-                step_secs * trailing as f64 * self.noise(&mut rng) * slow,
-            );
-        }
-        if staging_busy_until > now {
-            machine.begin_split_phase(now, staging, JobPhase::Idle, JobPhase::Visualize);
-            now = staging_busy_until;
-        }
-        machine.finish(now);
-        rec.close(now, root);
-        stats.link_queued = link.queued_time();
-        stats.link_busy = link.busy_time();
-        Ok((self.harvest(pc, machine, &pfs, now, written), stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PipelineKind;
-    use crate::intransit::reported_kind;
+    use crate::campaign::Campaign;
+    use crate::config::{PipelineConfig, PipelineKind};
+    use crate::intransit::{reported_kind, InTransitConfig};
+    use crate::metrics::PipelineMetrics;
 
     fn it_config(staging: usize, transport: TransportConfig) -> InTransitConfig {
         InTransitConfig {
@@ -514,19 +283,55 @@ mod tests {
         assert_eq!(c.wire_bytes(0), 0);
     }
 
-    #[test]
-    #[should_panic(expected = "transport depth")]
-    fn zero_depth_rejected() {
-        let _ = TransportConfig::pipelined(0);
+    /// The typed error a struct-literal `transport` is rejected with.
+    fn rejection(transport: TransportConfig) -> String {
+        let mut pc = PipelineConfig::paper(PipelineKind::InSitu, 24.0);
+        pc.kind = reported_kind();
+        match Campaign::paper().try_run_intransit_with_stats(&pc, &it_config(10, transport)) {
+            Err(PipelineError::InvalidConfig { detail }) => detail,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "compression ratio")]
-    fn sub_unity_ratio_rejected() {
-        let _ = TransportConfig::synchronous().with_compression(CompressionConfig {
-            ratio: 0.5,
-            compress_node_bps: 1e9,
-            decompress_node_bps: 1e9,
+    fn zero_depth_rejected() {
+        let detail = rejection(TransportConfig {
+            depth: 0,
+            compression: None,
         });
+        assert!(detail.contains("transport depth"), "{detail}");
+    }
+
+    #[test]
+    fn sub_unity_ratio_rejected() {
+        let detail = rejection(TransportConfig {
+            depth: 1,
+            compression: Some(CompressionConfig {
+                ratio: 0.5,
+                ..CompressionConfig::zfp_like()
+            }),
+        });
+        assert!(detail.contains("compression ratio"), "{detail}");
+    }
+
+    #[test]
+    fn non_positive_codec_throughput_rejected() {
+        for (compress, decompress) in [(0.0, 1e9), (1e9, -1.0), (f64::NAN, 1e9)] {
+            let detail = rejection(TransportConfig {
+                depth: 2,
+                compression: Some(CompressionConfig {
+                    ratio: 4.0,
+                    compress_node_bps: compress,
+                    decompress_node_bps: decompress,
+                }),
+            });
+            assert!(detail.contains("throughput"), "{detail}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transport depth")]
+    fn pipelined_constructor_panics_on_zero_depth() {
+        let _ = TransportConfig::pipelined(0);
     }
 }

@@ -1,16 +1,13 @@
 //! The indexed discrete-event engine: arena-allocated events popped from
 //! the hierarchical timer wheel.
 //!
-//! [`DesEngine`] is the successor of the closure-calendar
-//! [`Simulation`](crate::event::Simulation) for hot paths: events are
-//! plain values of a caller-chosen type `E` (no per-event `Box`), the
-//! queue is the [`TimerWheel`] index instead of a `BinaryHeap`, and
-//! scheduling returns an [`EventHandle`] that supports O(1) cancellation.
-//! The determinism contract is identical — events fire in `(time, seq)`
-//! order where `seq` is the insertion counter, so a run is a pure
-//! function of the schedule regardless of host, thread count or wall
-//! clock — and `tests/des_identity.rs` plus the DAG proptest in
-//! [`crate::dag`] hold the two engines to the same total order.
+//! Events are plain values of a caller-chosen type `E` (no per-event
+//! `Box`), the queue is the [`TimerWheel`] index, and scheduling returns
+//! an [`EventHandle`] that supports O(1) cancellation. Events fire in
+//! `(time, seq)` order where `seq` is the insertion counter, so a run is
+//! a pure function of the schedule regardless of host, thread count or
+//! wall clock; a differential proptest below holds that order equal to a
+//! `BinaryHeap` model calendar's.
 //!
 //! Dispatch goes through [`EventHandler`] (implemented for free by
 //! `FnMut(&mut DesEngine<E>, SimTime, E)` closures), which receives the
@@ -311,5 +308,100 @@ mod tests {
         }
         assert_eq!(run_once(0), run_once(0));
         assert_eq!(run_once(0), run_once(64));
+    }
+
+    mod properties {
+        use super::*;
+        use crate::event::Simulation;
+        use proptest::prelude::*;
+
+        type Firing = (SimTime, u64);
+
+        /// The follow-ups event `id` schedules when it fires with `hops`
+        /// generations left: a pure function of `(id, hops)`, so the
+        /// schedule depends on nothing but the plan. Delays span zero
+        /// (same-tick ties), a few ticks, milliseconds (wheel cascades)
+        /// and beyond one wheel epoch (calendar overflow).
+        fn follow_ups(id: u64, hops: u32) -> Vec<(SimDuration, u64)> {
+            if hops == 0 {
+                return Vec::new();
+            }
+            let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(hops);
+            (0..1 + (h >> 60) % 2)
+                .map(|c| {
+                    let hc = h.wrapping_add(c.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+                    let us = match (hc >> 40) % 4 {
+                        0 => 0,
+                        1 => (hc >> 32) % 8,
+                        2 => (hc >> 32) % 5_000_000,
+                        _ => (hc >> 32) % 100_000_000,
+                    };
+                    (SimDuration::from_micros(us), 2 * id + c + 1)
+                })
+                .collect()
+        }
+
+        fn engine_order(plan: &[(u64, u64)], hops: u32) -> Vec<Firing> {
+            let mut engine: DesEngine<(u64, u32)> = DesEngine::new();
+            for &(us, id) in plan {
+                engine.schedule_at(SimTime::from_micros(us), (id, hops));
+            }
+            let mut fired = Vec::new();
+            engine.run(&mut |eng: &mut DesEngine<(u64, u32)>,
+                             at: SimTime,
+                             (id, hops): (u64, u32)| {
+                fired.push((at, id));
+                for (delay, child) in follow_ups(id, hops) {
+                    eng.schedule_in(delay, (child, hops - 1));
+                }
+            });
+            fired
+        }
+
+        /// The same plan on the boxed-closure model calendar.
+        fn model_order(plan: &[(u64, u64)], hops: u32) -> Vec<Firing> {
+            fn fire(
+                sim: &mut Simulation<Vec<Firing>>,
+                fired: &mut Vec<Firing>,
+                id: u64,
+                hops: u32,
+            ) {
+                fired.push((sim.now(), id));
+                for (delay, child) in follow_ups(id, hops) {
+                    sim.schedule_in(delay, move |sim, fired| fire(sim, fired, child, hops - 1));
+                }
+            }
+            let mut sim: Simulation<Vec<Firing>> = Simulation::new();
+            for &(us, id) in plan {
+                sim.schedule_at(SimTime::from_micros(us), move |sim, fired| {
+                    fire(sim, fired, id, hops)
+                });
+            }
+            let mut fired = Vec::new();
+            sim.run(&mut fired);
+            fired
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Any initial schedule whose handlers schedule follow-ups
+            /// fires in a total order that is a pure function of the
+            /// plan: identical run-to-run, time-monotone, and identical
+            /// to the model calendar executing the same plan.
+            #[test]
+            fn firing_order_is_a_pure_function_of_the_plan(
+                plan in prop::collection::vec((0u64..200_000_000, 0u64..1_000), 1..24),
+                hops in 0u32..5,
+            ) {
+                let a = engine_order(&plan, hops);
+                prop_assert_eq!(&a, &engine_order(&plan, hops), "engine differs run-to-run");
+                prop_assert_eq!(&a, &model_order(&plan, hops), "engine diverged from the model calendar");
+                prop_assert!(a.len() >= plan.len());
+                for w in a.windows(2) {
+                    prop_assert!(w[0].0 <= w[1].0);
+                }
+            }
+        }
     }
 }

@@ -1,4 +1,7 @@
-//! The event calendar: a deterministic closure-based discrete-event engine.
+//! The model event calendar: a `BinaryHeap` of boxed closures, compiled
+//! for tests only. It is the obviously-correct `(time, seq)` queue the
+//! indexed [`DesEngine`](crate::engine::DesEngine) is property-tested
+//! against (`engine::tests::properties`).
 //!
 //! Events are `FnOnce(&mut Simulation<W>, &mut W)` closures, so any component
 //! of the world can schedule follow-up work. Ties in the timestamp are broken
@@ -43,21 +46,6 @@ impl<W> Ord for Scheduled<W> {
 ///
 /// The simulation owns only the clock and the event calendar; all domain
 /// state lives in `W`, which is threaded through every event by `&mut`.
-///
-/// ```
-/// use ivis_sim::{Simulation, SimDuration};
-///
-/// let mut sim = Simulation::new();
-/// let mut hits: Vec<u64> = Vec::new();
-/// sim.schedule_in(SimDuration::from_secs(2), |sim, world: &mut Vec<u64>| {
-///     world.push(sim.now().as_micros());
-/// });
-/// sim.schedule_in(SimDuration::from_secs(1), |sim, world: &mut Vec<u64>| {
-///     world.push(sim.now().as_micros());
-/// });
-/// sim.run(&mut hits);
-/// assert_eq!(hits, vec![1_000_000, 2_000_000]);
-/// ```
 pub struct Simulation<W> {
     now: SimTime,
     seq: u64,

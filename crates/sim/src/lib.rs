@@ -6,19 +6,14 @@
 //! The engine is deliberately minimal but complete:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time.
-//! * [`Simulation`] — an event calendar whose events are closures acting on a
-//!   caller-supplied world type `W`. Determinism is guaranteed by a
-//!   monotonically increasing sequence number that breaks timestamp ties in
-//!   insertion order.
-//! * [`DesEngine`] — the indexed engine for hot paths: events are plain
-//!   values in an [`arena::EventArena`] popped from a hierarchical
+//! * [`DesEngine`] — the event engine: events are plain values in an
+//!   [`arena::EventArena`] popped from a hierarchical
 //!   [`wheel::TimerWheel`] (calendar-queue overflow level for far-future
-//!   entries), with O(1) lazy cancellation via [`EventHandle`]s. Same
-//!   `(time, seq)` determinism contract as [`Simulation`], which is kept
-//!   as the model queue the wheel is property-tested against.
-//! * [`dag`] — pipelines as component DAGs ([`ComponentKind`], [`Dag`])
-//!   replayed on the engine; the executors in the core crate declare
-//!   their wiring with these.
+//!   entries), with O(1) lazy cancellation via [`EventHandle`]s.
+//!   Determinism is guaranteed by a monotonically increasing sequence
+//!   number that breaks timestamp ties in insertion order. (A
+//!   `BinaryHeap`-of-closures calendar survives as a test-only model
+//!   queue the engine is property-tested against.)
 //! * [`resource`] — analytic queueing servers: a processor-sharing
 //!   [`resource::FairShareServer`] (models bandwidth-shared storage servers)
 //!   and a FIFO [`resource::FcfsServer`] (models metadata servers).
@@ -33,9 +28,9 @@
 //! value.
 
 pub mod arena;
-pub mod dag;
 pub mod engine;
-pub mod event;
+#[cfg(test)]
+mod event;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -44,9 +39,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use arena::{EventArena, EventHandle};
-pub use dag::{ComponentId, ComponentKind, Dag, DagError};
 pub use engine::{DesEngine, EventHandler};
-pub use event::Simulation;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::TimeSeries;

@@ -4,9 +4,7 @@
 //! The wheel holds `(time, seq, handle)` index entries — event payloads
 //! live in the [`EventArena`](crate::arena::EventArena) — and pops them
 //! in `(time, seq)` order, which is the engine's determinism contract:
-//! ties in the timestamp break in insertion order, exactly like the
-//! closure-calendar [`Simulation`](crate::event::Simulation) it indexes
-//! faster than.
+//! ties in the timestamp break in insertion order.
 //!
 //! # Structure
 //!

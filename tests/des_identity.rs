@@ -4,10 +4,10 @@
 //! digests, JSONL traces and exporter artifacts — at 1, 2 and 8 shim
 //! threads.
 //!
-//! The golden file holds what the loop executors in
-//! `campaign`/`resilience`/`transport` produce; both they and the event
-//! chains on `ivis_sim::DesEngine` (`Campaign::run_des` and friends) are
-//! held to it here:
+//! The golden file holds what the loop executors that used to live in
+//! `campaign`/`resilience`/`transport` produced; the event chains on
+//! `ivis_sim::DesEngine` (`crates/core/src/des.rs`) replaced them and are
+//! held to it here, through the entry points production code calls:
 //!
 //! * the full paper matrix (2 pipelines × 3 rates), clean, with traces;
 //! * random fault plans at the CI matrix seeds (1, 42, 1337);
@@ -43,25 +43,32 @@ fn intransit_pc(hours: f64) -> PipelineConfig {
     pc
 }
 
+fn staged(staging_nodes: usize, transport: TransportConfig) -> InTransitConfig {
+    InTransitConfig {
+        staging_nodes,
+        transport,
+        ..InTransitConfig::caddy_default()
+    }
+}
+
+/// The heaviest transport the suites pin: depth 2 with zfp-class compression.
+fn depth2_zfp() -> TransportConfig {
+    TransportConfig::pipelined(2).with_compression(CompressionConfig::zfp_like())
+}
+
 #[test]
 fn clean_paper_matrix_is_bit_identical_with_traces() {
     let golden = Golden::load();
     for pc in PipelineConfig::paper_matrix() {
         let label = format!("matrix/{}@{}h", pc.kind.label(), pc.rate.every_hours);
-        for des in [false, true] {
-            let (digest, trace) = at_all_thread_counts(|| {
-                let (campaign, rec) = traced_campaign(11);
-                let m = if des {
-                    campaign.run_des(&pc)
-                } else {
-                    campaign.run(&pc)
-                };
-                let trace = rec.with_buffer(to_jsonl).expect("recorder is on");
-                (m.digest(), blob(&trace))
-            });
-            golden.check(&format!("{label}/digest"), &digest);
-            golden.check(&format!("{label}/jsonl"), &trace);
-        }
+        let (digest, trace) = at_all_thread_counts(|| {
+            let (campaign, rec) = traced_campaign(11);
+            let m = campaign.run(&pc);
+            let trace = rec.with_buffer(to_jsonl).expect("recorder is on");
+            (m.digest(), blob(&trace))
+        });
+        golden.check(&format!("{label}/digest"), &digest);
+        golden.check(&format!("{label}/jsonl"), &trace);
     }
 }
 
@@ -75,19 +82,13 @@ fn faulted_runs_agree_across_the_seed_matrix() {
         for kind in [PipelineKind::InSitu, PipelineKind::PostProcessing] {
             let pc = PipelineConfig::paper(kind, 8.0);
             let scenario = FaultScenario::with_plan(FaultPlan::random(seed, horizon));
-            for des in [false, true] {
-                let digest = at_all_thread_counts(|| {
-                    let campaign = Campaign::paper();
-                    let run = if des {
-                        campaign.run_faulted_des(&pc, &scenario)
-                    } else {
-                        campaign.run_faulted(&pc, &scenario)
-                    };
-                    run.expect("random plans degrade runs, they do not kill them")
-                        .digest()
-                });
-                golden.check(&format!("fault/seed{seed}/{}@8h", kind.label()), &digest);
-            }
+            let digest = at_all_thread_counts(|| {
+                Campaign::paper()
+                    .run_faulted(&pc, &scenario)
+                    .expect("random plans degrade runs, they do not kill them")
+                    .digest()
+            });
+            golden.check(&format!("fault/seed{seed}/{}@8h", kind.label()), &digest);
         }
     }
 }
@@ -98,34 +99,18 @@ fn staging_sweep_agrees_including_transport_stats() {
     let sweeps = [
         ("s10-d1", 10usize, TransportConfig::synchronous()),
         ("s10-d4", 10, TransportConfig::pipelined(4)),
-        (
-            "s25-d2-zfp",
-            25,
-            TransportConfig::pipelined(2).with_compression(CompressionConfig::zfp_like()),
-        ),
+        ("s25-d2-zfp", 25, depth2_zfp()),
         ("s50-d2", 50, TransportConfig::pipelined(2)),
     ];
     let pc = intransit_pc(24.0);
     for (label, staging, transport) in sweeps {
-        let it = InTransitConfig {
-            staging_nodes: staging,
-            transport,
-            ..InTransitConfig::caddy_default()
-        };
-        for des in [false, true] {
-            let (digest, stats) = at_all_thread_counts(|| {
-                let campaign = Campaign::paper_noisy(7);
-                let (m, s) = if des {
-                    campaign.try_run_intransit_des_with_stats(&pc, &it)
-                } else {
-                    campaign.try_run_intransit_with_stats(&pc, &it)
-                }
-                .expect("clean staged run cannot fail");
-                (m.digest(), stats_line(&s))
-            });
-            golden.check(&format!("sweep/{label}@24h/digest"), &digest);
-            golden.check(&format!("sweep/{label}@24h/stats"), &stats);
-        }
+        let it = staged(staging, transport);
+        let (digest, stats) = at_all_thread_counts(|| {
+            let (m, s) = Campaign::paper_noisy(7).run_intransit_with_stats(&pc, &it);
+            (m.digest(), stats_line(&s))
+        });
+        golden.check(&format!("sweep/{label}@24h/digest"), &digest);
+        golden.check(&format!("sweep/{label}@24h/stats"), &stats);
     }
 }
 
@@ -138,43 +123,33 @@ fn faulted_staged_run_exports_identical_artifacts() {
     let golden = Golden::load();
     let plan = FaultPlan::random(42, SimDuration::from_secs(1_300));
     let pc = intransit_pc(8.0);
-    let it = InTransitConfig {
-        staging_nodes: 25,
-        transport: TransportConfig::pipelined(2).with_compression(CompressionConfig::zfp_like()),
-        ..InTransitConfig::caddy_default()
-    };
-    for des in [false, true] {
-        let (digest, chrome, prom, has_queue_hist) = at_all_thread_counts(|| {
-            let (campaign, rec) = traced_campaign(42);
-            let scenario = FaultScenario::with_plan(plan.clone());
-            let run = if des {
-                campaign.run_intransit_faulted_des(&pc, &it, &scenario)
-            } else {
-                campaign.run_intransit_faulted(&pc, &it, &scenario)
-            }
+    let it = staged(25, depth2_zfp());
+    let (digest, chrome, prom, has_queue_hist) = at_all_thread_counts(|| {
+        let (campaign, rec) = traced_campaign(42);
+        let run = campaign
+            .run_intransit_faulted(&pc, &it, &FaultScenario::with_plan(plan.clone()))
             .expect("random plans degrade runs, they do not kill them");
-            let chrome = rec.with_buffer(to_chrome_trace).expect("recorder is on");
-            let prom = rec
-                .with_buffer(|b| to_prometheus(&b.metrics))
-                .expect("recorder is on");
-            let has_queue_hist = prom.contains("# TYPE transport_queue_depth_dist histogram");
-            (run.digest(), blob(&chrome), blob(&prom), has_queue_hist)
-        });
-        golden.check("faulted-staged/s25-d2-zfp@8h/seed42/digest", &digest);
-        golden.check("faulted-staged/s25-d2-zfp@8h/seed42/perfetto", &chrome);
-        golden.check("faulted-staged/s25-d2-zfp@8h/seed42/prometheus", &prom);
-        // The run actually exercised the staged-transport telemetry.
-        assert!(has_queue_hist);
-    }
+        let chrome = rec.with_buffer(to_chrome_trace).expect("recorder is on");
+        let prom = rec
+            .with_buffer(|b| to_prometheus(&b.metrics))
+            .expect("recorder is on");
+        let has_queue_hist = prom.contains("# TYPE transport_queue_depth_dist histogram");
+        (run.digest(), blob(&chrome), blob(&prom), has_queue_hist)
+    });
+    golden.check("faulted-staged/s25-d2-zfp@8h/seed42/digest", &digest);
+    golden.check("faulted-staged/s25-d2-zfp@8h/seed42/perfetto", &chrome);
+    golden.check("faulted-staged/s25-d2-zfp@8h/seed42/prometheus", &prom);
+    // The run actually exercised the staged-transport telemetry.
+    assert!(has_queue_hist);
 }
 
 #[test]
 fn noise_free_campaign_digests_and_event_counts_match_golden() {
-    // The configurations `des.rs`'s own unit tests compared loop against
-    // event chain on: noise-free in-situ @ 8 h and post-hoc @ 24 h (with
-    // the engine's event counts), and the staged 25-node depth-2/zfp run.
-    // The fourth, the seed-42 faulted in-situ run, is `fault/seed42/…`
-    // above.
+    // The configurations `des.rs`'s own unit tests used to compare loop
+    // against event chain on: noise-free in-situ @ 8 h and post-hoc @ 24 h
+    // (with the engine's event counts), and the staged 25-node
+    // depth-2/zfp run. The fourth, the seed-42 faulted in-situ run, is
+    // `fault/seed42/…` above.
     let golden = Golden::load();
     let campaign = Campaign::paper();
     for (kind, hours) in [
@@ -186,24 +161,12 @@ fn noise_free_campaign_digests_and_event_counts_match_golden() {
         let (m, events) = campaign
             .try_run_des_with_events(&pc)
             .expect("clean run cannot fail");
-        golden.check(&format!("{label}/digest"), &campaign.run(&pc).digest());
         golden.check(&format!("{label}/digest"), &m.digest());
         golden.check(&format!("{label}/events"), &events.to_string());
     }
     let pc = intransit_pc(24.0);
-    let it = InTransitConfig {
-        staging_nodes: 25,
-        transport: TransportConfig::pipelined(2).with_compression(CompressionConfig::zfp_like()),
-        ..InTransitConfig::caddy_default()
-    };
-    for des in [false, true] {
-        let (m, s) = if des {
-            campaign.try_run_intransit_des_with_stats(&pc, &it)
-        } else {
-            campaign.try_run_intransit_with_stats(&pc, &it)
-        }
-        .expect("clean staged run cannot fail");
-        golden.check("paper/in-transit-s25-d2-zfp@24h/digest", &m.digest());
-        golden.check("paper/in-transit-s25-d2-zfp@24h/stats", &stats_line(&s));
-    }
+    let it = staged(25, depth2_zfp());
+    let (m, s) = campaign.run_intransit_with_stats(&pc, &it);
+    golden.check("paper/in-transit-s25-d2-zfp@24h/digest", &m.digest());
+    golden.check("paper/in-transit-s25-d2-zfp@24h/stats", &stats_line(&s));
 }

@@ -5,8 +5,8 @@
 //! public API:
 //!
 //! 1. **Inert scenarios are free.** An empty [`FaultPlan`] must reproduce
-//!    the clean executors bit-for-bit (energy, times, trace) across the
-//!    paper's whole 2 × 3 configuration matrix.
+//!    the clean entry point bit-for-bit (energy, times) across the paper's
+//!    whole 2 × 3 configuration matrix.
 //! 2. **Seeded runs replay exactly.** Every fault decision derives from
 //!    the plan's seed in sim-time, never from thread interleaving — so a
 //!    faulted run's [`FaultedRun::digest`] and its full JSONL trace are
@@ -188,9 +188,10 @@ proptest! {
             }
             // The typed failure paths are the only acceptable errors.
             Err(PipelineError::Storage { .. }) | Err(PipelineError::RetriesExhausted { .. }) => {}
-            // The campaign backend never decodes raw frame bytes, so a
-            // corrupt-frame error here would be a bug.
-            Err(e @ PipelineError::CorruptFrame { .. }) => {
+            // The campaign backend never decodes raw frame bytes and the
+            // paper configuration is valid, so either of these would be a
+            // bug.
+            Err(e @ (PipelineError::CorruptFrame { .. } | PipelineError::InvalidConfig { .. })) => {
                 prop_assert!(false, "campaign executor reported {e}")
             }
         }
