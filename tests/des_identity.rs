@@ -14,13 +14,16 @@
 //! * the staging sweep (partition size × queue depth × compression),
 //!   including `TransportStats` equality;
 //! * the faulted staged run's Perfetto and Prometheus exports;
-//! * the noise-free campaign digests and per-family event counts.
+//! * the noise-free campaign digests and per-family event counts;
+//! * the 10 000-node what-if shapes (`caddy10k/…`), recorded from the
+//!   per-node power bookkeeping before `Machine` stopped looping over
+//!   nodes.
 
 mod common;
 
 use common::{at_all_thread_counts, blob, stats_line, Golden};
 use insitu_vis::fault::{FaultPlan, FaultScenario};
-use insitu_vis::pipeline::campaign::Campaign;
+use insitu_vis::pipeline::campaign::{Campaign, CampaignConfig};
 use insitu_vis::pipeline::intransit::{reported_kind, InTransitConfig};
 use insitu_vis::pipeline::{CompressionConfig, PipelineConfig, PipelineKind, TransportConfig};
 use insitu_vis::sim::SimDuration;
@@ -169,4 +172,33 @@ fn noise_free_campaign_digests_and_event_counts_match_golden() {
     let (m, s) = campaign.run_intransit_with_stats(&pc, &it);
     golden.check("paper/in-transit-s25-d2-zfp@24h/digest", &m.digest());
     golden.check("paper/in-transit-s25-d2-zfp@24h/stats", &stats_line(&s));
+}
+
+#[test]
+fn caddy_10k_whatif_digests_match_golden() {
+    // `caddy_scaled(10_000)` is 1 000 ten-node cages. 640 staging nodes end
+    // on a cage boundary (the benchmark's `whatif_10k` shape); 645 put the
+    // compute/staging boundary inside a cage.
+    let golden = Golden::load();
+    let campaign = Campaign::caddy_scaled(10_000);
+    for hours in [24.0, 8.0] {
+        let m = campaign.run(&PipelineConfig::paper(PipelineKind::InSitu, hours));
+        golden.check(&format!("caddy10k/in-situ@{hours}h/digest"), &m.digest());
+    }
+    let depth4_zfp = TransportConfig::pipelined(4).with_compression(CompressionConfig::zfp_like());
+    for staging in [640usize, 645] {
+        let m = campaign.run_intransit(&intransit_pc(24.0), &staged(staging, depth4_zfp.clone()));
+        golden.check(
+            &format!("caddy10k/in-transit-s{staging}-d4-zfp@24h/digest"),
+            &m.digest(),
+        );
+    }
+    // One noise draw per cage per phase change, 1 000 cages.
+    let mut noisy = campaign.clone();
+    let noise = CampaignConfig::paper_noisy(11);
+    noisy.config.noise_rel = noise.noise_rel;
+    noisy.config.power_noise_rel = noise.power_noise_rel;
+    noisy.config.seed = noise.seed;
+    let m = noisy.run(&PipelineConfig::paper(PipelineKind::InSitu, 24.0));
+    golden.check("caddy10k/noisy11/in-situ@24h/digest", &m.digest());
 }
