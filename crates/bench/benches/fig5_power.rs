@@ -1,11 +1,13 @@
 //! Fig. 5 — average power comparison.
 //!
-//! Regenerates the figure rows and times the power-averaging path (meter
-//! aggregation across 15 cages plus the rack).
+//! Regenerates the figure rows and times the power-averaging path: the
+//! cluster meter the machine maintains, and beside it the merge of the 15
+//! cage meters it replaced.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ivis_bench::fig5_rows;
 use ivis_cluster::{IoWaitPolicy, JobPhase, Machine};
+use ivis_power::meter::aggregate;
 use ivis_sim::SimTime;
 
 fn bench_fig5(c: &mut Criterion) {
@@ -29,8 +31,11 @@ fn bench_fig5(c: &mut Criterion) {
     machine.finish(t);
 
     let mut g = c.benchmark_group("fig5_power");
-    g.bench_function("aggregate_15_cage_meters", |b| {
+    g.bench_function("cluster_meter_150_nodes", |b| {
         b.iter(|| machine.cluster_meter())
+    });
+    g.bench_function("aggregate_15_cage_meters", |b| {
+        b.iter(|| aggregate("compute-cluster", machine.cage_meters()))
     });
     let meter = machine.cluster_meter();
     g.bench_function("minute_averaged_report", |b| {

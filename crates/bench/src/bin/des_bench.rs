@@ -1,6 +1,7 @@
 //! Discrete-event-engine benchmark: raw [`ivis_sim::DesEngine`]
 //! throughput, the pipeline executors across the paper matrix, and the
-//! 10k-node *exascale what-if* campaign on [`Campaign::caddy_scaled`].
+//! 10k- and 100k-node *exascale what-if* campaigns on
+//! [`Campaign::caddy_scaled`].
 //!
 //! Two things are tracked:
 //!
@@ -8,14 +9,16 @@
 //!   artifact doubles as a cross-machine determinism witness
 //!   (`tests/des_identity.rs` is the full contract);
 //! * **speed** — the timer-wheel/arena engine sustains millions of
-//!   events per second, and a 10 000-node campaign stays interactive.
+//!   events per second, and a campaign's cost follows its event count,
+//!   not the size of the simulated machine.
 //!
 //! Writes `BENCH_des.json` (or the path given as the first non-flag
 //! argument). With `--check`, exits nonzero if any digest differs from
 //! the one the committed `BENCH_des.json` records, the raw engine drops
-//! below 1M events/s, or the 10k-node campaign takes longer than 30 s of
-//! wall clock — generous floors meant to catch collapses, not jitter;
-//! trajectory gating is `bench_diff --ratios-only`'s job.
+//! below 1M events/s, or the 10k-node campaign takes longer than 5 s
+//! (the 100k-node one 30 s) of wall clock — generous floors meant to
+//! catch collapses, not jitter; trajectory gating is `bench_diff
+//! --ratios-only`'s job.
 
 use std::time::Instant;
 
@@ -133,27 +136,36 @@ fn main() {
         witnesses.push((label, digest));
     }
 
-    // --- the exascale what-if: a 10 000-node Caddy ---
-    let big = Campaign::caddy_scaled(10_000);
+    // --- the exascale what-ifs: 10 000- and 100 000-node Caddys ---
     let pc = PipelineConfig::paper(PipelineKind::InSitu, 8.0);
-    let (big_m, big_events) = big
-        .try_run_des_with_events(&pc)
-        .expect("clean run cannot fail");
-    let big_s = time_min_s(3, || {
-        std::hint::black_box(big.run(&pc));
-    });
-    let big_label = "caddy10k/in-situ@8h".to_string();
-    eprintln!(
-        "{big_label:>22}: {:.3} ms ({big_events} events) digest {}",
-        big_s * 1e3,
-        big_m.digest()
-    );
-    if check && big_s > 30.0 {
-        failures.push(format!(
-            "10k-node campaign took {big_s:.1} s of wall clock (30 s budget)"
+    let mut big_rows = Vec::new();
+    for (label, nodes, budget_s) in [
+        ("caddy10k/in-situ@8h", 10_000, 5.0),
+        ("caddy100k/in-situ@8h", 100_000, 30.0),
+    ] {
+        let big = Campaign::caddy_scaled(nodes);
+        let (m, events) = big
+            .try_run_des_with_events(&pc)
+            .expect("clean run cannot fail");
+        let wall_s = time_min_s(3, || {
+            std::hint::black_box(big.run(&pc));
+        });
+        let digest = m.digest();
+        eprintln!(
+            "{label:>22}: {:.3} ms ({events} events) digest {digest}",
+            wall_s * 1e3
+        );
+        if check && wall_s > budget_s {
+            failures.push(format!(
+                "{nodes}-node campaign took {wall_s:.1} s of wall clock ({budget_s} s budget)"
+            ));
+        }
+        big_rows.push(format!(
+            "    {{ \"config\": \"{label}\", \"wall_s\": {wall_s:.6}, \"des_events\": {events}, \
+             \"digest\": \"{digest}\" }}"
         ));
+        witnesses.push((label.to_string(), digest));
     }
-    witnesses.push((big_label.clone(), big_m.digest()));
     if let Some(baseline) = &baseline {
         failures.extend(ivis_bench::baseline::digest_mismatches(
             baseline, &witnesses,
@@ -167,12 +179,10 @@ fn main() {
          {{ \"config\": \"engine/hot_chain\", \"events\": {CHAIN_EVENTS}, \"events_per_sec\": {chain_eps:.0} }},\n    \
          {{ \"config\": \"engine/wheel_churn\", \"events\": {CHURN_EVENTS}, \"events_per_sec\": {churn_eps:.0} }}\n  ] }},\n  \
          \"paper_matrix\": {{\n  \"rows\": [\n{}\n  ] }},\n  \
-         \"exascale\": {{\n  \"rows\": [\n    \
-         {{ \"config\": \"{big_label}\", \"wall_s\": {big_s:.6}, \"des_events\": {big_events}, \
-         \"digest\": \"{}\" }}\n  ] }}\n}}\n",
+         \"exascale\": {{\n  \"rows\": [\n{}\n  ] }}\n}}\n",
         zsim.map_or("null".to_string(), |v| format!("\"{v}\"")),
         rows.join(",\n"),
-        big_m.digest(),
+        big_rows.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("write benchmark json");
     eprintln!("wrote {out_path}");

@@ -2,23 +2,73 @@
 //!
 //! A [`Machine`] is what a pipeline executor drives: it announces phase
 //! transitions ([`Machine::begin_phase`]) and the machine converts them into
-//! per-node loads, per-node watts, and per-cage meter observations — exactly
-//! the measurement pathway on *Caddy* (15 Appro cage monitors covering 150
+//! node loads, node watts, and per-cage meter observations — exactly the
+//! measurement pathway on *Caddy* (15 Appro cage monitors covering 150
 //! nodes, one averaged sample per minute each).
+//!
+//! # Cost model
+//!
+//! Every node of a partition carries the same load, so the machine stores
+//! the partition ("the last `staging` nodes carry one load, the rest
+//! another"), not a load per node. A phase change costs O(1) power-model
+//! evaluations (one per distinct load) and O(cages) meter pushes: each
+//! *class* of cage — all compute, all staging, and the at most one cage
+//! that straddles the boundary — is summed once and the result is pushed,
+//! times one noise draw per cage, into the cage meters. The cluster-wide
+//! signal is maintained in the same pass, so [`Machine::cluster_meter`]
+//! costs O(phase changes), not a merge of every cage meter. Only
+//! [`Machine::set_node_load`] materialises a per-node table, which the
+//! next phase change drops again.
+//!
+//! # Summation order
+//!
+//! Outputs are pinned to the bit, so the order of every floating-point sum
+//! is part of the contract — no `n × p` shortcuts:
+//!
+//! 1. a cage's raw power is the node-order `Sum` of `nodes_per_cage` node
+//!    powers;
+//! 2. the cluster value is `((c0 + c1) + c2) + …` over the *observed*
+//!    (post-noise) cage powers, cage 0 first;
+//! 3. the cluster baseline is the `f64` `sum()` of the cage baselines,
+//!    as [`aggregate`] computes it;
+//! 4. [`Machine::power_now`] is the flat node-order sum over all nodes.
+//!
+//! Noise is drawn once per cage per observation, cage 0 first. The
+//! maintained cluster signal equals `aggregate(cage_meters())` sample for
+//! sample; debug builds assert it on every [`Machine::cluster_meter`] call.
+
+use std::iter::repeat_n;
 
 use ivis_power::meter::{aggregate, MeteredPdu};
 use ivis_power::node::{NodeLoad, NodePowerModel};
 use ivis_power::units::Watts;
-use ivis_sim::{SimRng, SimTime};
+use ivis_sim::{SimRng, SimTime, TimeSeries};
 
 use crate::phase::{IoWaitPolicy, JobPhase, PhaseRecord, PhaseTimeline};
-use crate::topology::{CageId, ClusterTopology, NodeId};
+use crate::topology::{ClusterTopology, NodeId};
 
 /// Optional multiplicative measurement noise on cage power.
 #[derive(Debug, Clone)]
 struct PowerNoise {
     rng: SimRng,
     rel_std: f64,
+}
+
+/// The loads of a partitioned machine: the last `staging` nodes carry
+/// `staged`, the rest carry `compute`.
+#[derive(Debug, Clone, Copy)]
+struct Partition {
+    staging: usize,
+    compute: NodeLoad,
+    staged: NodeLoad,
+}
+
+/// Node-order power sum of `computing` nodes at `compute` followed by
+/// `staging` nodes at `staged`.
+fn partition_power(compute: Watts, computing: usize, staged: Watts, staging: usize) -> Watts {
+    repeat_n(compute, computing)
+        .chain(repeat_n(staged, staging))
+        .sum()
 }
 
 /// An instrumented compute cluster.
@@ -40,8 +90,16 @@ pub struct Machine {
     topology: ClusterTopology,
     node_model: NodePowerModel,
     policy: IoWaitPolicy,
-    node_loads: Vec<NodeLoad>,
+    partition: Partition,
+    /// One load per node, overriding `partition`; exists only between a
+    /// [`Machine::set_node_load`] and the next phase change.
+    per_node: Option<Vec<NodeLoad>>,
     cage_meters: Vec<MeteredPdu>,
+    /// Each cage's latest observed power; its baseline until first observed.
+    cage_watts: Vec<f64>,
+    /// The left-to-right sum of `cage_watts`, pushed at every observation.
+    cluster_signal: TimeSeries,
+    cluster_baseline: Watts,
     timeline: PhaseTimeline,
     current: Option<(JobPhase, SimTime)>,
     noise: Option<PowerNoise>,
@@ -58,13 +116,21 @@ impl Machine {
         let cage_meters = (0..topology.num_cages)
             .map(|i| MeteredPdu::appro_cage(format!("cage{i}"), idle_cage))
             .collect();
-        let node_loads = vec![NodeLoad::IDLE; topology.num_nodes()];
+        let cage_watts = vec![idle_cage.watts(); topology.num_cages];
         Machine {
+            cluster_baseline: Watts(cage_watts.iter().sum()),
             topology,
             node_model,
             policy,
-            node_loads,
+            partition: Partition {
+                staging: 0,
+                compute: NodeLoad::IDLE,
+                staged: NodeLoad::IDLE,
+            },
+            per_node: None,
             cage_meters,
+            cage_watts,
+            cluster_signal: TimeSeries::new(),
             timeline: PhaseTimeline::new(),
             current: None,
             noise: None,
@@ -126,10 +192,20 @@ impl Machine {
     /// Instantaneous whole-cluster power implied by current node loads
     /// (true signal, before metering).
     pub fn power_now(&self) -> Watts {
-        self.node_loads
-            .iter()
-            .map(|&l| self.node_model.power(l))
-            .sum()
+        if let Some(table) = &self.per_node {
+            return table.iter().map(|&l| self.node_model.power(l)).sum();
+        }
+        let Partition {
+            staging,
+            compute,
+            staged,
+        } = self.partition;
+        partition_power(
+            self.node_model.power(compute),
+            self.topology.num_nodes() - staging,
+            self.node_model.power(staged),
+            staging,
+        )
     }
 
     /// Begin a new cluster-wide phase at time `t`, closing any phase in
@@ -138,10 +214,7 @@ impl Machine {
         self.close_current(t);
         self.current = Some((phase, t));
         let load = phase.load(self.policy);
-        for l in &mut self.node_loads {
-            *l = load;
-        }
-        self.observe_all(t);
+        self.set_partition(t, 0, load, load);
     }
 
     /// Begin a *split* phase at `t`: the last `staging` nodes run
@@ -162,31 +235,45 @@ impl Machine {
         assert!(staging < n, "staging partition must leave compute nodes");
         self.close_current(t);
         self.current = Some((compute_phase, t));
-        let cload = compute_phase.load(self.policy);
-        let sload = staging_phase.load(self.policy);
-        for (i, l) in self.node_loads.iter_mut().enumerate() {
-            *l = if i >= n - staging { sload } else { cload };
-        }
-        self.observe_all(t);
+        self.set_partition(
+            t,
+            staging,
+            compute_phase.load(self.policy),
+            staging_phase.load(self.policy),
+        );
     }
 
     /// Set one node's load (for heterogeneous experiments); does not affect
     /// the phase timeline.
     pub fn set_node_load(&mut self, t: SimTime, node: NodeId, load: NodeLoad) {
-        assert!(node.0 < self.node_loads.len(), "node out of range");
-        self.node_loads[node.0] = load;
+        let n = self.topology.num_nodes();
+        assert!(node.0 < n, "node out of range");
+        let Partition {
+            staging,
+            compute,
+            staged,
+        } = self.partition;
+        let table = self.per_node.get_or_insert_with(|| {
+            let mut table = vec![compute; n - staging];
+            table.resize(n, staged);
+            table
+        });
+        table[node.0] = load;
         let cage = self.topology.cage_of(node);
-        self.observe_cage(t, cage);
+        let raw = self
+            .topology
+            .nodes_in(cage)
+            .map(|n| self.node_model.power(table[n.0]))
+            .sum();
+        self.observe_cage(t, cage.0, raw);
+        self.record_cluster(t);
     }
 
     /// End the job at time `t`: closes the current phase and returns the
     /// machine to idle.
     pub fn finish(&mut self, t: SimTime) {
         self.close_current(t);
-        for l in &mut self.node_loads {
-            *l = NodeLoad::IDLE;
-        }
-        self.observe_all(t);
+        self.set_partition(t, 0, NodeLoad::IDLE, NodeLoad::IDLE);
     }
 
     fn close_current(&mut self, t: SimTime) {
@@ -199,26 +286,51 @@ impl Machine {
         }
     }
 
-    fn cage_power(&mut self, cage: CageId) -> Watts {
-        let raw: Watts = self
-            .topology
-            .nodes_in(cage)
-            .map(|n| self.node_model.power(self.node_loads[n.0]))
-            .sum();
-        match &mut self.noise {
+    /// Put the last `staging` nodes at `staged` and the rest at `compute`,
+    /// and re-observe every cage: one node-order sum per cage class, one
+    /// noise draw per cage.
+    fn set_partition(&mut self, t: SimTime, staging: usize, compute: NodeLoad, staged: NodeLoad) {
+        self.partition = Partition {
+            staging,
+            compute,
+            staged,
+        };
+        self.per_node = None;
+        let per_cage = self.topology.nodes_per_cage;
+        let first_staging = self.topology.num_nodes() - staging;
+        let (compute, staged) = (
+            self.node_model.power(compute),
+            self.node_model.power(staged),
+        );
+        let cage_raw =
+            |computing| partition_power(compute, computing, staged, per_cage - computing);
+        let (all_compute, all_staging) = (cage_raw(per_cage), cage_raw(0));
+        for cage in 0..self.topology.num_cages {
+            let computing = first_staging.saturating_sub(cage * per_cage).min(per_cage);
+            let raw = match computing {
+                0 => all_staging,
+                k if k == per_cage => all_compute,
+                k => cage_raw(k),
+            };
+            self.observe_cage(t, cage, raw);
+        }
+        self.record_cluster(t);
+    }
+
+    fn observe_cage(&mut self, t: SimTime, cage: usize, raw: Watts) {
+        let p = match &mut self.noise {
             Some(n) => raw * n.rng.noise_factor(n.rel_std),
             None => raw,
-        }
+        };
+        self.cage_meters[cage].observe(t, p);
+        self.cage_watts[cage] = p.watts();
     }
 
-    fn observe_cage(&mut self, t: SimTime, cage: CageId) {
-        let p = self.cage_power(cage);
-        self.cage_meters[cage.0].observe(t, p);
-    }
-
-    fn observe_all(&mut self, t: SimTime) {
-        for i in 0..self.topology.num_cages {
-            self.observe_cage(t, CageId(i));
+    /// Record the cluster value at `t` from the stored cage powers.
+    fn record_cluster(&mut self, t: SimTime) {
+        if let Some((&first, rest)) = self.cage_watts.split_first() {
+            let total = rest.iter().fold(first, |acc, &c| acc + c);
+            self.cluster_signal.push(t, total);
         }
     }
 
@@ -229,7 +341,26 @@ impl Machine {
 
     /// A synthesized whole-cluster meter (sum of all cages).
     pub fn cluster_meter(&self) -> MeteredPdu {
-        aggregate("compute-cluster", &self.cage_meters)
+        // What `aggregate` yields: one meter's sum is its signal verbatim,
+        // while a merge pushes every change-point anew — which re-coalesces
+        // the `[(0, A), (5, A)]` a same-instant overwrite leaves behind, so
+        // the integral does not split at 5.
+        let signal = if self.cage_meters.len() == 1 {
+            self.cluster_signal.clone()
+        } else {
+            let mut merged = TimeSeries::new();
+            for &(t, watts) in self.cluster_signal.samples() {
+                merged.push(t, watts);
+            }
+            merged
+        };
+        let meter =
+            MeteredPdu::appro_cage("compute-cluster", self.cluster_baseline).with_signal(signal);
+        debug_assert!(
+            same_meter(&meter, &aggregate("compute-cluster", &self.cage_meters)),
+            "maintained cluster signal diverged from aggregate(cage_meters())"
+        );
+        meter
     }
 
     /// Executed phases so far.
@@ -238,13 +369,325 @@ impl Machine {
     }
 }
 
+/// Whether two meters agree bit-for-bit: interval, baseline, and every
+/// change-point of the true signal.
+fn same_meter(a: &MeteredPdu, b: &MeteredPdu) -> bool {
+    fn bits(m: &MeteredPdu) -> impl Iterator<Item = (SimTime, u64)> + '_ {
+        let samples = m.true_signal().samples();
+        samples.iter().map(|&(t, watts)| (t, watts.to_bits()))
+    }
+    a.interval() == b.interval()
+        && a.baseline().watts().to_bits() == b.baseline().watts().to_bits()
+        && bits(a).eq(bits(b))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::CageId;
     use ivis_sim::SimDuration;
+    use proptest::prelude::*;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// The per-node formulation `Machine` replaced, kept as the reference
+    /// the partition bookkeeping is held to: a load per node, the power
+    /// model evaluated for every node of every cage on every observation,
+    /// and the cluster meter merged from the cage meters on demand.
+    struct PerNodeOracle {
+        topology: ClusterTopology,
+        node_model: NodePowerModel,
+        policy: IoWaitPolicy,
+        node_loads: Vec<NodeLoad>,
+        cage_meters: Vec<MeteredPdu>,
+        noise: Option<PowerNoise>,
+    }
+
+    impl PerNodeOracle {
+        fn of(m: &Machine) -> Self {
+            let topology = m.topology.clone();
+            let idle_cage = Watts(m.node_model.idle().watts() * topology.nodes_per_cage as f64);
+            PerNodeOracle {
+                node_model: m.node_model.clone(),
+                policy: m.policy,
+                node_loads: vec![NodeLoad::IDLE; topology.num_nodes()],
+                cage_meters: (0..topology.num_cages)
+                    .map(|i| MeteredPdu::appro_cage(format!("cage{i}"), idle_cage))
+                    .collect(),
+                noise: m.noise.clone(),
+                topology,
+            }
+        }
+
+        fn power_now(&self) -> Watts {
+            self.node_loads
+                .iter()
+                .map(|&l| self.node_model.power(l))
+                .sum()
+        }
+
+        fn begin_split_phase(&mut self, t: SimTime, staging: usize, c: JobPhase, s: JobPhase) {
+            let n = self.topology.num_nodes();
+            let (cload, sload) = (c.load(self.policy), s.load(self.policy));
+            for (i, l) in self.node_loads.iter_mut().enumerate() {
+                *l = if i >= n - staging { sload } else { cload };
+            }
+            self.observe_all(t);
+        }
+
+        fn set_node_load(&mut self, t: SimTime, node: NodeId, load: NodeLoad) {
+            self.node_loads[node.0] = load;
+            let cage = self.topology.cage_of(node);
+            self.observe_cage(t, cage);
+        }
+
+        fn cage_power(&mut self, cage: CageId) -> Watts {
+            let raw: Watts = self
+                .topology
+                .nodes_in(cage)
+                .map(|n| self.node_model.power(self.node_loads[n.0]))
+                .sum();
+            match &mut self.noise {
+                Some(n) => raw * n.rng.noise_factor(n.rel_std),
+                None => raw,
+            }
+        }
+
+        fn observe_cage(&mut self, t: SimTime, cage: CageId) {
+            let p = self.cage_power(cage);
+            self.cage_meters[cage.0].observe(t, p);
+        }
+
+        fn observe_all(&mut self, t: SimTime) {
+            for i in 0..self.topology.num_cages {
+                self.observe_cage(t, CageId(i));
+            }
+        }
+    }
+
+    /// One call into the machine's phase/load API.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Phase(JobPhase),
+        Split(usize, JobPhase, JobPhase),
+        Node(usize, NodeLoad),
+        Finish,
+    }
+
+    const PHASES: [JobPhase; 5] = [
+        JobPhase::Simulate,
+        JobPhase::WriteOutput,
+        JobPhase::Visualize,
+        JobPhase::ReadInput,
+        JobPhase::Idle,
+    ];
+
+    const LOADS: [NodeLoad; 5] = [
+        NodeLoad::IDLE,
+        NodeLoad::COMPUTE,
+        NodeLoad::RENDER,
+        NodeLoad::IO_BUSY_WAIT,
+        NodeLoad::IO_DEEP_IDLE,
+    ];
+
+    /// Drive `m` and the per-node oracle through `ops` (each after a time
+    /// step that may be zero) and hold every output to the oracle's bits.
+    fn assert_matches_oracle(mut m: Machine, ops: &[(u64, Op)]) {
+        let mut oracle = PerNodeOracle::of(&m);
+        let mut now = SimTime::ZERO;
+        for &(dt, op) in ops {
+            now += SimDuration::from_micros(dt);
+            match op {
+                Op::Phase(p) => {
+                    m.begin_phase(now, p);
+                    oracle.begin_split_phase(now, 0, p, p);
+                }
+                Op::Split(staging, c, s) => {
+                    m.begin_split_phase(now, staging, c, s);
+                    oracle.begin_split_phase(now, staging, c, s);
+                }
+                Op::Node(node, load) => {
+                    m.set_node_load(now, NodeId(node), load);
+                    oracle.set_node_load(now, NodeId(node), load);
+                }
+                Op::Finish => {
+                    m.finish(now);
+                    oracle.begin_split_phase(now, 0, JobPhase::Idle, JobPhase::Idle);
+                }
+            }
+            assert_eq!(
+                m.power_now().watts().to_bits(),
+                oracle.power_now().watts().to_bits(),
+                "power_now after {op:?}"
+            );
+            assert!(
+                same_meter(
+                    &m.cluster_meter(),
+                    &aggregate("compute-cluster", &oracle.cage_meters)
+                ),
+                "cluster meter after {op:?} at {now}"
+            );
+        }
+        for (mine, reference) in m.cage_meters().iter().zip(&oracle.cage_meters) {
+            assert!(same_meter(mine, reference), "{}", mine.label());
+        }
+        let end = now + SimDuration::from_secs(90);
+        let energy = |meter: MeteredPdu| meter.profile(SimTime::ZERO, end).energy().joules();
+        assert_eq!(
+            energy(m.cluster_meter()).to_bits(),
+            energy(aggregate("compute-cluster", &oracle.cage_meters)).to_bits()
+        );
+    }
+
+    fn op_strategy() -> impl Strategy<Value = (u64, u8, usize, usize, usize)> {
+        // (time step selector, op kind, node/staging selector, two table indices)
+        (0u64..4, 0u8..8, 0usize..10_000, 0usize..5, 0usize..5)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Any legal call sequence on any small topology — repeated
+        /// timestamps, every staging size, noise on and off, both I/O
+        /// policies — leaves every cage meter, the maintained cluster
+        /// signal, `power_now` and the profile energy bit-equal to the
+        /// per-node formulation.
+        #[test]
+        fn partition_bookkeeping_matches_the_per_node_oracle(
+            shape in (1usize..41, 1usize..13),
+            idle_watts in 60.0f64..140.0,
+            noise in prop_oneof![0u64..1, 1u64..1_000],
+            deep_idle in any::<bool>(),
+            raw_ops in prop::collection::vec(op_strategy(), 1..40),
+        ) {
+            let topology = ClusterTopology {
+                num_cages: shape.0,
+                nodes_per_cage: shape.1,
+                ..ClusterTopology::caddy()
+            };
+            let n = topology.num_nodes();
+            let policy = if deep_idle { IoWaitPolicy::DeepIdle } else { IoWaitPolicy::BusyWait };
+            // An idle draw that is not a round number, so that sums of it
+            // are inexact and their order shows.
+            let node_model = NodePowerModel::caddy().calibrated(Watts(idle_watts), Watts(293.3));
+            let mut m = Machine::new(topology, node_model, policy);
+            if noise > 0 {
+                m = m.with_power_noise(noise, 0.01);
+            }
+            let ops: Vec<(u64, Op)> = raw_ops
+                .into_iter()
+                .map(|(step, kind, pick, a, b)| {
+                    // Half the steps repeat the previous timestamp.
+                    let dt = [0, 0, 7_300_000, 61_000_001][step as usize];
+                    let op = match kind {
+                        0 | 1 => Op::Phase(PHASES[a]),
+                        2..=4 => Op::Split(pick % n, PHASES[a], PHASES[b]),
+                        5 | 6 => Op::Node(pick % n, LOADS[a]),
+                        _ => Op::Finish,
+                    };
+                    (dt, op)
+                })
+                .collect();
+            assert_matches_oracle(m, &ops);
+        }
+    }
+
+    #[test]
+    fn boundary_shapes_match_the_per_node_oracle() {
+        // (cages, nodes per cage, staging): no staging, cage-aligned and
+        // mid-cage boundaries at 10 000 nodes, one-node cages, one cage.
+        let shapes = [
+            (15, 10, 0),
+            (1_000, 10, 640),
+            (1_000, 10, 645),
+            (157, 1, 13),
+            (1, 8, 3),
+        ];
+        for (num_cages, nodes_per_cage, staging) in shapes {
+            let topology = ClusterTopology {
+                num_cages,
+                nodes_per_cage,
+                ..ClusterTopology::caddy()
+            };
+            let last = topology.num_nodes() - 1;
+            let ops = [
+                (0, Op::Split(staging, JobPhase::Simulate, JobPhase::Idle)),
+                (
+                    40_000_000,
+                    Op::Split(staging, JobPhase::Idle, JobPhase::Visualize),
+                ),
+                (0, Op::Split(staging, JobPhase::Simulate, JobPhase::Idle)),
+                (25_000_000, Op::Phase(JobPhase::WriteOutput)),
+                (5_000_000, Op::Node(last, NodeLoad::RENDER)),
+                (5_000_000, Op::Finish),
+            ];
+            for seed in [None, Some(11)] {
+                let mut m = Machine::new(
+                    topology.clone(),
+                    NodePowerModel::caddy(),
+                    IoWaitPolicy::BusyWait,
+                );
+                if let Some(seed) = seed {
+                    m = m.with_power_noise(seed, 0.005);
+                }
+                assert_matches_oracle(m, &ops);
+            }
+        }
+    }
+
+    #[test]
+    fn same_instant_reobservation_keeps_the_cluster_signal_coalesced() {
+        // Two phase changes at t = 5 s, the second restoring the first
+        // value: the cage meters keep `[(0, A), (5, A)]` (push overwrites in
+        // place), `aggregate` coalesces that to `[(0, A)]`, and so must the
+        // maintained signal — or the integral splits at 5 s and the last
+        // bit of the energy can flip.
+        let mut m = Machine::caddy(IoWaitPolicy::BusyWait);
+        m.begin_phase(t(0), JobPhase::Simulate);
+        m.begin_phase(t(5), JobPhase::Idle);
+        m.begin_phase(t(5), JobPhase::Simulate);
+        assert_eq!(m.cage_meters()[0].true_signal().len(), 2);
+        assert_eq!(m.cluster_meter().true_signal().len(), 1);
+        assert_matches_oracle(
+            Machine::caddy(IoWaitPolicy::BusyWait),
+            &[
+                (0, Op::Phase(JobPhase::Simulate)),
+                (5_000_000, Op::Phase(JobPhase::Idle)),
+                (0, Op::Phase(JobPhase::Simulate)),
+                (0, Op::Phase(JobPhase::Visualize)),
+                (9_000_000, Op::Finish),
+            ],
+        );
+    }
+
+    #[test]
+    fn node_load_before_any_phase_sums_the_other_cages_baselines() {
+        // The untouched cages still read their construction-time baseline
+        // `idle × nodes_per_cage`, which is not bitwise the node-order sum
+        // of idle powers.
+        let node_model = NodePowerModel::caddy().calibrated(Watts(100.1), Watts(293.3));
+        let idle = node_model.idle();
+        assert_ne!(
+            (idle * 10.0).watts().to_bits(),
+            partition_power(idle, 10, idle, 0).watts().to_bits()
+        );
+        let machine = || {
+            Machine::new(
+                ClusterTopology::caddy(),
+                node_model.clone(),
+                IoWaitPolicy::DeepIdle,
+            )
+        };
+        let ops = [
+            (3_000_000, Op::Node(17, NodeLoad::COMPUTE)),
+            (0, Op::Node(18, NodeLoad::RENDER)),
+            (4_000_000, Op::Node(149, NodeLoad::IO_DEEP_IDLE)),
+            (60_000_000, Op::Phase(JobPhase::Simulate)),
+        ];
+        assert_matches_oracle(machine(), &ops);
+        assert_matches_oracle(machine().with_power_noise(5, 0.02), &ops);
     }
 
     #[test]

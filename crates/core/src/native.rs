@@ -269,6 +269,7 @@ struct RenderedFrame {
 /// (rebuilt in place when the frame shape repeats), the RGB image buffer
 /// and the PNG encoder's scanline scratch. With these, a steady-state
 /// frame allocates only its own output PNG.
+#[derive(Default)]
 struct FrameScratch {
     tables: Option<SampleTables>,
     img: Option<ImageBuffer>,
@@ -276,11 +277,7 @@ struct FrameScratch {
 }
 
 thread_local! {
-    static FRAME_SCRATCH: RefCell<FrameScratch> = RefCell::new(FrameScratch {
-        tables: None,
-        img: None,
-        enc: PngEncoder::new(),
-    });
+    static FRAME_SCRATCH: RefCell<FrameScratch> = RefCell::default();
 }
 
 /// Segment, extract, rasterize, annotate and PNG-encode one snapshot — a
@@ -300,30 +297,32 @@ fn render_frame(
     let feats = extract_features(grid, w, &seg);
     let census = frame_census(&feats);
     let (lo, hi) = renderer.resolve_range(w);
-    let png = FRAME_SCRATCH.with(|cell| {
-        let FrameScratch { tables, img, enc } = &mut *cell.borrow_mut();
-        let tables = match tables {
-            Some(t) if t.matches(w, renderer.width, renderer.height) => {
-                t.rebuild(w);
-                t
-            }
-            slot => slot.insert(SampleTables::new(w, renderer.width, renderer.height)),
-        };
-        let img = match img {
-            Some(i) if i.width() == renderer.width && i.height() == renderer.height => i,
-            slot => slot.insert(ImageBuffer::new(renderer.width, renderer.height)),
-        };
-        for (y, row) in img.pixels_mut().chunks_mut(renderer.width).enumerate() {
-            tables.shade_row(y, renderer.colormap, lo, hi, row);
+    // The scratch is taken out of the cell, not borrowed in place:
+    // `annotate_frame` runs a parallel reduce, and a thread waiting on the
+    // pool may pick up another frame's `render_frame` meanwhile. That
+    // nested call finds an empty scratch and builds its own.
+    let mut scratch = FRAME_SCRATCH.take();
+    let FrameScratch { tables, img, enc } = &mut scratch;
+    let tables = match tables {
+        Some(t) if t.matches(w, renderer.width, renderer.height) => {
+            t.rebuild(w);
+            t
         }
-        if annotate {
-            annotate_frame(renderer, img, snap, lo, hi);
-        }
-        let mut png =
-            Vec::with_capacity(encoded_png_size(renderer.width, renderer.height) as usize);
-        enc.encode_into(img, &mut png);
-        png
-    });
+        slot => slot.insert(SampleTables::new(w, renderer.width, renderer.height)),
+    };
+    let img = match img {
+        Some(i) if i.width() == renderer.width && i.height() == renderer.height => i,
+        slot => slot.insert(ImageBuffer::new(renderer.width, renderer.height)),
+    };
+    for (y, row) in img.pixels_mut().chunks_mut(renderer.width).enumerate() {
+        tables.shade_row(y, renderer.colormap, lo, hi, row);
+    }
+    if annotate {
+        annotate_frame(renderer, img, snap, lo, hi);
+    }
+    let mut png = Vec::with_capacity(encoded_png_size(renderer.width, renderer.height) as usize);
+    enc.encode_into(img, &mut png);
+    FRAME_SCRATCH.set(scratch);
     RenderedFrame {
         feats,
         census,
@@ -426,6 +425,10 @@ pub fn run_native_insitu_depth_with(
     // steady-state adaptation reuses buffers instead of allocating.
     let (ret_tx, ret_rx) = mpsc::channel::<VizSnapshot>();
     std::thread::scope(|s| {
+        // Owned by the consumer: if it unwinds, the receiver drops and the
+        // producer's next `send` fails instead of blocking on a full queue
+        // that the scope would then wait on forever.
+        let rx = rx;
         s.spawn(move || {
             let mut adaptor = CatalystAdaptor::new();
             let mut step = 0u64;

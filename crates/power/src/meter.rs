@@ -71,6 +71,17 @@ impl MeteredPdu {
         self.interval
     }
 
+    /// The power assumed before the first observation.
+    pub fn baseline(&self) -> Watts {
+        self.baseline
+    }
+
+    /// This meter, having observed `signal` instead of what it has seen.
+    pub fn with_signal(mut self, signal: TimeSeries) -> Self {
+        self.signal = signal;
+        self
+    }
+
     /// Record that the observed equipment draws `power` from time `t`
     /// onward (until the next observation).
     pub fn observe(&mut self, t: SimTime, power: Watts) {
