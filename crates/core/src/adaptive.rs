@@ -46,7 +46,7 @@ use ivis_viz::render::FieldRenderer;
 use ivis_viz::CinemaDatabase;
 
 use crate::adaptor::{CatalystAdaptor, VizSnapshot};
-use crate::native::{note_frame, open_native_root, tracker_for, NativeConfig, WallTracer};
+use crate::native::{note_frame, open_native_root, tracker_for, Fnv1a, NativeConfig, WallTracer};
 
 /// What an adaptive campaign produced.
 #[derive(Debug, Clone)]
@@ -102,31 +102,17 @@ impl AdaptiveReport {
     /// iff their digests match; the identity tests compare this across
     /// thread counts and against the sequential baseline.
     pub fn digest(&self) -> String {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = Fnv1a::default();
         for d in &self.decisions {
-            eat(&d.step.to_le_bytes());
-            eat(&[d.emit as u8]);
-            eat(&d.interval_steps.to_le_bytes());
-            eat(&d.activity.to_bits().to_le_bytes());
-            eat(&(d.best_viewpoint as u64).to_le_bytes());
-            eat(&d.best_entropy_bits.to_bits().to_le_bytes());
+            h.eat(&d.step.to_le_bytes());
+            h.eat(&[d.emit as u8]);
+            h.eat(&d.interval_steps.to_le_bytes());
+            h.eat(&d.activity.to_bits().to_le_bytes());
+            h.eat(&(d.best_viewpoint as u64).to_le_bytes());
+            h.eat(&d.best_entropy_bits.to_bits().to_le_bytes());
         }
-        eat(self.cinema.index_json().as_bytes());
-        for e in self.cinema.entries() {
-            eat(&e.data);
-        }
-        eat(&(self.tracks.len() as u64).to_le_bytes());
-        eat(&(self.final_census.count as u64).to_le_bytes());
-        eat(&self.final_census.total_area_m2.to_bits().to_le_bytes());
-        format!("{:016x}", h)
+        h.eat_outputs(&self.cinema, &self.tracks, &self.final_census);
+        h.hex()
     }
 }
 

@@ -169,6 +169,52 @@ impl NativeReport {
         let own_total = (self.raw_bytes + self.image_bytes) as f64;
         (post_total - own_total) / post_total * 100.0
     }
+
+    /// Order-sensitive FNV-1a witness of everything observable: the
+    /// Cinema index, every PNG byte, the track count and the final
+    /// census. Two runs are interchangeable iff their digests match.
+    pub fn digest(&self) -> String {
+        let mut h = Fnv1a::default();
+        h.eat_outputs(&self.cinema, &self.tracks, &self.final_census);
+        h.hex()
+    }
+}
+
+/// Running FNV-1a-64 behind the reports' `digest()`s.
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    pub(crate) fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// What every native report ends its digest with.
+    pub(crate) fn eat_outputs(
+        &mut self,
+        cinema: &CinemaDatabase,
+        tracks: &[Track],
+        census: &FrameCensus,
+    ) {
+        self.eat(cinema.index_json().as_bytes());
+        for e in cinema.entries() {
+            self.eat(&e.data);
+        }
+        self.eat(&(tracks.len() as u64).to_le_bytes());
+        self.eat(&(census.count as u64).to_le_bytes());
+        self.eat(&census.total_area_m2.to_bits().to_le_bytes());
+    }
+
+    pub(crate) fn hex(&self) -> String {
+        format!("{:016x}", self.0)
+    }
 }
 
 /// Maps the native backend's wall-clock measurements onto a gap-free

@@ -1,15 +1,19 @@
 //! The adaptive-trigger executor's determinism contract: every decision
 //! the hysteresis controller takes, every PNG it emits and every trace
-//! record it writes must be **bit-identical** between the pipelined path
-//! and the sequential reference, at every thread count and every
+//! record it writes must be **bit-identical** to what the sequential
+//! reference loop produced — pinned under the `adaptive/` keys of
+//! `tests/golden/native_identity.txt` — at every thread count and every
 //! candidate-grid size. Wall-clock microseconds are the one thing two
-//! real executions can never agree on, so trace comparison normalizes
-//! the time fields and demands byte-identity of everything else.
+//! real executions can never agree on, so traces are normalized before
+//! they are pinned; everything else is byte-compared.
 //!
 //! Also here: a proptest that the *measured* effective rate — the
 //! dynamic output the model consumes — always stays within the
 //! configured interval band, whatever the ocean does.
 
+mod common;
+
+use common::{at_all_thread_counts, blob, decisions_line, frames_line, normalize_trace, Golden};
 use ivis_core::adaptive::{
     run_native_adaptive_sequential_with, run_native_adaptive_with, AdaptiveReport,
 };
@@ -18,93 +22,59 @@ use ivis_obs::{to_jsonl, Recorder};
 use ivis_trigger::TriggerConfig;
 use proptest::prelude::*;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const CANDIDATE_COUNTS: [usize; 3] = [1, 5, 10];
 
-/// Zero every digit run that follows a wall-clock-valued position:
-/// `"start_us":`, `"end_us":`, `"t_us":` and sample times (digits right
-/// after `[`). Everything deterministic stays byte-compared.
-fn normalize_trace(trace: &str) -> String {
-    let bytes = trace.as_bytes();
-    let mut out = String::with_capacity(trace.len());
-    let mut i = 0;
-    let markers: [&[u8]; 4] = [b"\"start_us\":", b"\"end_us\":", b"\"t_us\":", b"["];
-    'outer: while i < bytes.len() {
-        for m in markers {
-            if bytes[i..].starts_with(m) {
-                out.push_str(std::str::from_utf8(m).unwrap());
-                i += m.len();
-                if i < bytes.len() && bytes[i].is_ascii_digit() {
-                    out.push('0');
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                continue 'outer;
-            }
-        }
-        out.push(bytes[i] as char);
-        i += 1;
-    }
-    out
-}
-
-fn run_traced(
+/// One traced run's pinned artifacts: digest, decisions, frames line and
+/// the normalized trace.
+fn traced(
     run: fn(&NativeConfig, &TriggerConfig, &Recorder) -> AdaptiveReport,
     cfg: &NativeConfig,
     tc: &TriggerConfig,
-) -> (AdaptiveReport, String) {
+) -> [String; 4] {
     let rec = Recorder::in_memory();
-    let report = run(cfg, tc, &rec);
-    let trace = rec.with_buffer(to_jsonl).unwrap();
-    (report, trace)
+    let r = run(cfg, tc, &rec);
+    let trace = normalize_trace(&rec.with_buffer(to_jsonl).unwrap());
+    assert!(trace.contains("\"start_us\":0"), "normalizer broken?");
+    assert_eq!(r.analyses as usize, r.decisions.len());
+    [
+        r.digest(),
+        decisions_line(&r.decisions),
+        frames_line(&r.cinema, &r.tracks, &r.final_census),
+        blob(&trace),
+    ]
 }
 
 #[test]
 fn adaptive_outputs_are_bit_identical_at_all_thread_and_candidate_counts() {
-    let cfg = NativeConfig::tiny();
-    for candidates in CANDIDATE_COUNTS {
-        let tc = TriggerConfig::new(8, candidates);
-        let (golden, golden_trace) = run_traced(run_native_adaptive_sequential_with, &cfg, &tc);
-        let golden_trace = normalize_trace(&golden_trace);
-        assert!(
-            golden_trace.contains("\"start_us\":0"),
-            "normalizer broken?"
-        );
-        let golden_digest = golden.digest();
-        for n in THREAD_COUNTS {
-            rayon::set_num_threads(n);
-            let (pipelined, trace) = run_traced(run_native_adaptive_with, &cfg, &tc);
-            let ctx = format!("{candidates} candidates, {n} threads");
-            assert_eq!(pipelined.digest(), golden_digest, "{ctx}");
-            assert_eq!(pipelined.decisions, golden.decisions, "{ctx}");
-            assert_eq!(pipelined.frames, golden.frames, "{ctx}");
-            assert_eq!(
-                pipelined.cinema.index_json(),
-                golden.cinema.index_json(),
-                "{ctx}"
-            );
-            for (ep, eg) in pipelined
-                .cinema
-                .entries()
-                .iter()
-                .zip(golden.cinema.entries())
-            {
-                assert_eq!(
-                    ep.data, eg.data,
-                    "PNG bytes differ at frame {} with {ctx}",
-                    eg.timestep
-                );
-            }
-            assert_eq!(pipelined.tracks, golden.tracks, "{ctx}");
-            assert_eq!(pipelined.final_census, golden.final_census, "{ctx}");
-            assert_eq!(
-                normalize_trace(&trace),
-                golden_trace,
-                "trace structure differs at {ctx}"
-            );
+    let golden = Golden::load();
+    let tiny = NativeConfig::tiny();
+    let small = NativeConfig::small();
+    let mut cases: Vec<(String, &NativeConfig, TriggerConfig)> = CANDIDATE_COUNTS
+        .iter()
+        .map(|&c| (format!("tiny/c{c}"), &tiny, TriggerConfig::new(8, c)))
+        .collect();
+    // One candidate pinned to the fixed cadence: the fixed pipeline's frames.
+    let mut fixed_cadence = TriggerConfig::new(tiny.output_every, 1);
+    fixed_cadence.min_interval = tiny.output_every;
+    fixed_cadence.max_interval = tiny.output_every;
+    cases.push(("tiny/c1-fixed-cadence".into(), &tiny, fixed_cadence));
+    // The BENCH_adaptive.json configuration; its committed digest is
+    // cde23411a212d167.
+    let bench = TriggerConfig::new(small.output_every, 5);
+    cases.push(("small/c5".into(), &small, bench));
+    for (key, cfg, tc) in &cases {
+        let runs = at_all_thread_counts(|| {
+            [
+                traced(run_native_adaptive_sequential_with, cfg, tc),
+                traced(run_native_adaptive_with, cfg, tc),
+            ]
+        });
+        for [digest, decisions, frames, trace] in &runs {
+            golden.check(&format!("adaptive/{key}/digest"), digest);
+            golden.check(&format!("adaptive/{key}/decisions"), decisions);
+            golden.check(&format!("adaptive/{key}/frames"), frames);
+            golden.check(&format!("adaptive/{key}/trace"), trace);
         }
-        rayon::set_num_threads(0);
     }
 }
 

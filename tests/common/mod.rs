@@ -1,17 +1,17 @@
-//! Shared helpers of the executor-identity suites: the committed golden
-//! file (`tests/golden/executor_identity.txt`), stable one-line
-//! renderings of the artifacts it pins, and the 1/2/8-thread replay.
+//! Shared helpers of the identity suites: the committed golden files
+//! (`tests/golden/*.txt`, see [`golden`]), stable one-line renderings of
+//! the artifacts they pin, and the 1/2/8-thread replay.
 //!
-//! The golden file was recorded from the loop executors (`run_insitu`,
-//! `run_postproc`, their `*_faulted` mirrors, `intransit_staged` and
-//! `try_run_intransit_reference`) before they were deleted; every value
-//! in it is what those loops produced. To pin a new configuration, run
-//! the suite — a missing key fails with the `key = value` line to add.
+//! Every golden value was recorded from an implementation that has since
+//! been deleted — the loop executors in `executor_identity.txt`, the
+//! sequential native loops in `native_identity.txt` — so each is what
+//! that code produced.
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use std::collections::BTreeMap;
+mod golden;
 
+pub use golden::*;
 use ivis_core::TransportStats;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -32,17 +32,6 @@ pub fn at_all_thread_counts<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) -
     out.unwrap()
 }
 
-/// FNV-1a-64 and byte length of a text artifact (JSONL trace, Perfetto
-/// or Prometheus export): enough to pin it byte-for-byte without
-/// committing megabytes.
-pub fn blob(text: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("fnv1a64={h:#018x} len={}", text.len())
-}
-
 /// Every field of a [`TransportStats`], durations in exact microseconds.
 pub fn stats_line(s: &TransportStats) -> String {
     format!(
@@ -57,27 +46,4 @@ pub fn stats_line(s: &TransportStats) -> String {
         s.compress_time.as_micros(),
         s.decompress_time.as_micros(),
     )
-}
-
-/// The parsed golden file: `key = value` lines, `#` comments.
-pub struct Golden(BTreeMap<&'static str, &'static str>);
-
-impl Golden {
-    pub fn load() -> Self {
-        let text = include_str!("../golden/executor_identity.txt");
-        Golden(
-            text.lines()
-                .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                .map(|l| l.split_once(" = ").expect("golden line is `key = value`"))
-                .collect(),
-        )
-    }
-
-    /// Assert `actual` is exactly what the golden file pins under `key`.
-    pub fn check(&self, key: &str, actual: &str) {
-        match self.0.get(key) {
-            Some(expected) => assert_eq!(actual, *expected, "{key} diverged from the golden file"),
-            None => panic!("golden file has no entry; add:\n{key} = {actual}"),
-        }
-    }
 }

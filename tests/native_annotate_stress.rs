@@ -21,6 +21,8 @@
 //! Its own test binary, so the global thread-count override is not shared
 //! with another suite.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -89,6 +91,10 @@ fn annotated_pipelined_runs_neither_panic_nor_hang() {
         ..NativeConfig::tiny()
     };
     let golden = run_native_insitu_sequential(&cfg);
+    common::Golden::load().check(
+        "native/stress/frames",
+        &common::frames_line(&golden.cinema, &golden.tracks, &golden.final_census),
+    );
     let (done_tx, done_rx) = mpsc::channel();
     std::thread::spawn(move || {
         runs_with_every_worker_parked(&cfg, &golden);

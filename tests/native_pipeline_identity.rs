@@ -1,112 +1,169 @@
 //! The pipelined native backend is a pure performance transform: every
 //! output it produces — PNG bytes, the Cinema index JSON, eddy tracks and
-//! census, and the recorded trace — must be **bit-identical** to the
-//! retained sequential path, at every thread count. Wall-clock timestamps
-//! are the one thing that can never agree between two real executions (a
-//! sequential run does not even agree with itself), so trace comparison
-//! normalizes the microsecond fields and demands byte-identity of
-//! everything else: record order, span tree, names, phases, attrs, and
-//! sample values.
+//! census, fault statistics and the recorded trace — must be
+//! **bit-identical** to what the sequential loops produced, at every
+//! pipeline depth and thread count. Those outputs are pinned under the
+//! `native/` keys of `tests/golden/native_identity.txt`. Wall-clock
+//! timestamps are the one thing two real executions can never agree on,
+//! so traces are normalized (microsecond fields zeroed) before they are
+//! pinned; everything else is byte-compared: record order, span tree,
+//! names, phases, attrs, and sample values.
 //!
 //! Also here: a proptest round-tripping random `ImageBuffer`s through the
 //! new single-pass streaming encoder and the stored-block parser.
 
+mod common;
+
+use common::{at_all_thread_counts, blob, frames_line, normalize_trace, Golden};
 use ivis_core::native::{
+    run_native_insitu_depth_with, run_native_insitu_faulted_with,
     run_native_insitu_sequential_with, run_native_insitu_with, NativeConfig, NativeReport,
 };
+use ivis_fault::{FaultKind, FaultPlan, FaultScenario, FaultWindow, RetryPolicy};
 use ivis_obs::{to_jsonl, Recorder};
 use ivis_viz::color::Rgb;
 use ivis_viz::png::{encode_png_reference, parse_png_chunks, unzlib_stored, PngEncoder};
 use ivis_viz::raster::ImageBuffer;
 use proptest::prelude::*;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+const DEPTHS: [usize; 3] = [1, 2, 4];
 
-/// Zero every digit run that follows a wall-clock-valued position:
-/// `"start_us":`, `"end_us":`, `"t_us":` and sample times (digits right
-/// after `[`). Attr values, counter values and record structure pass
-/// through untouched, so everything deterministic stays byte-compared.
-fn normalize_trace(trace: &str) -> String {
-    let bytes = trace.as_bytes();
-    let mut out = String::with_capacity(trace.len());
-    let mut i = 0;
-    let markers: [&[u8]; 4] = [b"\"start_us\":", b"\"end_us\":", b"\"t_us\":", b"["];
-    'outer: while i < bytes.len() {
-        for m in markers {
-            if bytes[i..].starts_with(m) {
-                out.push_str(std::str::from_utf8(m).unwrap());
-                i += m.len();
-                if i < bytes.len() && bytes[i].is_ascii_digit() {
-                    out.push('0');
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                continue 'outer;
-            }
-        }
-        out.push(bytes[i] as char);
-        i += 1;
-    }
-    out
+/// One traced run's pinned artifacts: the frames line and the normalized
+/// trace.
+fn traced(run: impl FnOnce(&Recorder) -> NativeReport) -> [String; 2] {
+    let rec = Recorder::in_memory();
+    let r = run(&rec);
+    let trace = normalize_trace(&rec.with_buffer(to_jsonl).unwrap());
+    assert!(trace.contains("\"start_us\":0"), "normalizer broken?");
+    [
+        frames_line(&r.cinema, &r.tracks, &r.final_census),
+        blob(&trace),
+    ]
 }
 
-fn run_traced(
-    run: fn(&NativeConfig, &Recorder) -> NativeReport,
-    cfg: &NativeConfig,
-) -> (NativeReport, String) {
-    let rec = Recorder::in_memory();
-    let report = run(cfg, &rec);
-    let trace = rec.with_buffer(to_jsonl).unwrap();
-    (report, trace)
+fn transient_io(seed: u64, fail_prob: f64) -> FaultScenario {
+    FaultScenario::with_plan(FaultPlan::new(seed).inject(
+        FaultWindow::of_secs(0, u64::MAX / 2_000_000),
+        FaultKind::TransientIo { fail_prob },
+    ))
 }
 
 #[test]
 fn pipelined_outputs_are_bit_identical_to_sequential_at_all_thread_counts() {
-    let cfg = NativeConfig::tiny();
-    let (golden, golden_trace) = run_traced(run_native_insitu_sequential_with, &cfg);
-    let golden_trace = normalize_trace(&golden_trace);
-    assert!(
-        golden_trace.contains("\"start_us\":0"),
-        "normalizer broken?"
-    );
-    for n in THREAD_COUNTS {
-        rayon::set_num_threads(n);
-        let (pipelined, trace) = run_traced(run_native_insitu_with, &cfg);
-        assert_eq!(pipelined.frames, golden.frames, "{n} threads");
-        // PNG bytes, frame for frame.
-        assert_eq!(pipelined.cinema.len(), golden.cinema.len());
-        for (ep, eg) in pipelined
-            .cinema
-            .entries()
-            .iter()
-            .zip(golden.cinema.entries())
-        {
-            assert_eq!(ep.filename, eg.filename, "{n} threads");
-            assert_eq!(
-                ep.data, eg.data,
-                "PNG bytes differ at frame {} with {n} threads",
-                eg.timestep
-            );
+    let golden = Golden::load();
+    let annotated = NativeConfig {
+        annotate: true,
+        ..NativeConfig::tiny()
+    };
+    for (name, cfg) in [
+        ("tiny", NativeConfig::tiny()),
+        ("tiny-annotate", annotated),
+        ("small", NativeConfig::small()),
+    ] {
+        let runs = at_all_thread_counts(|| {
+            let mut runs = vec![
+                traced(|rec| run_native_insitu_sequential_with(&cfg, rec)),
+                traced(|rec| run_native_insitu_with(&cfg, rec)),
+                traced(|rec| {
+                    run_native_insitu_faulted_with(&cfg, &FaultScenario::none(), rec).report
+                }),
+            ];
+            runs.extend(DEPTHS.map(|d| traced(|rec| run_native_insitu_depth_with(&cfg, d, rec))));
+            runs
+        });
+        for [frames, trace] in &runs {
+            golden.check(&format!("native/{name}/frames"), frames);
+            golden.check(&format!("native/{name}/trace"), trace);
         }
-        // Cinema index JSON.
-        assert_eq!(
-            pipelined.cinema.index_json(),
-            golden.cinema.index_json(),
-            "{n} threads"
-        );
-        assert_eq!(pipelined.image_bytes, golden.image_bytes, "{n} threads");
-        // Eddy tracks and final census.
-        assert_eq!(pipelined.tracks, golden.tracks, "{n} threads");
-        assert_eq!(pipelined.final_census, golden.final_census, "{n} threads");
-        // Trace structure (everything but wall-clock microseconds).
-        assert_eq!(
-            normalize_trace(&trace),
-            golden_trace,
-            "trace structure differs at {n} threads"
-        );
     }
-    rayon::set_num_threads(0);
+}
+
+/// `native_bench`'s end-to-end configuration (twelve annotated 720×512
+/// frames): the digest `BENCH_native.json` commits is the one the
+/// sequential loop produced.
+#[test]
+fn bench_configuration_digest_matches_golden() {
+    let cfg = NativeConfig {
+        steps: 96,
+        output_every: 8,
+        image_width: 720,
+        image_height: 512,
+        annotate: true,
+        ..NativeConfig::small()
+    };
+    // Once, at the ambient thread count: the bench itself re-checks the
+    // digest at every depth, and the small configurations above cover the
+    // thread × depth grid.
+    for digest in [
+        run_native_insitu_sequential_with(&cfg, &Recorder::off()).digest(),
+        run_native_insitu_with(&cfg, &Recorder::off()).digest(),
+    ] {
+        Golden::load().check("native/bench/digest", &digest);
+    }
+}
+
+/// Faulted runs: shed frames leave no image, no index entry and no
+/// Visualize phase, and every fault decision is a function of the plan
+/// seed and the frame order alone.
+#[test]
+fn faulted_outputs_match_the_sequential_goldens() {
+    let golden = Golden::load();
+    let tiny = NativeConfig::tiny();
+    // Twelve frames, so the degradation state machine has room to
+    // escalate, shed by level and recover.
+    let long = NativeConfig {
+        output_every: 2,
+        ..NativeConfig::tiny()
+    };
+    let mut outage = transient_io(1, 1.0);
+    outage.retry = RetryPolicy::no_retries();
+    let mut scenarios = vec![
+        ("tiny/fault/none".to_string(), &tiny, FaultScenario::none()),
+        ("tiny/fault/outage".to_string(), &tiny, outage),
+        (
+            "tiny/fault/io50-seed9".to_string(),
+            &tiny,
+            transient_io(9, 0.5),
+        ),
+        (
+            "tiny-12/fault/io50-seed9".to_string(),
+            &long,
+            transient_io(9, 0.5),
+        ),
+        (
+            "tiny-12/fault/io80-seed9".to_string(),
+            &long,
+            transient_io(9, 0.8),
+        ),
+    ];
+    for seed in [1, 42, 1337] {
+        // The plans of fault_injection.rs::seeded_native_run_replays_bit_identically.
+        let plan = FaultPlan::new(seed).inject(
+            FaultWindow::of_secs(0, 1_000_000),
+            FaultKind::TransientIo { fail_prob: 0.4 },
+        );
+        let key = format!("tiny/fault/io40-seed{seed}");
+        scenarios.push((key.clone(), &tiny, FaultScenario::with_plan(plan.clone())));
+        scenarios.push((
+            key.replace("tiny/", "tiny-12/"),
+            &long,
+            FaultScenario::with_plan(plan),
+        ));
+    }
+    for (key, cfg, scenario) in &scenarios {
+        let (artifacts, stats) = at_all_thread_counts(|| {
+            let mut stats = String::new();
+            let artifacts = traced(|rec| {
+                let out = run_native_insitu_faulted_with(cfg, scenario, rec);
+                stats = out.stats.digest();
+                out.report
+            });
+            (artifacts, stats)
+        });
+        golden.check(&format!("native/{key}/frames"), &artifacts[0]);
+        golden.check(&format!("native/{key}/trace"), &artifacts[1]);
+        golden.check(&format!("native/{key}/stats"), &stats);
+    }
 }
 
 #[test]
