@@ -10,8 +10,8 @@
 //! paper's 60 km problem, and prices the difference — the data behind
 //! `experiments adaptive` and the `adaptive_bench` CI gate.
 
-use ivis_core::adaptive::{run_native_adaptive_sequential, AdaptiveReport};
-use ivis_core::native::{run_native_insitu_sequential, NativeConfig, NativeReport};
+use ivis_core::adaptive::{run_native_adaptive, AdaptiveReport};
+use ivis_core::native::{run_native_insitu, NativeConfig, NativeReport};
 use ivis_core::PipelineKind;
 use ivis_model::{AdaptivePlan, MeasuredRate, WhatIfAnalyzer};
 use ivis_ocean::{ProblemSpec, SamplingRate};
@@ -25,7 +25,7 @@ pub const FIXED_RATE_HOURS: f64 = 72.0;
 pub struct AdaptiveComparison {
     /// The fixed-rate baseline (one output every `cfg.output_every`).
     pub fixed: NativeReport,
-    /// The adaptive campaign (sequential reference path).
+    /// The adaptive campaign.
     pub adaptive: AdaptiveReport,
     /// The trigger configuration the adaptive run used.
     pub trigger: TriggerConfig,
@@ -52,8 +52,8 @@ impl AdaptiveComparison {
     /// the adaptive trigger analyzes at that same cadence and may relax
     /// up to `trigger.max_interval`.
     pub fn run(cfg: &NativeConfig, trigger: &TriggerConfig) -> Self {
-        let fixed = run_native_insitu_sequential(cfg);
-        let adaptive = run_native_adaptive_sequential(cfg, trigger);
+        let fixed = run_native_insitu(cfg);
+        let adaptive = run_native_adaptive(cfg, trigger);
         let rate_ratio = adaptive.effective_interval_steps() / cfg.output_every as f64;
 
         // Map the measured rate onto the paper's 60 km problem: the

@@ -6,22 +6,24 @@
 //! numbers behind them go to `BENCH_adaptive.json` (or the path given as
 //! the first non-flag argument) as a tracked perf trajectory:
 //!
-//! * **bit-identity** — the pipelined adaptive executor must reproduce
-//!   the sequential reference digest at 1, 2 and 8 worker threads (a
-//!   nondeterministic trigger is not worth measuring);
+//! * **bit-identity** — the adaptive executor must produce one digest at
+//!   1, 2 and 8 worker threads (a nondeterministic trigger is not worth
+//!   measuring). With `--check`, that digest must also be the one the
+//!   committed `BENCH_adaptive.json` holds, read before it is overwritten:
+//!   the executor is deterministic, so the baseline is the reference;
 //! * **the rate lever** — on the same ocean, the hysteresis controller
 //!   must emit strictly fewer frames than the fixed cadence and price
 //!   strictly below it on the paper's 60 km problem (energy *and*
 //!   storage), at no loss of eddy-track recall. With `--check`, exits
 //!   nonzero if it does not — the CI gate;
-//! * **wall trajectory** — end-to-end wall times of the sequential and
-//!   pipelined paths ride along so the executor's host cost stays on the
-//!   same trajectory as the other bench artifacts.
+//! * **wall trajectory** — the executor's end-to-end wall time rides
+//!   along so its host cost stays on the same trajectory as the other
+//!   bench artifacts.
 
 use std::time::Instant;
 
 use ivis_bench::adaptive::AdaptiveComparison;
-use ivis_core::adaptive::{run_native_adaptive, run_native_adaptive_sequential};
+use ivis_core::adaptive::run_native_adaptive;
 use ivis_core::native::NativeConfig;
 use ivis_trigger::TriggerConfig;
 
@@ -37,8 +39,11 @@ fn time_min_s(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// The committed baseline `--check` compares the digest against.
+const BASELINE: &str = "BENCH_adaptive.json";
+
 fn main() {
-    let mut out_path = "BENCH_adaptive.json".to_string();
+    let mut out_path = BASELINE.to_string();
     let mut check = false;
     for arg in std::env::args().skip(1) {
         if arg == "--check" {
@@ -47,6 +52,7 @@ fn main() {
             out_path = arg;
         }
     }
+    let baseline = ivis_bench::baseline::load_for_check(check, BASELINE);
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -56,20 +62,15 @@ fn main() {
     let tc = TriggerConfig::new(cfg.output_every, 5);
     let reps = 3;
 
-    // Correctness first: the pipelined path must reproduce the
-    // sequential reference digest at every thread count.
-    let reference = run_native_adaptive_sequential(&cfg, &tc);
-    let ref_digest = reference.digest();
+    // Correctness first: one digest at every thread count.
+    let digest = run_native_adaptive(&cfg, &tc).digest();
     for threads in [1usize, 2, 8] {
         rayon::set_num_threads(threads);
         let got = run_native_adaptive(&cfg, &tc).digest();
-        assert_eq!(
-            got, ref_digest,
-            "pipelined adaptive digest diverged at {threads} threads"
-        );
+        assert_eq!(got, digest, "adaptive digest diverged at {threads} threads");
     }
     rayon::set_num_threads(0);
-    eprintln!("digest {ref_digest} invariant across 1/2/8 threads");
+    eprintln!("digest {digest} invariant across 1/2/8 threads");
 
     // --- the rate lever on the paper's 60 km problem ---
     let cmp = AdaptiveComparison::run(&cfg, &tc);
@@ -85,32 +86,24 @@ fn main() {
     );
     eprintln!("gate: {}", cmp.gate_summary());
 
-    // --- wall trajectory of both executor paths ---
-    let wall_seq_s = time_min_s(reps, || {
-        std::hint::black_box(run_native_adaptive_sequential(&cfg, &tc));
-    });
-    let wall_pipe_s = time_min_s(reps, || {
+    // --- wall trajectory ---
+    let wall_s = time_min_s(reps, || {
         std::hint::black_box(run_native_adaptive(&cfg, &tc));
     });
-    eprintln!(
-        "wall: sequential {:.3} ms, pipelined {:.3} ms",
-        wall_seq_s * 1e3,
-        wall_pipe_s * 1e3
-    );
+    eprintln!("wall: {:.3} ms", wall_s * 1e3);
 
     let json = format!(
         "{{\n  \"host\": {{ \"available_parallelism\": {host_threads}, \"zsim_threads\": {} }},\n  \
          \"config\": {{ \"candidates\": {}, \"analysis_interval\": {}, \"min_interval\": {}, \
          \"max_interval\": {}, \"fixed_output_every\": {} }},\n  \
-         \"digest\": \"{ref_digest}\",\n  \
+         \"digest\": \"{digest}\",\n  \
          \"digest_invariant_1_2_8\": true,\n  \
          \"adaptive\": {{ \"analyses\": {}, \"frames\": {}, \"effective_interval_steps\": {:.6}, \
          \"rate_ratio\": {:.6}, \"image_bytes\": {}, \"tracks\": {} }},\n  \
          \"fixed\": {{ \"frames\": {}, \"image_bytes\": {}, \"tracks\": {} }},\n  \
          \"model_60km\": {{ \"adaptive_energy_gj\": {:.6}, \"fixed_energy_gj\": {:.6}, \
          \"adaptive_storage_gb\": {:.6}, \"fixed_storage_gb\": {:.6} }},\n  \
-         \"rows\": [\n    {{ \"config\": \"sequential\", \"wall_s\": {wall_seq_s:.6} }},\n    \
-         {{ \"config\": \"pipelined\", \"wall_s\": {wall_pipe_s:.6} }}\n  ],\n  \
+         \"rows\": [\n    {{ \"config\": \"pipelined\", \"wall_s\": {wall_s:.6} }}\n  ],\n  \
          \"rate_gate\": {{ \"adaptive_frames\": {}, \"fixed_frames\": {}, \
          \"adaptive_recall\": {}, \"fixed_recall\": {}, \"pass\": {gate_pass} }}\n}}\n",
         zsim.map_or("null".to_string(), |v| format!("\"{v}\"")),
@@ -140,12 +133,19 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write benchmark json");
     eprintln!("wrote {out_path}");
 
-    if check && !gate_pass {
-        eprintln!(
-            "FAIL: the adaptive campaign did not strictly beat the fixed 72 h \
-             baseline at equal recall ({})",
-            cmp.gate_summary()
-        );
-        std::process::exit(1);
+    if let Some(baseline) = baseline {
+        let pinned = format!("\"digest\": \"{digest}\"");
+        let mut failures = Vec::new();
+        if !baseline.contains(&pinned) {
+            failures.push(format!("digest {digest} is not the one {BASELINE} commits"));
+        }
+        if !gate_pass {
+            failures.push(format!(
+                "the adaptive campaign did not strictly beat the fixed 72 h \
+                 baseline at equal recall ({})",
+                cmp.gate_summary()
+            ));
+        }
+        ivis_bench::baseline::exit_on_failures(&failures);
     }
 }

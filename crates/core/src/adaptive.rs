@@ -9,30 +9,24 @@
 //! emission interval between configured bounds — so a campaign densely
 //! samples eddy births and mergers and coasts through quiet stretches.
 //!
-//! Two paths share every per-analysis computation:
-//!
-//! * [`run_native_adaptive_sequential`] — the strictly-serialized golden
-//!   baseline: solve, analyze, decide, maybe emit, repeat.
-//! * [`run_native_adaptive`] — the pipelined path: a producer thread
-//!   advances the solver and adapts snapshots behind a bounded channel
-//!   (the PR 8 depth-*k* hand-off) while the consumer analyzes earlier
-//!   snapshots, with the candidate evaluations themselves fanned out on
-//!   the worker pool inside [`ivis_trigger::score_viewpoints`].
-//!
-//! The trigger state is inherently sequential (each decision depends on
-//! the previous census), but everything *per snapshot* — segmentation,
-//! candidate windows, evaluation renders, entropy, the full-resolution
-//! render of the winning camera — is a pure function of the snapshot, so
-//! the pipelined consumer computes it all speculatively and the
-//! sequential controller only flips the emit bit at commit time. All
-//! outputs (PNG bytes, Cinema index, decisions, tracks, digest) are
-//! **bit-identical** between both paths at every thread count.
+//! It is the native frame loop ([`crate::native`], "One frame loop") with
+//! two closures of its own. The *work* — segmentation, candidate windows,
+//! evaluation renders, entropy, the full-resolution render of the winning
+//! camera — is a pure function of the snapshot, so the loop computes it
+//! speculatively, up to `depth` analyses at a time on the worker pool with
+//! the candidate evaluations fanned out underneath by
+//! [`ivis_trigger::score_viewpoints`]. The *commit policy* is the trigger:
+//! its state is inherently sequential (each decision depends on the
+//! previous census), so it runs in analysis order on the calling thread
+//! and only flips the emit bit. All outputs (PNG bytes, Cinema index,
+//! decisions, tracks, digest) are therefore **bit-identical** at every
+//! depth and thread count; the sequential loop this replaced lives on as
+//! the `adaptive/` keys of `tests/golden/native_identity.txt`.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ivis_cluster::JobPhase;
 use ivis_eddy::census::{frame_census, FrameCensus};
-use ivis_eddy::features::{extract_features, EddyFeature};
+use ivis_eddy::features::extract_features;
 use ivis_eddy::segment::segment_eddies;
 use ivis_eddy::tracking::Track;
 use ivis_obs::Recorder;
@@ -45,8 +39,10 @@ use ivis_viz::png::encode_png;
 use ivis_viz::render::FieldRenderer;
 use ivis_viz::CinemaDatabase;
 
-use crate::adaptor::{CatalystAdaptor, VizSnapshot};
-use crate::native::{note_frame, open_native_root, tracker_for, Fnv1a, NativeConfig, WallTracer};
+use crate::adaptor::VizSnapshot;
+use crate::native::{
+    default_pipeline_depth, frame_loop, outputs_digest, Commit, NativeConfig, RenderedFrame,
+};
 
 /// What an adaptive campaign produced.
 #[derive(Debug, Clone)]
@@ -71,8 +67,8 @@ pub struct AdaptiveReport {
     pub wall_sim: Duration,
     /// Wall time analyzing + rendering + tracking.
     pub wall_viz: Duration,
-    /// End-to-end wall time (smaller than `wall_sim + wall_viz` on the
-    /// pipelined path, where the phases overlap).
+    /// End-to-end wall time (smaller than `wall_sim + wall_viz` at
+    /// depth > 1, where the phases overlap).
     pub wall_end_to_end: Duration,
 }
 
@@ -99,46 +95,34 @@ impl AdaptiveReport {
     /// decision (step, emit, interval, activity bits, winning candidate
     /// and its entropy bits), the Cinema index, every PNG byte, the
     /// track count and the final census. Two runs are interchangeable
-    /// iff their digests match; the identity tests compare this across
-    /// thread counts and against the sequential baseline.
+    /// iff their digests match; the identity tests hold this to the
+    /// committed goldens across thread counts and depths.
     pub fn digest(&self) -> String {
-        let mut h = Fnv1a::default();
+        let mut head = Vec::new();
         for d in &self.decisions {
-            h.eat(&d.step.to_le_bytes());
-            h.eat(&[d.emit as u8]);
-            h.eat(&d.interval_steps.to_le_bytes());
-            h.eat(&d.activity.to_bits().to_le_bytes());
-            h.eat(&(d.best_viewpoint as u64).to_le_bytes());
-            h.eat(&d.best_entropy_bits.to_bits().to_le_bytes());
+            head.extend(d.step.to_le_bytes());
+            head.push(d.emit as u8);
+            head.extend(d.interval_steps.to_le_bytes());
+            head.extend(d.activity.to_bits().to_le_bytes());
+            head.extend((d.best_viewpoint as u64).to_le_bytes());
+            head.extend(d.best_entropy_bits.to_bits().to_le_bytes());
         }
-        h.eat_outputs(&self.cinema, &self.tracks, &self.final_census);
-        h.hex()
+        outputs_digest(&head, &self.cinema, &self.tracks, &self.final_census)
     }
 }
 
-/// Everything one analysis step computes that is a pure function of the
-/// snapshot — safe to run speculatively on any worker.
-struct AnalyzedFrame {
-    feats: Vec<EddyFeature>,
-    census: FrameCensus,
-    scores: Vec<ViewpointScore>,
-    /// Full-resolution PNG of the winning candidate's window.
-    png: Vec<u8>,
-    d_worker: Duration,
-}
-
-/// Segment, score every candidate, pick the winner and render it at full
-/// resolution. The candidate evaluations fan out on the worker pool
-/// inside [`score_viewpoints`]; the result is order-collected, so the
-/// output is bit-identical at any thread count.
+/// One analysis step, a pure function of the snapshot and so safe to run
+/// speculatively on any worker: segment, score every candidate, pick the
+/// winner and render it at full resolution. The candidate evaluations fan
+/// out on the worker pool inside [`score_viewpoints`]; the result is
+/// order-collected, so the output is bit-identical at any thread count.
 fn analyze_snapshot(
     renderer: &FieldRenderer,
     grid: &Grid,
     vgrid: &ViewpointGrid,
     tc: &TriggerConfig,
     snap: &VizSnapshot,
-) -> AnalyzedFrame {
-    let t0 = Instant::now();
+) -> (RenderedFrame, Vec<ViewpointScore>) {
     let w = &snap.okubo_weiss;
     let seg = segment_eddies(w, 0.2, 3);
     let feats = extract_features(grid, w, &seg);
@@ -152,208 +136,69 @@ fn analyze_snapshot(
     // fixed pipeline's whole-field frame exactly.
     let sub = extract_window(w, &win, w.nx(), w.ny());
     let png = encode_png(&renderer.render(&sub));
-    AnalyzedFrame {
-        feats,
-        census,
-        scores,
-        png,
-        d_worker: t0.elapsed(),
-    }
+    (RenderedFrame { feats, census, png }, scores)
 }
 
-/// Run the adaptive in-situ pipeline natively with solver/analysis
-/// pipelining (bounded depth-`k` hand-off, PR 8 style). Outputs are
-/// bit-identical to [`run_native_adaptive_sequential`] at every thread
-/// count and depth.
+/// Run the adaptive in-situ pipeline natively, pipelined like
+/// [`crate::native::run_native_insitu`] at the default depth.
 pub fn run_native_adaptive(cfg: &NativeConfig, tc: &TriggerConfig) -> AdaptiveReport {
     run_native_adaptive_with(cfg, tc, &Recorder::off())
 }
 
-/// [`run_native_adaptive`] with a trace recorder: phase wall times are
-/// measured on their own threads and replayed on the virtual sim-time
-/// axis in sequential order after the join, so the recorded trace has
-/// the same span/event structure as the sequential path's.
+/// [`run_native_adaptive`] with a trace recorder.
 pub fn run_native_adaptive_with(
     cfg: &NativeConfig,
     tc: &TriggerConfig,
     rec: &Recorder,
 ) -> AdaptiveReport {
-    tc.validate();
-    let depth = crate::native::default_pipeline_depth();
-    let t_run = Instant::now();
-    let mut model = cfg.build_model();
-    let grid = model.grid().clone();
-    let renderer = FieldRenderer::okubo_weiss(cfg.image_width, cfg.image_height);
-    let vgrid = ViewpointGrid::spherical(tc.candidates);
-    let mut trigger = AdaptiveTrigger::new(tc.clone());
-    let mut cinema = CinemaDatabase::new("adaptive-eddies");
-    let mut tracker = tracker_for(&grid);
-    let root = open_native_root(rec, cfg, "adaptive");
-    let mut frames = 0u64;
-    let mut decisions: Vec<TriggerDecision> = Vec::new();
-    let mut census = frame_census(&[]);
-    let mut timings: Vec<(Duration, Duration, Option<FrameCensus>)> = Vec::new();
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(Duration, Duration, VizSnapshot)>(depth);
-    let (ret_tx, ret_rx) = std::sync::mpsc::channel::<VizSnapshot>();
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut adaptor = CatalystAdaptor::new();
-            let mut step = 0u64;
-            while step < cfg.steps {
-                let chunk = tc.analysis_interval.min(cfg.steps - step);
-                let t0 = Instant::now();
-                model.run(chunk);
-                let d_sim = t0.elapsed();
-                step += chunk;
-                let t1 = Instant::now();
-                let snap = match ret_rx.try_recv() {
-                    Ok(mut recycled) => {
-                        adaptor.adapt_into(&model, &mut recycled);
-                        recycled
-                    }
-                    Err(_) => adaptor.adapt(&model),
-                };
-                let d_adapt = t1.elapsed();
-                if tx.send((d_sim, d_adapt, snap)).is_err() {
-                    return; // consumer gone (it panicked); just stop
-                }
-            }
-        });
-        // Consumer: per-snapshot analysis is speculative and pure (the
-        // candidate fan-out runs on the worker pool); only the trigger
-        // decision and the commit are sequential.
-        while let Ok((d_sim, d_adapt, snap)) = rx.recv() {
-            let af = analyze_snapshot(&renderer, &grid, &vgrid, tc, &snap);
-            let t_commit = Instant::now();
-            let decision = trigger.analyze(snap.timestep, &af.census, &af.scores);
-            census = af.census;
-            let emitted = if decision.emit {
-                tracker.observe(frames, &af.feats);
-                cinema.add_encoded(snap.timestep, snap.sim_hours, af.png);
-                frames += 1;
-                Some(census.clone())
-            } else {
-                None
-            };
-            decisions.push(decision);
-            let d_commit = t_commit.elapsed();
-            timings.push((d_sim, d_adapt + af.d_worker + d_commit, emitted));
-            let _ = ret_tx.send(snap); // producer may already be done
-        }
-    });
-    let wall_end_to_end = t_run.elapsed();
-    let mut wtr = WallTracer::new(rec);
-    let mut wall_sim = Duration::ZERO;
-    let mut wall_viz = Duration::ZERO;
-    let mut frame_no = 0u64;
-    for (d_sim, d_viz, emitted) in &timings {
-        wall_sim += *d_sim;
-        wtr.phase(JobPhase::Simulate, *d_sim);
-        wall_viz += *d_viz;
-        wtr.phase(JobPhase::Visualize, *d_viz);
-        if let Some(c) = emitted {
-            note_frame(rec, wtr.now(), frame_no, c);
-            frame_no += 1;
-        }
-    }
-    let image_bytes = cinema.total_bytes();
-    if rec.is_on() {
-        rec.counter_add(wtr.now(), "native.image_bytes", image_bytes as f64);
-    }
-    rec.close(wtr.now(), root);
-    AdaptiveReport {
-        analyses: timings.len() as u64,
-        frames,
-        total_steps: cfg.steps,
-        decisions,
-        cinema,
-        tracks: tracker.finish(),
-        final_census: census,
-        image_bytes,
-        wall_sim,
-        wall_viz,
-        wall_end_to_end,
-    }
+    adaptive_at_depth(cfg, tc, default_pipeline_depth(), rec)
 }
 
-/// The strictly-serialized adaptive loop, kept as the golden baseline
-/// the pipelined path is tested against: solve a chunk, analyze, decide,
-/// maybe emit — one analysis fully commits before the next solver chunk
-/// begins.
-pub fn run_native_adaptive_sequential(cfg: &NativeConfig, tc: &TriggerConfig) -> AdaptiveReport {
-    run_native_adaptive_sequential_with(cfg, tc, &Recorder::off())
-}
-
-/// [`run_native_adaptive_sequential`] with a trace recorder.
-pub fn run_native_adaptive_sequential_with(
+fn adaptive_at_depth(
     cfg: &NativeConfig,
     tc: &TriggerConfig,
+    depth: usize,
     rec: &Recorder,
 ) -> AdaptiveReport {
     tc.validate();
-    let t_run = Instant::now();
-    let mut model = cfg.build_model();
-    let grid = model.grid().clone();
-    let mut adaptor = CatalystAdaptor::new();
+    let grid = cfg.grid();
     let renderer = FieldRenderer::okubo_weiss(cfg.image_width, cfg.image_height);
     let vgrid = ViewpointGrid::spherical(tc.candidates);
     let mut trigger = AdaptiveTrigger::new(tc.clone());
-    let mut cinema = CinemaDatabase::new("adaptive-eddies");
-    let mut tracker = tracker_for(&grid);
-    let root = open_native_root(rec, cfg, "adaptive");
-    let mut wtr = WallTracer::new(rec);
-    let mut wall_sim = Duration::ZERO;
-    let mut wall_viz = Duration::ZERO;
-    let mut frames = 0u64;
-    let mut analyses = 0u64;
     let mut decisions: Vec<TriggerDecision> = Vec::new();
-    let mut census = frame_census(&[]);
-    let mut step = 0u64;
-    while step < cfg.steps {
-        let chunk = tc.analysis_interval.min(cfg.steps - step);
-        let t0 = Instant::now();
-        model.run(chunk);
-        let d_sim = t0.elapsed();
-        wall_sim += d_sim;
-        wtr.phase(JobPhase::Simulate, d_sim);
-        step += chunk;
-        let t1 = Instant::now();
-        let snap = adaptor.adapt(&model);
-        let af = analyze_snapshot(&renderer, &grid, &vgrid, tc, &snap);
-        let decision = trigger.analyze(snap.timestep, &af.census, &af.scores);
-        census = af.census;
-        let emitted = decision.emit;
-        if emitted {
-            tracker.observe(frames, &af.feats);
-            cinema.add_encoded(snap.timestep, snap.sim_hours, af.png);
-        }
-        decisions.push(decision);
-        analyses += 1;
-        let d_viz = t1.elapsed();
-        wall_viz += d_viz;
-        wtr.phase(JobPhase::Visualize, d_viz);
-        if emitted {
-            note_frame(rec, wtr.now(), frames, &census);
-            frames += 1;
-        }
-    }
-    let image_bytes = cinema.total_bytes();
-    if rec.is_on() {
-        rec.counter_add(wtr.now(), "native.image_bytes", image_bytes as f64);
-    }
-    rec.close(wtr.now(), root);
+    let mut emitted = 0u64;
+    let run = frame_loop(
+        cfg,
+        tc.analysis_interval,
+        depth,
+        rec,
+        "adaptive",
+        |snap| analyze_snapshot(&renderer, &grid, &vgrid, tc, snap),
+        // The trigger policy: every analysis is decided in order; an emit
+        // stores the frame under the next emitted-frame number.
+        |_, snap, census, scores, _| {
+            let decision = trigger.analyze(snap.timestep, census, &scores);
+            let verdict = match decision.emit {
+                true => Commit::Emit(emitted),
+                false => Commit::Skip,
+            };
+            emitted += u64::from(decision.emit);
+            decisions.push(decision);
+            verdict
+        },
+    );
     AdaptiveReport {
-        analyses,
-        frames,
+        analyses: decisions.len() as u64,
+        frames: run.frames,
         total_steps: cfg.steps,
         decisions,
-        cinema,
-        tracks: tracker.finish(),
-        final_census: census,
-        image_bytes,
-        wall_sim,
-        wall_viz,
-        wall_end_to_end: t_run.elapsed(),
+        cinema: run.cinema,
+        tracks: run.tracks,
+        final_census: run.final_census,
+        image_bytes: run.image_bytes,
+        wall_sim: run.wall_sim,
+        wall_viz: run.wall_viz,
+        wall_end_to_end: run.wall_end_to_end,
     }
 }
 
@@ -367,14 +212,18 @@ mod tests {
 
     #[test]
     fn pipelined_matches_sequential_exactly() {
+        use crate::golden::{decisions_line, frames_line, Golden};
         let cfg = NativeConfig::tiny();
-        let tc = tiny_trigger();
-        let a = run_native_adaptive(&cfg, &tc);
-        let b = run_native_adaptive_sequential(&cfg, &tc);
-        assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.decisions, b.decisions);
-        assert_eq!(a.cinema.index_json(), b.cinema.index_json());
-        assert_eq!(a.tracks, b.tracks);
+        let golden = Golden::load();
+        // At every depth: analyses run inside the batch fan-out, with the
+        // candidate fan-out underneath.
+        for depth in [1, 2, 4] {
+            let r = adaptive_at_depth(&cfg, &tiny_trigger(), depth, &Recorder::off());
+            golden.check("adaptive/tiny/c5/digest", &r.digest());
+            golden.check("adaptive/tiny/c5/decisions", &decisions_line(&r.decisions));
+            let frames = frames_line(&r.cinema, &r.tracks, &r.final_census);
+            golden.check("adaptive/tiny/c5/frames", &frames);
+        }
     }
 
     #[test]
@@ -400,7 +249,7 @@ mod tests {
         tc.min_interval = cfg.output_every;
         tc.max_interval = cfg.output_every;
         let adaptive = run_native_adaptive(&cfg, &tc);
-        let fixed = crate::native::run_native_insitu_sequential(&cfg);
+        let fixed = crate::native::run_native_insitu(&cfg);
         assert_eq!(adaptive.frames, fixed.frames);
         for (ea, eb) in adaptive.cinema.entries().iter().zip(fixed.cinema.entries()) {
             assert_eq!(ea.timestep, eb.timestep);

@@ -22,7 +22,8 @@
 //!   every `Campaign::run*` entry point forwards into one of the three.
 //! * [`native`] — the *laptop* backend: actually time-steps the ocean,
 //!   renders PNGs, encodes ncdf files and tracks eddies, measuring real
-//!   wall-clock time.
+//!   wall-clock time. One native frame loop; fixed, faulted and adaptive
+//!   ([`adaptive`]) are its three commit policies.
 //!
 //! Shared pieces: [`adaptor`] (the Catalyst analogue), [`config`]
 //! (pipeline kind, sampling rate, cost constants).
@@ -50,10 +51,13 @@ pub mod resilience;
 pub mod telemetry;
 pub mod transport;
 
-pub use adaptive::{
-    run_native_adaptive, run_native_adaptive_sequential, run_native_adaptive_sequential_with,
-    run_native_adaptive_with, AdaptiveReport,
-};
+/// The root suites' golden files and their one-line renderings, mounted
+/// here so the unit tests hold the native frame loop to the same keys.
+#[cfg(test)]
+#[path = "../../../tests/common/golden.rs"]
+mod golden;
+
+pub use adaptive::{run_native_adaptive, run_native_adaptive_with, AdaptiveReport};
 pub use adaptor::{CatalystAdaptor, VizSnapshot};
 pub use campaign::{Campaign, CampaignConfig};
 pub use config::{PipelineConfig, PipelineKind};

@@ -8,32 +8,32 @@
 //! cognitive-fidelity tests (do both pipelines see the *same* eddies?) run
 //! on this backend.
 //!
-//! ## Pipelined execution
+//! ## One frame loop
 //!
-//! [`run_native_insitu`] overlaps the solver with visualization the way
-//! in-transit systems stage analysis: a producer thread advances the model
-//! and adapts snapshots while the consumer renders, encodes and tracks
-//! earlier frames, hand-off over a bounded channel of depth *k*
-//! ([`default_pipeline_depth`], overridable per call via
-//! [`run_native_insitu_depth`] or globally with the `ZSIM_PIPELINE_DEPTH`
-//! environment variable). The consumer drains up to `k` queued snapshots
-//! at a time and renders + encodes them **frame-parallel** on the worker
-//! pool — each frame's segmentation, rasterization and PNG encode is an
-//! independent pure function of its deep-copied [`VizSnapshot`] — then
-//! commits the results strictly in frame order: eddy-tracker observations,
-//! Cinema index entries and phase timings are appended by a single thread
-//! in ascending frame order no matter which worker rendered what.
+//! Every in-situ run — fixed-rate, faulted, adaptive — is the same private
+//! depth-*k* producer/consumer, `frame_loop`: a producer thread advances
+//! the model and adapts snapshots while the calling thread drains up to *k*
+//! queued snapshots at a time, works on them **frame-parallel** on the
+//! worker pool (a frame's segmentation, rasterization and PNG encode is a
+//! pure function of its deep-copied [`VizSnapshot`]) and commits strictly
+//! in frame order. The users differ only in two closures: the per-snapshot
+//! *work*, and the *commit policy* that decides whether a frame is stored,
+//! skipped or shed. [`run_native_insitu_at`] renders every `output_every`
+//! steps and commits under a [`FaultSession`] — a clean run **is** a
+//! faulted run under [`FaultScenario::none`]; [`crate::adaptive`] analyzes
+//! every `analysis_interval` steps and commits under the trigger
+//! controller; a strictly serialized run is depth 1.
 //!
-//! Because chunk placement never changes *what* is computed, all outputs
-//! (PNG bytes, Cinema index, eddy tracks, trace structure) are
-//! **bit-identical** to [`run_native_insitu_sequential`] at every depth
-//! and thread count; the strictly-serialized loop is kept as the golden
-//! baseline. Phase wall times are measured on each thread and replayed
-//! through the same wall tracer in sequential order after the join, so
-//! recorded traces have the same span/event/counter sequence either way.
+//! Chunk placement never changes *what* is computed, so all outputs (PNG
+//! bytes, Cinema index, eddy tracks, fault statistics, trace structure)
+//! are **bit-identical** at every depth and thread count; the sequential
+//! loops this replaced live on as `tests/golden/native_identity.txt`.
 //! Workers keep per-thread scratch (sample tables, image buffer, PNG
-//! encoder) in thread-local storage, so steady-state rendering allocates
-//! only each frame's own output PNG.
+//! encoder), so steady-state rendering allocates only each frame's PNG.
+//!
+//! [`run_native_postproc`] is the one independent renderer left (two
+//! sequential stages, row-parallel rasterizer), which keeps
+//! `both_pipelines_produce_identical_images` a live differential oracle.
 
 use std::cell::RefCell;
 use std::sync::mpsc;
@@ -120,8 +120,12 @@ impl NativeConfig {
         }
     }
 
-    pub(crate) fn build_model(&self) -> ShallowWaterModel {
-        let grid = Grid::channel(self.nx, self.ny, self.cell_m);
+    pub(crate) fn grid(&self) -> Grid {
+        Grid::channel(self.nx, self.ny, self.cell_m)
+    }
+
+    fn build_model(&self) -> ShallowWaterModel {
+        let grid = self.grid();
         let params = SwParams::eddy_channel(&grid);
         let mut m = ShallowWaterModel::new(grid, params);
         seed_random_eddies(&mut m, self.num_eddies, self.seed);
@@ -140,9 +144,9 @@ pub struct NativeReport {
     pub wall_viz: Duration,
     /// Wall time encoding/decoding/storing output.
     pub wall_io: Duration,
-    /// End-to-end wall time of the whole run. For the sequential paths
-    /// this is ≈ [`NativeReport::wall_total`]; for the pipelined in-situ
-    /// path it is smaller, because solver and visualization overlap.
+    /// End-to-end wall time of the whole run: ≈ [`NativeReport::wall_total`]
+    /// for post-processing, smaller for in-situ at depth > 1, where solver
+    /// and visualization overlap.
     pub wall_end_to_end: Duration,
     /// Raw (ncdf) bytes produced — zero for in-situ.
     pub raw_bytes: u64,
@@ -174,91 +178,123 @@ impl NativeReport {
     /// Cinema index, every PNG byte, the track count and the final
     /// census. Two runs are interchangeable iff their digests match.
     pub fn digest(&self) -> String {
-        let mut h = Fnv1a::default();
-        h.eat_outputs(&self.cinema, &self.tracks, &self.final_census);
-        h.hex()
+        outputs_digest(&[], &self.cinema, &self.tracks, &self.final_census)
     }
 }
 
-/// Running FNV-1a-64 behind the reports' `digest()`s.
-pub(crate) struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv1a {
-    pub(crate) fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// What every native report ends its digest with.
-    pub(crate) fn eat_outputs(
-        &mut self,
-        cinema: &CinemaDatabase,
-        tracks: &[Track],
-        census: &FrameCensus,
-    ) {
-        self.eat(cinema.index_json().as_bytes());
-        for e in cinema.entries() {
-            self.eat(&e.data);
-        }
-        self.eat(&(tracks.len() as u64).to_le_bytes());
-        self.eat(&(census.count as u64).to_le_bytes());
-        self.eat(&census.total_area_m2.to_bits().to_le_bytes());
-    }
-
-    pub(crate) fn hex(&self) -> String {
-        format!("{:016x}", self.0)
-    }
+/// FNV-1a-64 over `head`, then what every native report's digest ends
+/// with: Cinema index, PNG bytes, track count, final census.
+pub(crate) fn outputs_digest(
+    head: &[u8],
+    cinema: &CinemaDatabase,
+    tracks: &[Track],
+    census: &FrameCensus,
+) -> String {
+    let index = cinema.index_json();
+    let tail = [
+        tracks.len() as u64,
+        census.count as u64,
+        census.total_area_m2.to_bits(),
+    ]
+    .map(u64::to_le_bytes);
+    let parts = [head, index.as_bytes()]
+        .into_iter()
+        .chain(cinema.entries().iter().map(|e| e.data.as_slice()))
+        .chain(tail.iter().map(|t| t.as_slice()));
+    let h = parts.flatten().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{h:016x}")
 }
 
 /// Maps the native backend's wall-clock measurements onto a gap-free
 /// virtual [`SimTime`] axis (t = accumulated measured wall time), so the
 /// same trace schema, Gantt renderer and timeline tooling work on real
 /// runs. Phase spans are recorded after the fact, once their duration is
-/// known.
-pub(crate) struct WallTracer<'a> {
+/// known; the per-phase totals become the report's `wall_*` fields.
+struct WallTracer<'a> {
     rec: &'a Recorder,
+    root: SpanId,
     elapsed: Duration,
+    sim: Duration,
+    viz: Duration,
+    io: Duration,
 }
 
 impl<'a> WallTracer<'a> {
-    pub(crate) fn new(rec: &'a Recorder) -> Self {
+    /// Open the run's root span with its shape.
+    fn open(rec: &'a Recorder, cfg: &NativeConfig, kind: &'static str) -> Self {
+        let root = rec.span(SimTime::ZERO, "native", Component::Native);
+        rec.set_attr(root, "kind", AttrValue::Str(kind));
+        rec.set_attr(root, "nx", AttrValue::U64(cfg.nx as u64));
+        rec.set_attr(root, "ny", AttrValue::U64(cfg.ny as u64));
+        rec.set_attr(root, "steps", AttrValue::U64(cfg.steps));
         WallTracer {
             rec,
+            root,
             elapsed: Duration::ZERO,
+            sim: Duration::ZERO,
+            viz: Duration::ZERO,
+            io: Duration::ZERO,
         }
     }
 
-    pub(crate) fn now(&self) -> SimTime {
+    fn now(&self) -> SimTime {
         SimTime::from_secs_f64(self.elapsed.as_secs_f64())
     }
 
     /// Record that `phase` just ran for `took` of wall time.
-    pub(crate) fn phase(&mut self, phase: JobPhase, took: Duration) {
+    fn phase(&mut self, phase: JobPhase, took: Duration) {
         let start = self.now();
         self.elapsed += took;
+        match phase {
+            JobPhase::Simulate => self.sim += took,
+            JobPhase::Visualize => self.viz += took,
+            _ => self.io += took,
+        }
         if self.rec.is_on() {
             let id = self.rec.phase_span(start, phase, Component::Native);
             self.rec.close(self.now(), id);
         }
     }
+
+    /// Record one stored frame: event plus frame counter.
+    fn frame(&self, frame: u64, census: &FrameCensus) {
+        if !self.rec.is_on() {
+            return;
+        }
+        let t = self.now();
+        self.rec.event(
+            t,
+            "frame_rendered",
+            Component::Viz,
+            &[
+                ("frame", AttrValue::U64(frame)),
+                ("eddies", AttrValue::U64(census.count as u64)),
+            ],
+        );
+        self.rec.counter_add(t, "native.frames", 1.0);
+    }
+
+    /// Close the run: the image-bytes counter, then the root span.
+    fn finish(&self, image_bytes: u64) {
+        if self.rec.is_on() {
+            self.rec
+                .counter_add(self.now(), "native.image_bytes", image_bytes as f64);
+        }
+        self.rec.close(self.now(), self.root);
+    }
 }
 
-pub(crate) fn tracker_for(grid: &Grid) -> EddyTracker {
+fn tracker_for(grid: &Grid) -> EddyTracker {
     let (lx, _) = grid.extent();
     // Gate: eddies drift slowly; half a basin-width per frame is plenty.
     EddyTracker::new(6.0 * grid.dx, 2, lx)
 }
 
 /// Draw the presentation-ready overlays (velocity arrows, colorbar, time
-/// label) on a rendered frame — shared by the serial and frame-parallel
-/// paths so their annotated pixels are identical.
+/// label) on a rendered frame — shared by the in-situ workers and the
+/// post-processing renderer so their annotated pixels are identical.
 fn annotate_frame(
     renderer: &FieldRenderer,
     img: &mut ImageBuffer,
@@ -277,38 +313,13 @@ fn annotate_frame(
     draw_text(img, 4, 2, &label, Rgb::BLACK);
 }
 
-fn visualize_frame(
-    renderer: &FieldRenderer,
-    cinema: &mut CinemaDatabase,
-    tracker: &mut EddyTracker,
-    grid: &Grid,
-    snap: &VizSnapshot,
-    frame: u64,
-    annotate: bool,
-) -> FrameCensus {
-    let w = &snap.okubo_weiss;
-    let seg = segment_eddies(w, 0.2, 3);
-    let feats = extract_features(grid, w, &seg);
-    tracker.observe(frame, &feats);
-    let mut img = renderer.render(w);
-    if annotate {
-        let (lo, hi) = renderer.resolve_range(w);
-        annotate_frame(renderer, &mut img, snap, lo, hi);
-    }
-    cinema.add_image(snap.timestep, snap.sim_hours, &img);
-    frame_census(&feats)
-}
-
 /// Everything a frame worker produced for one snapshot. Commit order (and
 /// therefore tracker state and the Cinema index) is imposed by the
 /// consumer, not by which worker finished first.
-struct RenderedFrame {
-    feats: Vec<EddyFeature>,
-    census: FrameCensus,
-    png: Vec<u8>,
-    /// Wall time this worker spent on the frame (segmentation through
-    /// encode), attributed to the visualize phase at commit.
-    d_worker: Duration,
+pub(crate) struct RenderedFrame {
+    pub(crate) feats: Vec<EddyFeature>,
+    pub(crate) census: FrameCensus,
+    pub(crate) png: Vec<u8>,
 }
 
 /// Per-thread rendering scratch, reused across frames: the sample tables
@@ -328,7 +339,7 @@ thread_local! {
 
 /// Segment, extract, rasterize, annotate and PNG-encode one snapshot — a
 /// pure function of the snapshot, safe to run on any worker. Pixels and
-/// bytes are bit-identical to the serial [`visualize_frame`] path: the
+/// bytes are bit-identical to post-processing's `render` + `add_image`: the
 /// rebuilt tables equal freshly built ones, rows are shaded with the same
 /// [`SampleTables::shade_row`], and the encoder is deterministic.
 fn render_frame(
@@ -337,7 +348,6 @@ fn render_frame(
     snap: &VizSnapshot,
     annotate: bool,
 ) -> RenderedFrame {
-    let t0 = Instant::now();
     let w = &snap.okubo_weiss;
     let seg = segment_eddies(w, 0.2, 3);
     let feats = extract_features(grid, w, &seg);
@@ -369,103 +379,59 @@ fn render_frame(
     let mut png = Vec::with_capacity(encoded_png_size(renderer.width, renderer.height) as usize);
     enc.encode_into(img, &mut png);
     FRAME_SCRATCH.set(scratch);
-    RenderedFrame {
-        feats,
-        census,
-        png,
-        d_worker: t0.elapsed(),
-    }
+    RenderedFrame { feats, census, png }
 }
 
-/// The pipeline depth [`run_native_insitu`] uses: the `ZSIM_PIPELINE_DEPTH`
-/// environment variable if set (≥ 1), else `min(4, available_parallelism)`
-/// — deeper than the host can render in parallel only buys memory traffic.
+/// The pipeline depth [`run_native_insitu`] uses:
+/// `min(4, available_parallelism)` — deeper than the host can render in
+/// parallel only buys memory traffic.
 pub fn default_pipeline_depth() -> usize {
-    if let Some(d) = std::env::var("ZSIM_PIPELINE_DEPTH")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return d.max(1);
-    }
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     hw.min(4)
 }
 
-/// Open the native backend's root span with the run's shape.
-pub(crate) fn open_native_root(rec: &Recorder, cfg: &NativeConfig, kind: &'static str) -> SpanId {
-    let root = rec.span(SimTime::ZERO, "native", Component::Native);
-    rec.set_attr(root, "kind", AttrValue::Str(kind));
-    rec.set_attr(root, "nx", AttrValue::U64(cfg.nx as u64));
-    rec.set_attr(root, "ny", AttrValue::U64(cfg.ny as u64));
-    rec.set_attr(root, "steps", AttrValue::U64(cfg.steps));
-    root
+/// What a commit policy decided for one frame, and so what the trace
+/// records after the frame's Simulate phase.
+pub(crate) enum Commit {
+    /// Dropped by the fault layer: nothing stored, no Visualize phase (the
+    /// policy stamped its own shed events).
+    Shed,
+    /// Looked at but not stored: a Visualize phase, no frame.
+    Skip,
+    /// Store it as frame `n` — the tracker's and the trace's frame number.
+    Emit(u64),
 }
 
-/// Record one rendered frame: event plus frame/eddy counters.
-pub(crate) fn note_frame(rec: &Recorder, t: SimTime, frame: u64, census: &FrameCensus) {
-    if !rec.is_on() {
-        return;
-    }
-    rec.event(
-        t,
-        "frame_rendered",
-        Component::Viz,
-        &[
-            ("frame", AttrValue::U64(frame)),
-            ("eddies", AttrValue::U64(census.count as u64)),
-        ],
-    );
-    rec.counter_add(t, "native.frames", 1.0);
-}
-
-/// Run the in-situ pipeline natively: simulate, adapt, render and track;
-/// only images are "written". Solver and visualization run **pipelined**
-/// with up to [`default_pipeline_depth`] frames in flight, rendered and
-/// encoded frame-parallel on the worker pool (see the module docs);
-/// outputs are bit-identical to [`run_native_insitu_sequential`].
-pub fn run_native_insitu(cfg: &NativeConfig) -> NativeReport {
-    run_native_insitu_with(cfg, &Recorder::off())
-}
-
-/// [`run_native_insitu`] with a trace recorder: per-phase wall times are
-/// measured on their own threads, then replayed as spans on a virtual
-/// sim-time axis in the same order the sequential path records them.
-pub fn run_native_insitu_with(cfg: &NativeConfig, rec: &Recorder) -> NativeReport {
-    run_native_insitu_depth_with(cfg, default_pipeline_depth(), rec)
-}
-
-/// [`run_native_insitu`] at an explicit pipeline depth: the producer may
-/// run up to `depth` output chunks ahead, and up to `depth` frames render
-/// and encode concurrently. Outputs are bit-identical to
-/// [`run_native_insitu_sequential`] at **every** depth and thread count.
-pub fn run_native_insitu_depth(cfg: &NativeConfig, depth: usize) -> NativeReport {
-    run_native_insitu_depth_with(cfg, depth, &Recorder::off())
-}
-
-/// [`run_native_insitu_depth`] with a trace recorder.
-pub fn run_native_insitu_depth_with(
+/// The one native frame loop (see the module docs). A producer thread
+/// advances the model `chunk_steps` at a time and adapts a snapshot per
+/// chunk, at most `depth` chunks ahead of the oldest uncommitted one. The
+/// calling thread drains up to `depth` queued snapshots, runs `work` on them
+/// in parallel — it must be a pure function of the snapshot, and is
+/// speculative: a frame the policy then sheds or skips was rendered and is
+/// thrown away — and calls `commit(index, snapshot, census, extra, now)`
+/// strictly in chunk order, `now` being the trace time after the chunk's
+/// Simulate phase. Everything stateful (fault RNG, trigger hysteresis,
+/// tracker, Cinema index, trace) therefore sees the order a serialized run
+/// would, at any depth and thread count.
+pub(crate) fn frame_loop<X: Send>(
     cfg: &NativeConfig,
+    chunk_steps: u64,
     depth: usize,
     rec: &Recorder,
+    kind: &'static str,
+    work: impl Fn(&VizSnapshot) -> (RenderedFrame, X) + Sync,
+    mut commit: impl FnMut(u64, &VizSnapshot, &FrameCensus, X, SimTime) -> Commit,
 ) -> NativeReport {
     let depth = depth.max(1);
     let t_run = Instant::now();
     let mut model = cfg.build_model();
-    let grid = model.grid().clone();
-    let renderer = FieldRenderer::okubo_weiss(cfg.image_width, cfg.image_height);
-    let mut cinema = CinemaDatabase::new("insitu-eddies");
-    let mut tracker = tracker_for(&grid);
-    let root = open_native_root(rec, cfg, "insitu");
-    let mut frames = 0u64;
+    let mut tracker = tracker_for(model.grid());
+    let mut cinema = CinemaDatabase::new(format!("{kind}-eddies"));
+    let mut wtr = WallTracer::open(rec, cfg, kind);
     let mut census = frame_census(&[]);
-    // Per-frame (simulate, adapt+visualize) durations and the frame's
-    // census, kept so the trace can be replayed sequentially after the
-    // join.
-    let mut timings: Vec<(Duration, Duration, FrameCensus)> = Vec::new();
-    // Depth-k hand-off: the producer may run at most `depth` chunks ahead
-    // of the oldest uncommitted frame.
+    let mut index = 0u64;
     let (tx, rx) = mpsc::sync_channel::<(Duration, Duration, VizSnapshot)>(depth);
     // Committed snapshots flow back to the producer for recycling, so
     // steady-state adaptation reuses buffers instead of allocating.
@@ -479,7 +445,7 @@ pub fn run_native_insitu_depth_with(
             let mut adaptor = CatalystAdaptor::new();
             let mut step = 0u64;
             while step < cfg.steps {
-                let chunk = cfg.output_every.min(cfg.steps - step);
+                let chunk = chunk_steps.min(cfg.steps - step);
                 let t0 = Instant::now();
                 model.run(chunk);
                 let d_sim = t0.elapsed();
@@ -492,64 +458,50 @@ pub fn run_native_insitu_depth_with(
                     }
                     Err(_) => adaptor.adapt(&model),
                 };
-                let d_adapt = t1.elapsed();
-                if tx.send((d_sim, d_adapt, snap)).is_err() {
+                if tx.send((d_sim, t1.elapsed(), snap)).is_err() {
                     return; // consumer gone (it panicked); just stop
                 }
             }
         });
-        // Consumer: drain up to `depth` queued snapshots, render + encode
-        // them frame-parallel, then commit strictly in frame order so
-        // tracker state and Cinema entries match the sequential path.
-        let mut batch: Vec<(Duration, Duration, VizSnapshot)> = Vec::with_capacity(depth);
+        let mut batch = Vec::with_capacity(depth);
         // Loop ends when the producer is done and the queue drained.
         while let Ok(first) = rx.recv() {
             batch.push(first);
-            while batch.len() < depth {
-                match rx.try_recv() {
-                    Ok(more) => batch.push(more),
-                    Err(_) => break,
-                }
-            }
-            let annotate = cfg.annotate;
-            let rendered: Vec<RenderedFrame> = batch
+            batch.extend(rx.try_iter().take(depth - 1));
+            let worked: Vec<_> = batch
                 .par_iter()
-                .map(|(_, _, snap)| render_frame(&renderer, &grid, snap, annotate))
+                .map(|(_, _, snap)| {
+                    let t0 = Instant::now();
+                    (work(snap), t0.elapsed())
+                })
                 .collect();
-            for ((d_sim, d_adapt, snap), rf) in batch.drain(..).zip(rendered) {
+            for ((d_sim, d_adapt, snap), ((frame, extra), d_work)) in batch.drain(..).zip(worked) {
+                wtr.phase(JobPhase::Simulate, d_sim);
                 let t_commit = Instant::now();
-                tracker.observe(frames, &rf.feats);
-                cinema.add_encoded(snap.timestep, snap.sim_hours, rf.png);
-                census = rf.census;
-                let d_commit = t_commit.elapsed();
-                timings.push((d_sim, d_adapt + rf.d_worker + d_commit, census.clone()));
-                frames += 1;
+                let verdict = commit(index, &snap, &frame.census, extra, wtr.now());
+                index += 1;
+                if let Commit::Emit(n) = verdict {
+                    tracker.observe(n, &frame.feats);
+                    cinema.add_encoded(snap.timestep, snap.sim_hours, frame.png);
+                }
+                if !matches!(verdict, Commit::Shed) {
+                    census = frame.census;
+                    wtr.phase(JobPhase::Visualize, d_adapt + d_work + t_commit.elapsed());
+                }
+                if let Commit::Emit(n) = verdict {
+                    wtr.frame(n, &census);
+                }
                 let _ = ret_tx.send(snap); // producer may already be done
             }
         }
     });
     let wall_end_to_end = t_run.elapsed();
-    // Replay the measured phases through the tracer in the interleaved
-    // order the sequential path would have recorded them.
-    let mut wtr = WallTracer::new(rec);
-    let mut wall_sim = Duration::ZERO;
-    let mut wall_viz = Duration::ZERO;
-    for (frame, (d_sim, d_viz, c)) in timings.iter().enumerate() {
-        wall_sim += *d_sim;
-        wtr.phase(JobPhase::Simulate, *d_sim);
-        wall_viz += *d_viz;
-        wtr.phase(JobPhase::Visualize, *d_viz);
-        note_frame(rec, wtr.now(), frame as u64, c);
-    }
     let image_bytes = cinema.total_bytes();
-    if rec.is_on() {
-        rec.counter_add(wtr.now(), "native.image_bytes", image_bytes as f64);
-    }
-    rec.close(wtr.now(), root);
+    wtr.finish(image_bytes);
     NativeReport {
-        frames,
-        wall_sim,
-        wall_viz,
+        frames: cinema.len() as u64,
+        wall_sim: wtr.sim,
+        wall_viz: wtr.viz,
         wall_io: Duration::ZERO, // image bytes counted; kept in memory here
         wall_end_to_end,
         raw_bytes: 0,
@@ -560,69 +512,20 @@ pub fn run_native_insitu_depth_with(
     }
 }
 
-/// The original strictly-serialized in-situ loop, kept as the golden
-/// baseline the pipelined path is tested (and benchmarked) against.
-pub fn run_native_insitu_sequential(cfg: &NativeConfig) -> NativeReport {
-    run_native_insitu_sequential_with(cfg, &Recorder::off())
+/// Run the in-situ pipeline natively: simulate, adapt, render and track;
+/// only images are "written". Solver and visualization run pipelined with
+/// up to [`default_pipeline_depth`] frames in flight, rendered and encoded
+/// frame-parallel on the worker pool (see the module docs).
+pub fn run_native_insitu(cfg: &NativeConfig) -> NativeReport {
+    let depth = default_pipeline_depth();
+    run_native_insitu_at(cfg, depth, &FaultScenario::none(), &Recorder::off()).report
 }
 
-/// [`run_native_insitu_sequential`] with a trace recorder.
-pub fn run_native_insitu_sequential_with(cfg: &NativeConfig, rec: &Recorder) -> NativeReport {
-    let t_run = Instant::now();
-    let mut model = cfg.build_model();
-    let mut adaptor = CatalystAdaptor::new();
-    let renderer = FieldRenderer::okubo_weiss(cfg.image_width, cfg.image_height);
-    let mut cinema = CinemaDatabase::new("insitu-eddies");
-    let mut tracker = tracker_for(model.grid());
-    let root = open_native_root(rec, cfg, "insitu");
-    let mut wtr = WallTracer::new(rec);
-    let mut wall_sim = Duration::ZERO;
-    let mut wall_viz = Duration::ZERO;
-    let mut frames = 0u64;
-    let mut census = frame_census(&[]);
-    let mut step = 0u64;
-    while step < cfg.steps {
-        let chunk = cfg.output_every.min(cfg.steps - step);
-        let t0 = Instant::now();
-        model.run(chunk);
-        let d_sim = t0.elapsed();
-        wall_sim += d_sim;
-        wtr.phase(JobPhase::Simulate, d_sim);
-        step += chunk;
-        let t1 = Instant::now();
-        let snap = adaptor.adapt(&model);
-        census = visualize_frame(
-            &renderer,
-            &mut cinema,
-            &mut tracker,
-            model.grid(),
-            &snap,
-            frames,
-            cfg.annotate,
-        );
-        let d_viz = t1.elapsed();
-        wall_viz += d_viz;
-        wtr.phase(JobPhase::Visualize, d_viz);
-        note_frame(rec, wtr.now(), frames, &census);
-        frames += 1;
-    }
-    let image_bytes = cinema.total_bytes();
-    if rec.is_on() {
-        rec.counter_add(wtr.now(), "native.image_bytes", image_bytes as f64);
-    }
-    rec.close(wtr.now(), root);
-    NativeReport {
-        frames,
-        wall_sim,
-        wall_viz,
-        wall_io: Duration::ZERO, // image bytes counted; kept in memory here
-        wall_end_to_end: t_run.elapsed(),
-        raw_bytes: 0,
-        image_bytes,
-        cinema,
-        tracks: tracker.finish(),
-        final_census: census,
-    }
+/// [`run_native_insitu`] strictly serialized — depth 1, same outputs. Kept
+/// only until the benchmark package, which links it as its single-threaded
+/// baseline, is redefined (ROADMAP 1(b)).
+pub fn run_native_insitu_sequential(cfg: &NativeConfig) -> NativeReport {
+    run_native_insitu_at(cfg, 1, &FaultScenario::none(), &Recorder::off()).report
 }
 
 /// What a fault-aware native run produced.
@@ -636,7 +539,9 @@ pub struct NativeFaultReport {
     pub stats: FaultStats,
 }
 
-/// Run the native in-situ pipeline under a fault scenario.
+/// The explicit in-situ entry point: up to `depth` output chunks and
+/// frames in flight, under a fault scenario, tracing into `rec`. Outputs
+/// are bit-identical at **every** depth and thread count.
 ///
 /// The native backend has no parallel filesystem, so only two fault kinds
 /// apply: `TransientIo` windows make the per-frame image store step fail
@@ -647,135 +552,86 @@ pub struct NativeFaultReport {
 /// compute stragglers don't apply to a single host. Fault windows are
 /// matched against *simulated* time (`snap.sim_hours`), so a plan is
 /// meaningful regardless of host speed, and the run never panics or hangs:
-/// every frame is either written or counted as shed.
-///
-/// With [`FaultScenario::none`] the outputs (Cinema index, PNG bytes, eddy
-/// tracks) are bit-identical to [`run_native_insitu_sequential`].
-pub fn run_native_insitu_faulted(
+/// every frame is either written or counted as shed. Fault decisions are
+/// taken at commit, in frame order, so they never depend on `depth`.
+pub fn run_native_insitu_at(
     cfg: &NativeConfig,
-    scenario: &FaultScenario,
-) -> NativeFaultReport {
-    run_native_insitu_faulted_with(cfg, scenario, &Recorder::off())
-}
-
-/// [`run_native_insitu_faulted`] with a trace recorder.
-pub fn run_native_insitu_faulted_with(
-    cfg: &NativeConfig,
+    depth: usize,
     scenario: &FaultScenario,
     rec: &Recorder,
 ) -> NativeFaultReport {
-    let t_run = Instant::now();
     let mut session = FaultSession::new(scenario);
-    let mut model = cfg.build_model();
-    let mut adaptor = CatalystAdaptor::new();
+    let grid = cfg.grid();
     let renderer = FieldRenderer::okubo_weiss(cfg.image_width, cfg.image_height);
-    let mut cinema = CinemaDatabase::new("insitu-eddies");
-    let mut tracker = tracker_for(model.grid());
-    let root = open_native_root(rec, cfg, "insitu");
-    let mut wtr = WallTracer::new(rec);
-    let mut wall_sim = Duration::ZERO;
-    let mut wall_viz = Duration::ZERO;
-    let mut written = 0u64;
-    let mut frame = 0u64;
-    let mut census = frame_census(&[]);
-    let mut step = 0u64;
-    while step < cfg.steps {
-        let chunk = cfg.output_every.min(cfg.steps - step);
-        let t0 = Instant::now();
-        model.run(chunk);
-        let d_sim = t0.elapsed();
-        wall_sim += d_sim;
-        wtr.phase(JobPhase::Simulate, d_sim);
-        step += chunk;
-        let t1 = Instant::now();
-        let snap = adaptor.adapt(&model);
-        // Fault windows are scheduled in simulated time.
-        let sim_t = SimTime::from_secs_f64(snap.sim_hours * 3600.0);
-        if session.should_shed(frame) {
-            session.stats.outputs_shed += 1;
-            rec.event(
-                wtr.now(),
-                "output_shed",
-                Component::Fault,
-                &[
-                    ("index", AttrValue::U64(frame)),
-                    ("reason", AttrValue::Str("degraded")),
-                ],
-            );
-            rec.counter_add(wtr.now(), "fault.sheds", 1.0);
-            frame += 1;
-            continue;
-        }
+    let report = frame_loop(
+        cfg,
+        cfg.output_every,
+        depth,
+        rec,
+        "insitu",
+        |snap| (render_frame(&renderer, &grid, snap, cfg.annotate), ()),
+        |frame, snap, _, (), now| store_or_shed(&mut session, frame, snap, rec, now),
+    );
+    NativeFaultReport {
+        report,
+        stats: session.into_stats(),
+    }
+}
+
+/// The fixed-rate commit policy: store frame `frame` unless the fault
+/// session sheds it.
+fn store_or_shed(
+    session: &mut FaultSession,
+    frame: u64,
+    snap: &VizSnapshot,
+    rec: &Recorder,
+    now: SimTime,
+) -> Commit {
+    let shed_because = if session.should_shed(frame) {
+        Some("degraded")
+    } else {
         // The image store step may fail transiently. Retries are free in
         // wall time (the store is in-memory); exhaustion sheds the frame
-        // rather than aborting the solver.
+        // rather than aborting the solver. Fault windows are scheduled in
+        // simulated time.
+        let sim_t = SimTime::from_secs_f64(snap.sim_hours * 3600.0);
         let mut failed = 0u32;
-        let stored = loop {
+        loop {
             if !session.roll_io_failure(sim_t) {
-                break true;
+                break None;
             }
-            rec.counter_add(wtr.now(), "fault.injected_failures", 1.0);
+            rec.counter_add(now, "fault.injected_failures", 1.0);
             failed += 1;
             let _ = session.pressure();
             if failed >= session.retry.max_attempts {
-                break false;
+                break Some("retries-exhausted");
             }
             // Draw the jitter so the retry schedule matches the campaign
             // backend's RNG discipline; no wall time passes here.
             let _backoff = session.backoff_for(failed);
-            rec.counter_add(wtr.now(), "fault.retries", 1.0);
-        };
-        if stored {
-            census = visualize_frame(
-                &renderer,
-                &mut cinema,
-                &mut tracker,
-                model.grid(),
-                &snap,
-                frame,
-                cfg.annotate,
-            );
-            let d_viz = t1.elapsed();
-            wall_viz += d_viz;
-            wtr.phase(JobPhase::Visualize, d_viz);
-            note_frame(rec, wtr.now(), frame, &census);
-            session.stats.outputs_written += 1;
-            let _ = session.clean();
-            written += 1;
-        } else {
+            rec.counter_add(now, "fault.retries", 1.0);
+        }
+    };
+    match shed_because {
+        Some(reason) => {
             session.stats.outputs_shed += 1;
             rec.event(
-                wtr.now(),
+                now,
                 "output_shed",
                 Component::Fault,
                 &[
                     ("index", AttrValue::U64(frame)),
-                    ("reason", AttrValue::Str("retries-exhausted")),
+                    ("reason", AttrValue::Str(reason)),
                 ],
             );
-            rec.counter_add(wtr.now(), "fault.sheds", 1.0);
+            rec.counter_add(now, "fault.sheds", 1.0);
+            Commit::Shed
         }
-        frame += 1;
-    }
-    let image_bytes = cinema.total_bytes();
-    if rec.is_on() {
-        rec.counter_add(wtr.now(), "native.image_bytes", image_bytes as f64);
-    }
-    rec.close(wtr.now(), root);
-    NativeFaultReport {
-        report: NativeReport {
-            frames: written,
-            wall_sim,
-            wall_viz,
-            wall_io: Duration::ZERO,
-            wall_end_to_end: t_run.elapsed(),
-            raw_bytes: 0,
-            image_bytes,
-            cinema,
-            tracks: tracker.finish(),
-            final_census: census,
-        },
-        stats: session.into_stats(),
+        None => {
+            session.stats.outputs_written += 1;
+            let _ = session.clean();
+            Commit::Emit(frame)
+        }
     }
 }
 
@@ -868,32 +724,11 @@ pub fn run_native_postproc(cfg: &NativeConfig) -> NativeReport {
 /// [`run_native_postproc`] with a trace recorder. Raw-file encodes are
 /// traced as write phases and the stage-2 decodes as read phases, so the
 /// exported timeline shows the paper's two-stage structure.
-///
-/// The raw store is produced and consumed inside this call, so decode
-/// failures are impossible by construction; the fallible surface for
-/// callers holding their own bytes is [`try_run_native_postproc`].
 pub fn run_native_postproc_with(cfg: &NativeConfig, rec: &Recorder) -> NativeReport {
-    try_run_native_postproc_with(cfg, rec).expect("self-produced raw files always decode")
-}
-
-/// [`run_native_postproc`], surfacing stage-2 decode failures as typed
-/// [`PipelineError::CorruptFrame`] errors instead of panicking.
-pub fn try_run_native_postproc(cfg: &NativeConfig) -> Result<NativeReport, PipelineError> {
-    try_run_native_postproc_with(cfg, &Recorder::off())
-}
-
-/// [`try_run_native_postproc`] with a trace recorder.
-pub fn try_run_native_postproc_with(
-    cfg: &NativeConfig,
-    rec: &Recorder,
-) -> Result<NativeReport, PipelineError> {
     let t_run = Instant::now();
     let mut model = cfg.build_model();
     let mut adaptor = CatalystAdaptor::new();
-    let root = open_native_root(rec, cfg, "postproc");
-    let mut wtr = WallTracer::new(rec);
-    let mut wall_sim = Duration::ZERO;
-    let mut wall_io = Duration::ZERO;
+    let mut wtr = WallTracer::open(rec, cfg, "postproc");
     let mut store: Vec<Vec<u8>> = Vec::new();
     let mut step = 0u64;
     // Stage 1: simulate + write raw.
@@ -901,16 +736,12 @@ pub fn try_run_native_postproc_with(
         let chunk = cfg.output_every.min(cfg.steps - step);
         let t0 = Instant::now();
         model.run(chunk);
-        let d_sim = t0.elapsed();
-        wall_sim += d_sim;
-        wtr.phase(JobPhase::Simulate, d_sim);
+        wtr.phase(JobPhase::Simulate, t0.elapsed());
         step += chunk;
         let t1 = Instant::now();
         let snap = adaptor.adapt(&model);
         store.push(encode_raw(&snap));
-        let d_io = t1.elapsed();
-        wall_io += d_io;
-        wtr.phase(JobPhase::WriteOutput, d_io);
+        wtr.phase(JobPhase::WriteOutput, t1.elapsed());
         if rec.is_on() {
             let bytes = store.last().map_or(0, |b| b.len() as u64);
             rec.counter_add(wtr.now(), "native.raw_bytes", bytes as f64);
@@ -921,51 +752,47 @@ pub fn try_run_native_postproc_with(
     let renderer = FieldRenderer::okubo_weiss(cfg.image_width, cfg.image_height);
     let mut cinema = CinemaDatabase::new("postproc-eddies");
     let mut tracker = tracker_for(model.grid());
-    let mut wall_viz = Duration::ZERO;
     let mut census = frame_census(&[]);
     for (frame, bytes) in store.iter().enumerate() {
         let t0 = Instant::now();
-        let snap = decode_raw(frame as u64, bytes)?;
-        let d_read = t0.elapsed();
-        wall_io += d_read;
-        wtr.phase(JobPhase::ReadInput, d_read);
+        // Produced a few lines up, so a decode failure is a bug here, not
+        // an input error.
+        let snap = decode_raw(frame as u64, bytes).expect("self-produced raw files decode");
+        wtr.phase(JobPhase::ReadInput, t0.elapsed());
         let t1 = Instant::now();
-        census = visualize_frame(
-            &renderer,
-            &mut cinema,
-            &mut tracker,
-            model.grid(),
-            &snap,
-            frame as u64,
-            cfg.annotate,
-        );
-        let d_viz = t1.elapsed();
-        wall_viz += d_viz;
-        wtr.phase(JobPhase::Visualize, d_viz);
-        note_frame(rec, wtr.now(), frame as u64, &census);
+        let w = &snap.okubo_weiss;
+        let feats = extract_features(model.grid(), w, &segment_eddies(w, 0.2, 3));
+        tracker.observe(frame as u64, &feats);
+        let mut img = renderer.render(w);
+        if cfg.annotate {
+            let (lo, hi) = renderer.resolve_range(w);
+            annotate_frame(&renderer, &mut img, &snap, lo, hi);
+        }
+        cinema.add_image(snap.timestep, snap.sim_hours, &img);
+        census = frame_census(&feats);
+        wtr.phase(JobPhase::Visualize, t1.elapsed());
+        wtr.frame(frame as u64, &census);
     }
     let image_bytes = cinema.total_bytes();
-    if rec.is_on() {
-        rec.counter_add(wtr.now(), "native.image_bytes", image_bytes as f64);
-    }
-    rec.close(wtr.now(), root);
-    Ok(NativeReport {
+    wtr.finish(image_bytes);
+    NativeReport {
         frames: store.len() as u64,
-        wall_sim,
-        wall_viz,
-        wall_io,
+        wall_sim: wtr.sim,
+        wall_viz: wtr.viz,
+        wall_io: wtr.io,
         wall_end_to_end: t_run.elapsed(),
         raw_bytes,
         image_bytes,
         cinema,
         tracks: tracker.finish(),
         final_census: census,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::{self, Golden};
 
     #[test]
     fn both_pipelines_produce_identical_images() {
@@ -1081,28 +908,14 @@ mod tests {
         assert!(err.to_string().contains("\"ssh\""), "{err}");
     }
 
-    #[test]
-    fn try_postproc_matches_infallible_path() {
-        let cfg = NativeConfig::tiny();
-        let a = try_run_native_postproc(&cfg).expect("healthy run decodes");
-        let b = run_native_postproc(&cfg);
-        assert_eq!(a.frames, b.frames);
-        assert_eq!(a.cinema.index_json(), b.cinema.index_json());
-        assert_eq!(a.tracks, b.tracks);
+    fn frames_line(r: &NativeReport) -> String {
+        golden::frames_line(&r.cinema, &r.tracks, &r.final_census)
     }
 
     #[test]
     fn pipelined_matches_sequential_exactly() {
-        let cfg = NativeConfig::tiny();
-        let a = run_native_insitu(&cfg);
-        let b = run_native_insitu_sequential(&cfg);
-        assert_eq!(a.frames, b.frames);
-        assert_eq!(a.cinema.index_json(), b.cinema.index_json());
-        for (ea, eb) in a.cinema.entries().iter().zip(b.cinema.entries()) {
-            assert_eq!(ea.data, eb.data, "frame {} differs", ea.timestep);
-        }
-        assert_eq!(a.tracks, b.tracks);
-        assert_eq!(a.final_census, b.final_census);
+        let r = run_native_insitu(&NativeConfig::tiny());
+        Golden::load().check("native/tiny/frames", &frames_line(&r));
     }
 
     #[test]
@@ -1110,20 +923,10 @@ mod tests {
         // Annotate so the worker's overlay path is exercised too.
         let mut cfg = NativeConfig::tiny();
         cfg.annotate = true;
-        let golden = run_native_insitu_sequential(&cfg);
+        let golden = Golden::load();
         for depth in [1, 2, 4] {
-            let r = run_native_insitu_depth(&cfg, depth);
-            assert_eq!(r.frames, golden.frames, "depth {depth}");
-            assert_eq!(
-                r.cinema.index_json(),
-                golden.cinema.index_json(),
-                "depth {depth}"
-            );
-            for (ea, eb) in r.cinema.entries().iter().zip(golden.cinema.entries()) {
-                assert_eq!(ea.data, eb.data, "depth {depth} frame {}", ea.timestep);
-            }
-            assert_eq!(r.tracks, golden.tracks, "depth {depth}");
-            assert_eq!(r.final_census, golden.final_census, "depth {depth}");
+            let r = run_native_insitu_at(&cfg, depth, &FaultScenario::none(), &Recorder::off());
+            golden.check("native/tiny-annotate/frames", &frames_line(&r.report));
         }
     }
 
@@ -1144,19 +947,101 @@ mod tests {
     #[test]
     fn faulted_empty_scenario_matches_sequential_exactly() {
         let cfg = NativeConfig::tiny();
-        let clean = run_native_insitu_sequential(&cfg);
-        let faulted = run_native_insitu_faulted(&cfg, &FaultScenario::none());
-        let r = &faulted.report;
-        assert_eq!(clean.frames, r.frames);
-        assert_eq!(clean.cinema.index_json(), r.cinema.index_json());
-        for (ea, eb) in clean.cinema.entries().iter().zip(r.cinema.entries()) {
-            assert_eq!(ea.data, eb.data, "frame {} differs", ea.timestep);
+        let golden = Golden::load();
+        for depth in [1, 2, 4] {
+            let faulted =
+                run_native_insitu_at(&cfg, depth, &FaultScenario::none(), &Recorder::off());
+            golden.check("native/tiny/frames", &frames_line(&faulted.report));
+            golden.check("native/tiny/fault/none/stats", &faulted.stats.digest());
+            assert_eq!(faulted.stats.outputs_written, faulted.report.frames);
         }
-        assert_eq!(clean.tracks, r.tracks);
-        assert_eq!(clean.final_census, r.final_census);
-        assert_eq!(faulted.stats.outputs_written, clean.frames);
-        assert_eq!(faulted.stats.outputs_shed, 0);
-        assert_eq!(faulted.stats.injected_io_failures, 0);
+    }
+
+    /// The plan of `tiny-12/fault/io80-seed9`: twelve frames, eight shed —
+    /// most by degradation level — so the loop renders frames the policy
+    /// then throws away. Neither the stats nor the stored frames may
+    /// notice, at any depth.
+    #[test]
+    fn speculative_rendering_of_shed_frames_is_invisible() {
+        use ivis_fault::{FaultKind, FaultPlan, FaultWindow};
+        let cfg = NativeConfig {
+            output_every: 2,
+            ..NativeConfig::tiny()
+        };
+        let scenario = FaultScenario::with_plan(FaultPlan::new(9).inject(
+            FaultWindow::of_secs(0, u64::MAX / 2_000_000),
+            FaultKind::TransientIo { fail_prob: 0.8 },
+        ));
+        let golden = Golden::load();
+        for depth in [1, 2, 4] {
+            let out = run_native_insitu_at(&cfg, depth, &scenario, &Recorder::off());
+            golden.check(
+                "native/tiny-12/fault/io80-seed9/frames",
+                &frames_line(&out.report),
+            );
+            golden.check("native/tiny-12/fault/io80-seed9/stats", &out.stats.digest());
+        }
+    }
+
+    /// Run the loop on twelve chunks at `depth` with the given closures
+    /// under a 60 s watchdog; true iff the call unwound.
+    fn loop_unwinds(
+        depth: usize,
+        work: impl Fn(&VizSnapshot) -> (RenderedFrame, ()) + Sync + Send + 'static,
+        commit: impl FnMut(u64) -> Commit + Send + 'static,
+    ) -> bool {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = NativeConfig {
+                output_every: 2,
+                ..NativeConfig::tiny()
+            };
+            let mut commit = commit;
+            let run = std::panic::AssertUnwindSafe(|| {
+                frame_loop(
+                    &cfg,
+                    cfg.output_every,
+                    depth,
+                    &Recorder::off(),
+                    "insitu",
+                    work,
+                    |i, _, _, (), _| commit(i),
+                )
+            });
+            let _ = done_tx.send(std::panic::catch_unwind(run).is_err());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the frame loop hung instead of unwinding")
+    }
+
+    fn blank_frame(_: &VizSnapshot) -> (RenderedFrame, ()) {
+        let frame = RenderedFrame {
+            feats: Vec::new(),
+            census: frame_census(&[]),
+            png: Vec::new(),
+        };
+        (frame, ())
+    }
+
+    #[test]
+    fn a_panicking_commit_unwinds_instead_of_hanging() {
+        // Depth 1 with ten chunks still to come: the producer is blocked on
+        // the full hand-off when the consumer dies.
+        let unwound = loop_unwinds(1, blank_frame, |i| {
+            assert!(i < 1, "commit policy blew up on the second frame");
+            Commit::Emit(i)
+        });
+        assert!(unwound);
+    }
+
+    #[test]
+    fn a_panicking_worker_unwinds_instead_of_hanging() {
+        let work = |snap: &VizSnapshot| {
+            assert!(snap.timestep < 6, "frame worker blew up inside the batch");
+            blank_frame(snap)
+        };
+        assert!(loop_unwinds(2, work, Commit::Emit));
     }
 
     #[test]
@@ -1169,7 +1054,7 @@ mod tests {
         );
         let mut scenario = FaultScenario::with_plan(plan);
         scenario.retry = RetryPolicy::no_retries();
-        let faulted = run_native_insitu_faulted(&cfg, &scenario);
+        let faulted = run_native_insitu_at(&cfg, 2, &scenario, &Recorder::off());
         assert_eq!(faulted.report.frames, 0);
         assert_eq!(faulted.report.cinema.len(), 0, "index matches zero images");
         assert!(faulted.report.tracks.is_empty());
@@ -1186,13 +1071,13 @@ mod tests {
             FaultKind::TransientIo { fail_prob: 0.5 },
         );
         let scenario = FaultScenario::with_plan(plan);
-        let a = run_native_insitu_faulted(&cfg, &scenario);
+        let a = run_native_insitu_at(&cfg, 2, &scenario, &Recorder::off());
         // The index always matches the images actually written...
         assert_eq!(a.report.cinema.len() as u64, a.report.frames);
         assert_eq!(a.report.frames, a.stats.outputs_written);
         assert_eq!(a.stats.outputs_total(), 3, "every frame accounted for");
         // ...and the whole degraded run replays deterministically.
-        let b = run_native_insitu_faulted(&cfg, &scenario);
+        let b = run_native_insitu_at(&cfg, 4, &scenario, &Recorder::off());
         assert_eq!(a.report.cinema.index_json(), b.report.cinema.index_json());
         assert_eq!(a.stats, b.stats);
     }

@@ -105,7 +105,7 @@ pub fn native_power_timeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::{run_native_insitu_with, NativeConfig};
+    use crate::native::{run_native_insitu_at, NativeConfig};
     use crate::{PipelineConfig, PipelineKind};
     use ivis_fault::{FaultPlan, FaultScenario};
     use ivis_obs::telemetry::paper_cadence;
@@ -185,7 +185,8 @@ mod tests {
     #[test]
     fn native_runs_reconstruct_node_power_from_phase_spans() {
         let rec = Recorder::in_memory();
-        let report = run_native_insitu_with(&NativeConfig::tiny(), &rec);
+        let report =
+            run_native_insitu_at(&NativeConfig::tiny(), 2, &FaultScenario::none(), &rec).report;
         assert!(report.frames > 0);
         let tl = rec
             .with_buffer(|buf| {

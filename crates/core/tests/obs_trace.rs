@@ -4,8 +4,9 @@
 
 use ivis_cluster::{IoWaitPolicy, JobPhase};
 use ivis_core::campaign::Campaign;
-use ivis_core::native::{run_native_insitu_with, run_native_postproc_with, NativeConfig};
+use ivis_core::native::{run_native_insitu_at, run_native_postproc_with, NativeConfig};
 use ivis_core::{PipelineConfig, PipelineKind};
+use ivis_fault::FaultScenario;
 use ivis_obs::{render_fig4, render_timeline, to_jsonl, Recorder};
 use proptest::prelude::*;
 
@@ -103,7 +104,7 @@ fn ascii_timeline_renders_phase_sequence() {
 fn native_backend_traces_match_report() {
     let cfg = NativeConfig::tiny();
     let rec = Recorder::in_memory();
-    let report = run_native_insitu_with(&cfg, &rec);
+    let report = run_native_insitu_at(&cfg, 2, &FaultScenario::none(), &rec).report;
     let tl = rec.with_buffer(|b| b.phase_timeline()).unwrap();
     let (t_sim, _t_io, t_viz) = tl.decompose();
     assert!((t_sim.as_secs_f64() - report.wall_sim.as_secs_f64()).abs() < 1e-3);

@@ -17,7 +17,7 @@
 //! calls can never deadlock the pool.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -117,30 +117,50 @@ unsafe fn probe_entry(_: usize) {
 /// this threshold exists to remove. The wait loop *drains* the queue
 /// rather than spinning: on a one-core host the probe may run on the
 /// caller itself, which is exactly the round-trip cost that host would pay.
+///
+/// A task drained that way may itself fan out and ask for the threshold —
+/// on this very thread, further down the stack — and so may any other
+/// thread while the measurement is in flight. Neither waits: until the
+/// measured value is published they get the clamp's lower bound, which
+/// only moves where chunks run, never what they compute.
 pub(crate) fn sequential_threshold_ns() -> u64 {
-    static THRESHOLD: OnceLock<u64> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        let mut samples = [0u64; 5];
-        for s in &mut samples {
-            PROBE_DONE.store(0, Ordering::SeqCst);
-            let t0 = Instant::now();
-            submit(
-                1,
-                vec![Task {
-                    data: 0,
-                    call: probe_entry,
-                }],
-            );
-            while PROBE_DONE.load(Ordering::Acquire) == 0 {
-                if let Some(task) = try_pop() {
-                    task.run();
-                    continue;
-                }
-                std::thread::yield_now();
+    const FLOOR_NS: u64 = 20_000;
+    const SAFETY: u64 = 32;
+    /// The published threshold; 0 until measured. It publishes nothing
+    /// but itself (Release store below, Acquire load here).
+    static THRESHOLD: AtomicU64 = AtomicU64::new(0);
+    /// Set by the one caller that measures; never cleared, so the probe
+    /// and its `PROBE_DONE` flag have a single user.
+    static MEASURING: AtomicBool = AtomicBool::new(false);
+    let known = THRESHOLD.load(Ordering::Acquire);
+    if known != 0 {
+        return known;
+    }
+    if MEASURING.swap(true, Ordering::AcqRel) {
+        return FLOOR_NS * SAFETY;
+    }
+    let mut samples = [0u64; 5];
+    for s in &mut samples {
+        PROBE_DONE.store(0, Ordering::SeqCst);
+        let t0 = Instant::now();
+        submit(
+            1,
+            vec![Task {
+                data: 0,
+                call: probe_entry,
+            }],
+        );
+        while PROBE_DONE.load(Ordering::Acquire) == 0 {
+            if let Some(task) = try_pop() {
+                task.run();
+                continue;
             }
-            *s = t0.elapsed().as_nanos() as u64;
+            std::thread::yield_now();
         }
-        samples.sort_unstable();
-        samples[2].clamp(20_000, 100_000) * 32
-    })
+        *s = t0.elapsed().as_nanos() as u64;
+    }
+    samples.sort_unstable();
+    let measured = samples[2].clamp(FLOOR_NS, 100_000) * SAFETY;
+    THRESHOLD.store(measured, Ordering::Release);
+    measured
 }

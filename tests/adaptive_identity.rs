@@ -14,9 +14,7 @@
 mod common;
 
 use common::{at_all_thread_counts, blob, decisions_line, frames_line, normalize_trace, Golden};
-use ivis_core::adaptive::{
-    run_native_adaptive_sequential_with, run_native_adaptive_with, AdaptiveReport,
-};
+use ivis_core::adaptive::run_native_adaptive_with;
 use ivis_core::native::NativeConfig;
 use ivis_obs::{to_jsonl, Recorder};
 use ivis_trigger::TriggerConfig;
@@ -26,13 +24,9 @@ const CANDIDATE_COUNTS: [usize; 3] = [1, 5, 10];
 
 /// One traced run's pinned artifacts: digest, decisions, frames line and
 /// the normalized trace.
-fn traced(
-    run: fn(&NativeConfig, &TriggerConfig, &Recorder) -> AdaptiveReport,
-    cfg: &NativeConfig,
-    tc: &TriggerConfig,
-) -> [String; 4] {
+fn traced(cfg: &NativeConfig, tc: &TriggerConfig) -> [String; 4] {
     let rec = Recorder::in_memory();
-    let r = run(cfg, tc, &rec);
+    let r = run_native_adaptive_with(cfg, tc, &rec);
     let trace = normalize_trace(&rec.with_buffer(to_jsonl).unwrap());
     assert!(trace.contains("\"start_us\":0"), "normalizer broken?");
     assert_eq!(r.analyses as usize, r.decisions.len());
@@ -63,18 +57,12 @@ fn adaptive_outputs_are_bit_identical_at_all_thread_and_candidate_counts() {
     let bench = TriggerConfig::new(small.output_every, 5);
     cases.push(("small/c5".into(), &small, bench));
     for (key, cfg, tc) in &cases {
-        let runs = at_all_thread_counts(|| {
-            [
-                traced(run_native_adaptive_sequential_with, cfg, tc),
-                traced(run_native_adaptive_with, cfg, tc),
-            ]
-        });
-        for [digest, decisions, frames, trace] in &runs {
-            golden.check(&format!("adaptive/{key}/digest"), digest);
-            golden.check(&format!("adaptive/{key}/decisions"), decisions);
-            golden.check(&format!("adaptive/{key}/frames"), frames);
-            golden.check(&format!("adaptive/{key}/trace"), trace);
-        }
+        // At the default depth; ivis-core's unit tests sweep depths 1/2/4.
+        let [digest, decisions, frames, trace] = at_all_thread_counts(|| traced(cfg, tc));
+        golden.check(&format!("adaptive/{key}/digest"), &digest);
+        golden.check(&format!("adaptive/{key}/decisions"), &decisions);
+        golden.check(&format!("adaptive/{key}/frames"), &frames);
+        golden.check(&format!("adaptive/{key}/trace"), &trace);
     }
 }
 

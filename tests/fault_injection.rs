@@ -22,7 +22,9 @@
 
 use insitu_vis::fault::{FaultKind, FaultPlan, FaultScenario, FaultWindow};
 use insitu_vis::pipeline::campaign::Campaign;
-use insitu_vis::pipeline::native::{run_native_insitu_faulted, NativeConfig};
+use insitu_vis::pipeline::native::{
+    default_pipeline_depth, run_native_insitu_at, NativeConfig, NativeFaultReport,
+};
 use insitu_vis::pipeline::{PipelineConfig, PipelineError, PipelineKind};
 use insitu_vis::sim::SimDuration;
 use ivis_obs::{to_jsonl, Recorder};
@@ -54,6 +56,11 @@ fn identical_at_all_thread_counts<R: PartialEq + std::fmt::Debug>(f: impl Fn() -
     }
     rayon::set_num_threads(0);
     out.unwrap()
+}
+
+/// The native in-situ run under `scenario`, untraced, at the default depth.
+fn run_native_faulted(cfg: &NativeConfig, scenario: &FaultScenario) -> NativeFaultReport {
+    run_native_insitu_at(cfg, default_pipeline_depth(), scenario, &Recorder::off())
 }
 
 #[test]
@@ -116,7 +123,7 @@ fn seeded_native_run_replays_bit_identically() {
             FaultKind::TransientIo { fail_prob: 0.4 },
         );
         let (index, frames, stats) = identical_at_all_thread_counts(|| {
-            let out = run_native_insitu_faulted(&cfg, &FaultScenario::with_plan(plan.clone()));
+            let out = run_native_faulted(&cfg, &FaultScenario::with_plan(plan.clone()));
             let frames: Vec<Vec<u8>> = out
                 .report
                 .cinema
@@ -208,7 +215,7 @@ proptest! {
         );
         let scenario = FaultScenario::with_plan(plan);
         let out = with_watchdog(move || {
-            run_native_insitu_faulted(&NativeConfig::tiny(), &scenario)
+            run_native_faulted(&NativeConfig::tiny(), &scenario)
         });
         // However many frames survive, the index and the image set agree.
         prop_assert_eq!(out.report.frames as usize, out.report.cinema.entries().len());

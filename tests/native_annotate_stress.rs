@@ -11,12 +11,15 @@
 //! worker had not yet claimed the second frame — about one run in a few
 //! hundred at two threads, and not forceable from outside the crate.
 //!
-//! So this suite holds the pipeline to the sequential path's PNGs in the
-//! two situations around that interleaving: with every pool worker parked
-//! in another job, where the consumer runs the second frame *nested*
-//! inside the first on its own thread, and over 400 runs in the shape the
-//! bug was found in (two threads, two frames in flight) — under a
-//! watchdog, since the failure mode was a hang.
+//! So this suite holds the frame loop to the sequential loop's golden
+//! (`native/stress/frames`) in the two situations around that
+//! interleaving: with every pool worker parked in another job, where the
+//! consumer runs the second frame *nested* inside the first on its own
+//! thread, and over 400 runs in the shape the bug was found in (two
+//! threads, two frames in flight) — under a watchdog, since the failure
+//! mode was a hang. The adaptive executor runs its analyses inside the
+//! same batch fan-out, with the candidate fan-out nested underneath, so it
+//! gets a leg of its own.
 //!
 //! Its own test binary, so the global thread-count override is not shared
 //! with another suite.
@@ -27,27 +30,28 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use ivis_core::native::{
-    run_native_insitu_depth, run_native_insitu_sequential, NativeConfig, NativeReport,
-};
+use common::{frames_line, Golden};
+use ivis_core::adaptive::run_native_adaptive;
+use ivis_core::native::{run_native_insitu_at, NativeConfig};
+use ivis_fault::FaultScenario;
+use ivis_obs::Recorder;
+use ivis_trigger::TriggerConfig;
 use rayon::prelude::*;
 
-fn assert_same_pngs(report: &NativeReport, golden: &NativeReport, run: usize) {
-    assert_eq!(report.frames, golden.frames, "run {run}");
-    for (ep, eg) in report.cinema.entries().iter().zip(golden.cinema.entries()) {
-        assert_eq!(
-            ep.data, eg.data,
-            "run {run}: PNG bytes differ at frame {}",
-            eg.timestep
-        );
-    }
+/// One run with two frames in flight, held to the golden.
+fn run_matches_golden(cfg: &NativeConfig, golden: &Golden) {
+    let r = run_native_insitu_at(cfg, 2, &FaultScenario::none(), &Recorder::off()).report;
+    golden.check(
+        "native/stress/frames",
+        &frames_line(&r.cinema, &r.tracks, &r.final_census),
+    );
 }
 
 /// With every pool worker parked in someone else's job, the helper task
 /// of the consumer's two-frame batch is still queued when the consumer
 /// first waits on a reduce inside frame one, so it renders frame two
 /// nested in frame one on its own thread.
-fn runs_with_every_worker_parked(cfg: &NativeConfig, golden: &NativeReport) {
+fn runs_with_every_worker_parked(cfg: &NativeConfig, golden: &Golden) {
     // As many threads as the shim ever makes chunks: every reduce
     // dispatches to the pool instead of timing itself first, and one
     // blocking chunk per thread parks the whole pool.
@@ -69,8 +73,8 @@ fn runs_with_every_worker_parked(cfg: &NativeConfig, golden: &NativeReport) {
         while parked.load(Ordering::SeqCst) < THREADS {
             nap();
         }
-        for run in 0..10 {
-            assert_same_pngs(&run_native_insitu_depth(cfg, 2), golden, run);
+        for _ in 0..10 {
+            run_matches_golden(cfg, golden);
         }
         release.store(true, Ordering::SeqCst);
     });
@@ -90,18 +94,22 @@ fn annotated_pipelined_runs_neither_panic_nor_hang() {
         annotate: true,
         ..NativeConfig::tiny()
     };
-    let golden = run_native_insitu_sequential(&cfg);
-    common::Golden::load().check(
-        "native/stress/frames",
-        &common::frames_line(&golden.cinema, &golden.tracks, &golden.final_census),
-    );
     let (done_tx, done_rx) = mpsc::channel();
     std::thread::spawn(move || {
+        let golden = Golden::load();
         runs_with_every_worker_parked(&cfg, &golden);
         // The shape the bug was found in: two threads, two frames in flight.
         rayon::set_num_threads(2);
-        for run in 0..400 {
-            assert_same_pngs(&run_native_insitu_depth(&cfg, 2), &golden, run);
+        for _ in 0..400 {
+            run_matches_golden(&cfg, &golden);
+        }
+        // Adaptive, same shape: five candidates scored under each of the
+        // analyses in flight (default depth: two or more on any multi-core
+        // host).
+        let tc = TriggerConfig::new(1, 5);
+        for _ in 0..100 {
+            let digest = run_native_adaptive(&cfg, &tc).digest();
+            golden.check("adaptive/stress/digest", &digest);
         }
         rayon::set_num_threads(0);
         let _ = done_tx.send(());

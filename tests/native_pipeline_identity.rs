@@ -16,8 +16,8 @@ mod common;
 
 use common::{at_all_thread_counts, blob, frames_line, normalize_trace, Golden};
 use ivis_core::native::{
-    run_native_insitu_depth_with, run_native_insitu_faulted_with,
-    run_native_insitu_sequential_with, run_native_insitu_with, NativeConfig, NativeReport,
+    run_native_insitu, run_native_insitu_at, run_native_insitu_sequential, NativeConfig,
+    NativeFaultReport,
 };
 use ivis_fault::{FaultKind, FaultPlan, FaultScenario, FaultWindow, RetryPolicy};
 use ivis_obs::{to_jsonl, Recorder};
@@ -28,22 +28,23 @@ use proptest::prelude::*;
 
 const DEPTHS: [usize; 3] = [1, 2, 4];
 
-/// One traced run's pinned artifacts: the frames line and the normalized
-/// trace.
-fn traced(run: impl FnOnce(&Recorder) -> NativeReport) -> [String; 2] {
+/// One traced run's pinned artifacts: the frames line, the normalized
+/// trace and the fault statistics.
+fn traced(cfg: &NativeConfig, depth: usize, scenario: &FaultScenario) -> [String; 3] {
     let rec = Recorder::in_memory();
-    let r = run(&rec);
+    let NativeFaultReport { report: r, stats } = run_native_insitu_at(cfg, depth, scenario, &rec);
     let trace = normalize_trace(&rec.with_buffer(to_jsonl).unwrap());
     assert!(trace.contains("\"start_us\":0"), "normalizer broken?");
     [
         frames_line(&r.cinema, &r.tracks, &r.final_census),
         blob(&trace),
+        stats.digest(),
     ]
 }
 
-fn transient_io(seed: u64, fail_prob: f64) -> FaultScenario {
+fn transient_io(seed: u64, fail_prob: f64, until_s: u64) -> FaultScenario {
     FaultScenario::with_plan(FaultPlan::new(seed).inject(
-        FaultWindow::of_secs(0, u64::MAX / 2_000_000),
+        FaultWindow::of_secs(0, until_s),
         FaultKind::TransientIo { fail_prob },
     ))
 }
@@ -60,18 +61,10 @@ fn pipelined_outputs_are_bit_identical_to_sequential_at_all_thread_counts() {
         ("tiny-annotate", annotated),
         ("small", NativeConfig::small()),
     ] {
-        let runs = at_all_thread_counts(|| {
-            let mut runs = vec![
-                traced(|rec| run_native_insitu_sequential_with(&cfg, rec)),
-                traced(|rec| run_native_insitu_with(&cfg, rec)),
-                traced(|rec| {
-                    run_native_insitu_faulted_with(&cfg, &FaultScenario::none(), rec).report
-                }),
-            ];
-            runs.extend(DEPTHS.map(|d| traced(|rec| run_native_insitu_depth_with(&cfg, d, rec))));
-            runs
-        });
-        for [frames, trace] in &runs {
+        // A clean run is a faulted run under the empty scenario.
+        let none = FaultScenario::none();
+        let runs = at_all_thread_counts(|| DEPTHS.map(|d| traced(&cfg, d, &none)));
+        for [frames, trace, _] in &runs {
             golden.check(&format!("native/{name}/frames"), frames);
             golden.check(&format!("native/{name}/trace"), trace);
         }
@@ -95,16 +88,17 @@ fn bench_configuration_digest_matches_golden() {
     // digest at every depth, and the small configurations above cover the
     // thread × depth grid.
     for digest in [
-        run_native_insitu_sequential_with(&cfg, &Recorder::off()).digest(),
-        run_native_insitu_with(&cfg, &Recorder::off()).digest(),
+        run_native_insitu_sequential(&cfg).digest(),
+        run_native_insitu(&cfg).digest(),
     ] {
         Golden::load().check("native/bench/digest", &digest);
     }
 }
 
-/// Faulted runs: shed frames leave no image, no index entry and no
-/// Visualize phase, and every fault decision is a function of the plan
-/// seed and the frame order alone.
+/// Faulted runs: a shed frame was rendered speculatively, yet leaves no
+/// image, no index entry and no Visualize phase, and every fault decision
+/// is a function of the plan seed and the frame order alone — never of
+/// the depth or the thread count.
 #[test]
 fn faulted_outputs_match_the_sequential_goldens() {
     let golden = Golden::load();
@@ -115,54 +109,33 @@ fn faulted_outputs_match_the_sequential_goldens() {
         output_every: 2,
         ..NativeConfig::tiny()
     };
-    let mut outage = transient_io(1, 1.0);
+    let mut outage = transient_io(1, 1.0, u64::MAX / 2_000_000);
     outage.retry = RetryPolicy::no_retries();
     let mut scenarios = vec![
         ("tiny/fault/none".to_string(), &tiny, FaultScenario::none()),
         ("tiny/fault/outage".to_string(), &tiny, outage),
-        (
-            "tiny/fault/io50-seed9".to_string(),
-            &tiny,
-            transient_io(9, 0.5),
-        ),
-        (
-            "tiny-12/fault/io50-seed9".to_string(),
-            &long,
-            transient_io(9, 0.5),
-        ),
-        (
-            "tiny-12/fault/io80-seed9".to_string(),
-            &long,
-            transient_io(9, 0.8),
-        ),
     ];
-    for seed in [1, 42, 1337] {
+    for (name, cfg) in [("tiny", &tiny), ("tiny-12", &long)] {
+        let mut pin = |plan: &str, seed, fail_prob, until_s| {
+            let scenario = transient_io(seed, fail_prob, until_s);
+            scenarios.push((format!("{name}/fault/{plan}-seed{seed}"), cfg, scenario));
+        };
+        pin("io50", 9, 0.5, u64::MAX / 2_000_000);
+        if name == "tiny-12" {
+            pin("io80", 9, 0.8, u64::MAX / 2_000_000);
+        }
         // The plans of fault_injection.rs::seeded_native_run_replays_bit_identically.
-        let plan = FaultPlan::new(seed).inject(
-            FaultWindow::of_secs(0, 1_000_000),
-            FaultKind::TransientIo { fail_prob: 0.4 },
-        );
-        let key = format!("tiny/fault/io40-seed{seed}");
-        scenarios.push((key.clone(), &tiny, FaultScenario::with_plan(plan.clone())));
-        scenarios.push((
-            key.replace("tiny/", "tiny-12/"),
-            &long,
-            FaultScenario::with_plan(plan),
-        ));
+        for seed in [1, 42, 1337] {
+            pin("io40", seed, 0.4, 1_000_000);
+        }
     }
     for (key, cfg, scenario) in &scenarios {
-        let (artifacts, stats) = at_all_thread_counts(|| {
-            let mut stats = String::new();
-            let artifacts = traced(|rec| {
-                let out = run_native_insitu_faulted_with(cfg, scenario, rec);
-                stats = out.stats.digest();
-                out.report
-            });
-            (artifacts, stats)
-        });
-        golden.check(&format!("native/{key}/frames"), &artifacts[0]);
-        golden.check(&format!("native/{key}/trace"), &artifacts[1]);
-        golden.check(&format!("native/{key}/stats"), &stats);
+        let runs = at_all_thread_counts(|| DEPTHS.map(|d| traced(cfg, d, scenario)));
+        for [frames, trace, stats] in &runs {
+            golden.check(&format!("native/{key}/frames"), frames);
+            golden.check(&format!("native/{key}/trace"), trace);
+            golden.check(&format!("native/{key}/stats"), stats);
+        }
     }
 }
 

@@ -11,7 +11,11 @@
 //! Proptest drives arbitrary lengths — including every tail 0..lane-width —
 //! because tail handling is where laned kernels classically diverge.
 
-use ivis_core::native::{run_native_insitu_depth, run_native_insitu_sequential, NativeConfig};
+mod common;
+
+use ivis_core::native::{run_native_insitu_at, NativeConfig};
+use ivis_fault::FaultScenario;
+use ivis_obs::Recorder;
 use ivis_ocean::grid::Grid;
 use ivis_ocean::shallow_water::{ShallowWaterModel, SwParams};
 use ivis_ocean::vortex::{seed_vortex, Vortex};
@@ -111,27 +115,24 @@ proptest! {
     }
 }
 
-/// The depth-k frame pipeline reproduces the sequential goldens — PNG
-/// bytes, Cinema index, eddy tracks, final census — at every depth ×
+/// The depth-k frame pipeline reproduces the sequential loop's goldens —
+/// PNG bytes, Cinema index, eddy tracks, final census — at every depth ×
 /// thread-count combination, with annotations on (the worker's overlay
 /// path included).
 #[test]
 fn frame_pipeline_identity_across_depths_and_threads() {
     let mut cfg = NativeConfig::tiny();
     cfg.annotate = true;
-    let golden = run_native_insitu_sequential(&cfg);
+    let golden = common::Golden::load();
     for threads in [1, 2, 8] {
         rayon::set_num_threads(threads);
         for depth in [1, 2, 4] {
-            let r = run_native_insitu_depth(&cfg, depth);
-            let tag = format!("threads {threads} depth {depth}");
-            assert_eq!(r.frames, golden.frames, "{tag}");
-            assert_eq!(r.cinema.index_json(), golden.cinema.index_json(), "{tag}");
-            for (ea, eb) in r.cinema.entries().iter().zip(golden.cinema.entries()) {
-                assert_eq!(ea.data, eb.data, "{tag} frame {}", ea.timestep);
-            }
-            assert_eq!(r.tracks, golden.tracks, "{tag}");
-            assert_eq!(r.final_census, golden.final_census, "{tag}");
+            let r = run_native_insitu_at(&cfg, depth, &FaultScenario::none(), &Recorder::off());
+            let r = r.report;
+            golden.check(
+                "native/tiny-annotate/frames",
+                &common::frames_line(&r.cinema, &r.tracks, &r.final_census),
+            );
         }
     }
     rayon::set_num_threads(0);
