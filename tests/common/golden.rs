@@ -108,6 +108,7 @@ impl Golden {
         let files = [
             include_str!("../golden/executor_identity.txt"),
             include_str!("../golden/native_identity.txt"),
+            include_str!("../golden/serve_identity.txt"),
         ];
         Golden(
             files
