@@ -10,6 +10,10 @@
 //!
 //! Gates under `--check` (the CI contract):
 //!
+//! * **digests match the committed baseline** — the `digest` of every
+//!   tier and of the overload row equals the one `BENCH_serve.json` held
+//!   before this run overwrote it (the reactor is deterministic, so the
+//!   committed file is the reference);
 //! * **zero shed below capacity** — all three client tiers run under
 //!   provisioned capacity and must finish with no 503s;
 //! * **memoization pays** — on a repeat-heavy what-if stream, the warm
@@ -21,8 +25,8 @@
 //!
 //! Output lands in `BENCH_serve.json` (or the path given as the first
 //! non-flag argument), diffed against the committed baseline by
-//! `bench_diff --ratios-only` in CI: `memo_speedup` and the digest
-//! strings are the cross-machine gates.
+//! `bench_diff --ratios-only` in CI (`memo_speedup` is the cross-machine
+//! ratio there).
 
 use std::time::Instant;
 
@@ -109,8 +113,11 @@ fn memo_schedule(n: u64) -> LoadSchedule {
     LoadSchedule { arrivals }
 }
 
+/// The committed baseline `--check` compares digests against.
+const BASELINE: &str = "BENCH_serve.json";
+
 fn main() {
-    let mut out_path = "BENCH_serve.json".to_string();
+    let mut out_path = BASELINE.to_string();
     let mut check = false;
     for arg in std::env::args().skip(1) {
         if arg == "--check" {
@@ -119,6 +126,7 @@ fn main() {
             out_path = arg;
         }
     }
+    let baseline = ivis_bench::baseline::load_for_check(check, BASELINE);
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -249,8 +257,8 @@ fn main() {
          \"memo\": {{ \"cold_p99_us\": {}, \"warm_p99_us\": {}, \"memo_speedup\": {:.3}, \
          \"bytes_identical\": {bytes_identical}, \"cold_wall_s\": {cold_wall:.6}, \
          \"warm_wall_s\": {warm_wall:.6} }},\n  \
-         \"overload\": {{ \"requests\": {}, \"shed\": {}, \"shed_pct\": {:.3}, \
-         \"all_answered\": {}, \"digest\": \"{}\" }},\n  \
+         \"overload\": {{ \"config\": \"overload\", \"requests\": {}, \"shed\": {}, \
+         \"shed_pct\": {:.3}, \"all_answered\": {}, \"digest\": \"{}\" }},\n  \
          \"gates\": {{ \"zero_shed_below_capacity\": {zero_shed}, \"memo_pass\": {memo_pass}, \
          \"overload_pass\": {overload_pass}, \"pass\": {gate_pass} }}\n}}\n",
         zsim.map_or("null".to_string(), |v| format!("\"{v}\"")),
@@ -267,19 +275,26 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write benchmark json");
     eprintln!("wrote {out_path}");
 
-    if check && !gate_pass {
+    if let Some(baseline) = baseline {
+        let mut digests: Vec<(String, String)> = rows
+            .iter()
+            .map(|r| (r.label.to_string(), r.report.stats.digest()))
+            .collect();
+        digests.push(("overload".to_string(), overload.stats.digest()));
+        let mut failures = ivis_bench::baseline::digest_mismatches(&baseline, &digests);
         if !zero_shed {
-            eprintln!("FAIL: a below-capacity tier shed requests");
+            failures.push("a below-capacity tier shed requests".to_string());
         }
         if !memo_pass {
-            eprintln!(
-                "FAIL: memoized p99 not >=10x cold (got {memo_speedup:.1}x) or bytes diverged"
-            );
+            failures.push(format!(
+                "memoized p99 not >=10x cold (got {memo_speedup:.1}x) or bytes diverged"
+            ));
         }
         if !overload_pass {
-            eprintln!("FAIL: overloaded server failed to shed (or dropped requests)");
+            failures.push("overloaded server failed to shed (or dropped requests)".to_string());
         }
-        std::process::exit(1);
+        ivis_bench::baseline::exit_on_failures(&failures);
+        eprintln!("OK: digests match {BASELINE}; shed, memoization and overload gates hold");
     }
 }
 

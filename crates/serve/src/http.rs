@@ -5,11 +5,13 @@
 //! layer, and the serializer is what the response digests witness.
 //! Scope is deliberately small: `GET` only, path + query string, headers
 //! parsed but uninterpreted (the service is stateless), no percent
-//! decoding (the query vocabulary is plain ASCII), bodies ignored.
-//! Serialization is byte-deterministic: fixed header order, fixed float
-//! formatting upstream, `\r\n` line endings.
+//! decoding (the query vocabulary is plain ASCII), bodies ignored —
+//! whatever follows the head's blank line is never read, not even to
+//! validate it. Serialization is byte-deterministic: fixed header order,
+//! fixed float formatting upstream, `\r\n` line endings, and one writer
+//! (`write_head`) defines the status line and headers for every reply.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Why a request failed to parse — reported as a 400 body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,11 +60,16 @@ impl HttpRequest {
     }
 }
 
-/// Parse a request head from raw bytes.
+/// Parse a request head from raw bytes. Only the head — everything up
+/// to the first blank line — is validated; the bytes after it are the
+/// body and are ignored.
 pub fn parse_request(bytes: &[u8]) -> Result<HttpRequest, HttpError> {
-    let head = std::str::from_utf8(bytes).map_err(|_| HttpError::NotAscii)?;
-    let end = head.find("\r\n\r\n").ok_or(HttpError::Truncated)?;
-    let mut lines = head[..end].split("\r\n");
+    let end = bytes
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .ok_or(HttpError::Truncated)?;
+    let head = std::str::from_utf8(&bytes[..end]).map_err(|_| HttpError::NotAscii)?;
+    let mut lines = head.split("\r\n");
     let request_line = lines.next().ok_or(HttpError::BadRequestLine)?;
     let mut parts = request_line.split(' ');
     let method = parts.next().ok_or(HttpError::BadRequestLine)?;
@@ -97,6 +104,41 @@ pub fn parse_request(bytes: &[u8]) -> Result<HttpRequest, HttpError> {
     })
 }
 
+/// `Content-Type` of a what-if answer and of `/healthz`.
+pub(crate) const JSON: &str = "application/json";
+/// `Content-Type` of a Cinema frame.
+pub(crate) const PNG: &str = "image/png";
+
+/// Append the status line, the headers in their fixed order and the
+/// blank line of a response whose body is `body_len` bytes long. The one
+/// definition of the wire format: [`HttpResponse::to_bytes`] and the
+/// reactor's reply path both write their heads here.
+pub(crate) fn write_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    retry_after_s: Option<u32>,
+    body_len: usize,
+) {
+    let reason = match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        503 => "Service Unavailable",
+        _ => "Unknown",
+    };
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
+         Content-Length: {body_len}\r\n"
+    );
+    if let Some(s) = retry_after_s {
+        let _ = write!(out, "Retry-After: {s}\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+}
+
 /// A response ready to serialize.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpResponse {
@@ -115,7 +157,7 @@ impl HttpResponse {
     pub fn ok_json(body: String) -> Self {
         HttpResponse {
             status: 200,
-            content_type: "application/json",
+            content_type: JSON,
             retry_after_s: None,
             body: body.into_bytes(),
         }
@@ -125,7 +167,7 @@ impl HttpResponse {
     pub fn ok_png(body: Vec<u8>) -> Self {
         HttpResponse {
             status: 200,
-            content_type: "image/png",
+            content_type: PNG,
             retry_after_s: None,
             body,
         }
@@ -162,27 +204,16 @@ impl HttpResponse {
         }
     }
 
-    fn reason(&self) -> &'static str {
-        match self.status {
-            200 => "OK",
-            400 => "Bad Request",
-            404 => "Not Found",
-            503 => "Service Unavailable",
-            _ => "Unknown",
-        }
-    }
-
     /// Serialize deterministically (fixed header order).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut head = String::with_capacity(96);
-        let _ = write!(head, "HTTP/1.1 {} {}\r\n", self.status, self.reason());
-        let _ = write!(head, "Content-Type: {}\r\n", self.content_type);
-        let _ = write!(head, "Content-Length: {}\r\n", self.body.len());
-        if let Some(s) = self.retry_after_s {
-            let _ = write!(head, "Retry-After: {s}\r\n");
-        }
-        head.push_str("\r\n");
-        let mut out = head.into_bytes();
+        let mut out = Vec::with_capacity(96 + self.body.len());
+        write_head(
+            &mut out,
+            self.status,
+            self.content_type,
+            self.retry_after_s,
+            self.body.len(),
+        );
         out.extend_from_slice(&self.body);
         out
     }
@@ -196,6 +227,7 @@ pub fn format_get(target: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_path_and_query() {
@@ -229,6 +261,62 @@ mod tests {
             parse_request(b"GET /x FTP/1.1\r\n\r\n"),
             Err(HttpError::BadRequestLine)
         );
+    }
+
+    #[test]
+    fn bytes_after_the_head_are_not_validated() {
+        // A well-formed GET followed by a binary body: the module ignores
+        // bodies, so what they hold cannot fail the parse.
+        let mut raw = format_get("/frame?timestep=16");
+        raw.extend_from_slice(&[0xff, 0xfe, 0x00, 0x80]);
+        let req = parse_request(&raw).unwrap();
+        assert_eq!(req.path, "/frame");
+        assert_eq!(req.param("timestep"), Some("16"));
+        // The same bytes inside the head still fail it, and a buffer
+        // with no blank line has no head to judge.
+        assert_eq!(
+            parse_request(b"GET /\xff HTTP/1.1\r\n\r\n"),
+            Err(HttpError::NotAscii)
+        );
+        assert_eq!(
+            parse_request(b"GET /\xff HTTP/1.1\r\n"),
+            Err(HttpError::Truncated)
+        );
+    }
+
+    /// Any byte half the time, a byte the grammar gives meaning to the
+    /// other half, so mutations land on structure as well as on noise.
+    fn noise_byte(n: usize) -> u8 {
+        const STRUCTURAL: &[u8] = b" \r\n:?&=/.GETHP1a";
+        match n {
+            0..=255 => n as u8,
+            _ => STRUCTURAL[n % STRUCTURAL.len()],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes — raw, and spliced into a valid request so the
+        /// deeper branches are reached — parse or fail typed; they never
+        /// panic, and what parses holds only what the head spelled.
+        #[test]
+        fn parse_request_never_panics(
+            noise in prop::collection::vec((0usize..512).prop_map(noise_byte), 0..96),
+            at in 0usize..64,
+        ) {
+            let _ = parse_request(&noise);
+            let mut spliced = format_get("/whatif?spec=100yr&rate_hours=24&points=33");
+            let at = at.min(spliced.len());
+            spliced.splice(at..at, noise.iter().copied());
+            if let Ok(req) = parse_request(&spliced) {
+                let head = String::from_utf8_lossy(&spliced);
+                prop_assert!(head.contains(&req.path));
+                for (k, v) in &req.query {
+                    prop_assert!(head.contains(k.as_str()) && head.contains(v.as_str()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,8 +26,27 @@
 //! * **observability** — per-request spans, latency histograms, queue
 //!   depth gauges and cache hit/shed counters through `ivis-obs`, so the
 //!   PR 6 Perfetto/Prometheus exporters work unchanged.
+//!
+//! # The reply path
+//!
+//! A response is never assembled on the serving path. A service unit
+//! builds one `Reply` per request: the status line and headers, written
+//! once by [`crate::http`]'s head writer, and a handle on the body where
+//! it already lives — the `Rc` the memo cache and the rest of the batch
+//! share, the PNG inside the Cinema entry the shard lookup returned, or
+//! the line of text a 400/404/503 or `/healthz` was built with. The
+//! egress cost is charged on head plus body. Delivery reads the bytes
+//! exactly once — request id (little-endian), head, body — and advances
+//! both FNV-1a digests in that one loop: the stream chain carries on
+//! from the previous reply, the content chain restarts at the offset
+//! basis and is wrapping-added to the total, so it does not depend on
+//! delivery order. Both equal what hashing the contiguous response once
+//! per digest gives; a `#[cfg(test)]` oracle holds the loop to that, and
+//! `tests/golden/serve_identity.txt` to the values the owned path
+//! produced. The contiguous form is built only when
+//! [`Server::run_load`] is asked to keep responses, for tests to read.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use ivis_model::{SpecId, WhatIfAnalyzer, WhatIfRequest};
@@ -37,7 +56,7 @@ use ivis_viz::CinemaDatabase;
 
 use crate::batch::{BatchAdd, Batcher, ClosedBatch};
 use crate::cache::MemoCache;
-use crate::http::{format_get, parse_request, HttpRequest, HttpResponse};
+use crate::http::{format_get, parse_request, write_head, HttpRequest, HttpResponse, JSON, PNG};
 use crate::load::LoadSchedule;
 use crate::shard::ShardedFrameIndex;
 
@@ -45,14 +64,6 @@ use crate::shard::ShardedFrameIndex;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Simulated service costs, all integer microseconds (or bytes per
 /// microsecond), so charged durations never depend on float rounding.
@@ -335,7 +346,7 @@ impl LoadReport {
 }
 
 /// A parsed-and-routed request, stored at arrival, consumed at service.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Routed {
     WhatIf(WhatIfRequest),
     Frame {
@@ -344,6 +355,15 @@ enum Routed {
     Health,
     /// Pre-built 400/404 response.
     Immediate(HttpResponse),
+}
+
+/// Parse raw request bytes and route them; bytes that do not parse route
+/// to the 400 that says why.
+fn route_raw(raw: &[u8]) -> Routed {
+    match parse_request(raw) {
+        Ok(http) => route(&http),
+        Err(e) => Routed::Immediate(HttpResponse::bad_request(e.label())),
+    }
 }
 
 /// Route a parsed HTTP request onto the query surface.
@@ -431,18 +451,94 @@ pub struct Server {
 }
 
 /// Reactor events.
-enum ServeEvent {
+enum ServeEvent<'a> {
     /// Client `i` (schedule index) arrives.
     Arrival(u32),
     /// The micro-batch window for batch `id` expired.
     BatchDeadline(u64),
-    /// A service unit finished; deliver its responses.
-    Completion(Vec<(u32, u16, Vec<u8>)>),
+    /// A service unit finished; deliver its replies.
+    Completion(Vec<Reply<'a>>),
+}
+
+/// Where a reply's body bytes live. None of the three is a copy of
+/// bytes that already exist elsewhere.
+enum Body<'a> {
+    /// A what-if body shared with the memo cache and with every other
+    /// member of the batch that asked for the same key.
+    Shared(Rc<Vec<u8>>),
+    /// A PNG borrowed from the Cinema entry the shard lookup returned.
+    Frame(&'a [u8]),
+    /// Text built for this one reply: 400, 404, 503, `/healthz`.
+    Owned(Vec<u8>),
+}
+
+impl Body<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Body::Shared(body) => body,
+            Body::Frame(png) => png,
+            Body::Owned(text) => text,
+        }
+    }
+}
+
+/// One response on its way to a client: the serialized status line and
+/// headers, and the body wherever it already lives.
+struct Reply<'a> {
+    /// Schedule index of the request this answers.
+    id: u32,
+    status: u16,
+    head: Vec<u8>,
+    body: Body<'a>,
+}
+
+impl<'a> Reply<'a> {
+    fn new(
+        id: u32,
+        status: u16,
+        content_type: &str,
+        retry_after_s: Option<u32>,
+        body: Body<'a>,
+    ) -> Self {
+        let mut head = Vec::with_capacity(96);
+        write_head(
+            &mut head,
+            status,
+            content_type,
+            retry_after_s,
+            body.bytes().len(),
+        );
+        Reply {
+            id,
+            status,
+            head,
+            body,
+        }
+    }
+
+    /// A reply that takes over the body `resp` was built with.
+    fn owned(id: u32, resp: HttpResponse) -> Self {
+        Reply::new(
+            id,
+            resp.status,
+            resp.content_type,
+            resp.retry_after_s,
+            Body::Owned(resp.body),
+        )
+    }
+
+    /// Bytes on the wire: what the egress cost is charged for.
+    fn wire_len(&self) -> usize {
+        self.head.len() + self.body.bytes().len()
+    }
 }
 
 struct ReqState {
     arrival: SimTime,
     span: SpanId,
+    /// Latency class, fixed by the route at arrival (a shed overrides it).
+    class: Class,
+    /// Taken by the service unit that answers the request.
     routed: Option<Routed>,
 }
 
@@ -464,7 +560,9 @@ struct World<'a> {
     stats: ServeStats,
     last_completion: SimTime,
     completed: u64,
-    responses: Option<Vec<Option<Vec<u8>>>>,
+    /// `(request id, contiguous response bytes)` in delivery order, when
+    /// the caller asked to keep them.
+    responses: Option<Vec<(u32, Vec<u8>)>>,
 }
 
 enum Work {
@@ -503,13 +601,24 @@ impl Server {
     /// [`Recorder::off`]; `keep_responses` retains every response's
     /// bytes in the report (tests only — memory scales with the
     /// schedule).
-    pub fn run_load(
-        &self,
-        schedule: &LoadSchedule,
-        recorder: &Recorder,
+    pub fn run_load<'a>(
+        &'a self,
+        schedule: &'a LoadSchedule,
+        recorder: &'a Recorder,
         keep_responses: bool,
     ) -> LoadReport {
-        let mut engine: DesEngine<ServeEvent> =
+        self.replay(schedule, recorder, keep_responses).finish()
+    }
+
+    /// Run the reactor to quiescence and hand back everything it
+    /// accumulated, not yet summarised.
+    fn replay<'a>(
+        &'a self,
+        schedule: &'a LoadSchedule,
+        recorder: &'a Recorder,
+        keep_responses: bool,
+    ) -> World<'a> {
+        let mut engine: DesEngine<ServeEvent<'a>> =
             DesEngine::with_capacity(schedule.arrivals.len().min(1 << 16) + 8);
         let mut world = World {
             cfg: &self.config,
@@ -519,7 +628,7 @@ impl Server {
             schedule: &schedule.arrivals,
             rec: recorder,
             cache: MemoCache::new(self.config.cache_capacity),
-            batcher: Batcher::new(self.config.max_batch),
+            batcher: Batcher::new(self.config.max_batch.max(1)),
             open_deadline: None,
             queue: VecDeque::new(),
             free_slots: self.config.service_slots.max(1),
@@ -529,28 +638,29 @@ impl Server {
             stats: ServeStats::default(),
             last_completion: SimTime::ZERO,
             completed: 0,
-            responses: keep_responses.then(|| vec![None; schedule.arrivals.len()]),
+            responses: keep_responses.then(|| Vec::with_capacity(schedule.arrivals.len())),
         };
         for (i, (t, _)) in schedule.arrivals.iter().enumerate() {
             world.req.push(ReqState {
                 arrival: *t,
                 span: SpanId::NONE,
+                class: Class::Other,
                 routed: None,
             });
             engine.schedule_at(*t, ServeEvent::Arrival(i as u32));
         }
         engine.run(
-            &mut |eng: &mut DesEngine<ServeEvent>, at: SimTime, ev: ServeEvent| {
+            &mut |eng: &mut DesEngine<ServeEvent<'a>>, at: SimTime, ev: ServeEvent<'a>| {
                 world.on_event(eng, at, ev)
             },
         );
         debug_assert_eq!(world.in_flight, 0, "every admitted request must finish");
-        world.finish()
+        world
     }
 }
 
-impl World<'_> {
-    fn on_event(&mut self, eng: &mut DesEngine<ServeEvent>, at: SimTime, ev: ServeEvent) {
+impl<'a> World<'a> {
+    fn on_event(&mut self, eng: &mut DesEngine<ServeEvent<'a>>, at: SimTime, ev: ServeEvent<'a>) {
         match ev {
             ServeEvent::Arrival(i) => self.on_arrival(eng, at, i),
             ServeEvent::BatchDeadline(id) => {
@@ -565,11 +675,11 @@ impl World<'_> {
                     self.submit(eng, at, Work::Batch(batch));
                 }
             }
-            ServeEvent::Completion(responses) => self.on_completion(eng, at, responses),
+            ServeEvent::Completion(replies) => self.on_completion(eng, at, replies),
         }
     }
 
-    fn on_arrival(&mut self, eng: &mut DesEngine<ServeEvent>, at: SimTime, i: u32) {
+    fn on_arrival(&mut self, eng: &mut DesEngine<ServeEvent<'a>>, at: SimTime, i: u32) {
         self.stats.requests += 1;
         self.rec.counter_add(at, "serve.requests", 1.0);
         if self.in_flight >= self.cfg.max_connections {
@@ -580,23 +690,22 @@ impl World<'_> {
         self.in_flight += 1;
         self.stats.max_in_flight = self.stats.max_in_flight.max(self.in_flight);
         let span = self.rec.span(at, "request", Component::Serve);
-        self.req[i as usize].span = span;
-        let routed = match parse_request(&self.schedule[i as usize].1) {
-            Ok(http) => route(&http),
-            Err(e) => Routed::Immediate(HttpResponse::bad_request(e.label())),
+        let routed = route_raw(&self.schedule[i as usize].1);
+        // A what-if is only ever answered 200 and a frame 200 or 404, so
+        // the route alone decides the class a completion is filed under.
+        let class = match routed {
+            Routed::WhatIf(_) => Class::WhatIf,
+            Routed::Frame { .. } => Class::Frame,
+            Routed::Health | Routed::Immediate(_) => Class::Other,
         };
-        self.rec.set_attr(
-            span,
-            "class",
-            AttrValue::Str(match routed {
-                Routed::WhatIf(_) => "whatif",
-                Routed::Frame { .. } => "frame",
-                _ => "other",
-            }),
-        );
-        self.req[i as usize].routed = Some(routed.clone());
-        match routed {
-            Routed::WhatIf(_) => match self.batcher.add(i) {
+        self.rec
+            .set_attr(span, "class", AttrValue::Str(class.label()));
+        let state = &mut self.req[i as usize];
+        state.span = span;
+        state.class = class;
+        state.routed = Some(routed);
+        match class {
+            Class::WhatIf => match self.batcher.add(i) {
                 BatchAdd::Opened(id) => {
                     let handle =
                         eng.schedule_in(self.cfg.batch_window, ServeEvent::BatchDeadline(id));
@@ -615,7 +724,7 @@ impl World<'_> {
         }
     }
 
-    fn submit(&mut self, eng: &mut DesEngine<ServeEvent>, at: SimTime, work: Work) {
+    fn submit(&mut self, eng: &mut DesEngine<ServeEvent<'a>>, at: SimTime, work: Work) {
         if self.free_slots > 0 {
             self.start(eng, at, work);
         } else if self.queue.len() < self.cfg.queue_capacity {
@@ -640,119 +749,109 @@ impl World<'_> {
         }
     }
 
-    fn start(&mut self, eng: &mut DesEngine<ServeEvent>, at: SimTime, work: Work) {
+    fn start(&mut self, eng: &mut DesEngine<ServeEvent<'a>>, at: SimTime, work: Work) {
         debug_assert!(self.free_slots > 0);
         self.free_slots -= 1;
         let cost = &self.cfg.cost;
-        let mut responses: Vec<(u32, u16, Vec<u8>)> = Vec::new();
+        let mut replies: Vec<Reply<'a>> = Vec::new();
         let mut service_us: u64;
         match work {
             Work::Single(i) => {
                 service_us = cost.parse_us;
-                let resp = match self.req[i as usize]
+                let reply = match self.req[i as usize]
                     .routed
-                    .clone()
+                    .take()
                     .expect("routed at arrival")
                 {
                     Routed::Frame { timestep } => {
                         service_us += cost.frame_probe_us;
                         match self.index.lookup(self.db, timestep) {
-                            Some(entry) => HttpResponse::ok_png(entry.data.clone()),
-                            None => HttpResponse::not_found(&format!("frame {timestep}")),
+                            Some(entry) => Reply::new(i, 200, PNG, None, Body::Frame(&entry.data)),
+                            None => Reply::owned(
+                                i,
+                                HttpResponse::not_found(&format!("frame {timestep}")),
+                            ),
                         }
                     }
-                    Routed::Health => HttpResponse::ok_json("{\"status\":\"ok\"}".to_string()),
-                    Routed::Immediate(resp) => resp,
+                    Routed::Health => {
+                        Reply::owned(i, HttpResponse::ok_json("{\"status\":\"ok\"}".to_string()))
+                    }
+                    Routed::Immediate(resp) => Reply::owned(i, resp),
                     Routed::WhatIf(_) => unreachable!("what-if work is always batched"),
                 };
-                let bytes = resp.to_bytes();
-                service_us += cost.body_us(bytes.len());
-                responses.push((i, resp.status, bytes));
+                service_us += cost.body_us(reply.wire_len());
+                replies.push(reply);
             }
             Work::Batch(batch) => {
+                let fill = batch.members.len();
                 self.stats.batches += 1;
-                self.stats.max_batch_fill = self.stats.max_batch_fill.max(batch.members.len());
+                self.stats.max_batch_fill = self.stats.max_batch_fill.max(fill);
                 self.rec.counter_add(at, "serve.batches", 1.0);
-                service_us = cost.batch_overhead_us + cost.parse_us * batch.members.len() as u64;
-                // Unique keys in first-seen order; duplicates share the
-                // first member's evaluation (batch-local dedup).
-                let mut unique: Vec<WhatIfRequest> = Vec::new();
-                let mut member_keys: Vec<WhatIfRequest> = Vec::with_capacity(batch.members.len());
+                service_us = cost.batch_overhead_us + cost.parse_us * fill as u64;
+                replies.reserve_exact(fill);
+                // One pass in arrival order. The first member to name a
+                // key resolves its body, from the cache or by evaluating
+                // it; later members share that body (batch-local dedup)
+                // and pay the hit cost.
+                let mut resolved: HashMap<WhatIfRequest, Rc<Vec<u8>>> =
+                    HashMap::with_capacity(fill);
                 for &m in &batch.members {
-                    let Some(Routed::WhatIf(key)) = self.req[m as usize].routed.as_ref() else {
+                    let Some(Routed::WhatIf(key)) = self.req[m as usize].routed.take() else {
                         unreachable!("batch members are what-if requests")
                     };
-                    member_keys.push(*key);
-                    if !unique.contains(key) {
-                        unique.push(*key);
-                    }
+                    let body = if let Some(body) = resolved.get(&key) {
+                        self.stats.batch_dedups += 1;
+                        service_us += cost.memo_hit_us;
+                        Rc::clone(body)
+                    } else {
+                        let body = match self.cache.get(&key) {
+                            Some(body) => {
+                                self.stats.cache_hits += 1;
+                                self.rec.counter_add(at, "serve.cache_hits", 1.0);
+                                service_us += cost.memo_hit_us;
+                                body
+                            }
+                            None => {
+                                self.stats.cache_misses += 1;
+                                self.rec.counter_add(at, "serve.cache_misses", 1.0);
+                                service_us += key.curve_points as u64 * cost.whatif_point_us;
+                                // The answer itself evaluates its sweep curve
+                                // through the deterministic parallel iterators.
+                                let body = Rc::new(render_whatif_body(self.analyzer, &key));
+                                self.cache.insert(key, Rc::clone(&body));
+                                body
+                            }
+                        };
+                        resolved.insert(key, Rc::clone(&body));
+                        body
+                    };
+                    let reply = Reply::new(m, 200, JSON, None, Body::Shared(body));
+                    service_us += cost.body_us(reply.wire_len());
+                    replies.push(reply);
                 }
-                self.stats.batch_dedups += (batch.members.len() - unique.len()) as u64;
-                let mut bodies: Vec<(WhatIfRequest, Rc<Vec<u8>>)> =
-                    Vec::with_capacity(unique.len());
-                for key in &unique {
-                    match self.cache.get(key) {
-                        Some(body) => {
-                            self.stats.cache_hits += 1;
-                            self.rec.counter_add(at, "serve.cache_hits", 1.0);
-                            service_us += cost.memo_hit_us;
-                            bodies.push((*key, body));
-                        }
-                        None => {
-                            self.stats.cache_misses += 1;
-                            self.rec.counter_add(at, "serve.cache_misses", 1.0);
-                            service_us += key.curve_points as u64 * cost.whatif_point_us;
-                            // The answer itself evaluates its sweep curve
-                            // through the deterministic parallel iterators.
-                            let body = Rc::new(render_whatif_body(self.analyzer, key));
-                            self.cache.insert(*key, Rc::clone(&body));
-                            bodies.push((*key, body));
-                        }
-                    }
-                }
-                for (&m, key) in batch.members.iter().zip(&member_keys) {
-                    let body = &bodies
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .expect("every member key was resolved")
-                        .1;
-                    let resp = HttpResponse::ok_json(
-                        String::from_utf8(body.as_ref().clone()).expect("json bodies are utf-8"),
-                    );
-                    let bytes = resp.to_bytes();
-                    service_us += cost.body_us(bytes.len());
-                    responses.push((m, resp.status, bytes));
-                }
-                // Duplicate members pay the hit cost for their shared body.
-                service_us += cost.memo_hit_us * (batch.members.len() - unique.len()) as u64;
             }
         }
         eng.schedule_in(
             SimDuration::from_micros(service_us),
-            ServeEvent::Completion(responses),
+            ServeEvent::Completion(replies),
         );
     }
 
     fn on_completion(
         &mut self,
-        eng: &mut DesEngine<ServeEvent>,
+        eng: &mut DesEngine<ServeEvent<'a>>,
         at: SimTime,
-        responses: Vec<(u32, u16, Vec<u8>)>,
+        replies: Vec<Reply<'a>>,
     ) {
-        for (i, status, bytes) in responses {
-            let class = match (status, &self.req[i as usize].routed) {
-                (200, Some(Routed::WhatIf(_))) => Class::WhatIf,
-                (200 | 404, Some(Routed::Frame { .. })) => Class::Frame,
-                _ => Class::Other,
-            };
-            match status {
+        for reply in &replies {
+            match reply.status {
                 200 => self.stats.ok += 1,
                 400 => self.stats.bad_requests += 1,
                 404 => self.stats.not_found += 1,
                 _ => {}
             }
             self.in_flight -= 1;
-            self.finalize(at, i, class, &bytes);
+            self.finalize(at, self.req[reply.id as usize].class, reply);
         }
         self.free_slots += 1;
         if let Some(work) = self.queue.pop_front() {
@@ -771,12 +870,15 @@ impl World<'_> {
             Component::Serve,
             &[("reason", AttrValue::Str(reason.label()))],
         );
-        let bytes = HttpResponse::unavailable(reason.label(), self.cfg.retry_after_s).to_bytes();
-        self.finalize(at, i, Class::Shed, &bytes);
+        let resp = HttpResponse::unavailable(reason.label(), self.cfg.retry_after_s);
+        self.finalize(at, Class::Shed, &Reply::owned(i, resp));
     }
 
-    fn finalize(&mut self, at: SimTime, i: u32, class: Class, bytes: &[u8]) {
-        let state = &self.req[i as usize];
+    /// Deliver one reply: account its latency, close its span, and fold
+    /// its bytes — request id, head, body, in that order — into both
+    /// digests. This loop is the only place response bytes are read.
+    fn finalize(&mut self, at: SimTime, class: Class, reply: &Reply<'_>) {
+        let state = &self.req[reply.id as usize];
         let latency_us = at.duration_since(state.arrival).as_micros();
         self.latencies[class.index()].push(latency_us);
         self.rec
@@ -784,16 +886,22 @@ impl World<'_> {
         self.rec
             .set_attr(state.span, "class_final", AttrValue::Str(class.label()));
         self.rec.close(at, state.span);
-        self.stats.stream_digest = fnv1a(
-            fnv1a(self.stats.stream_digest ^ FNV_OFFSET, &i.to_le_bytes()),
-            bytes,
-        );
-        self.stats.content_digest = self
-            .stats
-            .content_digest
-            .wrapping_add(fnv1a(fnv1a(FNV_OFFSET, &i.to_le_bytes()), bytes));
-        if let Some(store) = &mut self.responses {
-            store[i as usize] = Some(bytes.to_vec());
+        let (head, body) = (reply.head.as_slice(), reply.body.bytes());
+        // Two independent FNV-1a chains advanced together: the stream
+        // chain continues from every earlier reply, the content chain
+        // starts fresh so its per-reply values can be summed in any order.
+        let mut stream = self.stats.stream_digest ^ FNV_OFFSET;
+        let mut content = FNV_OFFSET;
+        for part in [&reply.id.to_le_bytes()[..], head, body] {
+            for &b in part {
+                stream = (stream ^ b as u64).wrapping_mul(FNV_PRIME);
+                content = (content ^ b as u64).wrapping_mul(FNV_PRIME);
+            }
+        }
+        self.stats.stream_digest = stream;
+        self.stats.content_digest = self.stats.content_digest.wrapping_add(content);
+        if let Some(kept) = &mut self.responses {
+            kept.push((reply.id, [head, body].concat()));
         }
         self.last_completion = self.last_completion.max(at);
         self.completed += 1;
@@ -808,6 +916,13 @@ impl World<'_> {
             0.0
         };
         let [a, b, c, d] = self.latencies;
+        let responses = self.responses.map(|kept| {
+            let mut by_id = vec![None; self.req.len()];
+            for (id, bytes) in kept {
+                by_id[id as usize] = Some(bytes);
+            }
+            by_id
+        });
         LoadReport {
             whatif: ClassStats::from_sorted(a),
             frame: ClassStats::from_sorted(b),
@@ -816,7 +931,7 @@ impl World<'_> {
             stats: self.stats,
             makespan,
             sim_qps,
-            responses: self.responses,
+            responses,
         }
     }
 }
@@ -846,6 +961,7 @@ pub fn frame_target(timestep: u64) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::load::LoadSchedule;
+    use proptest::prelude::*;
 
     fn server(cache: usize) -> Server {
         let cfg = ServerConfig {
@@ -1016,5 +1132,219 @@ mod tests {
         let b = srv.run_load(&sched, &Recorder::off(), false);
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn zero_max_batch_behaves_as_one() {
+        let key = WhatIfRequest::new(SpecId::Paper100yr, ivis_core::PipelineKind::InSitu, 8.0, 5)
+            .unwrap();
+        let sched = schedule_of(vec![
+            whatif_target(&key),
+            frame_target(16),
+            whatif_target(&key),
+        ]);
+        let run = |max_batch| {
+            let cfg = ServerConfig {
+                max_batch,
+                ..ServerConfig::default()
+            };
+            Server::new(
+                cfg,
+                WhatIfAnalyzer::paper(),
+                CinemaDatabase::synthetic("t", 4, 4, 4, 16),
+            )
+            .run_load(&sched, &Recorder::off(), true)
+        };
+        let (zero, one) = (run(0), run(1));
+        assert_eq!(zero, one);
+        assert_eq!(
+            (zero.stats.ok, zero.stats.batches, zero.stats.max_batch_fill),
+            (3, 2, 1)
+        );
+    }
+
+    fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    /// The two-walk formulation `finalize` replaced, kept as the
+    /// reference its fused loop is held to: each response as one
+    /// contiguous buffer, walked once for the stream digest and once
+    /// more for the content digest.
+    #[derive(Default)]
+    struct TwoWalkOracle {
+        stream: u64,
+        content: u64,
+    }
+
+    impl TwoWalkOracle {
+        fn deliver(&mut self, id: u32, bytes: &[u8]) {
+            let id = id.to_le_bytes();
+            self.stream = fnv1a(fnv1a(self.stream ^ FNV_OFFSET, &id), bytes);
+            self.content = self
+                .content
+                .wrapping_add(fnv1a(fnv1a(FNV_OFFSET, &id), bytes));
+        }
+    }
+
+    /// What `raw` must be answered with unless it is shed, built the
+    /// owned way: a whole `HttpResponse` serialised by `to_bytes`.
+    fn owned_response(srv: &Server, raw: &[u8]) -> Vec<u8> {
+        match route_raw(raw) {
+            Routed::WhatIf(key) => expected_whatif_response(&srv.analyzer, &key),
+            Routed::Frame { timestep } => match srv.db.entry_by_timestep(timestep) {
+                Some(entry) => HttpResponse::ok_png(entry.data.clone()),
+                None => HttpResponse::not_found(&format!("frame {timestep}")),
+            }
+            .to_bytes(),
+            Routed::Health => HttpResponse::ok_json("{\"status\":\"ok\"}".to_string()).to_bytes(),
+            Routed::Immediate(resp) => resp.to_bytes(),
+        }
+    }
+
+    /// What a kept replay delivered, in delivery order: request id,
+    /// latency in simulated microseconds, response bytes.
+    fn deliveries<'w>(world: &'w World<'_>) -> Vec<(u32, u64, &'w [u8])> {
+        let mut seen = [0usize; Class::COUNT];
+        let kept = world.responses.as_ref().expect("responses were kept");
+        kept.iter()
+            .map(|(id, bytes)| {
+                let class = if bytes.starts_with(b"HTTP/1.1 503") {
+                    Class::Shed
+                } else {
+                    world.req[*id as usize].class
+                };
+                let nth = &mut seen[class.index()];
+                *nth += 1;
+                let latency_us = world.latencies[class.index()][*nth - 1];
+                (*id, latency_us, bytes.as_slice())
+            })
+            .collect()
+    }
+
+    const MIX_FRAMES: u64 = 12;
+
+    /// A schedule from `(kind, parameter, gap to the previous arrival)`
+    /// triples: half what-ifs over 16 keys, then frame hits, frame
+    /// misses, malformed lines and health checks. Gaps straddle the
+    /// 200 us batch window, so keys repeat inside and across batches.
+    fn mix_schedule(asks: &[(u8, u32, u64)]) -> LoadSchedule {
+        let mut at = 0;
+        let arrivals = asks
+            .iter()
+            .map(|&(kind, n, gap_us)| {
+                at += gap_us;
+                let raw = match kind {
+                    0..=4 => {
+                        let pipeline = if n % 2 == 0 {
+                            ivis_core::PipelineKind::InSitu
+                        } else {
+                            ivis_core::PipelineKind::PostProcessing
+                        };
+                        let rate = 1.0 + 0.75 * f64::from(n / 2);
+                        whatif_target(
+                            &WhatIfRequest::new(SpecId::Paper100yr, pipeline, rate, 5).unwrap(),
+                        )
+                    }
+                    5 | 6 => frame_target(16 * (u64::from(n) % MIX_FRAMES)),
+                    7 => frame_target(16 * MIX_FRAMES + u64::from(n)),
+                    8 => b"BORK this is not http\r\n\r\n".to_vec(),
+                    _ => format_get("/healthz"),
+                };
+                (SimTime::from_micros(at), raw)
+            })
+            .collect();
+        LoadSchedule { arrivals }
+    }
+
+    fn mix_server(config: ServerConfig) -> Server {
+        Server::new(
+            config,
+            WhatIfAnalyzer::paper(),
+            CinemaDatabase::synthetic("mix", MIX_FRAMES, 6, 6, 16),
+        )
+    }
+
+    /// The fused digests equal the two-walk oracle's over the kept bytes
+    /// in delivery order, and every kept response is byte-equal to the
+    /// owned `HttpResponse` serialised whole.
+    fn assert_digests_and_bytes_match_the_owned_path(srv: &Server, schedule: &LoadSchedule) {
+        let off = Recorder::off();
+        let world = srv.replay(schedule, &off, true);
+        let delivered = deliveries(&world);
+        assert_eq!(delivered.len(), schedule.len(), "one reply per request");
+        let sheds = [ShedReason::Connections, ShedReason::QueueFull]
+            .map(|r| HttpResponse::unavailable(r.label(), srv.config.retry_after_s).to_bytes());
+        let mut shed = [0u64; 2];
+        let mut oracle = TwoWalkOracle::default();
+        for &(id, _, bytes) in &delivered {
+            oracle.deliver(id, bytes);
+            if let Some(reason) = sheds.iter().position(|s| s == bytes) {
+                shed[reason] += 1;
+            } else {
+                let owned = owned_response(srv, &schedule.arrivals[id as usize].1);
+                assert_eq!(bytes, owned, "request {id}");
+            }
+        }
+        let stats = &world.stats;
+        assert_eq!(
+            (stats.stream_digest, stats.content_digest),
+            (oracle.stream, oracle.content)
+        );
+        assert_eq!(shed, [stats.shed_connections, stats.shed_queue]);
+    }
+
+    /// With every request its own service unit and a slot always free, a
+    /// request's latency is a fixed cost plus the time its reply spends
+    /// on the wire. At one byte per microsecond against a free wire the
+    /// difference is the reply's length — all of it, head included.
+    fn assert_egress_is_charged_on_the_whole_reply(schedule: &LoadSchedule, cache_capacity: usize) {
+        let run = |response_bytes_per_us| {
+            let srv = mix_server(ServerConfig {
+                max_batch: 1,
+                service_slots: schedule.len(),
+                cache_capacity,
+                cost: CostModel {
+                    response_bytes_per_us,
+                    ..CostModel::default()
+                },
+                ..ServerConfig::default()
+            });
+            let off = Recorder::off();
+            let world = srv.replay(schedule, &off, true);
+            let mut by_id = vec![(0, 0); schedule.len()];
+            for (id, latency_us, bytes) in deliveries(&world) {
+                by_id[id as usize] = (latency_us, bytes.len() as u64);
+            }
+            by_id
+        };
+        let (metered, free) = (run(1), run(u64::MAX));
+        for (id, (&(slow, len), &(fast, _))) in metered.iter().zip(&free).enumerate() {
+            assert_eq!(slow - fast, len, "request {id} was not charged its length");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn reply_path_matches_the_two_walk_oracle_and_the_owned_responses(
+            asks in prop::collection::vec((0u8..10, 0u32..16, 0u64..300), 1..400),
+            cache in 0usize..3,
+            tight in any::<bool>(),
+        ) {
+            let schedule = mix_schedule(&asks);
+            let cache_capacity = [0, 8, 4096][cache];
+            let mut config = ServerConfig { cache_capacity, ..ServerConfig::default() };
+            if tight {
+                (config.service_slots, config.queue_capacity, config.max_connections) = (1, 2, 6);
+            }
+            assert_digests_and_bytes_match_the_owned_path(&mix_server(config), &schedule);
+            assert_egress_is_charged_on_the_whole_reply(&schedule, cache_capacity);
+        }
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! Every golden value was recorded from an implementation that has since
 //! been deleted — the loop executors in `executor_identity.txt`, the
-//! sequential native loops in `native_identity.txt` — so each is what
+//! sequential native loops in `native_identity.txt`, the owned and
+//! twice-hashed serve replies in `serve_identity.txt` — so each is what
 //! that code produced.
 
 #![allow(dead_code)] // each suite uses its own subset

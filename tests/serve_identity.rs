@@ -24,8 +24,9 @@ use ivis_obs::{to_jsonl, Recorder};
 
 /// Replay `schedule` with the recorder off and on at every thread count
 /// and hold both artifacts to the golden file. The two replays must also
-/// agree with each other: recording never changes a reply.
-fn check(golden: &Golden, key: &str, srv: &Server, schedule: &LoadSchedule) {
+/// agree with each other: recording never changes a reply. Returns the
+/// digest.
+fn check(golden: &Golden, key: &str, srv: &Server, schedule: &LoadSchedule) -> String {
     let (digest, trace) = at_all_thread_counts(|| {
         let digest = srv.run_load(schedule, &Recorder::off(), false).digest();
         let rec = Recorder::in_memory();
@@ -35,6 +36,7 @@ fn check(golden: &Golden, key: &str, srv: &Server, schedule: &LoadSchedule) {
     });
     golden.check(&format!("serve/{key}/digest"), &digest);
     golden.check(&format!("serve/{key}/trace"), &blob(&trace));
+    digest
 }
 
 /// `serve_bench`'s server and its `1k` tier schedule (one warm-up
@@ -99,14 +101,24 @@ mod bench {
 #[test]
 fn bench_tier_and_overload_digests_match_golden() {
     let golden = Golden::load();
-    check(
-        &golden,
-        "bench/1k",
-        &bench::server(ServerConfig::default()),
-        &bench::tier_1k(),
-    );
+    let default = bench::server(ServerConfig::default());
     let (tight, heavy) = bench::overload();
-    check(&golden, "bench/overload", &tight, &heavy);
+    for (row, srv, schedule) in [
+        ("1k", &default, &bench::tier_1k()),
+        ("overload", &tight, &heavy),
+    ] {
+        let digest = check(&golden, &format!("bench/{row}"), srv, schedule);
+        // The schedules above are copies of `serve_bench`'s: the stats
+        // they replay to must be the ones the bench committed for the row.
+        let committed =
+            ivis_bench::baseline::baseline_digest(include_str!("../BENCH_serve.json"), row)
+                .expect("BENCH_serve.json has the row");
+        assert_eq!(
+            digest.split(" | ").next(),
+            Some(committed),
+            "{row}: the copy drifted from serve_bench"
+        );
+    }
 }
 
 fn test_server(config: ServerConfig) -> Server {
