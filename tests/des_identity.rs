@@ -17,16 +17,26 @@
 //! * the noise-free campaign digests and per-family event counts;
 //! * the 10 000-node what-if shapes (`caddy10k/…`), recorded from the
 //!   per-node power bookkeeping before `Machine` stopped looping over
-//!   nodes.
+//!   nodes;
+//! * `Machine` itself (`machine/…`), recorded from the eager per-cage
+//!   meters before they became a replay of an observation log: every cage
+//!   meter, the cluster meter, `power_now` and the profile energy after a
+//!   fixed op script, the traced 10 000-node runs' JSONL (the only pin of
+//!   the `cluster.power_w` gauge above 150 nodes), and the 100 000-node
+//!   digest.
 
 mod common;
 
 use common::{at_all_thread_counts, blob, stats_line, Golden};
+use insitu_vis::cluster::{ClusterTopology, IoWaitPolicy, JobPhase, Machine, NodeId};
 use insitu_vis::fault::{FaultPlan, FaultScenario};
 use insitu_vis::pipeline::campaign::{Campaign, CampaignConfig};
 use insitu_vis::pipeline::intransit::{reported_kind, InTransitConfig};
 use insitu_vis::pipeline::{CompressionConfig, PipelineConfig, PipelineKind, TransportConfig};
-use insitu_vis::sim::SimDuration;
+use insitu_vis::power::meter::MeteredPdu;
+use insitu_vis::power::node::{NodeLoad, NodePowerModel};
+use insitu_vis::power::units::Watts;
+use insitu_vis::sim::{SimDuration, SimTime};
 use ivis_obs::{to_chrome_trace, to_jsonl, to_prometheus, Recorder};
 
 const FAULT_SEEDS: [u64; 3] = [1, 42, 1337];
@@ -201,4 +211,126 @@ fn caddy_10k_whatif_digests_match_golden() {
     noisy.config.seed = noise.seed;
     let m = noisy.run(&PipelineConfig::paper(PipelineKind::InSitu, 24.0));
     golden.check("caddy10k/noisy11/in-situ@24h/digest", &m.digest());
+}
+
+/// Every change-point of every meter, floats as bits, meters in order.
+fn meters_blob(meters: &[MeteredPdu]) -> String {
+    let mut text = String::new();
+    for m in meters {
+        for &(t, watts) in m.true_signal().samples() {
+            text.push_str(&format!("{}:{:x};", t.as_micros(), watts.to_bits()));
+        }
+        text.push('|');
+    }
+    blob(&text)
+}
+
+/// Drive a `cages` × 10 machine through a fixed script — a node load before
+/// any phase, uniform phases, splits at a cage-aligned and a mid-cage
+/// boundary, two changes in one instant, node loads after a split (one in
+/// the straddling cage), `finish` — and render everything it exposes: the
+/// cage meters (read mid-script and at the end), the cluster meter,
+/// `power_now` after each op, and the profile energy.
+fn machine_script_line(cages: usize, aligned: usize, mid: usize, noise: Option<u64>) -> String {
+    let topology = ClusterTopology {
+        num_cages: cages,
+        nodes_per_cage: 10,
+        ..ClusterTopology::caddy()
+    };
+    let n = topology.num_nodes();
+    // A non-round idle draw, so sums are inexact and their order shows.
+    let node_model = NodePowerModel::caddy().calibrated(Watts(100.1), Watts(293.3));
+    let mut m = Machine::new(topology, node_model, IoWaitPolicy::BusyWait);
+    if let Some(seed) = noise {
+        m = m.with_power_noise(seed, 0.005);
+    }
+    let t = SimTime::from_secs;
+    type Op = Box<dyn Fn(&mut Machine)>;
+    let ops: Vec<Op> = vec![
+        Box::new(move |m| m.set_node_load(t(3), NodeId(17), NodeLoad::COMPUTE)),
+        Box::new(move |m| m.begin_phase(t(10), JobPhase::Simulate)),
+        Box::new(move |m| m.begin_phase(t(95), JobPhase::WriteOutput)),
+        Box::new(move |m| {
+            m.begin_split_phase(t(103), aligned, JobPhase::Simulate, JobPhase::Visualize)
+        }),
+        Box::new(move |m| m.begin_split_phase(t(140), mid, JobPhase::Idle, JobPhase::Visualize)),
+        Box::new(move |m| m.begin_phase(t(200), JobPhase::Idle)),
+        Box::new(move |m| m.begin_phase(t(200), JobPhase::Simulate)),
+        Box::new(move |m| {
+            m.begin_split_phase(t(260), mid, JobPhase::WriteOutput, JobPhase::Visualize)
+        }),
+        Box::new(move |m| m.set_node_load(t(270), NodeId(n - 1), NodeLoad::RENDER)),
+        Box::new(move |m| m.set_node_load(t(270), NodeId(n - mid), NodeLoad::IDLE)),
+        Box::new(move |m| m.begin_phase(t(300), JobPhase::Visualize)),
+        Box::new(move |m| m.finish(t(360))),
+    ];
+    let mut power_now = String::new();
+    let mut cages_mid = String::new();
+    for (i, op) in ops.iter().enumerate() {
+        op(&mut m);
+        power_now.push_str(&format!("{:x};", m.power_now().watts().to_bits()));
+        if i == 4 {
+            cages_mid = meters_blob(m.cage_meters());
+        }
+    }
+    let cluster = m.cluster_meter();
+    let energy = cluster.profile(SimTime::ZERO, t(420)).energy().joules();
+    format!(
+        "cages_mid[{cages_mid}] cages[{}] cluster[{}] power_now[{}] energy={:#018x}",
+        meters_blob(m.cage_meters()),
+        meters_blob(std::slice::from_ref(&cluster)),
+        blob(&power_now),
+        energy.to_bits()
+    )
+}
+
+#[test]
+fn machine_meters_and_power_match_golden() {
+    let golden = Golden::load();
+    for (cages, aligned, mid) in [(15usize, 60usize, 65usize), (1_000, 640, 645)] {
+        for (label, noise) in [("clean", None), ("noisy11", Some(11))] {
+            let line = at_all_thread_counts(|| machine_script_line(cages, aligned, mid, noise));
+            golden.check(&format!("machine/{cages}x10/{label}"), &line);
+        }
+    }
+}
+
+#[test]
+fn traced_caddy_10k_jsonl_matches_golden() {
+    // The traced twin of `caddy_10k_whatif_digests_match_golden`: the JSONL
+    // carries the `cluster.power_w` gauge `Machine::power_now` feeds at
+    // every phase change.
+    let golden = Golden::load();
+    let traced = |run: &dyn Fn(&Campaign)| {
+        at_all_thread_counts(|| {
+            let mut campaign = Campaign::caddy_scaled(10_000);
+            let rec = Recorder::in_memory();
+            campaign.config.recorder = rec.clone();
+            run(&campaign);
+            blob(&rec.with_buffer(to_jsonl).expect("recorder is on"))
+        })
+    };
+    let insitu = traced(&|c| {
+        c.run(&PipelineConfig::paper(PipelineKind::InSitu, 24.0));
+    });
+    golden.check("machine/caddy10k/in-situ@24h/jsonl", &insitu);
+    let depth4_zfp = TransportConfig::pipelined(4).with_compression(CompressionConfig::zfp_like());
+    let intransit = traced(&|c| {
+        c.run_intransit(&intransit_pc(24.0), &staged(640, depth4_zfp.clone()));
+    });
+    golden.check(
+        "machine/caddy10k/in-transit-s640-d4-zfp@24h/jsonl",
+        &intransit,
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds materialise all 10 000 cage meters on harvest (≈ 300 MB); run with --release"
+)]
+fn caddy_100k_digest_matches_golden() {
+    let golden = Golden::load();
+    let m = Campaign::caddy_scaled(100_000).run(&PipelineConfig::paper(PipelineKind::InSitu, 8.0));
+    golden.check("machine/caddy100k/in-situ@8h/digest", &m.digest());
 }
