@@ -1,6 +1,6 @@
 //! Discrete-event-engine benchmark: raw [`ivis_sim::DesEngine`]
 //! throughput, the pipeline executors across the paper matrix, and the
-//! 10k- and 100k-node *exascale what-if* campaigns on
+//! 10k-, 100k- and 1M-node *exascale what-if* campaigns on
 //! [`Campaign::caddy_scaled`].
 //!
 //! Two things are tracked:
@@ -15,10 +15,12 @@
 //! Writes `BENCH_des.json` (or the path given as the first non-flag
 //! argument). With `--check`, exits nonzero if any digest differs from
 //! the one the committed `BENCH_des.json` records, the raw engine drops
-//! below 1M events/s, or the 10k-node campaign takes longer than 5 s
-//! (the 100k-node one 30 s) of wall clock — generous floors meant to
-//! catch collapses, not jitter; trajectory gating is `bench_diff
-//! --ratios-only`'s job.
+//! below 1M events/s, the 10k-node campaign takes longer than 0.01 s of
+//! wall clock (the 100k-node one 0.05 s, the 1M-node one 0.25 s), or the
+//! process ever held more than 64 MiB. The campaign budgets are ≥ 20×
+//! what this host needs and still below what per-cage work per phase
+//! change cost at 10k nodes (0.029 s), so they catch that coming back,
+//! not jitter; trajectory gating is `bench_diff --ratios-only`'s job.
 
 use std::time::Instant;
 
@@ -75,6 +77,19 @@ fn wheel_churn(events: u64) {
     eng.run(&mut handler);
     assert_eq!(fired, events);
 }
+
+/// The process's peak resident set so far in MiB (`VmHWM`), where the
+/// platform reports one.
+fn vm_hwm_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
+/// What a 1M-node campaign may leave resident: cost follows events, so a
+/// few MiB; per-cage meters would be gigabytes.
+const VM_HWM_BUDGET_MIB: f64 = 64.0;
 
 /// The committed baseline `--check` compares digests against.
 const BASELINE: &str = "BENCH_des.json";
@@ -136,12 +151,13 @@ fn main() {
         witnesses.push((label, digest));
     }
 
-    // --- the exascale what-ifs: 10 000- and 100 000-node Caddys ---
+    // --- the exascale what-ifs: 10 000- to 1 000 000-node Caddys ---
     let pc = PipelineConfig::paper(PipelineKind::InSitu, 8.0);
     let mut big_rows = Vec::new();
     for (label, nodes, budget_s) in [
-        ("caddy10k/in-situ@8h", 10_000, 5.0),
-        ("caddy100k/in-situ@8h", 100_000, 30.0),
+        ("caddy10k/in-situ@8h", 10_000, 0.01),
+        ("caddy100k/in-situ@8h", 100_000, 0.05),
+        ("caddy1m/in-situ@8h", 1_000_000, 0.25),
     ] {
         let big = Campaign::caddy_scaled(nodes);
         let (m, events) = big
@@ -157,7 +173,7 @@ fn main() {
         );
         if check && wall_s > budget_s {
             failures.push(format!(
-                "{nodes}-node campaign took {wall_s:.1} s of wall clock ({budget_s} s budget)"
+                "{nodes}-node campaign took {wall_s:.4} s of wall clock ({budget_s} s budget)"
             ));
         }
         big_rows.push(format!(
@@ -165,6 +181,16 @@ fn main() {
              \"digest\": \"{digest}\" }}"
         ));
         witnesses.push((label.to_string(), digest));
+    }
+    let vm_hwm = vm_hwm_mib();
+    if let Some(mib) = vm_hwm {
+        eprintln!("{:>22}: {mib:.1} MiB", "VmHWM");
+        if check && mib > VM_HWM_BUDGET_MIB {
+            failures.push(format!(
+                "peak resident set {mib:.1} MiB after the 1M-node campaign \
+                 ({VM_HWM_BUDGET_MIB} MiB budget)"
+            ));
+        }
     }
     if let Some(baseline) = &baseline {
         failures.extend(ivis_bench::baseline::digest_mismatches(
@@ -179,9 +205,10 @@ fn main() {
          {{ \"config\": \"engine/hot_chain\", \"events\": {CHAIN_EVENTS}, \"events_per_sec\": {chain_eps:.0} }},\n    \
          {{ \"config\": \"engine/wheel_churn\", \"events\": {CHURN_EVENTS}, \"events_per_sec\": {churn_eps:.0} }}\n  ] }},\n  \
          \"paper_matrix\": {{\n  \"rows\": [\n{}\n  ] }},\n  \
-         \"exascale\": {{\n  \"rows\": [\n{}\n  ] }}\n}}\n",
+         \"exascale\": {{\n  \"vm_hwm_mib\": {},\n  \"rows\": [\n{}\n  ] }}\n}}\n",
         zsim.map_or("null".to_string(), |v| format!("\"{v}\"")),
         rows.join(",\n"),
+        vm_hwm.map_or("null".to_string(), |mib| format!("{mib:.1}")),
         big_rows.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("write benchmark json");

@@ -10,14 +10,20 @@
 //!
 //! Every node of a partition carries the same load, so the machine stores
 //! the partition ("the last `staging` nodes carry one load, the rest
-//! another"), not a load per node. A phase change costs O(1) power-model
-//! evaluations (one per distinct load) and O(cages) meter pushes: each
-//! *class* of cage — all compute, all staging, and the at most one cage
-//! that straddles the boundary — is summed once and the result is pushed,
-//! times one noise draw per cage, into the cage meters. The cluster-wide
-//! signal is maintained in the same pass, so [`Machine::cluster_meter`]
-//! costs O(phase changes), not a merge of every cage meter. Only
-//! [`Machine::set_node_load`] materialises a per-node table, which the
+//! another"), not a load per node, and an observation is one entry in a
+//! log, not a sample in every cage meter. Without measurement noise every
+//! cage reads the value of its *class* — all compute, all staging, or the
+//! at most one cage that straddles the boundary — so the cluster value is a
+//! pure function of the partition: it is folded once per *distinct*
+//! partition and remembered, and a phase change costs O(1) amortised (two
+//! power-model evaluations, one log entry, one lookup among the handful of
+//! partitions a run visits). With noise each cage draws its own factor, so
+//! a phase change costs O(cages) draws and adds. [`Machine::power_now`] is
+//! remembered per distinct partition the same way, on first request.
+//! [`Machine::cage_meters`] replays the log into meters when somebody asks
+//! and keeps them until the next observation; memory is O(phase changes),
+//! not O(cages × samples). Only [`Machine::set_node_load`] materialises a
+//! per-node table (and, without noise, the per-cage powers), which the
 //! next phase change drops again.
 //!
 //! # Summation order
@@ -36,7 +42,11 @@
 //! Noise is drawn once per cage per observation, cage 0 first. The
 //! maintained cluster signal equals `aggregate(cage_meters())` sample for
 //! sample; debug builds assert it on every [`Machine::cluster_meter`] call.
+//! The replay pushes exactly what the eager meters were pushed: one
+//! `observe` per cage per logged observation, nothing de-duplicated, noise
+//! re-drawn from the generator's starting state.
 
+use std::cell::OnceCell;
 use std::iter::repeat_n;
 
 use ivis_power::meter::{aggregate, MeteredPdu};
@@ -50,8 +60,35 @@ use crate::topology::{ClusterTopology, NodeId};
 /// Optional multiplicative measurement noise on cage power.
 #[derive(Debug, Clone)]
 struct PowerNoise {
+    seed: u64,
     rng: SimRng,
     rel_std: f64,
+}
+
+impl PowerNoise {
+    fn new(seed: u64, rel_std: f64) -> Self {
+        PowerNoise {
+            seed,
+            rng: SimRng::new(seed),
+            rel_std,
+        }
+    }
+}
+
+/// What a cage meter reads when the cage draws `raw`: one draw if noise is on.
+fn observed(noise: &mut Option<PowerNoise>, raw: Watts) -> Watts {
+    match noise {
+        Some(n) => raw * n.rng.noise_factor(n.rel_std),
+        None => raw,
+    }
+}
+
+/// The cluster value: the cage powers summed left to right, cage 0 first.
+fn cage_order_sum(cage_watts: impl IntoIterator<Item = f64>) -> f64 {
+    cage_watts
+        .into_iter()
+        .reduce(|acc, c| acc + c)
+        .expect("a machine has at least one cage")
 }
 
 /// The loads of a partitioned machine: the last `staging` nodes carry
@@ -63,12 +100,86 @@ struct Partition {
     staged: NodeLoad,
 }
 
-/// Node-order power sum of `computing` nodes at `compute` followed by
-/// `staging` nodes at `staged`.
-fn partition_power(compute: Watts, computing: usize, staged: Watts, staging: usize) -> Watts {
-    repeat_n(compute, computing)
-        .chain(repeat_n(staged, staging))
-        .sum()
+/// A partition as the meters see it: nodes from `first_staging` on draw
+/// `staged`, the rest draw `compute`. Every noise-free sum over the
+/// machine is a pure function of these three values.
+#[derive(Debug, Clone, Copy)]
+struct PartitionPower {
+    first_staging: usize,
+    compute: Watts,
+    staged: Watts,
+}
+
+impl PartitionPower {
+    fn same_as(&self, other: &PartitionPower) -> bool {
+        self.first_staging == other.first_staging
+            && self.compute.watts().to_bits() == other.compute.watts().to_bits()
+            && self.staged.watts().to_bits() == other.staged.watts().to_bits()
+    }
+
+    /// Node-order power sum of `computing` nodes followed by `staging` ones.
+    fn node_order_sum(&self, computing: usize, staging: usize) -> Watts {
+        repeat_n(self.compute, computing)
+            .chain(repeat_n(self.staged, staging))
+            .sum()
+    }
+
+    /// Each cage's raw power, cage 0 first: one node-order sum per cage
+    /// class.
+    fn cage_raws(self, topology: &ClusterTopology) -> impl Iterator<Item = Watts> {
+        let per_cage = topology.nodes_per_cage;
+        let cage_raw = move |computing| self.node_order_sum(computing, per_cage - computing);
+        let (all_compute, all_staging) = (cage_raw(per_cage), cage_raw(0));
+        (0..topology.num_cages).map(move |cage| {
+            let computing = self
+                .first_staging
+                .saturating_sub(cage * per_cage)
+                .min(per_cage);
+            match computing {
+                0 => all_staging,
+                k if k == per_cage => all_compute,
+                k => cage_raw(k),
+            }
+        })
+    }
+}
+
+/// The sums over one distinct partition, each computed when first needed.
+#[derive(Debug, Clone)]
+struct PartitionSums {
+    of: PartitionPower,
+    /// The cluster value of a noise-free observation.
+    cluster: OnceCell<f64>,
+    /// What [`Machine::power_now`] reads.
+    power_now: OnceCell<Watts>,
+}
+
+impl PartitionSums {
+    fn of(power: PartitionPower) -> Self {
+        PartitionSums {
+            of: power,
+            cluster: OnceCell::new(),
+            power_now: OnceCell::new(),
+        }
+    }
+}
+
+/// What each cage reads before its first observation, cage 0 first.
+fn cage_baselines(
+    node_model: &NodePowerModel,
+    topology: &ClusterTopology,
+) -> impl Iterator<Item = f64> {
+    let idle_cage = node_model.idle().watts() * topology.nodes_per_cage as f64;
+    repeat_n(idle_cage, topology.num_cages)
+}
+
+/// One logged observation: what [`Machine::cage_meters`] replays.
+#[derive(Debug, Clone, Copy)]
+enum Observation {
+    /// Every cage re-observed under a partition.
+    Partition(SimTime, PartitionPower),
+    /// One cage re-observed at `raw` power.
+    Cage { t: SimTime, cage: usize, raw: Watts },
 }
 
 /// An instrumented compute cluster.
@@ -94,10 +205,19 @@ pub struct Machine {
     /// One load per node, overriding `partition`; exists only between a
     /// [`Machine::set_node_load`] and the next phase change.
     per_node: Option<Vec<NodeLoad>>,
-    cage_meters: Vec<MeteredPdu>,
-    /// Each cage's latest observed power; its baseline until first observed.
-    cage_watts: Vec<f64>,
-    /// The left-to-right sum of `cage_watts`, pushed at every observation.
+    /// Every observation so far, oldest first.
+    log: Vec<Observation>,
+    /// The cage meters `log` replays to; emptied by every observation.
+    cage_meters: OnceCell<Vec<MeteredPdu>>,
+    /// Each cage's latest observed power. Exists only while the cages can
+    /// differ from their class values: with noise on, or between a
+    /// [`Machine::set_node_load`] and the next phase change.
+    cage_watts: Option<Vec<f64>>,
+    /// One entry per distinct partition seen; `sums[current_sums]` is the
+    /// current one.
+    sums: Vec<PartitionSums>,
+    current_sums: usize,
+    /// The left-to-right sum of the cage powers, pushed at every observation.
     cluster_signal: TimeSeries,
     cluster_baseline: Watts,
     timeline: PhaseTimeline,
@@ -107,18 +227,22 @@ pub struct Machine {
 
 impl Machine {
     /// Build a machine from parts. Meters start with the idle baseline.
+    ///
+    /// # Panics
+    /// Panics if the topology has no nodes (no cages, or empty cages).
     pub fn new(
         topology: ClusterTopology,
         node_model: NodePowerModel,
         policy: IoWaitPolicy,
     ) -> Self {
-        let idle_cage = Watts(node_model.idle().watts() * topology.nodes_per_cage as f64);
-        let cage_meters = (0..topology.num_cages)
-            .map(|i| MeteredPdu::appro_cage(format!("cage{i}"), idle_cage))
-            .collect();
-        let cage_watts = vec![idle_cage.watts(); topology.num_cages];
+        assert!(topology.num_nodes() > 0, "need at least one node");
+        let idle = PartitionPower {
+            first_staging: topology.num_nodes(),
+            compute: node_model.idle(),
+            staged: node_model.idle(),
+        };
         Machine {
-            cluster_baseline: Watts(cage_watts.iter().sum()),
+            cluster_baseline: Watts(cage_baselines(&node_model, &topology).sum()),
             topology,
             node_model,
             policy,
@@ -128,8 +252,11 @@ impl Machine {
                 staged: NodeLoad::IDLE,
             },
             per_node: None,
-            cage_meters,
-            cage_watts,
+            log: Vec::new(),
+            cage_meters: OnceCell::new(),
+            cage_watts: None,
+            sums: vec![PartitionSums::of(idle)],
+            current_sums: 0,
             cluster_signal: TimeSeries::new(),
             timeline: PhaseTimeline::new(),
             current: None,
@@ -155,12 +282,18 @@ impl Machine {
 
     /// Enable multiplicative measurement noise (relative std-dev) on cage
     /// power observations, seeded deterministically.
+    ///
+    /// # Panics
+    /// Panics if `rel_std` is outside `[0, 0.5)`, or if the machine has
+    /// already been observed: the cage meters replay every observation
+    /// with noise, so it must be configured before the first one.
     pub fn with_power_noise(mut self, seed: u64, rel_std: f64) -> Self {
         assert!((0.0..0.5).contains(&rel_std), "rel_std out of range");
-        self.noise = Some(PowerNoise {
-            rng: SimRng::new(seed),
-            rel_std,
-        });
+        assert!(
+            self.log.is_empty(),
+            "power noise must be configured before the first observation"
+        );
+        self.noise = Some(PowerNoise::new(seed, rel_std));
         self
     }
 
@@ -195,17 +328,12 @@ impl Machine {
         if let Some(table) = &self.per_node {
             return table.iter().map(|&l| self.node_model.power(l)).sum();
         }
-        let Partition {
-            staging,
-            compute,
-            staged,
-        } = self.partition;
-        partition_power(
-            self.node_model.power(compute),
-            self.topology.num_nodes() - staging,
-            self.node_model.power(staged),
-            staging,
-        )
+        let sums = &self.sums[self.current_sums];
+        *sums.power_now.get_or_init(|| {
+            let first_staging = sums.of.first_staging;
+            sums.of
+                .node_order_sum(first_staging, self.topology.num_nodes() - first_staging)
+        })
     }
 
     /// Begin a new cluster-wide phase at time `t`, closing any phase in
@@ -265,8 +393,19 @@ impl Machine {
             .nodes_in(cage)
             .map(|n| self.node_model.power(table[n.0]))
             .sum();
-        self.observe_cage(t, cage.0, raw);
-        self.record_cluster(t);
+        let mut cage_watts = self
+            .cage_watts
+            .take()
+            .unwrap_or_else(|| self.class_cage_watts());
+        self.observe(Observation::Cage {
+            t,
+            cage: cage.0,
+            raw,
+        });
+        cage_watts[cage.0] = observed(&mut self.noise, raw).watts();
+        self.cluster_signal
+            .push(t, cage_order_sum(cage_watts.iter().copied()));
+        self.cage_watts = Some(cage_watts);
     }
 
     /// End the job at time `t`: closes the current phase and returns the
@@ -287,8 +426,8 @@ impl Machine {
     }
 
     /// Put the last `staging` nodes at `staged` and the rest at `compute`,
-    /// and re-observe every cage: one node-order sum per cage class, one
-    /// noise draw per cage.
+    /// and re-observe every cage: the remembered cage-order sum of the
+    /// class values without noise, one draw per cage with it.
     fn set_partition(&mut self, t: SimTime, staging: usize, compute: NodeLoad, staged: NodeLoad) {
         self.partition = Partition {
             staging,
@@ -296,47 +435,87 @@ impl Machine {
             staged,
         };
         self.per_node = None;
-        let per_cage = self.topology.nodes_per_cage;
-        let first_staging = self.topology.num_nodes() - staging;
-        let (compute, staged) = (
-            self.node_model.power(compute),
-            self.node_model.power(staged),
-        );
-        let cage_raw =
-            |computing| partition_power(compute, computing, staged, per_cage - computing);
-        let (all_compute, all_staging) = (cage_raw(per_cage), cage_raw(0));
-        for cage in 0..self.topology.num_cages {
-            let computing = first_staging.saturating_sub(cage * per_cage).min(per_cage);
-            let raw = match computing {
-                0 => all_staging,
-                k if k == per_cage => all_compute,
-                k => cage_raw(k),
-            };
-            self.observe_cage(t, cage, raw);
-        }
-        self.record_cluster(t);
-    }
-
-    fn observe_cage(&mut self, t: SimTime, cage: usize, raw: Watts) {
-        let p = match &mut self.noise {
-            Some(n) => raw * n.rng.noise_factor(n.rel_std),
-            None => raw,
+        let power = PartitionPower {
+            first_staging: self.topology.num_nodes() - staging,
+            compute: self.node_model.power(compute),
+            staged: self.node_model.power(staged),
         };
-        self.cage_meters[cage].observe(t, p);
-        self.cage_watts[cage] = p.watts();
+        self.observe(Observation::Partition(t, power));
+        self.current_sums = self.sums_index(power);
+        let total = if self.noise.is_none() {
+            self.cage_watts = None;
+            *self.sums[self.current_sums]
+                .cluster
+                .get_or_init(|| cage_order_sum(power.cage_raws(&self.topology).map(Watts::watts)))
+        } else {
+            let cage_raws = power.cage_raws(&self.topology);
+            let cage_watts = self.cage_watts.get_or_insert_with(Vec::new);
+            cage_watts.clear();
+            cage_watts.extend(cage_raws.map(|raw| observed(&mut self.noise, raw).watts()));
+            cage_order_sum(cage_watts.iter().copied())
+        };
+        self.cluster_signal.push(t, total);
     }
 
-    /// Record the cluster value at `t` from the stored cage powers.
-    fn record_cluster(&mut self, t: SimTime) {
-        if let Some((&first, rest)) = self.cage_watts.split_first() {
-            let total = rest.iter().fold(first, |acc, &c| acc + c);
-            self.cluster_signal.push(t, total);
+    /// Log `observation`; the meters replayed so far no longer cover it.
+    fn observe(&mut self, observation: Observation) {
+        self.log.push(observation);
+        self.cage_meters.take();
+    }
+
+    /// The index in `sums` of the entry for `power`, added if new. A run
+    /// visits a handful of distinct partitions, so a linear scan.
+    fn sums_index(&mut self, power: PartitionPower) -> usize {
+        let known = self.sums.iter().position(|s| s.of.same_as(&power));
+        known.unwrap_or_else(|| {
+            self.sums.push(PartitionSums::of(power));
+            self.sums.len() - 1
+        })
+    }
+
+    /// Every cage's latest power when no `cage_watts` is kept: its class
+    /// value under the latest partition, its baseline if never observed.
+    fn class_cage_watts(&self) -> Vec<f64> {
+        match self.log.last() {
+            None => cage_baselines(&self.node_model, &self.topology).collect(),
+            Some(Observation::Partition(_, power)) => {
+                power.cage_raws(&self.topology).map(Watts::watts).collect()
+            }
+            Some(Observation::Cage { .. }) => {
+                unreachable!("a single-cage observation keeps cage_watts")
+            }
         }
+    }
+
+    /// Replay the log into fresh meters: one `observe` per cage per
+    /// partition entry, noise re-drawn from the generator's starting state.
+    fn replay_cage_meters(&self) -> Vec<MeteredPdu> {
+        let mut meters: Vec<MeteredPdu> = cage_baselines(&self.node_model, &self.topology)
+            .enumerate()
+            .map(|(i, idle_cage)| MeteredPdu::appro_cage(format!("cage{i}"), Watts(idle_cage)))
+            .collect();
+        let mut noise = self
+            .noise
+            .as_ref()
+            .map(|n| PowerNoise::new(n.seed, n.rel_std));
+        for &observation in &self.log {
+            match observation {
+                Observation::Partition(t, power) => {
+                    for (meter, raw) in meters.iter_mut().zip(power.cage_raws(&self.topology)) {
+                        meter.observe(t, observed(&mut noise, raw));
+                    }
+                }
+                Observation::Cage { t, cage, raw } => {
+                    meters[cage].observe(t, observed(&mut noise, raw));
+                }
+            }
+        }
+        meters
     }
 
     /// The per-cage meters (what the Appro interface exposes).
     pub fn cage_meters(&self) -> &[MeteredPdu] {
-        &self.cage_meters
+        self.cage_meters.get_or_init(|| self.replay_cage_meters())
     }
 
     /// A synthesized whole-cluster meter (sum of all cages).
@@ -345,7 +524,7 @@ impl Machine {
         // while a merge pushes every change-point anew — which re-coalesces
         // the `[(0, A), (5, A)]` a same-instant overwrite leaves behind, so
         // the integral does not split at 5.
-        let signal = if self.cage_meters.len() == 1 {
+        let signal = if self.topology.num_cages == 1 {
             self.cluster_signal.clone()
         } else {
             let mut merged = TimeSeries::new();
@@ -357,7 +536,7 @@ impl Machine {
         let meter =
             MeteredPdu::appro_cage("compute-cluster", self.cluster_baseline).with_signal(signal);
         debug_assert!(
-            same_meter(&meter, &aggregate("compute-cluster", &self.cage_meters)),
+            same_meter(&meter, &aggregate("compute-cluster", self.cage_meters())),
             "maintained cluster signal diverged from aggregate(cage_meters())"
         );
         meter
@@ -474,6 +653,10 @@ mod tests {
         Split(usize, JobPhase, JobPhase),
         Node(usize, NodeLoad),
         Finish,
+        /// Read the cage meters, filling the machine's cell.
+        ReadCages,
+        /// Fill the cell, then carry on with a clone of the machine.
+        CloneFilled,
     }
 
     const PHASES: [JobPhase; 5] = [
@@ -492,8 +675,18 @@ mod tests {
         NodeLoad::IO_DEEP_IDLE,
     ];
 
+    fn assert_cage_meters_match(m: &Machine, oracle: &PerNodeOracle, when: &str) {
+        assert_eq!(m.cage_meters().len(), oracle.cage_meters.len());
+        for (mine, reference) in m.cage_meters().iter().zip(&oracle.cage_meters) {
+            assert_eq!(mine.label(), reference.label());
+            assert!(same_meter(mine, reference), "{} {when}", mine.label());
+        }
+    }
+
     /// Drive `m` and the per-node oracle through `ops` (each after a time
-    /// step that may be zero) and hold every output to the oracle's bits.
+    /// step that may be zero) and hold every output to the oracle's bits —
+    /// the cage meters at every mid-sequence read, not only at the end, so
+    /// a stale replay shows in release builds too.
     fn assert_matches_oracle(mut m: Machine, ops: &[(u64, Op)]) {
         let mut oracle = PerNodeOracle::of(&m);
         let mut now = SimTime::ZERO;
@@ -516,6 +709,11 @@ mod tests {
                     m.finish(now);
                     oracle.begin_split_phase(now, 0, JobPhase::Idle, JobPhase::Idle);
                 }
+                Op::ReadCages => assert_cage_meters_match(&m, &oracle, "mid-sequence"),
+                Op::CloneFilled => {
+                    assert_cage_meters_match(&m, &oracle, "before the clone");
+                    m = m.clone();
+                }
             }
             assert_eq!(
                 m.power_now().watts().to_bits(),
@@ -530,9 +728,7 @@ mod tests {
                 "cluster meter after {op:?} at {now}"
             );
         }
-        for (mine, reference) in m.cage_meters().iter().zip(&oracle.cage_meters) {
-            assert!(same_meter(mine, reference), "{}", mine.label());
-        }
+        assert_cage_meters_match(&m, &oracle, "at the end");
         let end = now + SimDuration::from_secs(90);
         let energy = |meter: MeteredPdu| meter.profile(SimTime::ZERO, end).energy().joules();
         assert_eq!(
@@ -543,7 +739,7 @@ mod tests {
 
     fn op_strategy() -> impl Strategy<Value = (u64, u8, usize, usize, usize)> {
         // (time step selector, op kind, node/staging selector, two table indices)
-        (0u64..4, 0u8..8, 0usize..10_000, 0usize..5, 0usize..5)
+        (0u64..4, 0u8..11, 0usize..10_000, 0usize..5, 0usize..5)
     }
 
     proptest! {
@@ -551,9 +747,10 @@ mod tests {
 
         /// Any legal call sequence on any small topology — repeated
         /// timestamps, every staging size, noise on and off, both I/O
-        /// policies — leaves every cage meter, the maintained cluster
-        /// signal, `power_now` and the profile energy bit-equal to the
-        /// per-node formulation.
+        /// policies, cage meters read and the machine cloned at any point
+        /// — leaves every cage meter, the maintained cluster signal,
+        /// `power_now` and the profile energy bit-equal to the per-node
+        /// formulation.
         #[test]
         fn partition_bookkeeping_matches_the_per_node_oracle(
             shape in (1usize..41, 1usize..13),
@@ -585,7 +782,9 @@ mod tests {
                         0 | 1 => Op::Phase(PHASES[a]),
                         2..=4 => Op::Split(pick % n, PHASES[a], PHASES[b]),
                         5 | 6 => Op::Node(pick % n, LOADS[a]),
-                        _ => Op::Finish,
+                        7 => Op::Finish,
+                        8 | 9 => Op::ReadCages,
+                        _ => Op::CloneFilled,
                     };
                     (dt, op)
                 })
@@ -614,13 +813,16 @@ mod tests {
             let last = topology.num_nodes() - 1;
             let ops = [
                 (0, Op::Split(staging, JobPhase::Simulate, JobPhase::Idle)),
+                (0, Op::ReadCages),
                 (
                     40_000_000,
                     Op::Split(staging, JobPhase::Idle, JobPhase::Visualize),
                 ),
                 (0, Op::Split(staging, JobPhase::Simulate, JobPhase::Idle)),
                 (25_000_000, Op::Phase(JobPhase::WriteOutput)),
+                (0, Op::CloneFilled),
                 (5_000_000, Op::Node(last, NodeLoad::RENDER)),
+                (0, Op::ReadCages),
                 (5_000_000, Op::Finish),
             ];
             for seed in [None, Some(11)] {
@@ -671,7 +873,14 @@ mod tests {
         let idle = node_model.idle();
         assert_ne!(
             (idle * 10.0).watts().to_bits(),
-            partition_power(idle, 10, idle, 0).watts().to_bits()
+            PartitionPower {
+                first_staging: 10,
+                compute: idle,
+                staged: idle,
+            }
+            .node_order_sum(10, 0)
+            .watts()
+            .to_bits()
         );
         let machine = || {
             Machine::new(
@@ -688,6 +897,70 @@ mod tests {
         ];
         assert_matches_oracle(machine(), &ops);
         assert_matches_oracle(machine().with_power_noise(5, 0.02), &ops);
+    }
+
+    #[test]
+    fn per_node_power_and_energy_do_not_depend_on_the_machine_size() {
+        // What the remembered sums must preserve at sizes no golden pins:
+        // a machine's energy per node is the same at every size (10 007 is
+        // prime: 10 007 one-node cages), and a split phase reads the
+        // closed form `(n − s)·p_compute + s·p_staged`.
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
+        let per_node_energy = |n: usize| {
+            let mut m = Machine::caddy_scaled(n, IoWaitPolicy::BusyWait);
+            m.begin_phase(t(0), JobPhase::Simulate);
+            m.begin_phase(t(95), JobPhase::WriteOutput);
+            m.begin_phase(t(103), JobPhase::Visualize);
+            m.begin_phase(t(140), JobPhase::Simulate);
+            m.finish(t(260));
+            let energy = m.cluster_meter().profile(t(0), t(300)).energy();
+            energy.joules() / n as f64
+        };
+        let reference = per_node_energy(150);
+        for n in [150, 1_000, 10_000, 10_007, 100_000, 1_000_000] {
+            let per_node = per_node_energy(n);
+            assert!(
+                close(per_node, reference),
+                "{n} nodes: {per_node} J/node, 150 nodes: {reference} J/node"
+            );
+            let staging = n * 64 / 1000;
+            let mut m = Machine::caddy_scaled(n, IoWaitPolicy::BusyWait);
+            m.begin_split_phase(t(0), staging, JobPhase::Simulate, JobPhase::Visualize);
+            let p = |phase: JobPhase| m.node_model().power(phase.load(m.io_policy())).watts();
+            let expect = (n - staging) as f64 * p(JobPhase::Simulate)
+                + staging as f64 * p(JobPhase::Visualize);
+            let metered = m.cluster_meter().true_signal().samples()[0].1;
+            assert!(close(m.power_now().watts(), expect), "{n} nodes: power_now");
+            assert!(close(metered, expect), "{n} nodes: first cluster sample");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one node")]
+    fn machine_rejects_a_topology_without_cages() {
+        let topology = ClusterTopology {
+            num_cages: 0,
+            ..ClusterTopology::caddy()
+        };
+        Machine::new(topology, NodePowerModel::caddy(), IoWaitPolicy::BusyWait);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one node")]
+    fn machine_rejects_empty_cages() {
+        let topology = ClusterTopology {
+            nodes_per_cage: 0,
+            ..ClusterTopology::caddy()
+        };
+        Machine::new(topology, NodePowerModel::caddy(), IoWaitPolicy::BusyWait);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first observation")]
+    fn power_noise_cannot_be_added_to_an_observed_machine() {
+        let mut m = Machine::caddy(IoWaitPolicy::BusyWait);
+        m.begin_phase(t(0), JobPhase::Simulate);
+        let _ = m.with_power_noise(7, 0.01);
     }
 
     #[test]
