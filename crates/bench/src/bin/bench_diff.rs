@@ -2,400 +2,31 @@
 //! regressions.
 //!
 //! ```text
-//! bench_diff OLD.json NEW.json [--check] [--threshold PCT]
+//! bench_diff OLD.json NEW.json [--check] [--threshold PCT] [--ratios-only]
 //! ```
 //!
-//! Both files are flattened to dotted numeric leaves
-//! (`end_to_end.pipelined_fps`, `no_fault_overhead.rows.in-situ@8h.clean_s`,
-//! ...; array elements keyed by their `config` label when present, by
-//! index otherwise) and compared leaf by leaf. Each leaf's *direction* is
-//! inferred from its name: throughputs (`*_per_sec`, `*fps`, `speedup`)
-//! are higher-better, durations and overheads (`*_s`, `*_ms`, `*_us`,
-//! `*seconds`, `*overhead_pct`) are lower-better, everything else
-//! (shapes, byte counts, host facts) is informational only. Percentage
-//! leaves compare in absolute points; everything else relatively.
-//!
-//! With `--check`, exits nonzero when any directional leaf moves the
-//! harmful way by more than the threshold (default 10%), or when a
-//! boolean/string witness (`bit_identical`, seeded digests) changes at
-//! all. `host.*` is always ignored — the host is allowed to differ.
-//!
-//! With `--ratios-only`, raw durations and throughputs are reported but
-//! never gated: only machine-normalized leaves (`*_pct`, `*speedup*`)
-//! and the correctness witnesses can fail the check. Use this when the
-//! two generations come from different machines (the CI baseline job),
-//! where absolute seconds measure the runner, not the code.
+//! Prints [`ivis_bench::report::compare`]'s leaf-by-leaf diff (the rules
+//! live there). With `--check`, exits nonzero on any regression past the
+//! threshold (default 10%), any changed digest and any missing leaf.
+//! `--ratios-only` gates only machine-normalized leaves and witnesses, for
+//! generations from different machines. Every `*_bench --check` runs the
+//! same comparison against its committed file with `--threshold 60
+//! --ratios-only`.
 
-use std::collections::BTreeMap;
 use std::process::exit;
 
-// --- minimal JSON value + recursive-descent parser (no dependencies) ---
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            s: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> ! {
-        panic!("JSON parse error at byte {}: {what}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.skip_ws();
-        if self.i >= self.s.len() {
-            self.err("unexpected end of input");
-        }
-        self.s[self.i]
-    }
-
-    fn eat(&mut self, c: u8) {
-        if self.peek() != c {
-            self.err(&format!("expected '{}'", c as char));
-        }
-        self.i += 1;
-    }
-
-    fn eat_lit(&mut self, lit: &str) {
-        self.skip_ws();
-        if !self.s[self.i..].starts_with(lit.as_bytes()) {
-            self.err(&format!("expected '{lit}'"));
-        }
-        self.i += lit.len();
-    }
-
-    fn value(&mut self) -> Json {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Json::Str(self.string()),
-            b't' => {
-                self.eat_lit("true");
-                Json::Bool(true)
-            }
-            b'f' => {
-                self.eat_lit("false");
-                Json::Bool(false)
-            }
-            b'n' => {
-                self.eat_lit("null");
-                Json::Null
-            }
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Json {
-        self.eat(b'{');
-        let mut fields = Vec::new();
-        if self.peek() == b'}' {
-            self.i += 1;
-            return Json::Obj(fields);
-        }
-        loop {
-            let key = match self.peek() {
-                b'"' => self.string(),
-                _ => self.err("expected object key"),
-            };
-            self.eat(b':');
-            fields.push((key, self.value()));
-            match self.peek() {
-                b',' => self.i += 1,
-                b'}' => {
-                    self.i += 1;
-                    return Json::Obj(fields);
-                }
-                _ => self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Json {
-        self.eat(b'[');
-        let mut items = Vec::new();
-        if self.peek() == b']' {
-            self.i += 1;
-            return Json::Arr(items);
-        }
-        loop {
-            items.push(self.value());
-            match self.peek() {
-                b',' => self.i += 1,
-                b']' => {
-                    self.i += 1;
-                    return Json::Arr(items);
-                }
-                _ => self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.eat(b'"');
-        let mut out = String::new();
-        loop {
-            if self.i >= self.s.len() {
-                self.err("unterminated string");
-            }
-            match self.s[self.i] {
-                b'"' => {
-                    self.i += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.i += 1;
-                    let c = self.s[self.i];
-                    self.i += 1;
-                    match c {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(&self.s[self.i..self.i + 4])
-                                .unwrap_or_else(|_| self.err("bad \\u escape"));
-                            let code = u32::from_str_radix(hex, 16)
-                                .unwrap_or_else(|_| self.err("bad \\u escape"));
-                            self.i += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => self.err("unknown escape"),
-                    }
-                }
-                c => {
-                    // UTF-8 continuation bytes pass through untouched.
-                    out.push(c as char);
-                    self.i += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Json {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.s.len()
-            && matches!(
-                self.s[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.s[start..self.i]).unwrap();
-        match text.parse() {
-            Ok(n) => Json::Num(n),
-            Err(_) => self.err("bad number"),
-        }
-    }
-}
-
-fn parse(text: &str) -> Json {
-    let mut p = Parser::new(text);
-    let v = p.value();
-    p.skip_ws();
-    if p.i != p.s.len() {
-        p.err("trailing garbage");
-    }
-    v
-}
-
-// --- flattening ---
-
-#[derive(Debug, Clone, PartialEq)]
-enum Leaf {
-    Num(f64),
-    Bool(bool),
-    Str(String),
-}
-
-/// Flatten to `path -> leaf`, keying array-of-object elements by their
-/// `config` field when they carry one (the convention every BENCH row
-/// uses), so rows still line up after reordering or insertion.
-fn flatten(v: &Json, prefix: &str, out: &mut BTreeMap<String, Leaf>) {
-    let join = |key: &str| {
-        if prefix.is_empty() {
-            key.to_string()
-        } else {
-            format!("{prefix}.{key}")
-        }
-    };
-    match v {
-        Json::Obj(fields) => {
-            for (k, val) in fields {
-                flatten(val, &join(k), out);
-            }
-        }
-        Json::Arr(items) => {
-            for (i, item) in items.iter().enumerate() {
-                let key = match item {
-                    Json::Obj(fields) => fields
-                        .iter()
-                        .find_map(|(k, v)| match (k.as_str(), v) {
-                            ("config", Json::Str(s)) => Some(s.clone()),
-                            _ => None,
-                        })
-                        .unwrap_or_else(|| i.to_string()),
-                    _ => i.to_string(),
-                };
-                flatten(item, &join(&key), out);
-            }
-        }
-        Json::Num(n) => {
-            out.insert(prefix.to_string(), Leaf::Num(*n));
-        }
-        Json::Bool(b) => {
-            out.insert(prefix.to_string(), Leaf::Bool(*b));
-        }
-        Json::Str(s) => {
-            out.insert(prefix.to_string(), Leaf::Str(s.clone()));
-        }
-        Json::Null => {}
-    }
-}
-
-// --- direction heuristics ---
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Direction {
-    HigherBetter,
-    LowerBetter,
-    Informational,
-}
-
-fn direction(path: &str) -> Direction {
-    let name = path.rsplit('.').next().unwrap_or(path);
-    let higher = ["per_sec", "fps", "speedup"];
-    if higher.iter().any(|h| name.contains(h)) {
-        return Direction::HigherBetter;
-    }
-    if name.contains("overhead_pct")
-        || name.ends_with("_s")
-        || name.ends_with("_ms")
-        || name.ends_with("_us")
-        || name.ends_with("seconds")
-    {
-        return Direction::LowerBetter;
-    }
-    Direction::Informational
-}
-
-/// Harmful movement of `new` relative to `old`, as a positive percentage
-/// (relative for ordinary leaves, absolute points for `*_pct` leaves —
-/// an overhead going 0.1% → 1.5% is a 1.4-point move, not a 1400% one).
-fn regression_pct(path: &str, old: f64, new: f64) -> f64 {
-    let name = path.rsplit('.').next().unwrap_or(path);
-    let harmful = match direction(path) {
-        Direction::HigherBetter => old - new,
-        Direction::LowerBetter => new - old,
-        Direction::Informational => return 0.0,
-    };
-    if name.ends_with("_pct") || old.abs() < 1e-12 {
-        harmful
-    } else {
-        harmful / old.abs() * 100.0
-    }
-}
-
-/// Does this leaf stay comparable when the two generations come from
-/// different machines? Percentages and speedups are self-normalized;
-/// seconds and throughputs measure the host.
-fn machine_normalized(path: &str) -> bool {
-    let name = path.rsplit('.').next().unwrap_or(path);
-    name.ends_with("_pct") || name.contains("speedup")
-}
+use ivis_bench::report::{compare, read, Json};
 
 fn usage() -> ! {
     eprintln!("usage: bench_diff OLD.json NEW.json [--check] [--threshold PCT] [--ratios-only]");
     exit(2);
 }
 
-/// Compare baseline leaves against candidate leaves, printing the diff
-/// and returning `(unchanged_count, regressions)`. A baseline leaf
-/// *missing* from the candidate is always a regression — a renamed or
-/// dropped metric silently un-gates itself otherwise — regardless of
-/// `ratios_only` (shape is correctness, not a machine-bound quantity).
-fn compare(
-    old: &BTreeMap<String, Leaf>,
-    new: &BTreeMap<String, Leaf>,
-    threshold: f64,
-    ratios_only: bool,
-) -> (usize, Vec<String>) {
-    let mut regressions = Vec::new();
-    let mut unchanged = 0usize;
-    for (path, old_leaf) in old {
-        let Some(new_leaf) = new.get(path) else {
-            println!("- {path}: removed [MISSING LEAF]");
-            regressions.push(format!(
-                "{path}: present in baseline but missing from candidate"
-            ));
-            continue;
-        };
-        match (old_leaf, new_leaf) {
-            (Leaf::Num(a), Leaf::Num(b)) => {
-                if a == b {
-                    unchanged += 1;
-                    continue;
-                }
-                let reg = regression_pct(path, *a, *b);
-                let gated = !ratios_only || machine_normalized(path);
-                let rel = if a.abs() > 1e-12 {
-                    format!("{:+.2}%", (b - a) / a.abs() * 100.0)
-                } else {
-                    format!("{:+.4}", b - a)
-                };
-                let tag = match direction(path) {
-                    _ if reg > threshold && gated => "REGRESSION",
-                    Direction::Informational => "info",
-                    _ if reg > 0.0 && !gated => "worse (not gated: machine-bound)",
-                    _ if reg > 0.0 => "worse (within threshold)",
-                    _ => "better",
-                };
-                println!("  {path}: {a} -> {b} ({rel}) [{tag}]");
-                if reg > threshold && gated {
-                    regressions.push(format!("{path}: {a} -> {b} ({reg:.2} past threshold)"));
-                }
-            }
-            (a, b) if a == b => unchanged += 1,
-            (a, b) => {
-                // bit_identical flags and seeded digests are correctness
-                // witnesses: any change is a failure, not a perf delta.
-                println!("  {path}: {a:?} -> {b:?} [WITNESS CHANGED]");
-                regressions.push(format!("{path}: witness changed"));
-            }
-        }
-    }
-    for path in new.keys() {
-        if !old.contains_key(path) {
-            println!("+ {path}: added");
-        }
-    }
-    (unchanged, regressions)
+fn load(path: &str) -> Json {
+    read(path).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2);
+    })
 }
 
 fn main() {
@@ -417,142 +48,14 @@ fn main() {
             _ => files.push(arg),
         }
     }
-    if files.len() != 2 {
+    let [old, new] = files.as_slice() else {
         usage();
-    }
-    let read = |path: &str| -> BTreeMap<String, Leaf> {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let mut out = BTreeMap::new();
-        flatten(&parse(&text), "", &mut out);
-        // The host is allowed to differ between generations.
-        out.retain(|k, _| !k.starts_with("host."));
-        out
     };
-    let old = read(&files[0]);
-    let new = read(&files[1]);
-
-    let (unchanged, regressions) = compare(&old, &new, threshold, ratios_only);
-    println!(
-        "compared {} leaves: {unchanged} unchanged, {} regression(s) \
-         (threshold {threshold}%)",
-        old.len(),
-        regressions.len()
-    );
+    let (_, regressions) = compare(&load(old), &load(new), threshold, ratios_only);
     if check && !regressions.is_empty() {
         for r in &regressions {
             eprintln!("FAIL: {r}");
         }
         exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn leaves(text: &str) -> BTreeMap<String, Leaf> {
-        let mut out = BTreeMap::new();
-        flatten(&parse(text), "", &mut out);
-        out
-    }
-
-    #[test]
-    fn parses_and_flattens_bench_shapes() {
-        let out = leaves(
-            r#"{ "host": { "available_parallelism": 1, "zsim_threads": null },
-                 "rows": [
-                   { "config": "in-situ@8h", "clean_s": 0.5, "ok": true },
-                   { "config": "post@8h", "clean_s": 0.25 }
-                 ],
-                 "end_to_end": { "pipelined_fps": 12.5, "note": "x" } }"#,
-        );
-        assert_eq!(out.get("rows.in-situ@8h.clean_s"), Some(&Leaf::Num(0.5)));
-        assert_eq!(out.get("rows.in-situ@8h.ok"), Some(&Leaf::Bool(true)));
-        assert_eq!(out.get("end_to_end.pipelined_fps"), Some(&Leaf::Num(12.5)));
-        assert_eq!(out.get("end_to_end.note"), Some(&Leaf::Str("x".into())));
-        // nulls vanish; host stays at this layer (main() strips it).
-        assert!(!out.contains_key("host.zsim_threads"));
-        assert!(out.contains_key("host.available_parallelism"));
-    }
-
-    #[test]
-    fn directions_follow_leaf_names() {
-        assert_eq!(
-            direction("end_to_end.pipelined_fps"),
-            Direction::HigherBetter
-        );
-        assert_eq!(
-            direction("solver.optimized_steps_per_sec"),
-            Direction::HigherBetter
-        );
-        assert_eq!(direction("png_encode.speedup"), Direction::HigherBetter);
-        assert_eq!(direction("rows.x.clean_s"), Direction::LowerBetter);
-        assert_eq!(
-            direction("no_fault_overhead.aggregate_overhead_pct"),
-            Direction::LowerBetter
-        );
-        assert_eq!(direction("solver.nx"), Direction::Informational);
-        assert_eq!(direction("png_encode.png_bytes"), Direction::Informational);
-    }
-
-    #[test]
-    fn regressions_are_directional() {
-        // fps dropping 20% is a 20% regression; rising is negative.
-        assert!((regression_pct("a.fps", 10.0, 8.0) - 20.0).abs() < 1e-9);
-        assert!(regression_pct("a.fps", 10.0, 12.0) < 0.0);
-        // durations regress upward.
-        assert!((regression_pct("a.clean_s", 1.0, 1.3) - 30.0).abs() < 1e-9);
-        // pct leaves move in absolute points.
-        assert!((regression_pct("a.overhead_pct", 0.1, 1.5) - 1.4).abs() < 1e-9);
-        // informational leaves never regress.
-        assert_eq!(regression_pct("a.nx", 256.0, 64.0), 0.0);
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
-        let out = leaves(r#"{ "d": "a\"b\\c\nd" }"#);
-        assert_eq!(out.get("d"), Some(&Leaf::Str("a\"b\\c\nd".into())));
-    }
-
-    #[test]
-    fn missing_candidate_leaf_is_a_hard_failure() {
-        // A baseline metric vanishing from the candidate must regress —
-        // previously it printed "removed" and sailed through --check.
-        let old = leaves(r#"{ "rows": [ { "config": "a", "clean_s": 1.0, "fps": 5.0 } ] }"#);
-        let new = leaves(r#"{ "rows": [ { "config": "a", "clean_s": 1.0 } ] }"#);
-        let (_, regressions) = compare(&old, &new, 10.0, false);
-        assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].contains("rows.a.fps"));
-        assert!(regressions[0].contains("missing from candidate"));
-    }
-
-    #[test]
-    fn missing_leaf_fails_even_under_ratios_only() {
-        // --ratios-only exempts machine-bound magnitudes, not shape: a
-        // dropped duration leaf is still a candidate defect.
-        let old = leaves(r#"{ "t": { "wall_s": 2.0 } }"#);
-        let new = leaves(r#"{ "t": {} }"#);
-        let (_, regressions) = compare(&old, &new, 10.0, true);
-        assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].contains("t.wall_s"));
-    }
-
-    #[test]
-    fn added_leaves_and_equal_leaves_do_not_regress() {
-        let old = leaves(r#"{ "a_s": 1.0, "w": "digest" }"#);
-        let new = leaves(r#"{ "a_s": 1.0, "w": "digest", "b_s": 9.0 }"#);
-        let (unchanged, regressions) = compare(&old, &new, 10.0, false);
-        assert_eq!(unchanged, 2);
-        assert!(regressions.is_empty());
-    }
-
-    #[test]
-    fn witness_strings_still_gate_on_change() {
-        let old = leaves(r#"{ "digest": "aaaa" }"#);
-        let new = leaves(r#"{ "digest": "bbbb" }"#);
-        let (_, regressions) = compare(&old, &new, 10.0, true);
-        assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].contains("witness changed"));
     }
 }

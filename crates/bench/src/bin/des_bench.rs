@@ -20,24 +20,12 @@
 //! process ever held more than 64 MiB. The campaign budgets are ≥ 20×
 //! what this host needs and still below what per-cage work per phase
 //! change cost at 10k nodes (0.029 s), so they catch that coming back,
-//! not jitter; trajectory gating is `bench_diff --ratios-only`'s job.
+//! not jitter.
 
-use std::time::Instant;
-
+use ivis_bench::obj;
+use ivis_bench::report::{time_min_s, Bench};
 use ivis_core::{Campaign, PipelineConfig, PipelineKind};
 use ivis_sim::{DesEngine, SimDuration, SimTime};
-
-/// Minimum wall-clock seconds of `f` over `reps` runs (after warmup).
-fn time_min_s(reps: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup + lazy init
-    (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 /// One self-rescheduling event chain: the single-token shape every
 /// executor uses, so this is the per-event floor of a campaign run.
@@ -91,65 +79,39 @@ fn vm_hwm_mib() -> Option<f64> {
 /// few MiB; per-cage meters would be gigabytes.
 const VM_HWM_BUDGET_MIB: f64 = 64.0;
 
-/// The committed baseline `--check` compares digests against.
-const BASELINE: &str = "BENCH_des.json";
-
 fn main() {
-    let mut out_path = BASELINE.to_string();
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else {
-            out_path = arg;
-        }
-    }
-    let baseline = ivis_bench::baseline::load_for_check(check, BASELINE);
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let zsim = std::env::var("ZSIM_THREADS").ok();
-    let mut failures: Vec<String> = Vec::new();
+    let mut bench = Bench::from_args("des");
 
     // --- raw engine throughput ---
     const CHAIN_EVENTS: u64 = 1_000_000;
     const CHURN_EVENTS: u64 = 200_000;
-    let chain_s = time_min_s(3, || hot_chain(CHAIN_EVENTS));
-    let chain_eps = CHAIN_EVENTS as f64 / chain_s;
-    let churn_s = time_min_s(3, || wheel_churn(CHURN_EVENTS));
-    let churn_eps = CHURN_EVENTS as f64 / churn_s;
-    eprintln!("{:>22}: {chain_eps:.0} events/s", "engine/hot_chain");
-    eprintln!("{:>22}: {churn_eps:.0} events/s", "engine/wheel_churn");
-    if check && chain_eps < 1e6 {
-        failures.push(format!(
-            "engine hot chain sustained only {chain_eps:.0} events/s (1M floor)"
-        ));
-    }
+    let chain_eps = CHAIN_EVENTS as f64 / time_min_s(3, || hot_chain(CHAIN_EVENTS));
+    let churn_eps = CHURN_EVENTS as f64 / time_min_s(3, || wheel_churn(CHURN_EVENTS));
+    bench.gate(chain_eps >= 1e6, || {
+        format!("engine hot chain sustained only {chain_eps:.0} events/s (1M floor)")
+    });
+    let engine = obj! { "rows" => vec![
+        obj! { "config" => "engine/hot_chain", "events" => CHAIN_EVENTS, "events_per_sec" => chain_eps },
+        obj! { "config" => "engine/wheel_churn", "events" => CHURN_EVENTS, "events_per_sec" => churn_eps },
+    ] };
+    bench.section("engine", engine);
 
     // --- the executors across the paper matrix ---
     let campaign = Campaign::paper();
-    let mut witnesses = Vec::new();
     let mut rows = Vec::new();
     for pc in PipelineConfig::paper_matrix() {
         let label = format!("{}@{}h", pc.kind.label(), pc.rate.every_hours);
         let (m, events) = campaign
             .try_run_des_with_events(&pc)
             .expect("clean run cannot fail");
-        let wall_s = time_min_s(5, || {
-            std::hint::black_box(campaign.run(&pc));
-        });
+        let wall_s = time_min_s(5, || campaign.run(&pc));
         let eps = events as f64 / wall_s;
-        eprintln!(
-            "{label:>22}: {:.3} ms ({events} events, {eps:.0} ev/s)",
-            wall_s * 1e3
-        );
-        let digest = m.digest();
-        rows.push(format!(
-            "    {{ \"config\": \"{label}\", \"des_s\": {wall_s:.6}, \"des_events\": {events}, \
-             \"des_events_per_sec\": {eps:.0}, \"digest\": \"{digest}\" }}"
-        ));
-        witnesses.push((label, digest));
+        rows.push(obj! {
+            "config" => label, "des_s" => wall_s, "des_events" => events,
+            "des_events_per_sec" => eps, "digest" => m.digest(),
+        });
     }
+    bench.section("paper_matrix", obj! { "rows" => rows });
 
     // --- the exascale what-ifs: 10 000- to 1 000 000-node Caddys ---
     let pc = PipelineConfig::paper(PipelineKind::InSitu, 8.0);
@@ -163,58 +125,24 @@ fn main() {
         let (m, events) = big
             .try_run_des_with_events(&pc)
             .expect("clean run cannot fail");
-        let wall_s = time_min_s(3, || {
-            std::hint::black_box(big.run(&pc));
+        let wall_s = time_min_s(3, || big.run(&pc));
+        bench.gate(wall_s <= budget_s, || {
+            format!("{nodes}-node campaign took {wall_s:.4} s of wall clock ({budget_s} s budget)")
         });
-        let digest = m.digest();
-        eprintln!(
-            "{label:>22}: {:.3} ms ({events} events) digest {digest}",
-            wall_s * 1e3
-        );
-        if check && wall_s > budget_s {
-            failures.push(format!(
-                "{nodes}-node campaign took {wall_s:.4} s of wall clock ({budget_s} s budget)"
-            ));
-        }
-        big_rows.push(format!(
-            "    {{ \"config\": \"{label}\", \"wall_s\": {wall_s:.6}, \"des_events\": {events}, \
-             \"digest\": \"{digest}\" }}"
-        ));
-        witnesses.push((label.to_string(), digest));
+        big_rows.push(obj! {
+            "config" => label, "wall_s" => wall_s, "des_events" => events, "digest" => m.digest(),
+        });
     }
     let vm_hwm = vm_hwm_mib();
     if let Some(mib) = vm_hwm {
-        eprintln!("{:>22}: {mib:.1} MiB", "VmHWM");
-        if check && mib > VM_HWM_BUDGET_MIB {
-            failures.push(format!(
+        bench.gate(mib <= VM_HWM_BUDGET_MIB, || {
+            format!(
                 "peak resident set {mib:.1} MiB after the 1M-node campaign \
                  ({VM_HWM_BUDGET_MIB} MiB budget)"
-            ));
-        }
+            )
+        });
     }
-    if let Some(baseline) = &baseline {
-        failures.extend(ivis_bench::baseline::digest_mismatches(
-            baseline, &witnesses,
-        ));
-    }
-
-    // --- artifact ---
-    let json = format!(
-        "{{\n  \"host\": {{ \"available_parallelism\": {host_threads}, \"zsim_threads\": {} }},\n  \
-         \"engine\": {{ \"rows\": [\n    \
-         {{ \"config\": \"engine/hot_chain\", \"events\": {CHAIN_EVENTS}, \"events_per_sec\": {chain_eps:.0} }},\n    \
-         {{ \"config\": \"engine/wheel_churn\", \"events\": {CHURN_EVENTS}, \"events_per_sec\": {churn_eps:.0} }}\n  ] }},\n  \
-         \"paper_matrix\": {{\n  \"rows\": [\n{}\n  ] }},\n  \
-         \"exascale\": {{\n  \"vm_hwm_mib\": {},\n  \"rows\": [\n{}\n  ] }}\n}}\n",
-        zsim.map_or("null".to_string(), |v| format!("\"{v}\"")),
-        rows.join(",\n"),
-        vm_hwm.map_or("null".to_string(), |mib| format!("{mib:.1}")),
-        big_rows.join(",\n"),
-    );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    eprintln!("wrote {out_path}");
-
-    if check {
-        ivis_bench::baseline::exit_on_failures(&failures);
-    }
+    let exascale = obj! { "vm_hwm_mib" => vm_hwm, "rows" => big_rows };
+    bench.section("exascale", exascale);
+    bench.finish();
 }

@@ -5,8 +5,11 @@
 //!
 //! 1. **Sampling cost** (gated): reconstructing the per-component W(t)
 //!    [`PowerTimeline`]s from a finished run's power profiles at the
-//!    paper cadence, on top of an untraced (`Recorder::off()`) run.
-//!    The off-recorder hot path itself is audited allocation-free by
+//!    paper cadence, timed by itself (`telemetry_s`) and reported as a
+//!    share of the untraced (`Recorder::off()`) run (`overhead_pct`).
+//!    Timing it alone rather than as the difference of two full runs
+//!    keeps run-to-run noise out of a sub-percent figure. The
+//!    off-recorder hot path itself is audited allocation-free by
 //!    `crates/obs/tests/off_zero_alloc.rs`; this bench enforces the
 //!    wall-clock half: with `--check`, exits nonzero if the aggregate
 //!    overhead exceeds 2%.
@@ -20,42 +23,17 @@
 //!
 //! [`PowerTimeline`]: ivis_obs::telemetry::PowerTimeline
 
-use std::time::Instant;
-
+use ivis_bench::obj;
+use ivis_bench::report::{time_min_s, Bench};
 use ivis_core::{Campaign, PipelineConfig};
 use ivis_obs::telemetry::paper_cadence;
 use ivis_obs::{to_chrome_trace, to_prometheus, Recorder};
 
-/// Minimum wall-clock seconds of `f` over `reps` runs (after warmup).
-///
-/// Minimum, not median: every path does identical deterministic work, so
-/// the best observation is the least-noisy estimate of the true cost.
-fn time_min_s(reps: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup + lazy init
-    (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
+/// The sampling budget, percent of an untraced run.
+const BUDGET_PCT: f64 = 2.0;
 
 fn main() {
-    let mut out_path = "BENCH_obs.json".to_string();
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else {
-            out_path = arg;
-        }
-    }
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let zsim = std::env::var("ZSIM_THREADS").ok();
-
+    let mut bench = Bench::from_args("obs");
     let campaign = Campaign::paper();
     let cadence = paper_cadence();
     let reps = 5;
@@ -77,13 +55,9 @@ fn main() {
             "{label}: sampled {sampled} J vs metered {metered} J"
         );
 
-        let plain_s = time_min_s(reps, || {
-            std::hint::black_box(campaign.run(&pc));
-        });
-        let telem_s = time_min_s(reps, || {
-            let m = campaign.run(&pc);
-            std::hint::black_box(campaign.telemetry(&m, cadence));
-        });
+        let plain_s = time_min_s(reps, || campaign.run(&pc));
+        // The step is microseconds: more repetitions cost nothing.
+        let telem_s = time_min_s(reps * 10, || campaign.telemetry(&m, cadence));
         let traced_s = time_min_s(reps, || {
             let mut traced = Campaign::paper();
             let rec = Recorder::in_memory();
@@ -91,30 +65,32 @@ fn main() {
             let m = traced.run(&pc);
             let tel = traced.telemetry(&m, cadence);
             tel.record_gauges(&rec);
-            std::hint::black_box(rec.into_buffer());
+            rec.into_buffer()
         });
-        let overhead_pct = (telem_s / plain_s - 1.0) * 100.0;
+        let overhead_pct = telem_s / plain_s * 100.0;
         let traced_pct = (traced_s / plain_s - 1.0) * 100.0;
-        eprintln!(
-            "{label:>20}: plain {:.3} ms, +telemetry {:.3} ms ({overhead_pct:+.2}%), \
-             traced {:.3} ms ({traced_pct:+.2}%)",
-            plain_s * 1e3,
-            telem_s * 1e3,
-            traced_s * 1e3
-        );
         plain_total += plain_s;
         telem_total += telem_s;
         traced_total += traced_s;
-        rows.push((label, plain_s, telem_s, overhead_pct, traced_s, traced_pct));
+        rows.push(obj! {
+            "config" => label, "plain_s" => plain_s, "telemetry_s" => telem_s,
+            "overhead_pct" => overhead_pct, "traced_s" => traced_s, "traced_overhead_pct" => traced_pct,
+        });
     }
-    let aggregate_pct = (telem_total / plain_total - 1.0) * 100.0;
+    let aggregate_pct = telem_total / plain_total * 100.0;
     let traced_aggregate_pct = (traced_total / plain_total - 1.0) * 100.0;
-    eprintln!(
-        "aggregate: plain {:.3} ms, +telemetry {:.3} ms ({aggregate_pct:+.2}%), \
-         traced ({traced_aggregate_pct:+.2}%)",
-        plain_total * 1e3,
-        telem_total * 1e3
-    );
+    bench.gate(aggregate_pct <= BUDGET_PCT, || {
+        format!(
+            "power-timeline sampling costs {aggregate_pct:.2}% of the \
+             untraced runs ({BUDGET_PCT}% budget)"
+        )
+    });
+    let overhead = obj! {
+        "cadence_s" => cadence.as_secs_f64(), "rows" => rows,
+        "aggregate_overhead_pct" => aggregate_pct,
+        "traced_aggregate_overhead_pct" => traced_aggregate_pct,
+    };
+    bench.section("telemetry_overhead", overhead);
 
     // --- the uploadable artifacts: one fully traced paper run ---
     let mut traced = Campaign::paper();
@@ -128,7 +104,7 @@ fn main() {
     let prom = rec
         .with_buffer(|b| to_prometheus(&b.metrics))
         .expect("recorder is on");
-    let dir = std::path::Path::new(&out_path)
+    let dir = std::path::Path::new(bench.out_path())
         .parent()
         .map(|p| p.to_path_buf())
         .unwrap_or_default();
@@ -142,35 +118,5 @@ fn main() {
         chrome.matches("\"ph\":").count(),
         prom_path.display()
     );
-
-    let row_json: Vec<String> = rows
-        .iter()
-        .map(|(label, p, t, pct, tr, trpct)| {
-            format!(
-                "    {{ \"config\": \"{label}\", \"plain_s\": {p:.6}, \
-                 \"telemetry_s\": {t:.6}, \"overhead_pct\": {pct:.3}, \
-                 \"traced_s\": {tr:.6}, \"traced_overhead_pct\": {trpct:.3} }}"
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"host\": {{ \"available_parallelism\": {host_threads}, \"zsim_threads\": {} }},\n  \
-         \"telemetry_overhead\": {{\n  \"cadence_s\": {},\n  \"rows\": [\n{}\n  ],\n  \
-         \"aggregate_overhead_pct\": {aggregate_pct:.3}, \
-         \"traced_aggregate_overhead_pct\": {traced_aggregate_pct:.3}, \
-         \"integral_matches_meter\": true, \"off_recorder_zero_alloc\": true }}\n}}\n",
-        zsim.map_or("null".to_string(), |v| format!("\"{v}\"")),
-        cadence.as_secs_f64(),
-        row_json.join(",\n"),
-    );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    eprintln!("wrote {out_path}");
-
-    if check && aggregate_pct > 2.0 {
-        eprintln!(
-            "FAIL: power-timeline sampling costs {aggregate_pct:.2}% over the \
-             untraced runs (2% budget)"
-        );
-        std::process::exit(1);
-    }
+    bench.finish();
 }

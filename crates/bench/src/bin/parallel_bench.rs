@@ -1,11 +1,11 @@
 //! Scaling benchmark for the threaded rayon shim: fig2 render + fig9
-//! sweep + fig8 campaign matrix, sequential baseline vs N worker threads.
+//! sweep, sequential baseline vs N worker threads.
 //!
 //! Writes `BENCH_parallel.json` (or the path given as the first non-flag
 //! argument). The sequential baseline for the render is
 //! [`rasterize_reference`] — the seed's original naive per-pixel renderer —
 //! so the recorded speedup is the combined effect of the table-driven
-//! sampling kernel and row-level threading; outputs are verified
+//! sampling kernel and row-level threading; outputs are asserted
 //! bit-identical before timing. The host's `available_parallelism` is
 //! recorded so single-core results read honestly: thread counts above it
 //! cannot add wall-clock speedup there.
@@ -15,11 +15,10 @@
 //! tolerance — the CI gate for the shim's auto-granularity scheduling:
 //! dispatching must never cost wall-clock time, whatever the grain.
 
-use std::time::Instant;
-
+use ivis_bench::obj;
+use ivis_bench::report::{time_min_s, Bench, Json};
 use ivis_core::adaptor::CatalystAdaptor;
-use ivis_core::campaign::Campaign;
-use ivis_core::{PipelineConfig, PipelineKind};
+use ivis_core::PipelineKind;
 use ivis_model::WhatIfAnalyzer;
 use ivis_ocean::grid::Grid;
 use ivis_ocean::shallow_water::{ShallowWaterModel, SwParams};
@@ -30,20 +29,6 @@ use ivis_viz::render::FieldRenderer;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Median wall-clock milliseconds of `f` over `reps` runs (after warmup).
-fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup + lazy init
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn spun_up_field() -> Field2D {
     let grid = Grid::channel(96, 64, 60_000.0);
     let params = SwParams::eddy_channel(&grid);
@@ -53,51 +38,44 @@ fn spun_up_field() -> Field2D {
     CatalystAdaptor::new().adapt(&m).okubo_weiss
 }
 
-fn json_threads(entries: &[(usize, f64)]) -> String {
-    let fields: Vec<String> = entries
-        .iter()
-        .map(|(n, ms)| format!("\"{n}\": {ms:.4}"))
-        .collect();
-    format!("{{ {} }}", fields.join(", "))
-}
-
-/// Gate: no threaded config may be slower than its own 1-thread time
-/// beyond `TOLERANCE`. Returns the failures as human-readable lines.
-fn regressions(section: &str, entries: &[(usize, f64)]) -> Vec<String> {
+/// Milliseconds of `f` at each of [`THREADS`], gated: no threaded run may
+/// be slower than the 1-thread one beyond 15%. Returns the
+/// `threaded_ms` object and the 4-thread time.
+fn per_thread_ms<R>(
+    bench: &mut Bench,
+    section: &str,
+    reps: usize,
+    mut f: impl FnMut() -> R,
+) -> (Json, f64) {
     const TOLERANCE: f64 = 1.15;
-    let base = entries
+    let ms: Vec<f64> = THREADS
         .iter()
-        .find(|&&(n, _)| n == 1)
-        .expect("1-thread entry present")
-        .1;
-    entries
-        .iter()
-        .filter(|&&(n, ms)| n != 1 && ms > base * TOLERANCE)
-        .map(|&(n, ms)| {
-            format!("{section}: {n} threads {ms:.4} ms > 1 thread {base:.4} ms x {TOLERANCE}")
+        .map(|&n| {
+            rayon::set_num_threads(n);
+            time_min_s(reps, &mut f) * 1e3
         })
-        .collect()
+        .collect();
+    rayon::set_num_threads(0);
+    let base = ms[0];
+    for (&n, &t) in THREADS.iter().zip(&ms).skip(1) {
+        bench.gate(t <= base * TOLERANCE, || {
+            format!("{section}: {n} threads {t:.4} ms > 1 thread {base:.4} ms x {TOLERANCE}")
+        });
+    }
+    let threaded = THREADS
+        .iter()
+        .zip(&ms)
+        .map(|(n, &t)| (n.to_string(), Json::Num(t)))
+        .collect();
+    (Json::Obj(threaded), ms[2])
 }
 
 fn main() {
-    let mut out_path = "BENCH_parallel.json".to_string();
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else {
-            out_path = arg;
-        }
-    }
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let zsim = std::env::var("ZSIM_THREADS").ok();
-    let mut failures: Vec<String> = Vec::new();
+    let mut bench = Bench::from_args("parallel");
 
     // --- fig2 render: seed's naive sequential renderer vs threaded ---
     let w_field = spun_up_field();
-    let mut fig2_sections = Vec::new();
+    let mut fig2_rows = Vec::new();
     for (width, height) in [(192usize, 128usize), (720, 512)] {
         let renderer = FieldRenderer::okubo_weiss(width, height);
         let (lo, hi) = renderer.resolve_range(&w_field);
@@ -108,101 +86,31 @@ fn main() {
             "threaded render must be bit-identical before it is timed"
         );
         let reps = if width >= 700 { 15 } else { 40 };
-        let baseline_ms = time_ms(reps, || {
-            std::hint::black_box(rasterize_reference(
-                &w_field,
-                width,
-                height,
-                renderer.colormap,
-                lo,
-                hi,
-            ));
-        });
-        let mut per_thread = Vec::new();
-        for n in THREADS {
-            rayon::set_num_threads(n);
-            let ms = time_ms(reps, || {
-                std::hint::black_box(renderer.render(&w_field));
+        let baseline_ms = time_min_s(reps, || {
+            rasterize_reference(&w_field, width, height, renderer.colormap, lo, hi)
+        }) * 1e3;
+        let (threaded_ms, at4) =
+            per_thread_ms(&mut bench, &format!("fig2 {width}x{height}"), reps, || {
+                renderer.render(&w_field)
             });
-            per_thread.push((n, ms));
-        }
-        rayon::set_num_threads(0);
-        failures.extend(regressions(&format!("fig2 {width}x{height}"), &per_thread));
-        let at4 = per_thread.iter().find(|&&(n, _)| n == 4).unwrap().1;
-        eprintln!(
-            "fig2 {width}x{height}: baseline {baseline_ms:.3} ms, 4 threads {at4:.3} ms ({:.2}x)",
-            baseline_ms / at4
-        );
-        fig2_sections.push(format!(
-            "    {{ \"width\": {width}, \"height\": {height}, \
-             \"sequential_baseline_ms\": {baseline_ms:.4}, \
-             \"threaded_ms\": {}, \
-             \"speedup_at_4_threads\": {:.3}, \"bit_identical\": true }}",
-            json_threads(&per_thread),
-            baseline_ms / at4
-        ));
+        fig2_rows.push(obj! {
+            "width" => width, "height" => height, "sequential_baseline_ms" => baseline_ms,
+            "threaded_ms" => threaded_ms, "speedup_at_4_threads" => baseline_ms / at4,
+        });
     }
+    bench.section("fig2_render", fig2_rows.into());
 
     // --- fig9 sweep: Eq. 4 what-if grid, 1 thread vs N ---
     let analyzer = WhatIfAnalyzer::paper();
     let spec = ProblemSpec::paper_100yr();
     let hours: Vec<f64> = (1..=20_000).map(|i| i as f64 * 0.25).collect();
-    let mut fig9_entries = Vec::new();
-    for n in THREADS {
-        rayon::set_num_threads(n);
-        let ms = time_ms(9, || {
-            std::hint::black_box(analyzer.storage_curve(
-                PipelineKind::PostProcessing,
-                &spec,
-                &hours,
-            ));
-            std::hint::black_box(analyzer.energy_curve(
-                PipelineKind::PostProcessing,
-                &spec,
-                &hours,
-            ));
-        });
-        fig9_entries.push((n, ms));
-    }
-    rayon::set_num_threads(0);
-    failures.extend(regressions("fig9", &fig9_entries));
-
-    // --- fig8 matrix: six-campaign fan-out, 1 thread vs N ---
-    let configs = PipelineConfig::paper_matrix();
-    let mut fig8_entries = Vec::new();
-    for n in THREADS {
-        rayon::set_num_threads(n);
-        let ms = time_ms(5, || {
-            std::hint::black_box(ivis_bench::run_matrix_parallel(Campaign::paper, &configs));
-        });
-        fig8_entries.push((n, ms));
-    }
-    rayon::set_num_threads(0);
-    failures.extend(regressions("fig8", &fig8_entries));
-
-    let json = format!(
-        "{{\n  \"host\": {{ \"available_parallelism\": {host_threads}, \"zsim_threads\": {} }},\n  \
-         \"fig2_render\": [\n{}\n  ],\n  \
-         \"fig9_sweep\": {{ \"grid_points\": {}, \"threaded_ms\": {} }},\n  \
-         \"fig8_matrix\": {{ \"configs\": {}, \"threaded_ms\": {} }}\n}}\n",
-        zsim.map_or("null".to_string(), |v| format!("\"{v}\"")),
-        fig2_sections.join(",\n"),
-        hours.len(),
-        json_threads(&fig9_entries),
-        configs.len(),
-        json_threads(&fig8_entries),
-    );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    eprintln!("wrote {out_path}");
-
-    if check {
-        if failures.is_empty() {
-            eprintln!("OK: no threaded configuration slower than 1 thread (15% tolerance)");
-        } else {
-            for f in &failures {
-                eprintln!("FAIL {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    let (threaded_ms, _) = per_thread_ms(&mut bench, "fig9", 9, || {
+        (
+            analyzer.storage_curve(PipelineKind::PostProcessing, &spec, &hours),
+            analyzer.energy_curve(PipelineKind::PostProcessing, &spec, &hours),
+        )
+    });
+    let fig9 = obj! { "grid_points" => hours.len(), "threaded_ms" => threaded_ms };
+    bench.section("fig9_sweep", fig9);
+    bench.finish();
 }

@@ -11,8 +11,8 @@
 //! Gates under `--check` (the CI contract):
 //!
 //! * **digests match the committed baseline** — the `digest` of every
-//!   tier and of the overload row equals the one `BENCH_serve.json` held
-//!   before this run overwrote it (the reactor is deterministic, so the
+//!   tier and of the overload row equals the one the committed
+//!   `BENCH_serve.json` holds (the reactor is deterministic, so the
 //!   committed file is the reference);
 //! * **zero shed below capacity** — all three client tiers run under
 //!   provisioned capacity and must finish with no 503s;
@@ -24,12 +24,13 @@
 //!   must produce 503s while still answering every request exactly once.
 //!
 //! Output lands in `BENCH_serve.json` (or the path given as the first
-//! non-flag argument), diffed against the committed baseline by
-//! `bench_diff --ratios-only` in CI (`memo_speedup` is the cross-machine
-//! ratio there).
+//! non-flag argument); `memo_speedup` is the ratio `--check` also holds
+//! to the committed one.
 
 use std::time::Instant;
 
+use ivis_bench::obj;
+use ivis_bench::report::Bench;
 use ivis_core::PipelineKind;
 use ivis_model::{SpecId, WhatIfAnalyzer, WhatIfRequest};
 use ivis_obs::Recorder;
@@ -48,12 +49,6 @@ fn server(config: ServerConfig) -> Server {
         WhatIfAnalyzer::paper(),
         CinemaDatabase::synthetic("serve-bench", FRAMES, 64, 64, STEPS_PER_FRAME),
     )
-}
-
-struct TierRow {
-    label: &'static str,
-    report: LoadReport,
-    wall_s: f64,
 }
 
 /// The warmup prefix: one request for every key in the mix's what-if
@@ -113,24 +108,16 @@ fn memo_schedule(n: u64) -> LoadSchedule {
     LoadSchedule { arrivals }
 }
 
-/// The committed baseline `--check` compares digests against.
-const BASELINE: &str = "BENCH_serve.json";
-
 fn main() {
-    let mut out_path = BASELINE.to_string();
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else {
-            out_path = arg;
-        }
-    }
-    let baseline = ivis_bench::baseline::load_for_check(check, BASELINE);
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let zsim = std::env::var("ZSIM_THREADS").ok();
+    let mut bench = Bench::from_args("serve");
+    let defaults = ServerConfig::default();
+    let config = obj! {
+        "service_slots" => defaults.service_slots, "queue_capacity" => defaults.queue_capacity,
+        "batch_window_us" => defaults.batch_window.as_micros(), "max_batch" => defaults.max_batch,
+        "cache_capacity" => defaults.cache_capacity, "shards" => defaults.shards,
+        "frames" => FRAMES,
+    };
+    bench.section("config", config);
 
     // --- client tiers below capacity: must not shed ---
     let tiers: [(&'static str, u32, u32, u64); 3] = [
@@ -138,31 +125,27 @@ fn main() {
         ("10k", 10_000, 4, 1_000_000),
         ("100k", 100_000, 2, 1_000_000),
     ];
-    let srv = server(ServerConfig::default());
-    let mut rows: Vec<TierRow> = Vec::new();
+    let srv = server(defaults);
+    let mut rows = Vec::new();
     for (label, clients, reqs, spread_us) in tiers {
         let schedule = tier_schedule(0x5e21e, clients, reqs, spread_us, LoadMix::default());
         let t0 = Instant::now();
         let report = srv.run_load(&schedule, &Recorder::off(), false);
         let wall_s = t0.elapsed().as_secs_f64();
-        eprintln!(
-            "{label:>5}: {} req, shed {}, whatif p99 {} us, frame p99 {} us, \
-             hit rate {:.1}%, sim {:.0} qps, wall {:.3} s",
-            report.stats.requests,
-            report.stats.shed(),
-            report.whatif.p99_us,
-            report.frame.p99_us,
-            hit_pct(&report),
-            report.sim_qps,
-            wall_s
-        );
-        rows.push(TierRow {
-            label,
-            report,
-            wall_s,
+        let s = &report.stats;
+        bench.gate(s.shed() == 0, || {
+            format!("the below-capacity {label} tier shed {} requests", s.shed())
+        });
+        rows.push(obj! {
+            "config" => label, "requests" => s.requests, "ok" => s.ok, "shed" => s.shed(),
+            "shed_pct" => report.shed_fraction() * 100.0, "cache_hit_pct" => hit_pct(&report),
+            "batches" => s.batches,
+            "whatif_p50_us" => report.whatif.p50_us, "whatif_p99_us" => report.whatif.p99_us,
+            "frame_p50_us" => report.frame.p50_us, "frame_p99_us" => report.frame.p99_us,
+            "sim_qps" => report.sim_qps, "wall_s" => wall_s, "digest" => s.digest(),
         });
     }
-    let zero_shed = rows.iter().all(|r| r.report.stats.shed() == 0);
+    bench.section("tiers", rows.into());
 
     // --- memoization: warm p99 must beat cold p99 by >= 10x ---
     // 1024 requests over 8 keys: the 8 first-touch misses sit below the
@@ -181,12 +164,14 @@ fn main() {
     let warm_wall = t0.elapsed().as_secs_f64();
     let memo_speedup = cold.whatif.p99_us as f64 / warm.whatif.p99_us.max(1) as f64;
     let bytes_identical = cold.stats.content_digest == warm.stats.content_digest;
-    let memo_pass = memo_speedup >= 10.0 && bytes_identical;
-    eprintln!(
-        "memo: cold p99 {} us vs warm p99 {} us ({memo_speedup:.1}x), bytes identical: \
-         {bytes_identical}, wall {:.3} s -> {:.3} s",
-        cold.whatif.p99_us, warm.whatif.p99_us, cold_wall, warm_wall
-    );
+    bench.gate(memo_speedup >= 10.0 && bytes_identical, || {
+        format!("memoized p99 not >=10x cold (got {memo_speedup:.1}x) or bytes diverged")
+    });
+    let memo = obj! {
+        "cold_p99_us" => cold.whatif.p99_us, "warm_p99_us" => warm.whatif.p99_us,
+        "memo_speedup" => memo_speedup, "cold_wall_s" => cold_wall, "warm_wall_s" => warm_wall,
+    };
+    bench.section("memo", memo);
 
     // --- overload: an under-provisioned server must shed, typed ---
     let tight = server(ServerConfig {
@@ -205,97 +190,21 @@ fn main() {
         STEPS_PER_FRAME,
     );
     let overload = tight.run_load(&heavy, &Recorder::off(), false);
-    let answered = overload.stats.ok
-        + overload.stats.bad_requests
-        + overload.stats.not_found
-        + overload.stats.shed();
-    let overload_pass = overload.stats.shed() > 0 && answered == overload.stats.requests;
-    eprintln!(
-        "overload: {} req, shed {} ({:.1}%), every request answered: {}",
-        overload.stats.requests,
-        overload.stats.shed(),
-        overload.shed_fraction() * 100.0,
-        answered == overload.stats.requests
-    );
-
-    let gate_pass = zero_shed && memo_pass && overload_pass;
-    eprintln!("gate: {}", if gate_pass { "PASS" } else { "FAIL" });
-
-    // --- artifact ---
-    let tier_json: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let s = &r.report.stats;
-            format!(
-                "    {{ \"config\": \"{}\", \"requests\": {}, \"ok\": {}, \"shed\": {}, \
-                 \"shed_pct\": {:.3}, \"cache_hit_pct\": {:.3}, \"batches\": {}, \
-                 \"whatif_p50_us\": {}, \"whatif_p99_us\": {}, \"frame_p50_us\": {}, \
-                 \"frame_p99_us\": {}, \"sim_qps\": {:.1}, \"wall_s\": {:.6}, \
-                 \"digest\": \"{}\" }}",
-                r.label,
-                s.requests,
-                s.ok,
-                s.shed(),
-                r.report.shed_fraction() * 100.0,
-                hit_pct(&r.report),
-                s.batches,
-                r.report.whatif.p50_us,
-                r.report.whatif.p99_us,
-                r.report.frame.p50_us,
-                r.report.frame.p99_us,
-                r.report.sim_qps,
-                r.wall_s,
-                s.digest(),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"host\": {{ \"available_parallelism\": {host_threads}, \"zsim_threads\": {} }},\n  \
-         \"config\": {{ \"service_slots\": 8, \"queue_capacity\": 64, \"batch_window_us\": 200, \
-         \"max_batch\": 64, \"cache_capacity\": 4096, \"shards\": 16, \"frames\": {FRAMES} }},\n  \
-         \"tiers\": [\n{}\n  ],\n  \
-         \"memo\": {{ \"cold_p99_us\": {}, \"warm_p99_us\": {}, \"memo_speedup\": {:.3}, \
-         \"bytes_identical\": {bytes_identical}, \"cold_wall_s\": {cold_wall:.6}, \
-         \"warm_wall_s\": {warm_wall:.6} }},\n  \
-         \"overload\": {{ \"config\": \"overload\", \"requests\": {}, \"shed\": {}, \
-         \"shed_pct\": {:.3}, \"all_answered\": {}, \"digest\": \"{}\" }},\n  \
-         \"gates\": {{ \"zero_shed_below_capacity\": {zero_shed}, \"memo_pass\": {memo_pass}, \
-         \"overload_pass\": {overload_pass}, \"pass\": {gate_pass} }}\n}}\n",
-        zsim.map_or("null".to_string(), |v| format!("\"{v}\"")),
-        tier_json.join(",\n"),
-        cold.whatif.p99_us,
-        warm.whatif.p99_us,
-        memo_speedup,
-        overload.stats.requests,
-        overload.stats.shed(),
-        overload.shed_fraction() * 100.0,
-        answered == overload.stats.requests,
-        overload.stats.digest(),
-    );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    eprintln!("wrote {out_path}");
-
-    if let Some(baseline) = baseline {
-        let mut digests: Vec<(String, String)> = rows
-            .iter()
-            .map(|r| (r.label.to_string(), r.report.stats.digest()))
-            .collect();
-        digests.push(("overload".to_string(), overload.stats.digest()));
-        let mut failures = ivis_bench::baseline::digest_mismatches(&baseline, &digests);
-        if !zero_shed {
-            failures.push("a below-capacity tier shed requests".to_string());
-        }
-        if !memo_pass {
-            failures.push(format!(
-                "memoized p99 not >=10x cold (got {memo_speedup:.1}x) or bytes diverged"
-            ));
-        }
-        if !overload_pass {
-            failures.push("overloaded server failed to shed (or dropped requests)".to_string());
-        }
-        ivis_bench::baseline::exit_on_failures(&failures);
-        eprintln!("OK: digests match {BASELINE}; shed, memoization and overload gates hold");
-    }
+    let s = &overload.stats;
+    let answered = s.ok + s.bad_requests + s.not_found + s.shed();
+    bench.gate(s.shed() > 0 && answered == s.requests, || {
+        format!(
+            "overloaded server shed {} and answered {answered} of {}",
+            s.shed(),
+            s.requests
+        )
+    });
+    let shed_pct = overload.shed_fraction() * 100.0;
+    let row = obj! {
+        "requests" => s.requests, "shed" => s.shed(), "shed_pct" => shed_pct, "digest" => s.digest(),
+    };
+    bench.section("overload", row);
+    bench.finish();
 }
 
 fn hit_pct(r: &LoadReport) -> f64 {

@@ -7,9 +7,9 @@
 //! machinery; the integration tests assert the shapes.
 
 pub mod adaptive;
-pub mod baseline;
 pub mod csv;
 pub mod obs_export;
+pub mod report;
 
 use ivis_cluster::IoWaitPolicy;
 use ivis_core::campaign::Campaign;
@@ -22,27 +22,14 @@ use ivis_model::WhatIfAnalyzer;
 use ivis_ocean::{ProblemSpec, SamplingRate};
 use ivis_power::proportionality::Proportionality;
 use ivis_storage::StoragePowerModel;
-use rayon::prelude::*;
 
 /// The paper's three sampling intervals, simulated hours.
 pub const PAPER_RATES: [f64; 3] = [8.0, 24.0, 72.0];
 
-/// Fan a set of pipeline configs out across worker threads, one freshly
-/// built campaign per run. `Campaign::run` is a pure function of the
-/// campaign config and the pipeline config (every run seeds its own RNGs
-/// from `config.seed`), so this returns exactly the metrics a sequential
-/// loop would, in input order.
-pub fn run_matrix_parallel(
-    make_campaign: impl Fn() -> Campaign + Sync,
-    configs: &[PipelineConfig],
-) -> Vec<PipelineMetrics> {
-    configs.par_iter().map(|c| make_campaign().run(c)).collect()
-}
-
 /// Measured metrics for the full 2×3 paper matrix (in-situ first, then
-/// post-processing, each at 8/24/72 h). The six runs execute in parallel.
+/// post-processing, each at 8/24/72 h).
 pub fn paper_matrix() -> Vec<PipelineMetrics> {
-    run_matrix_parallel(Campaign::paper, &PipelineConfig::paper_matrix())
+    Campaign::paper().run_paper_matrix()
 }
 
 /// A generic paper-vs-measured row.
@@ -216,21 +203,19 @@ pub fn fig7_rows() -> Vec<Row> {
 /// against the paper's (603, 6.3, 1.2).
 pub fn eq5_calibration() -> (PerfModel, Vec<Row>) {
     let spec = ProblemSpec::paper_60km();
-    let configs: Vec<PipelineConfig> = [
+    let campaign = Campaign::paper_noisy(2017);
+    let pts: Vec<CalibrationPoint> = [
         (PipelineKind::InSitu, 72.0),
         (PipelineKind::InSitu, 8.0),
         (PipelineKind::PostProcessing, 24.0),
     ]
     .iter()
-    .map(|&(kind, h)| PipelineConfig::paper(kind, h))
+    .map(|&(kind, h)| {
+        let m = campaign.run(&PipelineConfig::paper(kind, h));
+        let (t, s, n) = model_point(&m);
+        CalibrationPoint::new(t, s, n)
+    })
     .collect();
-    let pts: Vec<CalibrationPoint> = run_matrix_parallel(|| Campaign::paper_noisy(2017), &configs)
-        .iter()
-        .map(|m| {
-            let (t, s, n) = model_point(m);
-            CalibrationPoint::new(t, s, n)
-        })
-        .collect();
     let model = calibrate_exact(&[pts[0], pts[1], pts[2]], spec.total_steps())
         .expect("paper points are well-conditioned");
     let rows = vec![
@@ -259,16 +244,14 @@ pub fn eq5_calibration() -> (PerfModel, Vec<Row>) {
 /// Fig. 8 — validate the Eq. 5 model against all six noisy measurements.
 pub fn fig8_validation() -> ValidationReport {
     let (model, _) = eq5_calibration();
-    let pts: Vec<CalibrationPoint> = run_matrix_parallel(
-        || Campaign::paper_noisy(8086),
-        &PipelineConfig::paper_matrix(),
-    )
-    .iter()
-    .map(|m| {
-        let (t, s, n) = model_point(m);
-        CalibrationPoint::new(t, s, n)
-    })
-    .collect();
+    let pts: Vec<CalibrationPoint> = Campaign::paper_noisy(8086)
+        .run_paper_matrix()
+        .iter()
+        .map(|m| {
+            let (t, s, n) = model_point(m);
+            CalibrationPoint::new(t, s, n)
+        })
+        .collect();
     validate(&model, &pts, ProblemSpec::paper_60km().total_steps())
 }
 

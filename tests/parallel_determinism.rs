@@ -2,8 +2,8 @@
 //!
 //! The shim's contract is that chunk shapes and combination order are
 //! functions of the input alone, so every parallel hot path — rendering,
-//! the Okubo-Weiss kernel, band compositing, the Eq. 4 what-if sweeps,
-//! and the campaign fan-out — must produce **bit-identical** output at
+//! the Okubo-Weiss kernel, band compositing and the Eq. 4 what-if
+//! sweeps — must produce **bit-identical** output at
 //! any thread count, and match the sequential reference implementations
 //! (`rasterize_reference` is the seed's original single-threaded
 //! renderer, kept verbatim as the golden).
@@ -14,9 +14,7 @@
 //! momentary thread count — but it means no test may assume a particular
 //! setting is still active while it computes.
 
-use ivis_bench::run_matrix_parallel;
-use ivis_core::campaign::Campaign;
-use ivis_core::{PipelineConfig, PipelineKind};
+use ivis_core::PipelineKind;
 use ivis_model::WhatIfAnalyzer;
 use ivis_ocean::grid::Grid;
 use ivis_ocean::okubo_weiss::okubo_weiss;
@@ -142,28 +140,4 @@ fn eq4_whatif_sweeps_are_bit_identical_and_match_sequential_maps() {
             .collect();
         assert_eq!(energy_bits, seq_energy_bits);
     }
-}
-
-#[test]
-fn campaign_fanout_matches_sequential_matrix() {
-    let configs = PipelineConfig::paper_matrix();
-    let fingerprint = |m: &ivis_core::metrics::PipelineMetrics| {
-        (
-            m.execution_time.as_secs_f64().to_bits(),
-            m.energy_total().joules().to_bits(),
-            m.storage_gb().to_bits(),
-        )
-    };
-    let parallel = identical_at_all_thread_counts(|| {
-        run_matrix_parallel(Campaign::paper, &configs)
-            .iter()
-            .map(fingerprint)
-            .collect::<Vec<_>>()
-    });
-    let sequential: Vec<_> = Campaign::paper()
-        .run_paper_matrix()
-        .iter()
-        .map(fingerprint)
-        .collect();
-    assert_eq!(parallel, sequential);
 }

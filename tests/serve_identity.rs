@@ -20,6 +20,7 @@ use insitu_vis::serve::{
 };
 use insitu_vis::sim::SimTime;
 use insitu_vis::viz::CinemaDatabase;
+use ivis_bench::report::Json;
 use ivis_obs::{to_jsonl, Recorder};
 
 /// Replay `schedule` with the recorder off and on at every thread count
@@ -101,21 +102,24 @@ mod bench {
 #[test]
 fn bench_tier_and_overload_digests_match_golden() {
     let golden = Golden::load();
+    let committed = Json::parse(include_str!("../BENCH_serve.json"))
+        .expect("BENCH_serve.json parses")
+        .flatten();
     let default = bench::server(ServerConfig::default());
     let (tight, heavy) = bench::overload();
-    for (row, srv, schedule) in [
-        ("1k", &default, &bench::tier_1k()),
-        ("overload", &tight, &heavy),
+    for (row, path, srv, schedule) in [
+        ("1k", "tiers.1k.digest", &default, &bench::tier_1k()),
+        ("overload", "overload.digest", &tight, &heavy),
     ] {
         let digest = check(&golden, &format!("bench/{row}"), srv, schedule);
         // The schedules above are copies of `serve_bench`'s: the stats
         // they replay to must be the ones the bench committed for the row.
-        let committed =
-            ivis_bench::baseline::baseline_digest(include_str!("../BENCH_serve.json"), row)
-                .expect("BENCH_serve.json has the row");
+        let Some(Json::Str(pinned)) = committed.get(path) else {
+            panic!("BENCH_serve.json has no {path}");
+        };
         assert_eq!(
             digest.split(" | ").next(),
-            Some(committed),
+            Some(pinned.as_str()),
             "{row}: the copy drifted from serve_bench"
         );
     }
