@@ -16,6 +16,11 @@
 //! 2. **Full tracing cost** (informational): the same runs with an
 //!    in-memory recorder capturing every span, event and metric.
 //!
+//! The `exporters` section then times the JSONL, Perfetto and Prometheus
+//! exports of each traced run and records their byte counts and an
+//! FNV-1a-64 digest of each text, so `--check` fails on any exported
+//! byte that drifts, in all six configurations.
+//!
 //! Writes `BENCH_obs.json` (or the path given as the first non-flag
 //! argument) plus the Perfetto-loadable Chrome trace and Prometheus
 //! snapshot of the traced in-situ @ 72 h run next to it — the artifacts
@@ -24,13 +29,52 @@
 //! [`PowerTimeline`]: ivis_obs::telemetry::PowerTimeline
 
 use ivis_bench::obj;
-use ivis_bench::report::{time_min_s, Bench};
+use ivis_bench::report::{time_min_s, Bench, Json};
 use ivis_core::{Campaign, PipelineConfig};
 use ivis_obs::telemetry::paper_cadence;
-use ivis_obs::{to_chrome_trace, to_prometheus, Recorder};
+use ivis_obs::{to_chrome_trace, to_jsonl, to_prometheus, Recorder, TraceBuffer};
+use ivis_sim::SimDuration;
 
 /// The sampling budget, percent of an untraced run.
 const BUDGET_PCT: f64 = 2.0;
+
+/// `pc` on the paper campaign with an in-memory recorder, its sampled
+/// W(t) published as gauges.
+fn traced_run(pc: &PipelineConfig, cadence: SimDuration) -> Recorder {
+    let mut traced = Campaign::paper();
+    let rec = Recorder::in_memory();
+    traced.config.recorder = rec.clone();
+    let m = traced.run(pc);
+    traced.telemetry(&m, cadence).record_gauges(&rec);
+    rec
+}
+
+fn fnv1a64(text: &str) -> String {
+    let h = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{h:#018x}")
+}
+
+type Export = fn(&TraceBuffer) -> String;
+
+/// One config's exports: `<export>_s`, `<export>_bytes` and
+/// `<export>_digest` for each of the three.
+fn export_row(label: String, buf: &TraceBuffer, reps: usize) -> Json {
+    let exporters: [(&str, Export); 3] = [
+        ("jsonl", to_jsonl),
+        ("perfetto", to_chrome_trace),
+        ("prometheus", |b| to_prometheus(&b.metrics)),
+    ];
+    let mut row = vec![("config".to_string(), Json::from(label))];
+    for (name, export) in exporters {
+        let text = export(buf);
+        row.push((format!("{name}_s"), time_min_s(reps, || export(buf)).into()));
+        row.push((format!("{name}_bytes"), text.len().into()));
+        row.push((format!("{name}_digest"), fnv1a64(&text).into()));
+    }
+    Json::Obj(row)
+}
 
 fn main() {
     let mut bench = Bench::from_args("obs");
@@ -39,6 +83,7 @@ fn main() {
     let reps = 5;
 
     let mut rows = Vec::new();
+    let mut export_rows = Vec::new();
     let mut plain_total = 0.0;
     let mut telem_total = 0.0;
     let mut traced_total = 0.0;
@@ -58,20 +103,15 @@ fn main() {
         let plain_s = time_min_s(reps, || campaign.run(&pc));
         // The step is microseconds: more repetitions cost nothing.
         let telem_s = time_min_s(reps * 10, || campaign.telemetry(&m, cadence));
-        let traced_s = time_min_s(reps, || {
-            let mut traced = Campaign::paper();
-            let rec = Recorder::in_memory();
-            traced.config.recorder = rec.clone();
-            let m = traced.run(&pc);
-            let tel = traced.telemetry(&m, cadence);
-            tel.record_gauges(&rec);
-            rec.into_buffer()
-        });
+        let traced_s = time_min_s(reps, || traced_run(&pc, cadence));
         let overhead_pct = telem_s / plain_s * 100.0;
         let traced_pct = (traced_s / plain_s - 1.0) * 100.0;
         plain_total += plain_s;
         telem_total += telem_s;
         traced_total += traced_s;
+        let rec = traced_run(&pc, cadence);
+        let exported = rec.with_buffer(|b| export_row(label.clone(), b, reps * 4));
+        export_rows.push(exported.expect("recorder is on"));
         rows.push(obj! {
             "config" => label, "plain_s" => plain_s, "telemetry_s" => telem_s,
             "overhead_pct" => overhead_pct, "traced_s" => traced_s, "traced_overhead_pct" => traced_pct,
@@ -91,15 +131,11 @@ fn main() {
         "traced_aggregate_overhead_pct" => traced_aggregate_pct,
     };
     bench.section("telemetry_overhead", overhead);
+    bench.section("exporters", obj! { "rows" => export_rows });
 
     // --- the uploadable artifacts: one fully traced paper run ---
-    let mut traced = Campaign::paper();
-    let rec = Recorder::in_memory();
-    traced.config.recorder = rec.clone();
     let pc = PipelineConfig::paper(ivis_core::PipelineKind::InSitu, 72.0);
-    let m = traced.run(&pc);
-    let tel = traced.telemetry(&m, cadence);
-    tel.record_gauges(&rec);
+    let rec = traced_run(&pc, cadence);
     let chrome = rec.with_buffer(to_chrome_trace).expect("recorder is on");
     let prom = rec
         .with_buffer(|b| to_prometheus(&b.metrics))

@@ -6,9 +6,11 @@
 //! archival rate), extended with the sampled power telemetry published
 //! as gauges — so the pinned artifacts exercise spans, instants, counter
 //! tracks and the power W(t) signal in one export. Byte-exact pins keep
-//! the exporters deterministic; regenerate intentionally with
-//! `UPDATE_GOLDEN=1 cargo test -p ivis-core --test exporter_golden`.
+//! the exporters deterministic.
 
+mod common;
+
+use common::check_golden;
 use ivis_core::campaign::Campaign;
 use ivis_core::{PipelineConfig, PipelineKind};
 use ivis_obs::telemetry::paper_cadence;
@@ -27,19 +29,6 @@ fn traced_insitu_72h() -> (String, String) {
         .with_buffer(|b| to_prometheus(&b.metrics))
         .expect("recorder is on");
     (chrome, prom)
-}
-
-fn check_golden(got: &str, file: &str) {
-    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, got).unwrap();
-    }
-    let want = std::fs::read_to_string(&path).expect("golden file present");
-    assert_eq!(
-        got, want,
-        "{file} drifted from the golden file; if intentional, regenerate \
-         with UPDATE_GOLDEN=1"
-    );
 }
 
 #[test]

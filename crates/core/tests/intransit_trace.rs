@@ -7,6 +7,9 @@
 //! equivalence: an empty fault plan must leave the trace bit-identical to
 //! the clean wrapper's, because both entry points share one executor.
 
+mod common;
+
+use common::check_golden;
 use ivis_core::campaign::Campaign;
 use ivis_core::intransit::{reported_kind, InTransitConfig};
 use ivis_core::{CompressionConfig, PipelineConfig, PipelineKind, TransportConfig};
@@ -38,8 +41,6 @@ fn staged_config() -> InTransitConfig {
 /// (depth 2, zfp-class compression, 25 staging nodes): the meta line, the
 /// root span with its transport attributes, the first sample's compress/
 /// hand-off/write spans, and every metric line must match byte-for-byte.
-/// Regenerate with `UPDATE_GOLDEN=1 cargo test -p ivis-core --test
-/// intransit_trace`.
 #[test]
 fn staged_intransit_jsonl_schema_is_frozen() {
     let (campaign, rec) = traced_campaign();
@@ -85,19 +86,7 @@ fn staged_intransit_jsonl_schema_is_frozen() {
         })
         .collect();
     let got = format!("{head}---\n{tail}");
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/intransit_staged_trace.jsonl"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &got).unwrap();
-    }
-    let want = std::fs::read_to_string(golden_path).expect("golden file present");
-    assert_eq!(
-        got, want,
-        "staged in-transit JSONL drifted from the golden file; if \
-         intentional, regenerate with UPDATE_GOLDEN=1"
-    );
+    check_golden(&got, "intransit_staged_trace.jsonl");
 }
 
 /// One executor, two entry points: with an empty fault plan the fault-

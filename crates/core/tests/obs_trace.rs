@@ -2,6 +2,9 @@
 //! backends, per-phase energy attribution (conservation against the
 //! metered totals), the ASCII timeline, and the frozen JSONL schema.
 
+mod common;
+
+use common::check_golden;
 use ivis_cluster::{IoWaitPolicy, JobPhase};
 use ivis_core::campaign::Campaign;
 use ivis_core::native::{run_native_insitu_at, run_native_postproc_with, NativeConfig};
@@ -128,8 +131,7 @@ fn native_backend_traces_match_report() {
 
 /// Golden-file pin of the JSONL schema for the paper's in-situ 72 h
 /// configuration: the meta line, the first spans, the first event, and
-/// every metric line must match byte-for-byte. Regenerate with
-/// `UPDATE_GOLDEN=1 cargo test -p ivis-core --test obs_trace`.
+/// every metric line must match byte-for-byte.
 #[test]
 fn jsonl_schema_is_frozen_for_insitu_72h() {
     let (campaign, rec) = traced_campaign();
@@ -168,19 +170,7 @@ fn jsonl_schema_is_frozen_for_insitu_72h() {
         })
         .collect();
     let got = format!("{head}---\n{tail}");
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/insitu_72h_trace.jsonl"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &got).unwrap();
-    }
-    let want = std::fs::read_to_string(golden_path).expect("golden file present");
-    assert_eq!(
-        got, want,
-        "JSONL schema drifted from the golden file; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
-    );
+    check_golden(&got, "insitu_72h_trace.jsonl");
 }
 
 proptest! {

@@ -9,17 +9,25 @@
 //! (<https://ui.perfetto.dev>) opens directly; [`to_prometheus`] renders
 //! a [`MetricsRegistry`] snapshot in the Prometheus text exposition
 //! format, including cumulative `_bucket` lines for histogram metrics.
+//!
+//! Both write through the one writer [`to_jsonl`] uses (see
+//! [`crate::jsonl`]): integers by a digit loop, integral floats below 2^53
+//! as their digits, and every other distinct float formatted once per
+//! export. A Chrome record goes straight into the output after its `,\n`
+//! separator.
+//!
+//! [`to_jsonl`]: crate::to_jsonl
 
 use std::fmt::Write as _;
 
-use crate::jsonl::{push_attrs, push_escaped, push_f64};
+use crate::jsonl::{samples, Writer};
 use crate::metrics::{MetricKind, MetricsRegistry};
 use crate::recorder::{Component, TraceBuffer};
 
 /// Fixed thread numbering for the Chrome export: every component maps to
 /// one synthetic thread, in this order, so tids never depend on which
 /// component happened to record first.
-const COMPONENTS: [Component; 8] = [
+pub(crate) const COMPONENTS: [Component; 8] = [
     Component::Campaign,
     Component::Compute,
     Component::Storage,
@@ -30,11 +38,18 @@ const COMPONENTS: [Component; 8] = [
     Component::Serve,
 ];
 
-fn tid(c: Component) -> usize {
-    1 + COMPONENTS
-        .iter()
-        .position(|&k| k == c)
-        .expect("every component is numbered")
+/// `c`'s thread: its 1-based position in [`COMPONENTS`].
+fn tid(c: Component) -> u64 {
+    match c {
+        Component::Campaign => 1,
+        Component::Compute => 2,
+        Component::Storage => 3,
+        Component::Viz => 4,
+        Component::Native => 5,
+        Component::Fault => 6,
+        Component::Transport => 7,
+        Component::Serve => 8,
+    }
 }
 
 /// Serialize a [`TraceBuffer`] as Chrome trace-event JSON.
@@ -45,114 +60,96 @@ fn tid(c: Component) -> usize {
 /// only in a buffer exported mid-run) are skipped. One event per line,
 /// so goldens diff readably.
 pub fn to_chrome_trace(buf: &TraceBuffer) -> String {
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push_line = |out: &mut String, line: &str| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(line);
-    };
-    push_line(
-        &mut out,
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"insitu-vis\"}}",
+    // Bytes per span, event and sample on the paper runs, rounded up.
+    let mut w = Writer::reserved(buf, 112, 160, 84, true);
+    // The metadata record comes first, so every later one starts `,\n`.
+    w.push_str(
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+         {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"insitu-vis\"}}",
     );
-    let used: Vec<Component> = COMPONENTS
-        .into_iter()
-        .filter(|&c| {
-            buf.spans().iter().any(|s| s.component == c)
-                || buf.events().iter().any(|e| e.component == c)
-        })
-        .collect();
-    for c in &used {
-        let line = format!(
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-            tid(*c),
-            c.label()
-        );
-        push_line(&mut out, &line);
+    let mut used = [false; COMPONENTS.len()];
+    let spans = buf.spans().iter().map(|s| s.component);
+    for c in spans.chain(buf.events().iter().map(|e| e.component)) {
+        used[tid(c) as usize - 1] = true;
+    }
+    for (c, _) in COMPONENTS.into_iter().zip(used).filter(|&(_, u)| u) {
+        w.push_str(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":");
+        w.push_u64(tid(c));
+        w.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+        w.push_str(c.label());
+        w.push_str("\"}}");
     }
     for span in buf.spans() {
         let Some(end) = span.end else { continue };
-        let mut line = String::new();
-        let _ = write!(
-            line,
-            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"",
-            tid(span.component),
-            span.start.as_micros(),
-            (end - span.start).as_micros(),
-        );
-        push_escaped(&mut line, span.name);
-        line.push_str("\",\"cat\":\"");
-        push_escaped(&mut line, span.component.label());
-        line.push_str("\",\"args\":");
-        push_attrs(&mut line, &span.attrs);
-        line.push('}');
-        push_line(&mut out, &line);
+        w.push_str(",\n{\"ph\":\"X\",\"pid\":1,\"tid\":");
+        w.push_u64(tid(span.component));
+        w.push_str(",\"ts\":");
+        w.push_u64(span.start.as_micros());
+        w.push_str(",\"dur\":");
+        w.push_u64((end - span.start).as_micros());
+        w.push_str(",\"name\":\"");
+        w.push_escaped(span.name);
+        w.push_str("\",\"cat\":\"");
+        w.push_str(span.component.label());
+        w.push_str("\",\"args\":");
+        w.push_attrs(&span.attrs);
+        w.push('}');
     }
     for ev in buf.events() {
-        let mut line = String::new();
-        let _ = write!(
-            line,
-            "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"s\":\"t\",\"name\":\"",
-            tid(ev.component),
-            ev.at.as_micros(),
-        );
-        push_escaped(&mut line, ev.name);
-        line.push_str("\",\"cat\":\"");
-        push_escaped(&mut line, ev.component.label());
-        line.push_str("\",\"args\":");
-        push_attrs(&mut line, &ev.attrs);
-        line.push('}');
-        push_line(&mut out, &line);
+        w.push_str(",\n{\"ph\":\"i\",\"pid\":1,\"tid\":");
+        w.push_u64(tid(ev.component));
+        w.push_str(",\"ts\":");
+        w.push_u64(ev.at.as_micros());
+        w.push_str(",\"s\":\"t\",\"name\":\"");
+        w.push_escaped(ev.name);
+        w.push_str("\",\"cat\":\"");
+        w.push_str(ev.component.label());
+        w.push_str("\",\"args\":");
+        w.push_attrs(&ev.attrs);
+        w.push('}');
     }
     for metric in buf.metrics.iter() {
-        let samples: &[(ivis_sim::SimTime, f64)] = match metric.kind() {
-            MetricKind::Histogram => metric.observations(),
-            _ => metric.series().samples(),
-        };
-        for &(t, v) in samples {
-            let mut line = String::new();
-            let _ = write!(
-                line,
-                "{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{},\"name\":\"",
-                t.as_micros()
-            );
-            push_escaped(&mut line, metric.name());
-            line.push_str("\",\"args\":{\"value\":");
-            push_f64(&mut line, v);
-            line.push_str("}}");
-            push_line(&mut out, &line);
+        for &(t, v) in samples(metric) {
+            w.push_str(",\n{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":");
+            w.push_u64(t.as_micros());
+            w.push_str(",\"name\":\"");
+            w.push_escaped(metric.name());
+            w.push_str("\",\"args\":{\"value\":");
+            w.push_f64(v);
+            w.push_str("}}");
         }
     }
-    out.push_str("\n]}\n");
+    w.push_str("\n]}\n");
+    w.finish()
+}
+
+/// Map a metric name to a legal Prometheus metric name
+/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): every other character becomes `_`, and a
+/// name that is empty or starts with a digit gains a leading `_`.
+fn sanitize(name: &str) -> String {
+    let mut out = String::with_capacity(name.len() + 1);
+    if name.is_empty() || name.starts_with(|c: char| c.is_ascii_digit()) {
+        out.push('_');
+    }
+    out.extend(name.chars().map(|c| {
+        if c.is_ascii_alphanumeric() || c == '_' {
+            c
+        } else {
+            '_'
+        }
+    }));
     out
 }
 
-/// Map a metric name to a legal Prometheus metric name.
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-fn push_value(out: &mut String, v: f64) {
+fn push_value(w: &mut Writer, v: f64) {
     if v.is_nan() {
-        out.push_str("NaN");
+        w.push_str("NaN");
     } else if v == f64::INFINITY {
-        out.push_str("+Inf");
+        w.push_str("+Inf");
     } else if v == f64::NEG_INFINITY {
-        out.push_str("-Inf");
+        w.push_str("-Inf");
     } else {
-        let _ = write!(out, "{v}");
+        w.push_f64(v);
     }
 }
 
@@ -165,7 +162,7 @@ fn push_value(out: &mut String, v: f64) {
 /// `_count`. This is an end-of-run snapshot: the time dimension lives in
 /// the JSONL/Chrome exports, not here.
 pub fn to_prometheus(reg: &MetricsRegistry) -> String {
-    let mut out = String::new();
+    let mut out = Writer::with_capacity(0);
     for metric in reg.iter() {
         let name = sanitize(metric.name());
         match metric.kind() {
@@ -199,7 +196,7 @@ pub fn to_prometheus(reg: &MetricsRegistry) -> String {
             }
         }
     }
-    out
+    out.finish()
 }
 
 #[cfg(test)]
@@ -208,6 +205,7 @@ mod tests {
     use crate::recorder::{AttrValue, Recorder};
     use ivis_cluster::JobPhase;
     use ivis_sim::SimTime;
+    use proptest::prelude::*;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)
@@ -290,5 +288,34 @@ transport_stall_seconds_count 3
     fn prometheus_names_are_sanitized() {
         assert_eq!(sanitize("pfs.bytes-written"), "pfs_bytes_written");
         assert_eq!(sanitize("ok_name3"), "ok_name3");
+        assert_eq!(sanitize("3d.frames"), "_3d_frames");
+        assert_eq!(sanitize(""), "_");
+        assert_eq!(sanitize(".x"), "_x");
+    }
+
+    /// Prometheus' metric-name grammar, `[a-zA-Z_:][a-zA-Z0-9_:]*`.
+    fn is_legal_name(name: &str) -> bool {
+        let mut bytes = name.bytes();
+        let legal = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b':';
+        bytes
+            .next()
+            .is_some_and(|b| legal(b) && !b.is_ascii_digit())
+            && bytes.all(legal)
+    }
+
+    fn any_name() -> impl Strategy<Value = String> {
+        let pool: Vec<char> = "aZ_:09.- \"\\\n\u{0}é😀".chars().collect();
+        prop::collection::vec(0..pool.len(), 0..8)
+            .prop_map(move |picks| picks.into_iter().map(|i| pool[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn sanitized_names_match_the_prometheus_grammar(name in any_name()) {
+            let out = sanitize(&name);
+            prop_assert!(is_legal_name(&out), "{name:?} -> {out:?}");
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! JSONL trace exporter: one record per line, stable `ivis-trace-v1` schema.
+//! JSONL trace exporter: one record per line, stable `ivis-trace-v1` schema,
+//! and the one text writer every exporter of this crate shares.
 //!
 //! The schema is deliberately frozen (and pinned by a golden-file test in
 //! `ivis-core`): line 1 is a `meta` record, followed by every span in open
@@ -6,150 +7,308 @@
 //! sample series. Times are integer microseconds of sim time, matching
 //! [`SimTime`]'s internal resolution, so the export is lossless.
 //!
+//! # The writer
+//!
+//! [`to_jsonl`], [`to_chrome_trace`] and [`to_prometheus`] append to one
+//! `String` through a private `Writer`, reserved once from the span, event
+//! and sample counts; each record is written into it exactly once, with no
+//! per-line buffer. Numbers skip `core::fmt` where they can:
+//!
+//! - integers (ids, tids, microsecond times, `U64` / `I64` attrs) go
+//!   through a digit loop;
+//! - a float that is integral with `|v| < 2^53` is written as its sign and
+//!   integer digits (`-0.0` as `-0`), which is exactly what `Display`
+//!   prints. The bound matters: from 2^53 up, `Display` prints the
+//!   shortest round-trip digits padded with zeros (`2^60` prints
+//!   `1152921504606847000`, not the exact integer), so such values take
+//!   the general path;
+//! - any other finite float is formatted by `Display` once, then served
+//!   from a four-slot memo keyed on its bit pattern and local to one
+//!   export call.
+//!
+//! The memo pays because a trace repeats a few float levels many times.
+//! Over an 8 h in-situ run, `cluster.power_w`'s 1 620 samples take 3
+//! distinct values (one per phase level) and `pfs.queued_write_seconds`'s
+//! 1 080 take 2, half of them integral; counters and
+//! `bandwidth_utilization` are integral throughout. When values are all
+//! distinct, a miss costs four `u64` compares. Non-finite floats are
+//! written as `null`.
+//!
 //! [`SimTime`]: ivis_sim::SimTime
+//! [`to_chrome_trace`]: crate::to_chrome_trace
+//! [`to_prometheus`]: crate::to_prometheus
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-use crate::metrics::MetricKind;
+use ivis_sim::SimTime;
+
+use crate::metrics::{Metric, MetricKind};
 use crate::recorder::{AttrValue, SpanId, TraceBuffer};
 
 /// Schema identifier embedded in the meta line.
 pub const SCHEMA: &str = "ivis-trace-v1";
 
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Formatted floats the memo holds at once: enough for the handful of
+/// levels a gauge steps between.
+const MEMO_SLOTS: usize = 4;
+
+/// 2^53. Below it every integral `f64` is an exact integer, and `Display`
+/// prints exactly its digits.
+const EXACT_INT_BOUND: f64 = 9_007_199_254_740_992.0;
+
+/// The samples an exporter writes for `metric`. Counters and gauges give
+/// their step function; histograms give the raw `(t, value)`
+/// observations, which is the lossless form (the step function is just
+/// the running count).
+pub(crate) fn samples(metric: &Metric) -> &[(SimTime, f64)] {
+    match metric.kind() {
+        MetricKind::Histogram => metric.observations(),
+        MetricKind::Counter | MetricKind::Gauge => metric.series().samples(),
+    }
+}
+
+/// The text buffer every exporter writes into; see the module docs.
+pub(crate) struct Writer {
+    out: String,
+    /// Bit patterns of the memoized floats. NaN never reaches the memo,
+    /// so its bits mark an empty slot.
+    memo_bits: [u64; MEMO_SLOTS],
+    memo_text: [String; MEMO_SLOTS],
+    /// The slot the next miss overwrites (round robin).
+    memo_next: usize,
+}
+
+impl Writer {
+    /// A writer whose buffer holds `bytes` before it first grows.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            out: String::with_capacity(bytes),
+            memo_bits: [f64::NAN.to_bits(); MEMO_SLOTS],
+            memo_text: Default::default(),
+            memo_next: 0,
+        }
+    }
+
+    /// A writer reserved for `buf`'s records at about `span`, `event` and
+    /// `sample` bytes each, plus each sample's metric name when `named`
+    /// (the Chrome export repeats it per sample).
+    pub(crate) fn reserved(
+        buf: &TraceBuffer,
+        span: usize,
+        event: usize,
+        sample: usize,
+        named: bool,
+    ) -> Self {
+        let samples: usize = buf
+            .metrics
+            .iter()
+            .map(|m| samples(m).len() * (sample + if named { m.name().len() } else { 0 }))
+            .sum();
+        Writer::with_capacity(buf.spans().len() * span + buf.events().len() * event + samples)
+    }
+
+    /// The text written so far.
+    pub(crate) fn finish(self) -> String {
+        self.out
+    }
+
+    pub(crate) fn push_str(&mut self, s: &str) {
+        self.out.push_str(s);
+    }
+
+    pub(crate) fn push(&mut self, c: char) {
+        self.out.push(c);
+    }
+
+    pub(crate) fn push_u64(&mut self, mut x: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (x % 10) as u8;
+            x /= 10;
+            if x == 0 {
+                break;
             }
-            c => out.push(c),
+        }
+        self.out
+            .push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    }
+
+    pub(crate) fn push_i64(&mut self, x: i64) {
+        if x < 0 {
+            self.out.push('-');
+        }
+        self.push_u64(x.unsigned_abs());
+    }
+
+    /// `v` as `Display` prints it, or `null` if it is not finite.
+    pub(crate) fn push_f64(&mut self, v: f64) {
+        if !v.is_finite() {
+            self.out.push_str("null");
+            return;
+        }
+        let magnitude = v.abs();
+        if magnitude < EXACT_INT_BOUND && (magnitude as u64) as f64 == magnitude {
+            if v.is_sign_negative() {
+                self.out.push('-');
+            }
+            return self.push_u64(magnitude as u64);
+        }
+        let bits = v.to_bits();
+        let slot = match self.memo_bits.iter().position(|&b| b == bits) {
+            Some(slot) => slot,
+            None => {
+                let slot = self.memo_next;
+                self.memo_next = (slot + 1) % MEMO_SLOTS;
+                self.memo_bits[slot] = bits;
+                let text = &mut self.memo_text[slot];
+                text.clear();
+                let _ = write!(text, "{v}");
+                slot
+            }
+        };
+        self.out.push_str(&self.memo_text[slot]);
+    }
+
+    /// `s` as the inside of a JSON string literal.
+    pub(crate) fn push_escaped(&mut self, s: &str) {
+        if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+            return self.out.push_str(s);
+        }
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        for c in s.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                '\r' => self.out.push_str("\\r"),
+                '\t' => self.out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    self.out.push_str("\\u00");
+                    self.out.push(char::from(HEX[c as usize >> 4]));
+                    self.out.push(char::from(HEX[c as usize & 0xf]));
+                }
+                c => self.out.push(c),
+            }
+        }
+    }
+
+    pub(crate) fn push_attrs(&mut self, attrs: &[(&'static str, AttrValue)]) {
+        self.out.push('{');
+        for (i, (k, v)) in attrs.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            self.out.push('"');
+            self.push_escaped(k);
+            self.out.push_str("\":");
+            match *v {
+                AttrValue::U64(x) => self.push_u64(x),
+                AttrValue::I64(x) => self.push_i64(x),
+                AttrValue::F64(x) => self.push_f64(x),
+                AttrValue::Str(s) => {
+                    self.out.push('"');
+                    self.push_escaped(s);
+                    self.out.push('"');
+                }
+            }
+        }
+        self.out.push('}');
+    }
+
+    fn push_span_ref(&mut self, id: SpanId) {
+        if id.is_none() {
+            self.out.push_str("null");
+        } else {
+            self.push_u64(u64::from(id.0));
         }
     }
 }
 
-pub(crate) fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-pub(crate) fn push_attrs(out: &mut String, attrs: &[(&'static str, AttrValue)]) {
-    out.push('{');
-    for (i, (k, v)) in attrs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        push_escaped(out, k);
-        out.push_str("\":");
-        match *v {
-            AttrValue::U64(x) => {
-                let _ = write!(out, "{x}");
-            }
-            AttrValue::I64(x) => {
-                let _ = write!(out, "{x}");
-            }
-            AttrValue::F64(x) => push_f64(out, x),
-            AttrValue::Str(s) => {
-                out.push('"');
-                push_escaped(out, s);
-                out.push('"');
-            }
-        }
-    }
-    out.push('}');
-}
-
-pub(crate) fn push_span_ref(out: &mut String, id: SpanId) {
-    if id.is_none() {
-        out.push_str("null");
-    } else {
-        let _ = write!(out, "{}", id.0);
+/// For the end-of-run Prometheus text, whose lines read best as `format!`
+/// templates.
+impl fmt::Write for Writer {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.out.push_str(s);
+        Ok(())
     }
 }
 
 /// Serialize the whole buffer to JSONL.
 pub fn to_jsonl(buf: &TraceBuffer) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"v\":1,\"type\":\"meta\",\"schema\":\"{}\",\"spans\":{},\"events\":{},\"metrics\":{}}}",
-        SCHEMA,
-        buf.spans().len(),
-        buf.events().len(),
-        buf.metrics.len()
-    );
+    // Bytes per span, event and sample on the paper runs, rounded up.
+    let mut w = Writer::reserved(buf, 160, 160, 24, false);
+    w.push_str("{\"v\":1,\"type\":\"meta\",\"schema\":\"");
+    w.push_str(SCHEMA);
+    w.push_str("\",\"spans\":");
+    w.push_u64(buf.spans().len() as u64);
+    w.push_str(",\"events\":");
+    w.push_u64(buf.events().len() as u64);
+    w.push_str(",\"metrics\":");
+    w.push_u64(buf.metrics.len() as u64);
+    w.push_str("}\n");
     for (id, span) in buf.spans().iter().enumerate() {
-        let _ = write!(out, "{{\"type\":\"span\",\"id\":{id},\"parent\":");
-        push_span_ref(&mut out, span.parent);
-        let _ = write!(
-            out,
-            ",\"name\":\"{}\",\"component\":\"{}\",\"phase\":",
-            span.name,
-            span.component.label()
-        );
+        w.push_str("{\"type\":\"span\",\"id\":");
+        w.push_u64(id as u64);
+        w.push_str(",\"parent\":");
+        w.push_span_ref(span.parent);
+        w.push_str(",\"name\":\"");
+        w.push_escaped(span.name);
+        w.push_str("\",\"component\":\"");
+        w.push_str(span.component.label());
+        w.push_str("\",\"phase\":");
         match span.phase {
             Some(p) => {
-                let _ = write!(out, "\"{}\"", p.label());
+                w.push('"');
+                w.push_str(p.label());
+                w.push('"');
             }
-            None => out.push_str("null"),
+            None => w.push_str("null"),
         }
-        let _ = write!(out, ",\"start_us\":{},\"end_us\":", span.start.as_micros());
+        w.push_str(",\"start_us\":");
+        w.push_u64(span.start.as_micros());
+        w.push_str(",\"end_us\":");
         match span.end {
-            Some(t) => {
-                let _ = write!(out, "{}", t.as_micros());
-            }
-            None => out.push_str("null"),
+            Some(t) => w.push_u64(t.as_micros()),
+            None => w.push_str("null"),
         }
-        out.push_str(",\"attrs\":");
-        push_attrs(&mut out, &span.attrs);
-        out.push_str("}\n");
+        w.push_str(",\"attrs\":");
+        w.push_attrs(&span.attrs);
+        w.push_str("}\n");
     }
     for ev in buf.events() {
-        out.push_str("{\"type\":\"event\",\"span\":");
-        push_span_ref(&mut out, ev.parent);
-        let _ = write!(
-            out,
-            ",\"name\":\"{}\",\"component\":\"{}\",\"t_us\":{},\"attrs\":",
-            ev.name,
-            ev.component.label(),
-            ev.at.as_micros()
-        );
-        push_attrs(&mut out, &ev.attrs);
-        out.push_str("}\n");
+        w.push_str("{\"type\":\"event\",\"span\":");
+        w.push_span_ref(ev.parent);
+        w.push_str(",\"name\":\"");
+        w.push_escaped(ev.name);
+        w.push_str("\",\"component\":\"");
+        w.push_str(ev.component.label());
+        w.push_str("\",\"t_us\":");
+        w.push_u64(ev.at.as_micros());
+        w.push_str(",\"attrs\":");
+        w.push_attrs(&ev.attrs);
+        w.push_str("}\n");
     }
     for metric in buf.metrics.iter() {
-        let _ = write!(
-            out,
-            "{{\"type\":\"metric\",\"name\":\"{}\",\"kind\":\"{}\",\"samples\":[",
-            metric.name(),
-            metric.kind().label()
-        );
-        // Counters and gauges serialize their step function; histograms
-        // serialize the raw `(t, value)` observations, which is the
-        // lossless form (the step function is just the running count).
-        let samples: &[(ivis_sim::SimTime, f64)] = match metric.kind() {
-            MetricKind::Histogram => metric.observations(),
-            _ => metric.series().samples(),
-        };
-        for (i, &(t, v)) in samples.iter().enumerate() {
+        w.push_str("{\"type\":\"metric\",\"name\":\"");
+        w.push_escaped(metric.name());
+        w.push_str("\",\"kind\":\"");
+        w.push_str(metric.kind().label());
+        w.push_str("\",\"samples\":[");
+        for (i, &(t, v)) in samples(metric).iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                w.push(',');
             }
-            let _ = write!(out, "[{},", t.as_micros());
-            push_f64(&mut out, v);
-            out.push(']');
+            w.push('[');
+            w.push_u64(t.as_micros());
+            w.push(',');
+            w.push_f64(v);
+            w.push(']');
         }
-        out.push_str("]}\n");
+        w.push_str("]}\n");
     }
-    out
+    w.finish()
 }
 
 #[cfg(test)]
@@ -157,10 +316,16 @@ mod tests {
     use super::*;
     use crate::recorder::{Component, Recorder};
     use ivis_cluster::JobPhase;
-    use ivis_sim::SimTime;
+    use proptest::prelude::*;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)
+    }
+
+    fn written(f: impl FnOnce(&mut Writer)) -> String {
+        let mut w = Writer::with_capacity(0);
+        f(&mut w);
+        w.finish()
     }
 
     #[test]
@@ -218,18 +383,110 @@ mod tests {
     }
 
     #[test]
+    fn names_are_escaped() {
+        const NAME: &str = "a\"b\\c\n";
+        let rec = Recorder::in_memory();
+        let span = rec.span(t(0.0), NAME, Component::Compute);
+        rec.event(t(0.5), NAME, Component::Compute, &[]);
+        rec.gauge_set(t(0.5), NAME, 1.0);
+        rec.close(t(1.0), span);
+        let text = rec.with_buffer(to_jsonl).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "the name's newline must not split a record");
+        for line in &lines[1..] {
+            assert!(line.contains("\"name\":\"a\\\"b\\\\c\\n\""), "{line}");
+        }
+    }
+
+    #[test]
     fn non_finite_floats_become_null() {
-        let mut out = String::new();
-        push_f64(&mut out, f64::NAN);
-        out.push(' ');
-        push_f64(&mut out, f64::INFINITY);
-        assert_eq!(out, "null null");
+        let text = written(|w| {
+            w.push_f64(f64::NAN);
+            w.push(' ');
+            w.push_f64(f64::INFINITY);
+            w.push(' ');
+            w.push_f64(f64::NEG_INFINITY);
+        });
+        assert_eq!(text, "null null null");
     }
 
     #[test]
     fn strings_are_escaped() {
-        let mut out = String::new();
-        push_escaped(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
+        let text = written(|w| w.push_escaped("a\"b\\c\nd\u{1}\u{1f}\r\t é"));
+        assert_eq!(text, "a\\\"b\\\\c\\nd\\u0001\\u001f\\r\\t é");
+    }
+
+    #[test]
+    fn integer_extremes_print_as_display_does() {
+        for x in [0, 9, 10, u64::MAX] {
+            assert_eq!(written(|w| w.push_u64(x)), format!("{x}"));
+        }
+        for x in [i64::MIN, -1, 0, i64::MAX] {
+            assert_eq!(written(|w| w.push_i64(x)), format!("{x}"));
+        }
+    }
+
+    #[test]
+    fn float_edge_cases_print_as_display_does() {
+        let two53 = EXACT_INT_BOUND;
+        for (v, want) in [
+            (-0.0, "-0"),
+            (two53 - 1.0, "9007199254740991"),
+            (two53, "9007199254740992"),
+            (two53 + 2.0, "9007199254740994"),
+            (2f64.powi(60), "1152921504606847000"),
+            (1e21, "1000000000000000000000"),
+            (5e-324, &format!("{}", 5e-324)),
+            (f64::MAX, &format!("{}", f64::MAX)),
+        ] {
+            assert_eq!(written(|w| w.push_f64(v)), want, "{v:e}");
+            assert_eq!(want, format!("{v}"));
+        }
+    }
+
+    #[test]
+    fn memo_serves_repeats_and_evicts_round_robin() {
+        // Six levels through four slots, twice over: every value misses or
+        // hits depending on the order, and each must print as itself.
+        let levels = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
+        let order = [0, 1, 0, 2, 3, 4, 0, 5, 1, 1, 3, 2, 5, 4, 0];
+        let text = written(|w| {
+            for &i in &order {
+                w.push_f64(levels[i]);
+                w.push(' ');
+            }
+        });
+        let want: String = order.iter().map(|&i| format!("{} ", levels[i])).collect();
+        assert_eq!(text, want);
+    }
+
+    fn bit_patterns() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u64..u64::MAX).prop_map(f64::from_bits),
+            (-(1i64 << 54)..1i64 << 54).prop_map(|n| n as f64),
+            (0u64..u64::MAX).prop_map(|b| (f64::from_bits(b) * 1e3).round() / 1e3),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn push_u64_matches_display(x in (0u64..u64::MAX), shift in 0u32..64) {
+            let x = x >> shift;
+            prop_assert_eq!(written(|w| w.push_u64(x)), format!("{x}"));
+        }
+
+        #[test]
+        fn push_i64_matches_display(x in (0u64..u64::MAX), shift in 0u32..64) {
+            let x = (x as i64) >> shift;
+            prop_assert_eq!(written(|w| w.push_i64(x)), format!("{x}"));
+        }
+
+        #[test]
+        fn push_f64_matches_display(v in bit_patterns()) {
+            let want = if v.is_finite() { format!("{v}") } else { "null".into() };
+            prop_assert_eq!(written(|w| w.push_f64(v)), want);
+        }
     }
 }

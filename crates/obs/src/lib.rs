@@ -46,6 +46,8 @@
 
 pub mod csv;
 pub mod energy;
+#[cfg(test)]
+mod export_oracle;
 pub mod exporters;
 pub mod gantt;
 pub mod jsonl;
