@@ -1,6 +1,7 @@
 //! Discrete-event-engine benchmark: raw [`ivis_sim::DesEngine`]
-//! throughput, the pipeline executors across the paper matrix, and the
-//! 10k-, 100k- and 1M-node *exascale what-if* campaigns on
+//! throughput, the pipeline executors across the paper matrix, the cost of
+//! building the paper machine's 15 cage meters on demand, and the 10k-,
+//! 100k- and 1M-node *exascale what-if* campaigns on
 //! [`Campaign::caddy_scaled`].
 //!
 //! Two things are tracked:
@@ -24,7 +25,9 @@
 
 use ivis_bench::obj;
 use ivis_bench::report::{time_min_s, Bench};
+use ivis_cluster::{IoWaitPolicy, JobPhase, Machine};
 use ivis_core::{Campaign, PipelineConfig, PipelineKind};
+use ivis_power::meter::aggregate;
 use ivis_sim::{DesEngine, SimDuration, SimTime};
 
 /// One self-rescheduling event chain: the single-token shape every
@@ -112,6 +115,33 @@ fn main() {
         });
     }
     bench.section("paper_matrix", obj! { "rows" => rows });
+
+    // --- cage meters: replay the observation log, then merge it ---
+    // The paper machine after 200 phase changes. A clone taken before any
+    // read carries no replayed meters, so each timed call replays the log.
+    const PHASE_CHANGES: u64 = 200;
+    let phases = [
+        JobPhase::Simulate,
+        JobPhase::WriteOutput,
+        JobPhase::Visualize,
+    ];
+    let mut machine = Machine::caddy(IoWaitPolicy::BusyWait);
+    let mut t = SimTime::ZERO;
+    for k in 0..PHASE_CHANGES {
+        machine.begin_phase(t, phases[k as usize % phases.len()]);
+        t += SimDuration::from_secs(7);
+    }
+    machine.finish(t);
+    let unread = machine.clone();
+    let replay_us = time_min_s(200, || unread.clone().cage_meters().len()) * 1e6;
+    let cages = machine.cage_meters().len();
+    let aggregate_us =
+        time_min_s(200, || aggregate("compute-cluster", machine.cage_meters())) * 1e6;
+    let cage_meters = obj! {
+        "cages" => cages, "phase_changes" => PHASE_CHANGES,
+        "replay_us" => replay_us, "aggregate_us" => aggregate_us,
+    };
+    bench.section("cage_meters", cage_meters);
 
     // --- the exascale what-ifs: 10 000- to 1 000 000-node Caddys ---
     let pc = PipelineConfig::paper(PipelineKind::InSitu, 8.0);

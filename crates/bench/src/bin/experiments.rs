@@ -9,11 +9,17 @@
 //!
 //! Each subcommand prints the measured values next to the paper's published
 //! numbers (where the paper states them; several artifacts are chart-only).
+//! `ablations` adds the §VIII design-choice sweeps: I/O-wait policy,
+//! storage power proportionality and stripe count.
 
 use std::env;
 
 use ivis_bench::*;
 use ivis_core::native::{run_native_insitu, run_native_postproc, NativeConfig};
+use ivis_sim::SimTime;
+use ivis_storage::layout::StripeLayout;
+use ivis_storage::pfs::PfsConfig;
+use ivis_storage::ParallelFileSystem;
 
 fn banner(title: &str) {
     println!("\n=== {title} ===");
@@ -135,6 +141,18 @@ fn ablations() {
     println!("  proportional fraction | in-situ power saving (W)");
     for (f, w) in ablation_storage_proportionality_rows() {
         println!("  {f:>20.4} | {w:>10.2}");
+    }
+    banner("Ablation — stripe count, aggregate pipe fixed (§VIII)");
+    println!("  OSS | simulated 1 GB write (s)");
+    for n in [1usize, 2, 4, 8] {
+        let mut cfg = PfsConfig::caddy_lustre();
+        cfg.oss_bandwidth_bps = cfg.aggregate_bandwidth_bps() / n as f64;
+        cfg.num_oss = n;
+        cfg.stripe = StripeLayout::lustre_default(n);
+        let done = ParallelFileSystem::new(cfg)
+            .write(SimTime::ZERO, "/x", 1_000_000_000)
+            .expect("a healthy filesystem accepts the write");
+        println!("  {n:>3} | {:>10.3}", done.as_secs_f64());
     }
 }
 

@@ -1,14 +1,10 @@
 //! Scaling benchmark for the threaded rayon shim: fig2 render + fig9
-//! sweep, sequential baseline vs N worker threads.
+//! sweep at 1, 2, 4 and 8 worker threads.
 //!
 //! Writes `BENCH_parallel.json` (or the path given as the first non-flag
-//! argument). The sequential baseline for the render is
-//! [`rasterize_reference`] — the seed's original naive per-pixel renderer —
-//! so the recorded speedup is the combined effect of the table-driven
-//! sampling kernel and row-level threading; outputs are asserted
-//! bit-identical before timing. The host's `available_parallelism` is
-//! recorded so single-core results read honestly: thread counts above it
-//! cannot add wall-clock speedup there.
+//! argument). Each section's 1-thread time is its baseline. The host's
+//! `available_parallelism` is recorded so single-core results read
+//! honestly: thread counts above it cannot add wall-clock speedup there.
 //!
 //! With `--check`, exits nonzero if any threaded configuration of any
 //! section runs slower than its own 1-thread time beyond a 15% noise
@@ -24,7 +20,6 @@ use ivis_ocean::grid::Grid;
 use ivis_ocean::shallow_water::{ShallowWaterModel, SwParams};
 use ivis_ocean::vortex::seed_random_eddies;
 use ivis_ocean::{Field2D, ProblemSpec};
-use ivis_viz::raster::rasterize_reference;
 use ivis_viz::render::FieldRenderer;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -39,14 +34,14 @@ fn spun_up_field() -> Field2D {
 }
 
 /// Milliseconds of `f` at each of [`THREADS`], gated: no threaded run may
-/// be slower than the 1-thread one beyond 15%. Returns the
-/// `threaded_ms` object and the 4-thread time.
+/// be slower than the 1-thread one beyond 15%. Returns the `threaded_ms`
+/// object.
 fn per_thread_ms<R>(
     bench: &mut Bench,
     section: &str,
     reps: usize,
     mut f: impl FnMut() -> R,
-) -> (Json, f64) {
+) -> Json {
     const TOLERANCE: f64 = 1.15;
     let ms: Vec<f64> = THREADS
         .iter()
@@ -67,36 +62,23 @@ fn per_thread_ms<R>(
         .zip(&ms)
         .map(|(n, &t)| (n.to_string(), Json::Num(t)))
         .collect();
-    (Json::Obj(threaded), ms[2])
+    Json::Obj(threaded)
 }
 
 fn main() {
     let mut bench = Bench::from_args("parallel");
 
-    // --- fig2 render: seed's naive sequential renderer vs threaded ---
+    // --- fig2 render: 1 thread vs N ---
     let w_field = spun_up_field();
     let mut fig2_rows = Vec::new();
     for (width, height) in [(192usize, 128usize), (720, 512)] {
         let renderer = FieldRenderer::okubo_weiss(width, height);
-        let (lo, hi) = renderer.resolve_range(&w_field);
-        let golden = rasterize_reference(&w_field, width, height, renderer.colormap, lo, hi);
-        assert_eq!(
-            renderer.render(&w_field),
-            golden,
-            "threaded render must be bit-identical before it is timed"
-        );
         let reps = if width >= 700 { 15 } else { 40 };
-        let baseline_ms = time_min_s(reps, || {
-            rasterize_reference(&w_field, width, height, renderer.colormap, lo, hi)
-        }) * 1e3;
-        let (threaded_ms, at4) =
+        let threaded_ms =
             per_thread_ms(&mut bench, &format!("fig2 {width}x{height}"), reps, || {
                 renderer.render(&w_field)
             });
-        fig2_rows.push(obj! {
-            "width" => width, "height" => height, "sequential_baseline_ms" => baseline_ms,
-            "threaded_ms" => threaded_ms, "speedup_at_4_threads" => baseline_ms / at4,
-        });
+        fig2_rows.push(obj! { "width" => width, "height" => height, "threaded_ms" => threaded_ms });
     }
     bench.section("fig2_render", fig2_rows.into());
 
@@ -104,7 +86,7 @@ fn main() {
     let analyzer = WhatIfAnalyzer::paper();
     let spec = ProblemSpec::paper_100yr();
     let hours: Vec<f64> = (1..=20_000).map(|i| i as f64 * 0.25).collect();
-    let (threaded_ms, _) = per_thread_ms(&mut bench, "fig9", 9, || {
+    let threaded_ms = per_thread_ms(&mut bench, "fig9", 9, || {
         (
             analyzer.storage_curve(PipelineKind::PostProcessing, &spec, &hours),
             analyzer.energy_curve(PipelineKind::PostProcessing, &spec, &hours),

@@ -3,8 +3,8 @@
 //! Each `figN_rows()` function regenerates the data behind one artifact of
 //! the paper's evaluation, pairing our measured value with the paper's
 //! published one where the paper states a number. The `experiments` binary
-//! prints them; the criterion benches under `benches/` time the underlying
-//! machinery; the integration tests assert the shapes.
+//! prints them, the `*_bench` binaries time the underlying machinery, and
+//! the integration tests assert the shapes.
 
 pub mod adaptive;
 pub mod csv;

@@ -1,10 +1,10 @@
-//! Fixed-width SIMD-style lane types over plain arrays.
+//! A fixed-width SIMD-style lane type over a plain array.
 //!
-//! The frame-chain kernels (shallow-water stencils, raster blending, PNG
-//! checksums) want the machine's native vector width without giving up two
+//! The frame-chain kernels (shallow-water stencils, the raster's vertical
+//! blend) want the machine's native vector width without giving up two
 //! things: **stable Rust** (no nightly `std::simd`) and the workspace-wide
 //! **bit-identity contract** (every optimized kernel must reproduce its
-//! retained scalar reference exactly). This crate threads that needle with
+//! scalar form exactly). This crate threads that needle with
 //! the classic trick real codecs and BLAS kernels use: small `#[repr]`-plain
 //! structs over `[T; LANES]` whose operators are written as straight-line
 //! per-lane loops. LLVM reliably autovectorizes these into `movupd`/`vaddpd`
@@ -21,21 +21,14 @@
 //! never *what arithmetic an element sees*. The rules that keep this true
 //! (fixed lane width, per-element expression parity, scalar tails for
 //! remainders, fixed reduction order) are documented in the workspace
-//! `DESIGN.md` §8; the proptest suite `tests/simd_kernel_identity.rs` holds
-//! every consumer to them over arbitrary lengths, including tails of
-//! `1..LANES`.
-//!
-//! Integer lanes ([`U32x8`]) are exact by definition; they exist so striped
-//! checksum kernels (Adler-32) can carry eight independent accumulators the
-//! optimizer can keep in one vector register.
+//! `DESIGN.md` §8; proptests against `#[cfg(test)]` scalar oracles in each
+//! consuming crate hold every consumer to them over arbitrary lengths,
+//! including tails of `1..LANES`.
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// Lane width of [`F64x4`].
 pub const F64_LANES: usize = 4;
-
-/// Lane width of [`U32x8`].
-pub const U32_LANES: usize = 8;
 
 /// Four `f64` lanes. All arithmetic is elementwise and unfused — lane `l`
 /// of any operator result is the same single IEEE-754 operation the scalar
@@ -58,15 +51,6 @@ impl F64x4 {
     #[inline(always)]
     pub fn from_slice(s: &[f64]) -> Self {
         F64x4([s[0], s[1], s[2], s[3]])
-    }
-
-    /// Gather four elements of `s` at the given indices.
-    ///
-    /// # Panics
-    /// Panics if any index is out of bounds.
-    #[inline(always)]
-    pub fn gather(s: &[f64], idx: [usize; 4]) -> Self {
-        F64x4([s[idx[0]], s[idx[1]], s[idx[2]], s[idx[3]]])
     }
 
     /// Store the four lanes into the first four elements of `out`.
@@ -118,81 +102,6 @@ impl Neg for F64x4 {
     }
 }
 
-/// Eight `u32` lanes with wrapping elementwise arithmetic — the accumulator
-/// shape for striped checksum kernels (eight independent Adler-32 partial
-/// sums that the optimizer can keep in one 256-bit register).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct U32x8(pub [u32; 8]);
-
-impl U32x8 {
-    /// All eight lanes set to `v`.
-    #[inline(always)]
-    pub fn splat(v: u32) -> Self {
-        U32x8([v; 8])
-    }
-
-    /// Widen the first eight bytes of `s` into lanes.
-    ///
-    /// # Panics
-    /// Panics if `s` has fewer than eight bytes.
-    #[inline(always)]
-    pub fn from_bytes(s: &[u8]) -> Self {
-        U32x8([
-            s[0] as u32,
-            s[1] as u32,
-            s[2] as u32,
-            s[3] as u32,
-            s[4] as u32,
-            s[5] as u32,
-            s[6] as u32,
-            s[7] as u32,
-        ])
-    }
-
-    /// Sum of all lanes, widened to `u64` so it cannot overflow.
-    #[inline(always)]
-    pub fn horizontal_sum(self) -> u64 {
-        let mut total = 0u64;
-        let mut l = 0;
-        while l < 8 {
-            total += self.0[l] as u64;
-            l += 1;
-        }
-        total
-    }
-
-    /// The lanes as a plain array.
-    #[inline(always)]
-    pub fn to_array(self) -> [u32; 8] {
-        self.0
-    }
-}
-
-macro_rules! u32x8_binop {
-    ($trait:ident, $method:ident, $wrap:ident) => {
-        impl $trait for U32x8 {
-            type Output = U32x8;
-            #[inline(always)]
-            fn $method(self, rhs: U32x8) -> U32x8 {
-                U32x8([
-                    self.0[0].$wrap(rhs.0[0]),
-                    self.0[1].$wrap(rhs.0[1]),
-                    self.0[2].$wrap(rhs.0[2]),
-                    self.0[3].$wrap(rhs.0[3]),
-                    self.0[4].$wrap(rhs.0[4]),
-                    self.0[5].$wrap(rhs.0[5]),
-                    self.0[6].$wrap(rhs.0[6]),
-                    self.0[7].$wrap(rhs.0[7]),
-                ])
-            }
-        }
-    };
-}
-
-u32x8_binop!(Add, add, wrapping_add);
-u32x8_binop!(Sub, sub, wrapping_sub);
-u32x8_binop!(Mul, mul, wrapping_mul);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,25 +132,6 @@ mod tests {
         let mut out = [0.0; 6];
         v.write_to(&mut out);
         assert_eq!(out, [1.5, 2.5, 3.5, 4.5, 0.0, 0.0]);
-        let g = F64x4::gather(&src, [4, 0, 4, 2]);
-        assert_eq!(g.to_array(), [9.9, 1.5, 9.9, 3.5]);
         assert_eq!(F64x4::splat(7.0).to_array(), [7.0; 4]);
-    }
-
-    #[test]
-    fn u32x8_ops_wrap_like_scalars() {
-        let a = U32x8([u32::MAX, 1, 2, 3, 4, 5, 6, 7]);
-        let b = U32x8::splat(3);
-        assert_eq!((a + b).0[0], u32::MAX.wrapping_add(3));
-        assert_eq!((a - b).0[1], 1u32.wrapping_sub(3));
-        assert_eq!((a * b).0[7], 21);
-        let s = U32x8::splat(u32::MAX).horizontal_sum();
-        assert_eq!(s, 8 * u32::MAX as u64);
-    }
-
-    #[test]
-    fn u32x8_from_bytes_widens() {
-        let v = U32x8::from_bytes(&[255, 0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(v.to_array(), [255, 0, 1, 2, 3, 4, 5, 6]);
     }
 }

@@ -25,10 +25,10 @@
 //! elide) plus explicit periodic boundary columns, and the per-row Coriolis
 //! and wind-forcing terms are hoisted into tables built once at
 //! construction. Every cell evaluates *exactly* the float expression of the
-//! original allocating implementation — kept verbatim as
-//! [`ShallowWaterModel::step_reference`] — in the same order, so the two
-//! paths are bit-identical (see the `fast_step_matches_reference_bitwise`
-//! test) and all downstream goldens are preserved.
+//! original allocating implementation — kept verbatim as the test oracle
+//! `step_reference` — in the same order, so the two paths are bit-identical
+//! (see the `fast_step_matches_reference_bitwise` test and its proptest)
+//! and all downstream goldens are preserved.
 //!
 //! The interior row loops additionally run four cells per [`F64x4`] lane
 //! step with scalar tails. Lane arithmetic is elementwise and unfused, and
@@ -195,8 +195,8 @@ impl ShallowWaterModel {
     }
 
     /// Advance one timestep. Allocation-free: writes the ping-pong scratch
-    /// state in place and swaps it in. Bit-identical to
-    /// [`ShallowWaterModel::step_reference`].
+    /// state in place and swaps it in. Bit-identical to the seed's
+    /// allocating `from_fn` step.
     pub fn step(&mut self) {
         let (nx, ny) = (self.grid.nx, self.grid.ny);
         let (dx, dy, dt) = (self.grid.dx, self.grid.dy, self.params.dt);
@@ -364,93 +364,6 @@ impl ShallowWaterModel {
         self.steps += 1;
     }
 
-    /// The seed's original allocating step, kept verbatim as the golden
-    /// reference for [`ShallowWaterModel::step`] (the same role
-    /// `rasterize_reference` plays for the renderer) and as the baseline
-    /// the solver benchmark in `native_bench` measures speedup against.
-    /// Three full-field allocations per call; bit-identical results.
-    pub fn step_reference(&mut self) {
-        let (nx, ny) = (self.grid.nx, self.grid.ny);
-        let (dx, dy, dt) = (self.grid.dx, self.grid.dy, self.params.dt);
-        let (g, depth, drag) = (self.params.g, self.params.depth, self.params.drag);
-        let wind_amp = self.params.wind_accel;
-        let ly = ny as f64 * dy;
-
-        // --- continuity: h^{n+1} = h^n − dt·H·div(u^n, v^n) ---------------
-        let h_new = {
-            let u = &self.state.u;
-            let v = &self.state.v;
-            let h = &self.state.h;
-            Field2D::from_fn(nx, ny, |i, j| {
-                let ue = u.get_wrap_x(i as isize + 1, j);
-                let uw = u.get(i, j);
-                let vn = v.get(i, j + 1);
-                let vs = v.get(i, j);
-                let div = (ue - uw) / dx + (vn - vs) / dy;
-                h.get(i, j) - dt * depth * div
-            })
-        };
-
-        // --- momentum with the new h ---------------------------------------
-        let u_new = {
-            let u = &self.state.u;
-            let v = &self.state.v;
-            let h = &h_new;
-            let grid = &self.grid;
-            Field2D::from_fn(nx, ny, |i, j| {
-                let f = grid.coriolis(j);
-                let ii = i as isize;
-                // v averaged to the u-point (west face of cell (i,j)).
-                let vbar = 0.25
-                    * (v.get_wrap_x(ii - 1, j)
-                        + v.get(i, j)
-                        + v.get_wrap_x(ii - 1, j + 1)
-                        + v.get(i, j + 1));
-                let dhdx = (h.get(i, j) - h.get_wrap_x(ii - 1, j)) / dx;
-                let wind = if wind_amp != 0.0 {
-                    let y = grid.y_center(j);
-                    wind_amp * (std::f64::consts::PI * y / ly).sin()
-                } else {
-                    0.0
-                };
-                let u0 = u.get(i, j);
-                u0 + dt * (f * vbar - g * dhdx - drag * u0 + wind)
-            })
-        };
-
-        // Forward–backward Coriolis: the v update sees the *new* u, which
-        // keeps the inertial oscillation neutrally stable for f·dt < 2
-        // (a pure forward treatment amplifies by √(1+(f·dt)²) per step).
-        let v_new = {
-            let u = &u_new;
-            let v = &self.state.v;
-            let h = &h_new;
-            let grid = &self.grid;
-            Field2D::from_fn(nx, ny + 1, |i, j| {
-                if j == 0 || j == ny {
-                    return 0.0; // solid walls
-                }
-                let f = grid.coriolis_at_vface(j);
-                let ii = i as isize;
-                // u averaged to the v-point (south face of cell (i,j)).
-                let ubar = 0.25
-                    * (u.get(i, j)
-                        + u.get_wrap_x(ii + 1, j)
-                        + u.get(i, j - 1)
-                        + u.get_wrap_x(ii + 1, j - 1));
-                let dhdy = (h.get(i, j) - h.get(i, j - 1)) / dy;
-                let v0 = v.get(i, j);
-                v0 + dt * (-f * ubar - g * dhdy - drag * v0)
-            })
-        };
-
-        self.state.h = h_new;
-        self.state.u = u_new;
-        self.state.v = v_new;
-        self.time += dt;
-        self.steps += 1;
-    }
-
     /// Advance `n` timesteps.
     pub fn run(&mut self, n: u64) {
         for _ in 0..n {
@@ -526,6 +439,94 @@ impl ShallowWaterModel {
 mod tests {
     use super::*;
     use crate::vortex::{seed_vortex, Vortex};
+    use proptest::prelude::*;
+
+    impl ShallowWaterModel {
+        /// The seed's original allocating step, kept verbatim as the oracle
+        /// [`ShallowWaterModel::step`] must match bit for bit. Three full-field
+        /// allocations per call.
+        fn step_reference(&mut self) {
+            let (nx, ny) = (self.grid.nx, self.grid.ny);
+            let (dx, dy, dt) = (self.grid.dx, self.grid.dy, self.params.dt);
+            let (g, depth, drag) = (self.params.g, self.params.depth, self.params.drag);
+            let wind_amp = self.params.wind_accel;
+            let ly = ny as f64 * dy;
+
+            // --- continuity: h^{n+1} = h^n − dt·H·div(u^n, v^n) ---------------
+            let h_new = {
+                let u = &self.state.u;
+                let v = &self.state.v;
+                let h = &self.state.h;
+                Field2D::from_fn(nx, ny, |i, j| {
+                    let ue = u.get_wrap_x(i as isize + 1, j);
+                    let uw = u.get(i, j);
+                    let vn = v.get(i, j + 1);
+                    let vs = v.get(i, j);
+                    let div = (ue - uw) / dx + (vn - vs) / dy;
+                    h.get(i, j) - dt * depth * div
+                })
+            };
+
+            // --- momentum with the new h ---------------------------------------
+            let u_new = {
+                let u = &self.state.u;
+                let v = &self.state.v;
+                let h = &h_new;
+                let grid = &self.grid;
+                Field2D::from_fn(nx, ny, |i, j| {
+                    let f = grid.coriolis(j);
+                    let ii = i as isize;
+                    // v averaged to the u-point (west face of cell (i,j)).
+                    let vbar = 0.25
+                        * (v.get_wrap_x(ii - 1, j)
+                            + v.get(i, j)
+                            + v.get_wrap_x(ii - 1, j + 1)
+                            + v.get(i, j + 1));
+                    let dhdx = (h.get(i, j) - h.get_wrap_x(ii - 1, j)) / dx;
+                    let wind = if wind_amp != 0.0 {
+                        let y = grid.y_center(j);
+                        wind_amp * (std::f64::consts::PI * y / ly).sin()
+                    } else {
+                        0.0
+                    };
+                    let u0 = u.get(i, j);
+                    u0 + dt * (f * vbar - g * dhdx - drag * u0 + wind)
+                })
+            };
+
+            // Forward–backward Coriolis: the v update sees the *new* u, which
+            // keeps the inertial oscillation neutrally stable for f·dt < 2
+            // (a pure forward treatment amplifies by √(1+(f·dt)²) per step).
+            let v_new = {
+                let u = &u_new;
+                let v = &self.state.v;
+                let h = &h_new;
+                let grid = &self.grid;
+                Field2D::from_fn(nx, ny + 1, |i, j| {
+                    if j == 0 || j == ny {
+                        return 0.0; // solid walls
+                    }
+                    let f = grid.coriolis_at_vface(j);
+                    let ii = i as isize;
+                    // u averaged to the v-point (south face of cell (i,j)).
+                    let ubar = 0.25
+                        * (u.get(i, j)
+                            + u.get_wrap_x(ii + 1, j)
+                            + u.get(i, j - 1)
+                            + u.get_wrap_x(ii + 1, j - 1));
+                    let dhdy = (h.get(i, j) - h.get(i, j - 1)) / dy;
+                    let v0 = v.get(i, j);
+                    v0 + dt * (-f * ubar - g * dhdy - drag * v0)
+                })
+            };
+
+            self.state.h = h_new;
+            self.state.u = u_new;
+            self.state.v = v_new;
+            self.time += dt;
+            self.steps += 1;
+        }
+    }
 
     fn eddy_model() -> ShallowWaterModel {
         let grid = Grid::channel(32, 24, 60_000.0);
@@ -737,6 +738,49 @@ mod tests {
             }
             assert_eq!(fast.time(), reference.time());
             assert_eq!(fast.steps(), reference.steps());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Laned shallow-water stencils == the allocating oracle, bitwise
+        /// in h/u/v, over arbitrary grids (widths cover every lane tail)
+        /// and forcing parameters.
+        #[test]
+        fn laned_solver_step_matches_reference(
+            nx in 4usize..37,
+            ny in 4usize..17,
+            wind in 0.0f64..0.3,
+            steps in 1u64..12,
+        ) {
+            let make = || {
+                let grid = Grid::channel(nx, ny, 60_000.0);
+                let mut params = SwParams::eddy_channel(&grid);
+                params.wind_accel = wind;
+                let mut m = ShallowWaterModel::new(grid, params);
+                let (lx, ly) = m.grid().extent();
+                seed_vortex(
+                    &mut m,
+                    &Vortex {
+                        x: lx * 0.5,
+                        y: ly * 0.5,
+                        radius: 150_000.0,
+                        amplitude: 0.9,
+                    },
+                );
+                m
+            };
+            let mut fast = make();
+            let mut golden = make();
+            for s in 0..steps {
+                fast.step();
+                golden.step_reference();
+                let (f, g) = (fast.state(), golden.state());
+                prop_assert_eq!(f.h.data(), g.h.data(), "h diverged at step {}", s);
+                prop_assert_eq!(f.u.data(), g.u.data(), "u diverged at step {}", s);
+                prop_assert_eq!(f.v.data(), g.v.data(), "v diverged at step {}", s);
+            }
         }
     }
 }

@@ -342,8 +342,13 @@ impl NcFile {
                 }
                 dims.push(d);
             }
-            let count = get_u64(buf)? as usize;
-            let raw = take(buf, count * dtype.size())?;
+            // The count is the file's claim: a payload longer than memory
+            // can address cannot be present in `input` either.
+            let len = usize::try_from(get_u64(buf)?)
+                .ok()
+                .and_then(|count| count.checked_mul(dtype.size()))
+                .ok_or(NcError::Truncated)?;
+            let raw = take(buf, len)?;
             let data = match dtype {
                 DataType::F32 => VarData::F32(
                     raw.chunks_exact(4)
@@ -420,6 +425,7 @@ fn get_name(buf: &mut &[u8]) -> Result<String, NcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_file() -> NcFile {
         let mut f = NcFile::new();
@@ -544,5 +550,100 @@ mod tests {
             .unwrap();
         let size = f.encoded_size();
         assert!(size >= 8 * n && size < 8 * n + 200, "size={size}");
+    }
+
+    #[test]
+    fn hostile_element_count_is_truncation_not_overflow() {
+        // One F64 variable claiming 2^61 + 1 elements: `count * 8` wraps
+        // to 8, so an unchecked multiply would read one element.
+        let mut raw = Vec::new();
+        raw.extend_from_slice(MAGIC);
+        raw.extend_from_slice(&VERSION.to_le_bytes());
+        raw.extend_from_slice(&0u16.to_le_bytes()); // flags
+        raw.extend_from_slice(&0u32.to_le_bytes()); // dims
+        raw.extend_from_slice(&0u32.to_le_bytes()); // attrs
+        raw.extend_from_slice(&1u32.to_le_bytes()); // vars
+        raw.extend_from_slice(&1u16.to_le_bytes());
+        raw.push(b'v');
+        raw.push(DataType::F64.code());
+        raw.push(0); // ndims
+        raw.extend_from_slice(&((1u64 << 61) + 1).to_le_bytes());
+        raw.extend_from_slice(&1.5f64.to_le_bytes());
+        assert_eq!(NcFile::decode(&raw), Err(NcError::Truncated));
+    }
+
+    fn bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec((0u16..256).prop_map(|b| b as u8), len)
+    }
+
+    /// A valid file with up to three dims, attrs and variables of every
+    /// type, sized from `seed`.
+    fn arbitrary_file(seed: u64) -> NcFile {
+        let mut rng = TestRng::for_case(seed);
+        let mut f = NcFile::new();
+        let name = |rng: &mut TestRng| format!("n{}", rng.below(1000));
+        for _ in 0..rng.below(4) {
+            let n = name(&mut rng);
+            f.add_dim(n, rng.below(6) as u64);
+        }
+        for _ in 0..rng.below(4) {
+            let (n, v) = (name(&mut rng), "é".repeat(rng.below(3)));
+            f.add_attr(n, v);
+        }
+        for _ in 0..rng.below(4) {
+            let dims: Vec<usize> = match f.dims.len() {
+                0 => Vec::new(),
+                nd => (0..rng.below(3)).map(|_| rng.below(nd)).collect(),
+            };
+            let len = if dims.is_empty() {
+                rng.below(5)
+            } else {
+                dims.iter().map(|&d| f.dims[d].1 as usize).product()
+            };
+            let data = match rng.below(4) {
+                0 => VarData::F32((0..len).map(|_| rng.unit_f64() as f32).collect()),
+                1 => VarData::F64((0..len).map(|_| f64::from_bits(rng.next_u64())).collect()),
+                2 => VarData::I32((0..len).map(|_| rng.next_u64() as i32).collect()),
+                _ => VarData::U8((0..len).map(|_| rng.next_u64() as u8).collect()),
+            };
+            let n = name(&mut rng);
+            f.add_var(n, dims, data).expect("shape follows the dims");
+        }
+        f
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(raw in bytes(0..96)) {
+            let _ = NcFile::decode(&raw);
+            // The same bytes behind a valid preamble reach the tables.
+            let mut framed = b"NCDL\x01\x00\x00\x00".to_vec();
+            framed.extend_from_slice(&raw);
+            let _ = NcFile::decode(&framed);
+        }
+
+        #[test]
+        fn valid_encodings_round_trip_and_damaged_ones_fail_cleanly(
+            seed in 0u64..u64::MAX,
+            cut in 0usize..4096,
+            junk in bytes(0..9),
+        ) {
+            let f = arbitrary_file(seed);
+            let encoded = f.encode();
+            prop_assert_eq!(encoded.len() as u64, f.encoded_size());
+            // NaN payloads compare unequal, so compare re-encoded bytes.
+            let back = NcFile::decode(&encoded).expect("valid encoding decodes");
+            prop_assert_eq!(back.encode(), encoded.clone());
+            // Truncate anywhere short of the end: always an error.
+            let at = cut % encoded.len();
+            prop_assert!(NcFile::decode(&encoded[..at]).is_err());
+            // Splice noise in at the cut: an error or some file, never a panic.
+            let mut spliced = encoded[..at].to_vec();
+            spliced.extend_from_slice(&junk);
+            spliced.extend_from_slice(&encoded[at..]);
+            let _ = NcFile::decode(&spliced);
+        }
     }
 }

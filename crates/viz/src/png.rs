@@ -11,34 +11,28 @@
 //! [`PngEncoder`] emits the file in one pass directly into the output
 //! `Vec`: scanlines (filter byte + pixels) are framed into stored deflate
 //! blocks as they are produced, with the chunk CRC-32 and the zlib
-//! Adler-32 updated incrementally on every appended byte. The seed's
-//! three-copy chain (`to_rgb_bytes` → scanline `raw` → `zlib_stored` →
-//! chunk payload copy) is retained verbatim as [`encode_png_reference`] —
-//! the golden both the tests and `native_bench` compare against — but the
-//! hot path touches each pixel exactly once and allocates nothing beyond
-//! the output buffer and a reusable one-scanline scratch. The stored-block
-//! layout (and therefore the exact file size) comes from one shared
-//! function, [`png_layout`], so [`encoded_png_size`] is exact *by
+//! Adler-32 updated incrementally on every appended byte. The hot path
+//! touches each pixel exactly once and allocates nothing beyond the output
+//! buffer and a reusable one-scanline scratch; the seed's three-copy chain
+//! (`to_rgb_bytes` → scanline `raw` → `zlib_stored` → chunk payload copy)
+//! survives only as the test oracle the encoder is proptested against. The
+//! stored-block layout (and therefore the exact file size) comes from one
+//! shared function, [`png_layout`], so [`encoded_png_size`] is exact *by
 //! construction*.
 //!
-//! ## Width-parallel checksums
+//! ## Checksums
 //!
-//! Stored blocks mean the encoder's arithmetic is *all* checksum work, so
-//! the two inner loops get the classic wide treatments (DESIGN.md §8):
+//! Stored blocks mean the encoder's arithmetic is *all* checksum work:
 //!
 //! * **CRC-32, slice-by-8** — eight derived lookup tables (built at compile
 //!   time from the same polynomial table) fold 8 input bytes per iteration
 //!   instead of 1. CRC over GF(2) is linear, so the split is exact: the
-//!   result equals the bytewise [`crc32_reference`] on every input, which
-//!   the proptests assert.
-//! * **Adler-32, 8-striped with mod-deferral** — within each ≤ 5552-byte
-//!   block, eight [`U32x8`] lane accumulators carry
-//!   `Σ x[8j+l]` and `Σ j·x[8j+l]`; the closed-form recombination in u64
-//!   yields exactly the serial `a += x; b += a` recurrence mod 65521
-//!   ([`adler32_reference`] is the retained golden).
+//!   result equals the bytewise loop on every input, which the proptests
+//!   assert.
+//! * **Adler-32** — the serial `a += x; b += a` recurrence, reduced mod
+//!   65521 once per ≤ 5552-byte block (zlib's NMAX deferral).
 
 use crate::raster::ImageBuffer;
-use ivis_lanes::U32x8;
 
 /// The 8-byte PNG signature.
 pub const PNG_SIGNATURE: [u8; 8] = [0x89, b'P', b'N', b'G', 0x0D, 0x0A, 0x1A, 0x0A];
@@ -87,10 +81,10 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// Fold `data` into a running (pre-inverted) CRC-32 state, bytewise. The
-/// retained scalar reference for the slice-by-8 fast path.
+/// Fold `data` into a running (pre-inverted) CRC-32 state, bytewise: the
+/// slice-by-8 path's tail.
 #[inline]
-fn crc32_update_reference(mut crc: u32, data: &[u8]) -> u32 {
+fn crc32_update_bytewise(mut crc: u32, data: &[u8]) -> u32 {
     for &b in data {
         crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
@@ -98,7 +92,7 @@ fn crc32_update_reference(mut crc: u32, data: &[u8]) -> u32 {
 }
 
 /// Fold `data` into a running (pre-inverted) CRC-32 state, 8 bytes per
-/// iteration (slice-by-8). Bit-identical to [`crc32_update_reference`] —
+/// iteration (slice-by-8). Bit-identical to [`crc32_update_bytewise`] —
 /// CRC is linear over GF(2), so folding the state through two 4-byte words
 /// with precomputed shift tables computes the same remainder.
 #[inline]
@@ -116,19 +110,12 @@ fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
             ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
             ^ CRC_TABLES[0][(hi >> 24) as usize];
     }
-    crc32_update_reference(crc, octets.remainder())
+    crc32_update_bytewise(crc, octets.remainder())
 }
 
 /// CRC-32 (IEEE 802.3) over `data`, as PNG requires.
 pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
-}
-
-/// CRC-32 via the retained bytewise loop — the golden the slice-by-8 path
-/// is proptested against, and the baseline `native_bench` measures the
-/// `simd.crc32` speedup from.
-pub fn crc32_reference(data: &[u8]) -> u32 {
-    crc32_update_reference(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
 /// Largest number of bytes that can be folded into an Adler-32 state
@@ -137,11 +124,10 @@ const ADLER_NMAX: usize = 5_552;
 const ADLER_MOD: u32 = 65_521;
 
 /// Fold `data` into a running Adler-32 state `(a, b)` with the serial
-/// `a += x; b += a` recurrence — the retained scalar reference for the
-/// striped fast path. Both components are left reduced mod 65521, so
-/// updates can be chained on arbitrary slices.
+/// `a += x; b += a` recurrence. Both components are left reduced mod 65521,
+/// so updates can be chained on arbitrary slices.
 #[inline]
-fn adler32_update_reference(a: &mut u32, b: &mut u32, data: &[u8]) {
+fn adler32_update(a: &mut u32, b: &mut u32, data: &[u8]) {
     for chunk in data.chunks(ADLER_NMAX) {
         for &x in chunk {
             *a += x as u32;
@@ -152,62 +138,10 @@ fn adler32_update_reference(a: &mut u32, b: &mut u32, data: &[u8]) {
     }
 }
 
-/// Fold `data` into a running Adler-32 state `(a, b)`, 8 stripes wide with
-/// deferred reduction. Identical results to [`adler32_update_reference`]:
-/// over one block of `m` bytes, `a' = a + Σ x[i]` and
-/// `b' = b + m·a + Σ (m − i)·x[i]`; with `i = 8j + l` the weighted sum
-/// splits per lane into `(m − l)·Σ_j x[8j+l] − 8·Σ_j j·x[8j+l]`, which the
-/// [`U32x8`] accumulators track without overflow (per-lane byte sums stay
-/// below 2²⁵ within an NMAX block) and the u64 recombination reduces mod
-/// 65521 once per block.
-#[inline]
-fn adler32_update(a: &mut u32, b: &mut u32, data: &[u8]) {
-    const M64: u64 = ADLER_MOD as u64;
-    for chunk in data.chunks(ADLER_NMAX) {
-        let m = chunk.len() as u64;
-        let main = chunk.len() - chunk.len() % 8;
-        let mut sum = U32x8::splat(0);
-        let mut jsum = U32x8::splat(0);
-        for (j, oct) in chunk[..main].chunks_exact(8).enumerate() {
-            let v = U32x8::from_bytes(oct);
-            sum = sum + v;
-            jsum = jsum + U32x8::splat(j as u32) * v;
-        }
-        let mut atot = *a as u64;
-        let mut btot = *b as u64 + m * (*a as u64);
-        if main > 0 {
-            // main > 0 implies m ≥ 8 > l, so m − l cannot underflow.
-            let sums = sum.to_array();
-            let jsums = jsum.to_array();
-            for (l, (&s, &js)) in sums.iter().zip(&jsums).enumerate() {
-                atot += s as u64;
-                // Non-negative: this equals Σ_j (m − 8j − l)·x[8j+l], and
-                // every position weight m − i is ≥ 1 inside the block.
-                btot += (m - l as u64) * s as u64 - 8 * js as u64;
-            }
-        }
-        for (k, &x) in chunk[main..].iter().enumerate() {
-            atot += x as u64;
-            btot += (m - (main + k) as u64) * x as u64;
-        }
-        *a = (atot % M64) as u32;
-        *b = (btot % M64) as u32;
-    }
-}
-
 /// Adler-32 checksum, as zlib requires.
 pub fn adler32(data: &[u8]) -> u32 {
     let (mut a, mut b) = (1u32, 0u32);
     adler32_update(&mut a, &mut b, data);
-    (b << 16) | a
-}
-
-/// Adler-32 via the retained serial recurrence — the golden the striped
-/// path is proptested against, and the baseline `native_bench` measures
-/// the `simd.adler32` speedup from.
-pub fn adler32_reference(data: &[u8]) -> u32 {
-    let (mut a, mut b) = (1u32, 0u32);
-    adler32_update_reference(&mut a, &mut b, data);
     (b << 16) | a
 }
 
@@ -277,7 +211,7 @@ impl<'a> ChunkWriter<'a> {
 
 /// Single-pass streaming PNG encoder with a reusable scanline scratch
 /// buffer. Create once per run and call [`PngEncoder::encode_into`] per
-/// frame; output bytes are identical to [`encode_png_reference`].
+/// frame.
 #[derive(Debug, Clone, Default)]
 pub struct PngEncoder {
     /// One filtered scanline (`1 + 3·w` bytes), reused across rows and
@@ -369,68 +303,6 @@ pub fn encode_png(img: &ImageBuffer) -> Vec<u8> {
     out
 }
 
-fn push_chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    let start = out.len();
-    out.extend_from_slice(kind);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_be_bytes());
-}
-
-/// Wrap raw bytes in a zlib stream of stored deflate blocks.
-fn zlib_stored(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() + data.len() / STORED_BLOCK_MAX * 5 + 16);
-    out.push(0x78); // CMF: deflate, 32K window
-    out.push(0x01); // FLG: no preset dict, fastest (checksum-correct)
-    let mut chunks = data.chunks(STORED_BLOCK_MAX).peekable();
-    if data.is_empty() {
-        // One empty final stored block.
-        out.extend_from_slice(&[0x01, 0x00, 0x00, 0xFF, 0xFF]);
-    }
-    while let Some(chunk) = chunks.next() {
-        let bfinal = if chunks.peek().is_none() { 1 } else { 0 };
-        out.push(bfinal);
-        let len = chunk.len() as u16;
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&(!len).to_le_bytes());
-        out.extend_from_slice(chunk);
-    }
-    out.extend_from_slice(&adler32(data).to_be_bytes());
-    out
-}
-
-/// The seed's original copy-chain encoder (`to_rgb_bytes` → scanline
-/// assembly → `zlib_stored` → chunk copy), kept verbatim as the golden
-/// reference for [`PngEncoder`] and as the baseline `native_bench`
-/// measures encode throughput against.
-pub fn encode_png_reference(img: &ImageBuffer) -> Vec<u8> {
-    let (w, h) = (img.width(), img.height());
-    let mut out = Vec::with_capacity(w * h * 3 + h + 128);
-    out.extend_from_slice(&PNG_SIGNATURE);
-
-    let mut ihdr = Vec::with_capacity(13);
-    ihdr.extend_from_slice(&(w as u32).to_be_bytes());
-    ihdr.extend_from_slice(&(h as u32).to_be_bytes());
-    ihdr.push(8); // bit depth
-    ihdr.push(2); // color type: truecolor RGB
-    ihdr.push(0); // compression
-    ihdr.push(0); // filter method
-    ihdr.push(0); // no interlace
-    push_chunk(&mut out, b"IHDR", &ihdr);
-
-    // Scanlines: filter byte 0 (None) + RGB triples.
-    let rgb = img.to_rgb_bytes();
-    let mut raw = Vec::with_capacity(h * (1 + 3 * w));
-    for y in 0..h {
-        raw.push(0);
-        raw.extend_from_slice(&rgb[y * 3 * w..(y + 1) * 3 * w]);
-    }
-    push_chunk(&mut out, b"IDAT", &zlib_stored(&raw));
-    push_chunk(&mut out, b"IEND", &[]);
-    out
-}
-
 /// Exact size in bytes of the PNG this encoder produces for a `w × h` image,
 /// without encoding. Used for byte accounting in the pipelines. Derived
 /// from the same [`png_layout`] the encoder frames blocks with.
@@ -438,64 +310,126 @@ pub fn encoded_png_size(w: usize, h: usize) -> u64 {
     png_layout(w, h).file_len
 }
 
-/// Minimal structural PNG parser: validates the signature and every
-/// chunk's CRC, returning `(type, payload)` pairs. A verification helper
-/// for tests (unit, integration and property) — not a general decoder.
-///
-/// # Panics
-/// Panics on any structural violation.
-pub fn parse_png_chunks(data: &[u8]) -> Vec<(String, Vec<u8>)> {
-    assert_eq!(&data[..8], &PNG_SIGNATURE);
-    let mut chunks = Vec::new();
-    let mut pos = 8;
-    while pos < data.len() {
-        let len = u32::from_be_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-        let kind = String::from_utf8(data[pos + 4..pos + 8].to_vec()).unwrap();
-        let payload = data[pos + 8..pos + 8 + len].to_vec();
-        let stored_crc =
-            u32::from_be_bytes(data[pos + 8 + len..pos + 12 + len].try_into().unwrap());
-        let computed = crc32(&data[pos + 4..pos + 8 + len]);
-        assert_eq!(stored_crc, computed, "bad CRC on {kind}");
-        chunks.push((kind, payload));
-        pos += 12 + len;
-    }
-    chunks
-}
-
-/// Decode a zlib stream of stored deflate blocks (the inverse of this
-/// encoder's IDAT payload), verifying LEN/NLEN framing and the Adler-32.
-/// A verification helper for tests — only stored blocks are understood.
-///
-/// # Panics
-/// Panics on compressed blocks, framing errors, or checksum mismatch.
-pub fn unzlib_stored(z: &[u8]) -> Vec<u8> {
-    assert_eq!(z[0] & 0x0F, 8, "deflate method");
-    let mut out = Vec::new();
-    let mut pos = 2;
-    loop {
-        let bfinal = z[pos] & 1;
-        assert_eq!(z[pos] >> 1, 0, "stored block expected");
-        let len = u16::from_le_bytes(z[pos + 1..pos + 3].try_into().unwrap()) as usize;
-        let nlen = u16::from_le_bytes(z[pos + 3..pos + 5].try_into().unwrap());
-        assert_eq!(!(len as u16), nlen, "LEN/NLEN mismatch");
-        out.extend_from_slice(&z[pos + 5..pos + 5 + len]);
-        pos += 5 + len;
-        if bfinal == 1 {
-            break;
-        }
-    }
-    let expect = u32::from_be_bytes(z[pos..pos + 4].try_into().unwrap());
-    assert_eq!(adler32(&out), expect, "adler mismatch");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::color::Rgb;
+    use proptest::prelude::*;
 
-    fn parse_chunks(data: &[u8]) -> Vec<(String, Vec<u8>)> {
-        parse_png_chunks(data)
+    /// CRC-32 via the bytewise loop alone: the slice-by-8 path's oracle.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        crc32_update_bytewise(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+    }
+
+    fn push_chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: &[u8]) {
+        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        let start = out.len();
+        out.extend_from_slice(kind);
+        out.extend_from_slice(payload);
+        let crc = crc32(&out[start..]);
+        out.extend_from_slice(&crc.to_be_bytes());
+    }
+
+    /// Wrap raw bytes in a zlib stream of stored deflate blocks.
+    fn zlib_stored(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len() + data.len() / STORED_BLOCK_MAX * 5 + 16);
+        out.push(0x78); // CMF: deflate, 32K window
+        out.push(0x01); // FLG: no preset dict, fastest (checksum-correct)
+        let mut chunks = data.chunks(STORED_BLOCK_MAX).peekable();
+        if data.is_empty() {
+            // One empty final stored block.
+            out.extend_from_slice(&[0x01, 0x00, 0x00, 0xFF, 0xFF]);
+        }
+        while let Some(chunk) = chunks.next() {
+            let bfinal = if chunks.peek().is_none() { 1 } else { 0 };
+            out.push(bfinal);
+            let len = chunk.len() as u16;
+            out.extend_from_slice(&len.to_le_bytes());
+            out.extend_from_slice(&(!len).to_le_bytes());
+            out.extend_from_slice(chunk);
+        }
+        out.extend_from_slice(&adler32(data).to_be_bytes());
+        out
+    }
+
+    /// The seed's original copy-chain encoder (`to_rgb_bytes` → scanline
+    /// assembly → `zlib_stored` → chunk copy): the oracle [`PngEncoder`] must
+    /// match byte for byte.
+    fn encode_png_reference(img: &ImageBuffer) -> Vec<u8> {
+        let (w, h) = (img.width(), img.height());
+        let mut out = Vec::with_capacity(w * h * 3 + h + 128);
+        out.extend_from_slice(&PNG_SIGNATURE);
+
+        let mut ihdr = Vec::with_capacity(13);
+        ihdr.extend_from_slice(&(w as u32).to_be_bytes());
+        ihdr.extend_from_slice(&(h as u32).to_be_bytes());
+        ihdr.push(8); // bit depth
+        ihdr.push(2); // color type: truecolor RGB
+        ihdr.push(0); // compression
+        ihdr.push(0); // filter method
+        ihdr.push(0); // no interlace
+        push_chunk(&mut out, b"IHDR", &ihdr);
+
+        // Scanlines: filter byte 0 (None) + RGB triples.
+        let rgb = img.to_rgb_bytes();
+        let mut raw = Vec::with_capacity(h * (1 + 3 * w));
+        for y in 0..h {
+            raw.push(0);
+            raw.extend_from_slice(&rgb[y * 3 * w..(y + 1) * 3 * w]);
+        }
+        push_chunk(&mut out, b"IDAT", &zlib_stored(&raw));
+        push_chunk(&mut out, b"IEND", &[]);
+        out
+    }
+
+    /// Minimal structural PNG parser: validates the signature and every
+    /// chunk's CRC, returning `(type, payload)` pairs. Not a general decoder.
+    ///
+    /// # Panics
+    /// Panics on any structural violation.
+    fn parse_png_chunks(data: &[u8]) -> Vec<(String, Vec<u8>)> {
+        assert_eq!(&data[..8], &PNG_SIGNATURE);
+        let mut chunks = Vec::new();
+        let mut pos = 8;
+        while pos < data.len() {
+            let len = u32::from_be_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
+            let kind = String::from_utf8(data[pos + 4..pos + 8].to_vec()).unwrap();
+            let payload = data[pos + 8..pos + 8 + len].to_vec();
+            let stored_crc =
+                u32::from_be_bytes(data[pos + 8 + len..pos + 12 + len].try_into().unwrap());
+            let computed = crc32(&data[pos + 4..pos + 8 + len]);
+            assert_eq!(stored_crc, computed, "bad CRC on {kind}");
+            chunks.push((kind, payload));
+            pos += 12 + len;
+        }
+        chunks
+    }
+
+    /// Decode a zlib stream of stored deflate blocks (the inverse of this
+    /// encoder's IDAT payload), verifying LEN/NLEN framing and the Adler-32.
+    /// Only stored blocks are understood.
+    ///
+    /// # Panics
+    /// Panics on compressed blocks, framing errors, or checksum mismatch.
+    fn unzlib_stored(z: &[u8]) -> Vec<u8> {
+        assert_eq!(z[0] & 0x0F, 8, "deflate method");
+        let mut out = Vec::new();
+        let mut pos = 2;
+        loop {
+            let bfinal = z[pos] & 1;
+            assert_eq!(z[pos] >> 1, 0, "stored block expected");
+            let len = u16::from_le_bytes(z[pos + 1..pos + 3].try_into().unwrap()) as usize;
+            let nlen = u16::from_le_bytes(z[pos + 3..pos + 5].try_into().unwrap());
+            assert_eq!(!(len as u16), nlen, "LEN/NLEN mismatch");
+            out.extend_from_slice(&z[pos + 5..pos + 5 + len]);
+            pos += 5 + len;
+            if bfinal == 1 {
+                break;
+            }
+        }
+        let expect = u32::from_be_bytes(z[pos..pos + 4].try_into().unwrap());
+        assert_eq!(adler32(&out), expect, "adler mismatch");
+        out
     }
 
     #[test]
@@ -512,9 +446,9 @@ mod tests {
     }
 
     #[test]
-    fn fast_checksums_match_references_at_all_tail_lengths() {
-        // Lengths straddling the 8-byte stride and the NMAX reduction
-        // boundary, including every tail length 0..8.
+    fn sliced_crc32_matches_reference_at_all_tail_lengths() {
+        // Lengths straddling the 8-byte stride, including every tail
+        // length 0..8.
         let data: Vec<u8> = (0..20_000u32).map(|i| (i * 131 % 256) as u8).collect();
         let mut lens: Vec<usize> = (0..=16).collect();
         lens.extend([
@@ -523,7 +457,6 @@ mod tests {
         for &len in &lens {
             let d = &data[..len];
             assert_eq!(crc32(d), crc32_reference(d), "crc len {len}");
-            assert_eq!(adler32(d), adler32_reference(d), "adler len {len}");
         }
     }
 
@@ -546,7 +479,7 @@ mod tests {
         let mut img = ImageBuffer::new(5, 3);
         img.set(0, 0, Rgb::new(255, 0, 0));
         let png = encode_png(&img);
-        let chunks = parse_chunks(&png);
+        let chunks = parse_png_chunks(&png);
         assert_eq!(chunks[0].0, "IHDR");
         assert_eq!(chunks[1].0, "IDAT");
         assert_eq!(chunks[2].0, "IEND");
@@ -567,7 +500,7 @@ mod tests {
             }
         }
         let png = encode_png(&img);
-        let chunks = parse_chunks(&png);
+        let chunks = parse_png_chunks(&png);
         let raw = unzlib_stored(&chunks[1].1);
         // Each scanline: filter byte then RGB triples.
         assert_eq!(raw.len(), 2 * (1 + 12));
@@ -652,7 +585,7 @@ mod tests {
         // > 65535 raw bytes forces multiple stored blocks.
         let img = ImageBuffer::new(256, 100); // raw = 100*(1+768) = 76900
         let png = encode_png(&img);
-        let chunks = parse_chunks(&png);
+        let chunks = parse_png_chunks(&png);
         let raw = unzlib_stored(&chunks[1].1);
         assert_eq!(raw.len(), 100 * 769);
         assert_eq!(png.len() as u64, encoded_png_size(256, 100));
@@ -665,5 +598,68 @@ mod tests {
         // one 720×512 stored-PNG frame is in that ballpark.
         let size = encoded_png_size(720, 512);
         assert!(size > 1_000_000 && size < 1_200_000, "size={size}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Slice-by-8 CRC-32 == bytewise CRC-32 on arbitrary byte strings,
+        /// including every 8-byte-stride tail.
+        #[test]
+        fn sliced_crc32_matches_reference(
+            words in prop::collection::vec(0u64..1_000_000, 0..12_000),
+            pad in 0usize..9,
+        ) {
+            let mut data: Vec<u8> = words.iter().map(|&v| (v % 256) as u8).collect();
+            data.truncate(data.len().saturating_sub(pad));
+            prop_assert_eq!(crc32(&data), crc32_reference(&data));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random images round-trip exactly through the streaming encoder
+        /// and the stored-block parser, and the streamed bytes equal the
+        /// copy-chain oracle's.
+        #[test]
+        fn random_images_roundtrip_through_streaming_encoder(
+            w in 1usize..40,
+            h in 1usize..24,
+            seed in 0u64..u64::MAX,
+        ) {
+            // Deterministic pseudo-random pixels from the seed (SplitMix64).
+            let mut s = seed;
+            let mut next = move || {
+                s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = s;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let mut img = ImageBuffer::new(w, h);
+            for y in 0..h {
+                for x in 0..w {
+                    let r = next();
+                    img.set(x, y, Rgb::new(r as u8, (r >> 8) as u8, (r >> 16) as u8));
+                }
+            }
+            let mut enc = PngEncoder::new();
+            let mut png = Vec::new();
+            enc.encode_into(&img, &mut png);
+            prop_assert_eq!(&png, &encode_png_reference(&img));
+            let chunks = parse_png_chunks(&png); // validates signature + CRCs
+            prop_assert_eq!(chunks.len(), 3);
+            let raw = unzlib_stored(&chunks[1].1); // validates framing + Adler
+            prop_assert_eq!(raw.len(), h * (1 + 3 * w));
+            for y in 0..h {
+                let row = &raw[y * (1 + 3 * w)..(y + 1) * (1 + 3 * w)];
+                prop_assert_eq!(row[0], 0, "filter byte");
+                for x in 0..w {
+                    let p = img.pixels()[y * w + x];
+                    prop_assert_eq!(&row[1 + 3 * x..4 + 3 * x], &[p.r, p.g, p.b]);
+                }
+            }
+        }
     }
 }

@@ -1,13 +1,12 @@
 //! Image buffers and field resampling.
 //!
 //! The table-driven sampler stores its per-column data structure-of-arrays
-//! and runs its two per-pixel blends ([`SampleTables::new`]'s horizontal
-//! pass and [`SampleTables::shade_row`]'s vertical pass) four columns at a
-//! time through [`F64x4`] lanes. Both laned loops evaluate the exact
-//! per-element expression tree of the retained scalar goldens
-//! ([`SampleTables::new_reference`], [`rasterize_reference`]) with scalar
-//! tails for the last `width % 4` columns, so shaded pixels stay
-//! bit-identical — see DESIGN.md §8 for the rules.
+//! and runs its per-pixel vertical blend ([`SampleTables::shade_row`]) four
+//! columns at a time through [`F64x4`] lanes. The laned loop evaluates the
+//! exact per-element expression tree of the naive per-pixel renderer (the
+//! test oracle `rasterize_reference`) with a scalar tail for the last
+//! `width % 4` columns, so shaded pixels stay bit-identical — see DESIGN.md
+//! §8 for the rules.
 
 use ivis_lanes::F64x4;
 use ivis_ocean::Field2D;
@@ -129,17 +128,14 @@ struct RowSample {
 /// not on the field values. Hoisting it into per-column / per-row tables
 /// removes all of it from the inner loop while performing *exactly* the
 /// same float operations in the same order, so the shaded pixels are
-/// bit-identical to the naive path ([`rasterize_reference`]). Shared by
+/// bit-identical to the naive per-pixel [`sample_bilinear`] path. Shared by
 /// [`rasterize`] and [`crate::compositing::render_distributed`], which is
 /// what makes the two bit-identical to each other.
 ///
 /// Column data is stored structure-of-arrays (`i0` / `i1` / `tx` as three
-/// flat vectors) so the horizontal-blend build and the per-row vertical
-/// blend can run four columns per [`F64x4`] lane step with contiguous
-/// weight loads. Per element the laned loops perform exactly the scalar
-/// expression `v0·(1 − t) + v1·t`, so the tables — and every pixel shaded
-/// from them — are bit-identical to the scalar build (retained as
-/// [`SampleTables::new_reference`]).
+/// flat vectors); the per-row vertical blend runs four columns per
+/// [`F64x4`] lane step, performing per element exactly the scalar
+/// expression `v0·(1 − t) + v1·t`.
 #[derive(Debug, Clone)]
 pub struct SampleTables {
     /// Left source column per output column (wrapped in x).
@@ -161,9 +157,8 @@ pub struct SampleTables {
 }
 
 impl SampleTables {
-    /// Index/weight skeleton shared by [`SampleTables::new`] and
-    /// [`SampleTables::new_reference`]; `hblend` starts empty.
-    fn skeleton(field: &Field2D, width: usize, height: usize) -> Self {
+    /// Precompute the tables for rendering `field` at `width × height`.
+    pub fn new(field: &Field2D, width: usize, height: usize) -> Self {
         let (nx, ny) = (field.nx() as f64, field.ny() as f64);
         let nxi = field.nx() as isize;
         let nyi = field.ny() as isize;
@@ -191,41 +186,17 @@ impl SampleTables {
                 }
             })
             .collect();
-        SampleTables {
+        let mut t = SampleTables {
             i0,
             i1,
             tx,
             rows,
-            hblend: Vec::new(),
+            hblend: Vec::with_capacity(field.ny() * width),
             width,
             nx: field.nx(),
             ny: field.ny(),
-        }
-    }
-
-    /// Precompute the tables for rendering `field` at `width × height`.
-    pub fn new(field: &Field2D, width: usize, height: usize) -> Self {
-        let mut t = SampleTables::skeleton(field, width, height);
-        t.hblend.reserve(t.ny * width);
+        };
         t.fill_hblend(field);
-        t
-    }
-
-    /// Scalar-build golden: the same tables via the original one-column-
-    /// at-a-time horizontal blend. Retained as the reference the laned
-    /// [`SampleTables::new`] is proptested against.
-    pub fn new_reference(field: &Field2D, width: usize, height: usize) -> Self {
-        let mut t = SampleTables::skeleton(field, width, height);
-        let nxu = field.nx();
-        let data = field.data();
-        let mut hblend = Vec::with_capacity(field.ny() * width);
-        for j in 0..field.ny() {
-            let row = &data[j * nxu..j * nxu + nxu];
-            hblend.extend(
-                (0..width).map(|x| row[t.i0[x]] * (1.0 - t.tx[x]) + row[t.i1[x]] * t.tx[x]),
-            );
-        }
-        t.hblend = hblend;
         t
     }
 
@@ -253,44 +224,15 @@ impl SampleTables {
         self.fill_hblend(field);
     }
 
-    /// Append the horizontal blend of every field row to `self.hblend`,
-    /// four columns per lane step. Per element this is exactly the scalar
-    /// `row[i0]·(1 − tx) + row[i1]·tx`.
+    /// Append the horizontal blend `row[i0]·(1 − tx) + row[i1]·tx` of every
+    /// field row at every output column to `self.hblend`.
     fn fill_hblend(&mut self, field: &Field2D) {
-        let nxu = field.nx();
-        let width = self.width;
-        let data = field.data();
-        let main = width - width % 4;
-        let mut lanes = [0.0f64; 4];
-        for j in 0..field.ny() {
-            let row = &data[j * nxu..j * nxu + nxu];
-            let mut x = 0;
-            while x < main {
-                let v0 = F64x4::gather(
-                    row,
-                    [self.i0[x], self.i0[x + 1], self.i0[x + 2], self.i0[x + 3]],
-                );
-                let v1 = F64x4::gather(
-                    row,
-                    [self.i1[x], self.i1[x + 1], self.i1[x + 2], self.i1[x + 3]],
-                );
-                let t = F64x4::from_slice(&self.tx[x..]);
-                let blended = v0 * (F64x4::splat(1.0) - t) + v1 * t;
-                blended.write_to(&mut lanes);
-                self.hblend.extend_from_slice(&lanes);
-                x += 4;
-            }
-            for x in main..width {
-                self.hblend
-                    .push(row[self.i0[x]] * (1.0 - self.tx[x]) + row[self.i1[x]] * self.tx[x]);
-            }
+        for row in field.data().chunks_exact(field.nx()) {
+            self.hblend.extend(
+                (0..self.width)
+                    .map(|x| row[self.i0[x]] * (1.0 - self.tx[x]) + row[self.i1[x]] * self.tx[x]),
+            );
         }
-    }
-
-    /// The baked horizontal-blend table (`ny × width`, row-major) — exposed
-    /// so benchmarks and identity tests can witness build equality.
-    pub fn hblend(&self) -> &[f64] {
-        &self.hblend
     }
 
     /// Shade image row `y` into `out` (one pixel per column). The field
@@ -330,7 +272,8 @@ impl SampleTables {
 /// Rasterize a scalar field into an image using `colormap` over `(lo, hi)`.
 /// Row 0 of the image corresponds to the *top* (largest y / northernmost
 /// row) of the field. Table-driven and parallel over image rows;
-/// bit-identical to [`rasterize_reference`] at every thread count.
+/// bit-identical to the naive per-pixel [`sample_bilinear`] loop at every
+/// thread count.
 pub fn rasterize(
     field: &Field2D,
     width: usize,
@@ -347,35 +290,40 @@ pub fn rasterize(
     img
 }
 
-/// The original naive renderer: one [`sample_bilinear`] call per pixel,
-/// strictly sequential. Kept as the golden reference for the determinism
-/// suite and as the sequential baseline for the scaling benchmarks.
-pub fn rasterize_reference(
-    field: &Field2D,
-    width: usize,
-    height: usize,
-    colormap: Colormap,
-    lo: f64,
-    hi: f64,
-) -> ImageBuffer {
-    assert!(hi > lo, "rasterize range must have hi > lo");
-    let mut img = ImageBuffer::new(width, height);
-    let (nx, ny) = (field.nx() as f64, field.ny() as f64);
-    for y in 0..height {
-        // Flip vertically: image row 0 = field's top row.
-        let fy = (1.0 - (y as f64 + 0.5) / height as f64) * ny - 0.5;
-        for x in 0..width {
-            let fx = (x as f64 + 0.5) / width as f64 * nx - 0.5;
-            let v = sample_bilinear(field, fx, fy);
-            img.set(x, y, colormap.map(v, lo, hi));
-        }
-    }
-    img
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compositing::render_distributed;
+    use crate::render::FieldRenderer;
+    use ivis_ocean::grid::Grid;
+    use ivis_ocean::okubo_weiss::okubo_weiss;
+    use proptest::prelude::*;
+
+    /// The seed's naive renderer: one [`sample_bilinear`] call per pixel,
+    /// strictly sequential. The oracle the table-driven, laned and
+    /// distributed renderers must match bit for bit.
+    fn rasterize_reference(
+        field: &Field2D,
+        width: usize,
+        height: usize,
+        colormap: Colormap,
+        lo: f64,
+        hi: f64,
+    ) -> ImageBuffer {
+        assert!(hi > lo, "rasterize range must have hi > lo");
+        let mut img = ImageBuffer::new(width, height);
+        let (nx, ny) = (field.nx() as f64, field.ny() as f64);
+        for y in 0..height {
+            // Flip vertically: image row 0 = field's top row.
+            let fy = (1.0 - (y as f64 + 0.5) / height as f64) * ny - 0.5;
+            for x in 0..width {
+                let fx = (x as f64 + 0.5) / width as f64 * nx - 0.5;
+                let v = sample_bilinear(field, fx, fy);
+                img.set(x, y, colormap.map(v, lo, hi));
+            }
+        }
+        img
+    }
 
     #[test]
     fn buffer_basics() {
@@ -436,17 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn laned_table_build_matches_scalar_reference() {
-        let f = Field2D::from_fn(19, 11, |i, j| (i as f64 * 0.7).cos() + j as f64 * 0.01);
-        // Widths covering every lane tail 0..4.
-        for w in [1, 2, 3, 4, 5, 6, 7, 8, 31, 64] {
-            let fast = SampleTables::new(&f, w, 9);
-            let refr = SampleTables::new_reference(&f, w, 9);
-            assert_eq!(fast.hblend(), refr.hblend(), "hblend mismatch at w={w}");
-        }
-    }
-
-    #[test]
     fn rebuild_refreshes_values_in_place() {
         let f0 = Field2D::filled(8, 6, 1.0);
         let f1 = Field2D::from_fn(8, 6, |i, j| (i + j) as f64);
@@ -454,7 +391,7 @@ mod tests {
         assert!(t.matches(&f0, 24, 16));
         assert!(!t.matches(&f0, 25, 16));
         t.rebuild(&f1);
-        assert_eq!(t.hblend(), SampleTables::new(&f1, 24, 16).hblend());
+        assert_eq!(t.hblend, SampleTables::new(&f1, 24, 16).hblend);
     }
 
     #[test]
@@ -468,5 +405,67 @@ mod tests {
     #[should_panic(expected = "dimensions must be positive")]
     fn zero_size_rejected() {
         let _ = ImageBuffer::new(0, 4);
+    }
+
+    /// An eddying Okubo-Weiss field large enough to multi-chunk every
+    /// parallel path (6144 cells > the slice grain of 1024).
+    fn okubo_weiss_field() -> Field2D {
+        let grid = Grid::channel(96, 64, 60_000.0);
+        let uc = Field2D::from_fn(96, 64, |i, j| {
+            (i as f64 * 0.13).sin() * (j as f64 * 0.07).cos() * 0.4
+        });
+        let vc = Field2D::from_fn(96, 64, |i, j| {
+            (i as f64 * 0.11).cos() * (j as f64 * 0.09).sin() * 0.4
+        });
+        okubo_weiss(&grid, &uc, &vc)
+    }
+
+    #[test]
+    fn threaded_render_matches_sequential_oracle_at_every_thread_count() {
+        let w = okubo_weiss_field();
+        let renderer = FieldRenderer::okubo_weiss(192, 128);
+        // The resolved ±2σ range is itself a parallel reduction; reuse it so
+        // the comparison isolates the rasterization path.
+        let (lo, hi) = renderer.resolve_range(&w);
+        let golden = rasterize_reference(&w, 192, 128, Colormap::OkuboWeiss, lo, hi);
+        for threads in [1, 2, 8] {
+            rayon::set_num_threads(threads);
+            assert_eq!(renderer.render(&w), golden, "diverged at {threads} threads");
+        }
+        rayon::set_num_threads(0);
+    }
+
+    #[test]
+    fn distributed_render_matches_sequential_oracle_at_every_rank_count() {
+        let w = okubo_weiss_field();
+        let golden = rasterize_reference(&w, 160, 96, Colormap::OkuboWeiss, -1e-10, 1e-10);
+        for nranks in [1, 2, 3, 7, 48] {
+            let img = render_distributed(&w, 160, 96, nranks, Colormap::OkuboWeiss, -1e-10, 1e-10);
+            assert_eq!(img, golden, "nranks={nranks}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Table-driven, laned row shading == the naive per-pixel oracle at
+        /// arbitrary field shapes and output sizes (widths cover every lane
+        /// tail 1..4).
+        #[test]
+        fn laned_rasterizer_matches_reference(
+            nx in 1usize..40,
+            ny in 1usize..24,
+            width in 1usize..50,
+            height in 1usize..40,
+            seed in 0u64..1000,
+        ) {
+            let f = Field2D::from_fn(nx, ny, |i, j| {
+                let k = seed as f64 * 0.013;
+                (i as f64 * (0.31 + k)).sin() * (j as f64 * 0.17).cos() + (i + j) as f64 * 1e-3
+            });
+            let fast = rasterize(&f, width, height, Colormap::OkuboWeiss, -1.5, 1.5);
+            let refr = rasterize_reference(&f, width, height, Colormap::OkuboWeiss, -1.5, 1.5);
+            prop_assert_eq!(fast, refr);
+        }
     }
 }

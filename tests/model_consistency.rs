@@ -1,14 +1,17 @@
 //! Consistency between the measured campaign and the analytical model:
 //! a model calibrated from three campaign runs must predict configurations
 //! it never saw, and the Eq. 6/7 scalings must match what the instrumented
-//! filesystem actually accounted.
+//! filesystem actually accounted; and the model itself is exactly linear
+//! in the sampling rate.
 
 use insitu_vis::model::calibrate::{calibrate_exact, calibrate_least_squares, CalibrationPoint};
 use insitu_vis::model::scaling::{scale_image_count, scale_storage_bytes};
-use insitu_vis::ocean::SamplingRate;
+use insitu_vis::model::WhatIfAnalyzer;
+use insitu_vis::ocean::{ProblemSpec, SamplingRate};
 use insitu_vis::pipeline::campaign::Campaign;
 use insitu_vis::pipeline::metrics::model_point;
 use insitu_vis::pipeline::{PipelineConfig, PipelineKind};
+use proptest::prelude::*;
 
 fn point(campaign: &Campaign, kind: PipelineKind, h: f64) -> CalibrationPoint {
     let m = campaign.run(&PipelineConfig::paper(kind, h));
@@ -133,4 +136,49 @@ fn model_decomposition_matches_campaign_phases() {
     assert!((m.t_sim.as_secs_f64() - t_sim).abs() / t_sim < 0.01);
     assert!((m.t_io.as_secs_f64() - t_io).abs() / t_io < 0.03);
     assert!((m.t_viz.as_secs_f64() - t_viz).abs() / t_viz < 0.03);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Metamorphic Eq. 6/7: at a fixed spec, sampling k times as often
+    /// stores exactly k times the bytes (and Eq. 6 predicts it from the
+    /// coarse run), and multiplies the rate-dependent energy term — all
+    /// of E except the simulation floor — by k, to 1e-12 relative.
+    #[test]
+    fn storage_and_energy_are_linear_in_rate(
+        fine_h in 1u64..49,
+        k in 1u64..65,
+        coarse_outputs in 1u64..2_000,
+        post in any::<bool>(),
+    ) {
+        let kind = if post { PipelineKind::PostProcessing } else { PipelineKind::InSitu };
+        // Integral intervals and a duration both divide exactly, so each
+        // output count is exact in f64: coarse N, fine k·N.
+        let coarse_h = fine_h * k;
+        let spec = ProblemSpec {
+            duration_hours: (coarse_h * coarse_outputs) as f64,
+            ..ProblemSpec::paper_60km()
+        };
+        let (fine, coarse) = (
+            SamplingRate::every_hours(fine_h as f64),
+            SamplingRate::every_hours(coarse_h as f64),
+        );
+        prop_assert_eq!(spec.num_outputs(fine), k * spec.num_outputs(coarse));
+
+        let a = WhatIfAnalyzer::paper();
+        let s_coarse = a.storage_bytes(kind, &spec, coarse);
+        let s_fine = a.storage_bytes(kind, &spec, fine);
+        prop_assert_eq!(s_fine, k * s_coarse);
+        prop_assert_eq!(scale_storage_bytes(s_coarse, coarse, fine), s_fine);
+
+        let floor = a.power.watts() * a.model.decompose(spec.total_steps(), 0.0, 0.0).0;
+        let dynamic = |rate| a.energy(kind, &spec, rate).joules() - floor;
+        let (e_coarse, e_fine) = (dynamic(coarse), dynamic(fine));
+        let want = k as f64 * e_coarse;
+        prop_assert!(
+            (e_fine - want).abs() <= 1e-12 * want.abs(),
+            "{} k={}: {} vs {} x {}", kind.label(), k, e_fine, k, e_coarse
+        );
+    }
 }

@@ -8,9 +8,6 @@
 //! so traces are normalized (microsecond fields zeroed) before they are
 //! pinned; everything else is byte-compared: record order, span tree,
 //! names, phases, attrs, and sample values.
-//!
-//! Also here: a proptest round-tripping random `ImageBuffer`s through the
-//! new single-pass streaming encoder and the stored-block parser.
 
 mod common;
 
@@ -21,10 +18,6 @@ use ivis_core::native::{
 };
 use ivis_fault::{FaultKind, FaultPlan, FaultScenario, FaultWindow, RetryPolicy};
 use ivis_obs::{to_jsonl, Recorder};
-use ivis_viz::color::Rgb;
-use ivis_viz::png::{encode_png_reference, parse_png_chunks, unzlib_stored, PngEncoder};
-use ivis_viz::raster::ImageBuffer;
-use proptest::prelude::*;
 
 const DEPTHS: [usize; 3] = [1, 2, 4];
 
@@ -150,51 +143,4 @@ fn normalize_trace_zeroes_only_time_fields() {
                 {\"type\":\"event\",\"t_us\":0,\"attrs\":{\"eddies\":5}}\n\
                 {\"type\":\"metric\",\"samples\":[[0,1],[0,2.5]]}";
     assert_eq!(normalize_trace(line), want);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random images round-trip exactly through the streaming encoder and
-    /// the stored-block parser, and the streamed bytes equal the retained
-    /// reference encoder's.
-    #[test]
-    fn random_images_roundtrip_through_streaming_encoder(
-        w in 1usize..40,
-        h in 1usize..24,
-        seed in 0u64..u64::MAX,
-    ) {
-        // Deterministic pseudo-random pixels from the seed (SplitMix64).
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let mut img = ImageBuffer::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                let r = next();
-                img.set(x, y, Rgb::new(r as u8, (r >> 8) as u8, (r >> 16) as u8));
-            }
-        }
-        let mut enc = PngEncoder::new();
-        let mut png = Vec::new();
-        enc.encode_into(&img, &mut png);
-        prop_assert_eq!(&png, &encode_png_reference(&img));
-        let chunks = parse_png_chunks(&png); // validates signature + CRCs
-        prop_assert_eq!(chunks.len(), 3);
-        let raw = unzlib_stored(&chunks[1].1); // validates framing + Adler
-        prop_assert_eq!(raw.len(), h * (1 + 3 * w));
-        for y in 0..h {
-            let row = &raw[y * (1 + 3 * w)..(y + 1) * (1 + 3 * w)];
-            prop_assert_eq!(row[0], 0, "filter byte");
-            for x in 0..w {
-                let p = img.pixels()[y * w + x];
-                prop_assert_eq!(&row[1 + 3 * x..4 + 3 * x], &[p.r, p.g, p.b]);
-            }
-        }
-    }
 }
