@@ -37,6 +37,7 @@ use insitu_vis::power::meter::MeteredPdu;
 use insitu_vis::power::node::{NodeLoad, NodePowerModel};
 use insitu_vis::power::units::Watts;
 use insitu_vis::sim::{SimDuration, SimTime};
+use insitu_vis::storage::burst_buffer::BurstBufferConfig;
 use ivis_obs::{to_chrome_trace, to_jsonl, to_prometheus, Recorder};
 
 const FAULT_SEEDS: [u64; 3] = [1, 42, 1337];
@@ -211,6 +212,43 @@ fn caddy_10k_whatif_digests_match_golden() {
     noisy.config.seed = noise.seed;
     let m = noisy.run(&PipelineConfig::paper(PipelineKind::InSitu, 24.0));
     golden.check("caddy10k/noisy11/in-situ@24h/digest", &m.digest());
+}
+
+/// The burst-buffer tiers the `bb/…` keys pin: the stock 2 TB NVRAM, a
+/// 1 GB buffer that fills and makes the writer wait for drains, and a
+/// 100 MB buffer every 426 MB raw dump bypasses.
+fn burst_buffers() -> [(&'static str, BurstBufferConfig); 3] {
+    let small = |capacity_bytes| BurstBufferConfig {
+        capacity_bytes,
+        ..BurstBufferConfig::two_tb_nvram()
+    };
+    [
+        ("nvram2tb", BurstBufferConfig::two_tb_nvram()),
+        ("1gb", small(1_000_000_000)),
+        ("100mb", small(100_000_000)),
+    ]
+}
+
+#[test]
+fn burst_buffer_digests_match_golden() {
+    let golden = Golden::load();
+    for (machine, campaign) in [
+        ("paper", Campaign::paper()),
+        ("caddy1000", Campaign::caddy_scaled(1_000)),
+    ] {
+        for (buffer, bb) in burst_buffers() {
+            for hours in [8.0, 24.0, 72.0] {
+                let pc = PipelineConfig::paper(PipelineKind::PostProcessing, hours);
+                let digest = at_all_thread_counts(|| {
+                    campaign.run_postproc_burst_buffer(&pc, bb.clone()).digest()
+                });
+                golden.check(
+                    &format!("bb/{machine}/{buffer}/post-processing@{hours}h/digest"),
+                    &digest,
+                );
+            }
+        }
+    }
 }
 
 /// Every change-point of every meter, floats as bits, meters in order.
