@@ -26,7 +26,7 @@
 use ivis_bench::obj;
 use ivis_bench::report::{time_min_s, Bench};
 use ivis_cluster::{IoWaitPolicy, JobPhase, Machine};
-use ivis_core::{Campaign, PipelineConfig, PipelineKind};
+use ivis_core::{Campaign, PipelineConfig, PipelineKind, Plan};
 use ivis_power::meter::aggregate;
 use ivis_sim::{DesEngine, SimDuration, SimTime};
 
@@ -104,14 +104,14 @@ fn main() {
     let mut rows = Vec::new();
     for pc in PipelineConfig::paper_matrix() {
         let label = format!("{}@{}h", pc.kind.label(), pc.rate.every_hours);
-        let (m, events) = campaign
-            .try_run_des_with_events(&pc)
+        let run = campaign
+            .execute(&Plan::new(pc.clone()))
             .expect("clean run cannot fail");
         let wall_s = time_min_s(5, || campaign.run(&pc));
-        let eps = events as f64 / wall_s;
+        let eps = run.events as f64 / wall_s;
         rows.push(obj! {
-            "config" => label, "des_s" => wall_s, "des_events" => events,
-            "des_events_per_sec" => eps, "digest" => m.digest(),
+            "config" => label, "des_s" => wall_s, "des_events" => run.events,
+            "des_events_per_sec" => eps, "digest" => run.metrics.digest(),
         });
     }
     bench.section("paper_matrix", obj! { "rows" => rows });
@@ -152,15 +152,16 @@ fn main() {
         ("caddy1m/in-situ@8h", 1_000_000, 0.25),
     ] {
         let big = Campaign::caddy_scaled(nodes);
-        let (m, events) = big
-            .try_run_des_with_events(&pc)
+        let run = big
+            .execute(&Plan::new(pc.clone()))
             .expect("clean run cannot fail");
         let wall_s = time_min_s(3, || big.run(&pc));
         bench.gate(wall_s <= budget_s, || {
             format!("{nodes}-node campaign took {wall_s:.4} s of wall clock ({budget_s} s budget)")
         });
         big_rows.push(obj! {
-            "config" => label, "wall_s" => wall_s, "des_events" => events, "digest" => m.digest(),
+            "config" => label, "wall_s" => wall_s, "des_events" => run.events,
+            "digest" => run.metrics.digest(),
         });
     }
     let vm_hwm = vm_hwm_mib();

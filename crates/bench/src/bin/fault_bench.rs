@@ -4,8 +4,9 @@
 //!
 //! A clean run is the fault-aware executor under an empty plan — the
 //! same code, so there is no second path to price it against; the
-//! empty-plan timings are a tracked trajectory of `run_faulted` itself.
-//! The seeded runs record [`ivis_core::FaultedRun::digest`], so the
+//! empty-plan timings are a tracked trajectory of a faulted
+//! `Campaign::execute` itself. The seeded runs record
+//! [`ivis_core::Run::digest`], so the
 //! artifact doubles as a cross-thread, cross-seed determinism witness.
 //!
 //! Writes `BENCH_fault.json` (or the path given as the first non-flag
@@ -14,20 +15,24 @@
 
 use ivis_bench::obj;
 use ivis_bench::report::{time_min_s, Bench};
-use ivis_core::{Campaign, PipelineConfig};
+use ivis_core::{Campaign, PipelineConfig, Plan};
 use ivis_fault::{FaultPlan, FaultScenario};
 use ivis_sim::SimDuration;
 
 fn main() {
     let mut bench = Bench::from_args("fault");
     let campaign = Campaign::paper();
-    let none = FaultScenario::none();
+    let under = |pc: &PipelineConfig, scenario: FaultScenario| Plan {
+        faults: Some(scenario),
+        ..Plan::new(pc.clone())
+    };
 
     // --- the empty-plan path across the 2 pipelines × 3 rates matrix ---
     let mut rows = Vec::new();
     for pc in PipelineConfig::paper_matrix() {
         let label = format!("{}@{}h", pc.kind.label(), pc.rate.every_hours);
-        let resilient_s = time_min_s(5, || campaign.run_faulted(&pc, &none).unwrap());
+        let plan = under(&pc, FaultScenario::none());
+        let resilient_s = time_min_s(5, || campaign.execute(&plan).unwrap());
         rows.push(obj! { "config" => label, "resilient_s" => resilient_s });
     }
     bench.section("empty_plan", obj! { "rows" => rows });
@@ -44,7 +49,7 @@ fn main() {
     ] {
         let scenario = FaultScenario::with_plan(FaultPlan::random(42, horizon));
         let run = campaign
-            .run_faulted(&pc, &scenario)
+            .execute(&under(&pc, scenario))
             .expect("random plan at seed 42 completes degraded, not dead");
         let label = format!("{}@{}h/seed42", pc.kind.label(), pc.rate.every_hours);
         digests.push(obj! { "config" => label, "digest" => run.digest() });

@@ -18,7 +18,7 @@
 
 use ivis_bench::obj;
 use ivis_bench::report::{time_min_s, Bench};
-use ivis_core::campaign::Campaign;
+use ivis_core::campaign::{Campaign, Plan};
 use ivis_core::intransit::{reported_kind, InTransitConfig};
 use ivis_core::{CompressionConfig, PipelineConfig, PipelineKind, TransportConfig};
 
@@ -31,11 +31,14 @@ fn pc_8h() -> PipelineConfig {
 /// Few enough staging nodes that staging is the bottleneck at 8 h.
 const STAGING_NODES: usize = 10;
 
-fn it_config(transport: TransportConfig) -> InTransitConfig {
-    InTransitConfig {
-        staging_nodes: STAGING_NODES,
-        transport,
-        ..InTransitConfig::caddy_default()
+fn staged_plan(transport: TransportConfig) -> Plan {
+    Plan {
+        staging: Some(InTransitConfig {
+            staging_nodes: STAGING_NODES,
+            transport,
+            ..InTransitConfig::caddy_default()
+        }),
+        ..Plan::new(pc_8h())
     }
 }
 
@@ -56,9 +59,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut makespans = Vec::new();
     for (label, transport) in configs {
-        let it = it_config(transport);
-        let (m, stats) = campaign.run_intransit_with_stats(&pc, &it);
-        let wall_s = time_min_s(3, || campaign.run_intransit_with_stats(&pc, &it));
+        let plan = staged_plan(transport);
+        let run = campaign.execute(&plan).expect("10 staging nodes fit");
+        let (m, stats) = (run.metrics, run.transport.expect("a staged run"));
+        let wall_s = time_min_s(3, || campaign.execute(&plan));
         let makespan = m.execution_time.as_secs_f64();
         let stall = stats.stall_time.as_secs_f64();
         rows.push(obj! {

@@ -12,7 +12,7 @@ pub mod obs_export;
 pub mod report;
 
 use ivis_cluster::IoWaitPolicy;
-use ivis_core::campaign::Campaign;
+use ivis_core::campaign::{Campaign, Plan};
 use ivis_core::metrics::{compare, model_point, PipelineMetrics};
 use ivis_core::{PipelineConfig, PipelineKind};
 use ivis_model::calibrate::{calibrate_exact, CalibrationPoint};
@@ -401,13 +401,16 @@ pub fn extension_intransit_rows(hours: f64) -> (Vec<(usize, f64, f64)>, f64) {
     let rows = [5usize, 10, 25, 50, 75]
         .iter()
         .map(|&staging| {
-            let m = campaign.run_intransit(
-                &PipelineConfig::paper(PipelineKind::InSitu, hours),
-                &InTransitConfig {
-                    staging_nodes: staging,
-                    ..InTransitConfig::caddy_default()
-                },
-            );
+            let m = campaign
+                .execute(&Plan {
+                    staging: Some(InTransitConfig {
+                        staging_nodes: staging,
+                        ..InTransitConfig::caddy_default()
+                    }),
+                    ..Plan::new(PipelineConfig::paper(PipelineKind::InSitu, hours))
+                })
+                .expect("5–75 staging nodes fit the paper machine")
+                .metrics;
             (
                 staging,
                 m.execution_time.as_secs_f64(),
@@ -445,7 +448,13 @@ pub fn extension_burst_buffer_rows() -> Vec<Row> {
     let campaign = Campaign::paper();
     let pc = PipelineConfig::paper(PipelineKind::PostProcessing, 8.0);
     let plain = campaign.run(&pc);
-    let buffered = campaign.run_postproc_burst_buffer(&pc, BurstBufferConfig::two_tb_nvram());
+    let buffered = campaign
+        .execute(&Plan {
+            burst_buffer: Some(BurstBufferConfig::two_tb_nvram()),
+            ..Plan::new(pc)
+        })
+        .expect("the 2 TB buffer fits the paper config")
+        .metrics;
     let insitu = campaign.run(&PipelineConfig::paper(PipelineKind::InSitu, 8.0));
     vec![
         Row {
@@ -531,7 +540,10 @@ pub fn degraded_storage_rows(kind: PipelineKind) -> Vec<DegradedRow> {
                 FaultKind::OssBrownout { scale: 0.5 },
             );
             let degraded = campaign
-                .run_faulted(&pc, &FaultScenario::with_plan(plan))
+                .execute(&Plan {
+                    faults: Some(FaultScenario::with_plan(plan)),
+                    ..Plan::new(pc)
+                })
                 .expect("a brownout alone never kills a run");
             let t_clean = clean.execution_time.as_secs_f64();
             let t_bad = degraded.metrics.execution_time.as_secs_f64();

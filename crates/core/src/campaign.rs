@@ -4,10 +4,14 @@
 //! A campaign run walks the machine through the pipeline's phase sequence,
 //! obtains I/O completion times from the Lustre model, and harvests the
 //! cage/rack meters into [`PipelineMetrics`] — the same artifact the paper's
-//! measurement campaign produced for each of its six configurations. The
-//! phase sequences themselves (one event chain per pipeline family) live
-//! in [`des`](crate::des); this module holds the campaign's knobs, the
-//! shared tracing/harvest plumbing and the burst-buffer variant.
+//! measurement campaign produced for each of its six configurations.
+//!
+//! [`Campaign::execute`] is the one entry point: a [`Plan`] goes in — the
+//! pipeline, plus an optional staging partition, burst-buffer tier and
+//! fault scenario — and one [`Run`] comes out. The plan is validated once,
+//! before anything is simulated, and then runs on one of the three event
+//! chains in [`des`](crate::des). This module holds the campaign's knobs,
+//! `Plan`, `Run` and the shared tracing/harvest plumbing.
 //!
 //! ### Modeling notes (see DESIGN.md)
 //!
@@ -23,16 +27,20 @@
 
 use ivis_cluster::topology::ClusterTopology;
 use ivis_cluster::{IoWaitPolicy, JobPhase, Machine};
-use ivis_fault::FaultScenario;
+use ivis_fault::{FaultScenario, FaultSession, FaultStats};
 use ivis_obs::{attribute, AttrValue, Component, EnergyAttribution, Recorder, SpanId};
 use ivis_ocean::cost::SimulationCostModel;
 use ivis_power::node::NodePowerModel;
-use ivis_sim::{SimDuration, SimRng, SimTime};
+use ivis_power::units::Joules;
+use ivis_sim::{SimRng, SimTime};
+use ivis_storage::burst_buffer::BurstBufferConfig;
 use ivis_storage::ParallelFileSystem;
 
-use crate::config::PipelineConfig;
+use crate::config::{PipelineConfig, PipelineKind};
+use crate::intransit::InTransitConfig;
 use crate::metrics::PipelineMetrics;
 use crate::resilience::PipelineError;
+use crate::transport::TransportStats;
 
 /// Knobs of the measurement campaign.
 #[derive(Debug, Clone)]
@@ -85,6 +93,139 @@ impl CampaignConfig {
             seed,
             ..CampaignConfig::paper()
         }
+    }
+}
+
+/// One run request for [`Campaign::execute`].
+///
+/// `staging: Some(_)` selects the in-transit chain; otherwise
+/// `pipeline.kind` picks in-situ or post-hoc. `burst_buffer` is the
+/// post-hoc raw-dump tier. `faults: None` is a clean run. Start from
+/// [`Plan::new`] and set the rest with struct-update syntax:
+///
+/// ```
+/// use ivis_core::campaign::{Campaign, Plan};
+/// use ivis_core::{PipelineConfig, PipelineKind};
+/// use ivis_storage::burst_buffer::BurstBufferConfig;
+///
+/// let plan = Plan {
+///     burst_buffer: Some(BurstBufferConfig::two_tb_nvram()),
+///     ..Plan::new(PipelineConfig::paper(PipelineKind::PostProcessing, 8.0))
+/// };
+/// let run = Campaign::paper().execute(&plan).expect("the paper config fits");
+/// assert_eq!(run.metrics.num_outputs, 540);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Plan {
+    /// The pipeline: family, problem and sampling rate.
+    pub pipeline: PipelineConfig,
+    /// A staging partition to render on (the in-transit chain).
+    pub staging: Option<InTransitConfig>,
+    /// An NVRAM tier absorbing the post-hoc raw dumps.
+    pub burst_buffer: Option<BurstBufferConfig>,
+    /// Faults to inject and the policies that survive them.
+    pub faults: Option<FaultScenario>,
+}
+
+impl Plan {
+    /// A clean run of `pipeline` on the whole machine, straight to Lustre.
+    pub fn new(pipeline: PipelineConfig) -> Self {
+        Plan {
+            pipeline,
+            staging: None,
+            burst_buffer: None,
+            faults: None,
+        }
+    }
+
+    /// Reject what no executor can model, before anything is simulated.
+    fn validate(&self, total_nodes: usize) -> Result<(), PipelineError> {
+        if let Some(it) = &self.staging {
+            it.validate(total_nodes)?;
+        }
+        let Some(bb) = &self.burst_buffer else {
+            return Ok(());
+        };
+        if self.staging.is_some() || self.pipeline.kind != PipelineKind::PostProcessing {
+            return Err(PipelineError::invalid(
+                "a burst buffer absorbs post-hoc raw dumps; only a post-processing plan \
+                 without staging has them"
+                    .to_string(),
+            ));
+        }
+        if bb.capacity_bytes == 0 {
+            return Err(PipelineError::invalid(
+                "burst-buffer capacity must be positive".to_string(),
+            ));
+        }
+        let bps = bb.absorb_bandwidth_bps;
+        if !(bps.is_finite() && bps > 0.0) {
+            return Err(PipelineError::invalid(format!(
+                "burst-buffer absorb bandwidth must be finite and positive, got {bps}"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Everything one [`Campaign::execute`] produces: the metrics artifact,
+/// the fault layer's counters, the compute energy burned inside retry
+/// backoff windows (attributed via the compute power profile, tiling the
+/// run exactly like the per-phase attribution does), the transport's
+/// accounting and the engine's event count.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// The metrics artifact, the same shape for every family.
+    pub metrics: PipelineMetrics,
+    /// What the fault layer did (all zero but `outputs_written` on a clean
+    /// run).
+    pub stats: FaultStats,
+    /// Compute energy spent waiting out retry backoffs.
+    pub retry_energy: Joules,
+    /// What the staged transport did; `Some` exactly for in-transit plans.
+    pub transport: Option<TransportStats>,
+    /// Events the discrete-event engine executed.
+    pub events: u64,
+}
+
+impl Run {
+    pub(crate) fn finish(
+        metrics: PipelineMetrics,
+        session: FaultSession,
+        transport: Option<TransportStats>,
+        events: u64,
+    ) -> Self {
+        let retry_energy = metrics
+            .compute_profile
+            .energy_over(session.backoff_windows());
+        Run {
+            metrics,
+            stats: session.into_stats(),
+            retry_energy,
+            transport,
+            events,
+        }
+    }
+
+    /// A stable one-line rendering of the run's observable outcome —
+    /// every duration in exact microseconds and every energy as raw f64
+    /// bits — used by the CI fault matrix to assert bit-identical replays
+    /// across seeds, thread counts and processes.
+    pub fn digest(&self) -> String {
+        let m = &self.metrics;
+        format!(
+            "exec_us={} t_sim_us={} t_io_us={} t_viz_us={} bytes={} outputs={} e_compute={:#x} e_storage={:#x} e_retry={:#x} | {}",
+            m.execution_time.as_micros(),
+            m.t_sim.as_micros(),
+            m.t_io.as_micros(),
+            m.t_viz.as_micros(),
+            m.storage_bytes,
+            m.num_outputs,
+            m.compute_profile.energy().joules().to_bits(),
+            m.storage_profile.energy().joules().to_bits(),
+            self.retry_energy.joules().to_bits(),
+            self.stats.digest(),
+        )
     }
 }
 
@@ -251,24 +392,35 @@ impl Campaign {
         }
     }
 
-    /// Execute one pipeline configuration and return its metrics.
+    /// Execute one plan: validate it, run it on its family's event chain
+    /// and harvest the meters.
     ///
-    /// Panics if the storage model rejects an operation (the paper
-    /// configurations always fit); [`try_run`](Self::try_run) returns the
-    /// failure as a typed error instead.
-    pub fn run(&self, pc: &PipelineConfig) -> PipelineMetrics {
-        self.try_run(pc)
-            .unwrap_or_else(|e| panic!("pipeline run failed: {e}"))
+    /// An invalid plan is [`PipelineError::InvalidConfig`] and nothing is
+    /// simulated; a storage failure no retry absorbs is a typed error too.
+    /// Under faults the run degrades gracefully (retries, sheds) — never a
+    /// panic. With `faults: Some(FaultScenario::none())` the metrics are
+    /// bit-identical to the clean run's, and so is the trace, up to the
+    /// post-hoc `images.tar` write span noted on the executor.
+    pub fn execute(&self, plan: &Plan) -> Result<Run, PipelineError> {
+        plan.validate(self.topology.num_nodes())?;
+        let clean = FaultScenario::none();
+        let faults = plan.faults.as_ref().unwrap_or(&clean);
+        match (&plan.staging, plan.pipeline.kind) {
+            (Some(it), _) => self.intransit_des(&plan.pipeline, it, faults),
+            (None, PipelineKind::InSitu) => self.insitu_des(&plan.pipeline, faults),
+            (None, PipelineKind::PostProcessing) => self.postproc_des(plan, faults),
+        }
     }
 
-    /// Execute one pipeline configuration, threading storage failures out
-    /// as [`PipelineError`] values instead of unwrapping mid-run.
+    /// Execute one clean pipeline configuration and return its metrics.
     ///
-    /// This is the fault-aware executor ([`des`](crate::des)) under
-    /// [`FaultScenario::none`].
-    pub fn try_run(&self, pc: &PipelineConfig) -> Result<PipelineMetrics, PipelineError> {
-        self.run_on_engine(pc, &FaultScenario::none(), false)
-            .map(|(run, _)| run.metrics)
+    /// Panics if the storage model rejects an operation (the paper
+    /// configurations always fit); [`execute`](Self::execute) returns the
+    /// failure as a typed error instead.
+    pub fn run(&self, pc: &PipelineConfig) -> PipelineMetrics {
+        self.execute(&Plan::new(pc.clone()))
+            .unwrap_or_else(|e| panic!("pipeline run failed: {e}"))
+            .metrics
     }
 
     /// Run the full paper matrix (2 pipelines × 3 rates).
@@ -356,92 +508,67 @@ impl Campaign {
             storage_profile,
         }
     }
+}
 
-    /// Post-processing with an NVRAM burst buffer absorbing the raw writes
-    /// (the deep-memory-hierarchy design from the paper's related work).
-    /// Writes unblock at NVRAM speed and drain to Lustre in the background,
-    /// overlapping the simulation; the visualization stage still waits for
-    /// all data to be durable on the parallel filesystem before reading it
-    /// back.
-    pub fn run_postproc_burst_buffer(
+/// Forwards into [`Campaign::execute`], kept for `benchmark/`, which links
+/// them by name; nothing else calls them.
+impl Campaign {
+    /// `execute` under `scenario`. Kept for `benchmark/`.
+    pub fn run_faulted(
         &self,
         pc: &PipelineConfig,
-        bb: ivis_storage::burst_buffer::BurstBufferConfig,
-    ) -> PipelineMetrics {
-        self.try_run_postproc_burst_buffer(pc, bb)
-            .unwrap_or_else(|e| panic!("pipeline run failed: {e}"))
+        scenario: &FaultScenario,
+    ) -> Result<Run, PipelineError> {
+        self.execute(&Plan {
+            faults: Some(scenario.clone()),
+            ..Plan::new(pc.clone())
+        })
     }
 
-    /// [`run_postproc_burst_buffer`](Self::run_postproc_burst_buffer) with
-    /// storage failures returned as typed errors.
-    pub fn try_run_postproc_burst_buffer(
+    /// The in-transit run's metrics; panics on an invalid `it` or a
+    /// storage failure. Kept for `benchmark/`.
+    pub fn run_intransit(&self, pc: &PipelineConfig, it: &InTransitConfig) -> PipelineMetrics {
+        self.execute(&Plan {
+            staging: Some(it.clone()),
+            ..Plan::new(pc.clone())
+        })
+        .unwrap_or_else(|e| panic!("pipeline run failed: {e}"))
+        .metrics
+    }
+
+    /// [`Campaign::run`] under its former event-engine name. Kept for
+    /// `benchmark/`.
+    pub fn run_des(&self, pc: &PipelineConfig) -> PipelineMetrics {
+        self.run(pc)
+    }
+
+    /// A clean run's metrics and engine event count. Kept for
+    /// `benchmark/`.
+    pub fn try_run_des_with_events(
         &self,
         pc: &PipelineConfig,
-        bb: ivis_storage::burst_buffer::BurstBufferConfig,
+    ) -> Result<(PipelineMetrics, u64), PipelineError> {
+        self.execute(&Plan::new(pc.clone()))
+            .map(|run| (run.metrics, run.events))
+    }
+
+    /// A clean in-transit run's metrics. Kept for `benchmark/`.
+    pub fn try_run_intransit_des(
+        &self,
+        pc: &PipelineConfig,
+        it: &InTransitConfig,
     ) -> Result<PipelineMetrics, PipelineError> {
-        use ivis_storage::burst_buffer::BurstBuffer;
-        let mut rng = SimRng::new(self.config.seed ^ 0xBB);
-        let mut machine = self.machine();
-        let mut pfs = ParallelFileSystem::caddy_lustre();
-        let mut buf = BurstBuffer::new(bb);
-        let rec = &self.config.recorder;
-        let spec = &pc.spec;
-        let n_out = spec.num_outputs(pc.rate);
-        let spp = spec.steps_per_output(pc.rate);
-        let step_secs = self.cost.step_seconds(spec);
-        let raw = spec.raw_output_bytes();
-        let mut now = SimTime::ZERO;
-        let root = self.open_root(pc, now);
-        let mut tracer = PhaseTracer::new(rec);
-        for k in 0..n_out {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            now += SimDuration::from_secs_f64(step_secs * spp as f64 * self.noise(&mut rng));
-            tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-            let path = format!("/postproc-bb/raw/out_{k:06}.nc");
-            let wid = rec.span(now, "bb_write", Component::Storage);
-            rec.set_attr(wid, "bytes", AttrValue::U64(raw));
-            let submitted = now;
-            now = buf
-                .write(&mut pfs, now, &path, raw)
-                .map_err(|source| PipelineError::storage(now, &path, source))?;
-            rec.close(now, wid);
-            note_write(rec, &pfs, submitted, now, k, raw);
-        }
-        let trailing = spec.total_steps().saturating_sub(n_out * spp);
-        if trailing > 0 {
-            tracer.begin(&mut machine, now, JobPhase::Simulate);
-            now += SimDuration::from_secs_f64(step_secs * trailing as f64 * self.noise(&mut rng));
-        }
-        // The renderer reads from the parallel filesystem: wait for drains.
-        let drained = buf.drained_at(now);
-        if drained > now {
-            tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-            tracer.attr("drain_wait", AttrValue::Str("burst-buffer"));
-            now = drained;
-        }
-        tracer.begin(&mut machine, now, JobPhase::Visualize);
-        let render = self.config.viz_seconds_per_output * n_out as f64 * self.noise(&mut rng);
-        let read = (raw * n_out) as f64 / self.config.seq_read_bandwidth_bps;
-        tracer.attr("render_seconds", AttrValue::F64(render));
-        tracer.attr("read_seconds", AttrValue::F64(read));
-        now += SimDuration::from_secs_f64(render.max(read));
-        tracer.begin(&mut machine, now, JobPhase::WriteOutput);
-        let images: u64 = self.config.image_bytes_per_output * n_out;
-        let submitted = now;
-        now = pfs
-            .write(now, "/postproc-bb/images.tar", images)
-            .map_err(|source| PipelineError::storage(now, "/postproc-bb/images.tar", source))?;
-        note_write(rec, &pfs, submitted, now, n_out, images);
-        tracer.finish(&mut machine, now);
-        rec.close(now, root);
-        Ok(self.harvest(pc, machine, &pfs, now, n_out))
+        self.execute(&Plan {
+            staging: Some(it.clone()),
+            ..Plan::new(pc.clone())
+        })
+        .map(|run| run.metrics)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PipelineKind;
     use crate::metrics::compare;
 
     fn run(kind: PipelineKind, hours: f64) -> PipelineMetrics {
@@ -646,13 +773,22 @@ mod tests {
         assert!((a.avg_power_total().watts() - b.avg_power_total().watts()).abs() < 1.0);
     }
 
+    fn buffered(pc: PipelineConfig, bb: BurstBufferConfig) -> Plan {
+        Plan {
+            burst_buffer: Some(bb),
+            ..Plan::new(pc)
+        }
+    }
+
     #[test]
     fn burst_buffer_overlaps_writes_with_simulation() {
-        use ivis_storage::burst_buffer::BurstBufferConfig;
         let campaign = Campaign::paper();
         let pc = PipelineConfig::paper(PipelineKind::PostProcessing, 8.0);
         let plain = campaign.run(&pc);
-        let buffered = campaign.run_postproc_burst_buffer(&pc, BurstBufferConfig::two_tb_nvram());
+        let buffered = campaign
+            .execute(&buffered(pc, BurstBufferConfig::two_tb_nvram()))
+            .expect("the buffer fits the paper config")
+            .metrics;
         // The buffer overlaps the 1449 s of raw writes with the 603 s of
         // simulation: buffered post-processing is faster...
         assert!(
@@ -668,6 +804,52 @@ mod tests {
             buffered.execution_time.as_secs_f64() > insitu.execution_time.as_secs_f64() + 300.0
         );
         assert_eq!(buffered.storage_bytes, plain.storage_bytes);
+    }
+
+    /// The detail of the typed rejection `plan` must get.
+    fn rejection(plan: &Plan) -> String {
+        match Campaign::paper().execute(plan) {
+            Err(PipelineError::InvalidConfig { detail }) => detail,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn degenerate_burst_buffers_are_typed_errors() {
+        let post = PipelineConfig::paper(PipelineKind::PostProcessing, 8.0);
+        let nvram = BurstBufferConfig::two_tb_nvram();
+        let zero_capacity = BurstBufferConfig {
+            capacity_bytes: 0,
+            ..nvram.clone()
+        };
+        let detail = rejection(&buffered(post.clone(), zero_capacity));
+        assert!(detail.contains("capacity"), "{detail}");
+        for bps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bb = BurstBufferConfig {
+                absorb_bandwidth_bps: bps,
+                ..nvram.clone()
+            };
+            let detail = rejection(&buffered(post.clone(), bb));
+            assert!(detail.contains("absorb bandwidth"), "{bps}: {detail}");
+        }
+    }
+
+    #[test]
+    fn burst_buffer_needs_a_plain_posthoc_plan() {
+        let nvram = BurstBufferConfig::two_tb_nvram();
+        let insitu = buffered(
+            PipelineConfig::paper(PipelineKind::InSitu, 8.0),
+            nvram.clone(),
+        );
+        assert!(rejection(&insitu).contains("burst buffer"));
+        let staged = Plan {
+            staging: Some(crate::intransit::InTransitConfig::caddy_default()),
+            ..buffered(
+                PipelineConfig::paper(PipelineKind::PostProcessing, 8.0),
+                nvram,
+            )
+        };
+        assert!(rejection(&staged).contains("burst buffer"));
     }
 
     #[test]

@@ -1,34 +1,36 @@
 //! The pipeline executors: one event chain per family on the indexed
 //! discrete-event engine ([`ivis_sim::DesEngine`]).
 //!
-//! Every [`Campaign`] entry point — clean or fault-aware, synchronous or
-//! staged — forwards into one of the three executors in this module
-//! (in-situ, post-hoc, in-transit). There is no second implementation
-//! to keep in step:
+//! [`Campaign::execute`] runs every [`Plan`] on one of the three
+//! executors in this module (in-situ, post-hoc, in-transit). There is no
+//! second implementation to keep in step:
 //!
 //! * a **clean** run is the fault-aware executor under
 //!   [`FaultScenario::none`]: the session never consults its RNG, the
 //!   storage hooks stay nominal and every slowdown multiplies by
 //!   exactly `1.0`;
 //! * the **synchronous** in-transit hand-off is the staged transport at
-//!   depth 1 without compression.
+//!   depth 1 without compression;
+//! * a **burst buffer** is a storage tier of the post-hoc chain: the raw
+//!   dumps go through it, and the drain wait before read-back is analytic
+//!   lookahead inside the `Trailing` event, so it adds no event.
 //!
 //! **Determinism contract.** A run — metrics, recorder trace, exporter
 //! artifacts, fault and transport stats — is a pure function of the
-//! campaign, the pipeline configuration and the fault scenario, at any
-//! host thread count. The chains keep that by construction:
+//! campaign and the plan, at any host thread count. The chains keep that
+//! by construction:
 //!
 //! * exactly **one event is pending at a time** —
 //!   `Simulate(k) → Render(k) → Write(k) → Simulate(k+1) → …` fires in
 //!   `(time, seq)` order, which is program order;
-//! * storage completions, backoff schedules and staging-queue drains are
-//!   *analytic lookahead* — computed inside the event that submits
-//!   them, never re-ordered by the queue.
+//! * storage completions, backoff schedules, burst-buffer drains and
+//!   staging-queue drains are *analytic lookahead* — computed inside the
+//!   event that submits them, never re-ordered by the queue.
 //!
 //! The outputs are pinned rather than re-derived:
 //! `tests/golden/executor_identity.txt` holds what the imperative loop
 //! executors these chains replaced produced (paper matrix with traces,
-//! fault seeds, staging sweep, synchronous hand-off), and
+//! fault seeds, staging sweep, synchronous hand-off, burst buffer), and
 //! `tests/des_identity.rs` / `tests/intransit_transport.rs` hold the
 //! chains to it at 1, 2 and 8 threads.
 
@@ -39,14 +41,14 @@ use ivis_fault::{FaultScenario, FaultSession};
 use ivis_obs::{AttrValue, Component};
 use ivis_ocean::cost::SimulationCostModel;
 use ivis_sim::{DesEngine, SimDuration, SimRng, SimTime};
+use ivis_storage::burst_buffer::BurstBuffer;
 use ivis_storage::ParallelFileSystem;
 
-use crate::campaign::{note_write, Campaign, PhaseTracer};
-use crate::config::{PipelineConfig, PipelineKind};
+use crate::campaign::{note_write, Campaign, PhaseTracer, Plan, Run};
+use crate::config::PipelineConfig;
 use crate::intransit::InTransitConfig;
-use crate::metrics::PipelineMetrics;
 use crate::resilience::{
-    note_degraded_shed, resilient_write, FaultedRun, PipelineError, WriteOp, WriteOutcome,
+    note_degraded_shed, resilient_write, PipelineError, WriteOp, WriteOutcome,
 };
 use crate::transport::{per_node_payload, TransportStats};
 
@@ -68,9 +70,11 @@ enum InsituEvent {
 enum PostprocEvent {
     /// Simulate chunk `k`.
     Simulate(u64),
-    /// Raw netCDF dump of sample `k` through the resilient path.
+    /// Raw netCDF dump of sample `k` through the resilient path (and the
+    /// burst buffer, when the plan names one).
     RawWrite(u64),
-    /// Trailing simulation steps.
+    /// Trailing simulation steps, then the wait for the burst buffer to
+    /// drain to Lustre.
     Trailing,
     /// Stage 2: read back and render everything that landed.
     ReadRender,
@@ -94,57 +98,14 @@ enum TransitEvent {
 }
 
 impl Campaign {
-    /// [`Campaign::run`] under its former event-engine name. Kept for
-    /// `benchmark/`; remove when the benchmark is next redefined.
-    pub fn run_des(&self, pc: &PipelineConfig) -> PipelineMetrics {
-        self.run(pc)
-    }
-
-    /// [`Campaign::try_run`], also returning the number of engine events
-    /// executed. Kept for `benchmark/` and `des_bench`'s events-per-second
-    /// row; remove when the benchmark is next redefined.
-    pub fn try_run_des_with_events(
-        &self,
-        pc: &PipelineConfig,
-    ) -> Result<(PipelineMetrics, u64), PipelineError> {
-        self.run_on_engine(pc, &FaultScenario::none(), false)
-            .map(|(run, events)| (run.metrics, events))
-    }
-
-    /// Metrics-only [`Campaign::try_run_intransit_with_stats`]. Kept for
-    /// `benchmark/`; remove when the benchmark is next redefined.
-    pub fn try_run_intransit_des(
-        &self,
-        pc: &PipelineConfig,
-        it: &InTransitConfig,
-    ) -> Result<PipelineMetrics, PipelineError> {
-        self.try_run_intransit_with_stats(pc, it).map(|(m, _)| m)
-    }
-
-    /// Run `pc`'s family (in-situ or post-hoc) under `scenario`, returning
-    /// the run and the engine events executed. `resilient_tail` is set by
-    /// the fault-aware entry point only; see
-    /// [`postproc_des`](Self::postproc_des).
-    pub(crate) fn run_on_engine(
-        &self,
-        pc: &PipelineConfig,
-        scenario: &FaultScenario,
-        resilient_tail: bool,
-    ) -> Result<(FaultedRun, u64), PipelineError> {
-        match pc.kind {
-            PipelineKind::InSitu => self.insitu_des(pc, scenario),
-            PipelineKind::PostProcessing => self.postproc_des(pc, scenario, resilient_tail),
-        }
-    }
-
     /// The in-situ executor: simulate a chunk, render it in place, write
     /// the image set through the resilient path; a degraded sample skips
     /// its render and write.
-    fn insitu_des(
+    pub(crate) fn insitu_des(
         &self,
         pc: &PipelineConfig,
         scenario: &FaultScenario,
-    ) -> Result<(FaultedRun, u64), PipelineError> {
+    ) -> Result<Run, PipelineError> {
         let mut session = FaultSession::new(scenario);
         let mut rng = SimRng::new(self.config.seed);
         let mut machine = self.machine();
@@ -208,7 +169,7 @@ impl Campaign {
                     index: k,
                     counts: true,
                 };
-                match resilient_write(rec, &mut session, &mut pfs, t, &op) {
+                match resilient_write(rec, &mut session, &mut pfs, None, t, &op) {
                     Ok(WriteOutcome::Written(done)) => {
                         written += 1;
                         eng.schedule_at(done, next_sim(k));
@@ -240,29 +201,33 @@ impl Campaign {
         tracer.finish(&mut machine, end);
         rec.close(end, root);
         let metrics = self.harvest(pc, machine, &pfs, end, written);
-        Ok((
-            FaultedRun::finish(metrics, session),
-            engine.events_executed(),
-        ))
+        let events = engine.events_executed();
+        Ok(Run::finish(metrics, session, None, events))
     }
 
     /// The post-hoc executor: simulate and dump raw fields (degraded
     /// samples skip their dump), then read back and render what landed
     /// and commit the image tarball.
     ///
-    /// Clean and fault-aware runs differ in exactly one observable, kept
+    /// With a burst buffer the raw dumps are absorbed at NVRAM speed and
+    /// drain to Lustre in the background, overlapping the simulation (the
+    /// deep-memory-hierarchy design from the paper's related work); the
+    /// read-back still waits, in a `WriteOutput` phase tagged `drain_wait`,
+    /// for every byte to be durable on Lustre.
+    ///
+    /// Clean and fault-aware plans differ in exactly one observable, kept
     /// because the clean trace is pinned (`paper_traced/post_*` in
     /// `benchmark/expected/seed42.json`): the clean tail commits
-    /// `images.tar` with a bare `pfs.write`, the fault-aware one
-    /// (`resilient_tail`) through `resilient_write`, which adds a
-    /// `pfs_write` span. `resilience::tests::
+    /// `images.tar` with a bare `pfs.write`, a plan with `faults` through
+    /// `resilient_write`, which adds a `pfs_write` span. `resilience::tests::
     /// empty_plan_trace_differs_only_by_the_posthoc_tail_span` pins that.
-    fn postproc_des(
+    pub(crate) fn postproc_des(
         &self,
-        pc: &PipelineConfig,
+        plan: &Plan,
         scenario: &FaultScenario,
-        resilient_tail: bool,
-    ) -> Result<(FaultedRun, u64), PipelineError> {
+    ) -> Result<Run, PipelineError> {
+        let pc = &plan.pipeline;
+        let mut buffer = plan.burst_buffer.clone().map(BurstBuffer::new);
         let mut session = FaultSession::new(scenario);
         let mut rng = SimRng::new(self.config.seed ^ 0x5151);
         let mut machine = self.machine();
@@ -320,7 +285,7 @@ impl Campaign {
                         index: k,
                         counts: true,
                     };
-                    match resilient_write(rec, &mut session, &mut pfs, t, &op) {
+                    match resilient_write(rec, &mut session, &mut pfs, buffer.as_mut(), t, &op) {
                         Ok(WriteOutcome::Written(done)) => {
                             written += 1;
                             eng.schedule_at(done, next_sim(k));
@@ -340,6 +305,13 @@ impl Campaign {
                             step_secs * trailing as f64 * self.noise(&mut rng) * slow,
                         );
                     }
+                    // The renderer reads from Lustre: wait out the drains.
+                    let drained = buffer.as_ref().map_or(now, |bb| bb.drained_at(now));
+                    if drained > now {
+                        tracer.begin(&mut machine, now, JobPhase::WriteOutput);
+                        tracer.attr("drain_wait", AttrValue::Str("burst-buffer"));
+                        now = drained;
+                    }
                     eng.schedule_at(now, PostprocEvent::ReadRender);
                 }
                 PostprocEvent::ReadRender => {
@@ -358,14 +330,14 @@ impl Campaign {
                 PostprocEvent::ImagesWrite => {
                     tracer.begin(&mut machine, t, JobPhase::WriteOutput);
                     let images: u64 = self.config.image_bytes_per_output * written;
-                    if resilient_tail {
+                    if plan.faults.is_some() {
                         let op = WriteOp {
                             path: "/postproc/images.tar",
                             bytes: images,
                             index: written,
                             counts: false,
                         };
-                        match resilient_write(rec, &mut session, &mut pfs, t, &op) {
+                        match resilient_write(rec, &mut session, &mut pfs, None, t, &op) {
                             Ok(WriteOutcome::Written(done)) | Ok(WriteOutcome::SpaceShed(done)) => {
                                 eng.schedule_at(done, PostprocEvent::Finish);
                             }
@@ -393,10 +365,8 @@ impl Campaign {
         tracer.finish(&mut machine, end);
         rec.close(end, root);
         let metrics = self.harvest(pc, machine, &pfs, end, written);
-        Ok((
-            FaultedRun::finish(metrics, session),
-            engine.events_executed(),
-        ))
+        let events = engine.events_executed();
+        Ok(Run::finish(metrics, session, None, events))
     }
 
     /// The in-transit executor: visualization on a staging partition fed
@@ -430,9 +400,8 @@ impl Campaign {
         pc: &PipelineConfig,
         it: &InTransitConfig,
         scenario: &FaultScenario,
-    ) -> Result<(FaultedRun, TransportStats), PipelineError> {
+    ) -> Result<Run, PipelineError> {
         let total_nodes = self.topology.num_nodes();
-        it.validate(total_nodes)?;
         let mut session = FaultSession::new(scenario);
         let mut rng = SimRng::new(self.config.seed ^ 0x17A7);
         let mut machine = self.machine();
@@ -623,7 +592,7 @@ impl Campaign {
                     counts: true,
                 };
                 let completion =
-                    match resilient_write(rec, &mut session, &mut pfs, render_done, &op) {
+                    match resilient_write(rec, &mut session, &mut pfs, None, render_done, &op) {
                         Ok(WriteOutcome::Written(done)) => {
                             written += 1;
                             done
@@ -676,28 +645,36 @@ impl Campaign {
             return Err(e);
         }
         let metrics = self.harvest(pc, machine, &pfs, end, written);
-        Ok((FaultedRun::finish(metrics, session), stats))
+        let events = engine.events_executed();
+        Ok(Run::finish(metrics, session, Some(stats), events))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PipelineKind;
+    use ivis_storage::burst_buffer::BurstBufferConfig;
 
     #[test]
     fn chains_fire_a_fixed_number_of_events_per_sample() {
         let campaign = Campaign::paper();
-        let events = |kind, hours| {
-            let (m, events) = campaign
-                .try_run_des_with_events(&PipelineConfig::paper(kind, hours))
-                .expect("clean run cannot fail");
-            (m.num_outputs, events)
+        let events = |plan: Plan| {
+            let run = campaign.execute(&plan).expect("clean run cannot fail");
+            (run.metrics.num_outputs, run.events)
         };
+        let plan = |kind, hours| Plan::new(PipelineConfig::paper(kind, hours));
         // Simulate + Render + Write per sample, plus Trailing and Finish.
-        let (n, fired) = events(PipelineKind::InSitu, 8.0);
+        let (n, fired) = events(plan(PipelineKind::InSitu, 8.0));
         assert_eq!(fired, 3 * n + 2);
         // Simulate + RawWrite per sample, plus the four stage-2 events.
-        let (n, fired) = events(PipelineKind::PostProcessing, 24.0);
+        let (n, fired) = events(plan(PipelineKind::PostProcessing, 24.0));
+        assert_eq!(fired, 2 * n + 4);
+        // The burst buffer's drain wait is lookahead inside `Trailing`.
+        let (n, fired) = events(Plan {
+            burst_buffer: Some(BurstBufferConfig::two_tb_nvram()),
+            ..plan(PipelineKind::PostProcessing, 8.0)
+        });
         assert_eq!(fired, 2 * n + 4);
     }
 }

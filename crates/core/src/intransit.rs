@@ -6,6 +6,15 @@
 //! partition, which renders while the simulation proceeds. This trades
 //! compute nodes for overlap.
 //!
+//! A [`Plan`](crate::campaign::Plan) with `staging: Some(`[`InTransitConfig`]`)`
+//! runs this pipeline: the compute partition shrinks to `N − staging` nodes
+//! (the cost model scales accordingly), and rendering time scales inversely
+//! with the staging partition size from the paper's whole-machine β. The
+//! result is the same [`PipelineMetrics`](crate::metrics::PipelineMetrics)
+//! artifact, so in-transit drops straight into the Fig. 3/5/6/7
+//! comparisons, plus the transport's accounting in
+//! [`Run::transport`](crate::campaign::Run::transport).
+//!
 //! The hand-off is the staged transport configured by
 //! [`transport`](crate::transport): a bounded depth-`k` in-flight queue
 //! with optional wire compression and link contention. The default
@@ -13,19 +22,12 @@
 //! classic blocking hand-off. The executor itself is the in-transit event
 //! chain in [`des`](crate::des); what it produces at depth 1 is pinned in
 //! `tests/golden/executor_identity.txt` (`sync/…`).
-//!
-//! This module extends the measurement campaign with
-//! [`Campaign::run_intransit`], producing the same [`PipelineMetrics`]
-//! artifact so in-transit drops straight into the Fig. 3/5/6/7 comparisons.
 
 use ivis_cluster::interconnect::Interconnect;
-use ivis_fault::FaultScenario;
 
-use crate::campaign::Campaign;
-use crate::config::{PipelineConfig, PipelineKind};
-use crate::metrics::PipelineMetrics;
+use crate::config::PipelineKind;
 use crate::resilience::PipelineError;
-use crate::transport::{TransportConfig, TransportStats};
+use crate::transport::TransportConfig;
 
 /// In-transit specific knobs.
 #[derive(Debug, Clone)]
@@ -65,47 +67,6 @@ impl InTransitConfig {
     }
 }
 
-impl Campaign {
-    /// Run the in-transit pipeline on the simulated machine.
-    ///
-    /// The compute partition shrinks to `N − staging` nodes (the cost model
-    /// scales accordingly); rendering time scales inversely with the staging
-    /// partition size from the paper's whole-machine β.
-    ///
-    /// # Panics
-    /// Panics on an invalid `it` or a storage failure;
-    /// [`try_run_intransit_with_stats`](Self::try_run_intransit_with_stats)
-    /// returns both as typed errors.
-    pub fn run_intransit(&self, pc: &PipelineConfig, it: &InTransitConfig) -> PipelineMetrics {
-        self.run_intransit_with_stats(pc, it).0
-    }
-
-    /// [`run_intransit`](Self::run_intransit), also returning the
-    /// transport's accounting ([`TransportStats`]): queue high-water mark,
-    /// stall time, link contention and codec cost.
-    pub fn run_intransit_with_stats(
-        &self,
-        pc: &PipelineConfig,
-        it: &InTransitConfig,
-    ) -> (PipelineMetrics, TransportStats) {
-        self.try_run_intransit_with_stats(pc, it)
-            .unwrap_or_else(|e| panic!("pipeline run failed: {e}"))
-    }
-
-    /// Fallible [`run_intransit_with_stats`](Self::run_intransit_with_stats):
-    /// an invalid `it` is [`PipelineError::InvalidConfig`], a storage
-    /// failure [`PipelineError::Storage`]. This is the fault-aware
-    /// executor under [`FaultScenario::none`].
-    pub fn try_run_intransit_with_stats(
-        &self,
-        pc: &PipelineConfig,
-        it: &InTransitConfig,
-    ) -> Result<(PipelineMetrics, TransportStats), PipelineError> {
-        self.intransit_des(pc, it, &FaultScenario::none())
-            .map(|(run, stats)| (run.metrics, stats))
-    }
-}
-
 /// The pipeline kind reported for in-transit runs: it *is* an in-situ
 /// variant from the storage system's point of view (only images are
 /// written), so metrics carry [`PipelineKind::InSitu`]; use the row label
@@ -117,23 +78,31 @@ pub fn reported_kind() -> PipelineKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::Campaign;
+    use crate::campaign::{Campaign, Plan};
+    use crate::config::PipelineConfig;
+    use crate::metrics::PipelineMetrics;
 
-    fn setup(staging: usize, hours: f64) -> (PipelineConfig, InTransitConfig) {
+    fn plan(staging: usize, hours: f64) -> Plan {
         let mut pc = PipelineConfig::paper(PipelineKind::InSitu, hours);
         pc.kind = reported_kind();
-        let it = InTransitConfig {
-            staging_nodes: staging,
-            ..InTransitConfig::caddy_default()
-        };
-        (pc, it)
+        Plan {
+            staging: Some(InTransitConfig {
+                staging_nodes: staging,
+                ..InTransitConfig::caddy_default()
+            }),
+            ..Plan::new(pc)
+        }
+    }
+
+    fn try_staging(staging: usize, hours: f64) -> Result<PipelineMetrics, PipelineError> {
+        Campaign::paper()
+            .execute(&plan(staging, hours))
+            .map(|run| run.metrics)
     }
 
     fn run_it(staging: usize, hours: f64) -> PipelineMetrics {
-        let (pc, it) = setup(staging, hours);
-        Campaign::paper().run_intransit(&pc, &it)
+        try_staging(staging, hours).expect("valid staging partition")
     }
-
     fn insitu_run(hours: f64) -> PipelineMetrics {
         Campaign::paper().run(&PipelineConfig::paper(PipelineKind::InSitu, hours))
     }
@@ -198,16 +167,9 @@ mod tests {
         assert!(it.t_sim.as_secs_f64() > 600.0, "slowed t_sim > 603 s");
     }
 
-    fn try_staging(staging: usize) -> Result<PipelineMetrics, PipelineError> {
-        let (pc, it) = setup(staging, 24.0);
-        Campaign::paper()
-            .try_run_intransit_with_stats(&pc, &it)
-            .map(|(m, _)| m)
-    }
-
     #[test]
     fn zero_staging_rejected() {
-        let err = try_staging(0).unwrap_err();
+        let err = try_staging(0, 24.0).unwrap_err();
         assert!(
             matches!(&err, PipelineError::InvalidConfig { detail } if detail.contains("proper subset")),
             "{err}"
@@ -217,16 +179,10 @@ mod tests {
     #[test]
     fn whole_machine_staging_rejected() {
         // Caddy has 150 nodes: staging must leave at least one to compute.
-        assert!(try_staging(149).is_ok());
+        assert!(try_staging(149, 24.0).is_ok());
         for staging in [150, 151] {
-            let err = try_staging(staging).unwrap_err();
+            let err = try_staging(staging, 24.0).unwrap_err();
             assert!(matches!(err, PipelineError::InvalidConfig { .. }), "{err}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "proper subset")]
-    fn panicking_convenience_still_panics_on_invalid_config() {
-        let _ = run_it(0, 24.0);
     }
 }

@@ -17,9 +17,10 @@
 //!   the simulated 150-node *Caddy* machine ([`ivis_cluster`]) and its
 //!   Lustre rack ([`ivis_storage`]), with per-minute power meters attached,
 //!   and returns the full [`metrics::PipelineMetrics`] the paper reports.
-//!   Each pipeline family — in-situ, post-hoc, in-transit ([`intransit`],
-//!   [`transport`]) — has exactly one executor, an event chain in [`des`];
-//!   every `Campaign::run*` entry point forwards into one of the three.
+//!   One [`Plan`] in, one [`Run`] out: [`Campaign::execute`] is the entry
+//!   point, and each pipeline family — in-situ, post-hoc (with or without
+//!   a burst-buffer tier), in-transit ([`intransit`], [`transport`]) — has
+//!   exactly one executor, an event chain in [`des`].
 //! * [`native`] — the *laptop* backend: actually time-steps the ocean,
 //!   renders PNGs, encodes ncdf files and tracks eddies, measuring real
 //!   wall-clock time. One native frame loop; fixed, faulted and adaptive
@@ -29,10 +30,9 @@
 //! (pipeline kind, sampling rate, cost constants).
 //!
 //! A third concern cuts across both backends: [`resilience`] runs the same
-//! executors under an [`ivis_fault::FaultPlan`] with retry/timeout/
-//! degradation machinery, producing a [`resilience::FaultedRun`] that
-//! degrades gracefully instead of panicking; a clean run is the same code
-//! under an empty plan.
+//! executors under an [`ivis_fault::FaultPlan`] (a plan's `faults`) with
+//! retry/timeout/degradation machinery, so the [`Run`] degrades gracefully
+//! instead of panicking; a clean run is the same code under an empty plan.
 //!
 //! Every executor also feeds one observability hook: [`telemetry`] turns
 //! a finished run's harvested power profiles (or the native backend's
@@ -59,9 +59,9 @@ mod golden;
 
 pub use adaptive::{run_native_adaptive, run_native_adaptive_with, AdaptiveReport};
 pub use adaptor::{CatalystAdaptor, VizSnapshot};
-pub use campaign::{Campaign, CampaignConfig};
+pub use campaign::{Campaign, CampaignConfig, Plan, Run};
 pub use config::{PipelineConfig, PipelineKind};
 pub use metrics::PipelineMetrics;
-pub use resilience::{FaultedRun, PipelineError};
+pub use resilience::PipelineError;
 pub use telemetry::{native_power_timeline, RunTelemetry};
 pub use transport::{per_node_payload, CompressionConfig, TransportConfig, TransportStats};

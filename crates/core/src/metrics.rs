@@ -5,7 +5,7 @@ use ivis_power::profile::PowerProfile;
 use ivis_power::units::{Joules, Watts};
 use ivis_sim::SimDuration;
 
-use crate::config::{PipelineConfig, PipelineKind};
+use crate::config::PipelineKind;
 
 /// Everything the instrumented run produces.
 #[derive(Debug, Clone)]
@@ -164,15 +164,6 @@ pub fn model_point(m: &PipelineMetrics) -> (f64, f64, f64) {
         m.storage_gb(),
         m.num_outputs as f64,
     )
-}
-
-/// Reference to a [`PipelineConfig`] paired with its measured metrics.
-#[derive(Debug, Clone)]
-pub struct MeasuredRun {
-    /// What was run.
-    pub config: PipelineConfig,
-    /// What was measured.
-    pub metrics: PipelineMetrics,
 }
 
 #[cfg(test)]

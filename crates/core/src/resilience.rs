@@ -1,11 +1,11 @@
 //! Fault-aware pipeline execution: retries, timeouts and graceful
 //! degradation for the measured-cluster backend.
 //!
-//! [`Campaign::run`] models the paper's healthy machine. This module runs
-//! the *same* executors ([`des`](crate::des)) under an
+//! A [`Plan`](crate::campaign::Plan) with `faults: Some(_)` runs the
+//! *same* executors ([`des`](crate::des)) under an
 //! [`ivis_fault::FaultPlan`] — OSS bandwidth brownouts, MDS stalls,
 //! transient I/O failures, full-disk pressure and compute stragglers —
-//! and gives them the machinery to survive:
+//! and this module gives them the machinery to survive:
 //!
 //! * a [`RetryPolicy`](ivis_fault::RetryPolicy): bounded exponential
 //!   backoff with deterministic jitter and a per-op latency SLO;
@@ -16,11 +16,13 @@
 //! * typed errors ([`PipelineError`]) when retries are exhausted or the
 //!   storage model rejects an operation terminally.
 //!
-//! Every retry, SLO violation, shed and degradation-level change is
-//! recorded as [`Component::Fault`] events and `fault.*` counters on the
-//! campaign's [`Recorder`], and the compute energy burned inside backoff
-//! windows is reported separately ([`FaultedRun::retry_energy`]) so a
-//! degraded run's energy bill can be decomposed.
+//! Every storage write of every family — a burst-buffered raw dump
+//! included — goes through one resilient path. Every retry, SLO
+//! violation, shed and degradation-level change is recorded as
+//! [`Component::Fault`] events and `fault.*` counters on the campaign's
+//! [`Recorder`], and the compute energy burned inside backoff windows is
+//! reported separately ([`Run::retry_energy`](crate::campaign::Run::retry_energy))
+//! so a degraded run's energy bill can be decomposed.
 //!
 //! **Determinism contract**: a clean run *is* a fault-aware run under an
 //! empty plan — the fault RNG is never consulted, the storage hooks stay
@@ -29,16 +31,13 @@
 //! replays bit-for-bit at any host thread count; the CI fault matrix
 //! enforces it.
 
-use ivis_fault::{FaultScenario, FaultSession, FaultStats};
+use ivis_fault::FaultSession;
 use ivis_obs::{AttrValue, Component, Recorder};
-use ivis_power::units::Joules;
 use ivis_sim::SimTime;
+use ivis_storage::burst_buffer::BurstBuffer;
 use ivis_storage::{ParallelFileSystem, PfsError};
 
-use crate::campaign::{note_write, Campaign};
-use crate::config::PipelineConfig;
-use crate::intransit::InTransitConfig;
-use crate::metrics::PipelineMetrics;
+use crate::campaign::note_write;
 
 /// A pipeline run failed in a way the resilience machinery could not
 /// absorb. The variants carry enough context (sim-time, path, underlying
@@ -133,54 +132,6 @@ impl std::error::Error for PipelineError {
     }
 }
 
-/// Everything a fault-aware run produces: the usual metrics artifact, the
-/// fault layer's counters, and the compute energy burned inside retry
-/// backoff windows (attributed via the compute power profile, tiling the
-/// run exactly like the per-phase attribution does).
-#[derive(Debug, Clone)]
-pub struct FaultedRun {
-    /// The metrics artifact, same shape as a clean run's.
-    pub metrics: PipelineMetrics,
-    /// What the fault layer did.
-    pub stats: FaultStats,
-    /// Compute energy spent waiting out retry backoffs.
-    pub retry_energy: Joules,
-}
-
-impl FaultedRun {
-    pub(crate) fn finish(metrics: PipelineMetrics, session: FaultSession) -> Self {
-        let retry_energy = metrics
-            .compute_profile
-            .energy_over(session.backoff_windows());
-        FaultedRun {
-            metrics,
-            stats: session.into_stats(),
-            retry_energy,
-        }
-    }
-
-    /// A stable one-line rendering of the run's observable outcome —
-    /// every duration in exact microseconds and every energy as raw f64
-    /// bits — used by the CI fault matrix to assert bit-identical replays
-    /// across seeds, thread counts and processes.
-    pub fn digest(&self) -> String {
-        let m = &self.metrics;
-        format!(
-            "exec_us={} t_sim_us={} t_io_us={} t_viz_us={} bytes={} outputs={} e_compute={:#x} e_storage={:#x} e_retry={:#x} | {}",
-            m.execution_time.as_micros(),
-            m.t_sim.as_micros(),
-            m.t_io.as_micros(),
-            m.t_viz.as_micros(),
-            m.storage_bytes,
-            m.num_outputs,
-            m.compute_profile.energy().joules().to_bits(),
-            m.storage_profile.energy().joules().to_bits(),
-            self.retry_energy.joules().to_bits(),
-            self.stats.digest(),
-        )
-    }
-}
-
 /// How one resilient write ended (when it didn't error out).
 pub(crate) enum WriteOutcome {
     /// Durable at the carried completion time.
@@ -246,7 +197,9 @@ pub(crate) fn note_degraded_shed(
     rec.counter_add(t, "fault.sheds", 1.0);
 }
 
-/// Write one output through the retry/timeout/shed machinery.
+/// Write one output through the retry/timeout/shed machinery, to `pfs`
+/// or — when given one — through `buffer`, which absorbs it and drains
+/// it to `pfs` in the background.
 ///
 /// The loop: sync the storage hooks to the plan, roll the transient-
 /// failure die, attempt the write. Success feeds the degradation state
@@ -259,6 +212,7 @@ pub(crate) fn resilient_write(
     rec: &Recorder,
     session: &mut FaultSession,
     pfs: &mut ParallelFileSystem,
+    mut buffer: Option<&mut BurstBuffer>,
     mut now: SimTime,
     op: &WriteOp<'_>,
 ) -> Result<WriteOutcome, PipelineError> {
@@ -274,7 +228,11 @@ pub(crate) fn resilient_write(
         let wid = rec.span(now, "pfs_write", Component::Storage);
         rec.set_attr(wid, "bytes", AttrValue::U64(op.bytes));
         let submitted = now;
-        match pfs.write(now, op.path, op.bytes) {
+        let attempt = match buffer.as_deref_mut() {
+            Some(bb) => bb.write(pfs, now, op.path, op.bytes),
+            None => pfs.write(now, op.path, op.bytes),
+        };
+        match attempt {
             Ok(done) => {
                 rec.close(done, wid);
                 note_write(rec, pfs, submitted, done, op.index, op.bytes);
@@ -369,43 +327,40 @@ pub(crate) fn resilient_write(
     }
 }
 
-impl Campaign {
-    /// Execute one pipeline configuration under a fault scenario.
-    ///
-    /// With [`FaultScenario::none`] the result's metrics are bit-identical
-    /// to [`Campaign::run`] (and so is the trace, up to the post-hoc
-    /// `images.tar` span noted on the executor); with a seeded plan the
-    /// run degrades gracefully (retries, sheds) or fails with a typed
-    /// [`PipelineError`] — never a panic.
-    pub fn run_faulted(
-        &self,
-        pc: &PipelineConfig,
-        scenario: &FaultScenario,
-    ) -> Result<FaultedRun, PipelineError> {
-        self.run_on_engine(pc, scenario, true).map(|(run, _)| run)
-    }
-
-    /// The in-transit pipeline under a fault scenario: degradation sheds,
-    /// retry backoff, compute stragglers and `LinkBrownout` derating all
-    /// compose with the depth-`k` queue. See
-    /// [`run_faulted`](Self::run_faulted) for the contract.
-    pub fn run_intransit_faulted(
-        &self,
-        pc: &PipelineConfig,
-        it: &InTransitConfig,
-        scenario: &FaultScenario,
-    ) -> Result<FaultedRun, PipelineError> {
-        self.intransit_des(pc, it, scenario).map(|(run, _)| run)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PipelineKind;
-    use ivis_fault::{DegradationPolicy, FaultKind, FaultPlan, FaultWindow, RetryPolicy};
+    use crate::campaign::{Campaign, Plan, Run};
+    use crate::config::{PipelineConfig, PipelineKind};
+    use crate::intransit::InTransitConfig;
+    use ivis_fault::{
+        DegradationPolicy, FaultKind, FaultPlan, FaultScenario, FaultStats, FaultWindow,
+        RetryPolicy,
+    };
     use ivis_obs::to_jsonl;
+    use ivis_power::units::Joules;
     use ivis_sim::SimDuration;
+
+    /// `pc` on the whole machine under `scenario`.
+    fn execute_faulted(
+        campaign: &Campaign,
+        pc: &PipelineConfig,
+        scenario: &FaultScenario,
+    ) -> Result<Run, PipelineError> {
+        campaign.execute(&Plan {
+            faults: Some(scenario.clone()),
+            ..Plan::new(pc.clone())
+        })
+    }
+
+    /// `pc` in transit on the default staging partition.
+    fn staged(pc: &PipelineConfig, faults: Option<FaultScenario>) -> Plan {
+        Plan {
+            staging: Some(InTransitConfig::caddy_default()),
+            faults,
+            ..Plan::new(pc.clone())
+        }
+    }
 
     fn insitu_8h() -> PipelineConfig {
         PipelineConfig::paper(PipelineKind::InSitu, 8.0)
@@ -416,8 +371,7 @@ mod tests {
         let campaign = Campaign::paper();
         for pc in PipelineConfig::paper_matrix() {
             let clean = campaign.run(&pc);
-            let faulted = campaign
-                .run_faulted(&pc, &FaultScenario::none())
+            let faulted = execute_faulted(&campaign, &pc, &FaultScenario::none())
                 .expect("empty scenario cannot fail");
             let m = &faulted.metrics;
             assert_eq!(clean.execution_time, m.execution_time);
@@ -454,7 +408,7 @@ mod tests {
 
     #[test]
     fn empty_plan_trace_differs_only_by_the_posthoc_tail_span() {
-        // Why `postproc_des` carries `resilient_tail`: the fault-aware
+        // Why `postproc_des` looks at `plan.faults`: the fault-aware
         // post-hoc tail commits `/postproc/images.tar` through
         // `resilient_write`, which wraps the write in a `pfs_write` span;
         // the clean tail (whose trace is pinned) writes it bare. That one
@@ -462,7 +416,7 @@ mod tests {
         let none = FaultScenario::none();
         for pc in PipelineConfig::paper_matrix() {
             let clean = traced(|c| drop(c.run(&pc)));
-            let faulted = traced(|c| drop(c.run_faulted(&pc, &none).expect("empty plan")));
+            let faulted = traced(|c| drop(execute_faulted(c, &pc, &none).expect("empty plan")));
             if pc.kind == PipelineKind::InSitu {
                 assert_eq!(clean, faulted, "in-situ @ {} h", pc.rate.every_hours);
                 continue;
@@ -493,11 +447,10 @@ mod tests {
         // In-transit has no such tail: byte-identical.
         let mut pc = insitu_8h();
         pc.kind = crate::intransit::reported_kind();
-        let it = InTransitConfig::caddy_default();
         assert_eq!(
-            traced(|c| drop(c.run_intransit(&pc, &it))),
+            traced(|c| drop(c.execute(&staged(&pc, None)).expect("valid plan"))),
             traced(|c| drop(
-                c.run_intransit_faulted(&pc, &it, &none)
+                c.execute(&staged(&pc, Some(none.clone())))
                     .expect("empty plan")
             ))
         );
@@ -513,8 +466,7 @@ mod tests {
             FaultWindow::of_secs(0, 100_000),
             FaultKind::OssBrownout { scale: 0.5 },
         );
-        let hurt = campaign
-            .run_faulted(&pc, &FaultScenario::with_plan(plan))
+        let hurt = execute_faulted(&campaign, &pc, &FaultScenario::with_plan(plan))
             .expect("brownout alone never kills a run");
         let m = &hurt.metrics;
         assert!(
@@ -538,8 +490,7 @@ mod tests {
             FaultWindow::of_secs(0, 10),
             FaultKind::TransientIo { fail_prob: 1.0 },
         );
-        let run = campaign
-            .run_faulted(&pc, &FaultScenario::with_plan(plan))
+        let run = execute_faulted(&campaign, &pc, &FaultScenario::with_plan(plan))
             .expect("retries must carry the run past a 10 s outage");
         assert!(run.stats.injected_io_failures >= 1);
         assert_eq!(run.stats.retries, run.stats.injected_io_failures);
@@ -560,7 +511,7 @@ mod tests {
         );
         let mut scenario = FaultScenario::with_plan(plan);
         scenario.retry = RetryPolicy::no_retries();
-        let err = campaign.run_faulted(&pc, &scenario).unwrap_err();
+        let err = execute_faulted(&campaign, &pc, &scenario).unwrap_err();
         match err {
             PipelineError::RetriesExhausted {
                 attempts, ref path, ..
@@ -592,9 +543,7 @@ mod tests {
         // Enough backoff budget (2+4+...+60·5 ≈ 360 s, jitter floor ×0.75)
         // to walk any retry chain out of the 250 s storm.
         scenario.retry.max_attempts = 10;
-        let run = campaign
-            .run_faulted(&pc, &scenario)
-            .expect("degrades, not dies");
+        let run = execute_faulted(&campaign, &pc, &scenario).expect("degrades, not dies");
         assert!(run.stats.escalations >= 1, "storm must escalate");
         assert!(run.stats.outputs_shed >= 1, "degraded level sheds samples");
         assert!(
@@ -620,8 +569,7 @@ mod tests {
                 reserve_bytes: capacity - 100_000_000,
             },
         );
-        let run = campaign
-            .run_faulted(&pc, &FaultScenario::with_plan(plan))
+        let run = execute_faulted(&campaign, &pc, &FaultScenario::with_plan(plan))
             .expect("full disk degrades, not dies");
         assert!(run.stats.space_sheds >= 1);
         assert_eq!(run.stats.outputs_total(), 540);
@@ -643,8 +591,7 @@ mod tests {
             FaultWindow::of_secs(0, 1_000_000),
             FaultKind::ComputeStraggler { slowdown: 2.0 },
         );
-        let run = campaign
-            .run_faulted(&pc, &FaultScenario::with_plan(plan))
+        let run = execute_faulted(&campaign, &pc, &FaultScenario::with_plan(plan))
             .expect("stragglers only slow the run");
         let slowed = run.metrics.t_sim.as_secs_f64();
         let base = clean.t_sim.as_secs_f64();
@@ -661,10 +608,12 @@ mod tests {
         let campaign = Campaign::paper();
         let mut pc = insitu_8h();
         pc.kind = crate::intransit::reported_kind();
-        let it = InTransitConfig::caddy_default();
-        let clean = campaign.run_intransit(&pc, &it);
+        let clean = campaign
+            .execute(&staged(&pc, None))
+            .expect("valid plan")
+            .metrics;
         let faulted = campaign
-            .run_intransit_faulted(&pc, &it, &FaultScenario::none())
+            .execute(&staged(&pc, Some(FaultScenario::none())))
             .expect("empty scenario cannot fail");
         assert_eq!(clean.execution_time, faulted.metrics.execution_time);
         assert_eq!(clean.t_sim, faulted.metrics.t_sim);
@@ -685,8 +634,8 @@ mod tests {
         let pc = insitu_8h();
         let plan = FaultPlan::random(42, SimDuration::from_secs(1300));
         let scenario = FaultScenario::with_plan(plan);
-        let a = campaign.run_faulted(&pc, &scenario).map(|r| r.digest());
-        let b = campaign.run_faulted(&pc, &scenario).map(|r| r.digest());
+        let a = execute_faulted(&campaign, &pc, &scenario).map(|r| r.digest());
+        let b = execute_faulted(&campaign, &pc, &scenario).map(|r| r.digest());
         assert_eq!(a.ok(), b.ok());
     }
 }

@@ -1,8 +1,8 @@
 //! The one telemetry hook every executor shares.
 //!
-//! Each executor — clean in-situ/post-hoc ([`Campaign::run`]), staged
-//! in-transit ([`Campaign::run_intransit`]), the faulted variants and the
-//! native backend — already harvests its power pathway into
+//! Each executor — in-situ, post-hoc and staged in-transit, clean or
+//! faulted ([`Campaign::execute`]), and the native backend — already
+//! harvests its power pathway into
 //! [`PipelineMetrics`] profiles (or, for the native backend, phase spans
 //! in the [`TraceBuffer`]). [`Campaign::telemetry`] turns that harvest
 //! into a [`RunTelemetry`]: one sampled W(t) [`PowerTimeline`] per
@@ -11,8 +11,7 @@
 //! helpers to publish the signals as power gauges so the Prometheus
 //! snapshot carries them.
 //!
-//! [`Campaign::run`]: crate::campaign::Campaign::run
-//! [`Campaign::run_intransit`]: crate::campaign::Campaign::run_intransit
+//! [`Campaign::execute`]: crate::campaign::Campaign::execute
 //! [`paper_cadence`]: ivis_obs::telemetry::paper_cadence
 
 use ivis_cluster::IoWaitPolicy;
@@ -106,7 +105,7 @@ pub fn native_power_timeline(
 mod tests {
     use super::*;
     use crate::native::{run_native_insitu_at, NativeConfig};
-    use crate::{PipelineConfig, PipelineKind};
+    use crate::{PipelineConfig, PipelineKind, Plan};
     use ivis_fault::{FaultPlan, FaultScenario};
     use ivis_obs::telemetry::paper_cadence;
     use ivis_sim::SimTime;
@@ -146,7 +145,10 @@ mod tests {
         let pc = PipelineConfig::paper(PipelineKind::InSitu, 8.0);
         let plan = FaultPlan::random(7, SimDuration::from_secs(1_300));
         let run = campaign
-            .run_faulted(&pc, &FaultScenario::with_plan(plan))
+            .execute(&Plan {
+                faults: Some(FaultScenario::with_plan(plan)),
+                ..Plan::new(pc)
+            })
             .expect("random plans degrade runs, they do not kill them");
         let tel = campaign.telemetry(&run.metrics, paper_cadence());
         let got = tel.compute.energy().joules() + tel.storage.energy().joules();

@@ -18,7 +18,8 @@
 //! * [`TransportStats`] — what the transport did over one run.
 //!
 //! The executor that runs this transport is the in-transit event chain in
-//! [`des`](crate::des).
+//! [`des`](crate::des); a staged [`Plan`](crate::campaign::Plan) returns
+//! the stats in [`Run::transport`](crate::campaign::Run::transport).
 
 use ivis_sim::SimDuration;
 
@@ -114,27 +115,20 @@ impl TransportConfig {
         }
     }
 
-    /// An asynchronous transport with a bounded in-flight queue.
-    ///
-    /// # Panics
-    /// Panics if `depth` is zero.
+    /// An asynchronous transport with a bounded in-flight queue. A zero
+    /// depth is rejected when the plan runs, as
+    /// [`PipelineError::InvalidConfig`].
     pub fn pipelined(depth: usize) -> Self {
-        assert!(depth >= 1, "transport depth must be at least 1");
         TransportConfig {
             depth,
             compression: None,
         }
     }
 
-    /// Enable wire compression (builder style).
-    ///
-    /// # Panics
-    /// Panics if `compression` has a ratio below 1 or a non-positive
-    /// codec throughput.
+    /// Enable wire compression (builder style). A ratio below 1 or a
+    /// non-positive codec throughput is rejected when the plan runs, as
+    /// [`PipelineError::InvalidConfig`].
     pub fn with_compression(mut self, compression: CompressionConfig) -> Self {
-        if let Err(e) = compression.validate() {
-            panic!("{e}");
-        }
         self.compression = Some(compression);
         self
     }
@@ -144,8 +138,8 @@ impl TransportConfig {
         self.depth == 1
     }
 
-    /// The checks the constructors make, for configurations built as
-    /// struct literals.
+    /// Reject a zero depth or an invalid codec; `Campaign::execute` calls
+    /// this once per staged plan.
     pub(crate) fn validate(&self) -> Result<(), PipelineError> {
         if self.depth == 0 {
             return Err(PipelineError::invalid(
@@ -183,7 +177,7 @@ pub struct TransportStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::Campaign;
+    use crate::campaign::{Campaign, Plan};
     use crate::config::{PipelineConfig, PipelineKind};
     use crate::intransit::{reported_kind, InTransitConfig};
     use crate::metrics::PipelineMetrics;
@@ -196,17 +190,26 @@ mod tests {
         }
     }
 
+    fn execute(
+        staging: usize,
+        hours: f64,
+        transport: TransportConfig,
+    ) -> Result<(PipelineMetrics, TransportStats), PipelineError> {
+        let mut pc = PipelineConfig::paper(PipelineKind::InSitu, hours);
+        pc.kind = reported_kind();
+        let run = Campaign::paper().execute(&Plan {
+            staging: Some(it_config(staging, transport)),
+            ..Plan::new(pc)
+        })?;
+        Ok((run.metrics, run.transport.expect("a staged run")))
+    }
+
     fn run(
         staging: usize,
         hours: f64,
         transport: TransportConfig,
     ) -> (PipelineMetrics, TransportStats) {
-        let campaign = Campaign::paper();
-        let mut pc = PipelineConfig::paper(PipelineKind::InSitu, hours);
-        pc.kind = reported_kind();
-        campaign
-            .try_run_intransit_with_stats(&pc, &it_config(staging, transport))
-            .expect("clean staged run cannot fail")
+        execute(staging, hours, transport).expect("clean staged run cannot fail")
     }
 
     #[test]
@@ -285,9 +288,7 @@ mod tests {
 
     /// The typed error a struct-literal `transport` is rejected with.
     fn rejection(transport: TransportConfig) -> String {
-        let mut pc = PipelineConfig::paper(PipelineKind::InSitu, 24.0);
-        pc.kind = reported_kind();
-        match Campaign::paper().try_run_intransit_with_stats(&pc, &it_config(10, transport)) {
+        match execute(10, 24.0, transport) {
             Err(PipelineError::InvalidConfig { detail }) => detail,
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
@@ -330,8 +331,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "transport depth")]
-    fn pipelined_constructor_panics_on_zero_depth() {
-        let _ = TransportConfig::pipelined(0);
+    fn constructors_defer_to_the_typed_rejection() {
+        let detail = rejection(TransportConfig::pipelined(0));
+        assert!(detail.contains("transport depth"), "{detail}");
+        let detail = rejection(
+            TransportConfig::pipelined(2).with_compression(CompressionConfig {
+                ratio: 0.5,
+                ..CompressionConfig::zfp_like()
+            }),
+        );
+        assert!(detail.contains("compression ratio"), "{detail}");
     }
 }

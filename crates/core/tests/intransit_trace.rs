@@ -10,7 +10,7 @@
 mod common;
 
 use common::check_golden;
-use ivis_core::campaign::Campaign;
+use ivis_core::campaign::{Campaign, Plan};
 use ivis_core::intransit::{reported_kind, InTransitConfig};
 use ivis_core::{CompressionConfig, PipelineConfig, PipelineKind, TransportConfig};
 use ivis_fault::FaultScenario;
@@ -29,11 +29,18 @@ fn pc_72h() -> PipelineConfig {
     pc
 }
 
-fn staged_config() -> InTransitConfig {
-    InTransitConfig {
-        staging_nodes: 25,
-        transport: TransportConfig::pipelined(2).with_compression(CompressionConfig::zfp_like()),
-        ..InTransitConfig::caddy_default()
+/// The 72 h in-transit run on 25 staging nodes (depth 2, zfp-class
+/// compression), under `faults`.
+fn staged_plan(faults: Option<FaultScenario>) -> Plan {
+    Plan {
+        staging: Some(InTransitConfig {
+            staging_nodes: 25,
+            transport: TransportConfig::pipelined(2)
+                .with_compression(CompressionConfig::zfp_like()),
+            ..InTransitConfig::caddy_default()
+        }),
+        faults,
+        ..Plan::new(pc_72h())
     }
 }
 
@@ -44,8 +51,8 @@ fn staged_config() -> InTransitConfig {
 #[test]
 fn staged_intransit_jsonl_schema_is_frozen() {
     let (campaign, rec) = traced_campaign();
-    let (_, stats) = campaign.run_intransit_with_stats(&pc_72h(), &staged_config());
-    assert_eq!(stats.depth, 2);
+    let run = campaign.execute(&staged_plan(None)).expect("valid plan");
+    assert_eq!(run.transport.expect("a staged run").depth, 2);
     let text = rec.with_buffer(to_jsonl).unwrap();
     let lines: Vec<&str> = text.lines().collect();
 
@@ -95,18 +102,12 @@ fn staged_intransit_jsonl_schema_is_frozen() {
 /// already enforces, extended to the transport).
 #[test]
 fn empty_plan_trace_is_bit_identical_to_clean_staged_trace() {
-    let trace = |faulted: bool| {
+    let trace = |faults: Option<FaultScenario>| {
         let (campaign, rec) = traced_campaign();
-        let pc = pc_72h();
-        let it = staged_config();
-        if faulted {
-            campaign
-                .run_intransit_faulted(&pc, &it, &FaultScenario::none())
-                .expect("empty scenario cannot fail");
-        } else {
-            campaign.run_intransit(&pc, &it);
-        }
+        campaign
+            .execute(&staged_plan(faults))
+            .expect("empty scenario cannot fail");
         rec.with_buffer(to_jsonl).expect("recorder is on")
     };
-    assert_eq!(trace(false), trace(true));
+    assert_eq!(trace(None), trace(Some(FaultScenario::none())));
 }

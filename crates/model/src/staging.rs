@@ -22,7 +22,7 @@
 //! analytic prediction alongside, so the sweep doubles as a §VI-style
 //! validation of the transport model.
 
-use ivis_core::campaign::Campaign;
+use ivis_core::campaign::{Campaign, Plan};
 use ivis_core::intransit::{reported_kind, InTransitConfig};
 use ivis_core::{
     per_node_payload, CompressionConfig, PipelineConfig, PipelineKind, TransportConfig,
@@ -120,7 +120,13 @@ impl StagingSweep {
                     CADDY_NODES,
                     campaign.config.image_bytes_per_output,
                 );
-                let (m, stats) = campaign.run_intransit_with_stats(&pc, &it);
+                let run = campaign
+                    .execute(&Plan {
+                        staging: Some(it),
+                        ..Plan::new(pc)
+                    })
+                    .unwrap_or_else(|e| panic!("staging sweep point failed: {e}"));
+                let (m, stats) = (run.metrics, run.transport.expect("a staged run"));
                 StagingPoint {
                     staging_nodes,
                     depth,

@@ -25,9 +25,9 @@ pub struct Constraints {
     pub max_interval_hours: f64,
 }
 
-/// One evaluated plan.
+/// The model's prediction for one `(pipeline, interval)` choice.
 #[derive(Debug, Clone, Copy)]
-pub struct Plan {
+pub struct Prediction {
     /// The pipeline.
     pub kind: PipelineKind,
     /// The sampling interval, hours.
@@ -65,8 +65,13 @@ impl Planner {
         }
     }
 
-    /// Evaluate one `(kind, interval)` plan for `spec`.
-    pub fn evaluate(&self, kind: PipelineKind, spec: &ProblemSpec, interval_hours: f64) -> Plan {
+    /// Predict one `(kind, interval)` choice for `spec`.
+    pub fn evaluate(
+        &self,
+        kind: PipelineKind,
+        spec: &ProblemSpec,
+        interval_hours: f64,
+    ) -> Prediction {
         let rate = SamplingRate::every_hours(interval_hours);
         let seconds = self.analyzer.execution_seconds(kind, spec, rate);
         let storage_bytes = self.analyzer.storage_bytes(kind, spec, rate);
@@ -77,7 +82,7 @@ impl Planner {
             self.energy_price,
             self.machine_price,
         );
-        Plan {
+        Prediction {
             kind,
             interval_hours,
             seconds,
@@ -86,7 +91,7 @@ impl Planner {
         }
     }
 
-    /// Pick the cheapest feasible plan over both pipelines and a candidate
+    /// Pick the cheapest feasible prediction over both pipelines and a candidate
     /// set of sampling intervals at or finer than the scientific
     /// requirement. Returns `None` if nothing is feasible.
     pub fn cheapest_feasible(
@@ -94,26 +99,26 @@ impl Planner {
         spec: &ProblemSpec,
         candidates_hours: &[f64],
         constraints: &Constraints,
-    ) -> Option<Plan> {
-        let mut best: Option<Plan> = None;
+    ) -> Option<Prediction> {
+        let mut best: Option<Prediction> = None;
         for kind in [PipelineKind::InSitu, PipelineKind::PostProcessing] {
             for &h in candidates_hours {
                 if h > constraints.max_interval_hours {
                     continue; // too coarse for the science
                 }
-                let plan = self.evaluate(kind, spec, h);
+                let candidate = self.evaluate(kind, spec, h);
                 if let Some(max_s) = constraints.max_storage_bytes {
-                    if plan.storage_bytes > max_s {
+                    if candidate.storage_bytes > max_s {
                         continue;
                     }
                 }
                 if let Some(max_t) = constraints.max_seconds {
-                    if plan.seconds > max_t {
+                    if candidate.seconds > max_t {
                         continue;
                     }
                 }
-                if best.as_ref().is_none_or(|b| plan.dollars < b.dollars) {
-                    best = Some(plan);
+                if best.as_ref().is_none_or(|b| candidate.dollars < b.dollars) {
+                    best = Some(candidate);
                 }
             }
         }

@@ -9,7 +9,7 @@
 //! cargo run --release --example intransit_comparison
 //! ```
 
-use insitu_vis::pipeline::campaign::Campaign;
+use insitu_vis::pipeline::campaign::{Campaign, Plan};
 use insitu_vis::pipeline::intransit::InTransitConfig;
 use insitu_vis::pipeline::{PipelineConfig, PipelineKind};
 
@@ -32,13 +32,16 @@ fn main() {
             insitu.energy_total().megajoules()
         );
         for staging in [5usize, 10, 25, 50, 75] {
-            let m = campaign.run_intransit(
-                &PipelineConfig::paper(PipelineKind::InSitu, hours),
-                &InTransitConfig {
-                    staging_nodes: staging,
-                    ..InTransitConfig::caddy_default()
-                },
-            );
+            let m = campaign
+                .execute(&Plan {
+                    staging: Some(InTransitConfig {
+                        staging_nodes: staging,
+                        ..InTransitConfig::caddy_default()
+                    }),
+                    ..Plan::new(PipelineConfig::paper(PipelineKind::InSitu, hours))
+                })
+                .expect("5–75 staging nodes fit the 150-node machine")
+                .metrics;
             println!(
                 "  in-transit ({staging:>2} staging nodes): {:>7.0} s | {:>6.2} kW | {:>7.1} MJ",
                 m.execution_time.as_secs_f64(),

@@ -15,6 +15,9 @@
 //!   including `TransportStats` equality;
 //! * the faulted staged run's Perfetto and Prometheus exports;
 //! * the noise-free campaign digests and per-family event counts;
+//! * post-hoc with a burst buffer (`bb/…`), recorded from the hand-written
+//!   burst-buffer loop before it became the post-hoc chain's storage
+//!   tier;
 //! * the 10 000-node what-if shapes (`caddy10k/…`), recorded from the
 //!   per-node power bookkeeping before `Machine` stopped looping over
 //!   nodes;
@@ -30,7 +33,7 @@ mod common;
 use common::{at_all_thread_counts, blob, stats_line, Golden};
 use insitu_vis::cluster::{ClusterTopology, IoWaitPolicy, JobPhase, Machine, NodeId};
 use insitu_vis::fault::{FaultPlan, FaultScenario};
-use insitu_vis::pipeline::campaign::{Campaign, CampaignConfig};
+use insitu_vis::pipeline::campaign::{Campaign, CampaignConfig, Plan};
 use insitu_vis::pipeline::intransit::{reported_kind, InTransitConfig};
 use insitu_vis::pipeline::{CompressionConfig, PipelineConfig, PipelineKind, TransportConfig};
 use insitu_vis::power::meter::MeteredPdu;
@@ -57,11 +60,15 @@ fn intransit_pc(hours: f64) -> PipelineConfig {
     pc
 }
 
-fn staged(staging_nodes: usize, transport: TransportConfig) -> InTransitConfig {
-    InTransitConfig {
-        staging_nodes,
-        transport,
-        ..InTransitConfig::caddy_default()
+/// `pc` in transit on `staging_nodes` over `transport`.
+fn staged(pc: &PipelineConfig, staging_nodes: usize, transport: TransportConfig) -> Plan {
+    Plan {
+        staging: Some(InTransitConfig {
+            staging_nodes,
+            transport,
+            ..InTransitConfig::caddy_default()
+        }),
+        ..Plan::new(pc.clone())
     }
 }
 
@@ -95,10 +102,13 @@ fn faulted_runs_agree_across_the_seed_matrix() {
     for seed in FAULT_SEEDS {
         for kind in [PipelineKind::InSitu, PipelineKind::PostProcessing] {
             let pc = PipelineConfig::paper(kind, 8.0);
-            let scenario = FaultScenario::with_plan(FaultPlan::random(seed, horizon));
+            let plan = Plan {
+                faults: Some(FaultScenario::with_plan(FaultPlan::random(seed, horizon))),
+                ..Plan::new(pc)
+            };
             let digest = at_all_thread_counts(|| {
                 Campaign::paper()
-                    .run_faulted(&pc, &scenario)
+                    .execute(&plan)
                     .expect("random plans degrade runs, they do not kill them")
                     .digest()
             });
@@ -118,10 +128,13 @@ fn staging_sweep_agrees_including_transport_stats() {
     ];
     let pc = intransit_pc(24.0);
     for (label, staging, transport) in sweeps {
-        let it = staged(staging, transport);
+        let plan = staged(&pc, staging, transport);
         let (digest, stats) = at_all_thread_counts(|| {
-            let (m, s) = Campaign::paper_noisy(7).run_intransit_with_stats(&pc, &it);
-            (m.digest(), stats_line(&s))
+            let run = Campaign::paper_noisy(7).execute(&plan).expect("valid plan");
+            (
+                run.metrics.digest(),
+                stats_line(&run.transport.expect("a staged run")),
+            )
         });
         golden.check(&format!("sweep/{label}@24h/digest"), &digest);
         golden.check(&format!("sweep/{label}@24h/stats"), &stats);
@@ -136,12 +149,14 @@ fn faulted_staged_run_exports_identical_artifacts() {
     // byte-for-byte.
     let golden = Golden::load();
     let plan = FaultPlan::random(42, SimDuration::from_secs(1_300));
-    let pc = intransit_pc(8.0);
-    let it = staged(25, depth2_zfp());
+    let plan = Plan {
+        faults: Some(FaultScenario::with_plan(plan)),
+        ..staged(&intransit_pc(8.0), 25, depth2_zfp())
+    };
     let (digest, chrome, prom, has_queue_hist) = at_all_thread_counts(|| {
         let (campaign, rec) = traced_campaign(42);
         let run = campaign
-            .run_intransit_faulted(&pc, &it, &FaultScenario::with_plan(plan.clone()))
+            .execute(&plan)
             .expect("random plans degrade runs, they do not kill them");
         let chrome = rec.with_buffer(to_chrome_trace).expect("recorder is on");
         let prom = rec
@@ -170,19 +185,22 @@ fn noise_free_campaign_digests_and_event_counts_match_golden() {
         (PipelineKind::InSitu, 8.0),
         (PipelineKind::PostProcessing, 24.0),
     ] {
-        let pc = PipelineConfig::paper(kind, hours);
         let label = format!("paper/{}@{hours}h", kind.label());
-        let (m, events) = campaign
-            .try_run_des_with_events(&pc)
+        let run = campaign
+            .execute(&Plan::new(PipelineConfig::paper(kind, hours)))
             .expect("clean run cannot fail");
-        golden.check(&format!("{label}/digest"), &m.digest());
-        golden.check(&format!("{label}/events"), &events.to_string());
+        golden.check(&format!("{label}/digest"), &run.metrics.digest());
+        golden.check(&format!("{label}/events"), &run.events.to_string());
     }
-    let pc = intransit_pc(24.0);
-    let it = staged(25, depth2_zfp());
-    let (m, s) = campaign.run_intransit_with_stats(&pc, &it);
-    golden.check("paper/in-transit-s25-d2-zfp@24h/digest", &m.digest());
-    golden.check("paper/in-transit-s25-d2-zfp@24h/stats", &stats_line(&s));
+    let run = campaign
+        .execute(&staged(&intransit_pc(24.0), 25, depth2_zfp()))
+        .expect("valid plan");
+    let stats = run.transport.expect("a staged run");
+    golden.check(
+        "paper/in-transit-s25-d2-zfp@24h/digest",
+        &run.metrics.digest(),
+    );
+    golden.check("paper/in-transit-s25-d2-zfp@24h/stats", &stats_line(&stats));
 }
 
 #[test]
@@ -198,10 +216,12 @@ fn caddy_10k_whatif_digests_match_golden() {
     }
     let depth4_zfp = TransportConfig::pipelined(4).with_compression(CompressionConfig::zfp_like());
     for staging in [640usize, 645] {
-        let m = campaign.run_intransit(&intransit_pc(24.0), &staged(staging, depth4_zfp.clone()));
+        let run = campaign
+            .execute(&staged(&intransit_pc(24.0), staging, depth4_zfp.clone()))
+            .expect("valid plan");
         golden.check(
             &format!("caddy10k/in-transit-s{staging}-d4-zfp@24h/digest"),
-            &m.digest(),
+            &run.metrics.digest(),
         );
     }
     // One noise draw per cage per phase change, 1 000 cages.
@@ -238,9 +258,13 @@ fn burst_buffer_digests_match_golden() {
     ] {
         for (buffer, bb) in burst_buffers() {
             for hours in [8.0, 24.0, 72.0] {
-                let pc = PipelineConfig::paper(PipelineKind::PostProcessing, hours);
+                let plan = Plan {
+                    burst_buffer: Some(bb.clone()),
+                    ..Plan::new(PipelineConfig::paper(PipelineKind::PostProcessing, hours))
+                };
                 let digest = at_all_thread_counts(|| {
-                    campaign.run_postproc_burst_buffer(&pc, bb.clone()).digest()
+                    let run = campaign.execute(&plan).expect("valid plan");
+                    run.metrics.digest()
                 });
                 golden.check(
                     &format!("bb/{machine}/{buffer}/post-processing@{hours}h/digest"),
@@ -354,7 +378,8 @@ fn traced_caddy_10k_jsonl_matches_golden() {
     golden.check("machine/caddy10k/in-situ@24h/jsonl", &insitu);
     let depth4_zfp = TransportConfig::pipelined(4).with_compression(CompressionConfig::zfp_like());
     let intransit = traced(&|c| {
-        c.run_intransit(&intransit_pc(24.0), &staged(640, depth4_zfp.clone()));
+        c.execute(&staged(&intransit_pc(24.0), 640, depth4_zfp.clone()))
+            .expect("valid plan");
     });
     golden.check(
         "machine/caddy10k/in-transit-s640-d4-zfp@24h/jsonl",

@@ -4,7 +4,7 @@
 
 use insitu_vis::cluster::interconnect::Interconnect;
 use insitu_vis::model::tradeoff::{Constraints, Planner};
-use insitu_vis::pipeline::campaign::Campaign;
+use insitu_vis::pipeline::campaign::{Campaign, Plan};
 use insitu_vis::pipeline::intransit::InTransitConfig;
 use insitu_vis::pipeline::{PipelineConfig, PipelineKind};
 use insitu_vis::power::attribution::{EnergyAttributor, PhaseEnergyLedger};
@@ -24,21 +24,22 @@ fn three_pipelines_rank_consistently() {
     let pc_insitu = PipelineConfig::paper(PipelineKind::InSitu, 8.0);
     let insitu = campaign.run(&pc_insitu).execution_time.as_secs_f64();
     let post = campaign.run(&pc_post).execution_time.as_secs_f64();
-    let buffered = campaign
-        .run_postproc_burst_buffer(&pc_post, BurstBufferConfig::two_tb_nvram())
-        .execution_time
-        .as_secs_f64();
-    let intransit = campaign
-        .run_intransit(
-            &pc_insitu,
-            &InTransitConfig {
-                staging_nodes: 75,
-                interconnect: Interconnect::ib_qdr(),
-                ..InTransitConfig::caddy_default()
-            },
-        )
-        .execution_time
-        .as_secs_f64();
+    let seconds = |plan: Plan| {
+        let run = campaign.execute(&plan).expect("valid plan");
+        run.metrics.execution_time.as_secs_f64()
+    };
+    let buffered = seconds(Plan {
+        burst_buffer: Some(BurstBufferConfig::two_tb_nvram()),
+        ..Plan::new(pc_post)
+    });
+    let intransit = seconds(Plan {
+        staging: Some(InTransitConfig {
+            staging_nodes: 75,
+            interconnect: Interconnect::ib_qdr(),
+            ..InTransitConfig::caddy_default()
+        }),
+        ..Plan::new(pc_insitu)
+    });
     assert!(insitu < buffered, "{insitu} vs {buffered}");
     assert!(buffered < post, "{buffered} vs {post}");
     assert!(

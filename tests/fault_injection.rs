@@ -9,7 +9,7 @@
 //!    whole 2 × 3 configuration matrix.
 //! 2. **Seeded runs replay exactly.** Every fault decision derives from
 //!    the plan's seed in sim-time, never from thread interleaving — so a
-//!    faulted run's [`FaultedRun::digest`] and its full JSONL trace are
+//!    faulted run's [`Run::digest`] and its full JSONL trace are
 //!    bit-identical at 1, 2 and 8 shim threads. The CI `fault-matrix`
 //!    job runs this test at seeds {1, 42, 1337} × `ZSIM_THREADS` {1, 8};
 //!    `FAULT_SEED` narrows the seed list for a single matrix cell.
@@ -18,15 +18,17 @@
 //!    (energy attribution tiles to 1e-6, output accounting closes, the
 //!    native Cinema index matches the frames actually written) or fails
 //!    with a typed [`PipelineError`] — never a panic, never a hang
-//!    (wall-clock watchdog).
+//!    (wall-clock watchdog). Post-hoc behind a burst buffer is held to
+//!    the same contract at the `FAULT_SEED` seeds.
 
 use insitu_vis::fault::{FaultKind, FaultPlan, FaultScenario, FaultWindow};
-use insitu_vis::pipeline::campaign::Campaign;
+use insitu_vis::pipeline::campaign::{Campaign, Plan, Run};
 use insitu_vis::pipeline::native::{
     default_pipeline_depth, run_native_insitu_at, NativeConfig, NativeFaultReport,
 };
 use insitu_vis::pipeline::{PipelineConfig, PipelineError, PipelineKind};
 use insitu_vis::sim::SimDuration;
+use insitu_vis::storage::burst_buffer::BurstBufferConfig;
 use ivis_obs::{to_jsonl, Recorder};
 use proptest::prelude::*;
 
@@ -58,6 +60,18 @@ fn identical_at_all_thread_counts<R: PartialEq + std::fmt::Debug>(f: impl Fn() -
     out.unwrap()
 }
 
+/// `pc` on the whole machine under `scenario`.
+fn execute_faulted(
+    campaign: &Campaign,
+    pc: &PipelineConfig,
+    scenario: &FaultScenario,
+) -> Result<Run, PipelineError> {
+    campaign.execute(&Plan {
+        faults: Some(scenario.clone()),
+        ..Plan::new(pc.clone())
+    })
+}
+
 /// The native in-situ run under `scenario`, untraced, at the default depth.
 fn run_native_faulted(cfg: &NativeConfig, scenario: &FaultScenario) -> NativeFaultReport {
     run_native_insitu_at(cfg, default_pipeline_depth(), scenario, &Recorder::off())
@@ -69,9 +83,7 @@ fn empty_plan_reproduces_clean_runs_across_paper_matrix() {
     let none = FaultScenario::none();
     for pc in PipelineConfig::paper_matrix() {
         let clean = campaign.run(&pc);
-        let faulted = campaign
-            .run_faulted(&pc, &none)
-            .expect("empty scenario cannot fail");
+        let faulted = execute_faulted(&campaign, &pc, &none).expect("empty scenario cannot fail");
         let m = &faulted.metrics;
         assert_eq!(clean.execution_time, m.execution_time, "{:?}", pc.kind);
         assert_eq!(
@@ -96,8 +108,7 @@ fn seeded_digest_and_trace_are_bit_identical_across_thread_counts() {
                 let mut campaign = Campaign::paper_noisy(seed);
                 let rec = Recorder::in_memory();
                 campaign.config.recorder = rec.clone();
-                let run = campaign
-                    .run_faulted(&pc, &FaultScenario::with_plan(plan.clone()))
+                let run = execute_faulted(&campaign, &pc, &FaultScenario::with_plan(plan.clone()))
                     .expect("random plans degrade runs, they do not kill them");
                 let trace = rec.with_buffer(to_jsonl).expect("recorder is on");
                 (run.digest(), trace)
@@ -107,6 +118,40 @@ fn seeded_digest_and_trace_are_bit_identical_across_thread_counts() {
                 "digest must carry fault stats: {digest}"
             );
             assert!(!trace.is_empty(), "traced run must emit spans");
+        }
+    }
+}
+
+#[test]
+fn buffered_posthoc_degrades_gracefully_or_fails_typed() {
+    // The burst buffer is a storage tier of the post-hoc chain, so the raw
+    // dumps it absorbs retry, shed and degrade like any other write.
+    for seed in fault_seeds() {
+        let mut campaign = Campaign::paper();
+        let rec = Recorder::in_memory();
+        campaign.config.recorder = rec.clone();
+        let plan = Plan {
+            burst_buffer: Some(BurstBufferConfig::two_tb_nvram()),
+            faults: Some(FaultScenario::with_plan(FaultPlan::random(
+                seed,
+                SimDuration::from_secs(1_300),
+            ))),
+            ..Plan::new(PipelineConfig::paper(PipelineKind::PostProcessing, 8.0))
+        };
+        match campaign.execute(&plan) {
+            Ok(run) => {
+                assert_eq!(run.stats.outputs_total(), 540, "seed {seed}");
+                assert_eq!(run.metrics.num_outputs, run.stats.outputs_written);
+                let residual = campaign
+                    .attribution(&run.metrics)
+                    .expect("recorder is on")
+                    .residual()
+                    .joules()
+                    .abs();
+                assert!(residual < 1e-6, "seed {seed}: residual {residual} J");
+            }
+            Err(PipelineError::Storage { .. } | PipelineError::RetriesExhausted { .. }) => {}
+            Err(e) => panic!("seed {seed}: buffered post-hoc reported {e}"),
         }
     }
 }
@@ -172,7 +217,7 @@ proptest! {
             campaign.config.recorder = rec.clone();
             let pc = PipelineConfig::paper(PipelineKind::PostProcessing, 24.0);
             let n_out = pc.spec.num_outputs(pc.rate);
-            let result = campaign.run_faulted(&pc, &scenario);
+            let result = execute_faulted(&campaign, &pc, &scenario);
             let residual = result.as_ref().ok().and_then(|run| {
                 campaign
                     .attribution(&run.metrics)

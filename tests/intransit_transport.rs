@@ -16,7 +16,7 @@
 mod common;
 
 use common::{at_all_thread_counts, Golden};
-use ivis_core::campaign::Campaign;
+use ivis_core::campaign::{Campaign, Plan};
 use ivis_core::intransit::{reported_kind, InTransitConfig};
 use ivis_core::metrics::PipelineMetrics;
 use ivis_core::{
@@ -39,14 +39,22 @@ fn it_config(staging: usize, transport: TransportConfig) -> InTransitConfig {
     }
 }
 
+fn staged_plan(hours: f64, it: &InTransitConfig) -> Plan {
+    Plan {
+        staging: Some(it.clone()),
+        ..Plan::new(paper_pc(hours))
+    }
+}
+
 fn run_staged(
     campaign: &Campaign,
     hours: f64,
     it: &InTransitConfig,
 ) -> (PipelineMetrics, TransportStats) {
-    campaign
-        .try_run_intransit_with_stats(&paper_pc(hours), it)
-        .expect("clean staged run cannot fail")
+    let run = campaign
+        .execute(&staged_plan(hours, it))
+        .expect("clean staged run cannot fail");
+    (run.metrics, run.transport.expect("a staged run"))
 }
 
 /// The staged transport at depth 1 without compression, checked against
@@ -100,7 +108,10 @@ fn faulted_empty_plan_matches_clean_staged_run_at_depth_4() {
     );
     let (clean, _) = run_staged(&campaign, 8.0, &it);
     let faulted = campaign
-        .run_intransit_faulted(&paper_pc(8.0), &it, &ivis_fault::FaultScenario::none())
+        .execute(&Plan {
+            faults: Some(ivis_fault::FaultScenario::none()),
+            ..staged_plan(8.0, &it)
+        })
         .expect("empty scenario cannot fail");
     assert_eq!(clean.digest(), faulted.metrics.digest());
 }

@@ -1,14 +1,15 @@
 //! Consistency between the measured campaign and the analytical model:
 //! a model calibrated from three campaign runs must predict configurations
 //! it never saw, and the Eq. 6/7 scalings must match what the instrumented
-//! filesystem actually accounted; and the model itself is exactly linear
-//! in the sampling rate.
+//! filesystem actually accounted; the model itself is exactly linear in
+//! the sampling rate; and the campaign's makespan never grows when the
+//! sampling coarsens (in-situ and plain post-hoc).
 
 use insitu_vis::model::calibrate::{calibrate_exact, calibrate_least_squares, CalibrationPoint};
 use insitu_vis::model::scaling::{scale_image_count, scale_storage_bytes};
 use insitu_vis::model::WhatIfAnalyzer;
 use insitu_vis::ocean::{ProblemSpec, SamplingRate};
-use insitu_vis::pipeline::campaign::Campaign;
+use insitu_vis::pipeline::campaign::{Campaign, Plan};
 use insitu_vis::pipeline::metrics::model_point;
 use insitu_vis::pipeline::{PipelineConfig, PipelineKind};
 use proptest::prelude::*;
@@ -179,6 +180,49 @@ proptest! {
         prop_assert!(
             (e_fine - want).abs() <= 1e-12 * want.abs(),
             "{} k={}: {} vs {} x {}", kind.label(), k, e_fine, k, e_coarse
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Metamorphic law (makespan vs rate): on a noise-free machine of any
+    /// size, sampling less often — fewer outputs — never lengthens the
+    /// run, for in-situ and plain post-hoc. In-transit and the burst
+    /// buffer are left out on purpose: there the law is false, because
+    /// the trailing steps can hide the last sample's staging or drain
+    /// tail (`paper()`, 10 staging nodes, depth 1: 643.1 s @ 400 h but
+    /// 661.1 s @ 720 h).
+    #[test]
+    fn coarser_sampling_never_lengthens_the_run(
+        nodes in 10usize..600,
+        // Under 60 h, one more hour of interval already drops an output
+        // from the 4 320 h run.
+        fine_h in 2u64..60,
+        extra_h in 1u64..200,
+        post in any::<bool>(),
+    ) {
+        let kind = if post { PipelineKind::PostProcessing } else { PipelineKind::InSitu };
+        let (fine, coarse) = (
+            PipelineConfig::paper(kind, fine_h as f64),
+            PipelineConfig::paper(kind, (fine_h + extra_h) as f64),
+        );
+        prop_assert!(coarse.spec.num_outputs(coarse.rate) < fine.spec.num_outputs(fine.rate));
+        let campaign = Campaign::caddy_scaled(nodes);
+        let makespan = |pc: PipelineConfig| {
+            let run = campaign.execute(&Plan::new(pc)).expect("a clean run fits");
+            run.metrics.execution_time
+        };
+        let (t_fine, t_coarse) = (makespan(fine), makespan(coarse));
+        prop_assert!(
+            t_coarse <= t_fine,
+            "{} on {nodes} nodes: {} s @ {} h but {} s @ {} h",
+            kind.label(),
+            t_fine.as_secs_f64(),
+            fine_h,
+            t_coarse.as_secs_f64(),
+            fine_h + extra_h
         );
     }
 }

@@ -11,7 +11,7 @@
 //! appear under the staged transport and fault executors.
 
 use insitu_vis::fault::{FaultPlan, FaultScenario};
-use insitu_vis::pipeline::campaign::Campaign;
+use insitu_vis::pipeline::campaign::{Campaign, Plan};
 use insitu_vis::pipeline::intransit::{reported_kind, InTransitConfig};
 use insitu_vis::pipeline::{CompressionConfig, PipelineConfig, PipelineKind, TransportConfig};
 use insitu_vis::sim::{SimDuration, SimTime};
@@ -55,11 +55,11 @@ fn faulted_run_exports_bit_identical_artifacts_across_thread_counts() {
         let rec = Recorder::in_memory();
         campaign.config.recorder = rec.clone();
         let run = campaign
-            .run_intransit_faulted(
-                &pc,
-                &staged_config(),
-                &FaultScenario::with_plan(plan.clone()),
-            )
+            .execute(&Plan {
+                staging: Some(staged_config()),
+                faults: Some(FaultScenario::with_plan(plan.clone())),
+                ..Plan::new(pc.clone())
+            })
             .expect("random plans degrade runs, they do not kill them");
         let tel = campaign.telemetry(&run.metrics, paper_cadence());
         tel.record_gauges(&rec);
