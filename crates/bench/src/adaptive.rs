@@ -10,10 +10,10 @@
 //! paper's 60 km problem, and prices the difference — the data behind
 //! `experiments adaptive` and the `adaptive_bench` CI gate.
 
-use ivis_core::adaptive::{run_native_adaptive, AdaptiveReport};
-use ivis_core::native::{run_native_insitu, NativeConfig, NativeReport};
+use ivis_core::native::{execute, NativeConfig, NativePlan, NativeReport, NativeRun};
 use ivis_core::PipelineKind;
 use ivis_model::{AdaptivePlan, MeasuredRate, WhatIfAnalyzer};
+use ivis_obs::Recorder;
 use ivis_ocean::{ProblemSpec, SamplingRate};
 use ivis_trigger::TriggerConfig;
 
@@ -25,8 +25,8 @@ pub const FIXED_RATE_HOURS: f64 = 72.0;
 pub struct AdaptiveComparison {
     /// The fixed-rate baseline (one output every `cfg.output_every`).
     pub fixed: NativeReport,
-    /// The adaptive campaign.
-    pub adaptive: AdaptiveReport,
+    /// The adaptive campaign, with every trigger decision.
+    pub adaptive: NativeRun,
     /// The trigger configuration the adaptive run used.
     pub trigger: TriggerConfig,
     /// Measured effective interval, in units of the fixed interval
@@ -52,9 +52,15 @@ impl AdaptiveComparison {
     /// the adaptive trigger analyzes at that same cadence and may relax
     /// up to `trigger.max_interval`.
     pub fn run(cfg: &NativeConfig, trigger: &TriggerConfig) -> Self {
-        let fixed = run_native_insitu(cfg);
-        let adaptive = run_native_adaptive(cfg, trigger);
-        let rate_ratio = adaptive.effective_interval_steps() / cfg.output_every as f64;
+        let fixed = NativePlan::new(cfg.clone(), PipelineKind::InSitu);
+        let adaptive = NativePlan {
+            trigger: Some(trigger.clone()),
+            ..fixed.clone()
+        };
+        let run = |plan| execute(plan, &Recorder::off()).expect("a valid native plan");
+        let (fixed, adaptive) = (run(&fixed).report, run(&adaptive));
+        let effective = MeasuredRate::from_counts(cfg.steps, adaptive.report.frames);
+        let rate_ratio = effective.steps_per_output / cfg.output_every as f64;
 
         // Map the measured rate onto the paper's 60 km problem: the
         // native `output_every` interval ≙ the fixed 72 h rate, so the
@@ -73,7 +79,7 @@ impl AdaptiveComparison {
         AdaptiveComparison {
             rate_ratio,
             fixed_recall: fixed.tracks.len(),
-            adaptive_recall: adaptive.tracks.len(),
+            adaptive_recall: adaptive.report.tracks.len(),
             fixed_energy_gj: analyzer
                 .energy(PipelineKind::InSitu, &spec, fixed_rate)
                 .joules()
@@ -102,7 +108,7 @@ impl AdaptiveComparison {
     /// frames AND price strictly below the fixed 72 h baseline on both
     /// the energy and storage axes, at no loss of eddy-event recall.
     pub fn gate_pass(&self) -> bool {
-        self.adaptive.frames < self.fixed.frames
+        self.adaptive.report.frames < self.fixed.frames
             && self.adaptive_energy_gj < self.fixed_energy_gj
             && self.adaptive_storage_gb < self.fixed_storage_gb
             && self.adaptive_recall >= self.fixed_recall
@@ -113,7 +119,7 @@ impl AdaptiveComparison {
         format!(
             "frames {} vs {} | energy {:.3} vs {:.3} GJ | storage {:.4} vs {:.4} GB | \
              recall {} vs {} tracks → {}",
-            self.adaptive.frames,
+            self.adaptive.report.frames,
             self.fixed.frames,
             self.adaptive_energy_gj,
             self.fixed_energy_gj,

@@ -21,20 +21,27 @@
 use ivis_bench::adaptive::AdaptiveComparison;
 use ivis_bench::obj;
 use ivis_bench::report::{time_min_s, Bench};
-use ivis_core::adaptive::run_native_adaptive;
-use ivis_core::native::NativeConfig;
+use ivis_core::native::{execute, NativeConfig, NativePlan};
+use ivis_core::PipelineKind;
+use ivis_model::MeasuredRate;
+use ivis_obs::Recorder;
 use ivis_trigger::TriggerConfig;
 
 fn main() {
     let mut bench = Bench::from_args("adaptive");
     let cfg = NativeConfig::small();
     let tc = TriggerConfig::new(cfg.output_every, 5);
+    let plan = NativePlan {
+        trigger: Some(tc.clone()),
+        ..NativePlan::new(cfg.clone(), PipelineKind::InSitu)
+    };
+    let run = || execute(&plan, &Recorder::off()).expect("a valid adaptive plan");
 
     // Correctness first: one digest at every thread count.
-    let digest = run_native_adaptive(&cfg, &tc).digest();
+    let digest = run().digest();
     for threads in [1usize, 2, 8] {
         rayon::set_num_threads(threads);
-        let got = run_native_adaptive(&cfg, &tc).digest();
+        let got = run().digest();
         assert_eq!(got, digest, "adaptive digest diverged at {threads} threads");
     }
     rayon::set_num_threads(0);
@@ -52,7 +59,7 @@ fn main() {
     });
 
     // --- wall trajectory ---
-    let wall_s = time_min_s(3, || run_native_adaptive(&cfg, &tc));
+    let wall_s = time_min_s(3, run);
 
     let (a, f) = (&cmp.adaptive, &cmp.fixed);
     let config = obj! {
@@ -60,10 +67,11 @@ fn main() {
         "min_interval" => tc.min_interval, "max_interval" => tc.max_interval,
         "fixed_output_every" => cfg.output_every,
     };
+    let effective = MeasuredRate::from_counts(cfg.steps, a.report.frames).steps_per_output;
     let adaptive = obj! {
-        "analyses" => a.analyses, "frames" => a.frames,
-        "effective_interval_steps" => a.effective_interval_steps(), "rate_ratio" => cmp.rate_ratio,
-        "image_bytes" => a.image_bytes, "tracks" => cmp.adaptive_recall,
+        "analyses" => a.decisions.len(), "frames" => a.report.frames,
+        "effective_interval_steps" => effective, "rate_ratio" => cmp.rate_ratio,
+        "image_bytes" => a.report.image_bytes, "tracks" => cmp.adaptive_recall,
     };
     let fixed = obj! {
         "frames" => f.frames, "image_bytes" => f.image_bytes, "tracks" => cmp.fixed_recall,

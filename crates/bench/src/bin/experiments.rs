@@ -15,11 +15,21 @@
 use std::env;
 
 use ivis_bench::*;
-use ivis_core::native::{run_native_insitu, run_native_postproc, NativeConfig};
+use ivis_core::native::{execute, NativeConfig, NativePlan, NativeReport};
+use ivis_core::PipelineKind;
+use ivis_model::MeasuredRate;
+use ivis_obs::Recorder;
 use ivis_sim::SimTime;
 use ivis_storage::layout::StripeLayout;
 use ivis_storage::pfs::PfsConfig;
 use ivis_storage::ParallelFileSystem;
+
+/// A clean, untraced native run of `kind` on `cfg`.
+fn native_run(cfg: &NativeConfig, kind: PipelineKind) -> NativeReport {
+    let plan = NativePlan::new(cfg.clone(), kind);
+    let run = execute(&plan, &Recorder::off());
+    run.expect("the experiment configurations are valid").report
+}
 
 fn banner(title: &str) {
     println!("\n=== {title} ===");
@@ -34,7 +44,7 @@ fn print_rows(rows: &[Row]) {
 fn fig2() {
     banner("Fig. 2 — Okubo-Weiss visualization (native pipeline)");
     let cfg = NativeConfig::small();
-    let report = run_native_insitu(&cfg);
+    let report = native_run(&cfg, PipelineKind::InSitu);
     println!(
         "  rendered {} frames, {} image bytes; final frame: {} eddies, mean radius {:.1} km",
         report.frames,
@@ -226,8 +236,8 @@ fn fault() {
 fn native() {
     banner("Native backend — both pipelines, real wall-clock");
     let cfg = NativeConfig::small();
-    let a = run_native_insitu(&cfg);
-    let b = run_native_postproc(&cfg);
+    let a = native_run(&cfg, PipelineKind::InSitu);
+    let b = native_run(&cfg, PipelineKind::PostProcessing);
     println!(
         "  in-situ : sim {:>8.2?} viz {:>8.2?} io {:>8.2?} | raw {:>10} B | images {:>10} B | {} tracks",
         a.wall_sim, a.wall_viz, a.wall_io, a.raw_bytes, a.image_bytes, a.tracks.len()
@@ -266,12 +276,15 @@ fn adaptive() {
             d.best_entropy_bits
         );
     }
+    // The last analysis falls on the campaign's last step.
+    let steps = c.adaptive.decisions.last().map_or(0, |d| d.step);
+    let frames = c.adaptive.report.frames;
     println!(
         "  measured: {} frames over {} steps → effective interval {:.1} steps \
          ({:.2}x the fixed rate)",
-        c.adaptive.frames,
-        c.adaptive.total_steps,
-        c.adaptive.effective_interval_steps(),
+        frames,
+        steps,
+        MeasuredRate::from_counts(steps, frames).steps_per_output,
         c.rate_ratio
     );
     println!("  priced on the paper's 60 km problem (Eq. 4 + measured rate):");

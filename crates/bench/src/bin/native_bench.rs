@@ -1,7 +1,8 @@
 //! Frame-chain throughput benchmark for the native backend: solver
 //! steps/sec, checksum throughput (slice-by-8 CRC-32, Adler-32), the
 //! sample-table build, streaming PNG encode throughput, end-to-end
-//! frames/sec of the in-situ frame loop, and the loop at explicit depths.
+//! frames/sec of the in-situ frame loop (plus the post-processing run's
+//! digest on the same ocean), and the loop at explicit depths.
 //!
 //! Writes `BENCH_native.json` (or the path given as the first non-flag
 //! argument). The kernel rows are absolute throughputs: each optimized
@@ -16,10 +17,8 @@
 
 use ivis_bench::obj;
 use ivis_bench::report::{time_min_s, Bench};
-use ivis_core::native::{
-    default_pipeline_depth, run_native_insitu, run_native_insitu_at, NativeConfig,
-};
-use ivis_fault::FaultScenario;
+use ivis_core::native::{default_pipeline_depth, execute, NativeConfig, NativePlan, NativeRun};
+use ivis_core::PipelineKind;
 use ivis_obs::Recorder;
 use ivis_ocean::grid::Grid;
 use ivis_ocean::shallow_water::{ShallowWaterModel, SwParams};
@@ -107,19 +106,26 @@ fn main() {
         image_height: ih,
         annotate: true,
     };
-    let pipe = run_native_insitu(&cfg);
-    let frames = pipe.frames as f64;
-    let pipe_s = time_min_s(3, || run_native_insitu(&cfg));
+    let run = |kind, depth| -> NativeRun {
+        let plan = NativePlan {
+            depth,
+            ..NativePlan::new(cfg.clone(), kind)
+        };
+        execute(&plan, &Recorder::off()).expect("the bench configuration is valid")
+    };
+    let at_depth = |depth| run(PipelineKind::InSitu, depth);
+    let pipe = at_depth(default_pipeline_depth());
+    let frames = pipe.report.frames as f64;
+    let pipe_s = time_min_s(3, || at_depth(default_pipeline_depth()));
+    let postproc = run(PipelineKind::PostProcessing, default_pipeline_depth());
     let end_to_end = obj! {
-        "frames" => pipe.frames, "image_width" => iw, "image_height" => ih,
+        "frames" => pipe.report.frames, "image_width" => iw, "image_height" => ih,
         "pipeline_depth" => default_pipeline_depth(), "pipelined_fps" => frames / pipe_s,
-        "digest" => pipe.digest(),
+        "digest" => pipe.digest(), "postproc_digest" => postproc.digest(),
     };
     bench.section("end_to_end", end_to_end);
 
     // --- the frame loop at explicit depths: digest, then frames/sec ---
-    let at_depth =
-        |depth| run_native_insitu_at(&cfg, depth, &FaultScenario::none(), &Recorder::off()).report;
     let depths = [1usize, 2, 4].map(|depth| {
         let digest = at_depth(depth).digest();
         (depth, digest, time_min_s(3, || at_depth(depth)))

@@ -23,8 +23,12 @@
 //!   exactly one executor, an event chain in [`des`].
 //! * [`native`] — the *laptop* backend: actually time-steps the ocean,
 //!   renders PNGs, encodes ncdf files and tracks eddies, measuring real
-//!   wall-clock time. One native frame loop; fixed, faulted and adaptive
-//!   ([`adaptive`]) are its three commit policies.
+//!   wall-clock time. One [`NativePlan`] in, one [`NativeRun`] out:
+//!   [`native::execute`] is the entry point, and every run goes through
+//!   one native frame loop with four commit policies — store or shed a
+//!   frame (in-situ, clean or faulted), the trigger ([`adaptive`]), store
+//!   or shed a raw dump (post-processing's first pass), and keep every
+//!   decoded dump as a frame (its second).
 //!
 //! Shared pieces: [`adaptor`] (the Catalyst analogue), [`config`]
 //! (pipeline kind, sampling rate, cost constants).
@@ -57,11 +61,11 @@ pub mod transport;
 #[path = "../../../tests/common/golden.rs"]
 mod golden;
 
-pub use adaptive::{run_native_adaptive, run_native_adaptive_with, AdaptiveReport};
 pub use adaptor::{CatalystAdaptor, VizSnapshot};
 pub use campaign::{Campaign, CampaignConfig, Plan, Run};
 pub use config::{PipelineConfig, PipelineKind};
 pub use metrics::PipelineMetrics;
+pub use native::{NativePlan, NativeRun};
 pub use resilience::PipelineError;
 pub use telemetry::{native_power_timeline, RunTelemetry};
 pub use transport::{per_node_payload, CompressionConfig, TransportConfig, TransportStats};

@@ -8,32 +8,30 @@
 //! cognitive-fidelity tests (do both pipelines see the *same* eddies?) run
 //! on this backend.
 //!
-//! ## One frame loop
+//! ## One plan, one frame loop
 //!
-//! Every in-situ run — fixed-rate, faulted, adaptive — is the same private
-//! depth-*k* producer/consumer, `frame_loop`: a producer thread advances
-//! the model and adapts snapshots while the calling thread drains up to *k*
-//! queued snapshots at a time, works on them **frame-parallel** on the
-//! worker pool (a frame's segmentation, rasterization and PNG encode is a
-//! pure function of its deep-copied [`VizSnapshot`]) and commits strictly
-//! in frame order. The users differ only in two closures: the per-snapshot
-//! *work*, and the *commit policy* that decides whether a frame is stored,
-//! skipped or shed. [`run_native_insitu_at`] renders every `output_every`
-//! steps and commits under a [`FaultSession`] — a clean run **is** a
-//! faulted run under [`FaultScenario::none`]; [`crate::adaptive`] analyzes
-//! every `analysis_interval` steps and commits under the trigger
-//! controller; a strictly serialized run is depth 1.
+//! [`execute`] runs one [`NativePlan`]. Every run — in-situ (fixed-rate,
+//! faulted or adaptive) and both passes of post-processing — is the same
+//! private depth-*k* producer/consumer, `frame_loop`: a producer thread
+//! pulls snapshots off a *source* (the solver and adaptor, or the stored
+//! raw dumps) while the calling thread works on up to *k* of them
+//! **frame-parallel** on the worker pool (the work is a pure function of
+//! the deep-copied [`VizSnapshot`]) and commits strictly in frame order
+//! under a *commit policy*. In-situ renders, then stores or sheds each
+//! frame under a [`FaultSession`] — a clean run **is** a faulted run under
+//! [`FaultScenario::none`]; [`crate::adaptive`] analyzes and lets the
+//! trigger decide; post-processing encodes raw dumps and stores or sheds
+//! them, then decodes them one at a time and renders every one. A strictly
+//! serialized run is depth 1.
 //!
-//! Chunk placement never changes *what* is computed, so all outputs (PNG
-//! bytes, Cinema index, eddy tracks, fault statistics, trace structure)
-//! are **bit-identical** at every depth and thread count; the sequential
-//! loops this replaced live on as `tests/golden/native_identity.txt`.
-//! Workers keep per-thread scratch (sample tables, image buffer, PNG
-//! encoder), so steady-state rendering allocates only each frame's PNG.
+//! Chunk placement never changes *what* is computed, so all outputs are
+//! **bit-identical** at every depth and thread count; the serial loops
+//! this replaced live on as `tests/golden/native_identity.txt`.
 //!
-//! [`run_native_postproc`] is the one independent renderer left (two
-//! sequential stages, row-parallel rasterizer), which keeps
-//! `both_pipelines_produce_identical_images` a live differential oracle.
+//! Both pipelines render through `render_frame`, so comparing their frames
+//! checks the raw round trip, not a second renderer; the live differential
+//! check between two renderers is
+//! `adaptive::single_candidate_emits_whole_field_views`.
 
 use std::cell::RefCell;
 use std::sync::mpsc;
@@ -52,6 +50,7 @@ use ivis_ocean::vortex::seed_random_eddies;
 use ivis_ocean::Field2D;
 use ivis_sim::SimTime;
 use ivis_storage::ncdf::{NcFile, VarData};
+use ivis_trigger::{TriggerConfig, TriggerDecision};
 use ivis_viz::png::{encoded_png_size, PngEncoder};
 use ivis_viz::raster::{ImageBuffer, SampleTables};
 use ivis_viz::render::FieldRenderer;
@@ -59,6 +58,7 @@ use ivis_viz::CinemaDatabase;
 use rayon::prelude::*;
 
 use crate::adaptor::{CatalystAdaptor, VizSnapshot};
+use crate::config::PipelineKind;
 use crate::resilience::PipelineError;
 
 /// Configuration of a native run.
@@ -133,6 +133,63 @@ impl NativeConfig {
     }
 }
 
+/// One native run. Start from [`NativePlan::new`] and set the rest with
+/// struct-update syntax:
+///
+/// ```
+/// use ivis_core::native::{execute, NativeConfig, NativePlan};
+/// use ivis_core::PipelineKind;
+///
+/// let tiny = NativePlan::new(NativeConfig::tiny(), PipelineKind::PostProcessing);
+/// let run = execute(&NativePlan { depth: 1, ..tiny }, &ivis_obs::Recorder::off()).unwrap();
+/// assert_eq!(run.report.frames, 3); // 24 steps, one sample every 8
+/// ```
+#[derive(Debug, Clone)]
+pub struct NativePlan {
+    /// The ocean, the sampling cadence and the images.
+    pub config: NativeConfig,
+    /// In-situ or post-processing.
+    pub kind: PipelineKind,
+    /// Frames in flight at once (≥ 1). Outputs never depend on it.
+    pub depth: usize,
+    /// Analyze every `analysis_interval` steps and let the trigger decide
+    /// which analyses emit a frame (in-situ only).
+    pub trigger: Option<TriggerConfig>,
+    /// Faults to inject and the policies that survive them (not on
+    /// adaptive plans).
+    pub faults: Option<FaultScenario>,
+}
+
+impl NativePlan {
+    /// A clean, fixed-rate run of `kind` at [`default_pipeline_depth`].
+    pub fn new(config: NativeConfig, kind: PipelineKind) -> Self {
+        NativePlan {
+            config,
+            kind,
+            depth: default_pipeline_depth(),
+            trigger: None,
+            faults: None,
+        }
+    }
+
+    /// Reject what would hang, panic or mean nothing, before anything runs.
+    fn validate(&self) -> Result<(), PipelineError> {
+        let cfg = &self.config;
+        let problem = match (&self.trigger, self.kind) {
+            _ if self.depth == 0 => "pipeline depth must be at least 1",
+            _ if cfg.image_width == 0 || cfg.image_height == 0 => "images must be at least 1×1",
+            (Some(_), PipelineKind::PostProcessing) => {
+                "a trigger decides which in-situ analyses emit; post-processing has none"
+            }
+            (Some(_), _) if self.faults.is_some() => "adaptive runs have no fault model",
+            (Some(tc), _) => return tc.validate().map_err(PipelineError::invalid),
+            (None, _) if cfg.output_every == 0 => "output_every must be at least 1",
+            (None, _) => return Ok(()),
+        };
+        Err(PipelineError::invalid(problem.to_string()))
+    }
+}
+
 /// What a native run produced and how long each phase really took.
 #[derive(Debug, Clone)]
 pub struct NativeReport {
@@ -144,9 +201,9 @@ pub struct NativeReport {
     pub wall_viz: Duration,
     /// Wall time encoding/decoding/storing output.
     pub wall_io: Duration,
-    /// End-to-end wall time of the whole run: ≈ [`NativeReport::wall_total`]
-    /// for post-processing, smaller for in-situ at depth > 1, where solver
-    /// and visualization overlap.
+    /// End-to-end wall time of the whole run: smaller than
+    /// [`NativeReport::wall_total`] at depth > 1, where the source phases
+    /// overlap the work.
     pub wall_end_to_end: Duration,
     /// Raw (ncdf) bytes produced — zero for in-situ.
     pub raw_bytes: u64,
@@ -173,38 +230,56 @@ impl NativeReport {
         let own_total = (self.raw_bytes + self.image_bytes) as f64;
         (post_total - own_total) / post_total * 100.0
     }
-
-    /// Order-sensitive FNV-1a witness of everything observable: the
-    /// Cinema index, every PNG byte, the track count and the final
-    /// census. Two runs are interchangeable iff their digests match.
-    pub fn digest(&self) -> String {
-        outputs_digest(&[], &self.cinema, &self.tracks, &self.final_census)
-    }
 }
 
-/// FNV-1a-64 over `head`, then what every native report's digest ends
-/// with: Cinema index, PNG bytes, track count, final census.
-pub(crate) fn outputs_digest(
-    head: &[u8],
-    cinema: &CinemaDatabase,
-    tracks: &[Track],
-    census: &FrameCensus,
-) -> String {
-    let index = cinema.index_json();
-    let tail = [
-        tracks.len() as u64,
-        census.count as u64,
-        census.total_area_m2.to_bits(),
-    ]
-    .map(u64::to_le_bytes);
-    let parts = [head, index.as_bytes()]
-        .into_iter()
-        .chain(cinema.entries().iter().map(|e| e.data.as_slice()))
-        .chain(tail.iter().map(|t| t.as_slice()));
-    let h = parts.flatten().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    format!("{h:016x}")
+/// Everything one [`execute`] produced.
+#[derive(Debug, Clone)]
+pub struct NativeRun {
+    /// The usual report. `frames`, the Cinema database and the tracks
+    /// cover only the frames actually written — the Cinema index always
+    /// matches the images present, however many samples were shed.
+    pub report: NativeReport,
+    /// What the fault layer did: every sample written or shed on a
+    /// fixed-rate run, all zero on an adaptive one.
+    pub stats: FaultStats,
+    /// Every trigger decision, in analysis order; empty without a trigger.
+    pub decisions: Vec<TriggerDecision>,
+}
+
+impl NativeRun {
+    /// Order-sensitive FNV-1a-64 witness of everything observable: every
+    /// trigger decision (step, emit, interval, activity bits, winning
+    /// candidate and its entropy bits), the Cinema index, every PNG byte,
+    /// the track count and the final census. Two runs are interchangeable
+    /// iff their digests match; the identity tests hold this to the
+    /// committed goldens across thread counts and depths.
+    pub fn digest(&self) -> String {
+        let mut head = Vec::new();
+        for d in &self.decisions {
+            head.extend(d.step.to_le_bytes());
+            head.push(d.emit as u8);
+            head.extend(d.interval_steps.to_le_bytes());
+            head.extend(d.activity.to_bits().to_le_bytes());
+            head.extend((d.best_viewpoint as u64).to_le_bytes());
+            head.extend(d.best_entropy_bits.to_bits().to_le_bytes());
+        }
+        let r = &self.report;
+        let index = r.cinema.index_json();
+        let tail = [
+            r.tracks.len() as u64,
+            r.final_census.count as u64,
+            r.final_census.total_area_m2.to_bits(),
+        ]
+        .map(u64::to_le_bytes);
+        let parts = [&head[..], index.as_bytes()]
+            .into_iter()
+            .chain(r.cinema.entries().iter().map(|e| e.data.as_slice()))
+            .chain(tail.iter().map(|t| t.as_slice()));
+        let h = parts.flatten().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        format!("{h:016x}")
+    }
 }
 
 /// Maps the native backend's wall-clock measurements onto a gap-free
@@ -212,9 +287,11 @@ pub(crate) fn outputs_digest(
 /// same trace schema, Gantt renderer and timeline tooling work on real
 /// runs. Phase spans are recorded after the fact, once their duration is
 /// known; the per-phase totals become the report's `wall_*` fields.
-struct WallTracer<'a> {
+pub(crate) struct WallTracer<'a> {
     rec: &'a Recorder,
     root: SpanId,
+    kind: &'static str,
+    started: Instant,
     elapsed: Duration,
     sim: Duration,
     viz: Duration,
@@ -232,6 +309,8 @@ impl<'a> WallTracer<'a> {
         WallTracer {
             rec,
             root,
+            kind,
+            started: Instant::now(),
             elapsed: Duration::ZERO,
             sim: Duration::ZERO,
             viz: Duration::ZERO,
@@ -252,49 +331,46 @@ impl<'a> WallTracer<'a> {
             JobPhase::Visualize => self.viz += took,
             _ => self.io += took,
         }
-        if self.rec.is_on() {
-            let id = self.rec.phase_span(start, phase, Component::Native);
-            self.rec.close(self.now(), id);
-        }
+        let id = self.rec.phase_span(start, phase, Component::Native);
+        self.rec.close(self.now(), id);
     }
 
     /// Record one stored frame: event plus frame counter.
     fn frame(&self, frame: u64, census: &FrameCensus) {
-        if !self.rec.is_on() {
-            return;
-        }
         let t = self.now();
-        self.rec.event(
-            t,
-            "frame_rendered",
-            Component::Viz,
-            &[
-                ("frame", AttrValue::U64(frame)),
-                ("eddies", AttrValue::U64(census.count as u64)),
-            ],
-        );
+        let attrs = [
+            ("frame", AttrValue::U64(frame)),
+            ("eddies", AttrValue::U64(census.count as u64)),
+        ];
+        self.rec.event(t, "frame_rendered", Component::Viz, &attrs);
         self.rec.counter_add(t, "native.frames", 1.0);
     }
 
-    /// Close the run: the image-bytes counter, then the root span.
-    fn finish(&self, image_bytes: u64) {
-        if self.rec.is_on() {
-            self.rec
-                .counter_add(self.now(), "native.image_bytes", image_bytes as f64);
-        }
+    /// Close the run — the image-bytes counter, then the root span — and
+    /// report what its last pass committed.
+    fn finish(self, cinema: CinemaDatabase, tracks: Vec<Track>, last: FrameCensus) -> NativeReport {
+        let wall_end_to_end = self.started.elapsed();
+        let image_bytes = cinema.total_bytes();
+        self.rec
+            .counter_add(self.now(), "native.image_bytes", image_bytes as f64);
         self.rec.close(self.now(), self.root);
+        NativeReport {
+            frames: cinema.len() as u64,
+            wall_sim: self.sim,
+            wall_viz: self.viz,
+            wall_io: self.io,
+            wall_end_to_end,
+            raw_bytes: 0,
+            image_bytes,
+            cinema,
+            tracks,
+            final_census: last,
+        }
     }
 }
 
-fn tracker_for(grid: &Grid) -> EddyTracker {
-    let (lx, _) = grid.extent();
-    // Gate: eddies drift slowly; half a basin-width per frame is plenty.
-    EddyTracker::new(6.0 * grid.dx, 2, lx)
-}
-
 /// Draw the presentation-ready overlays (velocity arrows, colorbar, time
-/// label) on a rendered frame — shared by the in-situ workers and the
-/// post-processing renderer so their annotated pixels are identical.
+/// label) on a rendered frame.
 fn annotate_frame(
     renderer: &FieldRenderer,
     img: &mut ImageBuffer,
@@ -339,7 +415,7 @@ thread_local! {
 
 /// Segment, extract, rasterize, annotate and PNG-encode one snapshot — a
 /// pure function of the snapshot, safe to run on any worker. Pixels and
-/// bytes are bit-identical to post-processing's `render` + `add_image`: the
+/// bytes are bit-identical to [`FieldRenderer::render`] + PNG encode: the
 /// rebuilt tables equal freshly built ones, rows are shaded with the same
 /// [`SampleTables::shade_row`], and the encoder is deterministic.
 fn render_frame(
@@ -382,7 +458,14 @@ fn render_frame(
     RenderedFrame { feats, census, png }
 }
 
-/// The pipeline depth [`run_native_insitu`] uses:
+/// [`render_frame`] at `cfg`'s image size, as a frame loop's work.
+fn renders(cfg: &NativeConfig) -> impl Fn(&VizSnapshot) -> (RenderedFrame, ()) + Sync + '_ {
+    let grid = cfg.grid();
+    let renderer = FieldRenderer::okubo_weiss(cfg.image_width, cfg.image_height);
+    move |snap| (render_frame(&renderer, &grid, snap, cfg.annotate), ())
+}
+
+/// The pipeline depth [`NativePlan::new`] uses:
 /// `min(4, available_parallelism)` — deeper than the host can render in
 /// parallel only buys memory traffic.
 pub fn default_pipeline_depth() -> usize {
@@ -392,8 +475,55 @@ pub fn default_pipeline_depth() -> usize {
     hw.min(4)
 }
 
+/// One snapshot off a frame loop's source, with how long its source phase
+/// took (Simulate or ReadInput) and how long everything after that has
+/// taken so far: adaptation, then the frame loop's work.
+pub(crate) struct Sample {
+    snap: VizSnapshot,
+    source: Duration,
+    after: Duration,
+}
+
+/// What a frame loop's source yields: the next sample, the error that
+/// ends the run, or `None` once exhausted.
+type Pulled = Option<Result<Sample, PipelineError>>;
+
+/// The solver as a frame loop's source: advance `chunk` steps (fewer at
+/// the end of the run), then adapt a snapshot — into the recycled one, if
+/// the loop handed one back.
+pub(crate) fn simulate(
+    cfg: &NativeConfig,
+    chunk: u64,
+) -> impl FnMut(Option<VizSnapshot>) -> Pulled + Send + '_ {
+    let mut model = cfg.build_model();
+    let mut adaptor = CatalystAdaptor::new();
+    move |recycled: Option<VizSnapshot>| {
+        let left = cfg.steps.saturating_sub(model.steps());
+        if left == 0 {
+            return None;
+        }
+        let t0 = Instant::now();
+        model.run(chunk.min(left));
+        let source = t0.elapsed();
+        let t1 = Instant::now();
+        let snap = match recycled {
+            Some(mut snap) => {
+                adaptor.adapt_into(&model, &mut snap);
+                snap
+            }
+            None => adaptor.adapt(&model),
+        };
+        let after = t1.elapsed();
+        Some(Ok(Sample {
+            snap,
+            source,
+            after,
+        }))
+    }
+}
+
 /// What a commit policy decided for one frame, and so what the trace
-/// records after the frame's Simulate phase.
+/// records after the frame's source phase.
 pub(crate) enum Commit {
     /// Dropped by the fault layer: nothing stored, no Visualize phase (the
     /// policy stamped its own shed events).
@@ -405,181 +535,173 @@ pub(crate) enum Commit {
 }
 
 /// The one native frame loop (see the module docs). A producer thread
-/// advances the model `chunk_steps` at a time and adapts a snapshot per
-/// chunk, at most `depth` chunks ahead of the oldest uncommitted one. The
-/// calling thread drains up to `depth` queued snapshots, runs `work` on them
-/// in parallel — it must be a pure function of the snapshot, and is
-/// speculative: a frame the policy then sheds or skips was rendered and is
-/// thrown away — and calls `commit(index, snapshot, census, extra, now)`
-/// strictly in chunk order, `now` being the trace time after the chunk's
-/// Simulate phase. Everything stateful (fault RNG, trigger hysteresis,
-/// tracker, Cinema index, trace) therefore sees the order a serialized run
-/// would, at any depth and thread count.
-pub(crate) fn frame_loop<X: Send>(
-    cfg: &NativeConfig,
-    chunk_steps: u64,
+/// pulls samples off `source` — called with a committed snapshot to
+/// recycle, if one has come back — at most `depth` ahead of the oldest
+/// uncommitted one. The calling thread drains up to `depth` queued
+/// samples, runs `work` on them in parallel — it must be a pure function
+/// of the snapshot, and is speculative: a frame the policy then sheds or
+/// skips was worked on and is thrown away — and calls `commit` strictly
+/// in source order, the sample's `after` grown by its work time.
+/// Everything stateful (fault RNG, trigger hysteresis, tracker, Cinema
+/// index, trace) therefore sees the order a serialized run would, at any
+/// depth and thread count. The first source error, in source order, ends
+/// the loop.
+pub(crate) fn frame_loop<Y: Send>(
     depth: usize,
-    rec: &Recorder,
-    kind: &'static str,
-    work: impl Fn(&VizSnapshot) -> (RenderedFrame, X) + Sync,
-    mut commit: impl FnMut(u64, &VizSnapshot, &FrameCensus, X, SimTime) -> Commit,
-) -> NativeReport {
-    let depth = depth.max(1);
-    let t_run = Instant::now();
-    let mut model = cfg.build_model();
-    let mut tracker = tracker_for(model.grid());
-    let mut cinema = CinemaDatabase::new(format!("{kind}-eddies"));
-    let mut wtr = WallTracer::open(rec, cfg, kind);
-    let mut census = frame_census(&[]);
-    let mut index = 0u64;
-    let (tx, rx) = mpsc::sync_channel::<(Duration, Duration, VizSnapshot)>(depth);
+    mut source: impl FnMut(Option<VizSnapshot>) -> Pulled + Send,
+    work: impl Fn(&VizSnapshot) -> Y + Sync,
+    mut commit: impl FnMut(&Sample, Y),
+) -> Result<(), PipelineError> {
+    let (tx, rx) = mpsc::sync_channel(depth);
     // Committed snapshots flow back to the producer for recycling, so
     // steady-state adaptation reuses buffers instead of allocating.
-    let (ret_tx, ret_rx) = mpsc::channel::<VizSnapshot>();
+    let (ret_tx, ret_rx) = mpsc::channel();
     std::thread::scope(|s| {
-        // Owned by the consumer: if it unwinds, the receiver drops and the
-        // producer's next `send` fails instead of blocking on a full queue
-        // that the scope would then wait on forever.
+        // Owned by the consumer: if it unwinds or returns an error, the
+        // receiver drops and the producer's next `send` fails instead of
+        // blocking on a full queue that the scope would then wait on
+        // forever.
         let rx = rx;
         s.spawn(move || {
-            let mut adaptor = CatalystAdaptor::new();
-            let mut step = 0u64;
-            while step < cfg.steps {
-                let chunk = chunk_steps.min(cfg.steps - step);
-                let t0 = Instant::now();
-                model.run(chunk);
-                let d_sim = t0.elapsed();
-                step += chunk;
-                let t1 = Instant::now();
-                let snap = match ret_rx.try_recv() {
-                    Ok(mut recycled) => {
-                        adaptor.adapt_into(&model, &mut recycled);
-                        recycled
-                    }
-                    Err(_) => adaptor.adapt(&model),
-                };
-                if tx.send((d_sim, t1.elapsed(), snap)).is_err() {
-                    return; // consumer gone (it panicked); just stop
+            while let Some(sample) = source(ret_rx.try_recv().ok()) {
+                if tx.send(sample).is_err() {
+                    return; // consumer gone; just stop
                 }
             }
         });
         let mut batch = Vec::with_capacity(depth);
         // Loop ends when the producer is done and the queue drained.
         while let Ok(first) = rx.recv() {
-            batch.push(first);
-            batch.extend(rx.try_iter().take(depth - 1));
+            batch.push(first?);
+            for next in rx.try_iter().take(depth - 1) {
+                batch.push(next?);
+            }
             let worked: Vec<_> = batch
                 .par_iter()
-                .map(|(_, _, snap)| {
+                .map(|s: &Sample| {
                     let t0 = Instant::now();
-                    (work(snap), t0.elapsed())
+                    (work(&s.snap), t0.elapsed())
                 })
                 .collect();
-            for ((d_sim, d_adapt, snap), ((frame, extra), d_work)) in batch.drain(..).zip(worked) {
-                wtr.phase(JobPhase::Simulate, d_sim);
-                let t_commit = Instant::now();
-                let verdict = commit(index, &snap, &frame.census, extra, wtr.now());
-                index += 1;
-                if let Commit::Emit(n) = verdict {
-                    tracker.observe(n, &frame.feats);
-                    cinema.add_encoded(snap.timestep, snap.sim_hours, frame.png);
-                }
-                if !matches!(verdict, Commit::Shed) {
-                    census = frame.census;
-                    wtr.phase(JobPhase::Visualize, d_adapt + d_work + t_commit.elapsed());
-                }
-                if let Commit::Emit(n) = verdict {
-                    wtr.frame(n, &census);
-                }
-                let _ = ret_tx.send(snap); // producer may already be done
+            for (mut sample, (out, took)) in batch.drain(..).zip(worked) {
+                sample.after += took;
+                commit(&sample, out);
+                let _ = ret_tx.send(sample.snap); // producer may already be done
             }
         }
-    });
-    let wall_end_to_end = t_run.elapsed();
-    let image_bytes = cinema.total_bytes();
-    wtr.finish(image_bytes);
-    NativeReport {
-        frames: cinema.len() as u64,
-        wall_sim: wtr.sim,
-        wall_viz: wtr.viz,
-        wall_io: Duration::ZERO, // image bytes counted; kept in memory here
-        wall_end_to_end,
-        raw_bytes: 0,
-        image_bytes,
-        cinema,
-        tracks: tracker.finish(),
-        final_census: census,
-    }
+        Ok(())
+    })
 }
 
-/// Run the in-situ pipeline natively: simulate, adapt, render and track;
-/// only images are "written". Solver and visualization run pipelined with
-/// up to [`default_pipeline_depth`] frames in flight, rendered and encoded
-/// frame-parallel on the worker pool (see the module docs).
-pub fn run_native_insitu(cfg: &NativeConfig) -> NativeReport {
-    let depth = default_pipeline_depth();
-    run_native_insitu_at(cfg, depth, &FaultScenario::none(), &Recorder::off()).report
-}
-
-/// [`run_native_insitu`] strictly serialized — depth 1, same outputs. Kept
-/// only until the benchmark package, which links it as its single-threaded
-/// baseline, is redefined (ROADMAP 1(b)).
-pub fn run_native_insitu_sequential(cfg: &NativeConfig) -> NativeReport {
-    run_native_insitu_at(cfg, 1, &FaultScenario::none(), &Recorder::off()).report
-}
-
-/// What a fault-aware native run produced.
-#[derive(Debug, Clone)]
-pub struct NativeFaultReport {
-    /// The usual report. `frames`, the Cinema database and the tracks
-    /// cover only the frames actually written — the Cinema index always
-    /// matches the images present, however many frames were shed.
-    pub report: NativeReport,
-    /// What the fault layer did.
-    pub stats: FaultStats,
-}
-
-/// The explicit in-situ entry point: up to `depth` output chunks and
-/// frames in flight, under a fault scenario, tracing into `rec`. Outputs
-/// are bit-identical at **every** depth and thread count.
-///
-/// The native backend has no parallel filesystem, so only two fault kinds
-/// apply: `TransientIo` windows make the per-frame image store step fail
-/// probabilistically (retried without wall cost — the store is in-memory —
-/// and shed once the retry budget is exhausted), and the degradation state
-/// machine sheds frames outright at elevated levels. Brownouts, MDS stalls
-/// and disk pressure are storage-model faults and have no native analogue;
-/// compute stragglers don't apply to a single host. Fault windows are
-/// matched against *simulated* time (`snap.sim_hours`), so a plan is
-/// meaningful regardless of host speed, and the run never panics or hangs:
-/// every frame is either written or counted as shed. Fault decisions are
-/// taken at commit, in frame order, so they never depend on `depth`.
-pub fn run_native_insitu_at(
+/// A run's last frame loop, whose work renders: each sample's source
+/// phase is traced as `source_phase`, `policy` decides in frame order
+/// whether the frame is stored, skipped or shed, a stored frame joins the
+/// tracker and the Cinema database, and the run is reported.
+pub(crate) fn render_pass<X: Send>(
     cfg: &NativeConfig,
     depth: usize,
-    scenario: &FaultScenario,
-    rec: &Recorder,
-) -> NativeFaultReport {
-    let mut session = FaultSession::new(scenario);
+    mut wtr: WallTracer,
+    source_phase: JobPhase,
+    source: impl FnMut(Option<VizSnapshot>) -> Pulled + Send,
+    work: impl Fn(&VizSnapshot) -> (RenderedFrame, X) + Sync,
+    mut policy: impl FnMut(u64, &VizSnapshot, &FrameCensus, X, SimTime) -> Commit,
+) -> Result<NativeReport, PipelineError> {
     let grid = cfg.grid();
-    let renderer = FieldRenderer::okubo_weiss(cfg.image_width, cfg.image_height);
-    let report = frame_loop(
-        cfg,
-        cfg.output_every,
-        depth,
-        rec,
-        "insitu",
-        |snap| (render_frame(&renderer, &grid, snap, cfg.annotate), ()),
-        |frame, snap, _, (), now| store_or_shed(&mut session, frame, snap, rec, now),
-    );
-    NativeFaultReport {
-        report,
-        stats: session.into_stats(),
-    }
+    // Gate: eddies drift slowly; six cells per frame is plenty.
+    let mut tracker = EddyTracker::new(6.0 * grid.dx, 2, grid.extent().0);
+    let mut cinema = CinemaDatabase::new(format!("{}-eddies", wtr.kind));
+    let mut census = frame_census(&[]);
+    let mut index = 0u64;
+    frame_loop(depth, source, work, |s, (frame, extra)| {
+        wtr.phase(source_phase, s.source);
+        let t_commit = Instant::now();
+        let verdict = policy(index, &s.snap, &frame.census, extra, wtr.now());
+        index += 1;
+        if let Commit::Emit(n) = verdict {
+            tracker.observe(n, &frame.feats);
+            cinema.add_encoded(s.snap.timestep, s.snap.sim_hours, frame.png);
+        }
+        if !matches!(verdict, Commit::Shed) {
+            census = frame.census;
+            wtr.phase(JobPhase::Visualize, s.after + t_commit.elapsed());
+        }
+        if let Commit::Emit(n) = verdict {
+            wtr.frame(n, &census);
+        }
+    })?;
+    Ok(wtr.finish(cinema, tracker.finish(), census))
 }
 
-/// The fixed-rate commit policy: store frame `frame` unless the fault
-/// session sheds it.
+/// Execute one native plan: validate it, then run it through the frame
+/// loop — in-situ as one pass, post-processing as two. Tracing goes into
+/// `rec` ([`Recorder::off`] for none).
+///
+/// An invalid plan is [`PipelineError::InvalidConfig`] and nothing runs; a
+/// raw dump that fails to decode is [`PipelineError::CorruptFrame`].
+/// Outputs are bit-identical at every depth and thread count.
+///
+/// Faults act on the in-memory per-sample store — the image in-situ, the
+/// raw dump in post-processing — through `TransientIo` windows in
+/// *simulated* time and the degradation state machine (see
+/// `store_or_shed`). Every sample is written or counted as shed, decided
+/// in sample order: never by `depth`, and alike in both pipelines.
+pub fn execute(plan: &NativePlan, rec: &Recorder) -> Result<NativeRun, PipelineError> {
+    plan.validate()?;
+    let (cfg, depth) = (&plan.config, plan.depth);
+    let clean = FaultScenario::none();
+    let mut session = FaultSession::new(plan.faults.as_ref().unwrap_or(&clean));
+    let mut decisions = Vec::new();
+    let report = match (plan.kind, &plan.trigger) {
+        (PipelineKind::PostProcessing, _) => {
+            let mut wtr = WallTracer::open(rec, cfg, "postproc");
+            // Pass 1: simulate, and store every sample's raw dump unless
+            // the fault session sheds it.
+            let mut raw = Vec::new();
+            let mut index = 0u64;
+            let store = |s: &Sample, bytes: Vec<u8>| {
+                wtr.phase(JobPhase::Simulate, s.source);
+                let t_commit = Instant::now();
+                let verdict = store_or_shed(&mut session, index, &s.snap, rec, wtr.now());
+                if let Commit::Emit(n) = verdict {
+                    wtr.phase(JobPhase::WriteOutput, s.after + t_commit.elapsed());
+                    rec.counter_add(wtr.now(), "native.raw_bytes", bytes.len() as f64);
+                    raw.push((n, bytes));
+                }
+                index += 1;
+            };
+            frame_loop(depth, simulate(cfg, cfg.output_every), encode_raw, store)?;
+            let raw_bytes = raw.iter().map(|(_, bytes)| bytes.len() as u64).sum();
+            // Pass 2: read them back and render.
+            NativeReport {
+                raw_bytes,
+                ..render_raw(cfg, depth, wtr, raw)?
+            }
+        }
+        (_, Some(tc)) => {
+            let wtr = WallTracer::open(rec, cfg, "adaptive");
+            crate::adaptive::run(cfg, tc, depth, wtr, &mut decisions)?
+        }
+        (_, None) => render_pass(
+            cfg,
+            depth,
+            WallTracer::open(rec, cfg, "insitu"),
+            JobPhase::Simulate,
+            simulate(cfg, cfg.output_every),
+            renders(cfg),
+            |frame, snap, _, (), now| store_or_shed(&mut session, frame, snap, rec, now),
+        )?,
+    };
+    Ok(NativeRun {
+        report,
+        stats: session.into_stats(),
+        decisions,
+    })
+}
+
+/// The fixed-rate commit policy: store sample `frame` unless the fault
+/// session sheds it. The store may fail transiently; retries are free in
+/// wall time (the store is in memory), and exhaustion sheds the sample
+/// rather than aborting the solver. Fault windows are in simulated time.
 fn store_or_shed(
     session: &mut FaultSession,
     frame: u64,
@@ -587,24 +709,22 @@ fn store_or_shed(
     rec: &Recorder,
     now: SimTime,
 ) -> Commit {
-    let shed_because = if session.should_shed(frame) {
-        Some("degraded")
+    let reason = if session.should_shed(frame) {
+        "degraded"
     } else {
-        // The image store step may fail transiently. Retries are free in
-        // wall time (the store is in-memory); exhaustion sheds the frame
-        // rather than aborting the solver. Fault windows are scheduled in
-        // simulated time.
         let sim_t = SimTime::from_secs_f64(snap.sim_hours * 3600.0);
         let mut failed = 0u32;
         loop {
             if !session.roll_io_failure(sim_t) {
-                break None;
+                session.stats.outputs_written += 1;
+                let _ = session.clean();
+                return Commit::Emit(frame);
             }
             rec.counter_add(now, "fault.injected_failures", 1.0);
             failed += 1;
             let _ = session.pressure();
             if failed >= session.retry.max_attempts {
-                break Some("retries-exhausted");
+                break "retries-exhausted";
             }
             // Draw the jitter so the retry schedule matches the campaign
             // backend's RNG discipline; no wall time passes here.
@@ -612,27 +732,47 @@ fn store_or_shed(
             rec.counter_add(now, "fault.retries", 1.0);
         }
     };
-    match shed_because {
-        Some(reason) => {
-            session.stats.outputs_shed += 1;
-            rec.event(
-                now,
-                "output_shed",
-                Component::Fault,
-                &[
-                    ("index", AttrValue::U64(frame)),
-                    ("reason", AttrValue::Str(reason)),
-                ],
-            );
-            rec.counter_add(now, "fault.sheds", 1.0);
-            Commit::Shed
-        }
-        None => {
-            session.stats.outputs_written += 1;
-            let _ = session.clean();
-            Commit::Emit(frame)
-        }
-    }
+    session.stats.outputs_shed += 1;
+    let attrs = [
+        ("index", AttrValue::U64(frame)),
+        ("reason", AttrValue::Str(reason)),
+    ];
+    rec.event(now, "output_shed", Component::Fault, &attrs);
+    rec.counter_add(now, "fault.sheds", 1.0);
+    Commit::Shed
+}
+
+/// Post-processing's second pass: read the stored dumps back one at a
+/// time, dropping each once decoded, and render every one as the frame of
+/// its sample number.
+fn render_raw(
+    cfg: &NativeConfig,
+    depth: usize,
+    wtr: WallTracer,
+    raw: Vec<(u64, Vec<u8>)>,
+) -> Result<NativeReport, PipelineError> {
+    let numbers: Vec<u64> = raw.iter().map(|&(n, _)| n).collect();
+    let mut dumps = raw.into_iter();
+    let read = move |_: Option<VizSnapshot>| {
+        let (frame, bytes) = dumps.next()?;
+        let t0 = Instant::now();
+        let snap = decode_raw(frame, &bytes);
+        let source = t0.elapsed();
+        Some(snap.map(|snap| Sample {
+            snap,
+            source,
+            after: Duration::ZERO,
+        }))
+    };
+    render_pass(
+        cfg,
+        depth,
+        wtr,
+        JobPhase::ReadInput,
+        read,
+        renders(cfg),
+        |k, _, _, (), _| Commit::Emit(numbers[k as usize]),
+    )
 }
 
 /// Encode a snapshot as an ncdf-lite file (the post-processing raw output):
@@ -661,138 +801,111 @@ fn encode_raw(snap: &VizSnapshot) -> Vec<u8> {
 /// can disappoint — truncation, a missing variable or attribute, a
 /// wrong dtype, a shape that doesn't match the declared dims — comes
 /// back as a typed [`PipelineError::CorruptFrame`] instead of a panic,
-/// so one bad file fails one frame, not the whole campaign.
+/// so one bad file fails one run, never the process.
 fn decode_raw(frame: u64, bytes: &[u8]) -> Result<VizSnapshot, PipelineError> {
     let corrupt = |detail: String| PipelineError::CorruptFrame { frame, detail };
     let f = NcFile::decode(bytes).map_err(|e| corrupt(format!("decode failed: {e}")))?;
-    let ny = f
-        .dims
-        .first()
-        .ok_or_else(|| corrupt("missing y dimension".into()))?
-        .1 as usize;
-    let nx = f
-        .dims
-        .get(1)
-        .ok_or_else(|| corrupt("missing x dimension".into()))?
-        .1 as usize;
-    let to_field = |name: &str| -> Result<Field2D, PipelineError> {
-        let var = f
-            .var(name)
-            .ok_or_else(|| corrupt(format!("variable {name:?} missing")))?;
-        let data = match &var.data {
-            VarData::F64(xs) => xs,
-            other => {
+    let &[(_, ny), (_, nx), ..] = &f.dims[..] else {
+        return Err(corrupt("missing y or x dimension".into()));
+    };
+    let (nx, ny) = (nx as usize, ny as usize);
+    let field = |name: &str| {
+        let data = match f.var(name).map(|v| &v.data) {
+            Some(VarData::F64(xs)) if xs.len() == nx * ny => xs,
+            Some(VarData::F64(xs)) => {
+                let n = xs.len();
+                return Err(corrupt(format!(
+                    "variable {name:?}: {n} values for a {nx}×{ny} grid"
+                )));
+            }
+            Some(other) => {
                 return Err(corrupt(format!(
                     "variable {name:?}: expected f64 data, got {other:?}"
                 )))
             }
+            None => return Err(corrupt(format!("variable {name:?} missing"))),
         };
-        if data.len() != nx * ny {
-            return Err(corrupt(format!(
-                "variable {name:?}: {} values for a {nx}×{ny} grid",
-                data.len()
-            )));
-        }
         let mut field = Field2D::zeros(nx, ny);
         field.data_mut().copy_from_slice(data);
         Ok(field)
     };
-    let attr = |name: &str| -> Result<&str, PipelineError> {
+    let attr = |name: &str| {
         f.attr(name)
             .ok_or_else(|| corrupt(format!("attribute {name:?} missing")))
+    };
+    let unparsable = |name: &str, e: &dyn std::fmt::Display| {
+        corrupt(format!("attribute {name:?} unparsable: {e}"))
     };
     Ok(VizSnapshot {
         timestep: attr("timestep")?
             .parse()
-            .map_err(|e| corrupt(format!("attribute \"timestep\" unparsable: {e}")))?,
+            .map_err(|e| unparsable("timestep", &e))?,
         sim_hours: attr("sim_hours")?
             .parse()
-            .map_err(|e| corrupt(format!("attribute \"sim_hours\" unparsable: {e}")))?,
-        ssh: to_field("ssh")?,
-        uc: to_field("uc")?,
-        vc: to_field("vc")?,
-        okubo_weiss: to_field("W")?,
+            .map_err(|e| unparsable("sim_hours", &e))?,
+        ssh: field("ssh")?,
+        uc: field("uc")?,
+        vc: field("vc")?,
+        okubo_weiss: field("W")?,
     })
 }
 
-/// Run the post-processing pipeline natively: simulate and write raw ncdf
-/// every sample; afterwards read everything back, render and track.
-pub fn run_native_postproc(cfg: &NativeConfig) -> NativeReport {
-    run_native_postproc_with(cfg, &Recorder::off())
+// Kept for `benchmark/`, which links them; use `execute` everywhere else.
+
+/// A clean, untraced in-situ run at [`default_pipeline_depth`]; panics on
+/// an invalid configuration.
+pub fn run_native_insitu(cfg: &NativeConfig) -> NativeReport {
+    forward(cfg, PipelineKind::InSitu, default_pipeline_depth())
 }
 
-/// [`run_native_postproc`] with a trace recorder. Raw-file encodes are
-/// traced as write phases and the stage-2 decodes as read phases, so the
-/// exported timeline shows the paper's two-stage structure.
-pub fn run_native_postproc_with(cfg: &NativeConfig, rec: &Recorder) -> NativeReport {
-    let t_run = Instant::now();
-    let mut model = cfg.build_model();
-    let mut adaptor = CatalystAdaptor::new();
-    let mut wtr = WallTracer::open(rec, cfg, "postproc");
-    let mut store: Vec<Vec<u8>> = Vec::new();
-    let mut step = 0u64;
-    // Stage 1: simulate + write raw.
-    while step < cfg.steps {
-        let chunk = cfg.output_every.min(cfg.steps - step);
-        let t0 = Instant::now();
-        model.run(chunk);
-        wtr.phase(JobPhase::Simulate, t0.elapsed());
-        step += chunk;
-        let t1 = Instant::now();
-        let snap = adaptor.adapt(&model);
-        store.push(encode_raw(&snap));
-        wtr.phase(JobPhase::WriteOutput, t1.elapsed());
-        if rec.is_on() {
-            let bytes = store.last().map_or(0, |b| b.len() as u64);
-            rec.counter_add(wtr.now(), "native.raw_bytes", bytes as f64);
-        }
-    }
-    let raw_bytes: u64 = store.iter().map(|b| b.len() as u64).sum();
-    // Stage 2: read back, render, track.
-    let renderer = FieldRenderer::okubo_weiss(cfg.image_width, cfg.image_height);
-    let mut cinema = CinemaDatabase::new("postproc-eddies");
-    let mut tracker = tracker_for(model.grid());
-    let mut census = frame_census(&[]);
-    for (frame, bytes) in store.iter().enumerate() {
-        let t0 = Instant::now();
-        // Produced a few lines up, so a decode failure is a bug here, not
-        // an input error.
-        let snap = decode_raw(frame as u64, bytes).expect("self-produced raw files decode");
-        wtr.phase(JobPhase::ReadInput, t0.elapsed());
-        let t1 = Instant::now();
-        let w = &snap.okubo_weiss;
-        let feats = extract_features(model.grid(), w, &segment_eddies(w, 0.2, 3));
-        tracker.observe(frame as u64, &feats);
-        let mut img = renderer.render(w);
-        if cfg.annotate {
-            let (lo, hi) = renderer.resolve_range(w);
-            annotate_frame(&renderer, &mut img, &snap, lo, hi);
-        }
-        cinema.add_image(snap.timestep, snap.sim_hours, &img);
-        census = frame_census(&feats);
-        wtr.phase(JobPhase::Visualize, t1.elapsed());
-        wtr.frame(frame as u64, &census);
-    }
-    let image_bytes = cinema.total_bytes();
-    wtr.finish(image_bytes);
-    NativeReport {
-        frames: store.len() as u64,
-        wall_sim: wtr.sim,
-        wall_viz: wtr.viz,
-        wall_io: wtr.io,
-        wall_end_to_end: t_run.elapsed(),
-        raw_bytes,
-        image_bytes,
-        cinema,
-        tracks: tracker.finish(),
-        final_census: census,
-    }
+/// [`run_native_insitu`] strictly serialized: depth 1, same outputs.
+pub fn run_native_insitu_sequential(cfg: &NativeConfig) -> NativeReport {
+    forward(cfg, PipelineKind::InSitu, 1)
+}
+
+/// [`run_native_insitu`], post-processing.
+pub fn run_native_postproc(cfg: &NativeConfig) -> NativeReport {
+    forward(cfg, PipelineKind::PostProcessing, default_pipeline_depth())
+}
+
+fn forward(cfg: &NativeConfig, kind: PipelineKind, depth: usize) -> NativeReport {
+    let plan = NativePlan {
+        depth,
+        ..NativePlan::new(cfg.clone(), kind)
+    };
+    execute(&plan, &Recorder::off())
+        .unwrap_or_else(|e| panic!("native run failed: {e}"))
+        .report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::golden::{self, Golden};
+
+    fn plan(cfg: NativeConfig, kind: PipelineKind, depth: usize) -> NativePlan {
+        NativePlan {
+            depth,
+            ..NativePlan::new(cfg, kind)
+        }
+    }
+
+    /// Execute a valid plan, untraced.
+    fn run(plan: &NativePlan) -> NativeRun {
+        execute(plan, &Recorder::off()).expect("a valid plan")
+    }
+
+    /// `cfg` in-situ at `depth` under `scenario`.
+    fn faulted(cfg: &NativeConfig, depth: usize, scenario: &FaultScenario) -> NativeRun {
+        run(&NativePlan {
+            faults: Some(scenario.clone()),
+            ..plan(cfg.clone(), PipelineKind::InSitu, depth)
+        })
+    }
+
+    fn frames_line(r: &NativeReport) -> String {
+        golden::frames_line(&r.cinema, &r.tracks, &r.final_census)
+    }
 
     #[test]
     fn both_pipelines_produce_identical_images() {
@@ -908,8 +1021,27 @@ mod tests {
         assert!(err.to_string().contains("\"ssh\""), "{err}");
     }
 
-    fn frames_line(r: &NativeReport) -> String {
-        golden::frames_line(&r.cinema, &r.tracks, &r.final_census)
+    /// A stored dump that no longer decodes fails the second pass with a
+    /// typed error naming its sample, instead of panicking mid-run.
+    #[test]
+    fn a_corrupt_dump_fails_the_second_pass_typed() {
+        let cfg = NativeConfig::tiny();
+        let rec = Recorder::off();
+        let snap = CatalystAdaptor::new().adapt(&cfg.build_model());
+        let good = encode_raw(&snap);
+        let raw = vec![
+            (0, good.clone()),
+            (5, good[..good.len() / 2].to_vec()),
+            (6, good),
+        ];
+        let wtr = WallTracer::open(&rec, &cfg, "postproc");
+        match render_raw(&cfg, 2, wtr, raw) {
+            Err(PipelineError::CorruptFrame { frame: 5, .. }) => {}
+            other => panic!(
+                "expected frame 5 corrupt, got {:?}",
+                other.map(|r| r.frames)
+            ),
+        }
     }
 
     #[test]
@@ -921,12 +1053,23 @@ mod tests {
     #[test]
     fn depth_k_matches_sequential_exactly() {
         // Annotate so the worker's overlay path is exercised too.
-        let mut cfg = NativeConfig::tiny();
-        cfg.annotate = true;
+        let cfg = NativeConfig {
+            annotate: true,
+            ..NativeConfig::tiny()
+        };
         let golden = Golden::load();
         for depth in [1, 2, 4] {
-            let r = run_native_insitu_at(&cfg, depth, &FaultScenario::none(), &Recorder::off());
+            let r = run(&plan(cfg.clone(), PipelineKind::InSitu, depth));
             golden.check("native/tiny-annotate/frames", &frames_line(&r.report));
+            let r = run(&plan(cfg.clone(), PipelineKind::PostProcessing, depth));
+            golden.check(
+                "native/tiny-annotate/postproc/frames",
+                &frames_line(&r.report),
+            );
+            golden.check(
+                "native/tiny-annotate/postproc/raw_bytes",
+                &r.report.raw_bytes.to_string(),
+            );
         }
     }
 
@@ -949,8 +1092,7 @@ mod tests {
         let cfg = NativeConfig::tiny();
         let golden = Golden::load();
         for depth in [1, 2, 4] {
-            let faulted =
-                run_native_insitu_at(&cfg, depth, &FaultScenario::none(), &Recorder::off());
+            let faulted = faulted(&cfg, depth, &FaultScenario::none());
             golden.check("native/tiny/frames", &frames_line(&faulted.report));
             golden.check("native/tiny/fault/none/stats", &faulted.stats.digest());
             assert_eq!(faulted.stats.outputs_written, faulted.report.frames);
@@ -961,8 +1103,7 @@ mod tests {
     /// most by degradation level — so the loop renders frames the policy
     /// then throws away. Neither the stats nor the stored frames may
     /// notice, at any depth.
-    #[test]
-    fn speculative_rendering_of_shed_frames_is_invisible() {
+    fn io80_seed9() -> (NativeConfig, FaultScenario) {
         use ivis_fault::{FaultKind, FaultPlan, FaultWindow};
         let cfg = NativeConfig {
             output_every: 2,
@@ -972,9 +1113,15 @@ mod tests {
             FaultWindow::of_secs(0, u64::MAX / 2_000_000),
             FaultKind::TransientIo { fail_prob: 0.8 },
         ));
+        (cfg, scenario)
+    }
+
+    #[test]
+    fn speculative_rendering_of_shed_frames_is_invisible() {
+        let (cfg, scenario) = io80_seed9();
         let golden = Golden::load();
         for depth in [1, 2, 4] {
-            let out = run_native_insitu_at(&cfg, depth, &scenario, &Recorder::off());
+            let out = faulted(&cfg, depth, &scenario);
             golden.check(
                 "native/tiny-12/fault/io80-seed9/frames",
                 &frames_line(&out.report),
@@ -983,12 +1130,34 @@ mod tests {
         }
     }
 
+    /// The fault session decides per sample, in sample order, on simulated
+    /// time: post-processing sheds exactly the samples in-situ sheds, so
+    /// the frames, tracks and stats of both pipelines agree.
+    #[test]
+    fn posthoc_under_faults_loses_exactly_the_frames_insitu_loses() {
+        let (cfg, scenario) = io80_seed9();
+        let insitu = faulted(&cfg, 2, &scenario);
+        let post = run(&NativePlan {
+            faults: Some(scenario),
+            ..plan(cfg, PipelineKind::PostProcessing, 2)
+        });
+        assert_eq!(post.stats, insitu.stats);
+        assert_eq!(post.report.frames, 4);
+        let pngs = |r: &NativeRun| -> Vec<(u64, Vec<u8>)> {
+            let entries = r.report.cinema.entries().iter();
+            entries.map(|e| (e.timestep, e.data.clone())).collect()
+        };
+        assert_eq!(pngs(&post), pngs(&insitu));
+        assert_eq!(post.report.tracks, insitu.report.tracks);
+        assert_eq!(post.report.final_census, insitu.report.final_census);
+    }
+
     /// Run the loop on twelve chunks at `depth` with the given closures
     /// under a 60 s watchdog; true iff the call unwound.
     fn loop_unwinds(
         depth: usize,
-        work: impl Fn(&VizSnapshot) -> (RenderedFrame, ()) + Sync + Send + 'static,
-        commit: impl FnMut(u64) -> Commit + Send + 'static,
+        work: impl Fn(&VizSnapshot) + Sync + Send + 'static,
+        commit: impl FnMut(u64) + Send + 'static,
     ) -> bool {
         let (done_tx, done_rx) = mpsc::channel();
         std::thread::spawn(move || {
@@ -996,17 +1165,13 @@ mod tests {
                 output_every: 2,
                 ..NativeConfig::tiny()
             };
-            let mut commit = commit;
+            let (mut commit, mut index) = (commit, 0);
             let run = std::panic::AssertUnwindSafe(|| {
-                frame_loop(
-                    &cfg,
-                    cfg.output_every,
-                    depth,
-                    &Recorder::off(),
-                    "insitu",
-                    work,
-                    |i, _, _, (), _| commit(i),
-                )
+                let source = simulate(&cfg, cfg.output_every);
+                frame_loop(depth, source, work, |_, ()| {
+                    commit(index);
+                    index += 1;
+                })
             });
             let _ = done_tx.send(std::panic::catch_unwind(run).is_err());
         });
@@ -1015,23 +1180,15 @@ mod tests {
             .expect("the frame loop hung instead of unwinding")
     }
 
-    fn blank_frame(_: &VizSnapshot) -> (RenderedFrame, ()) {
-        let frame = RenderedFrame {
-            feats: Vec::new(),
-            census: frame_census(&[]),
-            png: Vec::new(),
-        };
-        (frame, ())
-    }
-
     #[test]
     fn a_panicking_commit_unwinds_instead_of_hanging() {
         // Depth 1 with ten chunks still to come: the producer is blocked on
         // the full hand-off when the consumer dies.
-        let unwound = loop_unwinds(1, blank_frame, |i| {
-            assert!(i < 1, "commit policy blew up on the second frame");
-            Commit::Emit(i)
-        });
+        let unwound = loop_unwinds(
+            1,
+            |_| {},
+            |i| assert!(i < 1, "commit policy blew up on the second frame"),
+        );
         assert!(unwound);
     }
 
@@ -1039,9 +1196,8 @@ mod tests {
     fn a_panicking_worker_unwinds_instead_of_hanging() {
         let work = |snap: &VizSnapshot| {
             assert!(snap.timestep < 6, "frame worker blew up inside the batch");
-            blank_frame(snap)
         };
-        assert!(loop_unwinds(2, work, Commit::Emit));
+        assert!(loop_unwinds(2, work, |_| {}));
     }
 
     #[test]
@@ -1054,7 +1210,7 @@ mod tests {
         );
         let mut scenario = FaultScenario::with_plan(plan);
         scenario.retry = RetryPolicy::no_retries();
-        let faulted = run_native_insitu_at(&cfg, 2, &scenario, &Recorder::off());
+        let faulted = faulted(&cfg, 2, &scenario);
         assert_eq!(faulted.report.frames, 0);
         assert_eq!(faulted.report.cinema.len(), 0, "index matches zero images");
         assert!(faulted.report.tracks.is_empty());
@@ -1071,14 +1227,83 @@ mod tests {
             FaultKind::TransientIo { fail_prob: 0.5 },
         );
         let scenario = FaultScenario::with_plan(plan);
-        let a = run_native_insitu_at(&cfg, 2, &scenario, &Recorder::off());
+        let a = faulted(&cfg, 2, &scenario);
         // The index always matches the images actually written...
         assert_eq!(a.report.cinema.len() as u64, a.report.frames);
         assert_eq!(a.report.frames, a.stats.outputs_written);
         assert_eq!(a.stats.outputs_total(), 3, "every frame accounted for");
         // ...and the whole degraded run replays deterministically.
-        let b = run_native_insitu_at(&cfg, 4, &scenario, &Recorder::off());
+        let b = faulted(&cfg, 4, &scenario);
         assert_eq!(a.report.cinema.index_json(), b.report.cinema.index_json());
         assert_eq!(a.stats, b.stats);
+    }
+
+    /// The validation error of a plan that must be rejected.
+    fn rejected(plan: &NativePlan) -> String {
+        match execute(plan, &Recorder::off()) {
+            Err(PipelineError::InvalidConfig { detail }) => detail,
+            other => panic!(
+                "expected InvalidConfig, got {:?}",
+                other.map(|r| r.digest())
+            ),
+        }
+    }
+
+    #[test]
+    fn zero_output_every_is_rejected_instead_of_hanging() {
+        // The loop's chunk would be zero steps, so the solver would never
+        // advance and frames would pile up forever.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            for kind in [PipelineKind::InSitu, PipelineKind::PostProcessing] {
+                let cfg = NativeConfig {
+                    output_every: 0,
+                    ..NativeConfig::tiny()
+                };
+                let _ = tx.send(rejected(&plan(cfg, kind, 2)));
+            }
+        });
+        for _ in 0..2 {
+            let detail = rx.recv_timeout(Duration::from_secs(60)).expect("hung");
+            assert!(detail.contains("output_every"), "{detail}");
+        }
+    }
+
+    #[test]
+    fn zero_sized_images_are_rejected_instead_of_panicking() {
+        for (w, h) in [(0, 48), (64, 0)] {
+            let cfg = NativeConfig {
+                image_width: w,
+                image_height: h,
+                ..NativeConfig::tiny()
+            };
+            let detail = rejected(&plan(cfg, PipelineKind::InSitu, 2));
+            assert!(detail.contains("1×1"), "{detail}");
+        }
+    }
+
+    #[test]
+    fn zero_depth_is_rejected() {
+        let detail = rejected(&plan(NativeConfig::tiny(), PipelineKind::InSitu, 0));
+        assert!(detail.contains("depth"), "{detail}");
+    }
+
+    #[test]
+    fn a_trigger_on_a_posthoc_plan_is_rejected() {
+        let plan = NativePlan {
+            trigger: Some(TriggerConfig::new(8, 5)),
+            ..NativePlan::new(NativeConfig::tiny(), PipelineKind::PostProcessing)
+        };
+        assert!(rejected(&plan).contains("post-processing"));
+    }
+
+    #[test]
+    fn faults_on_an_adaptive_plan_are_rejected() {
+        let plan = NativePlan {
+            trigger: Some(TriggerConfig::new(8, 5)),
+            faults: Some(FaultScenario::none()),
+            ..NativePlan::new(NativeConfig::tiny(), PipelineKind::InSitu)
+        };
+        assert!(rejected(&plan).contains("fault"));
     }
 }

@@ -104,7 +104,7 @@ pub fn native_power_timeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::{run_native_insitu_at, NativeConfig};
+    use crate::native::{execute, NativeConfig, NativePlan};
     use crate::{PipelineConfig, PipelineKind, Plan};
     use ivis_fault::{FaultPlan, FaultScenario};
     use ivis_obs::telemetry::paper_cadence;
@@ -187,8 +187,8 @@ mod tests {
     #[test]
     fn native_runs_reconstruct_node_power_from_phase_spans() {
         let rec = Recorder::in_memory();
-        let report =
-            run_native_insitu_at(&NativeConfig::tiny(), 2, &FaultScenario::none(), &rec).report;
+        let plan = NativePlan::new(NativeConfig::tiny(), PipelineKind::InSitu);
+        let report = execute(&plan, &rec).expect("tiny() is valid").report;
         assert!(report.frames > 0);
         let tl = rec
             .with_buffer(|buf| {

@@ -7,9 +7,8 @@ mod common;
 use common::check_golden;
 use ivis_cluster::{IoWaitPolicy, JobPhase};
 use ivis_core::campaign::Campaign;
-use ivis_core::native::{run_native_insitu_at, run_native_postproc_with, NativeConfig};
+use ivis_core::native::{execute, NativeConfig, NativePlan};
 use ivis_core::{PipelineConfig, PipelineKind};
-use ivis_fault::FaultScenario;
 use ivis_obs::{render_fig4, render_timeline, to_jsonl, Recorder};
 use proptest::prelude::*;
 
@@ -107,7 +106,8 @@ fn ascii_timeline_renders_phase_sequence() {
 fn native_backend_traces_match_report() {
     let cfg = NativeConfig::tiny();
     let rec = Recorder::in_memory();
-    let report = run_native_insitu_at(&cfg, 2, &FaultScenario::none(), &rec).report;
+    let plan = NativePlan::new(cfg.clone(), PipelineKind::InSitu);
+    let report = execute(&plan, &rec).unwrap().report;
     let tl = rec.with_buffer(|b| b.phase_timeline()).unwrap();
     let (t_sim, _t_io, t_viz) = tl.decompose();
     assert!((t_sim.as_secs_f64() - report.wall_sim.as_secs_f64()).abs() < 1e-3);
@@ -119,7 +119,8 @@ fn native_backend_traces_match_report() {
 
     // Post-processing additionally traces write and read phases.
     let rec2 = Recorder::in_memory();
-    let report2 = run_native_postproc_with(&cfg, &rec2);
+    let plan = NativePlan::new(cfg, PipelineKind::PostProcessing);
+    let report2 = execute(&plan, &rec2).unwrap().report;
     let tl2 = rec2.with_buffer(|b| b.phase_timeline()).unwrap();
     assert!(!tl2.time_in(JobPhase::WriteOutput).is_zero());
     assert!(!tl2.time_in(JobPhase::ReadInput).is_zero());

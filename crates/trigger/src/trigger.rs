@@ -68,28 +68,36 @@ impl TriggerConfig {
         }
     }
 
-    /// Panic early (at configuration time, not mid-campaign) on an
-    /// inconsistent band.
-    pub fn validate(&self) {
-        assert!(self.analysis_interval >= 1, "analysis_interval must be ≥ 1");
-        assert!(self.min_interval >= 1, "min_interval must be ≥ 1");
-        assert!(
-            self.min_interval <= self.max_interval,
-            "min_interval {} must be ≤ max_interval {}",
-            self.min_interval,
-            self.max_interval
-        );
-        assert!(
-            self.relax_threshold <= self.tighten_threshold,
-            "relax_threshold {} must be ≤ tighten_threshold {}",
-            self.relax_threshold,
-            self.tighten_threshold
-        );
-        assert!(self.candidates >= 1, "need at least one candidate");
-        assert!(
-            self.eval_width >= 2 && self.eval_height >= 2,
-            "evaluation render must be at least 2×2"
-        );
+    /// Reject an inconsistent configuration at configuration time, not
+    /// mid-campaign; the error names the first violated rule.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.analysis_interval < 1 {
+            return Err("analysis_interval must be ≥ 1".to_string());
+        }
+        if self.min_interval < 1 {
+            return Err("min_interval must be ≥ 1".to_string());
+        }
+        if self.min_interval > self.max_interval {
+            return Err(format!(
+                "min_interval {} must be ≤ max_interval {}",
+                self.min_interval, self.max_interval
+            ));
+        }
+        // NaN on either side is as bad as an inverted pair.
+        let order = self.relax_threshold.partial_cmp(&self.tighten_threshold);
+        if matches!(order, None | Some(std::cmp::Ordering::Greater)) {
+            return Err(format!(
+                "relax_threshold {} must be ≤ tighten_threshold {}",
+                self.relax_threshold, self.tighten_threshold
+            ));
+        }
+        if self.candidates < 1 {
+            return Err("need at least one candidate".to_string());
+        }
+        if self.eval_width < 2 || self.eval_height < 2 {
+            return Err("evaluation render must be at least 2×2".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -200,8 +208,14 @@ pub struct AdaptiveTrigger {
 impl AdaptiveTrigger {
     /// Build a trigger; starts at the configured `analysis_interval`
     /// clamped into the `[min, max]` band.
+    ///
+    /// # Panics
+    ///
+    /// If [`TriggerConfig::validate`] rejects `cfg`.
     pub fn new(cfg: TriggerConfig) -> Self {
-        cfg.validate();
+        if let Err(detail) = cfg.validate() {
+            panic!("invalid trigger configuration: {detail}");
+        }
         let interval = cfg
             .analysis_interval
             .clamp(cfg.min_interval, cfg.max_interval);
@@ -410,6 +424,21 @@ mod tests {
         cfg.min_interval = 32;
         cfg.max_interval = 8;
         AdaptiveTrigger::new(cfg);
+    }
+
+    #[test]
+    fn validate_names_the_violated_rule() {
+        assert_eq!(TriggerConfig::new(8, 5).validate(), Ok(()));
+        let mut band = TriggerConfig::new(8, 1);
+        band.min_interval = 64;
+        let err = band.validate().expect_err("inverted band");
+        assert!(err.contains("min_interval 64"), "{err}");
+        let mut nan = TriggerConfig::new(8, 1);
+        nan.relax_threshold = f64::NAN;
+        assert!(nan.validate().expect_err("NaN threshold").contains("relax"));
+        let mut zero = TriggerConfig::new(8, 1);
+        zero.candidates = 0;
+        assert!(zero.validate().is_err());
     }
 
     proptest! {

@@ -11,7 +11,9 @@ use std::env;
 use std::path::PathBuf;
 
 use insitu_vis::eddy::census::track_census;
-use insitu_vis::pipeline::native::{run_native_insitu, NativeConfig};
+use insitu_vis::pipeline::native::{execute, NativeConfig, NativePlan};
+use insitu_vis::pipeline::PipelineKind;
+use ivis_obs::Recorder;
 
 fn main() {
     let out: PathBuf = env::args()
@@ -39,7 +41,10 @@ fn main() {
         cfg.steps,
         cfg.output_every
     );
-    let report = run_native_insitu(&cfg);
+    let plan = NativePlan::new(cfg.clone(), PipelineKind::InSitu);
+    let report = execute(&plan, &Recorder::off())
+        .expect("the example's configuration is valid")
+        .report;
 
     println!(
         "\nPipeline wall time: sim {:.2?}, viz {:.2?} (adaptor + render + track)",

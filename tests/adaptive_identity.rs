@@ -14,26 +14,35 @@
 mod common;
 
 use common::{at_all_thread_counts, blob, decisions_line, frames_line, normalize_trace, Golden};
-use ivis_core::adaptive::run_native_adaptive_with;
-use ivis_core::native::NativeConfig;
+use ivis_core::native::{execute, NativeConfig, NativePlan, NativeRun};
+use ivis_core::PipelineKind;
 use ivis_obs::{to_jsonl, Recorder};
 use ivis_trigger::TriggerConfig;
 use proptest::prelude::*;
 
 const CANDIDATE_COUNTS: [usize; 3] = [1, 5, 10];
 
+/// `cfg` under `tc` at the default depth, tracing into `rec`.
+fn adaptive(cfg: &NativeConfig, tc: &TriggerConfig, rec: &Recorder) -> NativeRun {
+    let plan = NativePlan {
+        trigger: Some(tc.clone()),
+        ..NativePlan::new(cfg.clone(), PipelineKind::InSitu)
+    };
+    execute(&plan, rec).expect("a valid adaptive plan")
+}
+
 /// One traced run's pinned artifacts: digest, decisions, frames line and
 /// the normalized trace.
 fn traced(cfg: &NativeConfig, tc: &TriggerConfig) -> [String; 4] {
     let rec = Recorder::in_memory();
-    let r = run_native_adaptive_with(cfg, tc, &rec);
+    let r = adaptive(cfg, tc, &rec);
     let trace = normalize_trace(&rec.with_buffer(to_jsonl).unwrap());
     assert!(trace.contains("\"start_us\":0"), "normalizer broken?");
-    assert_eq!(r.analyses as usize, r.decisions.len());
+    let report = &r.report;
     [
         r.digest(),
         decisions_line(&r.decisions),
-        frames_line(&r.cinema, &r.tracks, &r.final_census),
+        frames_line(&report.cinema, &report.tracks, &report.final_census),
         blob(&trace),
     ]
 }
@@ -88,7 +97,7 @@ proptest! {
         cfg.seed = seed;
         let mut tc = TriggerConfig::new(analysis, candidates);
         tc.max_interval = tc.min_interval << span;
-        let r = run_native_adaptive_with(&cfg, &tc, &Recorder::off());
+        let r = adaptive(&cfg, &tc, &Recorder::off());
         let mut last: Option<u64> = None;
         for d in r.decisions.iter().filter(|d| d.emit) {
             prop_assert!(
@@ -106,8 +115,9 @@ proptest! {
             }
             last = Some(d.step);
         }
-        if r.frames > 0 {
-            prop_assert!(r.effective_interval_steps() >= tc.min_interval as f64);
+        if r.report.frames > 0 {
+            let steps_per_frame = cfg.steps as f64 / r.report.frames as f64;
+            prop_assert!(steps_per_frame >= tc.min_interval as f64);
         }
     }
 }

@@ -18,14 +18,12 @@
 //!    (energy attribution tiles to 1e-6, output accounting closes, the
 //!    native Cinema index matches the frames actually written) or fails
 //!    with a typed [`PipelineError`] — never a panic, never a hang
-//!    (wall-clock watchdog). Post-hoc behind a burst buffer is held to
-//!    the same contract at the `FAULT_SEED` seeds.
+//!    (wall-clock watchdog). Post-hoc behind a burst buffer and native
+//!    post-hoc are held to the same contract at the `FAULT_SEED` seeds.
 
 use insitu_vis::fault::{FaultKind, FaultPlan, FaultScenario, FaultWindow};
 use insitu_vis::pipeline::campaign::{Campaign, Plan, Run};
-use insitu_vis::pipeline::native::{
-    default_pipeline_depth, run_native_insitu_at, NativeConfig, NativeFaultReport,
-};
+use insitu_vis::pipeline::native::{execute, NativeConfig, NativePlan, NativeRun};
 use insitu_vis::pipeline::{PipelineConfig, PipelineError, PipelineKind};
 use insitu_vis::sim::SimDuration;
 use insitu_vis::storage::burst_buffer::BurstBufferConfig;
@@ -72,9 +70,26 @@ fn execute_faulted(
     })
 }
 
-/// The native in-situ run under `scenario`, untraced, at the default depth.
-fn run_native_faulted(cfg: &NativeConfig, scenario: &FaultScenario) -> NativeFaultReport {
-    run_native_insitu_at(cfg, default_pipeline_depth(), scenario, &Recorder::off())
+/// A native `kind` run under `scenario`, untraced, at the default depth.
+fn run_native_faulted(
+    cfg: &NativeConfig,
+    kind: PipelineKind,
+    scenario: &FaultScenario,
+) -> NativeRun {
+    let plan = NativePlan {
+        faults: Some(scenario.clone()),
+        ..NativePlan::new(cfg.clone(), kind)
+    };
+    execute(&plan, &Recorder::off()).expect("a valid native plan")
+}
+
+/// The native plans of the seed matrix: transient I/O failures at 40 %
+/// over the whole run.
+fn native_plan(seed: u64) -> FaultPlan {
+    FaultPlan::new(seed).inject(
+        FaultWindow::of_secs(0, 1_000_000),
+        FaultKind::TransientIo { fail_prob: 0.4 },
+    )
 }
 
 #[test]
@@ -163,12 +178,9 @@ fn seeded_native_run_replays_bit_identically() {
     // also be a pure function of the seed.
     let cfg = NativeConfig::tiny();
     for seed in fault_seeds() {
-        let plan = FaultPlan::new(seed).inject(
-            FaultWindow::of_secs(0, 1_000_000),
-            FaultKind::TransientIo { fail_prob: 0.4 },
-        );
+        let scenario = FaultScenario::with_plan(native_plan(seed));
         let (index, frames, stats) = identical_at_all_thread_counts(|| {
-            let out = run_native_faulted(&cfg, &FaultScenario::with_plan(plan.clone()));
+            let out = run_native_faulted(&cfg, PipelineKind::InSitu, &scenario);
             let frames: Vec<Vec<u8>> = out
                 .report
                 .cinema
@@ -183,6 +195,46 @@ fn seeded_native_run_replays_bit_identically() {
             frames.len(),
             "Cinema index must list exactly the frames written (seed {seed}): {stats}"
         );
+    }
+}
+
+#[test]
+fn native_posthoc_sheds_whole_samples_and_replays_bit_identically() {
+    // Post-processing stores each sample's raw dump under the same fault
+    // policy: a shed sample leaves no raw file and so no frame. Twelve
+    // samples, so the degradation state machine has room to act.
+    let cfg = NativeConfig {
+        output_every: 2,
+        ..NativeConfig::tiny()
+    };
+    for seed in fault_seeds() {
+        let scenario = FaultScenario::with_plan(native_plan(seed));
+        let (digest, stats, frames, raw_files) = identical_at_all_thread_counts(|| {
+            let rec = Recorder::in_memory();
+            let plan = NativePlan {
+                faults: Some(scenario.clone()),
+                ..NativePlan::new(cfg.clone(), PipelineKind::PostProcessing)
+            };
+            let out = execute(&plan, &rec).expect("a valid native plan");
+            // One read phase per raw file the second pass found.
+            let trace = rec.with_buffer(to_jsonl).expect("recorder is on");
+            let raw_files = trace.matches("\"name\":\"read\"").count() as u64;
+            let r = &out.report;
+            assert_eq!(r.cinema.len() as u64, r.frames, "seed {seed}");
+            (out.digest(), out.stats.clone(), r.frames, raw_files)
+        });
+        assert_eq!(
+            stats.outputs_shed + stats.outputs_written,
+            12,
+            "seed {seed}"
+        );
+        assert_eq!(frames, stats.outputs_written, "seed {seed}");
+        assert_eq!(raw_files, stats.outputs_written, "seed {seed}");
+        assert!(
+            stats.injected_io_failures > 0,
+            "seed {seed}: the plan must bite"
+        );
+        assert_eq!(digest.len(), 16);
     }
 }
 
@@ -260,7 +312,7 @@ proptest! {
         );
         let scenario = FaultScenario::with_plan(plan);
         let out = with_watchdog(move || {
-            run_native_faulted(&NativeConfig::tiny(), &scenario)
+            run_native_faulted(&NativeConfig::tiny(), PipelineKind::InSitu, &scenario)
         });
         // However many frames survive, the index and the image set agree.
         prop_assert_eq!(out.report.frames as usize, out.report.cinema.entries().len());

@@ -31,16 +31,19 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use common::{frames_line, Golden};
-use ivis_core::adaptive::run_native_adaptive;
-use ivis_core::native::{run_native_insitu_at, NativeConfig};
-use ivis_fault::FaultScenario;
+use ivis_core::native::{execute, NativeConfig, NativePlan};
+use ivis_core::PipelineKind;
 use ivis_obs::Recorder;
 use ivis_trigger::TriggerConfig;
 use rayon::prelude::*;
 
 /// One run with two frames in flight, held to the golden.
 fn run_matches_golden(cfg: &NativeConfig, golden: &Golden) {
-    let r = run_native_insitu_at(cfg, 2, &FaultScenario::none(), &Recorder::off()).report;
+    let plan = NativePlan {
+        depth: 2,
+        ..NativePlan::new(cfg.clone(), PipelineKind::InSitu)
+    };
+    let r = execute(&plan, &Recorder::off()).unwrap().report;
     golden.check(
         "native/stress/frames",
         &frames_line(&r.cinema, &r.tracks, &r.final_census),
@@ -106,9 +109,12 @@ fn annotated_pipelined_runs_neither_panic_nor_hang() {
         // Adaptive, same shape: five candidates scored under each of the
         // analyses in flight (default depth: two or more on any multi-core
         // host).
-        let tc = TriggerConfig::new(1, 5);
+        let adaptive = NativePlan {
+            trigger: Some(TriggerConfig::new(1, 5)),
+            ..NativePlan::new(cfg.clone(), PipelineKind::InSitu)
+        };
         for _ in 0..100 {
-            let digest = run_native_adaptive(&cfg, &tc).digest();
+            let digest = execute(&adaptive, &Recorder::off()).unwrap().digest();
             golden.check("adaptive/stress/digest", &digest);
         }
         rayon::set_num_threads(0);

@@ -1,8 +1,18 @@
 //! Cross-crate end-to-end tests on the native (really-executing) backend:
 //! the pipelines produce real PNGs, real ncdf files, and identical science.
 
-use insitu_vis::pipeline::native::{run_native_insitu, run_native_postproc, NativeConfig};
+use insitu_vis::pipeline::native::{execute, NativeConfig, NativePlan, NativeReport};
+use insitu_vis::pipeline::PipelineKind;
 use insitu_vis::viz::png::{crc32, PNG_SIGNATURE};
+use ivis_obs::Recorder;
+
+/// A clean, untraced run of `kind` on [`cfg`].
+fn run(kind: PipelineKind) -> NativeReport {
+    let plan = NativePlan::new(cfg(), kind);
+    execute(&plan, &Recorder::off())
+        .expect("a valid plan")
+        .report
+}
 
 fn cfg() -> NativeConfig {
     NativeConfig {
@@ -23,8 +33,8 @@ fn cfg() -> NativeConfig {
 fn cognitive_fidelity_identical_images_and_tracks() {
     // The in-situ pipeline must not lose information relative to
     // post-processing: identical PNGs, identical censuses and tracks.
-    let a = run_native_insitu(&cfg());
-    let b = run_native_postproc(&cfg());
+    let a = run(PipelineKind::InSitu);
+    let b = run(PipelineKind::PostProcessing);
     assert_eq!(a.frames, 4);
     assert_eq!(a.frames, b.frames);
     for (ea, eb) in a.cinema.entries().iter().zip(b.cinema.entries()) {
@@ -39,7 +49,7 @@ fn cognitive_fidelity_identical_images_and_tracks() {
 
 #[test]
 fn produced_pngs_are_structurally_valid() {
-    let report = run_native_insitu(&cfg());
+    let report = run(PipelineKind::InSitu);
     for entry in report.cinema.entries() {
         let data = &entry.data;
         assert_eq!(&data[..8], &PNG_SIGNATURE, "{}", entry.filename);
@@ -62,7 +72,7 @@ fn produced_pngs_are_structurally_valid() {
 
 #[test]
 fn cinema_database_round_trips_through_disk() {
-    let report = run_native_insitu(&cfg());
+    let report = run(PipelineKind::InSitu);
     let dir = std::env::temp_dir().join(format!("ivis_e2e_{}", std::process::id()));
     report.cinema.export_to_dir(&dir).expect("writable tmp");
     let index = std::fs::read_to_string(dir.join("info.json")).expect("index exists");
@@ -76,8 +86,8 @@ fn cinema_database_round_trips_through_disk() {
 
 #[test]
 fn storage_asymmetry_matches_paper_shape() {
-    let a = run_native_insitu(&cfg());
-    let b = run_native_postproc(&cfg());
+    let a = run(PipelineKind::InSitu);
+    let b = run(PipelineKind::PostProcessing);
     // Raw f64 fields for a 48×32 grid: 4 vars × 12 KiB ≈ 49 KB per frame
     // plus a small header; the raw stream exists only for post-processing.
     assert_eq!(a.raw_bytes, 0);
@@ -97,7 +107,7 @@ fn eddies_survive_simulation() {
     // The seeded eddies must still be detected after the full run — the
     // solver keeps them coherent (the paper's premise that eddies live for
     // hundreds of days).
-    let report = run_native_insitu(&cfg());
+    let report = run(PipelineKind::InSitu);
     assert!(report.final_census.count >= 1);
     let long_tracks = report
         .tracks

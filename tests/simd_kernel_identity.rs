@@ -8,8 +8,8 @@
 
 mod common;
 
-use ivis_core::native::{run_native_insitu_at, NativeConfig};
-use ivis_fault::FaultScenario;
+use ivis_core::native::{execute, NativeConfig, NativePlan};
+use ivis_core::PipelineKind;
 use ivis_obs::Recorder;
 
 /// The depth-k frame pipeline reproduces the sequential loop's goldens —
@@ -24,8 +24,11 @@ fn frame_pipeline_identity_across_depths_and_threads() {
     for threads in [1, 2, 8] {
         rayon::set_num_threads(threads);
         for depth in [1, 2, 4] {
-            let r = run_native_insitu_at(&cfg, depth, &FaultScenario::none(), &Recorder::off());
-            let r = r.report;
+            let plan = NativePlan {
+                depth,
+                ..NativePlan::new(cfg.clone(), PipelineKind::InSitu)
+            };
+            let r = execute(&plan, &Recorder::off()).unwrap().report;
             golden.check(
                 "native/tiny-annotate/frames",
                 &common::frames_line(&r.cinema, &r.tracks, &r.final_census),
