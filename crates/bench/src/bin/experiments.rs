@@ -17,12 +17,53 @@ use std::env;
 use ivis_bench::*;
 use ivis_core::native::{execute, NativeConfig, NativePlan, NativeReport};
 use ivis_core::PipelineKind;
-use ivis_model::MeasuredRate;
+use ivis_eddy::census::track_census;
+use ivis_eddy::features::extract_features;
+use ivis_eddy::metrics::{sampling_sweep, DetectionSequence};
+use ivis_eddy::segment::segment_eddies;
+use ivis_model::sensitivity::elasticities;
+use ivis_model::uncertainty::{bootstrap_calibration, bootstrap_prediction};
+use ivis_model::{MeasuredRate, WhatIfAnalyzer};
 use ivis_obs::Recorder;
+use ivis_ocean::okubo_weiss::okubo_weiss;
+use ivis_ocean::vortex::seed_random_eddies;
+use ivis_ocean::{Grid, ProblemSpec, SamplingRate, ShallowWaterModel, SwParams};
+use ivis_power::units::Joules;
 use ivis_sim::SimTime;
 use ivis_storage::layout::StripeLayout;
 use ivis_storage::pfs::PfsConfig;
-use ivis_storage::ParallelFileSystem;
+use ivis_storage::{ParallelFileSystem, PfsError};
+
+const USAGE: &str = "usage: experiments [all|fig2..fig10|eq5|proportionality|ablations|extensions|csv [dir]|intransit|fault|native|adaptive|trace [insitu|post] [hours]|power-trace [insitu|post] [hours]|table1]";
+
+/// Print `msg` and the usage line, then exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The `[insitu|post] [hours]` arguments of `trace` and `power-trace`:
+/// in-situ and `default_hours` when absent. An unknown kind, or an
+/// interval that is not a positive, finite number of hours, is an error.
+fn parse_kind_hours(args: &[String], default_hours: f64) -> Result<(PipelineKind, f64), String> {
+    let kind = match args.first().map(String::as_str) {
+        None | Some("insitu") => PipelineKind::InSitu,
+        Some("post") => PipelineKind::PostProcessing,
+        Some(other) => return Err(format!("unknown pipeline kind: {other}")),
+    };
+    let hours = match args.get(1) {
+        None => default_hours,
+        Some(arg) => arg
+            .parse::<f64>()
+            .ok()
+            .filter(|h| *h > 0.0 && h.is_finite())
+            .ok_or_else(|| {
+                format!("sampling interval must be a positive number of hours: {arg}")
+            })?,
+    };
+    Ok((kind, hours))
+}
 
 /// A clean, untraced native run of `kind` on `cfg`.
 fn native_run(cfg: &NativeConfig, kind: PipelineKind) -> NativeReport {
@@ -51,6 +92,14 @@ fn fig2() {
         report.image_bytes,
         report.final_census.count,
         report.final_census.mean_radius_m / 1_000.0
+    );
+    let census = track_census(&report.tracks, cfg.nx as f64 * cfg.cell_m);
+    println!(
+        "  tracks: {} total; mean lifetime {:.1} frames (max {}), mean path {:.0} km",
+        census.count,
+        census.mean_lifetime_frames,
+        census.max_lifetime_frames,
+        census.mean_path_m / 1_000.0
     );
     let out = env::temp_dir().join("ivis_fig2_cinema");
     report
@@ -97,8 +146,33 @@ fn fig7() {
 
 fn eq5() {
     banner("Eq. 5 — model calibration from three measured configs");
-    let (_, rows) = eq5_calibration();
+    let (model, pts, rows) = eq5_calibration();
     print_rows(&rows);
+    let iter = ProblemSpec::paper_60km().total_steps();
+    let u = bootstrap_calibration(&pts, iter, 0.003, 500, 0.95, 7);
+    println!(
+        "  95 % bootstrap intervals under 0.3 % meter noise ({} replicates):",
+        u.replicates
+    );
+    println!(
+        "    t_sim [{:.1}, {:.1}] s | alpha [{:.2}, {:.2}] s/GB | beta [{:.3}, {:.3}] s/image",
+        u.t_sim.lo, u.t_sim.hi, u.alpha.lo, u.alpha.hi, u.beta.lo, u.beta.hi
+    );
+    let iv = bootstrap_prediction(&pts, iter, 0.003, 500, 0.95, 11, iter, 230.0, 540.0);
+    println!(
+        "    predicted post @ 8 h: {:.0} s in [{:.0}, {:.0}] s",
+        iv.point, iv.lo, iv.hi
+    );
+    println!("  elasticities (share of predicted time):");
+    for (label, s_gb, n) in [("post @ 8 h", 230.0, 540.0), ("in-situ @ 8 h", 0.6, 540.0)] {
+        let e = elasticities(&model, iter, s_gb, n);
+        println!(
+            "    {label:<13} | t_sim {:>3.0} % | alpha {:>3.0} % | beta {:>3.0} %",
+            e.t_sim * 100.0,
+            e.alpha * 100.0,
+            e.beta * 100.0
+        );
+    }
 }
 
 fn fig8() {
@@ -127,6 +201,29 @@ fn fig9() {
         println!("  {h:>9.0} | {post:>12.3} | {insitu:>10.6}");
     }
     println!("{}", crossover.render());
+    let (written, outputs) = rack_fill();
+    println!(
+        "  daily raw outputs on the 7.7 TB rack: full after {written} of {outputs} \
+         (~{:.1} simulated years)",
+        written as f64 / 365.0
+    );
+}
+
+/// Write the 100-year run's daily raw outputs to the simulated Lustre rack
+/// until it refuses one: `(outputs written, outputs scheduled)`.
+fn rack_fill() -> (u64, u64) {
+    let spec = ProblemSpec::paper_100yr();
+    let outputs = spec.num_outputs(SamplingRate::daily());
+    let mut fs = ParallelFileSystem::caddy_lustre();
+    let mut now = SimTime::ZERO;
+    for k in 0..outputs {
+        match fs.write(now, &format!("/raw/out_{k:06}.nc"), spec.raw_output_bytes()) {
+            Ok(done) => now = done,
+            Err(PfsError::NoSpace { .. }) => return (k, outputs),
+            Err(e) => panic!("a healthy rack fails only on space: {e}"),
+        }
+    }
+    (outputs, outputs)
 }
 
 fn fig10() {
@@ -137,6 +234,21 @@ fn fig10() {
         println!("  {h:>9.0} | {post:>12.1} | {insitu:>10.1}");
     }
     print_rows(&rows);
+    let a = WhatIfAnalyzer::paper();
+    let spec = ProblemSpec::paper_100yr();
+    println!("  budget (GJ) | post-proc max rate | in-situ max rate");
+    for budget_gj in [60.0, 100.0, 200.0] {
+        let budget = Joules(budget_gj * 1e9);
+        let every = |kind| match a.max_rate_under_energy_budget(kind, &spec, budget) {
+            Some(h) if h.is_finite() => format!("every {h:.1} h"),
+            _ => "infeasible".to_string(),
+        };
+        println!(
+            "  {budget_gj:>11.0} | {:>18} | {:>16}",
+            every(PipelineKind::PostProcessing),
+            every(PipelineKind::InSitu)
+        );
+    }
 }
 
 fn proportionality() {
@@ -179,6 +291,48 @@ fn extensions() {
     println!("  nodes | in-situ energy saving (%) | post avg power (kW)");
     for (nodes, saving, kw) in extension_scaling_rows() {
         println!("  {nodes:>5} | {saving:>25.1} | {kw:>18.2}");
+    }
+    tracking_fidelity();
+}
+
+/// Detect eddies densely on the native solver, then re-track at coarser
+/// temporal strides: how much of the census a lower sampling rate loses.
+fn tracking_fidelity() {
+    banner("Extension — eddy-tracking fidelity vs temporal stride (native solver)");
+    let grid = Grid::channel(96, 64, 60_000.0);
+    let mut model = ShallowWaterModel::new(grid.clone(), SwParams::eddy_channel(&grid));
+    seed_random_eddies(&mut model, 8, 321);
+    // 120 detections 34 steps (≈ 2 simulated hours) apart: long enough for
+    // the β-plane drift to move cores by whole cells between coarse samples.
+    let steps_per_frame = 34;
+    let detections: DetectionSequence = (0..120)
+        .map(|_| {
+            model.run(steps_per_frame);
+            let (uc, vc) = model.centered_velocities();
+            let w = okubo_weiss(model.grid(), &uc, &vc);
+            extract_features(model.grid(), &w, &segment_eddies(&w, 0.2, 3))
+        })
+        .collect();
+    let gate = grid.dx; // one cell: tight enough to expose coarse sampling
+    println!(
+        "  {} frames every {:.1} simulated hours, {:.1} eddies per frame, gate {:.0} km",
+        detections.len(),
+        steps_per_frame as f64 * model.params().dt / 3600.0,
+        detections.iter().map(Vec::len).sum::<usize>() as f64 / detections.len() as f64,
+        gate / 1_000.0
+    );
+    println!("  stride | frames kept | tracks | track ratio | mean hop (km) | hop/gate");
+    let strides = [1, 2, 5, 10, 20, 30];
+    for q in sampling_sweep(&detections, &strides, gate, 1, grid.extent().0) {
+        println!(
+            "  {:>6} | {:>11} | {:>6} | {:>11.2} | {:>13.1} | {:>8.2}",
+            q.stride,
+            detections.len().div_ceil(q.stride),
+            q.tracks,
+            q.fragmentation,
+            q.mean_hop_m / 1_000.0,
+            q.mean_hop_m / gate
+        );
     }
 }
 
@@ -307,16 +461,10 @@ fn adaptive() {
     println!("  gate: {}", c.gate_summary());
 }
 
-fn trace(args: &[String]) {
+fn trace(kind: PipelineKind, hours: f64) {
     use ivis_bench::obs_export::{config_label, render_trace_summary, trace_jsonl, traced_run};
     use ivis_cluster::IoWaitPolicy;
-    use ivis_core::PipelineKind;
 
-    let kind = match args.first().map(String::as_str) {
-        Some("post") => PipelineKind::PostProcessing,
-        _ => PipelineKind::InSitu,
-    };
-    let hours: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(72.0);
     banner(&format!(
         "Trace — {} @ {hours} h, busy-wait vs deep-idle (§VIII ablation)",
         kind.label()
@@ -347,16 +495,10 @@ fn trace(args: &[String]) {
     println!("  busy-wait policy spends compute energy during I/O phases.");
 }
 
-fn power_trace(args: &[String]) {
+fn power_trace(kind: PipelineKind, hours: f64) {
     use ivis_core::campaign::Campaign;
-    use ivis_core::PipelineKind;
     use ivis_obs::telemetry::paper_cadence;
 
-    let kind = match args.first().map(String::as_str) {
-        Some("post") => PipelineKind::PostProcessing,
-        _ => PipelineKind::InSitu,
-    };
-    let hours: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8.0);
     banner(&format!(
         "Power trace — {} @ {hours} h, per-minute PDU view (paper cadence)",
         kind.label()
@@ -446,8 +588,16 @@ fn main() {
         "fault" => fault(),
         "native" => native(),
         "adaptive" => adaptive(),
-        "trace" => trace(&args[1..]),
-        "power-trace" => power_trace(&args[1..]),
+        "trace" => {
+            let (kind, hours) =
+                parse_kind_hours(&args[1..], 72.0).unwrap_or_else(|e| usage_error(&e));
+            trace(kind, hours);
+        }
+        "power-trace" => {
+            let (kind, hours) =
+                parse_kind_hours(&args[1..], 8.0).unwrap_or_else(|e| usage_error(&e));
+            power_trace(kind, hours);
+        }
         "table1" => table1(),
         "all" => {
             table1();
@@ -469,12 +619,40 @@ fn main() {
             native();
             adaptive();
         }
-        other => {
-            eprintln!("unknown experiment: {other}");
-            eprintln!(
-                "usage: experiments [all|fig2..fig10|eq5|proportionality|ablations|extensions|csv [dir]|intransit|fault|native|adaptive|trace [insitu|post] [hours]|power-trace [insitu|post] [hours]|table1]"
-            );
-            std::process::exit(2);
+        other => usage_error(&format!("unknown experiment: {other}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(PipelineKind, f64), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_kind_hours(&args, 72.0)
+    }
+
+    #[test]
+    fn absent_arguments_default_to_insitu_and_the_default_interval() {
+        assert_eq!(parse(&[]), Ok((PipelineKind::InSitu, 72.0)));
+        assert_eq!(parse(&["post"]), Ok((PipelineKind::PostProcessing, 72.0)));
+        assert_eq!(parse(&["insitu", "24"]), Ok((PipelineKind::InSitu, 24.0)));
+        assert_eq!(
+            parse(&["post", "0.5"]),
+            Ok((PipelineKind::PostProcessing, 0.5))
+        );
+    }
+
+    #[test]
+    fn unknown_kind_is_an_error() {
+        assert!(parse(&["sideways"]).is_err());
+        assert!(parse(&["sideways", "8"]).is_err());
+    }
+
+    #[test]
+    fn unparsable_or_non_positive_intervals_are_errors() {
+        for bad in ["abc", "", "0", "-5", "inf", "-inf", "NaN"] {
+            assert!(parse(&["post", bad]).is_err(), "{bad:?} accepted");
         }
     }
 }

@@ -38,7 +38,7 @@ fn spun_up_model(grid: Grid, warmup_steps: u64) -> ShallowWaterModel {
 fn main() {
     let mut bench = Bench::from_args("native");
 
-    // --- solver: zero-alloc laned steps/sec ---
+    // --- solver: zero-alloc row-slice steps/sec ---
     // The paper-analogue grid (256×128 of 60 km cells), spun up so the
     // stencils see real eddies.
     let (nx, ny) = (256usize, 128usize);

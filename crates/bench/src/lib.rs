@@ -200,24 +200,23 @@ pub fn fig7_rows() -> Vec<Row> {
 
 /// Eq. 5 — calibrate the model from our own three measured configurations
 /// (in-situ @72 h, in-situ @8 h, post @24 h) and compare the constants
-/// against the paper's (603, 6.3, 1.2).
-pub fn eq5_calibration() -> (PerfModel, Vec<Row>) {
+/// against the paper's (603, 6.3, 1.2). Also returns the three measured
+/// points, which the bootstrap intervals resample.
+pub fn eq5_calibration() -> (PerfModel, [CalibrationPoint; 3], Vec<Row>) {
     let spec = ProblemSpec::paper_60km();
     let campaign = Campaign::paper_noisy(2017);
-    let pts: Vec<CalibrationPoint> = [
+    let pts = [
         (PipelineKind::InSitu, 72.0),
         (PipelineKind::InSitu, 8.0),
         (PipelineKind::PostProcessing, 24.0),
     ]
-    .iter()
-    .map(|&(kind, h)| {
+    .map(|(kind, h)| {
         let m = campaign.run(&PipelineConfig::paper(kind, h));
         let (t, s, n) = model_point(&m);
         CalibrationPoint::new(t, s, n)
-    })
-    .collect();
-    let model = calibrate_exact(&[pts[0], pts[1], pts[2]], spec.total_steps())
-        .expect("paper points are well-conditioned");
+    });
+    let model =
+        calibrate_exact(&pts, spec.total_steps()).expect("paper points are well-conditioned");
     let rows = vec![
         Row {
             label: "t_sim (s)".into(),
@@ -238,12 +237,12 @@ pub fn eq5_calibration() -> (PerfModel, Vec<Row>) {
             unit: "s/im",
         },
     ];
-    (model, rows)
+    (model, pts, rows)
 }
 
 /// Fig. 8 — validate the Eq. 5 model against all six noisy measurements.
 pub fn fig8_validation() -> ValidationReport {
-    let (model, _) = eq5_calibration();
+    let (model, _, _) = eq5_calibration();
     let pts: Vec<CalibrationPoint> = Campaign::paper_noisy(8086)
         .run_paper_matrix()
         .iter()
@@ -606,7 +605,7 @@ mod tests {
 
     #[test]
     fn eq5_recovers_paper_constants() {
-        let (model, rows) = eq5_calibration();
+        let (model, _, rows) = eq5_calibration();
         assert!((model.t_sim_ref - 603.0).abs() < 8.0);
         assert!((model.alpha - 6.3).abs() < 0.3);
         assert!((model.beta - 1.2).abs() < 0.1);

@@ -1,11 +1,9 @@
 //! InfiniBand QDR interconnect cost model.
 //!
-//! A latency–bandwidth (Hockney) model plus standard collective cost
-//! formulas. Used by the ocean proxy's cost model to account for halo
-//! exchanges and by the storage client for data shipping to the I/O nodes.
-//! [`SharedLink`] layers FIFO queueing on top for paths where multiple
-//! in-flight transfers contend for the same aggregate bandwidth (the
-//! compute→staging hand-off of the in-transit pipeline).
+//! A latency–bandwidth (Hockney) model. [`SharedLink`] layers FIFO
+//! queueing on top for paths where multiple in-flight transfers contend
+//! for the same aggregate bandwidth (the compute→staging hand-off of the
+//! in-transit pipeline).
 
 use ivis_sim::{SimDuration, SimTime};
 
@@ -31,33 +29,6 @@ impl Interconnect {
     /// Time to move `bytes` point-to-point.
     pub fn ptp_time(&self, bytes: u64) -> SimDuration {
         self.latency + SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bps)
-    }
-
-    /// Recursive-doubling allreduce of `bytes` across `ranks` processes:
-    /// `⌈log2 p⌉ · (latency + n/bw)` (each round moves the full payload).
-    pub fn allreduce_time(&self, bytes: u64, ranks: usize) -> SimDuration {
-        assert!(ranks > 0, "allreduce needs at least one rank");
-        if ranks == 1 {
-            return SimDuration::ZERO;
-        }
-        let rounds = (ranks as f64).log2().ceil() as u64;
-        (self.latency + SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bps)) * rounds
-    }
-
-    /// Nearest-neighbor halo exchange: each rank sends/receives `bytes` to
-    /// `neighbors` peers; exchanges to distinct peers overlap, so the cost is
-    /// one message time (conservatively, the slowest single exchange) —
-    /// unless the fabric serializes, in which case multiply by `neighbors`.
-    pub fn halo_exchange_time(&self, bytes_per_neighbor: u64, neighbors: usize) -> SimDuration {
-        if neighbors == 0 {
-            return SimDuration::ZERO;
-        }
-        // Send and receive overlap on a full-duplex fabric; the per-neighbor
-        // messages are pipelined, costing one latency plus total volume.
-        self.latency
-            + SimDuration::from_secs_f64(
-                (bytes_per_neighbor as f64 * neighbors as f64) / self.bandwidth_bps,
-            )
     }
 }
 
@@ -189,36 +160,6 @@ mod tests {
     fn zero_bytes_costs_latency_only() {
         let net = Interconnect::ib_qdr();
         assert_eq!(net.ptp_time(0), net.latency);
-    }
-
-    #[test]
-    fn allreduce_log_scaling() {
-        let net = Interconnect::ib_qdr();
-        let t2 = net.allreduce_time(1 << 20, 2);
-        let t1024 = net.allreduce_time(1 << 20, 1024);
-        assert!((t1024.as_secs_f64() / t2.as_secs_f64() - 10.0).abs() < 0.01);
-        assert_eq!(net.allreduce_time(1 << 20, 1), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn allreduce_non_power_of_two_rounds_up() {
-        let net = Interconnect::ib_qdr();
-        assert_eq!(net.allreduce_time(100, 5), net.allreduce_time(100, 8));
-    }
-
-    #[test]
-    fn halo_exchange_overlaps() {
-        let net = Interconnect::ib_qdr();
-        let t = net.halo_exchange_time(1 << 20, 4);
-        // 4 MB total at 3.2 GB/s ≈ 1.31 ms.
-        assert!((t.as_secs_f64() - 4.0 * (1 << 20) as f64 / 3.2e9).abs() < 1e-4);
-        assert_eq!(net.halo_exchange_time(1 << 20, 0), SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one rank")]
-    fn allreduce_zero_ranks_rejected() {
-        let _ = Interconnect::ib_qdr().allreduce_time(1, 0);
     }
 
     #[test]

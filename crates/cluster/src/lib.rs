@@ -11,8 +11,8 @@
 //!   component-utilization signatures, including the **busy-wait vs deep-idle
 //!   I/O policy** that decides whether power stays flat (the paper's
 //!   observation) or drops (the paper's §VIII hypothetical).
-//! * [`interconnect`] — an InfiniBand QDR cost model (bandwidth/latency,
-//!   collectives).
+//! * [`interconnect`] — an InfiniBand QDR cost model (bandwidth/latency)
+//!   and the FIFO shared link the in-transit hand-off contends on.
 //! * [`machine`] — the instrumented machine: applies phase loads to nodes,
 //!   drives the per-cage meters, and produces cluster-level power profiles.
 //! * [`straggler`] — per-node slowdown tracking for fault injection: under

@@ -28,6 +28,10 @@
 //!   nodes × queue depth × compression ratio), measured and predicted.
 //! * [`validate`] — model-vs-measurement error reporting (Fig. 8).
 //! * [`whatif`] — the §VII scenario engine (Figs. 9 & 10, budget solvers).
+//! * [`sensitivity`] and [`uncertainty`] — elasticities of the calibrated
+//!   model and parametric-bootstrap intervals on its constants.
+//! * [`tradeoff`] — the cheapest pipeline and rate under storage, time
+//!   and energy limits.
 //! * [`query`] — canonical, memoizable what-if keys and the pure
 //!   evaluator behind the `ivis-serve` query service.
 

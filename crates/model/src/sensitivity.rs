@@ -4,10 +4,7 @@
 //! *which knob matters*: if α (storage bandwidth) improved 2×, how much
 //! faster does post-processing get? If β (render cost) doubled, does in-situ
 //! still win? This module computes elasticities — the relative change of the
-//! predicted time per relative change of each parameter — and break-even
-//! points between the pipelines.
-
-use rayon::prelude::*;
+//! predicted time per relative change of each parameter.
 
 use crate::perf::PerfModel;
 
@@ -36,84 +33,6 @@ pub fn elasticities(model: &PerfModel, iter: u64, s_gb: f64, n: f64) -> Elastici
     }
 }
 
-/// The α (s/GB) at which post-processing matches in-situ execution time,
-/// holding everything else fixed. Post-processing writes `s_post_gb`,
-/// in-situ writes `s_insitu_gb`; both render `n` images. Returns `None` if
-/// no positive α achieves the break-even (in-situ always/never wins).
-pub fn alpha_breakeven(
-    model: &PerfModel,
-    iter: u64,
-    s_post_gb: f64,
-    s_insitu_gb: f64,
-    n: f64,
-) -> Option<f64> {
-    // t_post(α) − t_insitu(α) = α·(s_post − s_insitu); both also share
-    // t_sim and β·n, so they are equal only when α·Δs = 0.
-    // The interesting break-even is against a *different* in-situ β or extra
-    // in-situ work; with the shared-β model the difference is α·Δs, which is
-    // zero only at α = 0.
-    let _ = (model, iter, n);
-    let ds = s_post_gb - s_insitu_gb;
-    if ds.abs() < 1e-12 {
-        None
-    } else {
-        Some(0.0)
-    }
-}
-
-/// More useful break-even: the per-output raw size (GB) below which
-/// post-processing beats in-situ *given an in-situ rendering overhead*
-/// `insitu_extra_beta` (s/image) that post-processing does not pay (e.g.
-/// tightly-coupled rendering slowing the simulation).
-pub fn raw_size_breakeven_gb(model: &PerfModel, insitu_extra_beta: f64) -> f64 {
-    assert!(insitu_extra_beta >= 0.0, "overhead must be non-negative");
-    // Per output: post pays α·raw, in-situ pays extra_beta. Equal when
-    // raw = extra_beta / α.
-    insitu_extra_beta / model.alpha
-}
-
-/// Elasticities over a grid of `(s_gb, n)` workload points — the
-/// sensitivity analogue of the what-if curves, one entry per point in
-/// input order. Points are independent, so the grid evaluates in parallel.
-pub fn elasticity_grid(model: &PerfModel, iter: u64, points: &[(f64, f64)]) -> Vec<Elasticities> {
-    points
-        .par_iter()
-        .map(|&(s_gb, n)| elasticities(model, iter, s_gb, n))
-        .collect()
-}
-
-/// `perturb_alpha` over a grid of scale factors, in input order — how the
-/// predicted time responds as storage bandwidth degrades or improves.
-/// Returns `(factor, exact, first_order)` triples, evaluated in parallel.
-pub fn alpha_perturbation_grid(
-    model: &PerfModel,
-    iter: u64,
-    s_gb: f64,
-    n: f64,
-    factors: &[f64],
-) -> Vec<(f64, f64, f64)> {
-    factors
-        .par_iter()
-        .map(|&factor| {
-            let (exact, first_order) = perturb_alpha(model, iter, s_gb, n, factor);
-            (factor, exact, first_order)
-        })
-        .collect()
-}
-
-/// Finite-difference check of the model's linearity: predicted time after
-/// scaling a parameter by `factor` versus the elasticity-based first-order
-/// estimate. Returns `(exact, first_order)` for testing and documentation.
-pub fn perturb_alpha(model: &PerfModel, iter: u64, s_gb: f64, n: f64, factor: f64) -> (f64, f64) {
-    let base = model.predict_seconds(iter, s_gb, n);
-    let mut scaled = *model;
-    scaled.alpha *= factor;
-    let exact = scaled.predict_seconds(iter, s_gb, n);
-    let el = elasticities(model, iter, s_gb, n);
-    let first_order = base * (1.0 + el.alpha * (factor - 1.0));
-    (exact, first_order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,53 +52,6 @@ mod tests {
         let e = elasticities(&m, 8640, 0.6, 540.0);
         assert!(e.alpha < 0.01, "storage barely matters in-situ: {e:?}");
         assert!(e.beta > 0.4);
-    }
-
-    #[test]
-    fn alpha_perturbation_is_exactly_first_order() {
-        // The model is linear in α, so the first-order estimate is exact.
-        let m = PerfModel::paper();
-        let (exact, fo) = perturb_alpha(&m, 8640, 80.0, 180.0, 2.0);
-        assert!((exact - fo).abs() < 1e-9);
-        // Doubling α adds exactly α·S seconds.
-        let base = m.predict_seconds(8640, 80.0, 180.0);
-        assert!((exact - base - 6.3 * 80.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn grids_match_pointwise_calls() {
-        let m = PerfModel::paper();
-        let points: Vec<(f64, f64)> = (1..40).map(|i| (i as f64 * 7.3, i as f64 * 11.0)).collect();
-        let grid = elasticity_grid(&m, 8640, &points);
-        assert_eq!(grid.len(), points.len());
-        for (e, &(s, n)) in grid.iter().zip(&points) {
-            assert_eq!(*e, elasticities(&m, 8640, s, n));
-        }
-        let factors: Vec<f64> = (1..30).map(|i| 0.25 * i as f64).collect();
-        let pg = alpha_perturbation_grid(&m, 8640, 80.0, 180.0, &factors);
-        for (row, &f) in pg.iter().zip(&factors) {
-            let (exact, fo) = perturb_alpha(&m, 8640, 80.0, 180.0, f);
-            assert_eq!(*row, (f, exact, fo));
-        }
-    }
-
-    #[test]
-    fn raw_size_breakeven() {
-        let m = PerfModel::paper();
-        // If in-situ rendering cost 0.63 s/image extra, post-processing wins
-        // whenever a raw output is under 0.1 GB.
-        let b = raw_size_breakeven_gb(&m, 0.63);
-        assert!((b - 0.1).abs() < 1e-9);
-        // The paper's raw outputs are 0.426 GB ⇒ in-situ wins there.
-        assert!(0.426 > b);
-        assert_eq!(raw_size_breakeven_gb(&m, 0.0), 0.0);
-    }
-
-    #[test]
-    fn alpha_breakeven_degenerate() {
-        let m = PerfModel::paper();
-        assert_eq!(alpha_breakeven(&m, 8640, 80.0, 80.0, 180.0), None);
-        assert_eq!(alpha_breakeven(&m, 8640, 80.0, 0.2, 180.0), Some(0.0));
     }
 
     #[test]

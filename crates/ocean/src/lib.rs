@@ -13,7 +13,7 @@
 //!   (β-plane).
 //! * [`shallow_water`] — the solver: forward–backward time stepping of the
 //!   rotating shallow-water equations with bottom drag and wind forcing,
-//!   mass-conserving by construction.
+//!   mass-conserving by construction, allocation-free row-slice kernels.
 //! * [`vortex`] — seeding of geostrophically balanced Gaussian eddies.
 //! * [`mod@okubo_weiss`] — the W = s_n² + s_s² − ω² diagnostic the paper
 //!   visualizes (negative W = rotation-dominated = eddy core).
@@ -33,7 +33,6 @@ pub mod grid;
 pub mod okubo_weiss;
 pub mod problem;
 pub mod shallow_water;
-pub mod synthetic;
 pub mod vortex;
 
 pub use field::Field2D;

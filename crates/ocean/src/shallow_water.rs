@@ -28,17 +28,9 @@
 //! original allocating implementation — kept verbatim as the test oracle
 //! `step_reference` — in the same order, so the two paths are bit-identical
 //! (see the `fast_step_matches_reference_bitwise` test and its proptest)
-//! and all downstream goldens are preserved.
-//!
-//! The interior row loops additionally run four cells per [`F64x4`] lane
-//! step with scalar tails. Lane arithmetic is elementwise and unfused, and
-//! each laned loop evaluates the reference's per-cell expression tree with
-//! the same parenthesization (loop-invariant factors like `dt·H` are
-//! hoisted only where the scalar code already associates them together), so
-//! bit-identity is preserved — the determinism rules are spelled out in
-//! DESIGN.md §8.
+//! and all downstream goldens are preserved. The interior loops stay
+//! scalar: a four-wide laned form measured no faster (DESIGN.md §8).
 
-use ivis_lanes::F64x4;
 use rayon::prelude::*;
 
 use crate::field::Field2D;
@@ -215,27 +207,10 @@ impl ShallowWaterModel {
                 let v_s = &v[row..row + nx];
                 let v_n = &v[row + nx..row + 2 * nx];
                 let out_row = &mut out[row..row + nx];
-                // Interior: the east u-face of cell i is u[i+1]. Four cells
-                // per lane step (`dt * depth * div` left-associates, so the
-                // hoisted `dt·depth` splat performs the identical float ops).
-                let dxv = F64x4::splat(dx);
-                let dyv = F64x4::splat(dy);
-                let dtd = F64x4::splat(dt * depth);
-                let mut i = 0;
-                while i + 5 <= nx {
-                    let u0 = F64x4::from_slice(&u_row[i..]);
-                    let u1 = F64x4::from_slice(&u_row[i + 1..]);
-                    let vs = F64x4::from_slice(&v_s[i..]);
-                    let vn = F64x4::from_slice(&v_n[i..]);
-                    let h0 = F64x4::from_slice(&h_row[i..]);
-                    let div = (u1 - u0) / dxv + (vn - vs) / dyv;
-                    (h0 - dtd * div).write_to(&mut out_row[i..]);
-                    i += 4;
-                }
-                while i < nx - 1 {
+                // Interior: the east u-face of cell i is u[i+1].
+                for i in 0..nx - 1 {
                     let div = (u_row[i + 1] - u_row[i]) / dx + (v_n[i] - v_s[i]) / dy;
                     out_row[i] = h_row[i] - dt * depth * div;
-                    i += 1;
                 }
                 // Periodic east column: the east face wraps to u[0].
                 let i = nx - 1;
@@ -266,37 +241,12 @@ impl ShallowWaterModel {
                     let u0 = u_row[0];
                     out_row[0] = u0 + dt * (f * vbar - g * dhdx - drag * u0 + wind);
                 }
-                // Interior: the west neighbor of face i is i−1. Four faces
-                // per lane step; the row-constant splats (f, wind, …) feed
-                // the same left-associated expression tree as the scalars.
-                let quarter = F64x4::splat(0.25);
-                let dxv = F64x4::splat(dx);
-                let dtv = F64x4::splat(dt);
-                let fv = F64x4::splat(f);
-                let gv = F64x4::splat(g);
-                let dragv = F64x4::splat(drag);
-                let windv = F64x4::splat(wind);
-                let mut i = 1;
-                while i + 4 <= nx {
-                    let vs_w = F64x4::from_slice(&v_s[i - 1..]);
-                    let vs_c = F64x4::from_slice(&v_s[i..]);
-                    let vn_w = F64x4::from_slice(&v_n[i - 1..]);
-                    let vn_c = F64x4::from_slice(&v_n[i..]);
-                    let h_w = F64x4::from_slice(&h_row[i - 1..]);
-                    let h_c = F64x4::from_slice(&h_row[i..]);
-                    let u0 = F64x4::from_slice(&u_row[i..]);
-                    let vbar = quarter * (((vs_w + vs_c) + vn_w) + vn_c);
-                    let dhdx = (h_c - h_w) / dxv;
-                    let accel = ((fv * vbar - gv * dhdx) - dragv * u0) + windv;
-                    (u0 + dtv * accel).write_to(&mut out_row[i..]);
-                    i += 4;
-                }
-                while i < nx {
+                // Interior: the west neighbor of face i is i−1.
+                for i in 1..nx {
                     let vbar = 0.25 * (v_s[i - 1] + v_s[i] + v_n[i - 1] + v_n[i]);
                     let dhdx = (h_row[i] - h_row[i - 1]) / dx;
                     let u0 = u_row[i];
                     out_row[i] = u0 + dt * (f * vbar - g * dhdx - drag * u0 + wind);
-                    i += 1;
                 }
             }
         }
@@ -319,36 +269,12 @@ impl ShallowWaterModel {
                 let h_south = &h[row - nx..row];
                 let v_row = &v[row..row + nx];
                 let out_row = &mut out[row..row + nx];
-                // Interior: the east u-face of cell i is u[i+1]. Four faces
-                // per lane step; `-f * ubar` is `(−f)·ubar`, so the splat
-                // carries the negated Coriolis.
-                let quarter = F64x4::splat(0.25);
-                let dyv = F64x4::splat(dy);
-                let dtv = F64x4::splat(dt);
-                let nfv = F64x4::splat(-f);
-                let gv = F64x4::splat(g);
-                let dragv = F64x4::splat(drag);
-                let mut i = 0;
-                while i + 5 <= nx {
-                    let u_w = F64x4::from_slice(&u_row[i..]);
-                    let u_e = F64x4::from_slice(&u_row[i + 1..]);
-                    let us_w = F64x4::from_slice(&u_south[i..]);
-                    let us_e = F64x4::from_slice(&u_south[i + 1..]);
-                    let h_c = F64x4::from_slice(&h_row[i..]);
-                    let h_s = F64x4::from_slice(&h_south[i..]);
-                    let v0 = F64x4::from_slice(&v_row[i..]);
-                    let ubar = quarter * (((u_w + u_e) + us_w) + us_e);
-                    let dhdy = (h_c - h_s) / dyv;
-                    let accel = (nfv * ubar - gv * dhdy) - dragv * v0;
-                    (v0 + dtv * accel).write_to(&mut out_row[i..]);
-                    i += 4;
-                }
-                while i < nx - 1 {
+                // Interior: the east u-face of cell i is u[i+1].
+                for i in 0..nx - 1 {
                     let ubar = 0.25 * (u_row[i] + u_row[i + 1] + u_south[i] + u_south[i + 1]);
                     let dhdy = (h_row[i] - h_south[i]) / dy;
                     let v0 = v_row[i];
                     out_row[i] = v0 + dt * (-f * ubar - g * dhdy - drag * v0);
-                    i += 1;
                 }
                 // Periodic east column: the east face wraps to u[0].
                 let i = nx - 1;
@@ -744,11 +670,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Laned shallow-water stencils == the allocating oracle, bitwise
-        /// in h/u/v, over arbitrary grids (widths cover every lane tail)
-        /// and forcing parameters.
+        /// The row-slice stepper == the allocating oracle, bitwise in
+        /// h/u/v, over arbitrary grid shapes (the periodic boundary
+        /// columns at every width) and forcing parameters.
         #[test]
-        fn laned_solver_step_matches_reference(
+        fn row_slice_step_matches_reference(
             nx in 4usize..37,
             ny in 4usize..17,
             wind in 0.0f64..0.3,

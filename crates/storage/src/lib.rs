@@ -17,14 +17,13 @@
 //! * [`ncdf`] — *ncdf-lite*, a real self-describing array file format
 //!   (magic, dimensions, attributes, typed variables) standing in for
 //!   netCDF; its encoded size drives the S_io term of the paper's model.
-//! * [`pio`] — a PIO-like collective writer: compute ranks funnel their
-//!   slabs through aggregator ranks, which write striped files.
+//! * [`burst_buffer`] — an NVRAM tier in front of the filesystem: writes
+//!   complete at NVRAM speed while it has room and drain to Lustre behind.
 
 pub mod burst_buffer;
 pub mod layout;
 pub mod ncdf;
 pub mod pfs;
-pub mod pio;
 pub mod power;
 
 pub use layout::StripeLayout;

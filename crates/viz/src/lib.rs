@@ -10,10 +10,10 @@
 //!   parallelized over rows with rayon.
 //! * [`png`] — a from-scratch PNG encoder (stored-deflate zlib stream,
 //!   CRC-32, Adler-32) producing valid, loadable files.
-//! * [`ppm`] — binary PPM (P6) encode/decode, handy for tests and quick
-//!   viewing.
-//! * [`render`] — the field renderer: scalar field + colormap + optional
-//!   contour overlay → image.
+//! * [`render`] — the field renderer: scalar field + colormap + range
+//!   normalization → image.
+//! * [`annotate`] and [`glyphs`] — the frame overlays: a bitmap font,
+//!   timestep label, colorbar legend and velocity arrows.
 //! * [`cinema`] — a Cinema-style image database: deterministic directory
 //!   layout, hand-rolled JSON index, byte accounting (the in-situ
 //!   pipeline's `S_io`).
@@ -24,10 +24,8 @@ pub mod annotate;
 pub mod cinema;
 pub mod color;
 pub mod compositing;
-pub mod contour;
 pub mod glyphs;
 pub mod png;
-pub mod ppm;
 pub mod raster;
 pub mod render;
 

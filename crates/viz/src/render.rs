@@ -2,11 +2,11 @@
 //!
 //! This is the "ParaView" of the workspace: it turns an Okubo-Weiss (or any
 //! scalar) field into the colored image the paper's Fig. 2 shows, with a
-//! choice of range normalization and an optional eddy-core contour overlay.
+//! choice of range normalization.
 
 use ivis_ocean::Field2D;
 
-use crate::color::{Colormap, Rgb};
+use crate::color::Colormap;
 use crate::raster::{rasterize, ImageBuffer};
 
 /// How raw field values are normalized into the colormap.
@@ -93,41 +93,21 @@ impl FieldRenderer {
         let (lo, hi) = self.resolve_range(field);
         rasterize(field, self.width, self.height, self.colormap, lo, hi)
     }
-
-    /// Render with an overlay marking cells below `threshold` (eddy cores)
-    /// by darkening their pixels — the visual analogue of the tracking
-    /// pipeline's segmentation.
-    pub fn render_with_core_overlay(&self, field: &Field2D, threshold: f64) -> ImageBuffer {
-        let mut img = self.render(field);
-        let (nx, ny) = (field.nx() as f64, field.ny() as f64);
-        let (w, h) = (self.width, self.height);
-        for y in 0..h {
-            let fy = (1.0 - (y as f64 + 0.5) / h as f64) * ny - 0.5;
-            for x in 0..w {
-                let fx = (x as f64 + 0.5) / w as f64 * nx - 0.5;
-                let v = crate::raster::sample_bilinear(field, fx, fy);
-                if v < threshold {
-                    let p = img.get(x, y);
-                    img.set(x, y, Rgb::new(p.r / 2, p.g / 2, p.b / 2));
-                }
-            }
-        }
-        img
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::color::Rgb;
     use ivis_ocean::grid::Grid;
-    use ivis_ocean::okubo_weiss::{eddy_threshold, okubo_weiss};
+    use ivis_ocean::okubo_weiss::okubo_weiss;
     use ivis_ocean::shallow_water::{ShallowWaterModel, SwParams};
     use ivis_ocean::vortex::{seed_vortex, Vortex};
 
-    fn eddy_ow_field() -> (Grid, Field2D) {
+    fn eddy_ow_field() -> Field2D {
         let grid = Grid::channel(48, 32, 60_000.0);
         let params = SwParams::eddy_channel(&grid);
-        let mut m = ShallowWaterModel::new(grid.clone(), params);
+        let mut m = ShallowWaterModel::new(grid, params);
         let (lx, ly) = m.grid().extent();
         seed_vortex(
             &mut m,
@@ -139,13 +119,12 @@ mod tests {
             },
         );
         let (uc, vc) = m.centered_velocities();
-        let w = okubo_weiss(m.grid(), &uc, &vc);
-        (grid, w)
+        okubo_weiss(m.grid(), &uc, &vc)
     }
 
     #[test]
     fn fig2_style_render_contains_green_cores_and_blue_shear() {
-        let (_, w) = eddy_ow_field();
+        let w = eddy_ow_field();
         let img = FieldRenderer::okubo_weiss(96, 64).render(&w);
         let green = img.fraction_where(|p| p.g > p.b.saturating_add(20) && p.g > p.r);
         let blue = img.fraction_where(|p| p.b > p.g.saturating_add(10));
@@ -230,29 +209,6 @@ mod tests {
         let (lo, hi) = r.resolve_range(&f);
         assert_eq!((lo, hi), (1.0, 7.0));
         let _ = r.render(&f);
-    }
-
-    #[test]
-    fn overlay_darkens_core_pixels() {
-        let (grid, w) = eddy_ow_field();
-        let renderer = FieldRenderer::okubo_weiss(96, 64);
-        let thr = eddy_threshold(&w, 0.2);
-        let plain = renderer.render(&w);
-        let overlaid = renderer.render_with_core_overlay(&w, thr);
-        let _ = grid;
-        // Some pixels must differ (darkened), and darkened ones are darker.
-        let mut darkened = 0;
-        for y in 0..64 {
-            for x in 0..96 {
-                let a = plain.get(x, y);
-                let b = overlaid.get(x, y);
-                if a != b {
-                    darkened += 1;
-                    assert!(b.r <= a.r && b.g <= a.g && b.b <= a.b);
-                }
-            }
-        }
-        assert!(darkened > 0, "overlay should mark the eddy core");
     }
 
     #[test]
