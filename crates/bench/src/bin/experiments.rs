@@ -505,7 +505,7 @@ fn power_trace(kind: PipelineKind, hours: f64) {
     ));
     let campaign = Campaign::paper();
     let m = campaign.run(&ivis_core::PipelineConfig::paper(kind, hours));
-    let tel = campaign.telemetry(&m, paper_cadence());
+    let tel = ivis_core::RunTelemetry::from_metrics(&m, paper_cadence());
     println!("  minute | compute kW | storage kW |   total kW");
     let storage = tel.storage.rows();
     for (i, (minute, cw)) in tel.compute.rows().iter().enumerate() {

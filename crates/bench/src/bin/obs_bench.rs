@@ -30,7 +30,7 @@
 
 use ivis_bench::obj;
 use ivis_bench::report::{time_min_s, Bench, Json};
-use ivis_core::{Campaign, PipelineConfig};
+use ivis_core::{Campaign, PipelineConfig, RunTelemetry};
 use ivis_obs::telemetry::paper_cadence;
 use ivis_obs::{to_chrome_trace, to_jsonl, to_prometheus, Recorder, TraceBuffer};
 use ivis_sim::SimDuration;
@@ -45,7 +45,7 @@ fn traced_run(pc: &PipelineConfig, cadence: SimDuration) -> Recorder {
     let rec = Recorder::in_memory();
     traced.config.recorder = rec.clone();
     let m = traced.run(pc);
-    traced.telemetry(&m, cadence).record_gauges(&rec);
+    RunTelemetry::from_metrics(&m, cadence).record_gauges(&rec);
     rec
 }
 
@@ -92,7 +92,7 @@ fn main() {
         // Correctness first: the sampled timelines must conserve the
         // metered energy before their cost is worth measuring.
         let m = campaign.run(&pc);
-        let tel = campaign.telemetry(&m, cadence);
+        let tel = RunTelemetry::from_metrics(&m, cadence);
         let sampled = (tel.compute.energy() + tel.storage.energy()).joules();
         let metered = m.energy_total().joules();
         assert!(
@@ -102,7 +102,7 @@ fn main() {
 
         let plain_s = time_min_s(reps, || campaign.run(&pc));
         // The step is microseconds: more repetitions cost nothing.
-        let telem_s = time_min_s(reps * 10, || campaign.telemetry(&m, cadence));
+        let telem_s = time_min_s(reps * 10, || RunTelemetry::from_metrics(&m, cadence));
         let traced_s = time_min_s(reps, || traced_run(&pc, cadence));
         let overhead_pct = telem_s / plain_s * 100.0;
         let traced_pct = (traced_s / plain_s - 1.0) * 100.0;

@@ -424,15 +424,15 @@ pub fn extension_intransit_rows(hours: f64) -> (Vec<(usize, f64, f64)>, f64) {
 /// post-processing at the 8 h rate as the machine grows (the paper's
 /// exascale trend). Returns `(nodes, saving_pct, post_power_kw)` rows.
 pub fn extension_scaling_rows() -> Vec<(usize, f64, f64)> {
-    [5usize, 10, 15, 30, 45]
+    [50usize, 100, 150, 300, 450]
         .iter()
-        .map(|&cages| {
-            let campaign = Campaign::scaled_caddy(cages);
+        .map(|&nodes| {
+            let campaign = Campaign::caddy_scaled(nodes);
             let insitu = campaign.run(&PipelineConfig::paper(PipelineKind::InSitu, 8.0));
             let post = campaign.run(&PipelineConfig::paper(PipelineKind::PostProcessing, 8.0));
             let c = compare(&insitu, &post);
             (
-                cages * 10,
+                nodes,
                 c.energy_saving_pct,
                 post.avg_power_total().kilowatts(),
             )

@@ -9,7 +9,7 @@
 use ivis_cluster::IoWaitPolicy;
 use ivis_core::campaign::Campaign;
 use ivis_core::metrics::PipelineMetrics;
-use ivis_core::{PipelineConfig, PipelineKind};
+use ivis_core::{PipelineConfig, PipelineKind, RunTelemetry};
 use ivis_obs::telemetry::{paper_cadence, PowerTimeline};
 use ivis_obs::{csv as obs_csv, render_fig4, to_jsonl, EnergyAttribution, Recorder};
 
@@ -79,7 +79,7 @@ pub fn phase_power_csv() -> String {
     let campaign = Campaign::paper();
     for pc in PipelineConfig::paper_matrix() {
         let m = campaign.run(&pc);
-        let tel = campaign.telemetry(&m, paper_cadence());
+        let tel = RunTelemetry::from_metrics(&m, paper_cadence());
         let label = config_label(pc.kind, pc.rate.every_hours);
         power_csv_rows(&mut out, &label, &tel.compute);
         power_csv_rows(&mut out, &label, &tel.storage);

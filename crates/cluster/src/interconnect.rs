@@ -99,11 +99,6 @@ impl SharedLink {
         self.scale = scale;
     }
 
-    /// Current bandwidth derating (1.0 = nominal).
-    pub fn bandwidth_scale(&self) -> f64 {
-        self.scale
-    }
-
     /// Schedule a transfer of `bytes` submitted at `submit`.
     ///
     /// FIFO: the transfer starts at `max(submit, free_at)` and holds the

@@ -312,16 +312,6 @@ impl Machine {
         &self.node_model
     }
 
-    /// Whole-cluster idle power.
-    pub fn idle_power(&self) -> Watts {
-        self.node_model.idle() * self.topology.num_nodes() as f64
-    }
-
-    /// Whole-cluster power under the compute-bound load.
-    pub fn loaded_power(&self) -> Watts {
-        self.node_model.loaded() * self.topology.num_nodes() as f64
-    }
-
     /// Instantaneous whole-cluster power implied by current node loads
     /// (true signal, before metering).
     pub fn power_now(&self) -> Watts {
@@ -964,10 +954,8 @@ mod tests {
     }
 
     #[test]
-    fn caddy_idle_and_loaded_power() {
+    fn caddy_starts_at_idle_power() {
         let m = Machine::caddy(IoWaitPolicy::BusyWait);
-        assert!((m.idle_power().watts() - 15_000.0).abs() < 1.0);
-        assert!((m.loaded_power().watts() - 44_000.0).abs() < 1.0);
         assert!((m.power_now().watts() - 15_000.0).abs() < 1.0);
     }
 

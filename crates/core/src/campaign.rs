@@ -346,37 +346,13 @@ impl Campaign {
         }
     }
 
-    /// A campaign on a machine scaled to `cages` ten-node cages of Caddy
-    /// nodes (same per-node power model, same per-core speed, same storage
-    /// rack). `cages = 15` reproduces the paper's machine; other values
-    /// project the methodology onto smaller or larger systems — the paper's
-    /// claim that "the methodology itself is generic".
-    pub fn scaled_caddy(cages: usize) -> Self {
-        assert!(cages > 0, "need at least one cage");
-        let topology = ClusterTopology {
-            num_cages: cages,
-            ..ClusterTopology::caddy()
-        };
-        let mut cost = SimulationCostModel::caddy();
-        cost.cores = topology.num_cores() as u64;
-        let mut config = CampaignConfig::paper();
-        // Rendering strong-scales with the machine: β was measured on 150
-        // nodes.
-        config.viz_seconds_per_output *= 150.0 / topology.num_nodes() as f64;
-        Campaign {
-            config,
-            cost,
-            topology,
-        }
-    }
-
     /// A campaign on a Caddy-style machine scaled to exactly `nodes`
-    /// nodes via [`ClusterTopology::caddy_scaled`] (node-granular where
-    /// [`Campaign::scaled_caddy`] is cage-granular, so 10k-node and
-    /// non-divisible what-ifs are expressible). Per-node power model,
-    /// per-core speed and the storage rack are unchanged; rendering
-    /// strong-scales exactly as in `scaled_caddy`. `caddy_scaled(150)`
-    /// reproduces [`Campaign::paper`] bit-for-bit.
+    /// nodes via [`ClusterTopology::caddy_scaled`] (ten-node cages for any
+    /// multiple of ten, so 10k-node and non-divisible what-ifs are both
+    /// expressible). Per-node power model, per-core speed and the storage
+    /// rack are unchanged; rendering strong-scales with the node count —
+    /// the paper's claim that "the methodology itself is generic".
+    /// `caddy_scaled(150)` reproduces [`Campaign::paper`] bit-for-bit.
     pub fn caddy_scaled(nodes: usize) -> Self {
         let topology = ClusterTopology::caddy_scaled(nodes);
         let mut cost = SimulationCostModel::caddy();
@@ -710,7 +686,7 @@ mod tests {
         // in-situ energy saving *grows* with machine size.
         let mut savings = Vec::new();
         for cages in [5usize, 15, 45] {
-            let campaign = Campaign::scaled_caddy(cages);
+            let campaign = Campaign::caddy_scaled(10 * cages);
             let insitu = campaign.run(&PipelineConfig::paper(PipelineKind::InSitu, 8.0));
             let post = campaign.run(&PipelineConfig::paper(PipelineKind::PostProcessing, 8.0));
             let c = compare(&insitu, &post);
@@ -763,14 +739,6 @@ mod tests {
         // Prime counts fall back to one-node cages rather than losing nodes.
         assert_eq!(ClusterTopology::caddy_scaled(157).nodes_per_cage, 1);
         assert_eq!(ClusterTopology::caddy_scaled(10_000).nodes_per_cage, 10);
-    }
-
-    #[test]
-    fn scaled_caddy_15_matches_paper_campaign() {
-        let a = Campaign::paper().run(&PipelineConfig::paper(PipelineKind::InSitu, 8.0));
-        let b = Campaign::scaled_caddy(15).run(&PipelineConfig::paper(PipelineKind::InSitu, 8.0));
-        assert!((a.execution_time.as_secs_f64() - b.execution_time.as_secs_f64()).abs() < 1e-6);
-        assert!((a.avg_power_total().watts() - b.avg_power_total().watts()).abs() < 1.0);
     }
 
     fn buffered(pc: PipelineConfig, bb: BurstBufferConfig) -> Plan {

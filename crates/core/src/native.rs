@@ -177,6 +177,10 @@ impl NativePlan {
         let cfg = &self.config;
         let problem = match (&self.trigger, self.kind) {
             _ if self.depth == 0 => "pipeline depth must be at least 1",
+            _ if cfg.nx < 4 || cfg.ny < 4 => "the grid needs at least 4×4 cells",
+            _ if !(cfg.cell_m.is_finite() && cfg.cell_m > 0.0) => {
+                "cell size must be finite and positive"
+            }
             _ if cfg.image_width == 0 || cfg.image_height == 0 => "images must be at least 1×1",
             (Some(_), PipelineKind::PostProcessing) => {
                 "a trigger decides which in-situ analyses emit; post-processing has none"
@@ -794,7 +798,7 @@ fn encode_raw(snap: &VizSnapshot) -> Vec<u8> {
         f.add_var(name, vec![dy, dx], VarData::F64(field.data().to_vec()))
             .expect("shape is consistent");
     }
-    f.encode().to_vec()
+    f.encode()
 }
 
 /// Decode a raw file back into a [`VizSnapshot`]. Every way the bytes
@@ -1279,6 +1283,47 @@ mod tests {
             };
             let detail = rejected(&plan(cfg, PipelineKind::InSitu, 2));
             assert!(detail.contains("1×1"), "{detail}");
+        }
+    }
+
+    /// [`rejected`], also proving the plan was refused before anything
+    /// ran: the recorder saw no span and no event.
+    fn rejected_before_running(cfg: NativeConfig) -> String {
+        let rec = Recorder::in_memory();
+        let detail = match execute(&plan(cfg, PipelineKind::InSitu, 2), &rec) {
+            Err(PipelineError::InvalidConfig { detail }) => detail,
+            other => panic!(
+                "expected InvalidConfig, got {:?}",
+                other.map(|r| r.digest())
+            ),
+        };
+        let ran = rec
+            .with_buffer(|buf| buf.spans().len() + buf.events().len())
+            .expect("recorder is on");
+        assert_eq!(ran, 0, "a refused plan must not run: {detail}");
+        detail
+    }
+
+    #[test]
+    fn grids_below_4x4_are_rejected_instead_of_panicking() {
+        for (nx, ny) in [(3, 24), (32, 3), (0, 0)] {
+            let detail = rejected_before_running(NativeConfig {
+                nx,
+                ny,
+                ..NativeConfig::tiny()
+            });
+            assert!(detail.contains("4×4"), "{detail}");
+        }
+    }
+
+    #[test]
+    fn cell_sizes_not_finite_and_positive_are_rejected_instead_of_panicking() {
+        for cell_m in [0.0, -60_000.0, f64::NAN, f64::INFINITY] {
+            let detail = rejected_before_running(NativeConfig {
+                cell_m,
+                ..NativeConfig::tiny()
+            });
+            assert!(detail.contains("cell size"), "{detail}");
         }
     }
 

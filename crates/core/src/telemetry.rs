@@ -4,8 +4,8 @@
 //! faulted ([`Campaign::execute`]), and the native backend — already
 //! harvests its power pathway into
 //! [`PipelineMetrics`] profiles (or, for the native backend, phase spans
-//! in the [`TraceBuffer`]). [`Campaign::telemetry`] turns that harvest
-//! into a [`RunTelemetry`]: one sampled W(t) [`PowerTimeline`] per
+//! in the [`TraceBuffer`]). [`RunTelemetry::from_metrics`] turns that
+//! harvest into one sampled W(t) [`PowerTimeline`] per
 //! metered component at the requested cadence (the paper's per-minute
 //! PDU view at [`paper_cadence`], or down to 1 s for debugging), plus
 //! helpers to publish the signals as power gauges so the Prometheus
@@ -18,10 +18,8 @@ use ivis_cluster::IoWaitPolicy;
 use ivis_obs::telemetry::PowerTimeline;
 use ivis_obs::{Recorder, TraceBuffer};
 use ivis_power::node::NodePowerModel;
-use ivis_power::profile::PowerProfile;
 use ivis_sim::SimDuration;
 
-use crate::campaign::Campaign;
 use crate::metrics::PipelineMetrics;
 
 /// Sampled per-component power timelines for one pipeline run.
@@ -35,7 +33,9 @@ pub struct RunTelemetry {
 
 impl RunTelemetry {
     /// Reconstruct both component timelines from a run's harvested
-    /// profiles at `cadence`.
+    /// profiles at `cadence` — the same profiles the energy accounting
+    /// uses, so the timelines' integrals match `energy_between`
+    /// attribution exactly, whichever executor produced `metrics`.
     ///
     /// # Panics
     /// Panics if `cadence` is zero.
@@ -44,13 +44,6 @@ impl RunTelemetry {
             compute: PowerTimeline::from_profile("compute", &metrics.compute_profile, cadence),
             storage: PowerTimeline::from_profile("storage", &metrics.storage_profile, cadence),
         }
-    }
-
-    /// The summed compute + storage signal — the total the paper plots in
-    /// Fig. 4. Both timelines share a window and cadence, so the sum is
-    /// pointwise.
-    pub fn total_profile(&self) -> PowerProfile {
-        self.compute.as_profile().sum(&self.storage.as_profile())
     }
 
     /// Publish both timelines into `rec` as the gauges
@@ -63,20 +56,6 @@ impl RunTelemetry {
         for (at, w) in self.storage.gauge_samples() {
             rec.gauge_set(at, "power.storage_w", w.watts());
         }
-    }
-}
-
-impl Campaign {
-    /// Time-resolved power telemetry for a finished run: per-component
-    /// W(t) timelines sampled at `cadence` from the same harvested
-    /// profiles the energy accounting uses — so the timelines' integrals
-    /// match `energy_between` attribution exactly, whichever executor
-    /// produced `metrics`.
-    ///
-    /// # Panics
-    /// Panics if `cadence` is zero.
-    pub fn telemetry(&self, metrics: &PipelineMetrics, cadence: SimDuration) -> RunTelemetry {
-        RunTelemetry::from_metrics(metrics, cadence)
     }
 }
 
@@ -104,6 +83,7 @@ pub fn native_power_timeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
     use crate::native::{execute, NativeConfig, NativePlan};
     use crate::{PipelineConfig, PipelineKind, Plan};
     use ivis_fault::{FaultPlan, FaultScenario};
@@ -123,7 +103,7 @@ mod tests {
                 SimDuration::from_secs(7),
                 paper_cadence(),
             ] {
-                let tel = campaign.telemetry(&metrics, cadence);
+                let tel = RunTelemetry::from_metrics(&metrics, cadence);
                 let got = tel.compute.energy().joules() + tel.storage.energy().joules();
                 let want = metrics.energy_total().joules();
                 assert!(
@@ -150,16 +130,10 @@ mod tests {
                 ..Plan::new(pc)
             })
             .expect("random plans degrade runs, they do not kill them");
-        let tel = campaign.telemetry(&run.metrics, paper_cadence());
+        let tel = RunTelemetry::from_metrics(&run.metrics, paper_cadence());
         let got = tel.compute.energy().joules() + tel.storage.energy().joules();
         let want = run.metrics.energy_total().joules();
         assert!((got - want).abs() < 1e-6 * (1.0 + want));
-        // The total profile is the pointwise sum of the components.
-        let total = tel.total_profile();
-        assert!(
-            (total.energy().joules() - got).abs() < 1e-6,
-            "total profile disagrees with component sum"
-        );
     }
 
     #[test]
@@ -169,7 +143,7 @@ mod tests {
         campaign.config.recorder = rec.clone();
         let pc = PipelineConfig::paper(PipelineKind::InSitu, 72.0);
         let metrics = campaign.run(&pc);
-        let tel = campaign.telemetry(&metrics, paper_cadence());
+        let tel = RunTelemetry::from_metrics(&metrics, paper_cadence());
         tel.record_gauges(&rec);
         rec.with_buffer(|buf| {
             let g = buf.metrics.get("power.compute_w").expect("gauge recorded");

@@ -12,7 +12,7 @@ mod common;
 
 use common::check_golden;
 use ivis_core::campaign::Campaign;
-use ivis_core::{PipelineConfig, PipelineKind};
+use ivis_core::{PipelineConfig, PipelineKind, RunTelemetry};
 use ivis_obs::telemetry::paper_cadence;
 use ivis_obs::{to_chrome_trace, to_prometheus, Recorder};
 
@@ -22,7 +22,7 @@ fn traced_insitu_72h() -> (String, String) {
     campaign.config.recorder = rec.clone();
     let pc = PipelineConfig::paper(PipelineKind::InSitu, 72.0);
     let metrics = campaign.run(&pc);
-    let tel = campaign.telemetry(&metrics, paper_cadence());
+    let tel = RunTelemetry::from_metrics(&metrics, paper_cadence());
     tel.record_gauges(&rec);
     let chrome = rec.with_buffer(to_chrome_trace).expect("recorder is on");
     let prom = rec

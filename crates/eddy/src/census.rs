@@ -75,30 +75,6 @@ pub fn track_census(tracks: &[Track], lx: f64) -> TrackCensus {
     }
 }
 
-/// How temporal sampling degrades tracking: the fraction of frame-to-frame
-/// displacements exceeding the tracker gate when only every `stride`-th
-/// frame is kept. High values mean identities will be lost — the paper's
-/// argument for sampling "once per simulated day (or even hour)".
-pub fn gate_violation_fraction(tracks: &[Track], lx: f64, gate_m: f64, stride: usize) -> f64 {
-    assert!(stride >= 1, "stride must be at least 1");
-    let mut total = 0usize;
-    let mut violations = 0usize;
-    for t in tracks {
-        let pts: Vec<_> = t.points.iter().step_by(stride).collect();
-        for w in pts.windows(2) {
-            total += 1;
-            if crate::features::periodic_distance(&w[0].feature, &w[1].feature, lx) > gate_m {
-                violations += 1;
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        violations as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,26 +137,5 @@ mod tests {
         let c = track_census(&[], 1e9);
         assert_eq!(c.count, 0);
         assert_eq!(c.max_lifetime_frames, 0);
-    }
-
-    #[test]
-    fn gate_violations_grow_with_stride() {
-        // Eddy drifting 10 km per frame; gate 15 km.
-        let t = vec![track(0, &[0.0, 1e4, 2e4, 3e4, 4e4, 5e4, 6e4])];
-        let dense = gate_violation_fraction(&t, 1e9, 15_000.0, 1);
-        let sparse = gate_violation_fraction(&t, 1e9, 15_000.0, 2);
-        assert_eq!(dense, 0.0, "dense sampling keeps every hop inside gate");
-        assert_eq!(sparse, 1.0, "2-stride hops (20 km) all violate the gate");
-    }
-
-    #[test]
-    fn gate_violation_empty_is_zero() {
-        assert_eq!(gate_violation_fraction(&[], 1e9, 1.0, 1), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "stride")]
-    fn zero_stride_rejected() {
-        let _ = gate_violation_fraction(&[], 1e9, 1.0, 0);
     }
 }

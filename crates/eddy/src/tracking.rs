@@ -159,11 +159,6 @@ impl EddyTracker {
         self.closed.sort_by_key(|t| t.id);
         self.closed
     }
-
-    /// Currently live track count.
-    pub fn live_tracks(&self) -> usize {
-        self.live.len()
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +262,6 @@ mod tests {
     fn empty_frames_are_fine() {
         let mut tr = EddyTracker::new(10_000.0, 1, LX);
         assert!(tr.observe(0, &[]).is_empty());
-        assert_eq!(tr.live_tracks(), 0);
         assert!(tr.finish().is_empty());
     }
 }

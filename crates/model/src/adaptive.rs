@@ -18,7 +18,7 @@
 //! and `rate_eff` equal to a fixed rate, the prediction degenerates to
 //! [`WhatIfAnalyzer::execution_seconds`] exactly.
 
-use ivis_ocean::{ProblemSpec, SamplingRate};
+use ivis_ocean::ProblemSpec;
 use ivis_power::units::Joules;
 
 use crate::whatif::WhatIfAnalyzer;
@@ -41,16 +41,6 @@ impl MeasuredRate {
         MeasuredRate {
             steps_per_output: total_steps as f64 / frames.max(1) as f64,
         }
-    }
-
-    /// The measured interval in `spec`'s simulated hours.
-    pub fn effective_hours(&self, spec: &ProblemSpec) -> f64 {
-        self.steps_per_output * spec.step_minutes / 60.0
-    }
-
-    /// The measured rate as an Eq. 6/7 [`SamplingRate`].
-    pub fn as_sampling_rate(&self, spec: &ProblemSpec) -> SamplingRate {
-        SamplingRate::every_hours(self.effective_hours(spec))
     }
 
     /// Outputs a `spec`-sized campaign emits at this rate.
@@ -134,6 +124,7 @@ impl WhatIfAnalyzer {
 mod tests {
     use super::*;
     use ivis_core::PipelineKind;
+    use ivis_ocean::SamplingRate;
 
     #[test]
     fn free_candidates_at_fixed_rate_degenerate_to_eq67() {
@@ -196,12 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn measured_rate_roundtrips_through_sampling_rate() {
+    fn measured_rate_converts_back_to_outputs() {
         let spec = ProblemSpec::paper_60km();
         let measured = MeasuredRate::from_counts(spec.total_steps(), 60);
-        // 8640 steps / 60 frames = 144 steps/output = 72 h.
-        let rate = measured.as_sampling_rate(&spec);
-        assert!((rate.every_hours - 72.0).abs() < 1e-9);
+        // 8640 steps / 60 frames = 144 steps/output.
+        assert_eq!(measured.steps_per_output, 144.0);
         assert!((measured.outputs_for(&spec) - 60.0).abs() < 1e-9);
     }
 

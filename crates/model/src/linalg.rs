@@ -103,14 +103,6 @@ pub fn least_squares(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, LinalgError>
     solve(&ata, &atb)
 }
 
-/// Residuals `A x − b`.
-pub fn residuals(a: &[Vec<f64>], x: &[f64], b: &[f64]) -> Vec<f64> {
-    a.iter()
-        .zip(b)
-        .map(|(row, &bi)| row.iter().zip(x).map(|(aij, xj)| aij * xj).sum::<f64>() - bi)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,8 +160,6 @@ mod tests {
         let x = least_squares(&a, &b).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-9);
         assert!((x[1] - 3.0).abs() < 1e-9);
-        let r = residuals(&a, &x, &b);
-        assert!(r.iter().all(|ri| ri.abs() < 1e-9));
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Eqs. 1–4: the performance and energy model.
-
-use ivis_power::units::{Joules, Watts};
+//! Eqs. 2–4: the performance model. Energy (Eq. 1) is its time times the
+//! pipeline-independent average power; the what-if layer applies it.
 
 /// The calibrated performance model (Eq. 4):
 /// `t = (iter_any / iter_ref) · t_sim_ref + α·S_io + β·N_viz`.
@@ -35,12 +34,6 @@ impl PerfModel {
         assert!(s_io_gb >= 0.0 && n_viz >= 0.0, "negative workload");
         let scale = iter_any as f64 / self.iter_ref as f64;
         scale * self.t_sim_ref + self.alpha * s_io_gb + self.beta * n_viz
-    }
-
-    /// Predicted energy (Eq. 1) under constant average power `p` — the
-    /// paper's observation that P is pipeline-independent makes this valid.
-    pub fn predict_energy(&self, p: Watts, iter_any: u64, s_io_gb: f64, n_viz: f64) -> Joules {
-        Joules(p.watts() * self.predict_seconds(iter_any, s_io_gb, n_viz))
     }
 
     /// The three-way decomposition (Eq. 2/3) of a prediction:
@@ -85,14 +78,6 @@ mod tests {
         assert!((s + io + viz - m.predict_seconds(8640, 80.0, 180.0)).abs() < 1e-9);
         assert!((io - 504.0).abs() < 1e-9);
         assert!((viz - 216.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn energy_is_power_times_time() {
-        let m = PerfModel::paper();
-        let e = m.predict_energy(Watts(46_000.0), 8640, 0.6, 540.0);
-        let t = m.predict_seconds(8640, 0.6, 540.0);
-        assert!((e.joules() - 46_000.0 * t).abs() < 1e-6);
     }
 
     #[test]

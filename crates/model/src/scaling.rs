@@ -15,20 +15,6 @@ pub fn scale_image_count(n_ref: u64, rate_ref: SamplingRate, rate_any: SamplingR
     (n_ref as f64 * rate_any.relative_to(rate_ref)).round() as u64
 }
 
-/// Scale both duration and rate: counts over a longer run at a different
-/// rate, starting from a reference `(duration_hours_ref, rate_ref, n_ref)`.
-pub fn scale_count_full(
-    n_ref: u64,
-    duration_hours_ref: f64,
-    rate_ref: SamplingRate,
-    duration_hours_any: f64,
-    rate_any: SamplingRate,
-) -> u64 {
-    let rate_factor = rate_any.relative_to(rate_ref);
-    let dur_factor = duration_hours_any / duration_hours_ref;
-    (n_ref as f64 * rate_factor * dur_factor).round() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,18 +43,5 @@ mod tests {
         let r24 = SamplingRate::every_hours(24.0);
         assert_eq!(scale_image_count(540, r8, r24), 180);
         assert_eq!(scale_image_count(180, r24, r8), 540);
-    }
-
-    #[test]
-    fn full_scaling_combines_rate_and_duration() {
-        // 540 outputs in 6 months @8 h ⇒ daily over 100 years = 36 500.
-        let n = scale_count_full(
-            540,
-            4_320.0,
-            SamplingRate::every_hours(8.0),
-            876_000.0,
-            SamplingRate::every_hours(24.0),
-        );
-        assert_eq!(n, 36_500);
     }
 }

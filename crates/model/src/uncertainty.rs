@@ -8,6 +8,7 @@
 //! predictions. This answers "how many digits of the paper's constants are
 //! meaningful?" — a question the paper leaves open.
 
+use ivis_sim::stats::percentile;
 use ivis_sim::SimRng;
 
 use crate::calibrate::{calibrate_exact, CalibrationPoint};
@@ -30,7 +31,8 @@ impl Interval {
     }
 
     /// Half-width relative to the point estimate.
-    pub fn rel_halfwidth(&self) -> f64 {
+    #[cfg(test)]
+    fn rel_halfwidth(&self) -> f64 {
         (self.hi - self.lo) / 2.0 / self.point.abs()
     }
 }
@@ -48,36 +50,13 @@ pub struct CalibrationUncertainty {
     pub replicates: usize,
 }
 
-/// Same contract as `ivis_sim::stats::percentile`: `None` for an empty
-/// slice or when any observation is NaN, so a single poisoned bootstrap
-/// replicate can never silently corrupt a quantile.
-fn percentile_of(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() || sorted.iter().any(|x| x.is_nan()) {
-        return None;
-    }
-    assert!((0.0..=1.0).contains(&q), "q must be in [0,1], got {q}");
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    Some(if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    })
-}
-
 fn interval(mut samples: Vec<f64>, point: f64, level: f64) -> Interval {
     // A NaN replicate is a degenerate perturbed fit; drop it like the
     // singular systems `calibrate_exact` already rejects, rather than
-    // letting it poison the sort and both bounds.
+    // letting it poison both bounds.
     samples.retain(|x| !x.is_nan());
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("NaNs removed above"));
     let tail = (1.0 - level) / 2.0;
-    match (
-        percentile_of(&samples, tail),
-        percentile_of(&samples, 1.0 - tail),
-    ) {
+    match (percentile(&samples, tail), percentile(&samples, 1.0 - tail)) {
         (Some(lo), Some(hi)) => Interval { lo, point, hi },
         // No usable replicates: degrade to a zero-width interval at the
         // point estimate instead of panicking.
@@ -173,23 +152,16 @@ pub fn bootstrap_prediction(
     interval(preds, point_fit.predict_seconds(iter, s_gb, n_viz), level)
 }
 
-/// Convenience: uncertainty of the paper's own calibration at its meter
-/// noise level (±0.3 %).
-pub fn paper_uncertainty() -> CalibrationUncertainty {
-    bootstrap_calibration(
-        &crate::calibrate::paper_points(),
-        8_640,
-        0.003,
-        400,
-        0.95,
-        0xB007,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::calibrate::paper_points;
+
+    /// Uncertainty of the paper's own calibration at its meter noise
+    /// level (±0.3 %).
+    fn paper_uncertainty() -> CalibrationUncertainty {
+        bootstrap_calibration(&paper_points(), 8_640, 0.003, 400, 0.95, 0xB007)
+    }
 
     #[test]
     fn intervals_cover_the_point_estimates() {
@@ -297,53 +269,12 @@ mod tests {
         assert_eq!((iv.lo, iv.point, iv.hi), (7.0, 7.0, 7.0));
     }
 
-    #[test]
-    fn percentile_of_matches_sim_stats_contract() {
-        assert_eq!(percentile_of(&[], 0.5), None);
-        assert_eq!(percentile_of(&[1.0, f64::NAN], 0.5), None);
-        assert_eq!(percentile_of(&[1.0, 2.0, 3.0], 0.5), Some(2.0));
-    }
-
-    mod percentile_props {
+    mod interval_props {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Mirrors `ivis_sim::stats::percentile`'s property suite:
-            /// for *any* float slice (NaN and infinities included) and
-            /// any valid `q`, `percentile_of` never panics; it returns
-            /// `Some` iff the input is non-empty and NaN-free, and the
-            /// value is then bracketed by the slice's min and max.
-            #[test]
-            fn percentile_of_total_over_arbitrary_floats(
-                xs in prop::collection::vec(
-                    prop_oneof![
-                        any::<f64>(),
-                        (0u8..1).prop_map(|_| f64::NAN),
-                        (0u8..1).prop_map(|_| f64::INFINITY),
-                        (0u8..1).prop_map(|_| f64::NEG_INFINITY),
-                    ],
-                    0..32,
-                ),
-                q in 0.0f64..1.0,
-            ) {
-                let clean = !xs.is_empty() && xs.iter().all(|x: &f64| !x.is_nan());
-                let mut sorted = xs.clone();
-                if clean {
-                    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-                }
-                let got = percentile_of(&sorted, q);
-                prop_assert_eq!(got.is_some(), clean);
-                // Interpolating between -inf and +inf order statistics is
-                // the one case a NaN-free input can still produce NaN.
-                if let Some(v) = got.filter(|v| !v.is_nan()) {
-                    let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-                    let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                    prop_assert!(v >= lo && v <= hi, "{} outside [{}, {}]", v, lo, hi);
-                }
-            }
 
             /// `interval` is total over arbitrary replicate vectors: it
             /// never panics and, whenever at least one finite sample

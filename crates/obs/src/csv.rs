@@ -1,4 +1,4 @@
-//! CSV renderers for attribution reports and metric series.
+//! CSV rows for per-phase energy attribution reports.
 //!
 //! These produce the same "header line + comma rows + trailing newline"
 //! shape as the bench harness's figure exports, so `ivis-bench` can drop
@@ -7,7 +7,6 @@
 use std::fmt::Write as _;
 
 use crate::energy::EnergyAttribution;
-use crate::metrics::MetricsRegistry;
 
 /// Header for multi-config per-phase energy tables.
 pub const ENERGY_CSV_HEADER: &str = "config,phase,seconds,compute_j,storage_j,total_j";
@@ -30,41 +29,6 @@ pub fn energy_csv_rows(config: &str, att: &EnergyAttribution) -> String {
     out
 }
 
-/// Render one attribution as a standalone CSV table (header + rows +
-/// a `total` row).
-pub fn energy_csv(config: &str, att: &EnergyAttribution) -> String {
-    let mut out = String::from(ENERGY_CSV_HEADER);
-    out.push('\n');
-    out.push_str(&energy_csv_rows(config, att));
-    let _ = writeln!(
-        out,
-        "{config},total,{},{},{},{}",
-        (att.window().1 - att.window().0).as_secs_f64(),
-        att.attributed_compute().joules(),
-        att.attributed_storage().joules(),
-        att.attributed_total().joules()
-    );
-    out
-}
-
-/// Render every metric series in long form:
-/// `metric,kind,t_us,value` — one row per step-function sample.
-pub fn metrics_csv(reg: &MetricsRegistry) -> String {
-    let mut out = String::from("metric,kind,t_us,value\n");
-    for m in reg.iter() {
-        for &(t, v) in m.series().samples() {
-            let _ = writeln!(
-                out,
-                "{},{},{},{v}",
-                m.name(),
-                m.kind().label(),
-                t.as_micros()
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,7 +40,7 @@ mod tests {
     use ivis_sim::SimTime;
 
     #[test]
-    fn energy_csv_shape() {
+    fn energy_csv_rows_shape() {
         let profile = |w: f64| {
             PowerProfile::from_meter_samples(
                 SimTime::ZERO,
@@ -93,24 +57,9 @@ mod tests {
             end: SimTime::from_secs(100),
         });
         let att = attribute(&tl, &profile(10.0), &profile(1.0));
-        let csv = energy_csv("insitu-72h", &att);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], ENERGY_CSV_HEADER);
-        assert_eq!(lines[1], "insitu-72h,simulate,100,1000,100,1100");
-        assert_eq!(lines[2], "insitu-72h,total,100,1000,100,1100");
-    }
-
-    #[test]
-    fn metrics_csv_is_long_form() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add(SimTime::from_secs(1), "outputs", 1.0);
-        reg.counter_add(SimTime::from_secs(2), "outputs", 1.0);
-        reg.gauge_set(SimTime::from_secs(3), "util", 0.5);
-        let csv = metrics_csv(&reg);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "metric,kind,t_us,value");
-        assert_eq!(lines[1], "outputs,counter,1000000,1");
-        assert_eq!(lines[2], "outputs,counter,2000000,2");
-        assert_eq!(lines[3], "util,gauge,3000000,0.5");
+        assert_eq!(
+            energy_csv_rows("insitu-72h", &att),
+            "insitu-72h,simulate,100,1000,100,1100\n"
+        );
     }
 }

@@ -63,11 +63,6 @@ impl EnergyAttribution {
         self.rows.iter().find(|r| r.phase == phase)
     }
 
-    /// `[start, end]` of the attributed window (the timeline's extent).
-    pub fn window(&self) -> (SimTime, SimTime) {
-        self.window
-    }
-
     /// Sum of attributed compute energy across phases.
     pub fn attributed_compute(&self) -> Joules {
         self.rows.iter().map(|r| r.compute).sum()

@@ -14,8 +14,8 @@
 //!   discriminant and returns without allocating — no `dyn` dispatch, no
 //!   external tracing dependencies.
 //! * [`metrics`] — a registry of counters and gauges stored as
-//!   [`ivis_sim::TimeSeries`] step functions, so time-weighted integrals,
-//!   averages and histograms are exact rather than sampled.
+//!   [`ivis_sim::TimeSeries`] step functions, so time-weighted integrals
+//!   and averages are exact rather than sampled.
 //! * [`metrics`] also carries **log-bucketed histogram metrics**:
 //!   HDR-style quarter-octave buckets with boundaries derived from the
 //!   value's bit pattern, so distributions (queue depths, retry
@@ -26,10 +26,10 @@
 //!   timeline joined with a node power model) through [`MeteredPdu`]
 //!   interval averaging at a configurable cadence — the paper's
 //!   one-sample-per-minute PDU pathway — with exact time-weighted
-//!   peak/mean/percentile stats and power-cap-exceedance accounting.
+//!   peak/mean/percentile stats.
 //! * [`jsonl`], [`csv`], [`gantt`], [`exporters`] — sinks: a
 //!   stable-schema JSONL trace exporter (one record per line), CSV
-//!   renderers that plug into the bench harness's CSV export, an ASCII
+//!   rows that plug into the bench harness's CSV export, an ASCII
 //!   Gantt/timeline renderer (the terminal analogue of the paper's
 //!   Fig. 4 power-profile plot), plus Chrome trace-event JSON (open it
 //!   at <https://ui.perfetto.dev>) and a Prometheus text-exposition
@@ -59,8 +59,6 @@ pub use energy::{attribute, EnergyAttribution, PhaseEnergy};
 pub use exporters::{to_chrome_trace, to_prometheus};
 pub use gantt::{render_fig4, render_timeline};
 pub use jsonl::to_jsonl;
-pub use metrics::{
-    log_bucket_upper, HistogramSnapshot, Metric, MetricKind, MetricsRegistry, TimeWeightedHistogram,
-};
+pub use metrics::{log_bucket_upper, HistogramSnapshot, Metric, MetricKind, MetricsRegistry};
 pub use recorder::{AttrValue, Component, Event, Recorder, Sink, Span, SpanId, TraceBuffer};
 pub use telemetry::{paper_cadence, PowerTimeline, TimelineStats};

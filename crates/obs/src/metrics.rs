@@ -172,16 +172,6 @@ impl Metric {
             _ => None,
         }
     }
-
-    /// Exact percentile (`q ∈ [0, 1]`) over a histogram metric's raw
-    /// observations; `None` for other kinds or when empty.
-    pub fn observation_percentile(&self, q: f64) -> Option<f64> {
-        if self.kind != MetricKind::Histogram {
-            return None;
-        }
-        let values: Vec<f64> = self.observations.iter().map(|&(_, v)| v).collect();
-        ivis_sim::stats::percentile(&values, q)
-    }
 }
 
 /// Registry of counters and gauges, addressed by static name.
@@ -315,95 +305,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Time-weighted histogram of a step function over a window.
-///
-/// Bucket `i` holds the number of seconds the value sat in
-/// `(bounds[i-1], bounds[i]]` (bucket 0 is `(-inf, bounds[0]]`, the last
-/// bucket is `(bounds.last(), +inf)`). Because the input is a step
-/// function, the seconds are exact.
-#[derive(Debug, Clone)]
-pub struct TimeWeightedHistogram {
-    bounds: Vec<f64>,
-    seconds: Vec<f64>,
-    total_seconds: f64,
-}
-
-impl TimeWeightedHistogram {
-    /// Build from `series` over `[from, to]`, using `default` for the
-    /// value before the first sample and `bounds` as ascending bucket
-    /// upper bounds.
-    pub fn from_series(
-        series: &TimeSeries,
-        from: SimTime,
-        to: SimTime,
-        default: f64,
-        bounds: &[f64],
-    ) -> Self {
-        assert!(to >= from, "histogram window end precedes start");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let mut hist = TimeWeightedHistogram {
-            bounds: bounds.to_vec(),
-            seconds: vec![0.0; bounds.len() + 1],
-            total_seconds: 0.0,
-        };
-        let mut cursor = from;
-        let mut value = series.value_at(from, default);
-        for &(t, v) in series.samples() {
-            if t <= from {
-                continue;
-            }
-            if t >= to {
-                break;
-            }
-            hist.deposit(value, (t - cursor).as_secs_f64());
-            cursor = t;
-            value = v;
-        }
-        hist.deposit(value, (to - cursor).as_secs_f64());
-        hist
-    }
-
-    fn deposit(&mut self, value: f64, seconds: f64) {
-        if seconds <= 0.0 {
-            return;
-        }
-        let bucket = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.seconds[bucket] += seconds;
-        self.total_seconds += seconds;
-    }
-
-    /// Ascending bucket upper bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Seconds spent in each bucket (`bounds.len() + 1` entries).
-    pub fn bucket_seconds(&self) -> &[f64] {
-        &self.seconds
-    }
-
-    /// Total seconds covered by the window.
-    pub fn total_seconds(&self) -> f64 {
-        self.total_seconds
-    }
-
-    /// Fraction of the window spent in bucket `i` (0 if the window is empty).
-    pub fn fraction(&self, i: usize) -> f64 {
-        if self.total_seconds > 0.0 {
-            self.seconds[i] / self.total_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,11 +408,9 @@ mod tests {
         assert!((h.sum - 12.2).abs() < 1e-12);
         assert_eq!(h.min, 1.1);
         assert_eq!(h.max, 8.0);
-        assert!((m.observation_percentile(0.5).unwrap() - 1.55).abs() < 1e-9);
         // Counters and gauges have no histogram view.
         reg.counter_add(t(0.0), "c", 1.0);
         assert!(reg.get("c").unwrap().histogram().is_none());
-        assert!(reg.get("c").unwrap().observation_percentile(0.5).is_none());
     }
 
     #[test]
@@ -556,17 +455,5 @@ mod tests {
         let m2 = two.get("lat").unwrap();
         assert_eq!(m1.observations(), m2.observations());
         assert_eq!(m1.series().samples(), m2.series().samples());
-    }
-
-    #[test]
-    fn histogram_weights_by_time_not_samples() {
-        let mut s = TimeSeries::new();
-        s.push(t(0.0), 0.2);
-        s.push(t(1.0), 0.9); // only 1 s at 0.2, then 9 s at 0.9
-        let h = TimeWeightedHistogram::from_series(&s, t(0.0), t(10.0), 0.0, &[0.5]);
-        assert!((h.bucket_seconds()[0] - 1.0).abs() < 1e-9);
-        assert!((h.bucket_seconds()[1] - 9.0).abs() < 1e-9);
-        assert!((h.fraction(1) - 0.9).abs() < 1e-9);
-        assert!((h.total_seconds() - 10.0).abs() < 1e-9);
     }
 }

@@ -274,23 +274,6 @@ impl PowerTimeline {
     pub fn stats(&self) -> TimelineStats {
         self.stats_over(self.start, self.end())
     }
-
-    /// Power-cap-exceedance duration: total time in `[from, to]` the
-    /// sampled signal sat strictly above `cap`.
-    pub fn time_above_over(&self, cap: Watts, from: SimTime, to: SimTime) -> SimDuration {
-        let secs: f64 = self
-            .clipped(from, to)
-            .iter()
-            .filter(|&&(_, w)| w > cap)
-            .map(|&(s, _)| s)
-            .sum();
-        SimDuration::from_secs_f64(secs)
-    }
-
-    /// Power-cap-exceedance duration over the whole window.
-    pub fn time_above(&self, cap: Watts) -> SimDuration {
-        self.time_above_over(cap, self.start, self.end())
-    }
 }
 
 #[cfg(test)]
@@ -358,13 +341,6 @@ mod tests {
         assert_eq!(st.p50, Watts(100.0)); // signal is <= 100 W for 2/3 of the time
         assert_eq!(st.p95, Watts(300.0));
         assert_eq!(st.p99, Watts(300.0));
-        // Cap exceedance: strictly above 100 W for exactly the middle minute.
-        assert_eq!(tl.time_above(Watts(100.0)), SimDuration::from_mins(1));
-        assert_eq!(tl.time_above(Watts(300.0)), SimDuration::ZERO);
-        assert_eq!(
-            tl.time_above_over(Watts(100.0), t(90), t(180)),
-            SimDuration::from_secs(30)
-        );
     }
 
     #[test]

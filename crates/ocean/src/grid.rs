@@ -39,12 +39,6 @@ impl Grid {
         }
     }
 
-    /// The laptop-scale analogue of the paper's 60 km run: a 256×128
-    /// channel of 60 km cells (≈15,360 × 7,680 km).
-    pub fn paper_analogue() -> Self {
-        Grid::channel(256, 128, 60_000.0)
-    }
-
     /// Small grid for fast tests.
     pub fn tiny() -> Self {
         Grid::channel(16, 12, 60_000.0)
@@ -114,7 +108,7 @@ mod tests {
 
     #[test]
     fn coriolis_increases_northward() {
-        let g = Grid::paper_analogue();
+        let g = Grid::channel(256, 128, 60_000.0);
         assert!(g.coriolis(10) < g.coriolis(100));
         assert!(g.coriolis(0) > 0.0);
         // v-face value sits below the first cell center.
@@ -129,8 +123,8 @@ mod tests {
     }
 
     #[test]
-    fn stable_dt_is_sane_for_paper_analogue() {
-        let g = Grid::paper_analogue();
+    fn stable_dt_is_sane_for_60_km_cells() {
+        let g = Grid::channel(256, 128, 60_000.0);
         let dt = g.max_stable_dt(9.81, 1000.0);
         // c ≈ 99 m/s, dx = 60 km ⇒ dt ≈ 214 s.
         assert!(dt > 100.0 && dt < 400.0, "dt={dt}");

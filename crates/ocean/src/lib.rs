@@ -17,8 +17,6 @@
 //! * [`vortex`] — seeding of geostrophically balanced Gaussian eddies.
 //! * [`mod@okubo_weiss`] — the W = s_n² + s_s² − ω² diagnostic the paper
 //!   visualizes (negative W = rotation-dominated = eddy core).
-//! * [`decomposition`] — 1-D block domain decomposition across ranks with
-//!   halo-size accounting.
 //! * [`problem`] — the paper's problem specification (60 km grid, 30-minute
 //!   steps, six simulated months, sampling every 8/24/72 simulated hours)
 //!   and its derived counts (timesteps, outputs, raw bytes per output).
@@ -27,7 +25,6 @@
 //!   t_sim = 603 s for 8640 steps.
 
 pub mod cost;
-pub mod decomposition;
 pub mod field;
 pub mod grid;
 pub mod okubo_weiss;

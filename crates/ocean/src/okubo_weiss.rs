@@ -64,14 +64,6 @@ pub fn eddy_threshold(w: &Field2D, k: f64) -> f64 {
     -k * w.std_dev()
 }
 
-/// Fraction of cells below the eddy threshold — a cheap scalar summary used
-/// in tests and examples.
-pub fn eddy_fraction(w: &Field2D, k: f64) -> f64 {
-    let thr = eddy_threshold(w, k);
-    let below = w.data().par_iter().filter(|&&x| x < thr).count();
-    below as f64 / w.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,7 +112,6 @@ mod tests {
         let vc = Field2D::zeros(grid.nx, grid.ny);
         let w = okubo_weiss(&grid, &uc, &vc);
         assert_eq!(w.max_abs(), 0.0);
-        assert_eq!(eddy_fraction(&w, 0.2), 0.0);
     }
 
     #[test]
@@ -146,7 +137,7 @@ mod tests {
         let thr = eddy_threshold(&w, 0.2);
         assert!(w.get(ci, cj) < thr, "core W={} thr={thr}", w.get(ci, cj));
         assert!(w.max() > 0.0, "strain ring expected");
-        let frac = eddy_fraction(&w, 0.2);
+        let frac = w.data().iter().filter(|&&x| x < thr).count() as f64 / w.len() as f64;
         assert!(frac > 0.0 && frac < 0.5, "eddy fraction {frac}");
     }
 

@@ -123,16 +123,16 @@ impl ProblemSpec {
     pub fn raw_output_bytes(&self) -> u64 {
         self.num_cells * self.num_levels as u64 * self.output_vars as u64 * 8 + 4096
     }
-
-    /// Total raw bytes written over the run at `rate` (post-processing).
-    pub fn total_raw_bytes(&self, rate: SamplingRate) -> u64 {
-        self.num_outputs(rate) * self.raw_output_bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Raw bytes a post-processing run writes at `rate` (Fig. 7).
+    fn total_raw_bytes(spec: &ProblemSpec, rate: SamplingRate) -> u64 {
+        spec.num_outputs(rate) * spec.raw_output_bytes()
+    }
 
     #[test]
     fn paper_step_and_output_counts() {
@@ -155,15 +155,15 @@ mod tests {
             (per_output_gb - 0.42593).abs() < 0.002,
             "per-output = {per_output_gb} GB"
         );
-        let total_gb = spec.total_raw_bytes(SamplingRate::every_hours(8.0)) as f64 / 1e9;
+        let total_gb = total_raw_bytes(&spec, SamplingRate::every_hours(8.0)) as f64 / 1e9;
         assert!((total_gb - 230.0).abs() < 1.0, "total = {total_gb} GB");
     }
 
     #[test]
     fn fig7_other_rates() {
         let spec = ProblemSpec::paper_60km();
-        let gb24 = spec.total_raw_bytes(SamplingRate::every_hours(24.0)) as f64 / 1e9;
-        let gb72 = spec.total_raw_bytes(SamplingRate::every_hours(72.0)) as f64 / 1e9;
+        let gb24 = total_raw_bytes(&spec, SamplingRate::every_hours(24.0)) as f64 / 1e9;
+        let gb72 = total_raw_bytes(&spec, SamplingRate::every_hours(72.0)) as f64 / 1e9;
         // Paper: ~80 GB and ~27 GB.
         assert!((gb24 - 76.7).abs() < 4.0, "24h total = {gb24}");
         assert!((gb72 - 25.6).abs() < 2.0, "72h total = {gb72}");
@@ -189,8 +189,8 @@ mod tests {
     fn storage_scales_linearly_with_rate() {
         // Eq. 6: doubling the rate doubles the bytes.
         let spec = ProblemSpec::paper_60km();
-        let s12 = spec.total_raw_bytes(SamplingRate::every_hours(12.0));
-        let s24 = spec.total_raw_bytes(SamplingRate::every_hours(24.0));
+        let s12 = total_raw_bytes(&spec, SamplingRate::every_hours(12.0));
+        let s24 = total_raw_bytes(&spec, SamplingRate::every_hours(24.0));
         assert_eq!(s12, 2 * s24);
     }
 

@@ -6,8 +6,7 @@
 //! realistic, long-lived eddies — the structures the paper's visualization
 //! task identifies and tracks.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ivis_sim::SimRng;
 
 use crate::shallow_water::ShallowWaterModel;
 
@@ -113,7 +112,7 @@ pub fn seed_vortices(model: &mut ShallowWaterModel, vortices: &[Vortex]) {
 /// deterministic in `seed`. Radii, amplitudes and polarity vary; eddies are
 /// kept away from the walls by one diameter.
 pub fn seed_random_eddies(model: &mut ShallowWaterModel, count: usize, seed: u64) -> Vec<Vortex> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::new(seed);
     let (lx, ly) = model.grid().extent();
     // Radii scale with the basin so small test domains stay valid: an eddy
     // never exceeds a fifth of the meridional extent.
@@ -121,11 +120,12 @@ pub fn seed_random_eddies(model: &mut ShallowWaterModel, count: usize, seed: u64
     let r_lo = (r_hi * 0.4).min(80_000.0);
     let vortices: Vec<Vortex> = (0..count)
         .map(|_| {
-            let radius = rng.gen_range(r_lo..r_hi);
-            let amplitude = rng.gen_range(0.3..1.2) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+            let radius = rng.uniform_range(r_lo, r_hi);
+            let amplitude =
+                rng.uniform_range(0.3, 1.2) * if rng.uniform() < 0.5 { 1.0 } else { -1.0 };
             Vortex {
-                x: rng.gen_range(0.0..lx),
-                y: rng.gen_range(2.0 * radius..ly - 2.0 * radius),
+                x: rng.uniform_range(0.0, lx),
+                y: rng.uniform_range(2.0 * radius, ly - 2.0 * radius),
                 radius,
                 amplitude,
             }

@@ -38,16 +38,6 @@ impl EnergyBreakdown {
         self.nic += other.nic;
         self.platform += other.platform;
     }
-
-    /// Fraction of the total drawn by the CPU sockets.
-    pub fn cpu_fraction(&self) -> f64 {
-        let t = self.total().joules();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.cpu.joules() / t
-        }
-    }
 }
 
 /// A RAPL-like attributor: knows the component curves and splits wall energy.
@@ -173,7 +163,8 @@ mod tests {
     fn cpu_dominates_under_compute_load() {
         let attr = EnergyAttributor::caddy();
         let b = attr.attribute(NodeLoad::COMPUTE, SimDuration::from_secs(10));
-        assert!(b.cpu_fraction() > 0.5, "cpu fraction {}", b.cpu_fraction());
+        let cpu_fraction = b.cpu.joules() / b.total().joules();
+        assert!(cpu_fraction > 0.5, "cpu fraction {cpu_fraction}");
         assert!(b.dram > Joules::ZERO && b.nic > Joules::ZERO && b.platform > Joules::ZERO);
     }
 
@@ -224,6 +215,5 @@ mod tests {
         let attr = EnergyAttributor::caddy();
         let b = attr.attribute(NodeLoad::COMPUTE, SimDuration::ZERO);
         assert_eq!(b.total(), Joules::ZERO);
-        assert_eq!(b.cpu_fraction(), 0.0);
     }
 }

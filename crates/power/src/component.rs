@@ -119,37 +119,6 @@ impl PowerComponent for NicPower {
     }
 }
 
-/// Spinning-disk power: dominated by rotation, nearly load-independent.
-///
-/// This is the root cause of the paper's Finding 2: the disks spin whether
-/// or not the pipeline writes, so an in-situ pipeline cannot save storage
-/// power.
-#[derive(Debug, Clone)]
-pub struct DiskPower {
-    idle: Watts,
-    max: Watts,
-}
-
-impl DiskPower {
-    /// Create an affine disk model.
-    pub fn new(idle: Watts, max: Watts) -> Self {
-        assert!(max.watts() >= idle.watts(), "max power below idle power");
-        DiskPower { idle, max }
-    }
-
-    /// 7.2k RPM nearline SAS drive: ~8 W spinning idle, ~11 W seeking.
-    pub fn nearline_sas() -> Self {
-        DiskPower::new(Watts(8.0), Watts(11.0))
-    }
-}
-
-impl PowerComponent for DiskPower {
-    fn power(&self, u: f64) -> Watts {
-        let u = clamp_unit(u);
-        self.idle + (self.max - self.idle) * u
-    }
-}
-
 /// A fixed overhead (fans, VRMs, boards) plus a PSU conversion-loss factor
 /// applied to the sum of all downstream components.
 #[derive(Debug, Clone)]
@@ -224,15 +193,6 @@ mod tests {
         assert_eq!(d.power(0.5), Watts(20.0));
         let n = NicPower::new(Watts(8.0), Watts(12.0));
         assert_eq!(n.power(0.25), Watts(9.0));
-        let k = DiskPower::new(Watts(8.0), Watts(10.0));
-        assert_eq!(k.power(1.0), Watts(10.0));
-    }
-
-    #[test]
-    fn disk_dynamic_range_is_small() {
-        let d = DiskPower::nearline_sas();
-        let range = (d.peak().watts() - d.idle().watts()) / d.idle().watts();
-        assert!(range < 0.5, "disks must be power-disproportional");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use ivis_sim::SimDuration;
 
-use crate::units::{Joules, Watts};
+use crate::units::Joules;
 
 /// Electricity pricing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,11 +37,6 @@ impl EnergyPrice {
     /// Cost of an amount of energy.
     pub fn cost_of(&self, e: Joules) -> f64 {
         e.kilowatt_hours() * self.dollars_per_kwh
-    }
-
-    /// Annual cost of a constant draw `p`.
-    pub fn annual_cost(&self, p: Watts) -> f64 {
-        self.cost_of(p.over(SimDuration::from_hours(24 * 365)))
     }
 }
 
@@ -94,12 +89,14 @@ pub fn workflow_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::units::Watts;
 
     #[test]
     fn rule_of_thumb_matches_headline() {
         // 1 MW for a year should cost ~$1M under the paper's rule.
         let price = EnergyPrice::paper_rule_of_thumb();
-        let annual = price.annual_cost(Watts::from_kilowatts(1_000.0));
+        let annual =
+            price.cost_of(Watts::from_kilowatts(1_000.0).over(SimDuration::from_hours(24 * 365)));
         assert!((annual - 1.0e6).abs() / 1.0e6 < 0.01, "annual = {annual}");
     }
 

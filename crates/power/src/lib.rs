@@ -5,7 +5,7 @@
 //! * [`units`] — `Watts` / `Joules` newtypes with dimensional arithmetic
 //!   (`P × Δt = E`).
 //! * [`component`] — per-component power models (CPU with a
-//!   utilization→power curve, DRAM, NIC, disk, PSU overhead) composable into
+//!   utilization→power curve, DRAM, NIC, PSU overhead) composable into
 //!   a node model.
 //! * [`node`] — node-level power models, including the calibrated *Caddy*
 //!   compute node (150 nodes ⇒ 15 kW idle, 44 kW at full load, the paper's

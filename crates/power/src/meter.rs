@@ -124,8 +124,10 @@ impl MeteredPdu {
         total
     }
 
-    /// Exact energy over `[from, to]` from the true signal.
-    pub fn true_energy(&self, from: SimTime, to: SimTime) -> Joules {
+    /// Exact energy over `[from, to]` from the true signal: the oracle
+    /// the sampled energy is tested against.
+    #[cfg(test)]
+    fn true_energy(&self, from: SimTime, to: SimTime) -> Joules {
         Joules(self.signal.integrate(from, to, self.baseline.watts()))
     }
 }

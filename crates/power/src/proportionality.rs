@@ -8,15 +8,6 @@
 
 use crate::units::Watts;
 
-/// One point on a load/power curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadPowerPoint {
-    /// Offered load in `[0, 1]` (e.g. fraction of peak bandwidth).
-    pub load: f64,
-    /// Measured power at that load.
-    pub power: Watts,
-}
-
 /// Summary of an idle/full-load characterization, the shape of the paper's
 /// storage-rack and compute-cluster benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,46 +49,11 @@ impl Proportionality {
         (self.full.watts() - self.idle.watts()) / self.idle.watts() * 100.0
     }
 
-    /// Fraction of peak power that is load-dependent:
-    /// `(full − idle) / full`. 1.0 is perfectly proportional, 0.0 is a
-    /// constant draw.
-    pub fn proportional_fraction(&self) -> f64 {
-        (self.full.watts() - self.idle.watts()) / self.full.watts()
-    }
-
-    /// The affine power estimate at load `u ∈ [0,1]`.
-    pub fn power_at(&self, u: f64) -> Watts {
-        let u = u.clamp(0.0, 1.0);
-        self.idle + (self.full - self.idle) * u
-    }
-
     /// Maximum power saving available from eliminating the load entirely —
     /// what an in-situ pipeline could at best save on this subsystem.
     pub fn max_saving(&self) -> Watts {
         self.full - self.idle
     }
-}
-
-/// Barroso–Hölzle-style proportionality index over a measured load/power
-/// curve: `1 − mean(|P(u) − u·P_peak|) / P_peak`, where 1.0 means power
-/// tracks load perfectly and lower values mean energy is wasted at partial
-/// load.
-///
-/// # Panics
-/// Panics if the curve is empty or peak power is non-positive.
-pub fn proportionality_index(curve: &[LoadPowerPoint]) -> f64 {
-    assert!(!curve.is_empty(), "empty load/power curve");
-    let peak = curve
-        .iter()
-        .map(|p| p.power.watts())
-        .fold(f64::NEG_INFINITY, f64::max);
-    assert!(peak > 0.0, "peak power must be positive");
-    let mean_dev = curve
-        .iter()
-        .map(|p| (p.power.watts() - p.load.clamp(0.0, 1.0) * peak).abs())
-        .sum::<f64>()
-        / curve.len() as f64;
-    1.0 - mean_dev / peak
 }
 
 #[cfg(test)]
@@ -118,69 +74,8 @@ mod tests {
     }
 
     #[test]
-    fn proportional_fraction_bounds() {
-        let storage = Proportionality::paper_storage_rack();
-        let compute = Proportionality::paper_compute_cluster();
-        assert!(storage.proportional_fraction() < 0.02);
-        assert!(compute.proportional_fraction() > 0.6);
-    }
-
-    #[test]
-    fn power_at_interpolates_and_clamps() {
-        let p = Proportionality::new(Watts(100.0), Watts(200.0));
-        assert_eq!(p.power_at(0.5), Watts(150.0));
-        assert_eq!(p.power_at(-1.0), Watts(100.0));
-        assert_eq!(p.power_at(2.0), Watts(200.0));
-    }
-
-    #[test]
-    fn index_perfectly_proportional() {
-        let curve: Vec<LoadPowerPoint> = (0..=10)
-            .map(|i| LoadPowerPoint {
-                load: i as f64 / 10.0,
-                power: Watts(100.0 * i as f64 / 10.0),
-            })
-            .collect();
-        assert!((proportionality_index(&curve) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn index_constant_draw_is_poor() {
-        let curve: Vec<LoadPowerPoint> = (0..=10)
-            .map(|i| LoadPowerPoint {
-                load: i as f64 / 10.0,
-                power: Watts(100.0),
-            })
-            .collect();
-        // Mean |100 - u*100| over u=0..1 is 50 ⇒ index 0.5.
-        assert!((proportionality_index(&curve) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn storage_rack_index_is_terrible() {
-        let p = Proportionality::paper_storage_rack();
-        let curve: Vec<LoadPowerPoint> = (0..=10)
-            .map(|i| {
-                let u = i as f64 / 10.0;
-                LoadPowerPoint {
-                    load: u,
-                    power: p.power_at(u),
-                }
-            })
-            .collect();
-        let idx = proportionality_index(&curve);
-        assert!(idx < 0.55, "storage rack should score poorly, got {idx}");
-    }
-
-    #[test]
     #[should_panic(expected = "full-load power below idle")]
     fn inverted_rejected() {
         let _ = Proportionality::new(Watts(200.0), Watts(100.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty load/power curve")]
-    fn empty_curve_rejected() {
-        let _ = proportionality_index(&[]);
     }
 }

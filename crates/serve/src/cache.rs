@@ -85,16 +85,6 @@ impl MemoCache {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Hit fraction over all lookups so far (0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +108,6 @@ mod tests {
         c.insert(key(1.0), body("a"));
         assert_eq!(c.get(&key(1.0)).unwrap().as_slice(), b"a");
         assert_eq!((c.hits(), c.misses()), (1, 1));
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -10,11 +10,8 @@
 
 use ivis_core::PipelineKind;
 use ivis_model::{SpecId, WhatIfRequest};
-use ivis_sim::SimTime;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ivis_sim::{SimRng, SimTime};
 
-use crate::http::format_get;
 use crate::server::{frame_target, whatif_target};
 
 /// The traffic composition, in integer percent so mixes hash and
@@ -81,21 +78,25 @@ impl LoadSchedule {
     ) -> LoadSchedule {
         assert!(spread_us > 0, "spread must be positive");
         assert!(frames > 0, "need at least one frame to target");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SimRng::new(seed);
+        // Integer draws reduce with a plain modulo, not `SimRng::below`:
+        // the recorded schedules (and every digest replayed from them)
+        // were generated that way.
+        let below = |rng: &mut SimRng, n: u64| rng.next_u64() % n;
         let total = clients as usize * reqs_per_client as usize;
         let mut arrivals: Vec<(SimTime, Vec<u8>)> = Vec::with_capacity(total);
         for _ in 0..total {
-            let t = SimTime::from_micros(rng.gen_range(0..spread_us));
-            let roll: u8 = rng.gen_range(0u32..100) as u8;
+            let t = SimTime::from_micros(below(&mut rng, spread_us));
+            let roll = below(&mut rng, 100) as u8;
             let bytes = if roll < mix.malformed_pct {
                 // Not even a request line — the parser must 400 it.
                 b"BORK this is not http\r\n\r\n".to_vec()
             } else if roll < mix.malformed_pct.saturating_add(mix.whatif_pct) {
-                let step = rng.gen_range(0..mix.distinct_rates.max(1));
+                let step = below(&mut rng, u64::from(mix.distinct_rates.max(1)));
                 // Rates ladder over [1h, 49h) in 0.75h steps modulo the
                 // working set; all exactly representable in micro-hours.
                 let rate_hours = 1.0 + 0.75 * (step % 64) as f64;
-                let kind = if rng.gen_bool(0.5) {
+                let kind = if rng.uniform() < 0.5 {
                     PipelineKind::InSitu
                 } else {
                     PipelineKind::PostProcessing
@@ -104,11 +105,11 @@ impl LoadSchedule {
                     .expect("generated rates are representable");
                 whatif_target(&key)
             } else {
-                let miss: u8 = rng.gen_range(0u32..100) as u8;
+                let miss = below(&mut rng, 100) as u8;
                 if miss < mix.frame_miss_pct {
                     frame_target(frames * steps_per_frame + 1)
                 } else {
-                    let f = rng.gen_range(0..frames);
+                    let f = below(&mut rng, frames);
                     frame_target(f * steps_per_frame)
                 }
             };
@@ -126,26 +127,6 @@ impl LoadSchedule {
     /// Whether the schedule is empty.
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
-    }
-
-    /// Offered load in requests per simulated second, using the last
-    /// arrival as the horizon (0 for empty/instantaneous schedules).
-    pub fn offered_qps(&self) -> f64 {
-        match self.arrivals.last() {
-            Some((t, _)) if t.as_micros() > 0 => self.arrivals.len() as f64 / t.as_secs_f64(),
-            _ => 0.0,
-        }
-    }
-
-    /// A single-client schedule from explicit `(time, target)` pairs —
-    /// test helper for hand-built timelines.
-    pub fn from_targets(targets: Vec<(u64, String)>) -> LoadSchedule {
-        let mut arrivals: Vec<(SimTime, Vec<u8>)> = targets
-            .into_iter()
-            .map(|(us, target)| (SimTime::from_micros(us), format_get(&target)))
-            .collect();
-        arrivals.sort_by_key(|(t, _)| *t);
-        LoadSchedule { arrivals }
     }
 }
 
@@ -172,7 +153,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(times, sorted);
         assert!(times.iter().all(|&t| t < 50_000));
-        assert!(s.offered_qps() > 0.0);
     }
 
     #[test]

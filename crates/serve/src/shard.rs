@@ -35,19 +35,9 @@ impl ShardedFrameIndex {
         ShardedFrameIndex { shards: parts }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Which shard holds `timestep`.
     pub fn shard_of(&self, timestep: u64) -> usize {
         (timestep % self.shards.len() as u64) as usize
-    }
-
-    /// Frames indexed in shard `s`.
-    pub fn shard_len(&self, s: usize) -> usize {
-        self.shards[s].len()
     }
 
     /// Look up the frame at exactly `timestep`, probing only its shard.
@@ -100,9 +90,8 @@ mod tests {
     fn shards_partition_the_keyspace() {
         let db = db(64);
         let idx = ShardedFrameIndex::build(&db, 8);
-        assert_eq!(idx.shard_count(), 8);
-        let total: usize = (0..8).map(|s| idx.shard_len(s)).sum();
-        assert_eq!(total, 64);
+        assert_eq!(idx.shards.len(), 8);
+        assert_eq!(idx.len(), 64);
         // timestep 16k lands in shard (16k % 8) = 0 for every frame here.
         assert_eq!(idx.shard_of(32), 0);
         assert_eq!(idx.shard_of(33), 1);
@@ -142,7 +131,7 @@ mod tests {
     fn zero_shards_clamps_to_one() {
         let db = db(4);
         let idx = ShardedFrameIndex::build(&db, 0);
-        assert_eq!(idx.shard_count(), 1);
+        assert_eq!(idx.shards.len(), 1);
         assert!(idx.lookup(&db, 16).is_some());
         assert!(!idx.is_empty());
     }

@@ -27,12 +27,6 @@ pub struct EventHandle {
 }
 
 impl EventHandle {
-    /// A handle that never resolves (generation 0 is never live).
-    pub const DANGLING: EventHandle = EventHandle {
-        index: u32::MAX,
-        generation: 0,
-    };
-
     /// The slot index (for diagnostics).
     pub fn index(self) -> u32 {
         self.index
@@ -155,13 +149,6 @@ impl<T> EventArena<T> {
         }
     }
 
-    /// Whether `handle` still refers to a live payload.
-    pub fn contains(&self, handle: EventHandle) -> bool {
-        self.entries.get(handle.index as usize).is_some_and(|e| {
-            e.generation == handle.generation && matches!(e.slot, Slot::Occupied(_))
-        })
-    }
-
     /// Read the payload behind `handle` without removing it.
     pub fn get(&self, handle: EventHandle) -> Option<&T> {
         match self.entries.get(handle.index as usize) {
@@ -201,17 +188,9 @@ mod tests {
         let h2 = a.insert(8u64);
         assert_eq!(h2.index(), h.index());
         // ...but the old handle is dead: no read, no double-free.
-        assert!(!a.contains(h));
         assert_eq!(a.get(h), None);
         assert_eq!(a.remove(h), None);
         assert_eq!(a.remove(h2), Some(8));
-    }
-
-    #[test]
-    fn dangling_handle_is_inert() {
-        let mut a: EventArena<u32> = EventArena::new();
-        assert!(!a.contains(EventHandle::DANGLING));
-        assert_eq!(a.remove(EventHandle::DANGLING), None);
     }
 
     #[test]
@@ -240,7 +219,7 @@ mod tests {
         }
         let live = a.insert(999);
         for h in old {
-            assert!(!a.contains(h));
+            assert_eq!(a.get(h), None);
         }
         assert_eq!(a.get(live), Some(&999));
     }

@@ -130,11 +130,6 @@ impl<E> DesEngine<E> {
         self.arena.remove(handle)
     }
 
-    /// Whether `handle` refers to a still-pending event.
-    pub fn is_pending(&self, handle: EventHandle) -> bool {
-        self.arena.contains(handle)
-    }
-
     /// Run until no live event remains. Returns the final clock value.
     pub fn run<H: EventHandler<E>>(&mut self, handler: &mut H) -> SimTime {
         self.run_until(handler, SimTime::MAX)

@@ -17,10 +17,11 @@
 //! * [`resource`] — analytic queueing servers: a processor-sharing
 //!   [`resource::FairShareServer`] (models bandwidth-shared storage servers)
 //!   and a FIFO [`resource::FcfsServer`] (models metadata servers).
-//! * [`rng`] — a small, dependency-free deterministic PRNG
-//!   (SplitMix64-seeded xoshiro256++) with normal/lognormal samplers, so
-//!   simulated measurements are reproducible across runs and platforms.
-//! * [`stats`] — online statistics (Welford), percentiles, histograms.
+//! * [`rng`] — the workspace's one deterministic PRNG, small and
+//!   dependency-free (SplitMix64-seeded xoshiro256++) with uniform and
+//!   normal samplers, so simulated measurements, eddy seeds and load
+//!   schedules are reproducible across runs and platforms.
+//! * [`stats`] — the workspace's one percentile.
 //! * [`trace`] — time-series recording with step-function integration and
 //!   fixed-interval resampling (this is what the simulated power meters use).
 //!

@@ -87,11 +87,6 @@ impl FairShareServer {
         self.capacity
     }
 
-    /// Number of jobs currently in service.
-    pub fn active_jobs(&self) -> usize {
-        self.active.len()
-    }
-
     /// Total time the server has spent with at least one active job,
     /// up to its internal clock.
     pub fn busy_time(&self) -> SimDuration {
@@ -106,15 +101,6 @@ impl FairShareServer {
     /// Internal clock (the latest time the server state reflects).
     pub fn clock(&self) -> SimTime {
         self.clock
-    }
-
-    /// Instantaneous aggregate service rate: `capacity` if busy, else 0.
-    pub fn current_rate(&self) -> f64 {
-        if self.active.is_empty() {
-            0.0
-        } else {
-            self.capacity
-        }
     }
 
     /// Change the service capacity at time `t` — e.g. a bandwidth brownout

@@ -1,9 +1,10 @@
 //! Deterministic pseudo-random numbers for reproducible simulations.
 //!
-//! The engine uses its own small PRNG (xoshiro256++ seeded via SplitMix64)
-//! rather than `rand` so that simulated "measurements" are reproducible
-//! bit-for-bit across platforms and dependency upgrades. The statistical
-//! quality is far beyond what the noise models here need.
+//! The workspace's one generator (xoshiro256++ seeded via SplitMix64) is
+//! its own rather than `rand`'s, so simulated "measurements", eddy seeds
+//! and serve load schedules are reproducible bit-for-bit across platforms
+//! and dependency upgrades. The statistical quality is far beyond what the
+//! noise models here need.
 
 /// A deterministic PRNG: xoshiro256++ with SplitMix64 seeding.
 #[derive(Debug, Clone)]
@@ -117,11 +118,6 @@ impl SimRng {
         let f = 1.0 + self.standard_normal() * rel_std_dev;
         f.max(0.05)
     }
-
-    /// Fork an independent child stream (for per-component noise).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -194,15 +190,5 @@ mod tests {
             let f = rng.noise_factor(0.5);
             assert!(f >= 0.05);
         }
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut parent = SimRng::new(1234);
-        let mut child = parent.fork();
-        // Child stream should not be a shifted copy of parent's.
-        let p: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 }

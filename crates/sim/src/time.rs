@@ -116,25 +116,6 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Scale by a non-negative factor, rounding to the nearest microsecond.
-    ///
-    /// A silently-saturating scale would corrupt a simulated timeline
-    /// (a NaN noise factor quietly zeroing a phase, say), so invalid
-    /// factors are rejected loudly instead of coerced. Products beyond
-    /// `u64::MAX` microseconds saturate to `u64::MAX` (Rust's defined
-    /// float→int `as` conversion) — that is ~584k simulated years, far
-    /// past any representable campaign.
-    ///
-    /// # Panics
-    /// Panics if `k` is negative, NaN, or infinite.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        assert!(
-            k >= 0.0 && k.is_finite(),
-            "scale factor must be finite and >= 0, got {k}"
-        );
-        SimDuration((self.0 as f64 * k).round() as u64)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
@@ -274,47 +255,6 @@ mod tests {
         let late = SimTime::from_secs(2);
         assert_eq!(late.duration_since(early), SimDuration::from_secs(1));
         assert_eq!(early.duration_since(late), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        let d = SimDuration::from_micros(3);
-        assert_eq!(d.mul_f64(0.5), SimDuration::from_micros(2)); // 1.5 rounds to 2
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale factor")]
-    fn mul_f64_rejects_negative() {
-        let _ = SimDuration::from_secs(1).mul_f64(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale factor")]
-    fn mul_f64_rejects_nan() {
-        let _ = SimDuration::from_secs(1).mul_f64(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale factor")]
-    fn mul_f64_rejects_infinity() {
-        let _ = SimDuration::from_secs(1).mul_f64(f64::INFINITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale factor")]
-    fn mul_f64_rejects_negative_zero_times_infinity_route() {
-        // -0.0 is allowed (it is >= 0.0); negative infinity is not.
-        assert_eq!(SimDuration::from_secs(1).mul_f64(-0.0), SimDuration::ZERO);
-        let _ = SimDuration::from_secs(1).mul_f64(f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn mul_f64_saturates_on_overflow() {
-        // A finite factor whose product exceeds u64::MAX µs saturates at
-        // the documented ceiling instead of wrapping.
-        let d = SimDuration::from_micros(u64::MAX / 2);
-        assert_eq!(d.mul_f64(1e6).as_micros(), u64::MAX);
     }
 
     #[test]

@@ -154,19 +154,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Maximum recorded value (`None` if empty).
-    pub fn max_value(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|s| s.1)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Time of the last change-point.
-    pub fn last_time(&self) -> Option<SimTime> {
-        self.samples.last().map(|s| s.0)
-    }
 }
 
 #[cfg(test)]
@@ -274,16 +261,5 @@ mod tests {
         assert_eq!(s.value_at(t(0), 0.0), 1.0);
         assert_eq!(s.value_at(t(1), 0.0), 11.0);
         assert_eq!(s.value_at(t(2), 0.0), 13.0);
-    }
-
-    #[test]
-    fn max_value_and_last_time() {
-        let mut ts = TimeSeries::new();
-        assert_eq!(ts.max_value(), None);
-        ts.push(t(0), 2.0);
-        ts.push(t(1), 7.0);
-        ts.push(t(2), 4.0);
-        assert_eq!(ts.max_value(), Some(7.0));
-        assert_eq!(ts.last_time(), Some(t(2)));
     }
 }

@@ -128,11 +128,6 @@ impl TimerWheel {
         self.len == 0
     }
 
-    /// Current wheel position in ticks (diagnostics).
-    pub fn base_tick(&self) -> u64 {
-        self.base
-    }
-
     /// File an entry. `seq` is the caller's insertion counter; entries
     /// with equal `at` pop in ascending `seq` order.
     ///

@@ -19,13 +19,15 @@
 //!                                   dim indices u32 × ndims,
 //!                                   element count u64, raw LE data
 //! ```
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//!
+//! A variable has at most 255 dimensions: its rank is one byte.
 
 /// Magic bytes identifying an ncdf-lite file.
 pub const MAGIC: &[u8; 4] = b"NCDL";
 /// Current format version.
 pub const VERSION: u16 = 1;
+/// Most dimensions one variable can have (`ndims` is a `u8` on the wire).
+const MAX_DIMS: usize = u8::MAX as usize;
 
 /// Element type of a variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,6 +147,13 @@ pub enum NcError {
     },
     /// A variable references a dimension index that does not exist.
     BadDimIndex(usize),
+    /// A variable has more than 255 dimensions.
+    TooManyDims {
+        /// Variable name.
+        name: String,
+        /// Dimensions requested.
+        ndims: usize,
+    },
 }
 
 impl std::fmt::Display for NcError {
@@ -164,6 +173,10 @@ impl std::fmt::Display for NcError {
                 "variable {name}: shape implies {expected} elements, got {actual}"
             ),
             NcError::BadDimIndex(i) => write!(f, "dimension index {i} out of range"),
+            NcError::TooManyDims { name, ndims } => write!(
+                f,
+                "variable {name}: {ndims} dimensions, at most {MAX_DIMS} allowed"
+            ),
         }
     }
 }
@@ -210,7 +223,8 @@ impl NcFile {
         self.attrs.push((name.into(), value.into()));
     }
 
-    /// Add a variable, validating its shape against the dimension table.
+    /// Add a variable, validating its rank and its shape against the
+    /// dimension table.
     pub fn add_var(
         &mut self,
         name: impl Into<String>,
@@ -218,6 +232,12 @@ impl NcFile {
         data: VarData,
     ) -> Result<(), NcError> {
         let name = name.into();
+        if dims.len() > MAX_DIMS {
+            return Err(NcError::TooManyDims {
+                name,
+                ndims: dims.len(),
+            });
+        }
         let mut expected: u64 = 1;
         for &d in &dims {
             let (_, size) = self.dims.get(d).ok_or(NcError::BadDimIndex(d))?;
@@ -270,38 +290,50 @@ impl NcFile {
     }
 
     /// Serialize to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_size() as usize);
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u16_le(0);
-        buf.put_u32_le(self.dims.len() as u32);
+    ///
+    /// # Panics
+    /// Panics if a count or a name's length does not fit its wire field,
+    /// or a variable pushed through the public fields rather than
+    /// [`NcFile::add_var`] has more than 255 dimensions. Nothing is ever
+    /// silently truncated.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_size() as usize);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u16.to_le_bytes());
+        put_u32(&mut buf, self.dims.len());
         for (name, size) in &self.dims {
             put_name(&mut buf, name);
-            buf.put_u64_le(*size);
+            buf.extend_from_slice(&size.to_le_bytes());
         }
-        buf.put_u32_le(self.attrs.len() as u32);
+        put_u32(&mut buf, self.attrs.len());
         for (name, value) in &self.attrs {
             put_name(&mut buf, name);
             put_name(&mut buf, value);
         }
-        buf.put_u32_le(self.vars.len() as u32);
+        put_u32(&mut buf, self.vars.len());
         for v in &self.vars {
             put_name(&mut buf, &v.name);
-            buf.put_u8(v.data.dtype().code());
-            buf.put_u8(v.dims.len() as u8);
+            buf.push(v.data.dtype().code());
+            buf.push(u8::try_from(v.dims.len()).expect("variable rank exceeds MAX_DIMS"));
             for &d in &v.dims {
-                buf.put_u32_le(d as u32);
+                put_u32(&mut buf, d);
             }
-            buf.put_u64_le(v.data.len() as u64);
+            buf.extend_from_slice(&(v.data.len() as u64).to_le_bytes());
             match &v.data {
-                VarData::F32(xs) => xs.iter().for_each(|x| buf.put_f32_le(*x)),
-                VarData::F64(xs) => xs.iter().for_each(|x| buf.put_f64_le(*x)),
-                VarData::I32(xs) => xs.iter().for_each(|x| buf.put_i32_le(*x)),
-                VarData::U8(xs) => buf.put_slice(xs),
+                VarData::F32(xs) => xs
+                    .iter()
+                    .for_each(|x| buf.extend_from_slice(&x.to_le_bytes())),
+                VarData::F64(xs) => xs
+                    .iter()
+                    .for_each(|x| buf.extend_from_slice(&x.to_le_bytes())),
+                VarData::I32(xs) => xs
+                    .iter()
+                    .for_each(|x| buf.extend_from_slice(&x.to_le_bytes())),
+                VarData::U8(xs) => buf.extend_from_slice(xs),
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Parse from bytes.
@@ -373,10 +405,15 @@ impl NcFile {
     }
 }
 
-fn put_name(buf: &mut BytesMut, s: &str) {
-    assert!(s.len() <= u16::MAX as usize, "name too long");
-    buf.put_u16_le(s.len() as u16);
-    buf.put_slice(s.as_bytes());
+fn put_u32(buf: &mut Vec<u8>, n: usize) {
+    let n = u32::try_from(n).expect("count does not fit the u32 wire field");
+    buf.extend_from_slice(&n.to_le_bytes());
+}
+
+fn put_name(buf: &mut Vec<u8>, s: &str) {
+    let len = u16::try_from(s.len()).expect("name too long");
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], NcError> {
@@ -388,32 +425,25 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], NcError> {
     Ok(head)
 }
 
+/// The next `N` bytes as an array, advancing the cursor.
+fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], NcError> {
+    Ok(take(buf, N)?.try_into().expect("take returned N bytes"))
+}
+
 fn get_u8(buf: &mut &[u8]) -> Result<u8, NcError> {
-    if buf.remaining() < 1 {
-        return Err(NcError::Truncated);
-    }
-    Ok(buf.get_u8())
+    Ok(u8::from_le_bytes(take_array(buf)?))
 }
 
 fn get_u16(buf: &mut &[u8]) -> Result<u16, NcError> {
-    if buf.remaining() < 2 {
-        return Err(NcError::Truncated);
-    }
-    Ok(buf.get_u16_le())
+    Ok(u16::from_le_bytes(take_array(buf)?))
 }
 
 fn get_u32(buf: &mut &[u8]) -> Result<u32, NcError> {
-    if buf.remaining() < 4 {
-        return Err(NcError::Truncated);
-    }
-    Ok(buf.get_u32_le())
+    Ok(u32::from_le_bytes(take_array(buf)?))
 }
 
 fn get_u64(buf: &mut &[u8]) -> Result<u64, NcError> {
-    if buf.remaining() < 8 {
-        return Err(NcError::Truncated);
-    }
-    Ok(buf.get_u64_le())
+    Ok(u64::from_le_bytes(take_array(buf)?))
 }
 
 fn get_name(buf: &mut &[u8]) -> Result<String, NcError> {
@@ -483,6 +513,42 @@ mod tests {
     }
 
     #[test]
+    fn rank_above_255_is_refused_not_truncated() {
+        // The rank is one byte on the wire: 256 dimensions would encode as
+        // rank 0 and decode to a different file.
+        let mut f = NcFile::new();
+        let d = f.add_dim("one", 1);
+        f.add_var("r255", vec![d; MAX_DIMS], VarData::U8(vec![7]))
+            .unwrap();
+        assert_eq!(NcFile::decode(&f.encode()).unwrap(), f);
+        let err = f
+            .add_var("r256", vec![d; MAX_DIMS + 1], VarData::U8(vec![7]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            NcError::TooManyDims {
+                name: "r256".into(),
+                ndims: 256
+            }
+        );
+        assert_eq!(f.vars.len(), 1, "a refused variable is not added");
+        assert_eq!(NcFile::decode(&f.encode()).unwrap(), f);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_DIMS")]
+    fn encoder_panics_rather_than_truncating_a_hand_built_rank() {
+        let mut f = NcFile::new();
+        let d = f.add_dim("one", 1);
+        f.vars.push(NcVariable {
+            name: "r".into(),
+            dims: vec![d; MAX_DIMS + 1],
+            data: VarData::U8(vec![7]),
+        });
+        let _ = f.encode();
+    }
+
+    #[test]
     fn bad_magic_rejected() {
         assert_eq!(NcFile::decode(b"XXXX\x01\x00"), Err(NcError::BadMagic));
     }
@@ -500,7 +566,7 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let mut raw = sample_file().encode().to_vec();
+        let mut raw = sample_file().encode();
         raw[4] = 9; // bump version field
         assert_eq!(NcFile::decode(&raw), Err(NcError::BadVersion(9)));
     }

@@ -110,12 +110,6 @@ impl PfsConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct FileMeta {
-    size: u64,
-    created_at: SimTime,
-}
-
 /// One recorded data transfer (for power reconstruction).
 #[derive(Debug, Clone, Copy)]
 struct Transfer {
@@ -129,7 +123,8 @@ pub struct ParallelFileSystem {
     config: PfsConfig,
     oss: Vec<FairShareServer>,
     mds: Vec<FcfsServer>,
-    files: HashMap<String, FileMeta>,
+    /// Path → size in bytes.
+    files: HashMap<String, u64>,
     used: u64,
     transfers: Vec<Transfer>,
     bytes_written: u64,
@@ -294,7 +289,7 @@ impl ParallelFileSystem {
     pub fn size_of(&self, path: &str) -> Result<u64, PfsError> {
         self.files
             .get(path)
-            .map(|m| m.size)
+            .copied()
             .ok_or_else(|| PfsError::NotFound(path.to_string()))
     }
 
@@ -317,13 +312,7 @@ impl ParallelFileSystem {
         let mds = self.mds_for(path);
         let service = self.config.mds_op_time + self.mds_surcharge;
         let (_, done) = self.mds[mds].submit(now, service);
-        self.files.insert(
-            path.to_string(),
-            FileMeta {
-                size: 0,
-                created_at: now,
-            },
-        );
+        self.files.insert(path.to_string(), 0);
         Ok(done)
     }
 
@@ -343,9 +332,9 @@ impl ParallelFileSystem {
         } else {
             self.create(now, path)?
         };
-        let meta = self.files.get_mut(path).expect("file just ensured");
-        let offset = meta.size;
-        meta.size += bytes;
+        let size = self.files.get_mut(path).expect("file just ensured");
+        let offset = *size;
+        *size += bytes;
         self.used += bytes;
         self.bytes_written += bytes;
         if bytes == 0 {
@@ -424,22 +413,14 @@ impl ParallelFileSystem {
 
     /// Delete a file, freeing its space. Metadata-only cost.
     pub fn delete(&mut self, now: SimTime, path: &str) -> Result<SimTime, PfsError> {
-        let meta = self
+        let size = self
             .files
             .remove(path)
             .ok_or_else(|| PfsError::NotFound(path.to_string()))?;
-        self.used -= meta.size;
+        self.used -= size;
         let mds = self.mds_for(path);
         let (_, done) = self.mds[mds].submit(now, self.config.mds_op_time);
         Ok(done)
-    }
-
-    /// Age of a file (time since creation).
-    pub fn age_of(&self, now: SimTime, path: &str) -> Result<SimDuration, PfsError> {
-        self.files
-            .get(path)
-            .map(|m| now - m.created_at)
-            .ok_or_else(|| PfsError::NotFound(path.to_string()))
     }
 
     /// Seconds of already-queued write/read work remaining at `now`: the
@@ -469,7 +450,8 @@ impl ParallelFileSystem {
     }
 
     /// Number of object-transfer records accumulated so far.
-    pub fn transfer_count(&self) -> usize {
+    #[cfg(test)]
+    fn transfer_count(&self) -> usize {
         self.transfers.len()
     }
 

@@ -91,14 +91,6 @@ impl CinemaDatabase {
             .map(|i| &self.entries[i])
     }
 
-    /// The `(first, last)` timesteps stored, or `None` when empty.
-    pub fn timestep_range(&self) -> Option<(u64, u64)> {
-        match (self.entries.first(), self.entries.last()) {
-            (Some(a), Some(b)) => Some((a.timestep, b.timestep)),
-            _ => None,
-        }
-    }
-
     /// A deterministic synthetic database for serving benchmarks and
     /// tests: `frames` images of `width x height`, one per `steps_per_frame`
     /// timesteps, each with content that varies by frame (a moving
@@ -279,8 +271,6 @@ mod tests {
             "ts_00000032.png"
         );
         assert!(db.entry_by_timestep(33).is_none());
-        assert_eq!(db.timestep_range(), Some((0, 48)));
-        assert_eq!(CinemaDatabase::new("e").timestep_range(), None);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   palette (green = rotation-dominated, blue = shear-dominated
 //!   Okubo-Weiss) and a viridis-like sequential map.
 //! * [`raster`] — image buffers and field→image resampling (bilinear),
-//!   parallelized over rows with rayon.
+//!   parallelized over rows with rayon (the paper's per-rank render and
+//!   composite collapse into one row-parallel pass).
 //! * [`png`] — a from-scratch PNG encoder (stored-deflate zlib stream,
 //!   CRC-32, Adler-32) producing valid, loadable files.
 //! * [`render`] — the field renderer: scalar field + colormap + range
@@ -17,13 +18,10 @@
 //! * [`cinema`] — a Cinema-style image database: deterministic directory
 //!   layout, hand-rolled JSON index, byte accounting (the in-situ
 //!   pipeline's `S_io`).
-//! * [`compositing`] — rank-parallel rendering: each simulated rank renders
-//!   its row slab; slabs are composited into the final image.
 
 pub mod annotate;
 pub mod cinema;
 pub mod color;
-pub mod compositing;
 pub mod glyphs;
 pub mod png;
 pub mod raster;

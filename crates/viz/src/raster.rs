@@ -127,8 +127,8 @@ struct RowSample {
 /// removes all of it from the inner loop while performing *exactly* the
 /// same float operations in the same order, so the shaded pixels are
 /// bit-identical to the naive per-pixel [`sample_bilinear`] path. Shared by
-/// [`rasterize`] and [`crate::compositing::render_distributed`], which is
-/// what makes the two bit-identical to each other.
+/// [`rasterize`] and the native frame loop, which keeps one set across
+/// frames and [`rebuild`](Self::rebuild)s it in place.
 ///
 /// Column data is stored structure-of-arrays (`i0` / `i1` / `tx` as three
 /// flat vectors).
@@ -270,15 +270,14 @@ pub fn rasterize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compositing::render_distributed;
     use crate::render::FieldRenderer;
     use ivis_ocean::grid::Grid;
     use ivis_ocean::okubo_weiss::okubo_weiss;
     use proptest::prelude::*;
 
     /// The seed's naive renderer: one [`sample_bilinear`] call per pixel,
-    /// strictly sequential. The oracle the table-driven and distributed
-    /// renderers must match bit for bit.
+    /// strictly sequential. The oracle the table-driven, row-parallel
+    /// renderer must match bit for bit.
     fn rasterize_reference(
         field: &Field2D,
         width: usize,
@@ -398,16 +397,6 @@ mod tests {
             assert_eq!(renderer.render(&w), golden, "diverged at {threads} threads");
         }
         rayon::set_num_threads(0);
-    }
-
-    #[test]
-    fn distributed_render_matches_sequential_oracle_at_every_rank_count() {
-        let w = okubo_weiss_field();
-        let golden = rasterize_reference(&w, 160, 96, Colormap::OkuboWeiss, -1e-10, 1e-10);
-        for nranks in [1, 2, 3, 7, 48] {
-            let img = render_distributed(&w, 160, 96, nranks, Colormap::OkuboWeiss, -1e-10, 1e-10);
-            assert_eq!(img, golden, "nranks={nranks}");
-        }
     }
 
     proptest! {

@@ -92,7 +92,7 @@ fn scaling_preserves_findings_on_other_machines() {
     // The paper claims the methodology generalizes; check the key findings
     // hold on a machine a third the size and one three times the size.
     for cages in [5usize, 45] {
-        let campaign = Campaign::scaled_caddy(cages);
+        let campaign = Campaign::caddy_scaled(10 * cages);
         let insitu = campaign.run(&PipelineConfig::paper(PipelineKind::InSitu, 8.0));
         let post = campaign.run(&PipelineConfig::paper(PipelineKind::PostProcessing, 8.0));
         // Finding 1: in-situ is faster.

@@ -2,10 +2,10 @@
 //!
 //! The shim's contract is that chunk shapes and combination order are
 //! functions of the input alone, so every parallel hot path — rendering,
-//! the Okubo-Weiss kernel, band compositing and the Eq. 4 what-if
-//! sweeps — must produce **bit-identical** output at
-//! any thread count. (`ivis-viz`'s unit tests also hold the renderers to
-//! the seed's naive per-pixel renderer, a `#[cfg(test)]` oracle.)
+//! the Okubo-Weiss kernel and the Eq. 4 what-if sweeps — must produce
+//! **bit-identical** output at any thread count. (`ivis-viz`'s unit tests
+//! also hold the renderer to the seed's naive per-pixel renderer, a
+//! `#[cfg(test)]` oracle.)
 //!
 //! `rayon::set_num_threads` is process-global, and these tests run
 //! concurrently on the harness's own threads; that is harmless precisely
@@ -18,7 +18,6 @@ use ivis_model::WhatIfAnalyzer;
 use ivis_ocean::grid::Grid;
 use ivis_ocean::okubo_weiss::okubo_weiss;
 use ivis_ocean::{Field2D, ProblemSpec, SamplingRate};
-use ivis_viz::compositing::render_distributed;
 use ivis_viz::raster::rasterize;
 use ivis_viz::render::FieldRenderer;
 use ivis_viz::Colormap;
@@ -90,19 +89,6 @@ fn symmetric_sigma_range_is_bit_identical_across_thread_counts() {
         (lo.to_bits(), hi.to_bits())
     });
     assert!(f64::from_bits(hi) > f64::from_bits(lo));
-}
-
-#[test]
-fn composite_bands_matches_serial_render_at_every_rank_and_thread_count() {
-    let (grid, uc, vc) = test_flow();
-    let w = okubo_weiss(&grid, &uc, &vc);
-    let fast = rasterize(&w, 160, 96, Colormap::OkuboWeiss, -1e-10, 1e-10);
-    for nranks in [1, 2, 3, 7, 48] {
-        let img = identical_at_all_thread_counts(|| {
-            render_distributed(&w, 160, 96, nranks, Colormap::OkuboWeiss, -1e-10, 1e-10)
-        });
-        assert_eq!(img, fast, "distributed vs table-driven, nranks={nranks}");
-    }
 }
 
 #[test]

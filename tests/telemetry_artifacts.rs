@@ -13,7 +13,9 @@
 use insitu_vis::fault::{FaultPlan, FaultScenario};
 use insitu_vis::pipeline::campaign::{Campaign, Plan};
 use insitu_vis::pipeline::intransit::{reported_kind, InTransitConfig};
-use insitu_vis::pipeline::{CompressionConfig, PipelineConfig, PipelineKind, TransportConfig};
+use insitu_vis::pipeline::{
+    CompressionConfig, PipelineConfig, PipelineKind, RunTelemetry, TransportConfig,
+};
 use insitu_vis::sim::{SimDuration, SimTime};
 use ivis_obs::telemetry::paper_cadence;
 use ivis_obs::{to_chrome_trace, to_prometheus, Component, Recorder, TraceBuffer};
@@ -61,7 +63,7 @@ fn faulted_run_exports_bit_identical_artifacts_across_thread_counts() {
                 ..Plan::new(pc.clone())
             })
             .expect("random plans degrade runs, they do not kill them");
-        let tel = campaign.telemetry(&run.metrics, paper_cadence());
+        let tel = RunTelemetry::from_metrics(&run.metrics, paper_cadence());
         tel.record_gauges(&rec);
         let chrome = rec.with_buffer(to_chrome_trace).expect("recorder is on");
         let prom = rec
