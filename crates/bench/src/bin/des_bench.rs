@@ -9,9 +9,9 @@
 //! * **identity** — each run's metrics digest is recorded, so the
 //!   artifact doubles as a cross-machine determinism witness
 //!   (`tests/des_identity.rs` is the full contract);
-//! * **speed** — the timer-wheel/arena engine sustains millions of
-//!   events per second, and a campaign's cost follows its event count,
-//!   not the size of the simulated machine.
+//! * **speed** — the heap/arena engine sustains millions of events per
+//!   second, and a campaign's cost follows its event count, not the size
+//!   of the simulated machine.
 //!
 //! Writes `BENCH_des.json` (or the path given as the first non-flag
 //! argument). With `--check`, exits nonzero if any digest differs from
@@ -35,18 +35,19 @@ use ivis_sim::{DesEngine, SimDuration, SimTime};
 fn hot_chain(events: u64) {
     let mut eng: DesEngine<u64> = DesEngine::new();
     eng.schedule_at(SimTime::ZERO, 0);
-    let mut handler = |eng: &mut DesEngine<u64>, _at: SimTime, k: u64| {
+    let handler = |eng: &mut DesEngine<u64>, _at: SimTime, k: u64| {
         if k + 1 < events {
             eng.schedule_in(SimDuration::from_micros(7), k + 1);
         }
     };
-    eng.run(&mut handler);
+    eng.run(handler);
     assert_eq!(eng.events_executed(), events);
 }
 
 /// Pre-load `events` timers scattered (deterministically) across five
-/// decades of delay, then drain: exercises wheel cascades and the
-/// calendar overflow, the worst case for queue maintenance.
+/// decades of delay, then drain: the heap's worst case, every pop sifting
+/// through a queue of up to 200 k entries. (The row keeps its old
+/// `engine/wheel_churn` name, which the benchmark catalog cites.)
 fn wheel_churn(events: u64) {
     let mut eng: DesEngine<u64> = DesEngine::with_capacity(events as usize);
     let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -60,12 +61,12 @@ fn wheel_churn(events: u64) {
     }
     let mut fired = 0u64;
     let mut last = SimTime::ZERO;
-    let mut handler = |_: &mut DesEngine<u64>, at: SimTime, _: u64| {
-        assert!(at >= last, "wheel fired out of order");
+    let handler = |_: &mut DesEngine<u64>, at: SimTime, _: u64| {
+        assert!(at >= last, "queue fired out of order");
         last = at;
         fired += 1;
     };
-    eng.run(&mut handler);
+    eng.run(handler);
     assert_eq!(fired, events);
 }
 

@@ -1,4 +1,4 @@
-//! The pipeline executors: one event chain per family on the indexed
+//! The pipeline executors: one event chain per family on the
 //! discrete-event engine ([`ivis_sim::DesEngine`]).
 //!
 //! [`Campaign::execute`] runs every [`Plan`] on one of the three

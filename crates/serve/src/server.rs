@@ -649,11 +649,7 @@ impl Server {
             });
             engine.schedule_at(*t, ServeEvent::Arrival(i as u32));
         }
-        engine.run(
-            &mut |eng: &mut DesEngine<ServeEvent<'a>>, at: SimTime, ev: ServeEvent<'a>| {
-                world.on_event(eng, at, ev)
-            },
-        );
+        engine.run(|eng, at, ev| world.on_event(eng, at, ev));
         debug_assert_eq!(world.in_flight, 0, "every admitted request must finish");
         world
     }

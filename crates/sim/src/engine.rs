@@ -1,37 +1,28 @@
-//! The indexed discrete-event engine: arena-allocated events popped from
-//! the hierarchical timer wheel.
+//! The discrete-event engine: arena-allocated events popped from one
+//! binary heap.
 //!
 //! Events are plain values of a caller-chosen type `E` (no per-event
-//! `Box`), the queue is the [`TimerWheel`] index, and scheduling returns
-//! an [`EventHandle`] that supports O(1) cancellation. Events fire in
-//! `(time, seq)` order where `seq` is the insertion counter, so a run is
-//! a pure function of the schedule regardless of host, thread count or
-//! wall clock; a differential proptest below holds that order equal to a
-//! `BinaryHeap` model calendar's.
+//! `Box`), the queue is a `BinaryHeap` of `(time, seq, handle)` keys, and
+//! scheduling returns an [`EventHandle`] that supports O(1) cancellation.
+//! Events fire in `(time, seq)` order where `seq` is the insertion
+//! counter, so a run is a pure function of the schedule regardless of
+//! host, thread count or wall clock; a differential proptest below holds
+//! that order equal to a boxed-closure model calendar's, and a second one
+//! holds cancellation to a sorted-`Vec` model.
 //!
-//! Dispatch goes through [`EventHandler`] (implemented for free by
-//! `FnMut(&mut DesEngine<E>, SimTime, E)` closures), which receives the
-//! engine mutably so handlers can schedule and cancel follow-up events.
+//! The heap fits the traffic the engine carries: the executors' chains
+//! keep one event pending, and the serve reactor preloads its arrivals in
+//! time order. [`DesEngine::run`] hands every fired event to a closure
+//! that receives the engine mutably, so handlers can schedule and cancel
+//! follow-up events.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::arena::{EventArena, EventHandle};
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimerWheel;
 
-/// Receives fired events. The world/handler owns all domain state; the
-/// engine owns only the clock and the queue.
-pub trait EventHandler<E> {
-    /// Called once per live event, in `(time, seq)` order, with the
-    /// engine clock already advanced to `at`.
-    fn handle(&mut self, engine: &mut DesEngine<E>, at: SimTime, event: E);
-}
-
-impl<E, F: FnMut(&mut DesEngine<E>, SimTime, E)> EventHandler<E> for F {
-    fn handle(&mut self, engine: &mut DesEngine<E>, at: SimTime, event: E) {
-        self(engine, at, event)
-    }
-}
-
-/// An indexed discrete-event engine over event type `E`.
+/// A discrete-event engine over event type `E`.
 ///
 /// ```
 /// use ivis_sim::{DesEngine, SimDuration, SimTime};
@@ -42,7 +33,7 @@ impl<E, F: FnMut(&mut DesEngine<E>, SimTime, E)> EventHandler<E> for F {
 /// engine.schedule_in(SimDuration::from_secs(1), "early");
 /// assert_eq!(engine.cancel(tok), Some("cancelled"));
 /// let mut seen = Vec::new();
-/// engine.run(&mut |_: &mut DesEngine<&str>, at: SimTime, ev| seen.push((at, ev)));
+/// engine.run(|_, at, ev| seen.push((at, ev)));
 /// assert_eq!(
 ///     seen,
 ///     vec![
@@ -56,7 +47,10 @@ pub struct DesEngine<E> {
     seq: u64,
     executed: u64,
     arena: EventArena<E>,
-    wheel: TimerWheel,
+    /// Min-heap on `(time, seq)`; `seq` is unique, so the handle never
+    /// decides the order. Entries of cancelled events stay until they
+    /// reach the top and are skipped there.
+    queue: BinaryHeap<Reverse<(SimTime, u64, EventHandle)>>,
 }
 
 impl<E> Default for DesEngine<E> {
@@ -68,36 +62,23 @@ impl<E> Default for DesEngine<E> {
 impl<E> DesEngine<E> {
     /// An empty engine with the clock at zero.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An engine pre-sized for `cap` concurrent events.
+    pub fn with_capacity(cap: usize) -> Self {
         DesEngine {
             now: SimTime::ZERO,
             seq: 0,
             executed: 0,
-            arena: EventArena::new(),
-            wheel: TimerWheel::new(),
-        }
-    }
-
-    /// An engine whose arena is pre-sized for `cap` concurrent events.
-    pub fn with_capacity(cap: usize) -> Self {
-        DesEngine {
             arena: EventArena::with_capacity(cap),
-            ..DesEngine::new()
+            queue: BinaryHeap::with_capacity(cap),
         }
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// Events fired so far (cancelled events never count).
     pub fn events_executed(&self) -> u64 {
         self.executed
-    }
-
-    /// Live (scheduled, not yet fired or cancelled) events.
-    pub fn events_pending(&self) -> usize {
-        self.arena.len()
     }
 
     /// Schedule `event` at absolute time `at`; the returned handle
@@ -112,66 +93,41 @@ impl<E> DesEngine<E> {
             self.now
         );
         let handle = self.arena.insert(event);
-        let seq = self.seq;
+        self.queue.push(Reverse((at, self.seq, handle)));
         self.seq += 1;
-        self.wheel.insert(at, seq, handle);
         handle
     }
 
     /// Schedule `event` a `delay` after the current time.
+    ///
+    /// # Panics
+    /// Panics with "simulated time overflow" if the current time plus
+    /// `delay` is past [`SimTime::MAX`].
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventHandle {
         self.schedule_at(self.now + delay, event)
     }
 
     /// Cancel a scheduled event, returning its payload, or `None` if it
-    /// already fired or was already cancelled. O(1): the wheel keeps its
-    /// index entry and skips it lazily at pop time.
+    /// already fired or was already cancelled. O(1): the queue keeps its
+    /// entry, and [`run`](Self::run) skips it when it reaches the top.
     pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
         self.arena.remove(handle)
     }
 
-    /// Run until no live event remains. Returns the final clock value.
-    pub fn run<H: EventHandler<E>>(&mut self, handler: &mut H) -> SimTime {
-        self.run_until(handler, SimTime::MAX)
-    }
-
-    /// Run until no live event remains or the next one lies beyond
-    /// `deadline`; in the latter case the clock parks at `deadline` and
-    /// the event stays queued (with its original sequence number, so
-    /// resuming preserves FIFO ties).
-    pub fn run_until<H: EventHandler<E>>(&mut self, handler: &mut H, deadline: SimTime) -> SimTime {
-        while let Some(entry) = self.wheel.pop() {
-            if entry.at > deadline {
-                self.wheel.insert(entry.at, entry.seq, entry.handle);
-                if deadline > self.now {
-                    self.now = deadline;
-                }
-                return self.now;
-            }
-            let Some(event) = self.arena.remove(entry.handle) else {
-                continue; // cancelled: stale index entry
+    /// Fire events in `(time, seq)` order until none is live, with the
+    /// clock advanced to each event's time before `handler` sees it.
+    /// Returns the final clock value.
+    pub fn run(&mut self, mut handler: impl FnMut(&mut Self, SimTime, E)) -> SimTime {
+        while let Some(Reverse((at, _, handle))) = self.queue.pop() {
+            let Some(event) = self.arena.remove(handle) else {
+                continue; // cancelled: stale queue entry
             };
-            debug_assert!(entry.at >= self.now, "event queue went backwards");
-            self.now = entry.at;
+            debug_assert!(at >= self.now, "event queue went backwards");
+            self.now = at;
             self.executed += 1;
-            handler.handle(self, entry.at, event);
+            handler(self, at, event);
         }
         self.now
-    }
-
-    /// Fire at most one live event. Returns `false` if none remains.
-    pub fn step<H: EventHandler<E>>(&mut self, handler: &mut H) -> bool {
-        while let Some(entry) = self.wheel.pop() {
-            let Some(event) = self.arena.remove(entry.handle) else {
-                continue;
-            };
-            debug_assert!(entry.at >= self.now, "event queue went backwards");
-            self.now = entry.at;
-            self.executed += 1;
-            handler.handle(self, entry.at, event);
-            return true;
-        }
-        false
     }
 }
 
@@ -181,9 +137,7 @@ mod tests {
 
     fn collect(engine: &mut DesEngine<u32>) -> Vec<(u64, u32)> {
         let mut seen = Vec::new();
-        engine.run(&mut |_: &mut DesEngine<u32>, at: SimTime, ev: u32| {
-            seen.push((at.as_micros(), ev));
-        });
+        engine.run(|_, at, ev| seen.push((at.as_micros(), ev)));
         seen
     }
 
@@ -207,7 +161,6 @@ mod tests {
         assert_eq!(engine.cancel(a), Some(1));
         assert_eq!(engine.cancel(c), Some(3));
         assert_eq!(engine.cancel(c), None, "double cancel is a no-op");
-        assert_eq!(engine.events_pending(), 2);
         assert_eq!(collect(&mut engine), vec![(10, 2), (30, 4)]);
         assert_eq!(engine.events_executed(), 2, "cancelled events never fire");
     }
@@ -217,8 +170,8 @@ mod tests {
         let mut engine: DesEngine<u32> = DesEngine::new();
         engine.schedule_at(SimTime::from_micros(5), 0);
         let mut fired = Vec::new();
-        let mut victim: Option<crate::arena::EventHandle> = None;
-        engine.run(&mut |eng: &mut DesEngine<u32>, at: SimTime, ev: u32| {
+        let mut victim: Option<EventHandle> = None;
+        engine.run(|eng, at, ev| {
             fired.push((at.as_micros(), ev));
             if ev == 0 {
                 // Chain two follow-ups, then cancel the second from the
@@ -234,48 +187,22 @@ mod tests {
     }
 
     #[test]
-    fn run_until_parks_and_resumes_with_fifo_ties_intact() {
-        let mut engine = DesEngine::new();
-        engine.schedule_at(SimTime::from_micros(100), 1);
-        engine.schedule_at(SimTime::from_micros(100), 2);
-        engine.schedule_at(SimTime::from_micros(10), 0);
-        let mut seen = Vec::new();
-        let t = engine.run_until(
-            &mut |_: &mut DesEngine<u32>, at: SimTime, ev: u32| seen.push((at.as_micros(), ev)),
-            SimTime::from_micros(50),
-        );
-        assert_eq!(t, SimTime::from_micros(50));
-        assert_eq!(seen, vec![(10, 0)]);
-        assert_eq!(engine.events_pending(), 2);
-        // Scheduling between the parked clock and the future events is
-        // the wheel's rebase path; order must survive.
-        engine.schedule_at(SimTime::from_micros(60), 5);
-        engine.run(&mut |_: &mut DesEngine<u32>, at: SimTime, ev: u32| {
-            seen.push((at.as_micros(), ev));
-        });
-        assert_eq!(seen, vec![(10, 0), (60, 5), (100, 1), (100, 2)]);
-    }
-
-    #[test]
-    fn step_fires_exactly_one_live_event() {
-        let mut engine = DesEngine::new();
-        let a = engine.schedule_at(SimTime::from_micros(1), 1);
-        engine.schedule_at(SimTime::from_micros(2), 2);
-        engine.cancel(a);
-        let mut seen = Vec::new();
-        let mut h = |_: &mut DesEngine<u32>, at: SimTime, ev: u32| seen.push((at.as_micros(), ev));
-        assert!(engine.step(&mut h));
-        assert!(!engine.step(&mut h));
-        assert_eq!(seen, vec![(2, 2)]);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_the_past_panics() {
         let mut engine: DesEngine<u32> = DesEngine::new();
         engine.schedule_at(SimTime::from_micros(10), 0);
-        engine.run(&mut |eng: &mut DesEngine<u32>, _: SimTime, _: u32| {
+        engine.run(|eng, _, _| {
             eng.schedule_at(SimTime::from_micros(5), 1);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time overflow")]
+    fn scheduling_past_the_end_of_time_panics() {
+        let mut engine: DesEngine<u32> = DesEngine::new();
+        engine.schedule_at(SimTime::from_secs(1), 0);
+        engine.run(|eng, _, _| {
+            eng.schedule_in(SimDuration::from_secs_f64(1e300), 1);
         });
     }
 
@@ -295,11 +222,7 @@ mod tests {
                 let t = (u64::from(i) * 7919) % 4096;
                 engine.schedule_at(SimTime::from_micros(t), i);
             }
-            let mut seen = Vec::new();
-            engine.run(&mut |_: &mut DesEngine<u32>, at: SimTime, ev: u32| {
-                seen.push((at.as_micros(), ev));
-            });
-            seen
+            collect(&mut engine)
         }
         assert_eq!(run_once(0), run_once(0));
         assert_eq!(run_once(0), run_once(64));
@@ -315,8 +238,7 @@ mod tests {
         /// The follow-ups event `id` schedules when it fires with `hops`
         /// generations left: a pure function of `(id, hops)`, so the
         /// schedule depends on nothing but the plan. Delays span zero
-        /// (same-tick ties), a few ticks, milliseconds (wheel cascades)
-        /// and beyond one wheel epoch (calendar overflow).
+        /// (same-tick ties), a few ticks, seconds and minutes.
         fn follow_ups(id: u64, hops: u32) -> Vec<(SimDuration, u64)> {
             if hops == 0 {
                 return Vec::new();
@@ -342,9 +264,7 @@ mod tests {
                 engine.schedule_at(SimTime::from_micros(us), (id, hops));
             }
             let mut fired = Vec::new();
-            engine.run(&mut |eng: &mut DesEngine<(u64, u32)>,
-                             at: SimTime,
-                             (id, hops): (u64, u32)| {
+            engine.run(|eng, at, (id, hops)| {
                 fired.push((at, id));
                 for (delay, child) in follow_ups(id, hops) {
                     eng.schedule_in(delay, (child, hops - 1));
@@ -377,6 +297,86 @@ mod tests {
             fired
         }
 
+        /// What the event scheduled `id`-th does when it fires, once
+        /// `scheduled` events exist: the delays of the follow-ups it
+        /// schedules, then the indices of the earlier-scheduled events it
+        /// cancels. A victim may have fired already, share a timestamp
+        /// with a live event, or be picked twice.
+        fn script(id: u64, scheduled: usize, salt: u64) -> (Vec<u64>, Vec<usize>) {
+            let mut h = (id ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = || {
+                h ^= h >> 29;
+                h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                h >> 32
+            };
+            let children = if scheduled < 96 { next() % 3 } else { 0 };
+            let delays = (0..children)
+                .map(|_| match next() % 3 {
+                    0 => 0,
+                    1 => next() % 4,
+                    _ => next() % 1_000,
+                })
+                .collect();
+            let mut victims = Vec::new();
+            for _ in 0..next() % 3 {
+                let v = (next() % scheduled as u64) as usize;
+                victims.push(v);
+                if next() % 4 == 0 {
+                    victims.push(v);
+                }
+            }
+            (delays, victims)
+        }
+
+        /// Firings `(µs, id)` and every `cancel` result, in call order.
+        type Outcome = (Vec<(u64, u64)>, Vec<Option<u64>>);
+
+        fn engine_cancels(plan: &[u64], salt: u64) -> Outcome {
+            let mut engine: DesEngine<u64> = DesEngine::new();
+            let mut handles: Vec<EventHandle> = plan
+                .iter()
+                .zip(0..)
+                .map(|(&us, id)| engine.schedule_at(SimTime::from_micros(us), id))
+                .collect();
+            let (mut fired, mut cancels) = (Vec::new(), Vec::new());
+            engine.run(|eng, at, id| {
+                fired.push((at.as_micros(), id));
+                let (delays, victims) = script(id, handles.len(), salt);
+                for d in delays {
+                    let child = handles.len() as u64;
+                    handles.push(eng.schedule_in(SimDuration::from_micros(d), child));
+                }
+                for v in victims {
+                    cancels.push(eng.cancel(handles[v]));
+                }
+            });
+            (fired, cancels)
+        }
+
+        /// The same script on a `Vec` of `(µs, id)` kept sorted; an id is
+        /// its scheduling order, i.e. the engine's `seq`.
+        fn model_cancels(plan: &[u64], salt: u64) -> Outcome {
+            let mut pending: Vec<(u64, u64)> = plan.iter().copied().zip(0..).collect();
+            pending.sort_unstable();
+            let mut scheduled = plan.len();
+            let (mut fired, mut cancels) = (Vec::new(), Vec::new());
+            while !pending.is_empty() {
+                let (at, id) = pending.remove(0);
+                fired.push((at, id));
+                let (delays, victims) = script(id, scheduled, salt);
+                for d in delays {
+                    let key = (at + d, scheduled as u64);
+                    pending.insert(pending.partition_point(|&e| e < key), key);
+                    scheduled += 1;
+                }
+                for v in victims {
+                    let slot = pending.iter().position(|&(_, id)| id == v as u64);
+                    cancels.push(slot.map(|i| pending.remove(i).1));
+                }
+            }
+            (fired, cancels)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -396,6 +396,28 @@ mod tests {
                 for w in a.windows(2) {
                     prop_assert!(w[0].0 <= w[1].0);
                 }
+            }
+
+            /// Handlers that cancel earlier-scheduled events — fired,
+            /// tied, live or already cancelled — get each payload back
+            /// exactly once, and the survivors fire in `(time, seq)`
+            /// order, exactly as the sorted-`Vec` model drops and fires
+            /// them.
+            #[test]
+            fn cancellation_matches_a_sorted_vec_model(
+                plan in prop::collection::vec(0u64..2_000, 1..16),
+                salt in 0u64..u64::MAX,
+            ) {
+                let (fired, cancels) = engine_cancels(&plan, salt);
+                let (model_fired, model_cancels) = model_cancels(&plan, salt);
+                prop_assert_eq!(&fired, &model_fired, "survivors fired out of the model's order");
+                prop_assert_eq!(&cancels, &model_cancels, "cancel results diverged from the model");
+                // Every event scheduled before the last one either fired
+                // or came back from `cancel`, and none did both or twice.
+                let mut ids: Vec<u64> = fired.iter().map(|f| f.1).collect();
+                ids.extend(cancels.iter().flatten());
+                ids.sort_unstable();
+                prop_assert!(ids.iter().copied().eq(0..ids.len() as u64));
             }
         }
     }

@@ -6,10 +6,9 @@
 //! The engine is deliberately minimal but complete:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time.
-//! * [`DesEngine`] — the event engine: events are plain values in an
-//!   [`arena::EventArena`] popped from a hierarchical
-//!   [`wheel::TimerWheel`] (calendar-queue overflow level for far-future
-//!   entries), with O(1) lazy cancellation via [`EventHandle`]s.
+//! * [`DesEngine`] — the event engine: events are plain values in a
+//!   private slab arena, ordered by one `BinaryHeap` of `(time, seq,
+//!   handle)` keys, with O(1) lazy cancellation via [`EventHandle`]s.
 //!   Determinism is guaranteed by a monotonically increasing sequence
 //!   number that breaks timestamp ties in insertion order. (A
 //!   `BinaryHeap`-of-closures calendar survives as a test-only model
@@ -28,7 +27,7 @@
 //! The engine contains no I/O and no global state; every simulation is a
 //! value.
 
-pub mod arena;
+mod arena;
 pub mod engine;
 #[cfg(test)]
 mod event;
@@ -37,11 +36,9 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
-pub mod wheel;
 
-pub use arena::{EventArena, EventHandle};
-pub use engine::{DesEngine, EventHandler};
+pub use arena::EventHandle;
+pub use engine::DesEngine;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::TimeSeries;
-pub use wheel::TimerWheel;

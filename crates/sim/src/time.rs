@@ -129,16 +129,20 @@ fn secs_to_micros(s: f64) -> u64 {
     (s * MICROS_PER_SEC as f64).round() as u64
 }
 
+/// Panics with "simulated time overflow" past [`SimTime::MAX`], in
+/// release builds too: a wrapped instant would read as earlier than the
+/// one it was computed from.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        self.checked_add(rhs).expect("simulated time overflow")
     }
 }
 
+/// Panics like `+` does.
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -270,6 +274,21 @@ mod tests {
         let b = SimDuration::from_secs(2);
         assert_eq!(a.saturating_sub(b), SimDuration::ZERO);
         assert_eq!(b.saturating_sub(a), SimDuration::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time overflow")]
+    fn adding_past_the_end_of_time_panics() {
+        // A huge input saturates the duration to u64::MAX µs; the sum
+        // must not wrap to an instant before `t`.
+        let _ = SimTime::from_secs(1) + SimDuration::from_secs_f64(1e300);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time overflow")]
+    fn add_assign_past_the_end_of_time_panics() {
+        let mut t = SimTime::MAX;
+        t += SimDuration::from_micros(1);
     }
 
     #[test]

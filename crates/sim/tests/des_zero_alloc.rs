@@ -1,6 +1,6 @@
-//! Steady-state allocation audit of the indexed event engine: once the
-//! arena, wheel slots and overflow buckets are warmed up, a sustained
-//! schedule/cancel/fire cycle must touch the heap zero times.
+//! Steady-state allocation audit of the event engine: once the arena's
+//! slots and the binary heap's buffer are warmed up, a sustained
+//! schedule/cancel/run cycle must touch the allocator zero times.
 //!
 //! Same counting-allocator technique as `ivis-obs`'s
 //! `off_zero_alloc.rs`: a `#[global_allocator]` wrapper counts
@@ -35,29 +35,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The repeating schedule the steady-state loop drives: a spread of
-/// offsets touching every wheel level (same tick, level 0–3 distances)
-/// plus a far-future overflow entry, and one cancellation per round.
-const OFFSETS_US: [u64; 8] = [
-    0,          // same tick as the driving event
-    3,          // level 0
-    150,        // level 1
-    9_000,      // level 2
-    400_000,    // level 3
-    16_000_000, // level 3, near the epoch edge
-    40_000_000, // beyond the 64^4 µs epoch → calendar overflow
-    17,         // level 0, cancelled before it fires
-];
+/// The repeating schedule each round drives, as offsets from the clock
+/// the previous round stopped at: a same-tick tie (0), delays from
+/// microseconds to tens of seconds, and a last entry (17) that is
+/// cancelled before it fires.
+const OFFSETS_US: [u64; 8] = [0, 3, 150, 9_000, 400_000, 16_000_000, 40_000_000, 17];
 
 /// One measured window: `rounds` cycles of schedule-burst + cancel +
-/// drain-to-a-deadline. Returns the allocation-counter delta.
-fn measure(engine: &mut DesEngine<u64>, fired: &mut u64, rounds: u64) -> u64 {
+/// drain, each round starting where the previous one's clock stopped.
+/// Returns the allocation-counter delta.
+fn measure(engine: &mut DesEngine<u64>, now: &mut SimTime, fired: &mut u64, rounds: u64) -> u64 {
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..rounds {
-        let now = engine.now();
         let mut victim = None;
         for (i, &off) in OFFSETS_US.iter().enumerate() {
-            let h = engine.schedule_at(now + SimDuration::from_micros(off), i as u64);
+            let h = engine.schedule_at(*now + SimDuration::from_micros(off), i as u64);
             if i == OFFSETS_US.len() - 1 {
                 victim = Some(h);
             }
@@ -67,16 +59,7 @@ fn measure(engine: &mut DesEngine<u64>, fired: &mut u64, rounds: u64) -> u64 {
             cancelled.is_some(),
             "cancel-then-fire must hit a live event"
         );
-        // Fire everything up to just past the level-3 entries, leaving
-        // the overflow entry pending so the calendar level stays
-        // exercised across rounds.
-        let deadline = now + SimDuration::from_micros(16_500_000);
-        engine.run_until(
-            &mut |_: &mut DesEngine<u64>, _: SimTime, _: u64| {
-                *fired += 1;
-            },
-            deadline,
-        );
+        *now = engine.run(|_, _, _| *fired += 1);
     }
     ALLOCATIONS.load(Ordering::SeqCst) - before
 }
@@ -84,19 +67,20 @@ fn measure(engine: &mut DesEngine<u64>, fired: &mut u64, rounds: u64) -> u64 {
 #[test]
 fn steady_state_event_loop_never_allocates() {
     let mut engine: DesEngine<u64> = DesEngine::with_capacity(OFFSETS_US.len() + 1);
+    let mut now = SimTime::ZERO;
     let mut fired = 0u64;
 
-    // Warm-up: grow the arena free list, every wheel slot vector the
-    // schedule will ever touch, the overflow bucket and the cascade
-    // scratch buffer. Allocations here are expected and uncounted.
-    let _ = measure(&mut engine, &mut fired, 64);
+    // Warm-up: grow the arena's slots and the heap's buffer to one
+    // round's worth of entries. Allocations here are expected and
+    // uncounted.
+    let _ = measure(&mut engine, &mut now, &mut fired, 64);
 
     // libtest's own service threads may allocate concurrently (progress
     // output, timeout bookkeeping), so measure several windows: an
     // engine that allocates in steady state dirties *every* window;
     // background noise does not.
     let deltas: Vec<u64> = (0..5)
-        .map(|_| measure(&mut engine, &mut fired, 200))
+        .map(|_| measure(&mut engine, &mut now, &mut fired, 200))
         .collect();
     assert!(
         deltas.contains(&0),
@@ -104,6 +88,6 @@ fn steady_state_event_loop_never_allocates() {
          window: {deltas:?} allocations over 5×200 rounds"
     );
     // The loop really did run: 7 live events per round (8 scheduled,
-    // 1 cancelled), minus the overflow entries still pending.
-    assert!(fired > 5_000, "engine fired only {fired} events");
+    // 1 cancelled), every one of them drained.
+    assert_eq!(fired, 7 * (64 + 5 * 200), "engine fired {fired} events");
 }

@@ -100,7 +100,27 @@ pub fn decisions_line(decisions: &[TriggerDecision]) -> String {
     each.join(" ")
 }
 
-/// The parsed golden files: `key = value` lines, `#` comments.
+/// The pins of golden file texts: `key = value` lines; blank lines and
+/// `#` comments are skipped. A line of any other shape, or a key pinned
+/// twice (in one file or across files), is an error naming it: a second
+/// pin would otherwise replace the first, which then goes unchecked.
+pub fn parse<'a>(files: &[&'a str]) -> Result<BTreeMap<&'a str, &'a str>, String> {
+    let mut pins = BTreeMap::new();
+    for line in files.iter().flat_map(|text| text.lines()) {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (key, value) = line
+            .split_once(" = ")
+            .ok_or_else(|| format!("golden line is not `key = value`: {line}"))?;
+        if pins.insert(key, value).is_some() {
+            return Err(format!("golden key `{key}` is pinned twice"));
+        }
+    }
+    Ok(pins)
+}
+
+/// The parsed golden files.
 pub struct Golden(BTreeMap<&'static str, &'static str>);
 
 impl Golden {
@@ -110,14 +130,7 @@ impl Golden {
             include_str!("../golden/native_identity.txt"),
             include_str!("../golden/serve_identity.txt"),
         ];
-        Golden(
-            files
-                .iter()
-                .flat_map(|text| text.lines())
-                .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                .map(|l| l.split_once(" = ").expect("golden line is `key = value`"))
-                .collect(),
-        )
+        Golden(parse(&files).unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// Assert `actual` is exactly what the golden files pin under `key`.

@@ -30,7 +30,7 @@
 
 mod common;
 
-use common::{at_all_thread_counts, blob, stats_line, Golden};
+use common::{at_all_thread_counts, blob, parse, stats_line, Golden};
 use insitu_vis::cluster::{ClusterTopology, IoWaitPolicy, JobPhase, Machine, NodeId};
 use insitu_vis::fault::{FaultPlan, FaultScenario};
 use insitu_vis::pipeline::campaign::{Campaign, CampaignConfig, Plan};
@@ -75,6 +75,23 @@ fn staged(pc: &PipelineConfig, staging_nodes: usize, transport: TransportConfig)
 /// The heaviest transport the suites pin: depth 2 with zfp-class compression.
 fn depth2_zfp() -> TransportConfig {
     TransportConfig::pipelined(2).with_compression(CompressionConfig::zfp_like())
+}
+
+#[test]
+fn golden_parser_rejects_a_key_pinned_twice() {
+    let executor = "# comment\nmatrix/a = 1\n\nmatrix/b = 2\n";
+    assert_eq!(parse(&[executor]).map(|pins| pins.len()), Ok(2));
+    let twice = Err("golden key `matrix/a` is pinned twice".to_string());
+    assert_eq!(parse(&[executor, "matrix/a = 1\n"]), twice, "across files");
+    assert_eq!(
+        parse(&["matrix/a = 1\nmatrix/a = 3\n"]),
+        twice,
+        "in one file"
+    );
+    assert_eq!(
+        parse(&["matrix/a=1\n"]),
+        Err("golden line is not `key = value`: matrix/a=1".to_string())
+    );
 }
 
 #[test]
