@@ -3,8 +3,9 @@
 //! Each `figN_rows()` function regenerates the data behind one artifact of
 //! the paper's evaluation, pairing our measured value with the paper's
 //! published one where the paper states a number. The `experiments` binary
-//! prints them, the `*_bench` binaries time the underlying machinery, and
-//! the integration tests assert the shapes.
+//! prints them, the `des`, `native`, `obs` and `parallel` `*_bench`
+//! binaries time the underlying machinery, and the integration tests
+//! assert the shapes and hold every deterministic claim.
 
 pub mod adaptive;
 pub mod csv;

@@ -42,6 +42,8 @@ use insitu_vis::power::units::Watts;
 use insitu_vis::sim::{SimDuration, SimTime};
 use insitu_vis::storage::burst_buffer::BurstBufferConfig;
 use ivis_obs::{to_chrome_trace, to_jsonl, to_prometheus, Recorder};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const FAULT_SEEDS: [u64; 3] = [1, 42, 1337];
 
@@ -92,6 +94,82 @@ fn golden_parser_rejects_a_key_pinned_twice() {
         parse(&["matrix/a=1\n"]),
         Err("golden line is not `key = value`: matrix/a=1".to_string())
     );
+}
+
+/// Bytes biased toward the golden syntax (` = `, `#`, line breaks,
+/// repeated keys) with invalid UTF-8 mixed in.
+fn golden_bytes(rng: &mut TestRng) -> Vec<u8> {
+    let syntax = b" =#\n\r\xffab/@";
+    (0..rng.below(96))
+        .map(|_| match rng.below(2) {
+            0 => syntax[rng.below(syntax.len())],
+            _ => rng.next_u64() as u8,
+        })
+        .collect()
+}
+
+/// A golden map: keys over the characters real keys use (never a space,
+/// `=` or a leading `#`), values over anything but a line break.
+fn golden_map(rng: &mut TestRng) -> BTreeMap<String, String> {
+    let key_chars = b"abz019/@-._+{}";
+    let value_char = |rng: &mut TestRng| match rng.below(3) {
+        0 => [' ', '=', '#', '|'][rng.below(4)],
+        1 => char::from_u32(rng.next_u64() as u32 % 0x11_0000)
+            .filter(|c| !matches!(c, '\n' | '\r'))
+            .unwrap_or('\u{fffd}'),
+        _ => char::from(b'a' + rng.below(26) as u8),
+    };
+    (0..rng.below(12))
+        .map(|_| {
+            let key = (0..1 + rng.below(12))
+                .map(|_| char::from(key_chars[rng.below(key_chars.len())]))
+                .collect();
+            let value = (0..rng.below(16)).map(|_| value_char(rng)).collect();
+            (key, value)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The loader never panics: arbitrary bytes (read as lossy UTF-8)
+    /// either parse to pins that are lines of the text, or are rejected
+    /// with one of its two errors.
+    #[test]
+    fn golden_parser_never_panics_on_arbitrary_bytes(
+        raw in (0u64..u64::MAX).prop_map(|seed| golden_bytes(&mut TestRng::for_case(seed))),
+    ) {
+        let text = String::from_utf8_lossy(&raw);
+        match parse(&[&text]) {
+            Ok(pins) => {
+                let lines: Vec<&str> = text.lines().collect();
+                for (key, value) in pins {
+                    prop_assert!(lines.contains(&format!("{key} = {value}").as_str()));
+                }
+            }
+            Err(e) => prop_assert!(
+                e.starts_with("golden line is not `key = value`: ")
+                    || (e.starts_with("golden key `") && e.ends_with("` is pinned twice")),
+                "unexpected error: {e}"
+            ),
+        }
+    }
+
+    /// A map written as `key = value` lines, between comments and blank
+    /// lines, parses back to itself.
+    #[test]
+    fn golden_map_round_trips_through_parse(
+        map in (0u64..u64::MAX).prop_map(|seed| golden_map(&mut TestRng::for_case(seed))),
+    ) {
+        let text: String = map
+            .iter()
+            .map(|(key, value)| format!("# {key}\n{key} = {value}\n\n"))
+            .collect();
+        let expected: BTreeMap<&str, &str> =
+            map.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        prop_assert_eq!(parse(&[&text]), Ok(expected));
+    }
 }
 
 #[test]

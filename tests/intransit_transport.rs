@@ -5,7 +5,8 @@
 //!   every duration in exact microseconds, every energy as raw f64 bits —
 //!   at every thread count, because the transport runs on sim time and
 //!   never consults the host. What that loop produced is pinned in
-//!   `tests/golden/executor_identity.txt` (`sync/…` keys).
+//!   `tests/golden/executor_identity.txt` (`sync/…` keys); the depth-4
+//!   runs at the staging-bound 8 h point are pinned there too.
 //! * **Queue invariants** (property-tested): in-flight samples never
 //!   exceed the configured depth; every sample of a clean run is shipped
 //!   and written; the makespan is monotonically non-increasing in depth.
@@ -144,8 +145,9 @@ fn non_divisible_payload_is_not_underbilled() {
 fn depth4_strictly_beats_depth1_when_staging_bound() {
     // At the 8 h rate with 10 staging nodes the renderer is the
     // bottleneck: depth 1 leaves staging idle through every synchronous
-    // transfer, so a depth-4 queue strictly shortens the makespan. This
-    // is the inequality the `intransit_bench --check` CI gate enforces.
+    // transfer, so a depth-4 queue strictly shortens the makespan
+    // (9728.9 s vs 9736.1 s; both runs' digests are pinned, see
+    // `depth4_digests_match_golden`).
     let campaign = Campaign::paper();
     let (d1, _) = run_staged(
         &campaign,
@@ -164,6 +166,25 @@ fn depth4_strictly_beats_depth1_when_staging_bound() {
         d1.execution_time.as_secs_f64()
     );
     assert!(s4.max_in_flight >= 2, "deep queue actually filled");
+}
+
+#[test]
+fn depth4_digests_match_golden() {
+    // The staging-bound point of the depth lever above (10 staging nodes
+    // at 8 h), with and without the zfp-like codec; `sync/s10@8h` pins
+    // its depth-1 run.
+    let golden = Golden::load();
+    let depth4 = TransportConfig::pipelined(4);
+    let zfp = depth4
+        .clone()
+        .with_compression(CompressionConfig::zfp_like());
+    for (key, transport) in [("s10-d4", depth4), ("s10-d4-zfp", zfp)] {
+        let digest = at_all_thread_counts(|| {
+            let (m, _) = run_staged(&Campaign::paper(), 8.0, &it_config(10, transport.clone()));
+            m.digest()
+        });
+        golden.check(&format!("paper/in-transit-{key}@8h/digest"), &digest);
+    }
 }
 
 proptest! {

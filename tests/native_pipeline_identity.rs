@@ -116,8 +116,9 @@ fn postproc_outputs_match_the_sequential_goldens() {
 }
 
 /// `native_bench`'s end-to-end configuration (twelve annotated 720×512
-/// frames): the digest `BENCH_native.json` commits is the one the
-/// sequential loop produced.
+/// frames): the in-situ digest `BENCH_native.json` commits is the one the
+/// sequential loop produced, and its post-processing digest is pinned
+/// beside it.
 #[test]
 fn bench_configuration_digest_matches_golden() {
     let cfg = NativeConfig {
@@ -131,10 +132,15 @@ fn bench_configuration_digest_matches_golden() {
     // Once, at the ambient thread count: the bench itself re-checks the
     // digest at every depth, and the small configurations above cover the
     // thread × depth grid.
-    let none = FaultScenario::none();
+    let (golden, none) = (Golden::load(), FaultScenario::none());
     for depth in [1, 4] {
-        let out = run(&cfg, PipelineKind::InSitu, depth, &none, &Recorder::off());
-        Golden::load().check("native/bench/digest", &out.digest());
+        for (kind, key) in [
+            (PipelineKind::InSitu, "native/bench/digest"),
+            (PipelineKind::PostProcessing, "native/bench/postproc/digest"),
+        ] {
+            let out = run(&cfg, kind, depth, &none, &Recorder::off());
+            golden.check(key, &out.digest());
+        }
     }
 }
 

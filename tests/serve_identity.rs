@@ -9,6 +9,11 @@
 //! produced when the file was recorded, so a change to how responses are
 //! built, carried or hashed cannot move a byte, a simulated microsecond
 //! or a recorder call unnoticed.
+//!
+//! The load claims are asserted on the same replays: nothing is shed
+//! below capacity, an overloaded server sheds yet answers every request,
+//! and memoization cuts what-if p99 at least tenfold without changing a
+//! response byte.
 
 mod common;
 
@@ -16,33 +21,34 @@ use common::{at_all_thread_counts, blob, Golden};
 use insitu_vis::model::{SpecId, WhatIfAnalyzer, WhatIfRequest};
 use insitu_vis::pipeline::PipelineKind;
 use insitu_vis::serve::{
-    format_get, frame_target, whatif_target, LoadMix, LoadSchedule, Server, ServerConfig,
+    format_get, frame_target, whatif_target, LoadMix, LoadSchedule, ServeStats, Server,
+    ServerConfig,
 };
 use insitu_vis::sim::SimTime;
 use insitu_vis::viz::CinemaDatabase;
-use ivis_bench::report::Json;
 use ivis_obs::{to_jsonl, Recorder};
 
 /// Replay `schedule` with the recorder off and on at every thread count
 /// and hold both artifacts to the golden file. The two replays must also
 /// agree with each other: recording never changes a reply. Returns the
-/// digest.
-fn check(golden: &Golden, key: &str, srv: &Server, schedule: &LoadSchedule) -> String {
-    let (digest, trace) = at_all_thread_counts(|| {
-        let digest = srv.run_load(schedule, &Recorder::off(), false).digest();
+/// replay's counters.
+fn check(golden: &Golden, key: &str, srv: &Server, schedule: &LoadSchedule) -> ServeStats {
+    let (report, trace) = at_all_thread_counts(|| {
+        let report = srv.run_load(schedule, &Recorder::off(), false);
         let rec = Recorder::in_memory();
-        let traced = srv.run_load(schedule, &rec, false).digest();
-        assert_eq!(traced, digest, "{key}: the recorder changed the replay");
-        (digest, rec.with_buffer(to_jsonl).expect("recorder is on"))
+        let traced = srv.run_load(schedule, &rec, false);
+        assert_eq!(traced, report, "{key}: the recorder changed the replay");
+        (report, rec.with_buffer(to_jsonl).expect("recorder is on"))
     });
-    golden.check(&format!("serve/{key}/digest"), &digest);
+    golden.check(&format!("serve/{key}/digest"), &report.digest());
     golden.check(&format!("serve/{key}/trace"), &blob(&trace));
-    digest
+    report.stats
 }
 
-/// `serve_bench`'s server and its `1k` tier schedule (one warm-up
-/// request per key of the default mix's vocabulary, then 1 000 clients
-/// × 4 requests over one simulated second) and `overload` scenario.
+/// The load scenarios: a 256-frame server, its client tiers (one warm-up
+/// request per key of the default mix's vocabulary, then `clients` ×
+/// `reqs` requests over one simulated second), an overload scenario and
+/// a memoization stream.
 mod bench {
     use super::*;
 
@@ -57,7 +63,9 @@ mod bench {
         )
     }
 
-    pub fn tier_1k() -> LoadSchedule {
+    /// The warm-up prefix moves every cache miss out of the measured
+    /// window, so the zero-shed claim holds at steady state.
+    pub fn tier(clients: u32, reqs: u32) -> LoadSchedule {
         let mix = LoadMix::default();
         let mut arrivals = Vec::new();
         for kind in [PipelineKind::InSitu, PipelineKind::PostProcessing] {
@@ -69,8 +77,15 @@ mod bench {
             }
         }
         let offset = arrivals.last().map_or(0, |(t, _)| t.as_micros()) + 50_000;
-        let load =
-            LoadSchedule::generate(0x5e21e, 1_000, 4, 1_000_000, mix, FRAMES, STEPS_PER_FRAME);
+        let load = LoadSchedule::generate(
+            0x5e21e,
+            clients,
+            reqs,
+            1_000_000,
+            mix,
+            FRAMES,
+            STEPS_PER_FRAME,
+        );
         arrivals.extend(
             load.arrivals
                 .into_iter()
@@ -97,32 +112,88 @@ mod bench {
         );
         (tight, heavy)
     }
+
+    /// A repeat-heavy what-if-only stream: `n` requests over 8 distinct
+    /// keys, spaced so each is its own batch.
+    pub fn memo_schedule(n: u64) -> LoadSchedule {
+        let arrivals = (0..n)
+            .map(|i| {
+                let kind = if i % 2 == 0 {
+                    PipelineKind::InSitu
+                } else {
+                    PipelineKind::PostProcessing
+                };
+                let rate = 1.0 + 0.75 * (i % 8) as f64;
+                let key = WhatIfRequest::new(SpecId::Paper100yr, kind, rate, 129).unwrap();
+                (SimTime::from_micros(i * 10_000), whatif_target(&key))
+            })
+            .collect();
+        LoadSchedule { arrivals }
+    }
 }
 
 #[test]
 fn bench_tier_and_overload_digests_match_golden() {
     let golden = Golden::load();
-    let committed = Json::parse(include_str!("../BENCH_serve.json"))
-        .expect("BENCH_serve.json parses")
-        .flatten();
     let default = bench::server(ServerConfig::default());
     let (tight, heavy) = bench::overload();
-    for (row, path, srv, schedule) in [
-        ("1k", "tiers.1k.digest", &default, &bench::tier_1k()),
-        ("overload", "overload.digest", &tight, &heavy),
-    ] {
-        let digest = check(&golden, &format!("bench/{row}"), srv, schedule);
-        // The schedules above are copies of `serve_bench`'s: the stats
-        // they replay to must be the ones the bench committed for the row.
-        let Some(Json::Str(pinned)) = committed.get(path) else {
-            panic!("BENCH_serve.json has no {path}");
-        };
-        assert_eq!(
-            digest.split(" | ").next(),
-            Some(pinned.as_str()),
-            "{row}: the copy drifted from serve_bench"
-        );
+    // Below capacity nothing is shed; an under-provisioned server sheds,
+    // with typed 503s, and still answers every request exactly once.
+    let below = check(&golden, "bench/1k", &default, &bench::tier(1_000, 4));
+    assert_eq!(below.shed(), 0, "the below-capacity 1k tier shed");
+    let s = check(&golden, "bench/overload", &tight, &heavy);
+    assert!(s.shed() > 0, "the overloaded server shed nothing");
+    assert_eq!(s.requests, 5_000);
+    assert_eq!(
+        s.ok + s.bad_requests + s.not_found + s.shed(),
+        s.requests,
+        "the overloaded server did not answer every request once"
+    );
+}
+
+/// The 10k and 100k client tiers shed nothing and replay to their pinned
+/// `ServeStats`.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the 100k tier replays 200 128 requests per thread count; run with --release"
+)]
+fn bench_10k_and_100k_tiers_match_golden() {
+    let golden = Golden::load();
+    let srv = bench::server(ServerConfig::default());
+    for (label, clients, reqs) in [("10k", 10_000, 4), ("100k", 100_000, 2)] {
+        let schedule = bench::tier(clients, reqs);
+        let stats = at_all_thread_counts(|| srv.run_load(&schedule, &Recorder::off(), false).stats);
+        assert_eq!(stats.shed(), 0, "the below-capacity {label} tier shed");
+        golden.check(&format!("serve/bench/{label}/stats"), &stats.digest());
     }
+}
+
+/// Memoization pays: on a repeat-heavy what-if stream the warm p99 beats
+/// the cold (cache-disabled) p99 by at least 10×, with the same response
+/// bytes either way. 1 024 requests over 8 keys put the 8 first-touch
+/// misses below the 99th percentile, so warm p99 measures the hit path.
+#[test]
+fn memoized_whatif_p99_beats_cold_tenfold_with_equal_bytes() {
+    let schedule = bench::memo_schedule(1024);
+    let replay = |cache_capacity| {
+        let srv = bench::server(ServerConfig {
+            cache_capacity,
+            ..ServerConfig::default()
+        });
+        let r = srv.run_load(&schedule, &Recorder::off(), false);
+        (r.whatif.p99_us, r.stats.content_digest)
+    };
+    let ((cold_p99, cold_bytes), (warm_p99, warm_bytes)) =
+        at_all_thread_counts(|| (replay(0), replay(ServerConfig::default().cache_capacity)));
+    assert!(
+        cold_p99 >= 10 * warm_p99.max(1),
+        "memoized p99 {warm_p99} µs is not 10x under cold {cold_p99} µs"
+    );
+    assert_eq!(
+        cold_bytes, warm_bytes,
+        "memoization changed the response bytes"
+    );
 }
 
 fn test_server(config: ServerConfig) -> Server {
