@@ -115,11 +115,13 @@ impl WhatIfRequest {
     /// A pure function of the key, so memoized and cold evaluations see
     /// the same grid.
     pub fn curve_hours(&self) -> Vec<f64> {
-        let n = self.curve_points as usize;
-        let h0 = self.rate_hours();
-        (0..n)
-            .map(|i| h0 * 10f64.powf(i as f64 / n.max(1) as f64))
-            .collect()
+        (0..self.curve_points).map(|i| self.curve_hour(i)).collect()
+    }
+
+    /// Point `i` of [`WhatIfRequest::curve_hours`].
+    fn curve_hour(&self, i: u16) -> f64 {
+        let n = f64::from(self.curve_points.max(1));
+        self.rate_hours() * 10f64.powf(f64::from(i) / n)
     }
 }
 
@@ -158,23 +160,23 @@ impl WhatIfAnalyzer {
     /// This is a pure function of `(self, req)`: same analyzer constants
     /// and same key produce a bit-identical answer, which is what lets
     /// the serving layer cache answers and batch duplicate keys. The
-    /// curve evaluates through the same parallel iterators as the Fig.
-    /// 9/10 sweeps, whose results are bit-identical at any thread count.
+    /// curve is one sequential pass over the grid; each point is
+    /// evaluated exactly as [`WhatIfAnalyzer::energy_curve`] and
+    /// [`WhatIfAnalyzer::storage_curve`] evaluate it, so the two agree
+    /// bit for bit.
     pub fn answer(&self, req: &WhatIfRequest) -> WhatIfAnswer {
         let spec = req.spec.spec();
+        let mut curve = Vec::with_capacity(usize::from(req.curve_points));
+        for i in 0..req.curve_points {
+            let hours = req.curve_hour(i);
+            let at = SamplingRate::every_hours(hours);
+            curve.push(CurvePoint {
+                hours,
+                energy_joules: self.energy(req.kind, &spec, at).joules(),
+                storage_bytes: self.storage_bytes(req.kind, &spec, at),
+            });
+        }
         let rate = req.rate();
-        let hours = req.curve_hours();
-        let energy_curve = self.energy_curve(req.kind, &spec, &hours);
-        let storage_curve = self.storage_curve(req.kind, &spec, &hours);
-        let curve = energy_curve
-            .iter()
-            .zip(storage_curve.iter())
-            .map(|(&(h, e), &(_, s))| CurvePoint {
-                hours: h,
-                energy_joules: e.joules(),
-                storage_bytes: s,
-            })
-            .collect();
         WhatIfAnswer {
             request: *req,
             storage_bytes: self.storage_bytes(req.kind, &spec, rate),
@@ -234,6 +236,30 @@ mod tests {
         );
         assert_eq!(x.curve.len(), 16);
         assert_eq!(x.curve[0].hours, 24.0);
+    }
+
+    #[test]
+    fn answer_curve_equals_the_fig9_and_fig10_sweeps_bit_for_bit() {
+        let a = WhatIfAnalyzer::paper();
+        for spec in [SpecId::Paper60km, SpecId::Paper100yr] {
+            for kind in [PipelineKind::InSitu, PipelineKind::PostProcessing] {
+                for rate in [1e-6, 0.75, 24.0, 1e9] {
+                    for points in [1, 33, 129, 512] {
+                        let req = WhatIfRequest::new(spec, kind, rate, points).unwrap();
+                        let hours = req.curve_hours();
+                        let energy = a.energy_curve(kind, &spec.spec(), &hours);
+                        let storage = a.storage_curve(kind, &spec.spec(), &hours);
+                        let curve = a.answer(&req).curve;
+                        assert_eq!(curve.len(), hours.len());
+                        for ((p, (h, e)), (_, s)) in curve.iter().zip(&energy).zip(&storage) {
+                            assert_eq!(p.hours.to_bits(), h.to_bits());
+                            assert_eq!(p.energy_joules.to_bits(), e.joules().to_bits());
+                            assert_eq!(p.storage_bytes, *s);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,9 +59,12 @@ impl WhatIfAnalyzer {
         }
     }
 
-    /// Storage needed by `spec` at `rate` for `kind` (Fig. 9's y-axis).
+    /// Storage needed by `spec` at `rate` for `kind` (Fig. 9's y-axis);
+    /// `u64::MAX` when the byte count does not fit (post-processing at
+    /// intervals under ≈ 0.07 s on the 100-year spec).
     pub fn storage_bytes(&self, kind: PipelineKind, spec: &ProblemSpec, rate: SamplingRate) -> u64 {
-        spec.num_outputs(rate) * self.bytes_per_output(kind)
+        spec.num_outputs(rate)
+            .saturating_mul(self.bytes_per_output(kind))
     }
 
     /// Predicted execution time, seconds.
@@ -72,7 +75,9 @@ impl WhatIfAnalyzer {
         rate: SamplingRate,
     ) -> f64 {
         let n = spec.num_outputs(rate);
-        let s_gb = (n * self.bytes_per_output(kind)) as f64 / 1e9;
+        let b = self.bytes_per_output(kind);
+        let bytes = n.checked_mul(b).map_or(n as f64 * b as f64, |s| s as f64);
+        let s_gb = bytes / 1e9;
         self.model
             .predict_seconds(spec.total_steps(), s_gb, n as f64)
     }

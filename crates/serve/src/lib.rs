@@ -27,12 +27,14 @@
 //! * [`shard`] — sharded timestep index over the Cinema database;
 //! * [`batch`] — the micro-batch accumulator;
 //! * [`load`] — seeded load-schedule generation;
+//! * `num` — byte-exact `{:.6}` / `{:.9e}` / `{}` writers for bodies;
 //! * [`server`] — the reactor, [`Server::run_load`] and [`LoadReport`].
 
 pub mod batch;
 pub mod cache;
 pub mod http;
 pub mod load;
+mod num;
 pub mod server;
 pub mod shard;
 

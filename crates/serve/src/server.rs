@@ -58,6 +58,7 @@ use crate::batch::{BatchAdd, Batcher, ClosedBatch};
 use crate::cache::MemoCache;
 use crate::http::{format_get, parse_request, write_head, HttpRequest, HttpResponse, JSON, PNG};
 use crate::load::LoadSchedule;
+use crate::num::{push_fixed6, push_sci9, push_u64};
 use crate::shard::ShardedFrameIndex;
 
 /// FNV-1a offset basis.
@@ -401,36 +402,55 @@ fn route(req: &HttpRequest) -> Routed {
     }
 }
 
+/// Widest possible what-if body header: the keys and punctuation
+/// (110 B), the longest labels (5 + 15 B), a rate of at most 1e9 h at
+/// `{:.6}` (17 B), a `u64` (20 B), two non-negative finite `{:.9e}`
+/// (16 B each) and a percentage below 2^64 in magnitude at `{:.6}`
+/// (28 B).
+const WHATIF_HEAD_MAX: usize = 110 + 5 + 15 + 17 + 20 + 16 + 16 + 28;
+
+/// Widest possible curve point: `{"hours":` (9 B), hours below 1e10 at
+/// `{:.6}` (18 B), `,"energy_joules":` (17 B), a non-negative finite
+/// `{:.9e}` (16 B), `,"storage_bytes":` (17 B), a `u64` (20 B), and the
+/// closing brace and separating comma (2 B).
+const WHATIF_POINT_MAX: usize = 9 + 18 + 17 + 16 + 17 + 20 + 2;
+
 /// Render the JSON body of a what-if answer. Byte-deterministic: fixed
-/// field order, fixed float formatting.
+/// field order, fixed float formatting (`{:.6}` and `{:.9e}` bytes,
+/// written by `crate::num`). The buffer is reserved once from the
+/// widest body the answer can produce, so it never grows.
 pub fn render_whatif_body(analyzer: &WhatIfAnalyzer, key: &WhatIfRequest) -> Vec<u8> {
-    use std::fmt::Write as _;
     let ans = analyzer.answer(key);
-    let mut out = String::with_capacity(128 + ans.curve.len() * 72);
-    let _ = write!(
-        out,
-        "{{\"spec\":\"{}\",\"kind\":\"{}\",\"rate_hours\":{:.6},\"storage_bytes\":{},\
-         \"exec_seconds\":{:.9e},\"energy_joules\":{:.9e},\"saving_pct\":{:.6},\"curve\":[",
-        key.spec.label(),
-        key.kind.label(),
-        key.rate_hours(),
-        ans.storage_bytes,
-        ans.exec_seconds,
-        ans.energy_joules,
-        ans.saving_pct,
-    );
+    let mut out = Vec::with_capacity(WHATIF_HEAD_MAX + ans.curve.len() * WHATIF_POINT_MAX);
+    out.extend_from_slice(b"{\"spec\":\"");
+    out.extend_from_slice(key.spec.label().as_bytes());
+    out.extend_from_slice(b"\",\"kind\":\"");
+    out.extend_from_slice(key.kind.label().as_bytes());
+    out.extend_from_slice(b"\",\"rate_hours\":");
+    push_fixed6(&mut out, key.rate_hours());
+    out.extend_from_slice(b",\"storage_bytes\":");
+    push_u64(&mut out, ans.storage_bytes);
+    out.extend_from_slice(b",\"exec_seconds\":");
+    push_sci9(&mut out, ans.exec_seconds);
+    out.extend_from_slice(b",\"energy_joules\":");
+    push_sci9(&mut out, ans.energy_joules);
+    out.extend_from_slice(b",\"saving_pct\":");
+    push_fixed6(&mut out, ans.saving_pct);
+    out.extend_from_slice(b",\"curve\":[");
     for (i, p) in ans.curve.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"hours\":{:.6},\"energy_joules\":{:.9e},\"storage_bytes\":{}}}",
-            if i == 0 { "" } else { "," },
-            p.hours,
-            p.energy_joules,
-            p.storage_bytes,
-        );
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(b"{\"hours\":");
+        push_fixed6(&mut out, p.hours);
+        out.extend_from_slice(b",\"energy_joules\":");
+        push_sci9(&mut out, p.energy_joules);
+        out.extend_from_slice(b",\"storage_bytes\":");
+        push_u64(&mut out, p.storage_bytes);
+        out.push(b'}');
     }
-    out.push_str("]}");
-    out.into_bytes()
+    out.extend_from_slice(b"]}");
+    out
 }
 
 /// The reference response bytes for a what-if key — what any 200 from
@@ -939,13 +959,15 @@ pub fn whatif_target(key: &WhatIfRequest) -> Vec<u8> {
         ivis_core::PipelineKind::InSitu => "insitu",
         ivis_core::PipelineKind::PostProcessing => "post",
     };
-    format_get(&format!(
-        "/whatif?spec={}&kind={}&rate_hours={:.6}&points={}",
-        key.spec.label(),
-        kind,
-        key.rate_hours(),
-        key.curve_points
-    ))
+    let mut target = b"/whatif?spec=".to_vec();
+    target.extend_from_slice(key.spec.label().as_bytes());
+    target.extend_from_slice(b"&kind=");
+    target.extend_from_slice(kind.as_bytes());
+    target.extend_from_slice(b"&rate_hours=");
+    push_fixed6(&mut target, key.rate_hours());
+    target.extend_from_slice(b"&points=");
+    push_u64(&mut target, u64::from(key.curve_points));
+    format_get(std::str::from_utf8(&target).expect("the target is ASCII"))
 }
 
 /// The raw bytes of a frame GET.
@@ -978,6 +1000,72 @@ mod tests {
                 .enumerate()
                 .map(|(i, b)| (SimTime::from_micros(10 * i as u64), b))
                 .collect(),
+        }
+    }
+
+    /// The `core::fmt` body [`render_whatif_body`] replaced, kept as
+    /// the reference its writers are held to.
+    fn render_whatif_body_reference(analyzer: &WhatIfAnalyzer, key: &WhatIfRequest) -> Vec<u8> {
+        use std::fmt::Write as _;
+        let ans = analyzer.answer(key);
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\"spec\":\"{}\",\"kind\":\"{}\",\"rate_hours\":{:.6},\"storage_bytes\":{},\
+             \"exec_seconds\":{:.9e},\"energy_joules\":{:.9e},\"saving_pct\":{:.6},\"curve\":[",
+            key.spec.label(),
+            key.kind.label(),
+            key.rate_hours(),
+            ans.storage_bytes,
+            ans.exec_seconds,
+            ans.energy_joules,
+            ans.saving_pct,
+        );
+        for (i, p) in ans.curve.iter().enumerate() {
+            let _ = write!(
+                out,
+                "{}{{\"hours\":{:.6},\"energy_joules\":{:.9e},\"storage_bytes\":{}}}",
+                if i == 0 { "" } else { "," },
+                p.hours,
+                p.energy_joules,
+                p.storage_bytes,
+            );
+        }
+        out.push_str("]}");
+        out.into_bytes()
+    }
+
+    /// Every spec, kind and curve size at both ends of the rate range
+    /// and at the rates the load generators use.
+    fn key_grid() -> Vec<WhatIfRequest> {
+        let mut keys = Vec::new();
+        for spec in [SpecId::Paper60km, SpecId::Paper100yr] {
+            for kind in [
+                ivis_core::PipelineKind::InSitu,
+                ivis_core::PipelineKind::PostProcessing,
+            ] {
+                for rate in [1e-6, 1.0, 1.75, 24.0, 48.25, 1e9] {
+                    for points in [1, 33, 129, 512] {
+                        keys.push(WhatIfRequest::new(spec, kind, rate, points).unwrap());
+                    }
+                }
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn whatif_bodies_equal_the_core_fmt_reference_and_never_grow() {
+        let analyzer = WhatIfAnalyzer::paper();
+        for key in key_grid() {
+            let body = render_whatif_body(&analyzer, &key);
+            assert_eq!(
+                body,
+                render_whatif_body_reference(&analyzer, &key),
+                "{key:?}"
+            );
+            let reserved = WHATIF_HEAD_MAX + usize::from(key.curve_points) * WHATIF_POINT_MAX;
+            assert_eq!(body.capacity(), reserved, "{key:?} outgrew its buffer");
         }
     }
 
