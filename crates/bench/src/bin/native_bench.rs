@@ -12,8 +12,8 @@
 //! depth ratios are `null`: the loop cannot overlap anything there.
 //!
 //! With `--check`, also exits nonzero if the default depth is slower than
-//! depth 1 beyond 15% noise — the `parallel_bench` rule: pipelining must
-//! never cost throughput, how much it gains is the host's business.
+//! depth 1 beyond 15% noise: pipelining must never cost throughput, how
+//! much it gains is the host's business.
 
 use ivis_bench::obj;
 use ivis_bench::report::{time_min_s, Bench};
@@ -143,7 +143,8 @@ fn main() {
         .collect();
     bench.section("frame_pipeline_depth", rows.into());
 
-    // The parallel_bench rule. On one core the default depth *is* 1.
+    // Pipelining must not cost throughput. On one core the default depth
+    // *is* 1.
     const TOLERANCE: f64 = 1.15;
     let pass = bench.host_threads() == 1 || pipe_s <= depth1_s * TOLERANCE;
     bench.gate(pass, || {

@@ -47,9 +47,8 @@ use crate::resilience::PipelineError;
 
 /// One analysis step, a pure function of the snapshot and so safe to run
 /// speculatively on any worker: segment, score every candidate, pick the
-/// winner and render it at full resolution. The candidate evaluations fan
-/// out on the worker pool inside [`score_viewpoints`]; the result is
-/// order-collected, so the output is bit-identical at any thread count.
+/// winner and render it at full resolution. [`score_viewpoints`] scores
+/// the candidates sequentially; the frame loop runs analyses in parallel.
 fn analyze_snapshot(
     renderer: &FieldRenderer,
     grid: &Grid,
@@ -135,8 +134,7 @@ mod tests {
         use crate::golden::{decisions_line, frames_line, Golden};
         let cfg = NativeConfig::tiny();
         let golden = Golden::load();
-        // At every depth: analyses run inside the batch fan-out, with the
-        // candidate fan-out underneath.
+        // At every depth: analyses run inside the batch fan-out.
         for depth in [1, 2, 4] {
             let r = adaptive(&cfg, &tiny_trigger(), depth);
             golden.check("adaptive/tiny/c5/digest", &r.digest());

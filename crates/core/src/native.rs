@@ -433,10 +433,10 @@ fn render_frame(
     let feats = extract_features(grid, w, &seg);
     let census = frame_census(&feats);
     let (lo, hi) = renderer.resolve_range(w);
-    // The scratch is taken out of the cell, not borrowed in place:
-    // `annotate_frame` runs a parallel reduce, and a thread waiting on the
-    // pool may pick up another frame's `render_frame` meanwhile. That
-    // nested call finds an empty scratch and builds its own.
+    // The scratch is taken out of the cell, not borrowed in place: a
+    // thread that waits on the pool runs other queued work meanwhile, so
+    // should anything under this call ever fan out, a nested
+    // `render_frame` finds an empty scratch and builds its own.
     let mut scratch = FRAME_SCRATCH.take();
     let FrameScratch { tables, img, enc } = &mut scratch;
     let tables = match tables {

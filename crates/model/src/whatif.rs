@@ -9,7 +9,6 @@
 use ivis_core::PipelineKind;
 use ivis_ocean::{ProblemSpec, SamplingRate};
 use ivis_power::units::{Joules, Watts};
-use rayon::prelude::*;
 
 use crate::perf::PerfModel;
 
@@ -97,7 +96,6 @@ impl WhatIfAnalyzer {
     }
 
     /// A `(hours, storage_bytes)` curve over sampling intervals — Fig. 9.
-    /// Each grid point is independent, so the curve evaluates in parallel.
     pub fn storage_curve(
         &self,
         kind: PipelineKind,
@@ -105,7 +103,7 @@ impl WhatIfAnalyzer {
         hours: &[f64],
     ) -> Vec<(f64, u64)> {
         hours
-            .par_iter()
+            .iter()
             .map(|&h| {
                 (
                     h,
@@ -116,7 +114,6 @@ impl WhatIfAnalyzer {
     }
 
     /// A `(hours, joules)` curve over sampling intervals — Fig. 10.
-    /// Each grid point is independent, so the curve evaluates in parallel.
     pub fn energy_curve(
         &self,
         kind: PipelineKind,
@@ -124,7 +121,7 @@ impl WhatIfAnalyzer {
         hours: &[f64],
     ) -> Vec<(f64, Joules)> {
         hours
-            .par_iter()
+            .iter()
             .map(|&h| (h, self.energy(kind, spec, SamplingRate::every_hours(h))))
             .collect()
     }

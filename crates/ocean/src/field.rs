@@ -1,9 +1,9 @@
 //! Dense 2-D scalar fields.
 //!
-//! Row-major storage (`idx = j * nx + i`), with parallel row-wise iteration
-//! built on rayon for the compute kernels (time stepping, Okubo-Weiss).
-
-use rayon::prelude::*;
+//! Row-major storage (`idx = j * nx + i`). Every map and reduction here is
+//! sequential: the native chain parallelizes whole frames, and a second
+//! fan-out inside a frame measured no faster (EXPERIMENTS.md, Fan-out
+//! sites).
 
 /// A dense row-major 2-D field of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,15 +31,13 @@ impl Field2D {
         f
     }
 
-    /// Build a field by evaluating `f(i, j)` at every point (in parallel).
-    pub fn from_fn(nx: usize, ny: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
+    /// Build a field by evaluating `f(i, j)` at every point.
+    pub fn from_fn(nx: usize, ny: usize, f: impl Fn(usize, usize) -> f64) -> Self {
         assert!(nx > 0 && ny > 0, "field dimensions must be positive");
-        let mut data = vec![0.0; nx * ny];
-        data.par_chunks_mut(nx).enumerate().for_each(|(j, row)| {
-            for (i, v) in row.iter_mut().enumerate() {
-                *v = f(i, j);
-            }
-        });
+        let mut data = Vec::with_capacity(nx * ny);
+        for j in 0..ny {
+            data.extend((0..nx).map(|i| f(i, j)));
+        }
         Field2D { nx, ny, data }
     }
 
@@ -95,30 +93,20 @@ impl Field2D {
         &mut self.data
     }
 
-    /// Parallel mutable row iterator: `(j, row)` pairs.
-    pub fn par_rows_mut(&mut self) -> impl IndexedParallelIterator<Item = (usize, &mut [f64])> {
-        self.data.par_chunks_mut(self.nx).enumerate()
-    }
-
-    /// Sum of all elements (parallel reduction).
+    /// Sum of all elements, over chunks of at least 1024 (see
+    /// [`chunked_sum`]).
     pub fn sum(&self) -> f64 {
-        self.data.par_iter().sum()
+        chunked_sum(&self.data, 1024, |x| x)
     }
 
     /// Minimum element.
     pub fn min(&self) -> f64 {
-        self.data
-            .par_iter()
-            .copied()
-            .reduce(|| f64::INFINITY, f64::min)
+        self.data.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     /// Maximum element.
     pub fn max(&self) -> f64 {
-        self.data
-            .par_iter()
-            .copied()
-            .reduce(|| f64::NEG_INFINITY, f64::max)
+        self.data.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Mean of all elements.
@@ -129,22 +117,26 @@ impl Field2D {
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         let mean = self.mean();
-        let var = self
-            .data
-            .par_iter()
-            .map(|&x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / self.data.len() as f64;
+        let var = chunked_sum(&self.data, 1, |x| (x - mean) * (x - mean)) / self.data.len() as f64;
         var.sqrt()
     }
 
     /// Maximum absolute value.
     pub fn max_abs(&self) -> f64 {
-        self.data
-            .par_iter()
-            .map(|x| x.abs())
-            .reduce(|| 0.0, f64::max)
+        self.data.iter().fold(0.0, |m, x| f64::max(m, x.abs()))
     }
+}
+
+/// `Σ f(x)` over `data` in the summation order every pinned output was
+/// recorded with: chunks of `max(ceil(len / 64), min_grain)` elements,
+/// each summed left to right, then the chunk sums left to right. Float
+/// addition does not associate, so a flat fold would move `resolve_range`,
+/// `eddy_threshold` and every golden PNG.
+pub(crate) fn chunked_sum(data: &[f64], min_grain: usize, f: impl Fn(f64) -> f64) -> f64 {
+    let grain = data.len().div_ceil(64).max(min_grain).max(1);
+    data.chunks(grain)
+        .map(|chunk| chunk.iter().map(|&x| f(x)).sum::<f64>())
+        .sum()
 }
 
 #[cfg(test)]
@@ -193,6 +185,27 @@ mod tests {
         let f = Field2D::from_fn(2, 2, |i, j| (2 * j + i) as f64); // 0,1,2,3
                                                                    // variance of {0,1,2,3} = 1.25
         assert!((f.std_dev() - 1.25f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn reductions_keep_their_pinned_bits_on_the_native_grid() {
+        // 256×128 is the native grid: `sum` spans 32 chunks of 1024,
+        // `std_dev` 64 of 512. The bits were recorded from the parallel
+        // reductions these replaced; a flat fold changes the last bits of
+        // `sum` and `std_dev` (checked below), and with them
+        // `resolve_range`, `eddy_threshold` and every golden PNG.
+        let f = Field2D::from_fn(256, 128, |i, j| {
+            (i as f64 * 0.7).sin() * (j as f64 * 0.3).cos() * 1e-3
+                + (i as f64 - 127.5) * (j as f64 + 1.0) * 1e-9
+                - 2e-4
+        });
+        assert_eq!(f.sum().to_bits(), 0xc01a_3072_d0dc_265c);
+        assert_eq!(f.std_dev().to_bits(), 0x3f40_81f4_f809_cedb);
+        assert_eq!(f.min().to_bits(), 0xbf53_bac9_b6f0_7da8);
+        assert_eq!(f.max().to_bits(), 0x3f4a_90f8_1ab9_1ec1);
+        assert_eq!(f.max_abs().to_bits(), 0x3f53_bac9_b6f0_7da8);
+        let flat: f64 = f.data().iter().sum();
+        assert_ne!(flat.to_bits(), f.sum().to_bits());
     }
 
     #[test]

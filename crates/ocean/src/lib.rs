@@ -8,7 +8,7 @@
 //! an Arakawa C grid that spins up genuine eddies — plus the bookkeeping
 //! needed to reason about the paper-scale problem:
 //!
-//! * [`field`] — dense 2-D fields with parallel iteration (rayon).
+//! * [`field`] — dense 2-D fields and their reductions.
 //! * [`grid`] — the staggered C grid: spacing, periodicity, Coriolis
 //!   (β-plane).
 //! * [`shallow_water`] — the solver: forward–backward time stepping of the

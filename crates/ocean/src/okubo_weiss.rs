@@ -7,15 +7,13 @@
 //! visualization colors exactly this field (green = rotation, blue = shear),
 //! and eddy identification thresholds it at `W < −0.2 σ_W` (Woodring et al.).
 
-use rayon::prelude::*;
-
 use crate::field::Field2D;
 use crate::grid::Grid;
 
 /// Compute the Okubo-Weiss field from cell-centered velocities.
 ///
 /// Derivatives are central differences, periodic in x and one-sided at the
-/// y walls. Runs in parallel over rows.
+/// y walls.
 ///
 /// # Panics
 /// Panics if the field shapes disagree with the grid.
@@ -34,9 +32,9 @@ pub fn okubo_weiss_into(grid: &Grid, uc: &Field2D, vc: &Field2D, w: &mut Field2D
     assert_eq!((uc.nx(), uc.ny()), (grid.nx, grid.ny), "u shape mismatch");
     assert_eq!((vc.nx(), vc.ny()), (grid.nx, grid.ny), "v shape mismatch");
     assert_eq!((w.nx(), w.ny()), (grid.nx, grid.ny), "w shape mismatch");
-    let ny = grid.ny;
+    let (nx, ny) = (grid.nx, grid.ny);
     let (dx, dy) = (grid.dx, grid.dy);
-    w.par_rows_mut().for_each(|(j, row)| {
+    for (j, row) in w.data_mut().chunks_mut(nx).enumerate() {
         let (jm, jp, denom_y) = if j == 0 {
             (0, 1, dy)
         } else if j == ny - 1 {
@@ -55,7 +53,7 @@ pub fn okubo_weiss_into(grid: &Grid, uc: &Field2D, vc: &Field2D, w: &mut Field2D
             let omega = dvdx - dudy;
             *out = sn * sn + ss * ss - omega * omega;
         }
-    });
+    }
 }
 
 /// The eddy threshold of Woodring et al.: cells with `W < −k·σ_W` are

@@ -31,9 +31,7 @@
 //! and all downstream goldens are preserved. The interior loops stay
 //! scalar: a four-wide laned form measured no faster (DESIGN.md §8).
 
-use rayon::prelude::*;
-
-use crate::field::Field2D;
+use crate::field::{chunked_sum, Field2D};
 use crate::grid::Grid;
 
 /// Physical and numerical parameters.
@@ -304,11 +302,9 @@ impl ShallowWaterModel {
 
     /// Total energy `Σ ½(g h² + H(u² + v²)) dx dy`.
     pub fn total_energy(&self) -> f64 {
-        let pe = 0.5 * self.params.g * self.state.h.data().par_iter().map(|h| h * h).sum::<f64>();
-        let ke = 0.5
-            * self.params.depth
-            * (self.state.u.data().par_iter().map(|u| u * u).sum::<f64>()
-                + self.state.v.data().par_iter().map(|v| v * v).sum::<f64>());
+        let sum_sq = |f: &Field2D| chunked_sum(f.data(), 1, |x| x * x);
+        let pe = 0.5 * self.params.g * sum_sq(&self.state.h);
+        let ke = 0.5 * self.params.depth * (sum_sq(&self.state.u) + sum_sq(&self.state.v));
         (pe + ke) * self.grid.dx * self.grid.dy
     }
 

@@ -19,7 +19,6 @@ use ivis_eddy::census::FrameCensus;
 use ivis_eddy::features::EddyFeature;
 use ivis_ocean::Field2D;
 use ivis_viz::render::FieldRenderer;
-use rayon::prelude::*;
 
 use crate::entropy::image_entropy_bits;
 use crate::viewpoint::{extract_window, ViewWindow, Viewpoint, ViewpointGrid};
@@ -128,10 +127,10 @@ fn window_contains(win: &ViewWindow, u: f64, v: f64) -> bool {
 /// field and its extracted features. `lx`/`ly` are the physical domain
 /// extents (to place feature centroids in fractional coordinates).
 ///
-/// Candidates are independent, so they score in parallel; the result is
-/// collected in index order and each score is a pure function of
-/// `(field, feats, viewpoint)`, so the vector is bit-identical at any
-/// thread count.
+/// Candidates score one after another, in index order: the executor
+/// already runs whole analyses in parallel, and a second fan-out under
+/// them measured no faster (EXPERIMENTS.md, Fan-out sites). Each score is
+/// a pure function of `(field, feats, viewpoint)`.
 pub fn score_viewpoints(
     grid: &ViewpointGrid,
     w: &Field2D,
@@ -142,7 +141,7 @@ pub fn score_viewpoints(
 ) -> Vec<ViewpointScore> {
     let renderer = FieldRenderer::okubo_weiss(cfg.eval_width, cfg.eval_height);
     grid.views()
-        .par_iter()
+        .iter()
         .map(|vp| {
             let win = vp.window(cfg.zoom);
             let sub = extract_window(w, &win, cfg.eval_width, cfg.eval_height);

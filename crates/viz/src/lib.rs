@@ -7,8 +7,9 @@
 //!   palette (green = rotation-dominated, blue = shear-dominated
 //!   Okubo-Weiss) and a viridis-like sequential map.
 //! * [`raster`] — image buffers and field→image resampling (bilinear),
-//!   parallelized over rows with rayon (the paper's per-rank render and
-//!   composite collapse into one row-parallel pass).
+//!   one sequential pass over rows (the paper's per-rank render and
+//!   composite collapse into one pass; whole frames render in parallel in
+//!   the native frame loop).
 //! * [`png`] — a from-scratch PNG encoder (stored-deflate zlib stream,
 //!   CRC-32, Adler-32) producing valid, loadable files.
 //! * [`render`] — the field renderer: scalar field + colormap + range

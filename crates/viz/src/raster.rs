@@ -8,7 +8,6 @@
 //! shaded pixels stay bit-identical — see DESIGN.md §8 for the rules.
 
 use ivis_ocean::Field2D;
-use rayon::prelude::*;
 
 use crate::color::{Colormap, Rgb};
 
@@ -66,11 +65,6 @@ impl ImageBuffer {
         &mut self.pixels
     }
 
-    /// Parallel mutable access to rows: `(y, row)` pairs.
-    pub fn par_rows_mut(&mut self) -> impl IndexedParallelIterator<Item = (usize, &mut [Rgb])> {
-        self.pixels.par_chunks_mut(self.width).enumerate()
-    }
-
     /// Raw RGB bytes (3 per pixel), for encoders.
     pub fn to_rgb_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.pixels.len() * 3);
@@ -82,8 +76,8 @@ impl ImageBuffer {
 
     /// Fraction of pixels for which `pred` holds — a cheap way to assert
     /// image content in tests.
-    pub fn fraction_where(&self, pred: impl Fn(Rgb) -> bool + Sync) -> f64 {
-        let n = self.pixels.par_iter().filter(|&&p| pred(p)).count();
+    pub fn fraction_where(&self, pred: impl Fn(Rgb) -> bool) -> f64 {
+        let n = self.pixels.iter().filter(|&&p| pred(p)).count();
         n as f64 / self.pixels.len() as f64
     }
 }
@@ -248,9 +242,8 @@ impl SampleTables {
 
 /// Rasterize a scalar field into an image using `colormap` over `(lo, hi)`.
 /// Row 0 of the image corresponds to the *top* (largest y / northernmost
-/// row) of the field. Table-driven and parallel over image rows;
-/// bit-identical to the naive per-pixel [`sample_bilinear`] loop at every
-/// thread count.
+/// row) of the field. Table-driven, one row at a time; bit-identical to
+/// the naive per-pixel [`sample_bilinear`] loop.
 pub fn rasterize(
     field: &Field2D,
     width: usize,
@@ -262,8 +255,9 @@ pub fn rasterize(
     assert!(hi > lo, "rasterize range must have hi > lo");
     let tables = SampleTables::new(field, width, height);
     let mut img = ImageBuffer::new(width, height);
-    img.par_rows_mut()
-        .for_each(|(y, row)| tables.shade_row(y, colormap, lo, hi, row));
+    for (y, row) in img.pixels_mut().chunks_mut(width).enumerate() {
+        tables.shade_row(y, colormap, lo, hi, row);
+    }
     img
 }
 
@@ -276,7 +270,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// The seed's naive renderer: one [`sample_bilinear`] call per pixel,
-    /// strictly sequential. The oracle the table-driven, row-parallel
+    /// strictly sequential. The oracle the table-driven
     /// renderer must match bit for bit.
     fn rasterize_reference(
         field: &Field2D,
@@ -371,8 +365,8 @@ mod tests {
         let _ = ImageBuffer::new(0, 4);
     }
 
-    /// An eddying Okubo-Weiss field large enough to multi-chunk every
-    /// parallel path (6144 cells > the slice grain of 1024).
+    /// An eddying Okubo-Weiss field large enough that `Field2D::sum`
+    /// spans several chunks (6144 cells > its grain of 1024).
     fn okubo_weiss_field() -> Field2D {
         let grid = Grid::channel(96, 64, 60_000.0);
         let uc = Field2D::from_fn(96, 64, |i, j| {
@@ -385,18 +379,14 @@ mod tests {
     }
 
     #[test]
-    fn threaded_render_matches_sequential_oracle_at_every_thread_count() {
+    fn render_matches_sequential_oracle() {
         let w = okubo_weiss_field();
         let renderer = FieldRenderer::okubo_weiss(192, 128);
-        // The resolved ±2σ range is itself a parallel reduction; reuse it so
-        // the comparison isolates the rasterization path.
+        // Reuse the renderer's own ±2σ range so the comparison isolates the
+        // rasterization path.
         let (lo, hi) = renderer.resolve_range(&w);
         let golden = rasterize_reference(&w, 192, 128, Colormap::OkuboWeiss, lo, hi);
-        for threads in [1, 2, 8] {
-            rayon::set_num_threads(threads);
-            assert_eq!(renderer.render(&w), golden, "diverged at {threads} threads");
-        }
-        rayon::set_num_threads(0);
+        assert_eq!(renderer.render(&w), golden);
     }
 
     proptest! {

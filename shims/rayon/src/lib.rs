@@ -2,46 +2,32 @@
 //! backed by a real threaded executor.
 //!
 //! The build environment cannot reach crates.io, so this crate provides
-//! `par_iter`, `par_iter_mut`, `par_chunks`, `par_chunks_mut` and
-//! `into_par_iter` with the same call-site syntax as rayon, executed by a
-//! chunked work-sharing backend on a lazily-grown persistent worker pool
-//! (like rayon's global pool, so per-call overhead is a queue push rather
-//! than an OS thread spawn) — no dependencies beyond `std`.
+//! `par_iter().map(f).collect()` with the same call-site syntax as rayon,
+//! executed by a chunked work-sharing backend on a lazily-grown persistent
+//! worker pool (like rayon's global pool, so per-call overhead is a queue
+//! push rather than an OS thread spawn) — no dependencies beyond `std`.
+//! That is the only shape the workspace fans out: independent items whose
+//! results are collected in input order.
 //!
 //! ## Execution model
 //!
 //! Every parallel operation follows the same three steps:
 //!
-//! 1. **Chunking.** The index space is split into contiguous chunks whose
-//!    size is a *fixed function of the input length only* (never of the
-//!    thread count): `grain = max(ceil(len / 64), min_grain)`, where
-//!    `min_grain` depends on the source shape (1024 elements for plain
-//!    slices and ranges, 1 for `par_chunks*` and `map`, whose items carry
-//!    unknown work).
-//! 2. **Work sharing with auto-granularity.** The caller plus
+//! 1. **Chunking.** The slice is split into contiguous chunks whose size
+//!    is a *fixed function of the input length only* (never of the thread
+//!    count): `grain = ceil(len / 64)`.
+//! 2. **Work sharing.** The caller plus
 //!    `min(current_num_threads(), nchunks) - 1` pool workers pull
 //!    `(chunk_index, chunk)` pairs from a shared queue, so an unevenly
 //!    loaded chunk does not stall the others. With one thread (or one
-//!    chunk) the chunks run inline on the caller and the pool is never
-//!    touched. Fine-grained fan-outs (more than two chunks per thread)
-//!    first run one chunk inline and *measure* it: if the whole remainder
-//!    is projected to cost less than the pool's measured dispatch
-//!    round-trip threshold, everything runs inline — placement changes,
-//!    chunk shape never does, so results are unaffected. While waiting for
-//!    its helpers, the caller drains other pending pool tasks, so nested
-//!    parallel calls cannot deadlock the pool.
+//!    chunk) the items run inline on the caller and the pool is never
+//!    touched. While waiting for its helpers, the caller drains other
+//!    pending pool tasks, so nested parallel calls cannot deadlock the
+//!    pool.
 //! 3. **Index-ordered recombination.** Per-chunk results are sorted back
-//!    into chunk-index order before they are combined, so the combination
-//!    shape is identical no matter which thread ran which chunk.
-//!
-//! Because the chunk boundaries and the combination order depend only on
-//! the input, **every operation is bit-identical across thread counts**,
-//! including floating-point reductions: [`Par::reduce`] folds each chunk
-//! sequentially and then combines the per-chunk partials with a
-//! fixed-shape balanced binary tree; [`Par::sum`] left-folds the partials
-//! in chunk order. Inputs no longer than one grain (≤ 1024 elements for
-//! plain slices) occupy a single chunk, which makes the result *also*
-//! bit-identical to a plain sequential `std` fold.
+//!    into chunk-index order before they are concatenated, so `collect`
+//!    yields exactly what a sequential `map` + `collect` yields, at any
+//!    thread count.
 //!
 //! ## Thread count
 //!
@@ -53,24 +39,19 @@
 //!
 //! ## Faithfulness to rayon
 //!
-//! Reproduced semantics: the two-argument `reduce(identity, op)` (the
-//! identity may be folded into any number of partials, so it must be a
-//! true identity for `op`), index-order-preserving `collect`/`enumerate`,
-//! and `Fn + Sync + Send` closure bounds. Not reproduced: `rayon`'s
-//! adaptive splitting (chunk shape here is static), per-pool
-//! configuration (`ThreadPoolBuilder`), and the long tail of adapters
-//! (`zip`, `flat_map`, `fold`, …) the workspace does not use. Unlike
-//! rayon, reductions here have a *deterministic* float result by design —
-//! real rayon only promises that for associative operations.
+//! Reproduced semantics: index-order-preserving `collect` and
+//! `Fn + Sync` closure bounds. Not reproduced: `rayon`'s adaptive
+//! splitting (chunk shape here is static), per-pool configuration
+//! (`ThreadPoolBuilder`), and every adapter and source the workspace does
+//! not use (`reduce`, `sum`, `filter`, `par_chunks_mut`, …).
 
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 mod pool;
 
 /// Target number of chunks per operation; the real count is
-/// `ceil(len / grain) ≤ TARGET_CHUNKS` once `min_grain` is applied.
+/// `ceil(len / grain) ≤ TARGET_CHUNKS`.
 const TARGET_CHUNKS: usize = 64;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -103,8 +84,7 @@ pub fn current_num_threads() -> usize {
 /// `min(available_parallelism, ZSIM_THREADS)` default. Unlike the env
 /// default, an explicit override may exceed the hardware parallelism.
 ///
-/// Results do not depend on this setting — chunking and combination
-/// order are functions of the input length alone.
+/// Results do not depend on this setting: `collect` restores input order.
 pub fn set_num_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
@@ -112,717 +92,11 @@ pub fn set_num_threads(n: usize) {
 /// The traits and extension methods callers import with
 /// `use rayon::prelude::*`.
 pub mod prelude {
-    pub use super::{
-        IndexedParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
-        IntoParallelRefMutIterator, ParallelIterator, ParallelSlice,
-    };
+    pub use super::IntoParallelRefIterator;
 }
 
-// ---------------------------------------------------------------------------
-// Splittable sources
-// ---------------------------------------------------------------------------
-
-/// A parallel work source: a length-addressed sequence that can be split
-/// into disjoint contiguous parts, each convertible to a sequential
-/// iterator. All engine scheduling is built on this trait.
-pub trait Splittable: Sized + Send {
-    /// Item the sequential iterator yields.
-    type Item;
-    /// Sequential iterator over one part.
-    type Seq: Iterator<Item = Self::Item>;
-    /// Number of index positions (pre-`filter`).
-    fn len(&self) -> usize;
-    /// Whether the source is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Split into `[0, mid)` and `[mid, len)`.
-    fn split_at(self, mid: usize) -> (Self, Self);
-    /// Consume into a sequential iterator.
-    fn seq(self) -> Self::Seq;
-    /// Smallest chunk worth scheduling independently (a *shape* constant:
-    /// it may depend on the source type, never on the thread count).
-    fn min_grain(&self) -> usize {
-        1024
-    }
-}
-
-/// `par_iter` source: a shared slice.
-pub struct SliceSrc<'a, T>(&'a [T]);
-
-impl<'a, T: Sync> Splittable for SliceSrc<'a, T> {
-    type Item = &'a T;
-    type Seq = std::slice::Iter<'a, T>;
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (a, b) = self.0.split_at(mid);
-        (SliceSrc(a), SliceSrc(b))
-    }
-    fn seq(self) -> Self::Seq {
-        self.0.iter()
-    }
-}
-
-/// `par_iter_mut` source: a mutable slice.
-pub struct SliceMutSrc<'a, T>(&'a mut [T]);
-
-impl<'a, T: Send> Splittable for SliceMutSrc<'a, T> {
-    type Item = &'a mut T;
-    type Seq = std::slice::IterMut<'a, T>;
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (a, b) = self.0.split_at_mut(mid);
-        (SliceMutSrc(a), SliceMutSrc(b))
-    }
-    fn seq(self) -> Self::Seq {
-        self.0.iter_mut()
-    }
-}
-
-/// `par_chunks` source. Length is counted in chunks; splits land on chunk
-/// boundaries so chunk shapes match `slice::chunks` exactly.
-pub struct ChunksSrc<'a, T> {
-    slice: &'a [T],
-    size: usize,
-}
-
-impl<'a, T: Sync> Splittable for ChunksSrc<'a, T> {
-    type Item = &'a [T];
-    type Seq = std::slice::Chunks<'a, T>;
-    fn len(&self) -> usize {
-        self.slice.len().div_ceil(self.size)
-    }
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (a, b) = self.slice.split_at(mid * self.size);
-        (
-            ChunksSrc {
-                slice: a,
-                size: self.size,
-            },
-            ChunksSrc {
-                slice: b,
-                size: self.size,
-            },
-        )
-    }
-    fn seq(self) -> Self::Seq {
-        self.slice.chunks(self.size)
-    }
-    fn min_grain(&self) -> usize {
-        1 // each item is a whole chunk; assume it carries real work
-    }
-}
-
-/// `par_chunks_mut` source.
-pub struct ChunksMutSrc<'a, T> {
-    slice: &'a mut [T],
-    size: usize,
-}
-
-impl<'a, T: Send> Splittable for ChunksMutSrc<'a, T> {
-    type Item = &'a mut [T];
-    type Seq = std::slice::ChunksMut<'a, T>;
-    fn len(&self) -> usize {
-        self.slice.len().div_ceil(self.size)
-    }
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (a, b) = self.slice.split_at_mut(mid * self.size);
-        (
-            ChunksMutSrc {
-                slice: a,
-                size: self.size,
-            },
-            ChunksMutSrc {
-                slice: b,
-                size: self.size,
-            },
-        )
-    }
-    fn seq(self) -> Self::Seq {
-        self.slice.chunks_mut(self.size)
-    }
-    fn min_grain(&self) -> usize {
-        1
-    }
-}
-
-/// `into_par_iter` source for owned vectors.
-pub struct VecSrc<T>(Vec<T>);
-
-impl<T: Send> Splittable for VecSrc<T> {
-    type Item = T;
-    type Seq = std::vec::IntoIter<T>;
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn split_at(mut self, mid: usize) -> (Self, Self) {
-        let tail = self.0.split_off(mid);
-        (self, VecSrc(tail))
-    }
-    fn seq(self) -> Self::Seq {
-        self.0.into_iter()
-    }
-    fn min_grain(&self) -> usize {
-        1 // owned items are usually configs/tasks, not scalars
-    }
-}
-
-/// `into_par_iter` source for integer ranges.
-pub struct RangeSrc<T> {
-    start: T,
-    end: T,
-}
-
-macro_rules! range_splittable {
-    ($($t:ty),*) => {$(
-        impl Splittable for RangeSrc<$t> {
-            type Item = $t;
-            type Seq = std::ops::Range<$t>;
-            fn len(&self) -> usize {
-                (self.end.max(self.start) - self.start) as usize
-            }
-            fn split_at(self, mid: usize) -> (Self, Self) {
-                let cut = self.start + mid as $t;
-                (
-                    RangeSrc { start: self.start, end: cut },
-                    RangeSrc { start: cut, end: self.end },
-                )
-            }
-            fn seq(self) -> Self::Seq {
-                self.start..self.end
-            }
-        }
-
-        impl IntoParallelIterator for std::ops::Range<$t> {
-            type Item = $t;
-            type Iter = Par<RangeSrc<$t>>;
-            fn into_par_iter(self) -> Self::Iter {
-                Par(RangeSrc { start: self.start, end: self.end })
-            }
-        }
-    )*};
-}
-
-range_splittable!(usize, u32, u64, i32, i64);
-
-/// `map` adapter: applies `f` lazily inside each chunk.
-pub struct MapSrc<S, F> {
-    inner: S,
-    f: F,
-}
-
-impl<S, B, F> Splittable for MapSrc<S, F>
-where
-    S: Splittable,
-    F: Fn(S::Item) -> B + Clone + Send,
-{
-    type Item = B;
-    type Seq = std::iter::Map<S::Seq, F>;
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (a, b) = self.inner.split_at(mid);
-        (
-            MapSrc {
-                inner: a,
-                f: self.f.clone(),
-            },
-            MapSrc {
-                inner: b,
-                f: self.f,
-            },
-        )
-    }
-    fn seq(self) -> Self::Seq {
-        self.inner.seq().map(self.f)
-    }
-    fn min_grain(&self) -> usize {
-        1 // the closure's per-item cost is unknown; let it parallelize
-    }
-}
-
-/// `filter` adapter. Splits on the *pre-filter* index space, so chunk
-/// boundaries (and therefore reduction shapes) ignore the predicate.
-pub struct FilterSrc<S, P> {
-    inner: S,
-    p: P,
-}
-
-impl<S, P> Splittable for FilterSrc<S, P>
-where
-    S: Splittable,
-    P: Fn(&S::Item) -> bool + Clone + Send,
-{
-    type Item = S::Item;
-    type Seq = std::iter::Filter<S::Seq, P>;
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (a, b) = self.inner.split_at(mid);
-        (
-            FilterSrc {
-                inner: a,
-                p: self.p.clone(),
-            },
-            FilterSrc {
-                inner: b,
-                p: self.p,
-            },
-        )
-    }
-    fn seq(self) -> Self::Seq {
-        self.inner.seq().filter(self.p)
-    }
-    fn min_grain(&self) -> usize {
-        self.inner.min_grain()
-    }
-}
-
-/// `enumerate` adapter: pairs items with their global index, preserved
-/// across splits via an offset.
-pub struct EnumSrc<S> {
-    inner: S,
-    offset: usize,
-}
-
-impl<S: Splittable> Splittable for EnumSrc<S> {
-    type Item = (usize, S::Item);
-    type Seq = std::iter::Zip<std::ops::Range<usize>, S::Seq>;
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (a, b) = self.inner.split_at(mid);
-        (
-            EnumSrc {
-                inner: a,
-                offset: self.offset,
-            },
-            EnumSrc {
-                inner: b,
-                offset: self.offset + mid,
-            },
-        )
-    }
-    fn seq(self) -> Self::Seq {
-        let n = self.inner.len();
-        (self.offset..self.offset + n).zip(self.inner.seq())
-    }
-    fn min_grain(&self) -> usize {
-        self.inner.min_grain()
-    }
-}
-
-/// `copied` adapter for by-reference iterators.
-pub struct CopiedSrc<S>(S);
-
-impl<'a, T, S> Splittable for CopiedSrc<S>
-where
-    T: 'a + Copy,
-    S: Splittable<Item = &'a T>,
-{
-    type Item = T;
-    type Seq = std::iter::Copied<S::Seq>;
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (a, b) = self.0.split_at(mid);
-        (CopiedSrc(a), CopiedSrc(b))
-    }
-    fn seq(self) -> Self::Seq {
-        self.0.seq().copied()
-    }
-    fn min_grain(&self) -> usize {
-        self.0.min_grain()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The engine
-// ---------------------------------------------------------------------------
-
-/// Chunk `src` by the fixed grain rule, process every chunk with `f`
-/// (across worker threads when it pays), and return the per-chunk results
-/// in chunk-index order.
-///
-/// ## Auto-granularity
-///
-/// Chunk *shape* is a function of the input length only, so results are
-/// bit-identical at every thread count — but chunk *placement* is free.
-/// When the fan-out is fine-grained (more than `2 × threads` chunks), the
-/// caller runs chunk 0 inline first and times it; if the measured rate
-/// says the whole remainder costs less than the pool's dispatch round-trip
-/// threshold ([`pool::sequential_threshold_ns`]), the rest runs inline too
-/// and the pool is never touched. Coarse fan-outs (≤ 2 chunks per thread,
-/// where one timed chunk would serialize a large fraction of the work)
-/// dispatch immediately as before.
-fn drive<S, R, F>(src: S, f: F) -> Vec<R>
-where
-    S: Splittable,
-    R: Send,
-    F: Fn(S) -> R + Sync,
-{
-    let len = src.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    // Shape depends only on the input: identical at every thread count.
-    let grain = len.div_ceil(TARGET_CHUNKS).max(src.min_grain()).max(1);
-    let nchunks = len.div_ceil(grain);
-
-    let threads = current_num_threads().min(nchunks);
-    if threads <= 1 {
-        // Sequential path: run each split as it is produced. No parts
-        // buffer, so `for_each` (R = ()) performs zero heap allocations.
-        let mut out = Vec::with_capacity(nchunks);
-        let mut rest = src;
-        while rest.len() > grain {
-            let (head, tail) = rest.split_at(grain);
-            out.push(f(head));
-            rest = tail;
-        }
-        out.push(f(rest));
-        return out;
-    }
-
-    if nchunks > 2 * threads {
-        // Fine-grained fan-out: measure chunk 0 inline, then decide.
-        let (head, tail) = src.split_at(grain);
-        let t0 = std::time::Instant::now();
-        let r0 = f(head);
-        let d0 = t0.elapsed().as_nanos() as u64;
-        if d0.saturating_mul((nchunks - 1) as u64) < pool::sequential_threshold_ns() {
-            let mut out = Vec::with_capacity(nchunks);
-            out.push(r0);
-            let mut rest = tail;
-            while rest.len() > grain {
-                let (h, t) = rest.split_at(grain);
-                out.push(f(h));
-                rest = t;
-            }
-            out.push(f(rest));
-            return out;
-        }
-        let mut parts = Vec::with_capacity(nchunks - 1);
-        let mut rest = tail;
-        let mut idx = 1;
-        while rest.len() > grain {
-            let (h, t) = rest.split_at(grain);
-            parts.push((idx, h));
-            idx += 1;
-            rest = t;
-        }
-        parts.push((idx, rest));
-        return run_shared(parts, nchunks, threads, f, Some(r0));
-    }
-
-    // Coarse fan-out: dispatch immediately (timing one of ≤ 2·threads
-    // chunks inline first would serialize a large slice of the work).
-    let mut parts = Vec::with_capacity(nchunks);
-    let mut rest = src;
-    let mut idx = 0;
-    while rest.len() > grain {
-        let (head, tail) = rest.split_at(grain);
-        parts.push((idx, head));
-        idx += 1;
-        rest = tail;
-    }
-    parts.push((idx, rest));
-    run_shared(parts, nchunks, threads, f, None)
-}
-
-/// Work-share pre-tagged `parts` between the caller and `threads - 1` pool
-/// helpers; `r0` is the result of chunk 0 if the caller already ran it
-/// inline. Returns all results in chunk-index order.
-fn run_shared<S, R, F>(
-    parts: Vec<(usize, S)>,
-    nchunks: usize,
-    threads: usize,
-    f: F,
-    r0: Option<R>,
-) -> Vec<R>
-where
-    S: Splittable,
-    R: Send,
-    F: Fn(S) -> R + Sync,
-{
-    // Work sharing: the caller and `threads - 1` pool helpers pull
-    // (index, chunk) pairs from a shared queue so stragglers don't
-    // serialize the run; indices restore the order afterwards.
-    let run = Run {
-        queue: Mutex::new(parts.into_iter()),
-        results: Mutex::new(Vec::with_capacity(nchunks)),
-        panic: Mutex::new(None),
-        pending: Mutex::new(threads - 1),
-        done: Condvar::new(),
-        f,
-    };
-    let addr = require_sync(&run) as *const Run<S, R, F> as usize;
-    // SAFETY: `addr` stays valid because this function does not return (or
-    // unwind) until `pending` reaches zero, i.e. until every submitted
-    // helper has finished touching `run`; `Run` is `Sync` (checked above),
-    // so helpers may share it from any thread.
-    let tasks = (0..threads - 1)
-        .map(|_| unsafe { pool::Task::new(addr, helper_entry::<S, R, F>) })
-        .collect();
-    pool::submit(threads - 1, tasks);
-    work_on(&run);
-
-    // Wait for the helpers, draining queued pool tasks meanwhile so a
-    // nested parallel call can't deadlock: every waiting caller is also a
-    // consumer, so queued tasks always make progress. Once the queue is
-    // empty this run's helpers are all in-flight on workers (tasks queued
-    // later can't be prerequisites of ours), so blocking is safe.
-    loop {
-        if *run.pending.lock().unwrap() == 0 {
-            break;
-        }
-        if let Some(task) = pool::try_pop() {
-            task.run();
-            continue;
-        }
-        let mut pending = run.pending.lock().unwrap();
-        while *pending > 0 {
-            pending = run.done.wait(pending).unwrap();
-        }
-        break;
-    }
-
-    let Run { results, panic, .. } = run;
-    if let Some(payload) = panic.into_inner().unwrap() {
-        std::panic::resume_unwind(payload);
-    }
-    let mut tagged = results.into_inner().unwrap();
-    if let Some(r0) = r0 {
-        tagged.push((0, r0));
-    }
-    tagged.sort_unstable_by_key(|&(idx, _)| idx);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Shared state of one in-flight `drive` call. Lives on the caller's
-/// stack; helpers reach it through an erased address (see [`pool`]).
-struct Run<S: Splittable, R, F> {
-    queue: Mutex<std::vec::IntoIter<(usize, S)>>,
-    results: Mutex<Vec<(usize, R)>>,
-    /// First panic payload from any chunk, re-thrown on the caller.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Helpers that have not finished yet; guards the lifetime of `Run`.
-    pending: Mutex<usize>,
-    done: Condvar,
-    f: F,
-}
-
-fn require_sync<T: Sync>(t: &T) -> &T {
-    t
-}
-
-/// Pull chunks until the queue is empty. Panics from `f` are caught and
-/// recorded (first wins) and the queue is drained so other workers stop
-/// early; the caller re-throws after all helpers finish.
-fn work_on<S, R, F>(run: &Run<S, R, F>)
-where
-    S: Splittable,
-    R: Send,
-    F: Fn(S) -> R + Sync,
-{
-    loop {
-        let next = run.queue.lock().unwrap().next();
-        let Some((idx, part)) = next else { break };
-        match std::panic::catch_unwind(AssertUnwindSafe(|| (run.f)(part))) {
-            Ok(r) => run.results.lock().unwrap().push((idx, r)),
-            Err(payload) => {
-                let mut slot = run.panic.lock().unwrap();
-                slot.get_or_insert(payload);
-                drop(slot);
-                let mut q = run.queue.lock().unwrap();
-                while q.next().is_some() {}
-                break;
-            }
-        }
-    }
-}
-
-/// Pool entry point for one helper of one `drive` call.
-///
-/// # Safety
-///
-/// `addr` must point to a live `Run<S, R, F>` and stay valid until this
-/// function returns — guaranteed by `drive`, which blocks until `pending`
-/// hits zero.
-unsafe fn helper_entry<S, R, F>(addr: usize)
-where
-    S: Splittable,
-    R: Send,
-    F: Fn(S) -> R + Sync,
-{
-    let run = &*(addr as *const Run<S, R, F>);
-    work_on(run);
-    let mut pending = run.pending.lock().unwrap();
-    *pending -= 1;
-    if *pending == 0 {
-        run.done.notify_all();
-    }
-}
-
-/// Combine per-chunk partials with a balanced binary tree (pairwise
-/// rounds). The shape depends only on `partials.len()`, which depends
-/// only on the input length — never on the thread count.
-fn tree_combine<T>(mut partials: Vec<T>, op: &(impl Fn(T, T) -> T + ?Sized)) -> Option<T> {
-    while partials.len() > 1 {
-        let mut next = Vec::with_capacity(partials.len().div_ceil(2));
-        let mut it = partials.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(op(a, b)),
-                None => next.push(a),
-            }
-        }
-        partials = next;
-    }
-    partials.pop()
-}
-
-// ---------------------------------------------------------------------------
-// The parallel iterator wrapper
-// ---------------------------------------------------------------------------
-
-/// A parallel iterator over a [`Splittable`] source. Combinators are
-/// inherent methods (so rayon's two-argument `reduce` never collides with
-/// `Iterator::reduce`); consumption happens through the
-/// [`ParallelIterator`] trait or the inherent terminals below.
-pub struct Par<S>(S);
-
-impl<S: Splittable> Par<S> {
-    /// Transform each item.
-    pub fn map<B, F>(self, f: F) -> Par<MapSrc<S, F>>
-    where
-        F: Fn(S::Item) -> B + Sync + Send + Clone,
-    {
-        Par(MapSrc { inner: self.0, f })
-    }
-
-    /// Keep items matching the predicate.
-    pub fn filter<P>(self, p: P) -> Par<FilterSrc<S, P>>
-    where
-        P: Fn(&S::Item) -> bool + Sync + Send + Clone,
-    {
-        Par(FilterSrc { inner: self.0, p })
-    }
-
-    /// Pair each item with its index.
-    pub fn enumerate(self) -> Par<EnumSrc<S>> {
-        Par(EnumSrc {
-            inner: self.0,
-            offset: 0,
-        })
-    }
-
-    /// rayon-style reduce: fold each chunk from `identity()`, then combine
-    /// the per-chunk partials with a fixed-shape balanced tree, so float
-    /// results are identical regardless of thread count. `op` must treat
-    /// `identity()` as a true identity (rayon requires the same).
-    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> S::Item
-    where
-        S::Item: Send,
-        ID: Fn() -> S::Item + Sync + Send,
-        OP: Fn(S::Item, S::Item) -> S::Item + Sync + Send,
-    {
-        let partials = drive(self.0, |chunk| {
-            let mut acc = identity();
-            for x in chunk.seq() {
-                acc = op(acc, x);
-            }
-            acc
-        });
-        tree_combine(partials, &op).unwrap_or_else(identity)
-    }
-
-    /// Sum the items: per-chunk sequential sums, left-folded in chunk
-    /// order (fixed shape, deterministic across thread counts).
-    pub fn sum<T>(self) -> T
-    where
-        T: std::iter::Sum<S::Item> + std::iter::Sum<T> + Send,
-    {
-        drive(self.0, |chunk| chunk.seq().sum::<T>())
-            .into_iter()
-            .sum()
-    }
-
-    /// Count the items surviving the chain.
-    pub fn count(self) -> usize {
-        drive(self.0, |chunk| chunk.seq().count()).into_iter().sum()
-    }
-
-    /// Collect into a container, preserving index order.
-    pub fn collect<C>(self) -> C
-    where
-        S::Item: Send,
-        C: FromIterator<S::Item>,
-    {
-        drive(self.0, |chunk| chunk.seq().collect::<Vec<_>>())
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-}
-
-impl<'a, T, S> Par<S>
-where
-    T: 'a + Copy + Sync,
-    S: Splittable<Item = &'a T>,
-{
-    /// Copy out of a by-reference iterator.
-    pub fn copied(self) -> Par<CopiedSrc<S>> {
-        Par(CopiedSrc(self.0))
-    }
-}
-
-/// Base parallel-iterator bound: consumable in parallel.
-pub trait ParallelIterator: Sized {
-    /// Item type.
-    type Item;
-    /// Run `op` on every item; chunks execute across worker threads.
-    fn for_each<OP>(self, op: OP)
-    where
-        OP: Fn(Self::Item) + Sync + Send;
-}
-
-impl<S: Splittable> ParallelIterator for Par<S> {
-    type Item = S::Item;
-    fn for_each<OP>(self, op: OP)
-    where
-        OP: Fn(Self::Item) + Sync + Send,
-    {
-        drive(self.0, |chunk| {
-            for x in chunk.seq() {
-                op(x);
-            }
-        });
-    }
-}
-
-/// Marker for iterators whose items arrive in index order; every source
-/// here is index-ordered by construction.
-pub trait IndexedParallelIterator: ParallelIterator {}
-
-impl<S: Splittable> IndexedParallelIterator for Par<S> {}
-
-// ---------------------------------------------------------------------------
-// Entry-point traits
-// ---------------------------------------------------------------------------
-
-/// `par_iter` on shared collections.
+/// `par_iter` on slices (and, through auto-deref, on `Vec`s).
 pub trait IntoParallelRefIterator<'a> {
-    /// Item type yielded by the iterator.
-    type Item;
     /// Parallel iterator type.
     type Iter;
     /// Iterate the collection in parallel.
@@ -830,87 +104,54 @@ pub trait IntoParallelRefIterator<'a> {
 }
 
 impl<'a, T: 'a + Sync> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    type Iter = Par<SliceSrc<'a, T>>;
+    type Iter = ParIter<'a, T>;
     fn par_iter(&'a self) -> Self::Iter {
-        Par(SliceSrc(self))
+        ParIter(self)
     }
 }
 
-impl<'a, T: 'a + Sync> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    type Iter = Par<SliceSrc<'a, T>>;
-    fn par_iter(&'a self) -> Self::Iter {
-        Par(SliceSrc(self))
+/// A parallel iterator over a shared slice; [`ParIter::map`] gives it
+/// work to do.
+pub struct ParIter<'a, T>(&'a [T]);
+
+impl<'a, T: Sync> ParIter<'a, T> {
+    /// Transform each item; nothing runs until [`ParMap::collect`].
+    pub fn map<R, F>(self, f: F) -> ParMap<'a, T, F>
+    where
+        F: Fn(&'a T) -> R + Sync,
+    {
+        ParMap { items: self.0, f }
     }
 }
 
-/// `par_iter_mut` on mutable collections.
-pub trait IntoParallelRefMutIterator<'a> {
-    /// Item type yielded by the iterator.
-    type Item;
-    /// Parallel iterator type.
-    type Iter;
-    /// Mutably iterate the collection in parallel.
-    fn par_iter_mut(&'a mut self) -> Self::Iter;
+/// `par_iter().map(f)`: `f` applied to every item by [`ParMap::collect`].
+pub struct ParMap<'a, T, F> {
+    items: &'a [T],
+    f: F,
 }
 
-impl<'a, T: 'a + Send> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = &'a mut T;
-    type Iter = Par<SliceMutSrc<'a, T>>;
-    fn par_iter_mut(&'a mut self) -> Self::Iter {
-        Par(SliceMutSrc(self))
-    }
-}
-
-impl<'a, T: 'a + Send> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Item = &'a mut T;
-    type Iter = Par<SliceMutSrc<'a, T>>;
-    fn par_iter_mut(&'a mut self) -> Self::Iter {
-        Par(SliceMutSrc(self))
-    }
-}
-
-/// `par_chunks` / `par_chunks_mut` on slices.
-pub trait ParallelSlice<T> {
-    /// Chunked shared iteration.
-    fn par_chunks(&self, chunk_size: usize) -> Par<ChunksSrc<'_, T>>;
-    /// Chunked mutable iteration.
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> Par<ChunksMutSrc<'_, T>>;
-}
-
-impl<T: Sync + Send> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> Par<ChunksSrc<'_, T>> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        Par(ChunksSrc {
-            slice: self,
-            size: chunk_size,
+impl<'a, T, R, F> ParMap<'a, T, F>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&'a T) -> R + Sync,
+{
+    /// Apply `f` to every item, chunks spread over the caller and the
+    /// pool, and collect the results in input order.
+    pub fn collect<C: FromIterator<R>>(self) -> C {
+        let ParMap { items, f } = self;
+        // Shape depends only on the input: identical at every thread count.
+        let grain = items.len().div_ceil(TARGET_CHUNKS).max(1);
+        let threads = current_num_threads().min(items.len().div_ceil(grain));
+        if threads <= 1 {
+            return items.iter().map(f).collect();
+        }
+        pool::run_shared(items.chunks(grain), threads, |chunk: &'a [T]| {
+            chunk.iter().map(&f).collect::<Vec<R>>()
         })
-    }
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> Par<ChunksMutSrc<'_, T>> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        Par(ChunksMutSrc {
-            slice: self,
-            size: chunk_size,
-        })
-    }
-}
-
-/// `into_par_iter` on owned collections and ranges.
-pub trait IntoParallelIterator {
-    /// Item type yielded by the iterator.
-    type Item;
-    /// Parallel iterator type.
-    type Iter;
-    /// Consume `self` into a parallel iterator.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = Par<VecSrc<T>>;
-    fn into_par_iter(self) -> Self::Iter {
-        Par(VecSrc(self))
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -934,75 +175,49 @@ mod tests {
     }
 
     #[test]
-    fn slice_adapters_behave_like_std() {
-        let v: Vec<f64> = (0..5000).map(|i| i as f64 * 0.25).collect();
-        let s = at_thread_counts(|| v.par_iter().sum::<f64>());
-        assert_eq!(s, v.iter().sum::<f64>()); // ≤ one grain per chunk path
-        let n = at_thread_counts(|| v.par_iter().filter(|&&x| x > 100.0).count());
-        assert_eq!(n, v.iter().filter(|&&x| x > 100.0).count());
-        let mut rows = vec![0u32; 6];
-        rows.par_chunks_mut(3).enumerate().for_each(|(j, row)| {
-            for r in row {
-                *r = j as u32;
-            }
-        });
-        assert_eq!(rows, [0, 0, 0, 1, 1, 1]);
-    }
-
-    #[test]
-    fn rayon_style_reduce_resolves() {
-        let v = vec![3.0f64, -7.0, 5.0];
-        let max_abs = v.par_iter().map(|x| x.abs()).reduce(|| 0.0, f64::max);
-        assert_eq!(max_abs, 7.0);
-        let min = v.par_iter().copied().reduce(|| f64::INFINITY, f64::min);
-        assert_eq!(min, -7.0);
-    }
-
-    #[test]
-    fn reduce_is_bit_identical_across_thread_counts() {
-        // Sum of many irrational-ish floats: any change in combination
-        // shape shows up in the low bits.
-        let v: Vec<f64> = (0..100_000).map(|i| (i as f64 * 0.1).sin()).collect();
-        let bits =
-            at_thread_counts(|| v.par_iter().copied().reduce(|| 0.0, |a, b| a + b).to_bits());
-        let again = v.par_iter().copied().reduce(|| 0.0, |a, b| a + b).to_bits();
-        assert_eq!(bits, again);
-    }
-
-    #[test]
-    fn impl_indexed_return_position_works() {
-        fn rows(
-            data: &mut [f64],
-            nx: usize,
-        ) -> impl IndexedParallelIterator<Item = (usize, &mut [f64])> {
-            data.par_chunks_mut(nx).enumerate()
-        }
-        let mut d = vec![0.0; 4];
-        rows(&mut d, 2).for_each(|(j, row)| row[0] = j as f64);
-        assert_eq!(d, [0.0, 0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn into_par_iter_on_range_and_collect() {
-        let total: usize = (0..10usize).into_par_iter().sum();
-        assert_eq!(total, 45);
-        let doubled: Vec<i32> = vec![1, 2, 3].par_iter().map(|x| x * 2).collect();
+    fn collect_keeps_input_order_at_every_thread_count() {
+        let doubled: Vec<i32> = [1, 2, 3].par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, [2, 4, 6]);
-        let big: Vec<usize> = at_thread_counts(|| {
-            (0..10_000usize)
-                .into_par_iter()
-                .map(|i| i * i)
-                .collect::<Vec<_>>()
-        });
+        let empty: Vec<u8> = [0u8; 0].par_iter().map(|&x| x).collect();
+        assert!(empty.is_empty());
+        let v: Vec<usize> = (0..10_000).collect();
+        let big = at_thread_counts(|| v.par_iter().map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(big.len(), 10_000);
         assert_eq!(big[9999], 9999 * 9999);
     }
 
     #[test]
-    fn filter_count_matches_std_under_threads() {
-        let v: Vec<f64> = (0..20_000).map(|i| (i as f64 * 0.37).cos()).collect();
-        let expect = v.iter().filter(|&&x| x > 0.25).count();
-        let got = at_thread_counts(|| v.par_iter().filter(|&&x| x > 0.25).count());
-        assert_eq!(got, expect);
+    fn nested_fan_outs_finish_and_keep_order() {
+        // Every outer item fans out again: waiting callers must drain the
+        // queue rather than sleep on it, or the pool deadlocks.
+        let outer: Vec<u64> = (0..8).collect();
+        let sums = at_thread_counts(|| {
+            outer
+                .par_iter()
+                .map(|&k| {
+                    let inner: Vec<u64> = (0..100).collect();
+                    inner
+                        .par_iter()
+                        .map(|i| i + k)
+                        .collect::<Vec<_>>()
+                        .iter()
+                        .sum::<u64>()
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(sums, (0..8).map(|k| 4950 + 100 * k).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller() {
+        set_num_threads(4);
+        let v: Vec<u32> = (0..64).collect();
+        let caught = std::panic::catch_unwind(|| {
+            v.par_iter()
+                .map(|&x| if x == 37 { panic!("item 37") } else { x })
+                .collect::<Vec<_>>()
+        });
+        set_num_threads(0);
+        assert!(caught.is_err());
     }
 }

@@ -1,44 +1,39 @@
-//! A lazily-grown persistent worker pool.
+//! A lazily-grown persistent worker pool and the work-sharing run on it.
 //!
 //! Spawning an OS thread costs tens of microseconds — paid *per parallel
-//! call* with scoped threads, which swamps small operations. Like rayon's
-//! global pool, workers here are spawned once (on first demand, growing up
-//! to the largest thread count ever requested) and then sleep on a condvar
-//! between tasks, so the steady-state cost of a parallel call is a queue
-//! push and a wakeup.
+//! call* with scoped threads, which swamps small operations, and it would
+//! drop the thread-local scratch render workers keep between frames. Like
+//! rayon's global pool, workers here are spawned once (on first demand,
+//! growing up to the largest thread count ever requested) and then sleep
+//! on a condvar between tasks, so the steady-state cost of a parallel call
+//! is a queue push and a wakeup.
 //!
 //! A task is an erased `(data, call)` pair rather than a
 //! `Box<dyn FnOnce + 'static>` because the work it references lives on the
 //! *caller's* stack (borrowed chunk queues and closures, which are not
-//! `'static`). Soundness is the caller's obligation: it must not return
-//! until every task it submitted has finished running — see
-//! [`crate::drive`], which blocks on a completion count and meanwhile
-//! drains other pending tasks via [`try_pop`] so that nested parallel
+//! `'static`). Tasks are built only by [`run_shared`], in this module,
+//! which does not return until every task it submitted has finished
+//! running; meanwhile it drains other pending tasks, so nested parallel
 //! calls can never deadlock the pool.
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::panic::AssertUnwindSafe;
 use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::Instant;
 
-/// A type-erased task: `call(data)` where `data` is an address the
-/// submitter guarantees stays valid until the task completes.
-pub(crate) struct Task {
+/// A type-erased task: `call(data)`. Its fields are private to this
+/// module, and the one place that builds a task ([`run_shared`]) keeps
+/// `data` valid until the task has run.
+struct Task {
     data: usize,
     call: unsafe fn(usize),
 }
 
 impl Task {
-    /// # Safety
-    ///
-    /// `data` must remain valid for `call` until [`Task::run`] returns,
-    /// and `call` must tolerate running on any thread.
-    pub(crate) unsafe fn new(data: usize, call: unsafe fn(usize)) -> Self {
-        Task { data, call }
-    }
-
-    pub(crate) fn run(self) {
-        // SAFETY: guaranteed by the contract of `Task::new`.
+    fn run(self) {
+        // SAFETY: every `Task` comes from `run_shared`, which pairs
+        // `helper_entry::<I, R, F>` with the address of a live
+        // `Run<I, R, F>` and does not return until this call has finished.
         unsafe { (self.call)(self.data) }
     }
 }
@@ -75,12 +70,13 @@ fn worker(pool: &'static Shared) {
     }
 }
 
-/// Queue `tasks`, first growing the pool so at least `want` workers exist.
-pub(crate) fn submit(want: usize, tasks: Vec<Task>) {
+/// Queue `tasks`, first growing the pool so at least `tasks.len()`
+/// workers exist.
+fn submit(tasks: Vec<Task>) {
     let pool = shared();
     {
         let mut spawned = pool.spawned.lock().unwrap();
-        while *spawned < want {
+        while *spawned < tasks.len() {
             std::thread::Builder::new()
                 .name("zsim-rayon-worker".into())
                 .spawn(move || worker(pool))
@@ -94,73 +90,121 @@ pub(crate) fn submit(want: usize, tasks: Vec<Task>) {
 
 /// Pop one pending task, if any. Callers waiting on their own tasks run
 /// other queued work through this instead of sleeping.
-pub(crate) fn try_pop() -> Option<Task> {
+fn try_pop() -> Option<Task> {
     shared().queue.lock().unwrap().pop_front()
 }
 
-static PROBE_DONE: AtomicUsize = AtomicUsize::new(0);
+/// Run `f` on every part, shared between the caller and `threads - 1` pool
+/// helpers, and return the results in part order.
+pub(crate) fn run_shared<I, R, F>(parts: I, threads: usize, f: F) -> Vec<R>
+where
+    I: Iterator + Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    // The caller and the helpers pull (index, part) pairs from a shared
+    // queue so stragglers don't serialize the run; indices restore the
+    // order afterwards.
+    let run = Run {
+        queue: Mutex::new(parts.enumerate()),
+        results: Mutex::new(Vec::new()),
+        panic: Mutex::new(None),
+        pending: Mutex::new(threads - 1),
+        done: Condvar::new(),
+        f,
+    };
+    let data = require_sync(&run) as *const Run<I, R, F> as usize;
+    // `run` outlives these tasks: this function does not return (or
+    // unwind) until `pending` reaches zero, i.e. until every helper has
+    // finished touching it.
+    submit(
+        (1..threads)
+            .map(|_| Task {
+                data,
+                call: helper_entry::<I, R, F>,
+            })
+            .collect(),
+    );
+    work_on(&run);
 
-/// No-op pool task used to measure one submit → run round-trip.
-unsafe fn probe_entry(_: usize) {
-    PROBE_DONE.store(1, Ordering::Release);
+    // Wait for the helpers, draining queued pool tasks meanwhile so a
+    // nested parallel call can't deadlock: every waiting caller is also a
+    // consumer, so queued tasks always make progress. Once the queue is
+    // empty this run's helpers are all in-flight on workers (tasks queued
+    // later can't be prerequisites of ours), so blocking is safe.
+    loop {
+        if *run.pending.lock().unwrap() == 0 {
+            break;
+        }
+        if let Some(task) = try_pop() {
+            task.run();
+            continue;
+        }
+        let mut pending = run.pending.lock().unwrap();
+        while *pending > 0 {
+            pending = run.done.wait(pending).unwrap();
+        }
+        break;
+    }
+
+    let Run { results, panic, .. } = run;
+    if let Some(payload) = panic.into_inner().unwrap() {
+        std::panic::resume_unwind(payload);
+    }
+    let mut tagged = results.into_inner().unwrap();
+    tagged.sort_unstable_by_key(|&(idx, _)| idx);
+    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Estimated cost (ns) below which a whole fan-out is cheaper to run
-/// inline on the caller than to dispatch to pool workers.
-///
-/// Measured once per process: the median of five submit-one-no-op-task
-/// round-trips (queue push, worker wakeup, task run), clamped to
-/// [20 µs, 100 µs] to bound scheduler-noise outliers, times a ×32 safety
-/// factor — dispatch only pays once the work dwarfs its own coordination,
-/// and the penalty for inlining borderline cases is tiny while the penalty
-/// for dispatching sub-dispatch-cost grains is the fig9-style slowdown
-/// this threshold exists to remove. The wait loop *drains* the queue
-/// rather than spinning: on a one-core host the probe may run on the
-/// caller itself, which is exactly the round-trip cost that host would pay.
-///
-/// A task drained that way may itself fan out and ask for the threshold —
-/// on this very thread, further down the stack — and so may any other
-/// thread while the measurement is in flight. Neither waits: until the
-/// measured value is published they get the clamp's lower bound, which
-/// only moves where chunks run, never what they compute.
-pub(crate) fn sequential_threshold_ns() -> u64 {
-    const FLOOR_NS: u64 = 20_000;
-    const SAFETY: u64 = 32;
-    /// The published threshold; 0 until measured. It publishes nothing
-    /// but itself (Release store below, Acquire load here).
-    static THRESHOLD: AtomicU64 = AtomicU64::new(0);
-    /// Set by the one caller that measures; never cleared, so the probe
-    /// and its `PROBE_DONE` flag have a single user.
-    static MEASURING: AtomicBool = AtomicBool::new(false);
-    let known = THRESHOLD.load(Ordering::Acquire);
-    if known != 0 {
-        return known;
-    }
-    if MEASURING.swap(true, Ordering::AcqRel) {
-        return FLOOR_NS * SAFETY;
-    }
-    let mut samples = [0u64; 5];
-    for s in &mut samples {
-        PROBE_DONE.store(0, Ordering::SeqCst);
-        let t0 = Instant::now();
-        submit(
-            1,
-            vec![Task {
-                data: 0,
-                call: probe_entry,
-            }],
-        );
-        while PROBE_DONE.load(Ordering::Acquire) == 0 {
-            if let Some(task) = try_pop() {
-                task.run();
-                continue;
+/// Shared state of one in-flight [`run_shared`] call. Lives on the
+/// caller's stack; helpers reach it through an erased address.
+struct Run<I, R, F> {
+    queue: Mutex<std::iter::Enumerate<I>>,
+    results: Mutex<Vec<(usize, R)>>,
+    /// First panic payload from any part, re-thrown on the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Helpers that have not finished yet; guards the lifetime of `Run`.
+    pending: Mutex<usize>,
+    done: Condvar,
+    f: F,
+}
+
+fn require_sync<T: Sync>(t: &T) -> &T {
+    t
+}
+
+/// Pull parts until the queue is empty. Panics from `f` are caught and
+/// recorded (first wins) and the queue is drained so other workers stop
+/// early; the caller re-throws after all helpers finish.
+fn work_on<I: Iterator, R, F: Fn(I::Item) -> R>(run: &Run<I, R, F>) {
+    loop {
+        let next = run.queue.lock().unwrap().next();
+        let Some((idx, part)) = next else { break };
+        match std::panic::catch_unwind(AssertUnwindSafe(|| (run.f)(part))) {
+            Ok(r) => run.results.lock().unwrap().push((idx, r)),
+            Err(payload) => {
+                run.panic.lock().unwrap().get_or_insert(payload);
+                let mut q = run.queue.lock().unwrap();
+                while q.next().is_some() {}
+                break;
             }
-            std::thread::yield_now();
         }
-        *s = t0.elapsed().as_nanos() as u64;
     }
-    samples.sort_unstable();
-    let measured = samples[2].clamp(FLOOR_NS, 100_000) * SAFETY;
-    THRESHOLD.store(measured, Ordering::Release);
-    measured
+}
+
+/// Pool entry point for one helper of one [`run_shared`] call.
+///
+/// # Safety
+///
+/// `addr` must point to a live `Run<I, R, F>` and stay valid until this
+/// function returns — guaranteed by `run_shared`, which blocks until
+/// `pending` hits zero.
+unsafe fn helper_entry<I: Iterator, R, F: Fn(I::Item) -> R>(addr: usize) {
+    let run = &*(addr as *const Run<I, R, F>);
+    work_on(run);
+    let mut pending = run.pending.lock().unwrap();
+    *pending -= 1;
+    if *pending == 0 {
+        run.done.notify_all();
+    }
 }

@@ -1,24 +1,21 @@
 //! Regression: annotated frames on the depth-k pipeline.
 //!
-//! `render_frame` used to hold its thread-local scratch borrowed while
-//! `annotate_frame` ran a parallel reduce (`Field2D::max_abs`, for the
-//! arrow scale). A thread waiting on a reduce helps drain the pool, so it
-//! could pick up the next frame's `render_frame` and borrow the scratch
+//! Render workers keep thread-local frame scratch, borrowed while a frame
+//! renders and annotates. A thread that helps drain the pool from inside
+//! a frame can pick up another frame's render and borrow the same scratch
 //! again: `RefCell already borrowed`, and then a hang, because the
-//! producer blocked forever on a full channel whose receiver outlived the
-//! panicked consumer. It took the shim's timing probe to run the reduce
-//! before the borrow inline and the one under it on the pool while the
-//! worker had not yet claimed the second frame — about one run in a few
-//! hundred at two threads, and not forceable from outside the crate.
+//! producer blocks forever on a full channel whose receiver outlived the
+//! panicked consumer. That happened while the arrow scale
+//! (`Field2D::max_abs`) was a parallel reduce inside `annotate_frame`;
+//! now nothing inside a frame fans out, and this suite keeps it so.
 //!
-//! So this suite holds the frame loop to the sequential loop's golden
-//! (`native/stress/frames`) in the two situations around that
-//! interleaving: with every pool worker parked in another job, where the
-//! consumer runs the second frame *nested* inside the first on its own
-//! thread, and over 400 runs in the shape the bug was found in (two
-//! threads, two frames in flight) — under a watchdog, since the failure
-//! mode was a hang. The adaptive executor runs its analyses inside the
-//! same batch fan-out, with the candidate fan-out nested underneath, so it
+//! It holds the frame loop to the sequential loop's golden
+//! (`native/stress/frames`) in two situations: with every pool worker
+//! parked in another job, where the consumer runs both frames of its
+//! batch on its own thread and then its own queued helper, and over 400
+//! runs in the shape the bug was found in (two threads, two frames in
+//! flight) — under a watchdog, since the failure mode was a hang. The
+//! adaptive executor runs its analyses in the same batch fan-out, so it
 //! gets a leg of its own.
 //!
 //! Its own test binary, so the global thread-count override is not shared
@@ -51,13 +48,11 @@ fn run_matches_golden(cfg: &NativeConfig, golden: &Golden) {
 }
 
 /// With every pool worker parked in someone else's job, the helper task
-/// of the consumer's two-frame batch is still queued when the consumer
-/// first waits on a reduce inside frame one, so it renders frame two
-/// nested in frame one on its own thread.
+/// of the consumer's two-frame batch stays queued, so the consumer renders
+/// both frames itself and then drains its own helper from the queue.
 fn runs_with_every_worker_parked(cfg: &NativeConfig, golden: &Golden) {
-    // As many threads as the shim ever makes chunks: every reduce
-    // dispatches to the pool instead of timing itself first, and one
-    // blocking chunk per thread parks the whole pool.
+    // As many threads as the shim ever makes chunks, so one blocking
+    // chunk per thread parks the whole pool.
     const THREADS: usize = 64;
     rayon::set_num_threads(THREADS);
     let parked = AtomicUsize::new(0);
@@ -65,13 +60,16 @@ fn runs_with_every_worker_parked(cfg: &NativeConfig, golden: &Golden) {
     let nap = || std::thread::sleep(Duration::from_millis(1));
     std::thread::scope(|s| {
         s.spawn(|| {
-            // A vector, not a range: its items are scheduled one per chunk.
-            vec![(); THREADS].into_par_iter().for_each(|()| {
-                parked.fetch_add(1, Ordering::SeqCst);
-                while !release.load(Ordering::SeqCst) {
-                    nap();
-                }
-            })
+            // THREADS items make THREADS one-item chunks.
+            [(); THREADS]
+                .par_iter()
+                .map(|()| {
+                    parked.fetch_add(1, Ordering::SeqCst);
+                    while !release.load(Ordering::SeqCst) {
+                        nap();
+                    }
+                })
+                .collect::<Vec<()>>()
         });
         while parked.load(Ordering::SeqCst) < THREADS {
             nap();
@@ -106,7 +104,7 @@ fn annotated_pipelined_runs_neither_panic_nor_hang() {
         for _ in 0..400 {
             run_matches_golden(&cfg, &golden);
         }
-        // Adaptive, same shape: five candidates scored under each of the
+        // Adaptive, same shape: five candidates scored in each of the
         // analyses in flight (default depth: two or more on any multi-core
         // host).
         let adaptive = NativePlan {

@@ -1,9 +1,11 @@
-//! Determinism of the threaded rayon shim across thread counts.
+//! Thread-count independence of the frame kernels and the what-if sweeps.
 //!
-//! The shim's contract is that chunk shapes and combination order are
-//! functions of the input alone, so every parallel hot path — rendering,
-//! the Okubo-Weiss kernel and the Eq. 4 what-if sweeps — must produce
-//! **bit-identical** output at any thread count. (`ivis-viz`'s unit tests
+//! Rendering, the Okubo-Weiss kernel, the ±2σ range and the Eq. 4 what-if
+//! sweeps run sequentially (DESIGN §8: a fan-out stays only where it
+//! measures ≥ 1.2×), so they must produce **bit-identical** output at any
+//! thread count. The two fan-outs that stay, the native frame batch and
+//! the staging sweep, collect in input order; `native_pipeline_identity`
+//! and `des_identity` hold them to their goldens. (`ivis-viz`'s unit tests
 //! also hold the renderer to the seed's naive per-pixel renderer, a
 //! `#[cfg(test)]` oracle.)
 //!
@@ -43,8 +45,8 @@ fn f64_bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// An eddying synthetic velocity pair large enough to multi-chunk every
-/// parallel path (6144 cells > the slice grain of 1024).
+/// An eddying synthetic velocity pair large enough that `Field2D::sum`
+/// spans several chunks (6144 cells > its grain of 1024).
 fn test_flow() -> (Grid, Field2D, Field2D) {
     let grid = Grid::channel(96, 64, 60_000.0);
     let uc = Field2D::from_fn(96, 64, |i, j| {
@@ -72,8 +74,8 @@ fn fig2_render_is_bit_identical_and_matches_sequential_golden() {
     // The 1-thread render is the sequential golden every other thread
     // count must reproduce.
     let img = identical_at_all_thread_counts(|| renderer.render(&w));
-    // The resolved ±2σ range is itself a parallel reduction; reuse it so
-    // the comparison isolates the rasterization path.
+    // Reuse the renderer's own ±2σ range so the comparison isolates the
+    // rasterization path.
     let (lo, hi) = renderer.resolve_range(&w);
     let direct = rasterize(&w, 192, 128, Colormap::OkuboWeiss, lo, hi);
     assert_eq!(img, direct, "renderer diverged from the raster kernel");
@@ -104,8 +106,8 @@ fn eq4_whatif_sweeps_are_bit_identical_and_match_sequential_maps() {
                 .map(|&(h, e)| (h.to_bits(), e.joules().to_bits()))
                 .collect::<Vec<_>>()
         });
-        // The parallel curves are element-wise maps, so they must equal
-        // the plain sequential iterator chain exactly.
+        // The curves are element-wise maps, so they must equal the plain
+        // iterator chain exactly.
         let seq_storage: Vec<(f64, u64)> = hours
             .iter()
             .map(|&h| {
