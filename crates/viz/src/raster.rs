@@ -2,14 +2,15 @@
 //!
 //! The table-driven sampler stores its per-column data structure-of-arrays
 //! and bakes each field row's horizontal blend once per frame, so the
-//! per-pixel work ([`SampleTables::shade_row`]) is one vertical blend and
-//! a colormap lookup. It evaluates the exact per-element expression tree of
-//! the naive per-pixel renderer (the test oracle `rasterize_reference`), so
-//! shaded pixels stay bit-identical — see DESIGN.md §8 for the rules.
+//! per-pixel work ([`SampleTables::shade_row`]) is one vertical blend, one
+//! division into `(lo, hi)` and a read of the colormap's exact colour
+//! table. It evaluates the exact per-element expression tree of the naive
+//! per-pixel renderer (the test oracle `rasterize_reference`), so shaded
+//! pixels stay bit-identical — see DESIGN.md §8 for the rules.
 
 use ivis_ocean::Field2D;
 
-use crate::color::{Colormap, Rgb};
+use crate::color::{unit, Colormap, Rgb};
 
 /// A dense RGB image, row-major, row 0 at the top.
 #[derive(Debug, Clone, PartialEq)]
@@ -226,19 +227,44 @@ impl SampleTables {
     }
 
     /// Shade image row `y` into `out` (one pixel per column). The field
-    /// values are baked into the tables at construction, so only the
-    /// vertical blend and the colormap run per pixel — with exactly the
-    /// same operations and ordering as [`sample_bilinear`].
+    /// values are baked into the tables at construction, so per pixel only
+    /// the vertical blend — exactly the operations and ordering of
+    /// [`sample_bilinear`] — the normalisation into `(lo, hi)` and a
+    /// colour-table read run. The row goes in blocks of [`SHADE_BLOCK`]
+    /// pixels, two passes each: blend, normalise, NaN → 0 and clamp into a
+    /// stack buffer, then the table reads, so the first pass is free of
+    /// the second's data-dependent loads and branch.
+    ///
+    /// # Panics
+    /// Panics if `hi <= lo`.
     pub fn shade_row(&self, y: usize, colormap: Colormap, lo: f64, hi: f64, out: &mut [Rgb]) {
-        let width = self.width;
+        assert!(hi > lo, "colormap range must have hi > lo");
+        let table = colormap.table();
+        let n = out.len().min(self.width);
         let RowSample { j0, j1, ty } = self.rows[y];
-        let top_row = &self.hblend[j0 * width..j0 * width + width];
-        let bot_row = &self.hblend[j1 * width..j1 * width + width];
-        for ((px, &top), &bot) in out.iter_mut().zip(top_row).zip(bot_row) {
-            *px = colormap.map(top * (1.0 - ty) + bot * ty, lo, hi);
+        let top_row = &self.hblend[j0 * self.width..][..n];
+        let bot_row = &self.hblend[j1 * self.width..][..n];
+        let span = hi - lo;
+        let mut buf = [0.0; SHADE_BLOCK];
+        for ((out, top), bot) in out[..n]
+            .chunks_mut(SHADE_BLOCK)
+            .zip(top_row.chunks(SHADE_BLOCK))
+            .zip(bot_row.chunks(SHADE_BLOCK))
+        {
+            let ts = &mut buf[..out.len()];
+            for ((t, &top), &bot) in ts.iter_mut().zip(top).zip(bot) {
+                let v = top * (1.0 - ty) + bot * ty;
+                *t = unit((v - lo) / span);
+            }
+            for (px, &t) in out.iter_mut().zip(ts.iter()) {
+                *px = colormap.lookup(table, t);
+            }
         }
     }
 }
+
+/// Pixels per block of [`SampleTables::shade_row`]'s two passes.
+const SHADE_BLOCK: usize = 256;
 
 /// Rasterize a scalar field into an image using `colormap` over `(lo, hi)`.
 /// Row 0 of the image corresponds to the *top* (largest y / northernmost
@@ -267,6 +293,8 @@ mod tests {
     use crate::render::FieldRenderer;
     use ivis_ocean::grid::Grid;
     use ivis_ocean::okubo_weiss::okubo_weiss;
+    use ivis_ocean::shallow_water::{ShallowWaterModel, SwParams};
+    use ivis_ocean::vortex::seed_random_eddies;
     use proptest::prelude::*;
 
     /// The seed's naive renderer: one [`sample_bilinear`] call per pixel,
@@ -386,6 +414,23 @@ mod tests {
         // rasterization path.
         let (lo, hi) = renderer.resolve_range(&w);
         let golden = rasterize_reference(&w, 192, 128, Colormap::OkuboWeiss, lo, hi);
+        assert_eq!(renderer.render(&w), golden);
+    }
+
+    /// The native chain's frame: a spun-up 256×128 ocean with 12 eddies,
+    /// its Okubo-Weiss field rendered to 720×512 over ±2σ.
+    #[test]
+    fn native_frame_matches_sequential_oracle() {
+        let grid = Grid::channel(256, 128, 60_000.0);
+        let params = SwParams::eddy_channel(&grid);
+        let mut model = ShallowWaterModel::new(grid, params);
+        seed_random_eddies(&mut model, 12, 42);
+        model.run(8);
+        let (uc, vc) = model.centered_velocities();
+        let w = okubo_weiss(model.grid(), &uc, &vc);
+        let renderer = FieldRenderer::okubo_weiss(720, 512);
+        let (lo, hi) = renderer.resolve_range(&w);
+        let golden = rasterize_reference(&w, 720, 512, Colormap::OkuboWeiss, lo, hi);
         assert_eq!(renderer.render(&w), golden);
     }
 

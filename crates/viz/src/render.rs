@@ -64,13 +64,16 @@ impl FieldRenderer {
     ///
     /// Always returns a finite range with `hi > lo`, even for constant
     /// fields (min == max), all-NaN fields (whose min/max degenerate to
-    /// `(+∞, −∞)` because `f64::min`/`f64::max` ignore NaN), or fields
-    /// whose statistics are themselves NaN/infinite — so `render` never
-    /// panics on degenerate data.
+    /// `(+∞, −∞)` because `f64::min`/`f64::max` ignore NaN), fields whose
+    /// statistics are themselves NaN/infinite, or unusable settings — so
+    /// `render` never panics on degenerate data. A `Fixed` range that is
+    /// not finite with `hi > lo` falls back to the `MinMax` rule;
+    /// `SymmetricSigma(k)` uses the bound 1.0 unless `k·σ` is finite and
+    /// positive.
     pub fn resolve_range(&self, field: &Field2D) -> (f64, f64) {
         match self.range {
-            RangeMode::Fixed(lo, hi) => (lo, hi),
-            RangeMode::MinMax => {
+            RangeMode::Fixed(lo, hi) if lo.is_finite() && hi.is_finite() && hi > lo => (lo, hi),
+            RangeMode::Fixed(..) | RangeMode::MinMax => {
                 let (lo, hi) = (field.min(), field.max());
                 if lo.is_finite() && hi.is_finite() && hi > lo {
                     (lo, hi)
@@ -81,8 +84,12 @@ impl FieldRenderer {
                 }
             }
             RangeMode::SymmetricSigma(k) => {
-                let s = field.std_dev();
-                let bound = if s.is_finite() && s > 0.0 { k * s } else { 1.0 };
+                let bound = k * field.std_dev();
+                let bound = if bound.is_finite() && bound > 0.0 {
+                    bound
+                } else {
+                    1.0
+                };
                 (-bound, bound)
             }
         }
@@ -209,6 +216,73 @@ mod tests {
         let (lo, hi) = r.resolve_range(&f);
         assert_eq!((lo, hi), (1.0, 7.0));
         let _ = r.render(&f);
+    }
+
+    /// Renders `f` with `range` and checks the resolved range is usable.
+    fn resolve_and_render(f: &Field2D, range: RangeMode) -> (f64, f64) {
+        let r = FieldRenderer {
+            width: 6,
+            height: 6,
+            colormap: Colormap::Gray,
+            range,
+        };
+        let (lo, hi) = r.resolve_range(f);
+        assert!(lo.is_finite() && hi.is_finite() && hi > lo, "{range:?}");
+        let _ = r.render(f);
+        (lo, hi)
+    }
+
+    #[test]
+    fn unusable_fixed_range_falls_back_to_minmax() {
+        let f = Field2D::from_fn(8, 8, |i, _| i as f64);
+        for (lo, hi) in [
+            (1.0, 1.0),
+            (2.0, 1.0),
+            (f64::NAN, 1.0),
+            (0.0, f64::NAN),
+            (0.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.0),
+        ] {
+            assert_eq!(resolve_and_render(&f, RangeMode::Fixed(lo, hi)), (0.0, 7.0));
+        }
+    }
+
+    #[test]
+    fn symmetric_sigma_with_nonpositive_k_uses_unit_bound() {
+        let f = Field2D::from_fn(16, 16, |i, j| ((i + j) as f64).sin());
+        for k in [0.0, -0.0, -2.0, f64::NEG_INFINITY] {
+            assert_eq!(
+                resolve_and_render(&f, RangeMode::SymmetricSigma(k)),
+                (-1.0, 1.0)
+            );
+        }
+    }
+
+    #[test]
+    fn symmetric_sigma_with_nan_k_uses_unit_bound() {
+        let f = Field2D::from_fn(16, 16, |i, j| ((i + j) as f64).sin());
+        let range = RangeMode::SymmetricSigma(f64::NAN);
+        assert_eq!(resolve_and_render(&f, range), (-1.0, 1.0));
+    }
+
+    #[test]
+    fn symmetric_sigma_overflowing_k_sigma_uses_unit_bound() {
+        // σ = 10, so 1e308·σ overflows to +∞; so does any k = +∞.
+        let f = Field2D::from_fn(16, 16, |i, _| if i % 2 == 0 { 10.0 } else { -10.0 });
+        for k in [1e308, f64::INFINITY] {
+            let range = RangeMode::SymmetricSigma(k);
+            assert_eq!(resolve_and_render(&f, range), (-1.0, 1.0));
+        }
+        // Every pixel is clamped to an end of the map, none is painted
+        // the NaN colour by a (−∞, ∞) range.
+        let img = FieldRenderer {
+            width: 16,
+            height: 16,
+            colormap: Colormap::Gray,
+            range: RangeMode::SymmetricSigma(1e308),
+        }
+        .render(&f);
+        assert!(img.fraction_where(|p| p == Rgb::WHITE) > 0.1);
     }
 
     #[test]
