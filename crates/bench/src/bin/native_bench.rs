@@ -1,5 +1,5 @@
 //! Frame-chain throughput benchmark for the native backend: solver
-//! steps/sec, checksum throughput (slice-by-8 CRC-32, Adler-32), the
+//! steps/sec, checksum throughput (four-stream CRC-32, 16-lane Adler-32), the
 //! sample-table build, streaming PNG encode throughput, end-to-end
 //! frames/sec of the in-situ frame loop (plus the post-processing run's
 //! digest on the same ocean), and the loop at explicit depths.

@@ -83,7 +83,8 @@ pub struct NativeConfig {
     /// Output image height.
     pub image_height: usize,
     /// Draw annotations (colorbar, timestep label, velocity arrows) on each
-    /// frame, like a presentation-ready ParaView view.
+    /// frame, like a presentation-ready ParaView view. Needs an
+    /// `image_width` of at least 10 for the colorbar.
     pub annotate: bool,
 }
 
@@ -182,6 +183,9 @@ impl NativePlan {
                 "cell size must be finite and positive"
             }
             _ if cfg.image_width == 0 || cfg.image_height == 0 => "images must be at least 1×1",
+            _ if cfg.annotate && colorbar_width(cfg.image_width) < 2 => {
+                "annotated images must be at least 10 pixels wide for the colorbar"
+            }
             (Some(_), PipelineKind::PostProcessing) => {
                 "a trigger decides which in-situ analyses emit; post-processing has none"
             }
@@ -373,6 +377,13 @@ impl<'a> WallTracer<'a> {
     }
 }
 
+/// Width of an annotated frame's colorbar: a third of the image, at least
+/// 40 pixels, and at most the image less 8. Under 2 pixels there is no
+/// colorbar to draw, which [`NativePlan::validate`] refuses.
+fn colorbar_width(image_width: usize) -> usize {
+    (image_width / 3).max(40).min(image_width.saturating_sub(8))
+}
+
 /// Draw the presentation-ready overlays (velocity arrows, colorbar, time
 /// label) on a rendered frame.
 fn annotate_frame(
@@ -386,7 +397,7 @@ fn annotate_frame(
     use ivis_viz::color::Rgb;
     use ivis_viz::glyphs::overlay_velocity_arrows;
     overlay_velocity_arrows(img, &snap.uc, &snap.vc, 24, Rgb::new(40, 40, 40));
-    let bar_w = (img.width() / 3).max(40).min(img.width().saturating_sub(8));
+    let bar_w = colorbar_width(img.width());
     let bar_y = img.height().saturating_sub(GLYPH_H + 10);
     draw_colorbar(img, 4, bar_y, bar_w, 6, renderer.colormap, lo, hi);
     let label = format!("T = {:.0} H", snap.sim_hours);
@@ -1283,6 +1294,22 @@ mod tests {
             };
             let detail = rejected(&plan(cfg, PipelineKind::InSitu, 2));
             assert!(detail.contains("1×1"), "{detail}");
+        }
+    }
+
+    #[test]
+    fn annotated_images_too_narrow_for_the_colorbar_are_rejected() {
+        let annotated = |w| NativeConfig {
+            image_width: w,
+            annotate: true,
+            ..NativeConfig::tiny()
+        };
+        for kind in [PipelineKind::InSitu, PipelineKind::PostProcessing] {
+            for w in [1, 9] {
+                let detail = rejected(&plan(annotated(w), kind, 2));
+                assert!(detail.contains("10 pixels"), "{detail}");
+            }
+            assert_eq!(run(&plan(annotated(10), kind, 2)).report.frames, 3);
         }
     }
 

@@ -107,18 +107,20 @@ impl Colormap {
 
     /// The colour at `t`, already clamped by [`unit`], read from `table`
     /// (this map's [`table`](Self::table)). A mixed bucket defers to the
-    /// definition.
+    /// definition. `t ∈ [0, 1]` puts `t · 2^16` in `[0, 65 536]`, where the
+    /// cast through `u32` truncates exactly as a direct `usize` cast would,
+    /// without the saturating 64-bit conversion baseline x86-64 lacks.
     #[inline]
-    pub(crate) fn lookup(self, table: &[u32], t: f64) -> Rgb {
-        match table[(t * BUCKETS as f64) as usize] {
+    pub(crate) fn lookup(self, table: &[u32; BUCKETS + 1], t: f64) -> Rgb {
+        match table[(t * BUCKETS as f64) as u32 as usize] {
             MIXED => self.sample_exact(t),
             e => Rgb::new(e as u8, (e >> 8) as u8, (e >> 16) as u8),
         }
     }
 
     /// This map's colour table: `2^16 + 1` entries, built on first use.
-    pub(crate) fn table(self) -> &'static [u32] {
-        static TABLES: [OnceLock<Box<[u32]>>; 3] =
+    pub(crate) fn table(self) -> &'static [u32; BUCKETS + 1] {
+        static TABLES: [OnceLock<Box<[u32; BUCKETS + 1]>>; 3] =
             [OnceLock::new(), OnceLock::new(), OnceLock::new()];
         TABLES[self as usize].get_or_init(|| self.build_table())
     }
@@ -131,7 +133,7 @@ impl Colormap {
     /// and last floats. A bucket holding a stop `s` is cut there into
     /// `[first, s]` and `[next_up(s), last]`, so `s` and the float after
     /// it are probed too.
-    fn build_table(self) -> Box<[u32]> {
+    fn build_table(self) -> Box<[u32; BUCKETS + 1]> {
         let stops = match self {
             Colormap::Gray => &[][..],
             Colormap::OkuboWeiss => &OKUBO_WEISS[..],
@@ -157,7 +159,9 @@ impl Colormap {
                     MIXED
                 }
             })
-            .collect()
+            .collect::<Box<[u32]>>()
+            .try_into()
+            .expect("one entry per bucket")
     }
 
     /// The definition the table is built from and held to: the

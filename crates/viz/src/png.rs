@@ -9,29 +9,39 @@
 //! ## Single-pass streaming
 //!
 //! [`PngEncoder`] emits the file in one pass directly into the output
-//! `Vec`: scanlines (filter byte + pixels) are framed into stored deflate
-//! blocks as they are produced, with the chunk CRC-32 and the zlib
-//! Adler-32 updated incrementally on every appended byte. The hot path
-//! touches each pixel exactly once and allocates nothing beyond the output
-//! buffer and a reusable one-scanline scratch; the seed's three-copy chain
-//! (`to_rgb_bytes` → scanline `raw` → `zlib_stored` → chunk payload copy)
-//! survives only as the test oracle the encoder is proptested against. The
-//! stored-block layout (and therefore the exact file size) comes from one
-//! shared function, [`png_layout`], so [`encoded_png_size`] is exact *by
-//! construction*.
+//! `Vec`: scanlines (filter byte + pixels, packed eight pixels per three
+//! `u64` writes into a reusable one-scanline scratch) are framed into
+//! stored deflate blocks as they are produced. Block headers go through
+//! the chunk CRC-32 as they are written; each block's payload (≤ 65 535
+//! bytes, so still in cache) goes through the CRC-32 and the zlib Adler-32
+//! in one piece once it is complete in `out`. The hot path touches each
+//! pixel once and allocates nothing beyond the output buffer and the
+//! scratch; the seed's three-copy chain (`to_rgb_bytes` → scanline `raw` →
+//! `zlib_stored` → chunk payload copy) survives only as the test oracle
+//! the encoder is proptested against. The stored-block layout (and
+//! therefore the exact file size) comes from one shared function,
+//! [`png_layout`], so [`encoded_png_size`] is exact *by construction*.
 //!
 //! ## Checksums
 //!
-//! Stored blocks mean the encoder's arithmetic is *all* checksum work:
+//! Stored blocks mean the encoder's arithmetic is *all* checksum work. Each
+//! checksum has one implementation, held bit-for-bit to its serial form by
+//! `#[cfg(test)]` oracles and proptests:
 //!
-//! * **CRC-32, slice-by-8** — eight derived lookup tables (built at compile
-//!   time from the same polynomial table) fold 8 input bytes per iteration
-//!   instead of 1. CRC over GF(2) is linear, so the split is exact: the
-//!   result equals the bytewise loop on every input, which the proptests
-//!   assert.
-//! * **Adler-32** — the serial `a += x; b += a` recurrence, reduced mod
-//!   65521 once per ≤ 5552-byte block (zlib's NMAX deferral).
+//! * **CRC-32, four streams of slice-by-8** — eight derived lookup tables
+//!   (built at compile time from the same polynomial table) fold 8 input
+//!   bytes per step. An input of ≥ 1 KiB is cut into four equal segments
+//!   that advance as four independent chains in one loop, then combine
+//!   through GF(2) multiplication by `x^(8n) mod P`: CRC is affine over
+//!   GF(2), so the result equals the bytewise loop (`crc32_reference`) on
+//!   every input.
+//! * **Adler-32, 16 lanes** — each ≤ 5552-byte block (zlib's NMAX) runs
+//!   as 16 `u32` lanes of pure vertical adds, folded back into the serial
+//!   `a += x; b += a` recurrence's `(a, b)` in `u64` and reduced mod 65521
+//!   once per block; the oracle is that serial loop
+//!   (`adler32_reference`).
 
+use crate::color::Rgb;
 use crate::raster::ImageBuffer;
 
 /// The 8-byte PNG signature.
@@ -39,6 +49,9 @@ pub const PNG_SIGNATURE: [u8; 8] = [0x89, b'P', b'N', b'G', 0x0D, 0x0A, 0x1A, 0x
 
 /// Largest stored-deflate block payload (LEN is a u16).
 const STORED_BLOCK_MAX: usize = 65_535;
+
+/// The CRC-32 polynomial, bit-reversed: bit 31 is the `x^0` coefficient.
+const CRC_POLY: u32 = 0xEDB8_8320;
 
 /// CRC-32 (IEEE 802.3) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
@@ -49,7 +62,7 @@ const CRC_TABLE: [u32; 256] = {
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
+                CRC_POLY ^ (c >> 1)
             } else {
                 c >> 1
             };
@@ -81,8 +94,50 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// Fold `data` into a running (pre-inverted) CRC-32 state, bytewise: the
-/// slice-by-8 path's tail.
+/// `a · b mod P` over GF(2), both operands in CRC-32's reflected bit order.
+const fn gf2_mul_mod(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut i = 0;
+    while i < 32 {
+        p ^= b & 0u32.wrapping_sub((a >> (31 - i)) & 1);
+        b = (b >> 1) ^ (CRC_POLY & 0u32.wrapping_sub(b & 1));
+        i += 1;
+    }
+    p
+}
+
+/// `X8_POW2[k] = x^(8·2^k) mod P`: the squares that [`crc32_shift`]
+/// multiplies together. Built at compile time by repeated squaring of
+/// `x^8` (bit 23 in reflected order).
+const X8_POW2: [u32; 64] = {
+    let mut table = [0u32; 64];
+    table[0] = 1 << 23;
+    let mut k = 1;
+    while k < 64 {
+        table[k] = gf2_mul_mod(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+};
+
+/// `x^(8n) mod P`: the factor that advances a CRC-32 state over `n` zero
+/// bytes, by square-and-multiply over the bits of `n`.
+fn crc32_shift(n: usize) -> u32 {
+    let mut m = 1 << 31; // x^0
+    let mut bits = n as u64;
+    let mut k = 0;
+    while bits != 0 {
+        if bits & 1 != 0 {
+            m = gf2_mul_mod(m, X8_POW2[k]);
+        }
+        bits >>= 1;
+        k += 1;
+    }
+    m
+}
+
+/// Fold `data` into a running (pre-inverted) CRC-32 state, bytewise:
+/// [`crc32_update`]'s last `< 8` bytes.
 #[inline]
 fn crc32_update_bytewise(mut crc: u32, data: &[u8]) -> u32 {
     for &b in data {
@@ -91,24 +146,66 @@ fn crc32_update_bytewise(mut crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
-/// Fold `data` into a running (pre-inverted) CRC-32 state, 8 bytes per
-/// iteration (slice-by-8). Bit-identical to [`crc32_update_bytewise`] —
-/// CRC is linear over GF(2), so folding the state through two 4-byte words
-/// with precomputed shift tables computes the same remainder.
+/// Fold one 8-byte word into a CRC-32 state (slice-by-8).
+#[inline(always)]
+fn crc32_fold8(crc: u32, w: &[u8]) -> u32 {
+    let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    CRC_TABLES[7][(lo & 0xFF) as usize]
+        ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[4][(lo >> 24) as usize]
+        ^ CRC_TABLES[3][(hi & 0xFF) as usize]
+        ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[0][(hi >> 24) as usize]
+}
+
+/// Inputs at least this long run as four streams in [`crc32_update`].
+const CRC_STREAMS_MIN: usize = 1024;
+
+/// Fold `data` into a running (pre-inverted) CRC-32 state.
+///
+/// An input of at least [`CRC_STREAMS_MIN`] bytes is cut into four equal
+/// segments of a multiple of 8 bytes each, plus a short tail. The segments
+/// advance as four independent slice-by-8 chains in one loop, the first
+/// from `crc` and the others from 0, so the four table-lookup chains
+/// overlap instead of waiting on each other. CRC is affine over GF(2):
+/// with `c(B)` the state after `B` from 0, the state after `A‖B` is
+/// `state(A) · x^(8|B|) mod P ⊕ c(B)`, which folds the four results into
+/// one exactly. The tail and short inputs run the single chain, then
+/// [`crc32_update_bytewise`]; the result equals the bytewise loop on
+/// every input, which the proptests assert.
 #[inline]
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    let mut octets = data.chunks_exact(8);
-    for c in octets.by_ref() {
-        let lo = u32::from_le_bytes(c[0..4].try_into().unwrap()) ^ crc;
-        let hi = u32::from_le_bytes(c[4..8].try_into().unwrap());
-        crc = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
+    let mut rest = data;
+    if data.len() >= CRC_STREAMS_MIN {
+        let seg = data.len() / 32 * 8;
+        let (s0, r) = data.split_at(seg);
+        let (s1, r) = r.split_at(seg);
+        let (s2, r) = r.split_at(seg);
+        let (s3, r) = r.split_at(seg);
+        let mut c = [crc, 0, 0, 0];
+        for (((w0, w1), w2), w3) in s0
+            .chunks_exact(8)
+            .zip(s1.chunks_exact(8))
+            .zip(s2.chunks_exact(8))
+            .zip(s3.chunks_exact(8))
+        {
+            c[0] = crc32_fold8(c[0], w0);
+            c[1] = crc32_fold8(c[1], w1);
+            c[2] = crc32_fold8(c[2], w2);
+            c[3] = crc32_fold8(c[3], w3);
+        }
+        let shift = crc32_shift(seg);
+        crc = c[1..]
+            .iter()
+            .fold(c[0], |acc, &ci| gf2_mul_mod(acc, shift) ^ ci);
+        rest = r;
+    }
+    let mut octets = rest.chunks_exact(8);
+    for w in octets.by_ref() {
+        crc = crc32_fold8(crc, w);
     }
     crc32_update_bytewise(crc, octets.remainder())
 }
@@ -122,19 +219,46 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// between modular reductions without overflowing u32 (zlib's NMAX).
 const ADLER_NMAX: usize = 5_552;
 const ADLER_MOD: u32 = 65_521;
+/// Lanes of [`adler32_update`]; [`ADLER_NMAX`] is a multiple of it.
+const ADLER_LANES: usize = 16;
 
-/// Fold `data` into a running Adler-32 state `(a, b)` with the serial
-/// `a += x; b += a` recurrence. Both components are left reduced mod 65521,
-/// so updates can be chained on arbitrary slices.
+/// Fold `data` into a running Adler-32 state `(a, b)`, both reduced mod
+/// 65521 on entry and left reduced, so updates can be chained on arbitrary
+/// slices.
+///
+/// Each ≤ [`ADLER_NMAX`]-byte block runs as 16 `u32` lanes: byte `16j + i`
+/// goes to lane `i`, which keeps `s1 += x; s2 += s1`. Over `n` rows of 16
+/// bytes the serial `a += x; b += a` recurrence adds `Σ s1` to `a` and
+/// `16·n·a₀ + 16·Σ s2 − Σ i·s1` to `b` (byte `k` of the block is counted
+/// `16n − k` times), folded in `u64`. A lane sums at most
+/// `255 · 347 · 348 / 2 < 2^32` into `s2`, so the lanes never wrap, and
+/// `16·s2 ≥ i·s1` per lane, so the difference never goes negative. The
+/// last `< 16` bytes run the serial recurrence.
 #[inline]
 fn adler32_update(a: &mut u32, b: &mut u32, data: &[u8]) {
-    for chunk in data.chunks(ADLER_NMAX) {
-        for &x in chunk {
-            *a += x as u32;
-            *b += *a;
+    for block in data.chunks(ADLER_NMAX) {
+        let rows = block.chunks_exact(ADLER_LANES);
+        let tail = rows.remainder();
+        let n = rows.len() as u64;
+        let (mut s1, mut s2) = ([0u32; ADLER_LANES], [0u32; ADLER_LANES]);
+        for row in rows {
+            for ((s1, s2), &x) in s1.iter_mut().zip(&mut s2).zip(row) {
+                *s1 += u32::from(x);
+                *s2 += *s1;
+            }
         }
-        *a %= ADLER_MOD;
-        *b %= ADLER_MOD;
+        let mut sa = u64::from(*a);
+        let mut sb = u64::from(*b) + ADLER_LANES as u64 * n * sa;
+        for (i, (&s1, &s2)) in s1.iter().zip(&s2).enumerate() {
+            sa += u64::from(s1);
+            sb += ADLER_LANES as u64 * u64::from(s2) - i as u64 * u64::from(s1);
+        }
+        for &x in tail {
+            sa += u64::from(x);
+            sb += sa;
+        }
+        *a = (sa % u64::from(ADLER_MOD)) as u32;
+        *b = (sb % u64::from(ADLER_MOD)) as u32;
     }
 }
 
@@ -203,6 +327,14 @@ impl<'a> ChunkWriter<'a> {
         self.out.extend_from_slice(bytes);
     }
 
+    /// Fold everything appended to `out` since offset `start` into the
+    /// CRC at once, and return those bytes.
+    fn fold_since(&mut self, start: usize) -> &[u8] {
+        let appended = &self.out[start..];
+        self.crc = crc32_update(self.crc, appended);
+        appended
+    }
+
     fn finish(self) {
         let crc = self.crc ^ 0xFFFF_FFFF;
         self.out.extend_from_slice(&crc.to_be_bytes());
@@ -253,18 +385,12 @@ impl PngEncoder {
             idat.put(&[0x01, 0x00, 0x00, 0xFF, 0xFF]);
         }
         self.row.resize(1 + 3 * w, 0);
+        let mut block_start = 0;
         for y in 0..h {
-            // Fill the scanline scratch: filter byte 0 (None) + RGB triples.
-            self.row[0] = 0;
-            for (dst, p) in self.row[1..]
-                .chunks_exact_mut(3)
-                .zip(&img.pixels()[y * w..(y + 1) * w])
-            {
-                dst[0] = p.r;
-                dst[1] = p.g;
-                dst[2] = p.b;
-            }
-            // Stream it through the stored-block framing.
+            fill_scanline(&mut self.row, &img.pixels()[y * w..(y + 1) * w]);
+            // Stream it through the stored-block framing. Block headers go
+            // through the CRC as they are written; a block's payload is
+            // checksummed in one piece once it is complete in `out`.
             let mut src = &self.row[..];
             while !src.is_empty() {
                 if block_remaining == 0 {
@@ -278,13 +404,16 @@ impl PngEncoder {
                     idat.put(&(len as u16).to_le_bytes());
                     idat.put(&(!(len as u16)).to_le_bytes());
                     block_remaining = len;
+                    block_start = idat.out.len();
                 }
                 let take = src.len().min(block_remaining);
-                idat.put(&src[..take]);
-                adler32_update(&mut a, &mut b, &src[..take]);
+                idat.out.extend_from_slice(&src[..take]);
                 block_remaining -= take;
                 raw_remaining -= take;
                 src = &src[take..];
+                if block_remaining == 0 {
+                    adler32_update(&mut a, &mut b, idat.fold_since(block_start));
+                }
             }
         }
         idat.put(&((b << 16) | a).to_be_bytes());
@@ -292,6 +421,31 @@ impl PngEncoder {
 
         ChunkWriter::begin(out, 0, b"IEND").finish();
         debug_assert_eq!(out.len() as u64, layout.file_len, "layout drifted");
+    }
+}
+
+/// Fill a scanline: filter byte 0 (None), then the pixels' RGB triples,
+/// eight pixels (24 bytes) per step as three little-endian `u64` writes.
+fn fill_scanline(row: &mut [u8], pixels: &[Rgb]) {
+    row[0] = 0;
+    let (packed, tail) = row[1..].split_at_mut(pixels.len() / 8 * 24);
+    let rgb = |p: &Rgb| u64::from(p.r) | u64::from(p.g) << 8 | u64::from(p.b) << 16;
+    for (dst, p) in packed.chunks_exact_mut(24).zip(pixels.chunks_exact(8)) {
+        let v: [u64; 8] = std::array::from_fn(|i| rgb(&p[i]));
+        let words = [
+            v[0] | v[1] << 24 | v[2] << 48,
+            v[2] >> 16 | v[3] << 8 | v[4] << 32 | v[5] << 56,
+            v[5] >> 8 | v[6] << 16 | v[7] << 40,
+        ];
+        for (d, word) in dst.chunks_exact_mut(8).zip(words) {
+            d.copy_from_slice(&word.to_le_bytes());
+        }
+    }
+    for (dst, p) in tail
+        .chunks_exact_mut(3)
+        .zip(&pixels[pixels.len() / 8 * 8..])
+    {
+        dst.copy_from_slice(&[p.r, p.g, p.b]);
     }
 }
 
@@ -319,6 +473,33 @@ mod tests {
     /// CRC-32 via the bytewise loop alone: the slice-by-8 path's oracle.
     fn crc32_reference(data: &[u8]) -> u32 {
         crc32_update_bytewise(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+    }
+
+    /// Adler-32 via the serial `a += x; b += a` loop alone: the laned
+    /// path's oracle.
+    fn adler32_reference(a: &mut u32, b: &mut u32, data: &[u8]) {
+        for chunk in data.chunks(ADLER_NMAX) {
+            for &x in chunk {
+                *a += x as u32;
+                *b += *a;
+            }
+            *a %= ADLER_MOD;
+            *b %= ADLER_MOD;
+        }
+    }
+
+    /// `len` deterministic pseudo-random bytes from `seed` (SplitMix64).
+    fn splitmix_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut s = seed;
+        (0..len)
+            .map(|_| {
+                s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = s;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
     }
 
     fn push_chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: &[u8]) {
@@ -613,6 +794,91 @@ mod tests {
             let mut data: Vec<u8> = words.iter().map(|&v| (v % 256) as u8).collect();
             data.truncate(data.len().saturating_sub(pad));
             prop_assert_eq!(crc32(&data), crc32_reference(&data));
+        }
+    }
+
+    #[test]
+    fn laned_adler32_matches_reference_on_saturated_input() {
+        // All-0xFF bytes from the largest reduced state drive every lane
+        // sum to its bound; any wrap in a lane or in the fold shows here
+        // (also with overflow checks off, under `--release`).
+        let data = vec![0xFF; 3 * ADLER_NMAX + 37];
+        let mut lens: Vec<usize> = (0..=33).collect();
+        lens.extend([
+            ADLER_NMAX - 1,
+            ADLER_NMAX,
+            ADLER_NMAX + 1,
+            2 * ADLER_NMAX + 15,
+            3 * ADLER_NMAX,
+            3 * ADLER_NMAX + 16,
+            data.len(),
+        ]);
+        for &len in &lens {
+            let (mut a, mut b) = (65_520u32, 65_520u32);
+            adler32_update(&mut a, &mut b, &data[..len]);
+            let (mut ra, mut rb) = (65_520u32, 65_520u32);
+            adler32_reference(&mut ra, &mut rb, &data[..len]);
+            assert_eq!((a, b), (ra, rb), "adler len {len}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Laned Adler-32 == the serial loop on arbitrary bytes, from an
+        /// arbitrary reduced state, at lengths across several multiples of
+        /// NMAX and every 16-lane tail.
+        #[test]
+        fn laned_adler32_matches_reference(
+            seed in 0u64..u64::MAX,
+            len in 0usize..4 * ADLER_NMAX + 40,
+            a0 in 0u32..ADLER_MOD,
+            b0 in 0u32..ADLER_MOD,
+        ) {
+            let data = splitmix_bytes(seed, len);
+            let (mut a, mut b) = (a0, b0);
+            adler32_update(&mut a, &mut b, &data);
+            let (mut ra, mut rb) = (a0, b0);
+            adler32_reference(&mut ra, &mut rb, &data);
+            prop_assert_eq!((a, b), (ra, rb));
+        }
+
+        /// Chained `crc32_update` calls split anywhere == the bytewise CRC,
+        /// on inputs below and above the four-stream threshold, up to past
+        /// one stored block, at lengths that are mostly not multiples of 32.
+        #[test]
+        fn crc32_update_chains_at_arbitrary_splits(
+            seed in 0u64..u64::MAX,
+            len in prop_oneof![0usize..2 * CRC_STREAMS_MIN, 0usize..70_001],
+            split in 0usize..70_001,
+        ) {
+            let data = splitmix_bytes(seed, len);
+            let (head, tail) = data.split_at(split % (len + 1));
+            let crc = crc32_update(crc32_update(0xFFFF_FFFF, head), tail) ^ 0xFFFF_FFFF;
+            prop_assert_eq!(crc, crc32_reference(&data));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Random images whose raw scanlines span more than one stored
+        /// block encode to the copy-chain oracle's bytes: every block's
+        /// payload is checksummed whole, the blocks' edges fall mid-row.
+        #[test]
+        fn multi_block_images_match_reference_encoder(
+            w in 1usize..2_000,
+            extra_rows in 0usize..40,
+            seed in 0u64..u64::MAX,
+        ) {
+            let h = STORED_BLOCK_MAX / (1 + 3 * w) + 1 + extra_rows;
+            let bytes = splitmix_bytes(seed, 3 * w * h);
+            let mut img = ImageBuffer::new(w, h);
+            for (i, p) in bytes.chunks_exact(3).enumerate() {
+                img.set(i % w, i / w, Rgb::new(p[0], p[1], p[2]));
+            }
+            prop_assert!(png_layout(w, h).n_blocks >= 2);
+            prop_assert_eq!(encode_png(&img), encode_png_reference(&img));
         }
     }
 
