@@ -286,6 +286,9 @@ pub(crate) fn to_prometheus(reg: &MetricsRegistry) -> String {
                 let mut cum = 0u64;
                 for &(bound, count) in &h.buckets {
                     cum += count;
+                    if bound == f64::INFINITY {
+                        continue;
+                    }
                     let _ = write!(out, "{name}_bucket{{le=\"");
                     push_value(&mut out, bound);
                     let _ = writeln!(out, "\"}} {cum}");

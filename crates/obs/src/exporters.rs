@@ -10,11 +10,13 @@
 //! a [`MetricsRegistry`] snapshot in the Prometheus text exposition
 //! format, including cumulative `_bucket` lines for histogram metrics.
 //!
-//! Both write through the one writer [`to_jsonl`] uses (see
-//! [`crate::jsonl`]): integers by a digit loop, integral floats below 2^53
-//! as their digits, and every other distinct float formatted once per
-//! export. A Chrome record goes straight into the output after its `,\n`
-//! separator.
+//! Both write through the one byte writer [`to_jsonl`] uses (see
+//! [`crate::jsonl`]): integers four digits per division from a pair
+//! table, integral floats below 2^53 as their digits, and every other
+//! distinct float formatted once per export. A Chrome record goes
+//! straight into the output after its `,\n` separator; a counter series
+//! escapes its metric's name once, into the `","name":"…","args":{"value":`
+//! segment every one of its samples repeats.
 //!
 //! [`to_jsonl`]: crate::to_jsonl
 
@@ -93,7 +95,7 @@ pub fn to_chrome_trace(buf: &TraceBuffer) -> String {
         w.push_str(span.component.label());
         w.push_str("\",\"args\":");
         w.push_attrs(&span.attrs);
-        w.push('}');
+        w.push(b'}');
     }
     for ev in buf.events() {
         w.push_str(",\n{\"ph\":\"i\",\"pid\":1,\"tid\":");
@@ -106,15 +108,20 @@ pub fn to_chrome_trace(buf: &TraceBuffer) -> String {
         w.push_str(ev.component.label());
         w.push_str("\",\"args\":");
         w.push_attrs(&ev.attrs);
-        w.push('}');
+        w.push(b'}');
     }
     for metric in buf.metrics.iter() {
+        // Everything between a counter sample's `ts` and its value is the
+        // same for the whole series: escape the name once.
+        let mut named = Writer::with_capacity(metric.name().len() + 32);
+        named.push_str(",\"name\":\"");
+        named.push_escaped(metric.name());
+        named.push_str("\",\"args\":{\"value\":");
+        let named = named.finish();
         for &(t, v) in samples(metric) {
             w.push_str(",\n{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":");
             w.push_u64(t.as_micros());
-            w.push_str(",\"name\":\"");
-            w.push_escaped(metric.name());
-            w.push_str("\",\"args\":{\"value\":");
+            w.push_str(&named);
             w.push_f64(v);
             w.push_str("}}");
         }
@@ -170,13 +177,13 @@ pub fn to_prometheus(reg: &MetricsRegistry) -> String {
                 let _ = writeln!(out, "# TYPE {name}_total counter");
                 let _ = write!(out, "{name}_total ");
                 push_value(&mut out, metric.last_value());
-                out.push('\n');
+                out.push(b'\n');
             }
             MetricKind::Gauge => {
                 let _ = writeln!(out, "# TYPE {name} gauge");
                 let _ = write!(out, "{name} ");
                 push_value(&mut out, metric.last_value());
-                out.push('\n');
+                out.push(b'\n');
             }
             MetricKind::Histogram => {
                 let h = metric.histogram().expect("histogram kind has a snapshot");
@@ -184,6 +191,10 @@ pub fn to_prometheus(reg: &MetricsRegistry) -> String {
                 let mut cum = 0u64;
                 for &(bound, count) in &h.buckets {
                     cum += count;
+                    if bound == f64::INFINITY {
+                        // The closing `+Inf` line below counts it.
+                        continue;
+                    }
                     let _ = write!(out, "{name}_bucket{{le=\"");
                     push_value(&mut out, bound);
                     let _ = writeln!(out, "\"}} {cum}");
@@ -191,7 +202,7 @@ pub fn to_prometheus(reg: &MetricsRegistry) -> String {
                 let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
                 let _ = write!(out, "{name}_sum ");
                 push_value(&mut out, h.sum);
-                out.push('\n');
+                out.push(b'\n');
                 let _ = writeln!(out, "{name}_count {}", h.count);
             }
         }
@@ -273,6 +284,26 @@ transport_stall_seconds_sum 3
 transport_stall_seconds_count 3
 ";
         assert_eq!(text, expected);
+    }
+
+    #[test]
+    fn prometheus_histogram_writes_one_inf_bucket() {
+        // f64::MAX is in the top quarter-octave, whose bound is +inf.
+        let rec = Recorder::in_memory();
+        rec.histogram_record(t(1.0), "h", f64::MAX);
+        rec.histogram_record(t(2.0), "h", 1.0);
+        let text = rec.with_buffer(|b| to_prometheus(&b.metrics)).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[..3],
+            [
+                "# TYPE h histogram",
+                "h_bucket{le=\"1\"} 1",
+                "h_bucket{le=\"+Inf\"} 2"
+            ]
+        );
+        assert_eq!(text.matches("le=\"+Inf\"").count(), 1, "{text}");
+        assert_eq!(lines.last(), Some(&"h_count 2"));
     }
 
     #[test]

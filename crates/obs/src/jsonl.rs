@@ -10,12 +10,15 @@
 //! # The writer
 //!
 //! [`to_jsonl`], [`to_chrome_trace`] and [`to_prometheus`] append to one
-//! `String` through a private `Writer`, reserved once from the span, event
-//! and sample counts; each record is written into it exactly once, with no
-//! per-line buffer. Numbers skip `core::fmt` where they can:
+//! byte buffer through a private `Writer`, reserved once from the span,
+//! event and sample counts; each record is written into it exactly once,
+//! with no per-line buffer, and the whole buffer is checked as UTF-8 once
+//! at the end. Numbers skip `core::fmt` where they can:
 //!
-//! - integers (ids, tids, microsecond times, `U64` / `I64` attrs) go
-//!   through a digit loop;
+//! - integers (ids, tids, microsecond times, `U64` / `I64` attrs) are
+//!   written four digits per division from a 200-byte table of digit
+//!   pairs by [`digits_before`], the routine `ivis-serve`'s body writer
+//!   shares;
 //! - a float that is integral with `|v| < 2^53` is written as its sign and
 //!   integer digits (`-0.0` as `-0`), which is exactly what `Display`
 //!   prints. The bound matters: from 2^53 up, `Display` prints the
@@ -67,9 +70,53 @@ pub(crate) fn samples(metric: &Metric) -> &[(SimTime, f64)] {
     }
 }
 
-/// The text buffer every exporter writes into; see the module docs.
+/// `"00" "01" … "99"`: two decimal digits per lookup.
+pub(crate) const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Write `n`'s decimal digits to end just before `buf[end]`, four per
+/// division, and return where they start. `buf[..end]` must hold them
+/// (20 bytes always do).
+#[inline]
+pub fn digits_before(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
+    while n >= 10_000 {
+        end = pairs_before(buf, end, n % 10_000, 2);
+        n /= 10_000;
+    }
+    if n >= 100 {
+        end = pairs_before(buf, end, n % 100, 1);
+        n /= 100;
+    }
+    if n >= 10 {
+        pairs_before(buf, end, n, 1)
+    } else {
+        buf[end - 1] = b'0' + n as u8;
+        end - 1
+    }
+}
+
+/// Write the low `2 · pairs` decimal digits of `n`, zero-padded, to end
+/// just before `buf[end]`; return where they start.
+#[inline]
+pub fn pairs_before(buf: &mut [u8], mut end: usize, mut n: u64, pairs: usize) -> usize {
+    for _ in 0..pairs {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    end
+}
+
+/// The byte buffer every exporter writes into; see the module docs.
 pub(crate) struct Writer {
-    out: String,
+    /// Only whole UTF-8 sequences are appended; [`Writer::finish`]
+    /// checks that once.
+    out: Vec<u8>,
     /// Bit patterns of the memoized floats. NaN never reaches the memo,
     /// so its bits mark an empty slot.
     memo_bits: [u64; MEMO_SLOTS],
@@ -82,7 +129,7 @@ impl Writer {
     /// A writer whose buffer holds `bytes` before it first grows.
     pub(crate) fn with_capacity(bytes: usize) -> Self {
         Writer {
-            out: String::with_capacity(bytes),
+            out: Vec::with_capacity(bytes),
             memo_bits: [f64::NAN.to_bits(); MEMO_SLOTS],
             memo_text: Default::default(),
             memo_next: 0,
@@ -109,35 +156,28 @@ impl Writer {
 
     /// The text written so far.
     pub(crate) fn finish(self) -> String {
-        self.out
+        String::from_utf8(self.out).expect("the writer appends only UTF-8")
     }
 
     pub(crate) fn push_str(&mut self, s: &str) {
-        self.out.push_str(s);
+        self.out.extend_from_slice(s.as_bytes());
     }
 
-    pub(crate) fn push(&mut self, c: char) {
-        self.out.push(c);
+    /// One ASCII byte.
+    pub(crate) fn push(&mut self, b: u8) {
+        debug_assert!(b.is_ascii());
+        self.out.push(b);
     }
 
-    pub(crate) fn push_u64(&mut self, mut x: u64) {
+    pub(crate) fn push_u64(&mut self, x: u64) {
         let mut digits = [0u8; 20];
-        let mut i = digits.len();
-        loop {
-            i -= 1;
-            digits[i] = b'0' + (x % 10) as u8;
-            x /= 10;
-            if x == 0 {
-                break;
-            }
-        }
-        self.out
-            .push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+        let i = digits_before(&mut digits, 20, x);
+        self.out.extend_from_slice(&digits[i..]);
     }
 
     pub(crate) fn push_i64(&mut self, x: i64) {
         if x < 0 {
-            self.out.push('-');
+            self.out.push(b'-');
         }
         self.push_u64(x.unsigned_abs());
     }
@@ -145,13 +185,13 @@ impl Writer {
     /// `v` as `Display` prints it, or `null` if it is not finite.
     pub(crate) fn push_f64(&mut self, v: f64) {
         if !v.is_finite() {
-            self.out.push_str("null");
+            self.push_str("null");
             return;
         }
         let magnitude = v.abs();
         if magnitude < EXACT_INT_BOUND && (magnitude as u64) as f64 == magnitude {
             if v.is_sign_negative() {
-                self.out.push('-');
+                self.out.push(b'-');
             }
             return self.push_u64(magnitude as u64);
         }
@@ -168,58 +208,60 @@ impl Writer {
                 slot
             }
         };
-        self.out.push_str(&self.memo_text[slot]);
+        self.out.extend_from_slice(self.memo_text[slot].as_bytes());
     }
 
     /// `s` as the inside of a JSON string literal.
     pub(crate) fn push_escaped(&mut self, s: &str) {
         if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
-            return self.out.push_str(s);
+            return self.push_str(s);
         }
         const HEX: &[u8; 16] = b"0123456789abcdef";
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str("\\u00");
-                    self.out.push(char::from(HEX[c as usize >> 4]));
-                    self.out.push(char::from(HEX[c as usize & 0xf]));
+        // Byte by byte: the bytes of a multi-byte character are all
+        // `>= 0x80`, so they are copied through whole.
+        for b in s.bytes() {
+            match b {
+                b'"' => self.push_str("\\\""),
+                b'\\' => self.push_str("\\\\"),
+                b'\n' => self.push_str("\\n"),
+                b'\r' => self.push_str("\\r"),
+                b'\t' => self.push_str("\\t"),
+                b if b < 0x20 => {
+                    self.push_str("\\u00");
+                    self.out.push(HEX[usize::from(b >> 4)]);
+                    self.out.push(HEX[usize::from(b & 0xf)]);
                 }
-                c => self.out.push(c),
+                b => self.out.push(b),
             }
         }
     }
 
     pub(crate) fn push_attrs(&mut self, attrs: &[(&'static str, AttrValue)]) {
-        self.out.push('{');
+        self.out.push(b'{');
         for (i, (k, v)) in attrs.iter().enumerate() {
             if i > 0 {
-                self.out.push(',');
+                self.out.push(b',');
             }
-            self.out.push('"');
+            self.out.push(b'"');
             self.push_escaped(k);
-            self.out.push_str("\":");
+            self.push_str("\":");
             match *v {
                 AttrValue::U64(x) => self.push_u64(x),
                 AttrValue::I64(x) => self.push_i64(x),
                 AttrValue::F64(x) => self.push_f64(x),
                 AttrValue::Str(s) => {
-                    self.out.push('"');
+                    self.out.push(b'"');
                     self.push_escaped(s);
-                    self.out.push('"');
+                    self.out.push(b'"');
                 }
             }
         }
-        self.out.push('}');
+        self.out.push(b'}');
     }
 
     fn push_span_ref(&mut self, id: SpanId) {
         if id.is_none() {
-            self.out.push_str("null");
+            self.push_str("null");
         } else {
             self.push_u64(u64::from(id.0));
         }
@@ -230,7 +272,7 @@ impl Writer {
 /// templates.
 impl fmt::Write for Writer {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.out.push_str(s);
+        self.push_str(s);
         Ok(())
     }
 }
@@ -260,9 +302,9 @@ pub fn to_jsonl(buf: &TraceBuffer) -> String {
         w.push_str("\",\"phase\":");
         match span.phase {
             Some(p) => {
-                w.push('"');
+                w.push(b'"');
                 w.push_str(p.label());
-                w.push('"');
+                w.push(b'"');
             }
             None => w.push_str("null"),
         }
@@ -298,13 +340,13 @@ pub fn to_jsonl(buf: &TraceBuffer) -> String {
         w.push_str("\",\"samples\":[");
         for (i, &(t, v)) in samples(metric).iter().enumerate() {
             if i > 0 {
-                w.push(',');
+                w.push(b',');
             }
-            w.push('[');
+            w.push(b'[');
             w.push_u64(t.as_micros());
-            w.push(',');
+            w.push(b',');
             w.push_f64(v);
-            w.push(']');
+            w.push(b']');
         }
         w.push_str("]}\n");
     }
@@ -402,9 +444,9 @@ mod tests {
     fn non_finite_floats_become_null() {
         let text = written(|w| {
             w.push_f64(f64::NAN);
-            w.push(' ');
+            w.push(b' ');
             w.push_f64(f64::INFINITY);
-            w.push(' ');
+            w.push(b' ');
             w.push_f64(f64::NEG_INFINITY);
         });
         assert_eq!(text, "null null null");
@@ -423,6 +465,18 @@ mod tests {
         }
         for x in [i64::MIN, -1, 0, i64::MAX] {
             assert_eq!(written(|w| w.push_i64(x)), format!("{x}"));
+        }
+    }
+
+    #[test]
+    fn push_u64_is_exact_at_every_digit_count_edge() {
+        let mut edges = vec![0, 9, 10, 99, 100, 9_999, 10_000, u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            edges.extend([p - 1, p, p + 1]);
+        }
+        for x in edges {
+            assert_eq!(written(|w| w.push_u64(x)), x.to_string());
         }
     }
 
@@ -453,7 +507,7 @@ mod tests {
         let text = written(|w| {
             for &i in &order {
                 w.push_f64(levels[i]);
-                w.push(' ');
+                w.push(b' ');
             }
         });
         let want: String = order.iter().map(|&i| format!("{} ", levels[i])).collect();

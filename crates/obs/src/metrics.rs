@@ -6,8 +6,6 @@
 //! utilization`) and time-weighted histograms are *exact* over any
 //! window — there is no sampling interval to tune and no aliasing.
 
-use std::collections::HashMap;
-
 use ivis_sim::{SimTime, TimeSeries};
 
 /// How a metric's samples are produced.
@@ -175,10 +173,15 @@ impl Metric {
 }
 
 /// Registry of counters and gauges, addressed by static name.
+///
+/// A run registers about twenty names and updates them thousands of
+/// times, so a lookup is a linear scan of the metrics in first-use
+/// order: first for the very `&'static str` it was registered with (one
+/// pointer and length compare per metric), then, if a copy of the name
+/// lives elsewhere, by content. Either way one name is one metric.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     metrics: Vec<Metric>,
-    index: HashMap<&'static str, usize>,
 }
 
 impl MetricsRegistry {
@@ -187,8 +190,16 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    fn position(&self, name: &str) -> Option<usize> {
+        let metrics = &self.metrics;
+        metrics
+            .iter()
+            .position(|m| std::ptr::eq(m.name, name))
+            .or_else(|| metrics.iter().position(|m| m.name == name))
+    }
+
     fn slot(&mut self, name: &'static str, kind: MetricKind) -> &mut Metric {
-        let idx = *self.index.entry(name).or_insert_with(|| {
+        let idx = self.position(name).unwrap_or_else(|| {
             self.metrics.push(Metric {
                 name,
                 kind,
@@ -237,7 +248,7 @@ impl MetricsRegistry {
 
     /// Look up a metric by name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
-        self.index.get(name).map(|&i| &self.metrics[i])
+        self.position(name).map(|i| &self.metrics[i])
     }
 
     /// All metrics, in first-use order.
@@ -362,6 +373,31 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.counter_add(t(0.0), "x", 1.0);
         reg.gauge_set(t(1.0), "x", 2.0);
+    }
+
+    #[test]
+    fn one_name_at_two_addresses_is_one_metric() {
+        let copy: &'static str = String::from("outputs").leak();
+        assert!(!std::ptr::eq(copy, "outputs"));
+        let mut reg = MetricsRegistry::new();
+        reg.counter_add(t(0.0), "outputs", 1.0);
+        reg.counter_add(t(10.0), copy, 2.0);
+        reg.counter_add(t(20.0), "outputs", 4.0);
+        assert_eq!(reg.len(), 1);
+        for name in ["outputs", copy] {
+            let m = reg.get(name).unwrap();
+            assert_eq!(m.last_value(), 7.0);
+            assert_eq!(m.series().len(), 3);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "metric 'x' registered as Counter, used as Gauge")]
+    fn kind_mismatch_through_a_copied_name_panics() {
+        let copy: &'static str = String::from("x").leak();
+        let mut reg = MetricsRegistry::new();
+        reg.counter_add(t(0.0), "x", 1.0);
+        reg.gauge_set(t(1.0), copy, 2.0);
     }
 
     #[test]

@@ -15,17 +15,14 @@
 //! Outside that — non-finite values, `±0.0` in `{:.9e}`, and magnitudes
 //! whose scaled terms overflow `u128` — the one value is written through
 //! `core::fmt` instead, so the output is exact for every `f64`.
+//!
+//! Digits come from `ivis-obs`'s [`digits_before`] and [`pairs_before`],
+//! the pair-table routine its trace exporters write integers with.
 
 use std::cmp::Ordering;
 use std::io::Write as _;
 
-/// `"00" "01" … "99"`: two decimal digits per lookup.
-const DIGIT_PAIRS: &[u8; 200] = b"\
-    0001020304050607080910111213141516171819\
-    2021222324252627282930313233343536373839\
-    4041424344454647484950515253545556575859\
-    6061626364656667686970717273747576777879\
-    8081828384858687888990919293949596979899";
+use ivis_obs::jsonl::{digits_before, pairs_before};
 
 /// `5^i` for every `i` whose power fits `u128` (`5^55 < 2^128 < 5^56`).
 const POW5: [u128; 56] = {
@@ -89,33 +86,6 @@ pub(crate) fn push_sci9(out: &mut Vec<u8>, x: f64) {
         buf[i] = b'-';
     }
     out.extend_from_slice(&buf[i..]);
-}
-
-/// Write `n`'s decimal digits to end just before `buf[end]`; return
-/// where they start.
-fn digits_before(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
-    while n >= 100 {
-        end = pairs_before(buf, end, n % 100, 1);
-        n /= 100;
-    }
-    if n >= 10 {
-        pairs_before(buf, end, n, 1)
-    } else {
-        buf[end - 1] = b'0' + n as u8;
-        end - 1
-    }
-}
-
-/// Write the low `2 · pairs` decimal digits of `n`, zero-padded, to end
-/// just before `buf[end]`; return where they start.
-fn pairs_before(buf: &mut [u8], mut end: usize, mut n: u64, pairs: usize) -> usize {
-    for _ in 0..pairs {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        end -= 2;
-        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    end
 }
 
 /// `|x|` rounded to micro-units, split into integer part and six
