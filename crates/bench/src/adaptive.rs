@@ -19,7 +19,7 @@ use ivis_ocean::{ProblemSpec, SamplingRate};
 use ivis_trigger::TriggerConfig;
 
 /// The fixed baseline rate the gate compares against, simulated hours.
-pub const FIXED_RATE_HOURS: f64 = 72.0;
+pub(crate) const FIXED_RATE_HOURS: f64 = 72.0;
 
 /// Both campaigns on the same ocean, plus the model's price tags.
 #[derive(Debug, Clone)]

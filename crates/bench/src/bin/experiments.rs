@@ -13,6 +13,7 @@
 //! storage power proportionality and stripe count.
 
 use std::env;
+use std::path::{Path, PathBuf};
 
 use ivis_bench::*;
 use ivis_core::native::{execute, NativeConfig, NativePlan, NativeReport};
@@ -41,6 +42,16 @@ fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// The value of an output write, or exit 2 with the I/O error, as
+/// [`usage_error`] does: a path the caller cannot write is their error,
+/// not a panic.
+fn written<T>(result: std::io::Result<T>, path: &Path) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(2);
+    })
 }
 
 /// The `[insitu|post] [hours]` arguments of `trace` and `power-trace`:
@@ -102,10 +113,7 @@ fn fig2() {
         census.mean_path_m / 1_000.0
     );
     let out = env::temp_dir().join("ivis_fig2_cinema");
-    report
-        .cinema
-        .export_to_dir(&out)
-        .expect("temp dir is writable");
+    written(report.cinema.export_to_dir(&out), &out);
     println!("  Cinema database exported to {}", out.display());
     if let Some(last) = report.cinema.entries().last() {
         println!(
@@ -469,8 +477,8 @@ fn trace(kind: PipelineKind, hours: f64) {
         "Trace — {} @ {hours} h, busy-wait vs deep-idle (§VIII ablation)",
         kind.label()
     ));
-    let out_dir = std::path::PathBuf::from("target/traces");
-    std::fs::create_dir_all(&out_dir).expect("trace dir writable");
+    let out_dir = PathBuf::from("target/traces");
+    written(std::fs::create_dir_all(&out_dir), &out_dir);
     for policy in [IoWaitPolicy::BusyWait, IoWaitPolicy::DeepIdle] {
         let policy_label = match policy {
             IoWaitPolicy::BusyWait => "busy-wait",
@@ -488,7 +496,7 @@ fn trace(kind: PipelineKind, hours: f64) {
             "{}_{policy_label}.jsonl",
             config_label(kind, hours).replace('@', "_")
         ));
-        std::fs::write(&file, trace_jsonl(&traced)).expect("trace file writable");
+        written(std::fs::write(&file, trace_jsonl(&traced)), &file);
         println!("  JSONL trace written to {}", file.display());
     }
     println!("\n  diff the two JSONL dumps (or the tables above) to see where the");
@@ -534,12 +542,15 @@ fn power_trace(kind: PipelineKind, hours: f64) {
         (tel.compute.energy() + tel.storage.energy()).joules() / 1e6,
         m.energy_total().megajoules()
     );
-    let dir = std::path::PathBuf::from("target/figures");
-    std::fs::create_dir_all(&dir).expect("output dir writable");
-    std::fs::write(dir.join("phase_power.csv"), obs_export::phase_power_csv())
-        .expect("csv writable");
-    std::fs::write(dir.join("phase_energy.csv"), obs_export::phase_energy_csv())
-        .expect("csv writable");
+    let dir = PathBuf::from("target/figures");
+    written(std::fs::create_dir_all(&dir), &dir);
+    for (name, csv) in [
+        ("phase_power.csv", obs_export::phase_power_csv()),
+        ("phase_energy.csv", obs_export::phase_energy_csv()),
+    ] {
+        let file = dir.join(name);
+        written(std::fs::write(&file, csv), &file);
+    }
     println!(
         "  W(t) for the full paper matrix written to {} (alongside phase_energy.csv)",
         dir.join("phase_power.csv").display()
@@ -573,12 +584,12 @@ fn main() {
         "ablations" => ablations(),
         "extensions" => extensions(),
         "csv" => {
-            let dir = std::path::PathBuf::from(
+            let dir = PathBuf::from(
                 args.get(1)
                     .cloned()
                     .unwrap_or_else(|| "target/figures".into()),
             );
-            let files = ivis_bench::csv::export_all(&dir).expect("output dir writable");
+            let files = written(ivis_bench::csv::export_all(&dir), &dir);
             println!("wrote {} CSV files to {}:", files.len(), dir.display());
             for f in files {
                 println!("  {f}");

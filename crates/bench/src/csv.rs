@@ -104,6 +104,14 @@ mod tests {
     }
 
     #[test]
+    fn export_to_a_path_under_a_regular_file_is_an_error() {
+        let file = std::env::temp_dir().join(format!("ivis_csv_file_{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("temp dir writable");
+        assert!(export_all(&file.join("figures")).is_err());
+        std::fs::remove_file(&file).expect("cleanup");
+    }
+
+    #[test]
     fn row_csv_shape() {
         let rows = vec![Row {
             label: "x \"quoted\"".into(),

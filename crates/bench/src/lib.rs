@@ -25,13 +25,7 @@ use ivis_power::proportionality::Proportionality;
 use ivis_storage::StoragePowerModel;
 
 /// The paper's three sampling intervals, simulated hours.
-pub const PAPER_RATES: [f64; 3] = [8.0, 24.0, 72.0];
-
-/// Measured metrics for the full 2×3 paper matrix (in-situ first, then
-/// post-processing, each at 8/24/72 h).
-pub fn paper_matrix() -> Vec<PipelineMetrics> {
-    Campaign::paper().run_paper_matrix()
-}
+pub(crate) const PAPER_RATES: [f64; 3] = [8.0, 24.0, 72.0];
 
 /// A generic paper-vs-measured row.
 #[derive(Debug, Clone)]

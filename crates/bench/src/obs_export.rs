@@ -60,7 +60,7 @@ pub fn phase_energy_csv() -> String {
 
 /// Header of the sampled power CSV: one row per meter interval per
 /// component per configuration.
-pub const POWER_CSV_HEADER: &str = "config,component,minute,watts";
+pub(crate) const POWER_CSV_HEADER: &str = "config,component,minute,watts";
 
 /// Append one timeline's `(minute, watts)` rows to `out`.
 fn power_csv_rows(out: &mut String, config: &str, tl: &PowerTimeline) {

@@ -1,5 +1,5 @@
 //! The one `BENCH_*.json` format: a [`Json`] value with one reader
-//! ([`Json::parse`]), one writer ([`Json::to_text`]) and one comparison
+//! (`Json::parse`), one writer (`Json::to_text`) and one comparison
 //! ([`compare`]), plus the [`Bench`] harness every `*_bench` binary runs
 //! on.
 //!
@@ -7,7 +7,7 @@
 //! executors are deterministic, so the committed report is the reference a
 //! run is checked against: under `--check` the fresh report is compared
 //! leaf by leaf with the committed `BENCH_<name>.json` (at
-//! [`CHECK_THRESHOLD_PCT`], ratios only), and every [`Bench::gate`] the
+//! `CHECK_THRESHOLD_PCT`, ratios only), and every [`Bench::gate`] the
 //! binary stated must hold. `bench_diff` runs the same [`compare`] on any
 //! two files.
 
@@ -76,7 +76,7 @@ impl<T: Into<Json>> From<Option<T>> for Json {
 
 /// Why [`Json::parse`] rejected its input, and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
+pub(crate) struct ParseError {
     /// Byte offset into the input where reading stopped.
     pub offset: usize,
     /// What was expected there.
@@ -268,7 +268,7 @@ pub fn read(path: &str) -> Result<Json, String> {
 impl Json {
     /// Read one JSON document. Every input either parses or yields the
     /// byte offset where it stopped making sense.
-    pub fn parse(text: &str) -> Result<Json, ParseError> {
+    pub(crate) fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser { text, i: 0 };
         let v = p.value(0)?;
         if p.peek().is_some() {
@@ -280,7 +280,7 @@ impl Json {
     /// The document as text: a container holding only scalars on one
     /// line, any other one entry per line. Numbers are written exactly
     /// (shortest round-trip form), a non-finite one as `null`.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
         out.push('\n');
@@ -329,7 +329,7 @@ impl Json {
     /// `tiers.1k.digest`, …). An array element is keyed by its `config`
     /// string when it has one, so rows line up after reordering or
     /// insertion, and by index otherwise. `null` leaves are absent.
-    pub fn flatten(&self) -> BTreeMap<String, Json> {
+    pub(crate) fn flatten(&self) -> BTreeMap<String, Json> {
         let mut out = BTreeMap::new();
         self.flatten_into("", &mut out);
         out
@@ -501,7 +501,7 @@ pub fn compare(old: &Json, new: &Json, threshold: f64, ratios_only: bool) -> (us
 /// `--check`'s threshold, ratios only: CI's settings before `--check` did
 /// the comparison itself. The committed report may come from another
 /// machine, so only ratios and witnesses gate, with room for runner noise.
-pub const CHECK_THRESHOLD_PCT: f64 = 60.0;
+pub(crate) const CHECK_THRESHOLD_PCT: f64 = 60.0;
 
 /// Minimum wall-clock seconds of `f` over `reps` runs, after one warmup
 /// run; what `f` returns is passed through `black_box`, so the work

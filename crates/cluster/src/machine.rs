@@ -272,7 +272,8 @@ impl Machine {
     /// A Caddy-style machine scaled to exactly `nodes` nodes (see
     /// [`ClusterTopology::caddy_scaled`]); the per-node power model is
     /// unchanged. `caddy_scaled(150, p)` is `caddy(p)` exactly.
-    pub fn caddy_scaled(nodes: usize, policy: IoWaitPolicy) -> Self {
+    #[cfg(test)]
+    fn caddy_scaled(nodes: usize, policy: IoWaitPolicy) -> Self {
         Machine::new(
             ClusterTopology::caddy_scaled(nodes),
             NodePowerModel::caddy(),
@@ -303,12 +304,14 @@ impl Machine {
     }
 
     /// The configured I/O wait policy.
-    pub fn io_policy(&self) -> IoWaitPolicy {
+    #[cfg(test)]
+    fn io_policy(&self) -> IoWaitPolicy {
         self.policy
     }
 
     /// The node power model in use.
-    pub fn node_model(&self) -> &NodePowerModel {
+    #[cfg(test)]
+    fn node_model(&self) -> &NodePowerModel {
         &self.node_model
     }
 

@@ -41,7 +41,7 @@ pub enum JobPhase {
 
 impl JobPhase {
     /// The node-load signature of this phase under the given I/O policy.
-    pub fn load(self, policy: IoWaitPolicy) -> NodeLoad {
+    pub(crate) fn load(self, policy: IoWaitPolicy) -> NodeLoad {
         match self {
             JobPhase::Simulate => NodeLoad::COMPUTE,
             JobPhase::Visualize => NodeLoad::RENDER,

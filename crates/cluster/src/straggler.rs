@@ -37,26 +37,9 @@ impl StragglerSet {
         }
     }
 
-    /// Restore `node` to nominal speed.
-    pub fn clear(&mut self, node: NodeId) {
-        if let Ok(i) = self.factors.binary_search_by_key(&node, |e| e.0) {
-            self.factors.remove(i);
-        }
-    }
-
     /// Restore every node to nominal speed.
     pub fn clear_all(&mut self) {
         self.factors.clear();
-    }
-
-    /// Number of nodes currently straggling.
-    pub fn len(&self) -> usize {
-        self.factors.len()
-    }
-
-    /// Whether every node runs at nominal speed.
-    pub fn is_empty(&self) -> bool {
-        self.factors.is_empty()
     }
 
     /// The factor by which a bulk-synchronous step slows down: the
@@ -74,7 +57,7 @@ mod tests {
     #[test]
     fn empty_set_is_nominal() {
         let s = StragglerSet::new();
-        assert!(s.is_empty());
+        assert!(s.factors.is_empty());
         assert_eq!(s.bsp_slowdown(), 1.0);
     }
 
@@ -84,10 +67,8 @@ mod tests {
         s.set(NodeId(3), 1.5);
         s.set(NodeId(7), 2.5);
         s.set(NodeId(1), 1.1);
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.factors.len(), 3);
         assert_eq!(s.bsp_slowdown(), 2.5);
-        s.clear(NodeId(7));
-        assert_eq!(s.bsp_slowdown(), 1.5);
     }
 
     #[test]
@@ -96,8 +77,8 @@ mod tests {
         s.set(NodeId(0), 3.0);
         s.set(NodeId(0), 0.5); // clamped to nominal
         assert_eq!(s.bsp_slowdown(), 1.0);
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.factors.len(), 1);
         s.clear_all();
-        assert!(s.is_empty());
+        assert!(s.factors.is_empty());
     }
 }

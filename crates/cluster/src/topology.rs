@@ -6,7 +6,7 @@ pub struct NodeId(pub usize);
 
 /// Identifier of a cage (a power-monitored group of nodes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CageId(pub usize);
+pub(crate) struct CageId(pub usize);
 
 /// Static description of a cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +59,8 @@ impl ClusterTopology {
     }
 
     /// A small topology for fast tests (2 cages × 2 nodes).
-    pub fn tiny() -> Self {
+    #[cfg(test)]
+    pub(crate) fn tiny() -> Self {
         ClusterTopology {
             num_cages: 2,
             nodes_per_cage: 2,
@@ -87,7 +88,7 @@ impl ClusterTopology {
     ///
     /// # Panics
     /// Panics if `node` is out of range.
-    pub fn cage_of(&self, node: NodeId) -> CageId {
+    pub(crate) fn cage_of(&self, node: NodeId) -> CageId {
         assert!(node.0 < self.num_nodes(), "node {node:?} out of range");
         CageId(node.0 / self.nodes_per_cage)
     }
@@ -96,19 +97,15 @@ impl ClusterTopology {
     ///
     /// # Panics
     /// Panics if `cage` is out of range.
-    pub fn nodes_in(&self, cage: CageId) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn nodes_in(&self, cage: CageId) -> impl Iterator<Item = NodeId> + '_ {
         assert!(cage.0 < self.num_cages, "cage {cage:?} out of range");
         let start = cage.0 * self.nodes_per_cage;
         (start..start + self.nodes_per_cage).map(NodeId)
     }
 
-    /// All node ids.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.num_nodes()).map(NodeId)
-    }
-
     /// All cage ids.
-    pub fn cages(&self) -> impl Iterator<Item = CageId> {
+    #[cfg(test)]
+    fn cages(&self) -> impl Iterator<Item = CageId> {
         (0..self.num_cages).map(CageId)
     }
 }
@@ -161,13 +158,6 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn caddy_scaled_rejects_zero() {
         let _ = ClusterTopology::caddy_scaled(0);
-    }
-
-    #[test]
-    fn node_iteration_is_dense() {
-        let c = ClusterTopology::tiny();
-        let ids: Vec<usize> = c.nodes().map(|n| n.0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -29,17 +29,14 @@ pub struct VizSnapshot {
     pub okubo_weiss: Field2D,
 }
 
-/// The adaptor, with copy-traffic accounting.
+/// The adaptor.
 #[derive(Debug, Clone, Default)]
-pub struct CatalystAdaptor {
-    bytes_copied: u64,
-    adaptations: u64,
-}
+pub struct CatalystAdaptor;
 
 impl CatalystAdaptor {
     /// A fresh adaptor.
     pub fn new() -> Self {
-        CatalystAdaptor::default()
+        CatalystAdaptor
     }
 
     /// Capture a snapshot of the model. This performs the C-grid →
@@ -49,9 +46,6 @@ impl CatalystAdaptor {
         let (uc, vc) = model.centered_velocities();
         let w = okubo_weiss(model.grid(), &uc, &vc);
         let ssh = model.state().h.clone();
-        // Copied payload: centered velocities, W and SSH.
-        self.bytes_copied += 8 * (uc.len() + vc.len() + w.len() + ssh.len()) as u64;
-        self.adaptations += 1;
         VizSnapshot {
             timestep: model.steps(),
             sim_hours: model.time() / 3_600.0,
@@ -63,7 +57,7 @@ impl CatalystAdaptor {
     }
 
     /// [`CatalystAdaptor::adapt`] into a recycled snapshot — same values,
-    /// same byte accounting, but the four fields are written in place, so
+    /// but the four fields are written in place, so
     /// pipelines that return snapshots to the producer adapt without
     /// allocating.
     ///
@@ -73,22 +67,8 @@ impl CatalystAdaptor {
         model.centered_velocities_into(&mut snap.uc, &mut snap.vc);
         okubo_weiss_into(model.grid(), &snap.uc, &snap.vc, &mut snap.okubo_weiss);
         snap.ssh.data_mut().copy_from_slice(model.state().h.data());
-        self.bytes_copied +=
-            8 * (snap.uc.len() + snap.vc.len() + snap.okubo_weiss.len() + snap.ssh.len()) as u64;
-        self.adaptations += 1;
         snap.timestep = model.steps();
         snap.sim_hours = model.time() / 3_600.0;
-    }
-
-    /// Total bytes copied across all adaptations — the in-situ overhead the
-    /// paper notes ("this incurs additional memory operations").
-    pub fn bytes_copied(&self) -> u64 {
-        self.bytes_copied
-    }
-
-    /// Number of snapshots taken.
-    pub fn adaptations(&self) -> u64 {
-        self.adaptations
     }
 }
 
@@ -131,19 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_accounting_accumulates() {
-        let m = model_with_eddy();
-        let mut adaptor = CatalystAdaptor::new();
-        let n = m.grid().num_cells() as u64;
-        adaptor.adapt(&m);
-        assert_eq!(adaptor.adaptations(), 1);
-        assert_eq!(adaptor.bytes_copied(), 8 * 4 * n);
-        adaptor.adapt(&m);
-        assert_eq!(adaptor.adaptations(), 2);
-        assert_eq!(adaptor.bytes_copied(), 2 * 8 * 4 * n);
-    }
-
-    #[test]
     fn adapt_into_matches_adapt_exactly() {
         let mut m = model_with_eddy();
         m.run(4);
@@ -164,10 +131,6 @@ mod tests {
         assert_eq!(snap.uc.data(), fresh.uc.data());
         assert_eq!(snap.vc.data(), fresh.vc.data());
         assert_eq!(snap.okubo_weiss.data(), fresh.okubo_weiss.data());
-        // Same accounting as two adapt() calls.
-        let n = m.grid().num_cells() as u64;
-        assert_eq!(adaptor.adaptations(), 2);
-        assert_eq!(adaptor.bytes_copied(), 2 * 8 * 4 * n);
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! [`Run::transport`](crate::campaign::Run::transport).
 //!
 //! The hand-off is the staged transport configured by
-//! [`transport`](crate::transport): a bounded depth-`k` in-flight queue
+//! `transport`: a bounded depth-`k` in-flight queue
 //! with optional wire compression and link contention. The default
 //! [`TransportConfig::synchronous`] (depth 1, no compression) is the
 //! classic blocking hand-off. The executor itself is the in-transit event
-//! chain in [`des`](crate::des); what it produces at depth 1 is pinned in
+//! chain in `des`; what it produces at depth 1 is pinned in
 //! `tests/golden/executor_identity.txt` (`sync/…`).
 
 use ivis_cluster::interconnect::Interconnect;

@@ -34,7 +34,7 @@ pub struct PipelineMetrics {
 
 impl PipelineMetrics {
     /// Average compute power over the run (from the metered profile).
-    pub fn avg_power_compute(&self) -> Watts {
+    pub(crate) fn avg_power_compute(&self) -> Watts {
         self.compute_profile.average_power()
     }
 

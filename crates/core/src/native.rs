@@ -19,7 +19,7 @@
 //! the deep-copied [`VizSnapshot`]) and commits strictly in frame order
 //! under a *commit policy*. In-situ renders, then stores or sheds each
 //! frame under a [`FaultSession`] — a clean run **is** a faulted run under
-//! [`FaultScenario::none`]; [`crate::adaptive`] analyzes and lets the
+//! [`FaultScenario::none`]; `crate::adaptive` analyzes and lets the
 //! trigger decide; post-processing encodes raw dumps and stores or sheds
 //! them, then decodes them one at a time and renders every one. A strictly
 //! serialized run is depth 1.
@@ -209,9 +209,9 @@ pub struct NativeReport {
     pub wall_viz: Duration,
     /// Wall time encoding/decoding/storing output.
     pub wall_io: Duration,
-    /// End-to-end wall time of the whole run: smaller than
-    /// [`NativeReport::wall_total`] at depth > 1, where the source phases
-    /// overlap the work.
+    /// End-to-end wall time of the whole run: smaller than the sum of
+    /// `wall_sim`, `wall_viz` and `wall_io` at depth > 1, where the source
+    /// phases overlap the work.
     pub wall_end_to_end: Duration,
     /// Raw (ncdf) bytes produced — zero for in-situ.
     pub raw_bytes: u64,
@@ -226,11 +226,6 @@ pub struct NativeReport {
 }
 
 impl NativeReport {
-    /// Total wall time.
-    pub fn wall_total(&self) -> Duration {
-        self.wall_sim + self.wall_viz + self.wall_io
-    }
-
     /// Storage reduction of in-situ relative to a post-processing run
     /// (percent) given this report is the in-situ one.
     pub fn storage_reduction_vs(&self, post: &NativeReport) -> f64 {
@@ -975,7 +970,6 @@ mod tests {
         assert!(r.wall_sim > Duration::ZERO);
         assert!(r.wall_viz > Duration::ZERO);
         assert!(r.wall_io > Duration::ZERO);
-        assert_eq!(r.wall_total(), r.wall_sim + r.wall_viz + r.wall_io);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! The one telemetry hook every executor shares.
 //!
 //! Each executor — in-situ, post-hoc and staged in-transit, clean or
-//! faulted ([`Campaign::execute`]), and the native backend — already
-//! harvests its power pathway into
-//! [`PipelineMetrics`] profiles (or, for the native backend, phase spans
-//! in the [`TraceBuffer`]). [`RunTelemetry::from_metrics`] turns that
+//! faulted ([`Campaign::execute`]) — already harvests its power pathway
+//! into [`PipelineMetrics`] profiles. [`RunTelemetry::from_metrics`] turns that
 //! harvest into one sampled W(t) [`PowerTimeline`] per
 //! metered component at the requested cadence (the paper's per-minute
 //! PDU view at [`paper_cadence`], or down to 1 s for debugging), plus
@@ -14,10 +12,8 @@
 //! [`Campaign::execute`]: crate::campaign::Campaign::execute
 //! [`paper_cadence`]: ivis_obs::telemetry::paper_cadence
 
-use ivis_cluster::IoWaitPolicy;
 use ivis_obs::telemetry::PowerTimeline;
-use ivis_obs::{Recorder, TraceBuffer};
-use ivis_power::node::NodePowerModel;
+use ivis_obs::Recorder;
 use ivis_sim::SimDuration;
 
 use crate::metrics::PipelineMetrics;
@@ -59,36 +55,13 @@ impl RunTelemetry {
     }
 }
 
-/// Reconstruct a single-node power timeline for a native-backend run
-/// from its recorded phase spans: the trace's phase timeline joined with
-/// the calibrated Caddy node model under `policy`, sampled at `cadence`.
-/// Returns an empty timeline if the buffer recorded no phase spans.
-///
-/// # Panics
-/// Panics if `cadence` is zero.
-pub fn native_power_timeline(
-    buf: &TraceBuffer,
-    policy: IoWaitPolicy,
-    cadence: SimDuration,
-) -> PowerTimeline {
-    let node = NodePowerModel::caddy();
-    PowerTimeline::from_phases(
-        "native-node",
-        &buf.phase_timeline(),
-        move |phase| node.power(phase.load(policy)),
-        cadence,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::Campaign;
-    use crate::native::{execute, NativeConfig, NativePlan};
     use crate::{PipelineConfig, PipelineKind, Plan};
     use ivis_fault::{FaultPlan, FaultScenario};
     use ivis_obs::telemetry::paper_cadence;
-    use ivis_sim::SimTime;
 
     /// The tentpole invariant, end-to-end: for every paper configuration
     /// and several cadences, the sampled timelines integrate to exactly
@@ -156,26 +129,5 @@ mod tests {
         .expect("recorder is on");
         // Off-recorder: publishing is a no-op, not a panic.
         tel.record_gauges(&Recorder::off());
-    }
-
-    #[test]
-    fn native_runs_reconstruct_node_power_from_phase_spans() {
-        let rec = Recorder::in_memory();
-        let plan = NativePlan::new(NativeConfig::tiny(), PipelineKind::InSitu);
-        let report = execute(&plan, &rec).expect("tiny() is valid").report;
-        assert!(report.frames > 0);
-        let tl = rec
-            .with_buffer(|buf| {
-                native_power_timeline(buf, IoWaitPolicy::BusyWait, SimDuration::from_secs(1))
-            })
-            .expect("recorder is on");
-        assert!(!tl.is_empty(), "native run recorded phase spans");
-        let node = NodePowerModel::caddy();
-        let stats = tl.stats();
-        // The node never draws less than idle nor more than the loaded
-        // calibration point.
-        assert!(stats.peak <= node.loaded());
-        assert!(stats.mean >= node.idle());
-        assert_eq!(tl.start(), SimTime::ZERO);
     }
 }

@@ -99,7 +99,7 @@ fn steady_state_frame_chain_is_allocation_free() {
     );
     // The chain actually did something.
     assert_eq!(model.steps(), 88);
-    assert_eq!(adaptor.adaptations(), 11);
+    assert_eq!(snap.timestep, 88);
     assert_eq!(png.len(), encoded_png_size(width, height) as usize);
     rayon::set_num_threads(0);
 }

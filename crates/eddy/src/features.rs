@@ -79,7 +79,7 @@ pub fn extract_features(grid: &Grid, w: &Field2D, seg: &Segmentation) -> Vec<Edd
 }
 
 /// Distance between two centroids, honoring x-periodicity of width `lx`.
-pub fn periodic_distance(a: &EddyFeature, b: &EddyFeature, lx: f64) -> f64 {
+pub(crate) fn periodic_distance(a: &EddyFeature, b: &EddyFeature, lx: f64) -> f64 {
     let mut dx = (a.x - b.x).abs();
     if dx > lx / 2.0 {
         dx = lx - dx;

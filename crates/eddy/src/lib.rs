@@ -18,7 +18,3 @@ pub mod features;
 pub mod metrics;
 pub mod segment;
 pub mod tracking;
-
-pub use features::{extract_features, EddyFeature};
-pub use segment::{label_components, segment_eddies};
-pub use tracking::{EddyTracker, Track};

@@ -33,7 +33,7 @@ pub struct SamplingQuality {
 
 /// Re-track a detection sequence at `stride`, using tracker settings
 /// `(gate_m, max_gap, lx)`.
-pub fn track_at_stride(
+pub(crate) fn track_at_stride(
     detections: &DetectionSequence,
     stride: usize,
     gate_m: f64,

@@ -8,14 +8,14 @@ use ivis_ocean::Field2D;
 
 /// A disjoint-set (union-find) with path compression and union by size.
 #[derive(Debug, Clone)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
 }
 
 impl UnionFind {
     /// `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
@@ -23,7 +23,7 @@ impl UnionFind {
     }
 
     /// Representative of `x`'s set.
-    pub fn find(&mut self, x: usize) -> usize {
+    pub(crate) fn find(&mut self, x: usize) -> usize {
         let mut root = x;
         while self.parent[root] as usize != root {
             root = self.parent[root] as usize;
@@ -39,7 +39,7 @@ impl UnionFind {
     }
 
     /// Merge the sets of `a` and `b`. Returns the new root.
-    pub fn union(&mut self, a: usize, b: usize) -> usize {
+    pub(crate) fn union(&mut self, a: usize, b: usize) -> usize {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return ra;
@@ -55,7 +55,8 @@ impl UnionFind {
     }
 
     /// Whether `a` and `b` share a set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
+    #[cfg(test)]
+    fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
 }
@@ -76,7 +77,7 @@ pub struct Segmentation {
 
 impl Segmentation {
     /// Label of cell `(i, j)`.
-    pub fn label(&self, i: usize, j: usize) -> Option<u32> {
+    pub(crate) fn label(&self, i: usize, j: usize) -> Option<u32> {
         self.labels[j * self.nx + i]
     }
 

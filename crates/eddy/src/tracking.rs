@@ -37,7 +37,7 @@ impl Track {
     }
 
     /// Total centroid path length, meters (periodic in x over `lx`).
-    pub fn path_length(&self, lx: f64) -> f64 {
+    pub(crate) fn path_length(&self, lx: f64) -> f64 {
         self.points
             .windows(2)
             .map(|w| periodic_distance(&w[0].feature, &w[1].feature, lx))
@@ -49,7 +49,7 @@ impl Track {
 ///
 /// ```
 /// use ivis_eddy::features::EddyFeature;
-/// use ivis_eddy::EddyTracker;
+/// use ivis_eddy::tracking::EddyTracker;
 ///
 /// let det = |x: f64| EddyFeature {
 ///     label: 0, x, y: 0.0, area_cells: 9,

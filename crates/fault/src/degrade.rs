@@ -22,20 +22,11 @@ pub struct DegradationPolicy {
 impl DegradationPolicy {
     /// The default policy: escalate after 3 consecutive pressure events,
     /// recover after 8 clean outputs, shed at most 7 of every 8 outputs.
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         DegradationPolicy {
             pressure_trigger: 3,
             clean_recover: 8,
             max_level: 3,
-        }
-    }
-
-    /// Never degrade (pressure is still counted in the stats).
-    pub fn off() -> Self {
-        DegradationPolicy {
-            pressure_trigger: u32::MAX,
-            clean_recover: 1,
-            max_level: 0,
         }
     }
 }
@@ -56,24 +47,24 @@ pub struct DegradationState {
 
 impl DegradationState {
     /// Fresh, undegraded state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DegradationState::default()
     }
 
     /// Current degradation level (0 = nominal).
-    pub fn level(&self) -> u8 {
+    pub(crate) fn level(&self) -> u8 {
         self.level
     }
 
     /// At the current level, should output `k` be shed? Level *L* keeps
     /// outputs whose index is a multiple of 2^L.
-    pub fn should_shed(&self, k: u64) -> bool {
+    pub(crate) fn should_shed(&self, k: u64) -> bool {
         self.level > 0 && k % (1u64 << self.level.min(63)) != 0
     }
 
     /// Record a pressure event (retry, timeout, out-of-space shed).
     /// Returns the new level if this escalated.
-    pub fn on_pressure(&mut self, policy: &DegradationPolicy) -> Option<u8> {
+    pub(crate) fn on_pressure(&mut self, policy: &DegradationPolicy) -> Option<u8> {
         self.clean = 0;
         self.pressure = self.pressure.saturating_add(1);
         if self.pressure >= policy.pressure_trigger && self.level < policy.max_level {
@@ -87,7 +78,7 @@ impl DegradationState {
 
     /// Record a clean (on-SLO, first-try) output. Returns the new level
     /// if this recovered one step.
-    pub fn on_clean(&mut self, policy: &DegradationPolicy) -> Option<u8> {
+    pub(crate) fn on_clean(&mut self, policy: &DegradationPolicy) -> Option<u8> {
         self.pressure = 0;
         if self.level == 0 {
             self.clean = 0;
@@ -155,15 +146,5 @@ mod tests {
         // Level 3 keeps every 8th output.
         let kept = (0..64u64).filter(|&k| !s.should_shed(k)).count();
         assert_eq!(kept, 8);
-    }
-
-    #[test]
-    fn off_policy_never_escalates() {
-        let p = DegradationPolicy::off();
-        let mut s = DegradationState::new();
-        for _ in 0..10_000 {
-            assert_eq!(s.on_pressure(&p), None);
-        }
-        assert_eq!(s.level(), 0);
     }
 }

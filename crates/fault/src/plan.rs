@@ -17,7 +17,7 @@ impl FaultWindow {
     ///
     /// # Panics
     /// Panics if `end < start`.
-    pub fn new(start: SimTime, end: SimTime) -> Self {
+    pub(crate) fn new(start: SimTime, end: SimTime) -> Self {
         assert!(end >= start, "fault window ends before it starts");
         FaultWindow { start, end }
     }
@@ -28,13 +28,8 @@ impl FaultWindow {
     }
 
     /// Whether `t` falls inside the window.
-    pub fn contains(&self, t: SimTime) -> bool {
+    pub(crate) fn contains(&self, t: SimTime) -> bool {
         t >= self.start && t < self.end
-    }
-
-    /// Window length.
-    pub fn duration(&self) -> SimDuration {
-        self.end - self.start
     }
 }
 
@@ -82,7 +77,7 @@ pub enum FaultKind {
 
 /// One fault with its activity window.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScheduledFault {
+pub(crate) struct ScheduledFault {
     /// When the fault is active.
     pub window: FaultWindow,
     /// What the fault does.
@@ -103,7 +98,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The no-fault plan: every hook stays a no-op.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         FaultPlan {
             seed: 0,
             faults: Vec::new(),
@@ -158,17 +153,17 @@ impl FaultPlan {
     }
 
     /// Whether the plan schedules no faults.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }
 
     /// All scheduled faults.
-    pub fn faults(&self) -> &[ScheduledFault] {
+    pub(crate) fn faults(&self) -> &[ScheduledFault] {
         &self.faults
     }
 
     /// Faults whose window contains `t`.
-    pub fn active_at(&self, t: SimTime) -> impl Iterator<Item = &ScheduledFault> {
+    pub(crate) fn active_at(&self, t: SimTime) -> impl Iterator<Item = &ScheduledFault> {
         self.faults.iter().filter(move |f| f.window.contains(t))
     }
 
@@ -222,7 +217,6 @@ mod tests {
         assert!(w.contains(SimTime::from_secs(10)));
         assert!(w.contains(SimTime::from_secs(19)));
         assert!(!w.contains(SimTime::from_secs(20)));
-        assert_eq!(w.duration(), SimDuration::from_secs(10));
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// The default storage policy: 5 attempts, 2 s base backoff capped at
     /// 60 s, ±25 % jitter, 120 s per-op SLO.
-    pub fn storage_default() -> Self {
+    pub(crate) fn storage_default() -> Self {
         RetryPolicy {
             max_attempts: 5,
             base_backoff: SimDuration::from_secs(2),
@@ -52,7 +52,7 @@ impl RetryPolicy {
 
     /// Backoff before attempt `failed + 1`, where `failed ≥ 1` is the
     /// number of failures so far. Deterministic given the RNG state.
-    pub fn backoff(&self, failed: u32, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn backoff(&self, failed: u32, rng: &mut SimRng) -> SimDuration {
         let exp = failed.saturating_sub(1).min(16);
         let raw = self.base_backoff.as_secs_f64() * (1u64 << exp) as f64;
         let capped = raw.min(self.max_backoff.as_secs_f64());

@@ -41,11 +41,6 @@ impl FaultScenario {
             degradation: DegradationPolicy::standard(),
         }
     }
-
-    /// Whether the plan schedules no faults.
-    pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
-    }
 }
 
 /// The aggregate storage-side degradation at one instant, folded from
@@ -65,7 +60,7 @@ pub struct StorageState {
 
 impl StorageState {
     /// No degradation.
-    pub const NOMINAL: StorageState = StorageState {
+    pub(crate) const NOMINAL: StorageState = StorageState {
         oss_scale: 1.0,
         mds_surcharge: SimDuration::ZERO,
         reserved_bytes: 0,
@@ -115,13 +110,8 @@ impl FaultSession {
         }
     }
 
-    /// Whether the plan schedules no faults.
-    pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
-    }
-
     /// Fold every active storage fault at `now` into one target state.
-    pub fn storage_state(&self, now: SimTime) -> StorageState {
+    pub(crate) fn storage_state(&self, now: SimTime) -> StorageState {
         let mut s = StorageState::NOMINAL;
         for f in self.plan.active_at(now) {
             match f.kind {

@@ -44,7 +44,7 @@ impl MeasuredRate {
     }
 
     /// Outputs a `spec`-sized campaign emits at this rate.
-    pub fn outputs_for(&self, spec: &ProblemSpec) -> f64 {
+    pub(crate) fn outputs_for(&self, spec: &ProblemSpec) -> f64 {
         spec.total_steps() as f64 / self.steps_per_output
     }
 }
@@ -77,12 +77,12 @@ impl AdaptivePlan {
     }
 
     /// Analyses a `spec`-sized campaign performs.
-    pub fn analyses_for(&self, spec: &ProblemSpec) -> f64 {
+    pub(crate) fn analyses_for(&self, spec: &ProblemSpec) -> f64 {
         spec.duration_hours / self.analysis_every_hours
     }
 
     /// The β-equivalent render count the candidate sweep adds.
-    pub fn overhead_renders(&self, spec: &ProblemSpec) -> f64 {
+    pub(crate) fn overhead_renders(&self, spec: &ProblemSpec) -> f64 {
         self.candidate_cost_ratio * self.candidates as f64 * self.analyses_for(spec)
     }
 }
@@ -91,7 +91,7 @@ impl WhatIfAnalyzer {
     /// Predicted execution time of an adaptive in-situ campaign, seconds:
     /// Eq. 4 with the *measured* effective rate driving S and N, plus the
     /// candidate sweep's κ·C·A render-equivalents.
-    pub fn predict_adaptive_seconds(
+    pub(crate) fn predict_adaptive_seconds(
         &self,
         spec: &ProblemSpec,
         measured: MeasuredRate,

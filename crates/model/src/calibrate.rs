@@ -32,7 +32,8 @@ impl CalibrationPoint {
 
 /// The paper's three calibration rows (Eq. 5): in-situ @72 h, in-situ @8 h,
 /// post-processing @24 h.
-pub fn paper_points() -> [CalibrationPoint; 3] {
+#[cfg(test)]
+pub(crate) fn paper_points() -> [CalibrationPoint; 3] {
     [
         CalibrationPoint::new(676.0, 0.1, 60.0),
         CalibrationPoint::new(1261.0, 0.6, 540.0),

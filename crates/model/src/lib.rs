@@ -17,40 +17,38 @@
 //! for what-if analysis: storage vs sampling rate (Fig. 9) and energy vs
 //! sampling rate (Fig. 10) for a 100-simulated-year run.
 //!
-//! * [`adaptive`] — Eq. 6/7 fed by the *measured* effective rate of an
+//! * `adaptive` — Eq. 6/7 fed by the *measured* effective rate of an
 //!   adaptive-trigger campaign, plus the candidate sweep's render cost.
-//! * [`linalg`] — the small dense solver (Gaussian elimination, least
+//! * `linalg` — the small dense solver (Gaussian elimination, least
 //!   squares via normal equations).
 //! * [`perf`] — Eq. 1–4 as a [`perf::PerfModel`].
 //! * [`calibrate`] — exact and least-squares calibration from measured runs.
 //! * [`scaling`] — Eq. 6/7 rate scaling.
-//! * [`staging`] — the in-transit transport's provisioning sweep (staging
+//! * `staging` — the in-transit transport's provisioning sweep (staging
 //!   nodes × queue depth × compression ratio), measured and predicted.
 //! * [`validate`] — model-vs-measurement error reporting (Fig. 8).
-//! * [`whatif`] — the §VII scenario engine (Figs. 9 & 10, budget solvers).
+//! * `whatif` — the §VII scenario engine (Figs. 9 & 10, budget solvers).
 //! * [`sensitivity`] and [`uncertainty`] — elasticities of the calibrated
 //!   model and parametric-bootstrap intervals on its constants.
 //! * [`tradeoff`] — the cheapest pipeline and rate under storage, time
 //!   and energy limits.
-//! * [`query`] — canonical, memoizable what-if keys and the pure
+//! * `query` — canonical, memoizable what-if keys and the pure
 //!   evaluator behind the `ivis-serve` query service.
 
-pub mod adaptive;
+pub(crate) mod adaptive;
 pub mod calibrate;
-pub mod linalg;
+pub(crate) mod linalg;
 pub mod perf;
-pub mod query;
+pub(crate) mod query;
 pub mod scaling;
 pub mod sensitivity;
-pub mod staging;
+pub(crate) mod staging;
 pub mod tradeoff;
 pub mod uncertainty;
 pub mod validate;
-pub mod whatif;
+pub(crate) mod whatif;
 
 pub use adaptive::{AdaptivePlan, MeasuredRate};
-pub use calibrate::{calibrate_exact, calibrate_least_squares};
-pub use perf::PerfModel;
-pub use query::{CurvePoint, SpecId, WhatIfAnswer, WhatIfRequest};
-pub use staging::{predict_staged_seconds, StagingPoint, StagingSweep};
+pub use query::{SpecId, WhatIfRequest};
+pub use staging::StagingSweep;
 pub use whatif::WhatIfAnalyzer;

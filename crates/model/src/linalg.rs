@@ -28,7 +28,7 @@ impl std::error::Error for LinalgError {}
 
 /// Solve `A x = b` for square `A` (row-major, `n × n`) by Gaussian
 /// elimination with partial pivoting. `A` and `b` are consumed as copies.
-pub fn solve(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+pub(crate) fn solve(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     let n = a.len();
     if b.len() != n || a.iter().any(|row| row.len() != n) {
         return Err(LinalgError::DimensionMismatch);
@@ -78,7 +78,7 @@ pub fn solve(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 
 /// Least squares `min ‖A x − b‖₂` via the normal equations `AᵀA x = Aᵀb`.
 /// `A` is `m × n` with `m ≥ n`.
-pub fn least_squares(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+pub(crate) fn least_squares(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     let m = a.len();
     if m == 0 || b.len() != m {
         return Err(LinalgError::DimensionMismatch);

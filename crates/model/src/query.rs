@@ -16,7 +16,7 @@ use crate::whatif::WhatIfAnalyzer;
 
 /// Sampling-rate quantum: one millionth of a simulated hour (3.6 ms).
 /// Rates closer together than this are the same query.
-pub const RATE_QUANTUM_PER_HOUR: f64 = 1e6;
+pub(crate) const RATE_QUANTUM_PER_HOUR: f64 = 1e6;
 
 /// The closed set of problem specifications the query surface exposes.
 ///
@@ -33,7 +33,7 @@ pub enum SpecId {
 
 impl SpecId {
     /// The spec this id names.
-    pub fn spec(self) -> ProblemSpec {
+    pub(crate) fn spec(self) -> ProblemSpec {
         match self {
             SpecId::Paper60km => ProblemSpec::paper_60km(),
             SpecId::Paper100yr => ProblemSpec::paper_100yr(),
@@ -61,7 +61,7 @@ impl SpecId {
 /// A canonicalized what-if query — the memoization key.
 ///
 /// Construction quantizes the sampling interval onto a micro-hour grid,
-/// so any two f64 rates within [`RATE_QUANTUM_PER_HOUR`] of each other
+/// so any two f64 rates within `RATE_QUANTUM_PER_HOUR` of each other
 /// produce identical keys and the derived [`SamplingRate`] is recovered
 /// exactly (`rate_hours` is a pure function of the integer field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,19 +106,20 @@ impl WhatIfRequest {
     }
 
     /// The canonical sampling rate.
-    pub fn rate(&self) -> SamplingRate {
+    pub(crate) fn rate(&self) -> SamplingRate {
         SamplingRate::every_hours(self.rate_hours())
     }
 
-    /// The sweep grid attached to the answer: `curve_points` intervals
-    /// spaced geometrically over one decade starting at the query rate.
-    /// A pure function of the key, so memoized and cold evaluations see
-    /// the same grid.
-    pub fn curve_hours(&self) -> Vec<f64> {
+    /// Every point of the sweep grid, in order.
+    #[cfg(test)]
+    fn curve_hours(&self) -> Vec<f64> {
         (0..self.curve_points).map(|i| self.curve_hour(i)).collect()
     }
 
-    /// Point `i` of [`WhatIfRequest::curve_hours`].
+    /// Point `i` of the sweep grid: `curve_points` intervals spaced
+    /// geometrically over one decade starting at the query rate. A pure
+    /// function of the key, so memoized and cold evaluations see the same
+    /// grid.
     fn curve_hour(&self, i: u16) -> f64 {
         let n = f64::from(self.curve_points.max(1));
         self.rate_hours() * 10f64.powf(f64::from(i) / n)
@@ -150,7 +151,8 @@ pub struct WhatIfAnswer {
     pub energy_joules: f64,
     /// In-situ saving over post-processing at this rate, percent.
     pub saving_pct: f64,
-    /// The sweep curve over [`WhatIfRequest::curve_hours`].
+    /// The sweep curve: `curve_points` intervals spaced geometrically over
+    /// one decade starting at the query rate.
     pub curve: Vec<CurvePoint>,
 }
 

@@ -174,7 +174,7 @@ impl StagingSweep {
 /// (`β·N/staging`) + image write (`α·S`) after the first arrival. Deeper
 /// queues decouple the hand-off from both tracks; the makespan is the
 /// slower track.
-pub fn predict_staged_seconds(
+pub(crate) fn predict_staged_seconds(
     model: &PerfModel,
     pc: &PipelineConfig,
     it: &InTransitConfig,

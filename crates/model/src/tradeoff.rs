@@ -66,7 +66,7 @@ impl Planner {
     }
 
     /// Predict one `(kind, interval)` choice for `spec`.
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         &self,
         kind: PipelineKind,
         spec: &ProblemSpec,

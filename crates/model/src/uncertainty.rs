@@ -26,7 +26,8 @@ pub struct Interval {
 
 impl Interval {
     /// Whether `x` lies inside the interval.
-    pub fn contains(&self, x: f64) -> bool {
+    #[cfg(test)]
+    fn contains(&self, x: f64) -> bool {
         self.lo <= x && x <= self.hi
     }
 

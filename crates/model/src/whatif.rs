@@ -51,7 +51,7 @@ impl WhatIfAnalyzer {
     }
 
     /// Bytes per output for a pipeline kind.
-    pub fn bytes_per_output(&self, kind: PipelineKind) -> u64 {
+    pub(crate) fn bytes_per_output(&self, kind: PipelineKind) -> u64 {
         match kind {
             PipelineKind::InSitu => self.image_bytes_per_output,
             PipelineKind::PostProcessing => self.raw_bytes_per_output,
@@ -67,7 +67,7 @@ impl WhatIfAnalyzer {
     }
 
     /// Predicted execution time, seconds.
-    pub fn execution_seconds(
+    pub(crate) fn execution_seconds(
         &self,
         kind: PipelineKind,
         spec: &ProblemSpec,

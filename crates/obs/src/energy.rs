@@ -15,7 +15,7 @@ use ivis_power::units::Joules;
 use ivis_sim::SimTime;
 
 /// Canonical phase ordering used by reports.
-pub const PHASE_ORDER: [JobPhase; 5] = [
+pub(crate) const PHASE_ORDER: [JobPhase; 5] = [
     JobPhase::Simulate,
     JobPhase::WriteOutput,
     JobPhase::Visualize,
@@ -38,7 +38,7 @@ pub struct PhaseEnergy {
 
 impl PhaseEnergy {
     /// Compute plus storage energy for this phase.
-    pub fn total(&self) -> Joules {
+    pub(crate) fn total(&self) -> Joules {
         self.compute + self.storage
     }
 }
@@ -54,7 +54,7 @@ pub struct EnergyAttribution {
 
 impl EnergyAttribution {
     /// Rows in [`PHASE_ORDER`]; phases the run never entered are omitted.
-    pub fn rows(&self) -> &[PhaseEnergy] {
+    pub(crate) fn rows(&self) -> &[PhaseEnergy] {
         &self.rows
     }
 
@@ -64,12 +64,12 @@ impl EnergyAttribution {
     }
 
     /// Sum of attributed compute energy across phases.
-    pub fn attributed_compute(&self) -> Joules {
+    pub(crate) fn attributed_compute(&self) -> Joules {
         self.rows.iter().map(|r| r.compute).sum()
     }
 
     /// Sum of attributed storage energy across phases.
-    pub fn attributed_storage(&self) -> Joules {
+    pub(crate) fn attributed_storage(&self) -> Joules {
         self.rows.iter().map(|r| r.storage).sum()
     }
 
@@ -79,7 +79,7 @@ impl EnergyAttribution {
     }
 
     /// Total energy the meters reported (compute + storage profiles).
-    pub fn metered_total(&self) -> Joules {
+    pub(crate) fn metered_total(&self) -> Joules {
         self.metered_compute + self.metered_storage
     }
 
@@ -92,7 +92,7 @@ impl EnergyAttribution {
 
     /// Fraction of all attributed energy charged to `phase` (0 if absent
     /// or if nothing was attributed).
-    pub fn share(&self, phase: JobPhase) -> f64 {
+    pub(crate) fn share(&self, phase: JobPhase) -> f64 {
         let total = self.attributed_total().joules();
         if total <= 0.0 {
             return 0.0;

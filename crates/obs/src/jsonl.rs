@@ -49,7 +49,7 @@ use crate::metrics::{Metric, MetricKind};
 use crate::recorder::{AttrValue, SpanId, TraceBuffer};
 
 /// Schema identifier embedded in the meta line.
-pub const SCHEMA: &str = "ivis-trace-v1";
+pub(crate) const SCHEMA: &str = "ivis-trace-v1";
 
 /// Formatted floats the memo holds at once: enough for the handful of
 /// levels a gauge steps between.

@@ -16,7 +16,7 @@ pub enum MetricKind {
     /// Last-write-wins instantaneous value.
     Gauge,
     /// Distribution of individual observations in deterministic
-    /// log-spaced buckets (see [`log_bucket_upper`]); every raw
+    /// log-spaced buckets (see `log_bucket_upper`); every raw
     /// observation is retained, so merges replay exactly and percentiles
     /// are computed from the data, not from bucket midpoints.
     Histogram,
@@ -24,7 +24,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// Stable lowercase label used by the exporters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
@@ -43,7 +43,7 @@ impl MetricKind {
 /// `<= 0`, NaN and subnormals collapse into a single `0.0` bucket;
 /// values in the top quarter-octave of the finite range round up to
 /// `+inf` (the exporter's `+Inf` bucket).
-pub fn log_bucket_upper(v: f64) -> f64 {
+pub(crate) fn log_bucket_upper(v: f64) -> f64 {
     if v <= 0.0 || !v.is_finite() {
         return 0.0;
     }
@@ -105,15 +105,6 @@ impl HistogramSnapshot {
             sum,
             min,
             max,
-        }
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
         }
     }
 }
@@ -186,7 +177,7 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Create an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -220,7 +211,7 @@ impl MetricsRegistry {
 
     /// Add `delta` to the counter `name` at time `t`, recording the new
     /// cumulative total as a step.
-    pub fn counter_add(&mut self, t: SimTime, name: &'static str, delta: f64) {
+    pub(crate) fn counter_add(&mut self, t: SimTime, name: &'static str, delta: f64) {
         let m = self.slot(name, MetricKind::Counter);
         m.total += delta;
         let total = m.total;
@@ -228,7 +219,7 @@ impl MetricsRegistry {
     }
 
     /// Set the gauge `name` to `value` at time `t`.
-    pub fn gauge_set(&mut self, t: SimTime, name: &'static str, value: f64) {
+    pub(crate) fn gauge_set(&mut self, t: SimTime, name: &'static str, value: f64) {
         let m = self.slot(name, MetricKind::Gauge);
         m.total = value;
         m.series.push(t, value);
@@ -257,13 +248,8 @@ impl MetricsRegistry {
     }
 
     /// Number of registered metrics.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.metrics.len()
-    }
-
-    /// Whether no metric has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
     }
 
     /// Merge several registries (e.g. one per worker thread) into one by
@@ -276,7 +262,7 @@ impl MetricsRegistry {
     /// replay their raw observations one by one. Ties in time break by
     /// part index, then by each part's own update order, so the result
     /// does not depend on which thread produced which part.
-    pub fn merge(parts: Vec<MetricsRegistry>) -> MetricsRegistry {
+    pub(crate) fn merge(parts: Vec<MetricsRegistry>) -> MetricsRegistry {
         let mut updates: Vec<(SimTime, usize, &'static str, MetricKind, f64)> = Vec::new();
         for (part_idx, part) in parts.iter().enumerate() {
             for m in part.iter() {

@@ -43,7 +43,7 @@ pub enum Component {
 
 impl Component {
     /// Stable lowercase label used by the exporters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Component::Campaign => "campaign",
             Component::Compute => "compute",
@@ -179,12 +179,12 @@ impl TraceBuffer {
     }
 
     /// Append an attribute to span `id`.
-    pub fn set_attr(&mut self, id: SpanId, key: &'static str, value: AttrValue) {
+    pub(crate) fn set_attr(&mut self, id: SpanId, key: &'static str, value: AttrValue) {
         self.spans[id.0 as usize].attrs.push((key, value));
     }
 
     /// Record an instantaneous event at `t` under the innermost open span.
-    pub fn record_event(
+    pub(crate) fn record_event(
         &mut self,
         t: SimTime,
         name: &'static str,
@@ -218,7 +218,7 @@ impl TraceBuffer {
     /// own buffer and merges after joining. Spans are reordered by
     /// `(start, part index, open order)` and their parent ids remapped to
     /// the merged numbering; events likewise by `(time, part index, record
-    /// order)`; metrics merge via [`MetricsRegistry::merge`]. The result
+    /// order)`; metrics merge via `MetricsRegistry::merge`. The result
     /// depends only on the recorded sim times and the order of `parts` —
     /// not on thread scheduling — and satisfies [`Self::phase_timeline`]'s
     /// chronological invariant as long as the parts' phase spans do not
@@ -315,7 +315,7 @@ impl TraceBuffer {
 /// Where trace data goes. Static dispatch: instrumented code matches on
 /// the variant inline, so the off case compiles to a predictable branch.
 #[derive(Debug, Clone, Default)]
-pub enum Sink {
+pub(crate) enum Sink {
     /// Discard everything. All recording methods return immediately
     /// without allocating.
     #[default]
@@ -343,11 +343,6 @@ impl Recorder {
         Recorder {
             sink: Sink::Memory(Rc::new(RefCell::new(TraceBuffer::default()))),
         }
-    }
-
-    /// The underlying sink.
-    pub fn sink(&self) -> &Sink {
-        &self.sink
     }
 
     /// Whether recording is enabled.

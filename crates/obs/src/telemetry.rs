@@ -4,9 +4,8 @@
 //! trace**: the Raritan PDU on the Lustre rack and the Appro cage
 //! monitors each emit one interval-averaged watt sample per minute, and
 //! every characterization figure is derived from those timelines. A
-//! [`PowerTimeline`] reconstructs that signal from what a run records —
-//! either a [`PowerProfile`] harvested from the campaign meters or a
-//! phase timeline plus a phase→watts model — and replays it through
+//! [`PowerTimeline`] reconstructs that signal from a [`PowerProfile`]
+//! harvested from the campaign meters and replays it through
 //! [`MeteredPdu`] interval averaging at a configurable cadence
 //! ([`paper_cadence`], one minute, down to one second).
 //!
@@ -17,13 +16,10 @@
 //! [`PowerProfile::energy_between`], which is what makes the timelines
 //! safe to use for attribution-grade accounting and not just plotting.
 
-use ivis_cluster::{JobPhase, PhaseTimeline};
 use ivis_power::meter::{MeterSample, MeteredPdu};
 use ivis_power::profile::PowerProfile;
 use ivis_power::units::{Joules, Watts};
 use ivis_sim::{SimDuration, SimTime};
-
-use crate::metrics::MetricsRegistry;
 
 /// The paper's reporting cadence: one interval-averaged sample per minute.
 pub fn paper_cadence() -> SimDuration {
@@ -36,7 +32,6 @@ pub fn paper_cadence() -> SimDuration {
 pub struct PowerTimeline {
     label: String,
     start: SimTime,
-    cadence: SimDuration,
     samples: Vec<MeterSample>,
 }
 
@@ -84,41 +79,6 @@ impl PowerTimeline {
         PowerTimeline {
             label,
             start: profile.start(),
-            cadence,
-            samples,
-        }
-    }
-
-    /// Reconstruct a timeline from a phase timeline and a phase→watts
-    /// model, e.g. the native backend's wall-clock-mapped spans joined
-    /// with a node power model. Gaps between phase records draw
-    /// [`JobPhase::Idle`] power.
-    ///
-    /// # Panics
-    /// Panics if `cadence` is zero.
-    pub fn from_phases(
-        label: impl Into<String>,
-        timeline: &PhaseTimeline,
-        power: impl Fn(JobPhase) -> Watts,
-        cadence: SimDuration,
-    ) -> Self {
-        let label = label.into();
-        let mut pdu = MeteredPdu::new(label.clone(), cadence, power(JobPhase::Idle));
-        let records = timeline.records();
-        let start = records.first().map_or(SimTime::ZERO, |r| r.start);
-        let mut prev_end = start;
-        for r in records {
-            if r.start > prev_end {
-                pdu.observe(prev_end, power(JobPhase::Idle));
-            }
-            pdu.observe(r.start, power(r.phase));
-            prev_end = r.end;
-        }
-        let samples = pdu.report(start, prev_end);
-        PowerTimeline {
-            label,
-            start,
-            cadence,
             samples,
         }
     }
@@ -126,11 +86,6 @@ impl PowerTimeline {
     /// Component label.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// Sampling cadence.
-    pub fn cadence(&self) -> SimDuration {
-        self.cadence
     }
 
     /// Beginning of the sampled window.
@@ -143,20 +98,9 @@ impl PowerTimeline {
         self.samples.last().map_or(self.start, |s| s.at)
     }
 
-    /// The interval-averaged samples; each covers the interval ending at
-    /// its `at`.
-    pub fn samples(&self) -> &[MeterSample] {
-        &self.samples
-    }
-
-    /// Whether the window contains no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// The timeline as a [`PowerProfile`], for reuse of the attribution
-    /// machinery (`energy_between`, `sum`, Fig. 4 rows).
-    pub fn as_profile(&self) -> PowerProfile {
+    /// machinery (Fig. 4 rows).
+    pub(crate) fn as_profile(&self) -> PowerProfile {
         PowerProfile::from_meter_samples(self.start, self.samples.clone())
     }
 
@@ -169,12 +113,6 @@ impl PowerTimeline {
             prev = s.at;
         }
         total
-    }
-
-    /// Exact integral over `[from, to]`, clipping intervals like
-    /// [`PowerProfile::energy_between`].
-    pub fn energy_between(&self, from: SimTime, to: SimTime) -> Joules {
-        self.as_profile().energy_between(from, to)
     }
 
     /// `(minutes_since_start, watts)` rows — the shape the paper plots in
@@ -193,15 +131,6 @@ impl PowerTimeline {
             prev = s.at;
         }
         out
-    }
-
-    /// Publish the timeline into a [`MetricsRegistry`] as the gauge
-    /// `name`, one step per interval (so the Prometheus snapshot carries
-    /// the power signal).
-    pub fn record_gauges(&self, reg: &mut MetricsRegistry, name: &'static str) {
-        for (at, w) in self.gauge_samples() {
-            reg.gauge_set(at, name, w.watts());
-        }
     }
 
     /// Clipped `(seconds, watts)` intervals covering `[from, to]`.
@@ -230,7 +159,7 @@ impl PowerTimeline {
     ///
     /// # Panics
     /// Panics if `to < from`.
-    pub fn stats_over(&self, from: SimTime, to: SimTime) -> TimelineStats {
+    pub(crate) fn stats_over(&self, from: SimTime, to: SimTime) -> TimelineStats {
         let mut intervals = self.clipped(from, to);
         let total: f64 = intervals.iter().map(|&(s, _)| s).sum();
         if total <= 0.0 {
@@ -317,15 +246,15 @@ mod tests {
     fn fine_cadence_reproduces_the_signal() {
         let p = square_profile();
         let tl = PowerTimeline::from_profile("m", &p, SimDuration::from_secs(1));
-        assert_eq!(tl.samples().len(), 180);
-        assert_eq!(tl.samples()[0].avg, Watts(100.0));
-        assert_eq!(tl.samples()[90].avg, Watts(300.0));
+        assert_eq!(tl.samples.len(), 180);
+        assert_eq!(tl.samples[0].avg, Watts(100.0));
+        assert_eq!(tl.samples[90].avg, Watts(300.0));
         assert_eq!(tl.end(), t(180));
         // Coarse cadence averages across the steps.
         let coarse = PowerTimeline::from_profile("m", &p, SimDuration::from_secs(90));
-        assert_eq!(coarse.samples().len(), 2);
+        assert_eq!(coarse.samples.len(), 2);
         assert!(
-            (coarse.samples()[0].avg.watts() - (60.0 * 100.0 + 30.0 * 300.0) / 90.0).abs() < 1e-9
+            (coarse.samples[0].avg.watts() - (60.0 * 100.0 + 30.0 * 300.0) / 90.0).abs() < 1e-9
         );
     }
 
@@ -347,55 +276,11 @@ mod tests {
     fn empty_profile_gives_empty_timeline_and_zero_stats() {
         let p = PowerProfile::from_meter_samples(t(5), vec![]);
         let tl = PowerTimeline::from_profile("m", &p, SimDuration::from_secs(60));
-        assert!(tl.is_empty());
+        assert!(tl.samples.is_empty());
         assert_eq!(tl.energy(), Joules::ZERO);
         let st = tl.stats();
         assert_eq!(st.peak, Watts::ZERO);
         assert_eq!(st.duration, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn phase_timeline_reconstruction_draws_model_power() {
-        use ivis_cluster::PhaseRecord;
-        let mut timeline = PhaseTimeline::new();
-        for (phase, start, end) in [
-            (JobPhase::Simulate, 0, 120),
-            (JobPhase::Visualize, 120, 150),
-            // 30 s gap, then a write.
-            (JobPhase::WriteOutput, 180, 240),
-        ] {
-            timeline.push(PhaseRecord {
-                phase,
-                start: t(start),
-                end: t(end),
-            });
-        }
-        let power = |p: JobPhase| match p {
-            JobPhase::Simulate => Watts(290.0),
-            JobPhase::Visualize => Watts(260.0),
-            JobPhase::WriteOutput => Watts(110.0),
-            _ => Watts(100.0),
-        };
-        let tl = PowerTimeline::from_phases("node", &timeline, power, SimDuration::from_secs(30));
-        // Energy: 120 s×290 + 30 s×260 + 30 s idle×100 + 60 s×110.
-        let expect = 120.0 * 290.0 + 30.0 * 260.0 + 30.0 * 100.0 + 60.0 * 110.0;
-        assert!((tl.energy().joules() - expect).abs() < 1e-6);
-        assert_eq!(tl.stats().peak, Watts(290.0));
-    }
-
-    #[test]
-    fn gauges_publish_the_step_signal() {
-        let p = square_profile();
-        let tl = PowerTimeline::from_profile("m", &p, SimDuration::from_secs(60));
-        let mut reg = MetricsRegistry::new();
-        tl.record_gauges(&mut reg, "power.compute_w");
-        let m = reg.get("power.compute_w").unwrap();
-        assert_eq!(m.series().value_at(t(30), 0.0), 100.0);
-        assert_eq!(m.series().value_at(t(90), 0.0), 300.0);
-        assert_eq!(m.last_value(), 100.0);
-        // The gauge's time-weighted mean equals the timeline's mean.
-        let mean = m.mean_over(SimTime::ZERO, t(180), 0.0);
-        assert!((mean - tl.stats().mean.watts()).abs() < 1e-9);
     }
 
     mod energy_conservation_props {
@@ -446,14 +331,6 @@ mod tests {
                     (got - want).abs() < tol,
                     "timeline {got} J vs energy_between {want} J"
                 );
-                // And the timeline's own energy_between tiles: a partition
-                // of the window sums back to the total.
-                let mid = SimTime::ZERO + SimDuration::from_secs(
-                    (tl.end() - tl.start()).as_secs_f64() as u64 / 2,
-                );
-                let parts = tl.energy_between(tl.start(), mid).joules()
-                    + tl.energy_between(mid, tl.end()).joules();
-                prop_assert!((parts - got).abs() < tol, "partition {parts} vs {got}");
             }
         }
     }

@@ -51,16 +51,6 @@ impl Field2D {
         self.ny
     }
 
-    /// Total element count.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` iff the field has no elements (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Value at column `i`, row `j`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -70,7 +60,7 @@ impl Field2D {
 
     /// Set the value at column `i`, row `j`.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.nx && j < self.ny);
         self.data[j * self.nx + i] = v;
     }
@@ -95,7 +85,7 @@ impl Field2D {
 
     /// Sum of all elements, over chunks of at least 1024 (see
     /// [`chunked_sum`]).
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         chunked_sum(&self.data, 1024, |x| x)
     }
 
@@ -146,7 +136,7 @@ mod tests {
     #[test]
     fn construction_and_access() {
         let mut f = Field2D::zeros(4, 3);
-        assert_eq!((f.nx(), f.ny(), f.len()), (4, 3, 12));
+        assert_eq!((f.nx(), f.ny(), f.data().len()), (4, 3, 12));
         f.set(2, 1, 7.5);
         assert_eq!(f.get(2, 1), 7.5);
         assert_eq!(f.get(0, 0), 0.0);

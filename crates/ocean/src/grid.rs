@@ -40,7 +40,8 @@ impl Grid {
     }
 
     /// Small grid for fast tests.
-    pub fn tiny() -> Self {
+    #[cfg(test)]
+    pub(crate) fn tiny() -> Self {
         Grid::channel(16, 12, 60_000.0)
     }
 
@@ -55,12 +56,12 @@ impl Grid {
     }
 
     /// Coriolis parameter at the center of row `j`.
-    pub fn coriolis(&self, j: usize) -> f64 {
+    pub(crate) fn coriolis(&self, j: usize) -> f64 {
         self.f0 + self.beta * (j as f64 + 0.5) * self.dy
     }
 
     /// Coriolis parameter at the y-face below row `j` (v-points).
-    pub fn coriolis_at_vface(&self, j: usize) -> f64 {
+    pub(crate) fn coriolis_at_vface(&self, j: usize) -> f64 {
         self.f0 + self.beta * j as f64 * self.dy
     }
 
@@ -76,7 +77,7 @@ impl Grid {
 
     /// The maximum stable timestep for gravity-wave speed `c = sqrt(gH)`
     /// under the forward–backward scheme (with a 0.5 safety factor).
-    pub fn max_stable_dt(&self, g: f64, depth: f64) -> f64 {
+    pub(crate) fn max_stable_dt(&self, g: f64, depth: f64) -> f64 {
         let c = (g * depth).sqrt();
         0.5 * self.dx.min(self.dy) / (c * std::f64::consts::SQRT_2)
     }
@@ -84,13 +85,13 @@ impl Grid {
     /// Per-row Coriolis parameter at cell centers, `f[j] = coriolis(j)` for
     /// `j in 0..ny`. The solver hoists this out of its per-cell hot loop;
     /// values are exactly [`Grid::coriolis`]'s, entry for entry.
-    pub fn coriolis_center_table(&self) -> Vec<f64> {
+    pub(crate) fn coriolis_center_table(&self) -> Vec<f64> {
         (0..self.ny).map(|j| self.coriolis(j)).collect()
     }
 
     /// Per-row Coriolis parameter at v-faces, `f[j] = coriolis_at_vface(j)`
     /// for `j in 0..=ny` (one entry per face row, walls included).
-    pub fn coriolis_vface_table(&self) -> Vec<f64> {
+    pub(crate) fn coriolis_vface_table(&self) -> Vec<f64> {
         (0..=self.ny).map(|j| self.coriolis_at_vface(j)).collect()
     }
 }

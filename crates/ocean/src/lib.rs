@@ -8,7 +8,7 @@
 //! an Arakawa C grid that spins up genuine eddies — plus the bookkeeping
 //! needed to reason about the paper-scale problem:
 //!
-//! * [`field`] — dense 2-D fields and their reductions.
+//! * `field` — dense 2-D fields and their reductions.
 //! * [`grid`] — the staggered C grid: spacing, periodicity, Coriolis
 //!   (β-plane).
 //! * [`shallow_water`] — the solver: forward–backward time stepping of the
@@ -17,7 +17,7 @@
 //! * [`vortex`] — seeding of geostrophically balanced Gaussian eddies.
 //! * [`mod@okubo_weiss`] — the W = s_n² + s_s² − ω² diagnostic the paper
 //!   visualizes (negative W = rotation-dominated = eddy core).
-//! * [`problem`] — the paper's problem specification (60 km grid, 30-minute
+//! * `problem` — the paper's problem specification (60 km grid, 30-minute
 //!   steps, six simulated months, sampling every 8/24/72 simulated hours)
 //!   and its derived counts (timesteps, outputs, raw bytes per output).
 //! * [`cost`] — the per-step wall-clock cost model of the 60 km problem on
@@ -25,15 +25,14 @@
 //!   t_sim = 603 s for 8640 steps.
 
 pub mod cost;
-pub mod field;
+pub(crate) mod field;
 pub mod grid;
 pub mod okubo_weiss;
-pub mod problem;
+pub(crate) mod problem;
 pub mod shallow_water;
 pub mod vortex;
 
 pub use field::Field2D;
 pub use grid::Grid;
-pub use okubo_weiss::okubo_weiss;
 pub use problem::{ProblemSpec, SamplingRate};
-pub use shallow_water::{ShallowWaterModel, SwParams, SwState};
+pub use shallow_water::{ShallowWaterModel, SwParams};

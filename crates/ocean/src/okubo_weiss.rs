@@ -135,7 +135,7 @@ mod tests {
         let thr = eddy_threshold(&w, 0.2);
         assert!(w.get(ci, cj) < thr, "core W={} thr={thr}", w.get(ci, cj));
         assert!(w.max() > 0.0, "strain ring expected");
-        let frac = w.data().iter().filter(|&&x| x < thr).count() as f64 / w.len() as f64;
+        let frac = w.data().iter().filter(|&&x| x < thr).count() as f64 / w.data().len() as f64;
         assert!(frac > 0.0 && frac < 0.5, "eddy fraction {frac}");
     }
 

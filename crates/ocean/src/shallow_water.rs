@@ -83,7 +83,7 @@ pub struct SwState {
 
 impl SwState {
     /// A state of rest.
-    pub fn rest(grid: &Grid) -> Self {
+    pub(crate) fn rest(grid: &Grid) -> Self {
         SwState {
             h: Field2D::zeros(grid.nx, grid.ny),
             u: Field2D::zeros(grid.nx, grid.ny),
@@ -170,7 +170,7 @@ impl ShallowWaterModel {
     }
 
     /// Current state (mutable, for seeding initial conditions).
-    pub fn state_mut(&mut self) -> &mut SwState {
+    pub(crate) fn state_mut(&mut self) -> &mut SwState {
         &mut self.state
     }
 

@@ -27,7 +27,7 @@ pub struct Vortex {
 impl Vortex {
     /// Surface elevation contribution at `(x, y)`, accounting for the
     /// basin's periodicity in x (width `lx`).
-    pub fn h_at(&self, x: f64, y: f64, lx: f64) -> f64 {
+    pub(crate) fn h_at(&self, x: f64, y: f64, lx: f64) -> f64 {
         let mut dx = (x - self.x).abs();
         if dx > lx / 2.0 {
             dx = lx - dx; // wrap through the periodic boundary
@@ -49,7 +49,7 @@ pub fn seed_vortex(model: &mut ShallowWaterModel, vortex: &Vortex) {
 }
 
 /// Add several balanced vortices at once.
-pub fn seed_vortices(model: &mut ShallowWaterModel, vortices: &[Vortex]) {
+pub(crate) fn seed_vortices(model: &mut ShallowWaterModel, vortices: &[Vortex]) {
     let grid = model.grid().clone();
     let g = model.params().g;
     let (lx, _) = grid.extent();

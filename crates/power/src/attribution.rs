@@ -27,12 +27,12 @@ pub struct EnergyBreakdown {
 
 impl EnergyBreakdown {
     /// Total of all components.
-    pub fn total(&self) -> Joules {
+    pub(crate) fn total(&self) -> Joules {
         self.cpu + self.dram + self.nic + self.platform
     }
 
     /// Element-wise accumulation.
-    pub fn add(&mut self, other: &EnergyBreakdown) {
+    pub(crate) fn add(&mut self, other: &EnergyBreakdown) {
         self.cpu += other.cpu;
         self.dram += other.dram;
         self.nic += other.nic;
@@ -52,7 +52,7 @@ pub struct EnergyAttributor {
 
 impl EnergyAttributor {
     /// Build from component models.
-    pub fn new(
+    pub(crate) fn new(
         cpu: CpuPower,
         sockets: usize,
         dram: DramPower,
@@ -128,11 +128,6 @@ impl PhaseEnergyLedger {
             .unwrap_or_default()
     }
 
-    /// All phases in first-charge order.
-    pub fn phases(&self) -> impl Iterator<Item = (&str, &EnergyBreakdown)> {
-        self.entries.iter().map(|(p, b)| (p.as_str(), b))
-    }
-
     /// Grand total.
     pub fn total(&self) -> Joules {
         self.entries.iter().map(|(_, b)| b.total()).sum()
@@ -205,7 +200,6 @@ mod tests {
         let sim = ledger.phase("simulate");
         let write = ledger.phase("write");
         assert!(sim.total() > write.total());
-        assert_eq!(ledger.phases().count(), 2);
         assert!((ledger.total().joules() - (sim.total() + write.total()).joules()).abs() < 1e-9);
         assert_eq!(ledger.phase("missing"), EnergyBreakdown::default());
     }

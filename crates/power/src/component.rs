@@ -9,19 +9,9 @@
 use crate::units::Watts;
 
 /// A component that converts utilization into power draw.
-pub trait PowerComponent {
+pub(crate) trait PowerComponent {
     /// Power at utilization `u` (clamped into `[0, 1]`).
     fn power(&self, u: f64) -> Watts;
-
-    /// Idle power (`u = 0`).
-    fn idle(&self) -> Watts {
-        self.power(0.0)
-    }
-
-    /// Peak power (`u = 1`).
-    fn peak(&self) -> Watts {
-        self.power(1.0)
-    }
 }
 
 fn clamp_unit(u: f64) -> f64 {
@@ -34,7 +24,7 @@ fn clamp_unit(u: f64) -> f64 {
 
 /// CPU socket power: `P = idle + (max − idle) · u^gamma`.
 #[derive(Debug, Clone)]
-pub struct CpuPower {
+pub(crate) struct CpuPower {
     idle: Watts,
     max: Watts,
     gamma: f64,
@@ -45,7 +35,7 @@ impl CpuPower {
     ///
     /// # Panics
     /// Panics if `max < idle` or `gamma <= 0`.
-    pub fn new(idle: Watts, max: Watts, gamma: f64) -> Self {
+    pub(crate) fn new(idle: Watts, max: Watts, gamma: f64) -> Self {
         assert!(max.watts() >= idle.watts(), "max power below idle power");
         assert!(gamma > 0.0, "gamma must be positive");
         CpuPower { idle, max, gamma }
@@ -53,7 +43,7 @@ impl CpuPower {
 
     /// An Intel E5-2670 (Sandy Bridge EP, 115 W TDP) socket: ~18 W idle,
     /// ~110 W fully loaded, with the usual sub-linear knee.
-    pub fn e5_2670() -> Self {
+    pub(crate) fn e5_2670() -> Self {
         CpuPower::new(Watts(18.0), Watts(110.0), 0.66)
     }
 }
@@ -67,20 +57,20 @@ impl PowerComponent for CpuPower {
 
 /// DRAM power: affine in access intensity.
 #[derive(Debug, Clone)]
-pub struct DramPower {
+pub(crate) struct DramPower {
     idle: Watts,
     max: Watts,
 }
 
 impl DramPower {
     /// Create an affine DRAM model.
-    pub fn new(idle: Watts, max: Watts) -> Self {
+    pub(crate) fn new(idle: Watts, max: Watts) -> Self {
         assert!(max.watts() >= idle.watts(), "max power below idle power");
         DramPower { idle, max }
     }
 
     /// 64 GB of DDR3 (8 × 8 GB RDIMMs): ~12 W idle, ~30 W at full streaming.
-    pub fn ddr3_64gb() -> Self {
+    pub(crate) fn ddr3_64gb() -> Self {
         DramPower::new(Watts(12.0), Watts(30.0))
     }
 }
@@ -94,20 +84,20 @@ impl PowerComponent for DramPower {
 
 /// NIC/HCA power: nearly flat (InfiniBand QDR HCAs idle hot).
 #[derive(Debug, Clone)]
-pub struct NicPower {
+pub(crate) struct NicPower {
     idle: Watts,
     max: Watts,
 }
 
 impl NicPower {
     /// Create an affine NIC model.
-    pub fn new(idle: Watts, max: Watts) -> Self {
+    pub(crate) fn new(idle: Watts, max: Watts) -> Self {
         assert!(max.watts() >= idle.watts(), "max power below idle power");
         NicPower { idle, max }
     }
 
     /// QLogic InfiniBand QDR HCA: ~8 W idle, ~11 W at line rate.
-    pub fn ib_qdr() -> Self {
+    pub(crate) fn ib_qdr() -> Self {
         NicPower::new(Watts(8.0), Watts(11.0))
     }
 }
@@ -122,7 +112,7 @@ impl PowerComponent for NicPower {
 /// A fixed overhead (fans, VRMs, boards) plus a PSU conversion-loss factor
 /// applied to the sum of all downstream components.
 #[derive(Debug, Clone)]
-pub struct PsuOverhead {
+pub(crate) struct PsuOverhead {
     /// Constant platform draw: fans, baseboard, voltage regulators.
     pub fixed: Watts,
     /// PSU efficiency in `(0, 1]`; wall power = dc power / efficiency.
@@ -134,7 +124,7 @@ impl PsuOverhead {
     ///
     /// # Panics
     /// Panics if efficiency is not in `(0, 1]`.
-    pub fn new(fixed: Watts, efficiency: f64) -> Self {
+    pub(crate) fn new(fixed: Watts, efficiency: f64) -> Self {
         assert!(
             efficiency > 0.0 && efficiency <= 1.0,
             "efficiency must be in (0,1]"
@@ -143,7 +133,7 @@ impl PsuOverhead {
     }
 
     /// Wall power needed to deliver `dc` to the components.
-    pub fn wall_power(&self, dc: Watts) -> Watts {
+    pub(crate) fn wall_power(&self, dc: Watts) -> Watts {
         (dc + self.fixed) / self.efficiency
     }
 }
@@ -155,8 +145,8 @@ mod tests {
     #[test]
     fn cpu_curve_endpoints() {
         let cpu = CpuPower::e5_2670();
-        assert_eq!(cpu.idle(), Watts(18.0));
-        assert_eq!(cpu.peak(), Watts(110.0));
+        assert_eq!(cpu.power(0.0), Watts(18.0));
+        assert_eq!(cpu.power(1.0), Watts(110.0));
     }
 
     #[test]

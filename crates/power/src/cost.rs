@@ -21,7 +21,7 @@ impl EnergyPrice {
     ///
     /// # Panics
     /// Panics on a non-finite or negative price.
-    pub fn per_kwh(dollars: f64) -> Self {
+    pub(crate) fn per_kwh(dollars: f64) -> Self {
         assert!(dollars.is_finite() && dollars >= 0.0, "bad price");
         EnergyPrice {
             dollars_per_kwh: dollars,
@@ -52,7 +52,7 @@ pub struct MachineTimePrice {
 
 impl MachineTimePrice {
     /// Cost of occupying the allocation for `d`.
-    pub fn cost_of(&self, d: SimDuration) -> f64 {
+    pub(crate) fn cost_of(&self, d: SimDuration) -> f64 {
         self.dollars_per_node_hour * self.nodes as f64 * d.as_secs_f64() / 3_600.0
     }
 }
@@ -95,8 +95,7 @@ mod tests {
     fn rule_of_thumb_matches_headline() {
         // 1 MW for a year should cost ~$1M under the paper's rule.
         let price = EnergyPrice::paper_rule_of_thumb();
-        let annual =
-            price.cost_of(Watts::from_kilowatts(1_000.0).over(SimDuration::from_hours(24 * 365)));
+        let annual = price.cost_of(Watts(1_000_000.0).over(SimDuration::from_hours(24 * 365)));
         assert!((annual - 1.0e6).abs() / 1.0e6 < 0.01, "annual = {annual}");
     }
 

@@ -4,7 +4,7 @@
 //!
 //! * [`units`] — `Watts` / `Joules` newtypes with dimensional arithmetic
 //!   (`P × Δt = E`).
-//! * [`component`] — per-component power models (CPU with a
+//! * `component` — per-component power models (CPU with a
 //!   utilization→power curve, DRAM, NIC, PSU overhead) composable into
 //!   a node model.
 //! * [`node`] — node-level power models, including the calibrated *Caddy*
@@ -20,15 +20,10 @@
 //!   compute: +193 %).
 
 pub mod attribution;
-pub mod component;
+pub(crate) mod component;
 pub mod cost;
 pub mod meter;
 pub mod node;
 pub mod profile;
 pub mod proportionality;
 pub mod units;
-
-pub use meter::MeteredPdu;
-pub use node::NodePowerModel;
-pub use profile::PowerProfile;
-pub use units::{Joules, Watts};

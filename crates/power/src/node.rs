@@ -60,15 +60,6 @@ impl NodeLoad {
         mem: 0.7,
         nic: 0.2,
     };
-
-    /// Uniform load `u` on every component.
-    pub fn uniform(u: f64) -> NodeLoad {
-        NodeLoad {
-            cpu: u,
-            mem: u,
-            nic: u,
-        }
-    }
 }
 
 /// A calibrated whole-node power model.
@@ -87,7 +78,7 @@ pub struct NodePowerModel {
 
 impl NodePowerModel {
     /// Build an uncalibrated model (calibration is the identity).
-    pub fn from_components(
+    pub(crate) fn from_components(
         cpu: CpuPower,
         sockets: usize,
         dram: DramPower,
@@ -217,7 +208,14 @@ mod tests {
         let node = NodePowerModel::caddy();
         let mut prev = 0.0;
         for i in 0..=10 {
-            let p = node.power(NodeLoad::uniform(i as f64 / 10.0)).watts();
+            let u = i as f64 / 10.0;
+            let p = node
+                .power(NodeLoad {
+                    cpu: u,
+                    mem: u,
+                    nic: u,
+                })
+                .watts();
             assert!(p >= prev);
             prev = p;
         }

@@ -44,7 +44,7 @@ impl PowerProfile {
     }
 
     /// Window length.
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.end() - self.start
     }
 
@@ -141,36 +141,6 @@ impl PowerProfile {
             .unwrap_or(Watts::ZERO)
     }
 
-    /// Pointwise sum of two profiles over the same window — e.g. adding the
-    /// compute and storage profiles into the total the paper plots.
-    ///
-    /// # Panics
-    /// Panics if the windows or sampling instants differ.
-    pub fn sum(&self, other: &PowerProfile) -> PowerProfile {
-        assert_eq!(self.start, other.start, "profile windows differ");
-        assert_eq!(
-            self.samples.len(),
-            other.samples.len(),
-            "profile sample counts differ"
-        );
-        let samples = self
-            .samples
-            .iter()
-            .zip(&other.samples)
-            .map(|(a, b)| {
-                assert_eq!(a.at, b.at, "profile sampling instants differ");
-                MeterSample {
-                    at: a.at,
-                    avg: a.avg + b.avg,
-                }
-            })
-            .collect();
-        PowerProfile {
-            start: self.start,
-            samples,
-        }
-    }
-
     /// Render the profile as `(minutes_since_start, watts)` rows, the shape
     /// plotted in the paper's Fig. 4.
     pub fn as_rows(&self) -> Vec<(f64, f64)> {
@@ -247,29 +217,6 @@ mod tests {
         let e = 100.0 * 60.0 + 400.0 * 30.0;
         assert!((p.energy().joules() - e).abs() < 1e-9);
         assert!((p.average_power().watts() - e / 90.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sum_profiles() {
-        let a = PowerProfile::from_meter_samples(
-            SimTime::ZERO,
-            vec![sample(60, 44_000.0), sample(120, 15_000.0)],
-        );
-        let b = PowerProfile::from_meter_samples(
-            SimTime::ZERO,
-            vec![sample(60, 2_300.0), sample(120, 2_273.0)],
-        );
-        let s = a.sum(&b);
-        assert_eq!(s.samples()[0].avg, Watts(46_300.0));
-        assert_eq!(s.samples()[1].avg, Watts(17_273.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "windows differ")]
-    fn sum_rejects_mismatched_windows() {
-        let a = PowerProfile::from_meter_samples(SimTime::ZERO, vec![sample(60, 1.0)]);
-        let b = PowerProfile::from_meter_samples(t(1), vec![sample(61, 1.0)]);
-        let _ = a.sum(&b);
     }
 
     #[test]

@@ -21,11 +21,6 @@ impl Watts {
     /// Zero power.
     pub const ZERO: Watts = Watts(0.0);
 
-    /// Construct from kilowatts.
-    pub fn from_kilowatts(kw: f64) -> Self {
-        Watts(kw * 1_000.0)
-    }
-
     /// Value in kilowatts.
     pub fn kilowatts(self) -> f64 {
         self.0 / 1_000.0
@@ -42,7 +37,7 @@ impl Watts {
     }
 
     /// Clamp to a non-negative value (power models never emit negative draw).
-    pub fn clamp_non_negative(self) -> Watts {
+    pub(crate) fn clamp_non_negative(self) -> Watts {
         Watts(self.0.max(0.0))
     }
 }
@@ -58,7 +53,7 @@ impl Joules {
 
     /// Value in kilowatt-hours (the billing unit behind the paper's
     /// "energy bills" framing).
-    pub fn kilowatt_hours(self) -> f64 {
+    pub(crate) fn kilowatt_hours(self) -> f64 {
         self.0 / 3.6e6
     }
 
@@ -188,7 +183,6 @@ mod tests {
 
     #[test]
     fn kilowatt_conversions() {
-        assert_eq!(Watts::from_kilowatts(44.0).watts(), 44_000.0);
         assert!((Watts(2302.0).kilowatts() - 2.302).abs() < 1e-12);
     }
 

@@ -11,7 +11,7 @@
 
 /// What happened when a request joined the batcher.
 #[derive(Debug, PartialEq, Eq)]
-pub enum BatchAdd {
+pub(crate) enum BatchAdd {
     /// The request opened a fresh batch: the reactor must schedule a
     /// deadline for this id, one window from now.
     Opened(u64),
@@ -24,7 +24,7 @@ pub enum BatchAdd {
 
 /// A batch ready for service.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClosedBatch {
+pub(crate) struct ClosedBatch {
     /// Monotonic batch id (also the deadline-event key).
     pub id: u64,
     /// Request ids in arrival order.
@@ -33,12 +33,10 @@ pub struct ClosedBatch {
 
 /// The accumulator for the single open batch.
 #[derive(Debug, Default)]
-pub struct Batcher {
+pub(crate) struct Batcher {
     max_batch: usize,
     open: Option<ClosedBatch>,
     next_id: u64,
-    batches_closed: u64,
-    max_fill: usize,
 }
 
 impl Batcher {
@@ -47,7 +45,7 @@ impl Batcher {
     /// # Panics
     /// Panics if `max_batch` is zero — a zero-member batch can never
     /// close.
-    pub fn new(max_batch: usize) -> Self {
+    pub(crate) fn new(max_batch: usize) -> Self {
         assert!(max_batch > 0, "max_batch must be positive");
         Batcher {
             max_batch,
@@ -56,7 +54,7 @@ impl Batcher {
     }
 
     /// Add a request to the open batch, opening one if needed.
-    pub fn add(&mut self, request: u32) -> BatchAdd {
+    pub(crate) fn add(&mut self, request: u32) -> BatchAdd {
         match &mut self.open {
             None => {
                 let id = self.next_id;
@@ -66,14 +64,14 @@ impl Batcher {
                     members: vec![request],
                 });
                 if self.max_batch == 1 {
-                    return BatchAdd::Full(self.take().expect("just opened"));
+                    return BatchAdd::Full(self.open.take().expect("just opened"));
                 }
                 BatchAdd::Opened(id)
             }
             Some(batch) => {
                 batch.members.push(request);
                 if batch.members.len() >= self.max_batch {
-                    BatchAdd::Full(self.take().expect("open and full"))
+                    BatchAdd::Full(self.open.take().expect("open and full"))
                 } else {
                     BatchAdd::Joined
                 }
@@ -84,34 +82,12 @@ impl Batcher {
     /// Close the open batch if it is the one the deadline `id` was
     /// scheduled for. A stale deadline (batch already closed by fill)
     /// returns `None` and changes nothing.
-    pub fn close_deadline(&mut self, id: u64) -> Option<ClosedBatch> {
+    pub(crate) fn close_deadline(&mut self, id: u64) -> Option<ClosedBatch> {
         if self.open.as_ref().is_some_and(|b| b.id == id) {
-            self.take()
+            self.open.take()
         } else {
             None
         }
-    }
-
-    /// Close whatever is open (end-of-run drain).
-    pub fn drain(&mut self) -> Option<ClosedBatch> {
-        self.take()
-    }
-
-    fn take(&mut self) -> Option<ClosedBatch> {
-        let b = self.open.take()?;
-        self.batches_closed += 1;
-        self.max_fill = self.max_fill.max(b.members.len());
-        Some(b)
-    }
-
-    /// Batches closed so far.
-    pub fn batches_closed(&self) -> u64 {
-        self.batches_closed
-    }
-
-    /// Largest batch closed so far.
-    pub fn max_fill(&self) -> usize {
-        self.max_fill
     }
 }
 
@@ -134,8 +110,6 @@ mod tests {
         assert_eq!(b.add(3), BatchAdd::Opened(1));
         let partial = b.close_deadline(1).expect("deadline closes open batch");
         assert_eq!(partial.members, vec![3]);
-        assert_eq!(b.batches_closed(), 2);
-        assert_eq!(b.max_fill(), 3);
     }
 
     #[test]
@@ -145,15 +119,6 @@ mod tests {
             panic!("size-1 batches close on arrival")
         };
         assert_eq!(f.members, vec![7]);
-        assert_eq!(b.drain(), None);
-    }
-
-    #[test]
-    fn drain_flushes_the_tail() {
-        let mut b = Batcher::new(8);
-        let _ = b.add(1);
-        let _ = b.add(2);
-        assert_eq!(b.drain().unwrap().members, vec![1, 2]);
-        assert_eq!(b.drain(), None);
+        assert_eq!(b.open, None);
     }
 }

@@ -12,15 +12,13 @@ use std::rc::Rc;
 
 use ivis_model::WhatIfRequest;
 
-/// A bounded, counting memo table from canonical keys to rendered
+/// A bounded memo table from canonical keys to rendered
 /// response bodies.
 #[derive(Debug, Default)]
 pub struct MemoCache {
     capacity: usize,
     map: HashMap<WhatIfRequest, Rc<Vec<u8>>>,
     order: VecDeque<WhatIfRequest>,
-    hits: u64,
-    misses: u64,
 }
 
 impl MemoCache {
@@ -32,23 +30,12 @@ impl MemoCache {
             capacity,
             map: HashMap::with_capacity(capacity.min(4096)),
             order: VecDeque::new(),
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// Look up a key, counting the outcome.
-    pub fn get(&mut self, key: &WhatIfRequest) -> Option<Rc<Vec<u8>>> {
-        match self.map.get(key) {
-            Some(v) => {
-                self.hits += 1;
-                Some(Rc::clone(v))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    /// Look up a key.
+    pub fn get(&self, key: &WhatIfRequest) -> Option<Rc<Vec<u8>>> {
+        self.map.get(key).map(Rc::clone)
     }
 
     /// Insert a freshly evaluated body, evicting the oldest insertion
@@ -64,26 +51,6 @@ impl MemoCache {
                 self.map.remove(&evicted);
             }
         }
-    }
-
-    /// Lookups that found a body.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that did not.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Bodies currently held.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -102,12 +69,11 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_counting_and_round_trip() {
+    fn round_trip() {
         let mut c = MemoCache::new(8);
         assert!(c.get(&key(1.0)).is_none());
         c.insert(key(1.0), body("a"));
         assert_eq!(c.get(&key(1.0)).unwrap().as_slice(), b"a");
-        assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 
     #[test]
@@ -119,7 +85,7 @@ mod tests {
         assert!(c.get(&key(1.0)).is_none());
         assert!(c.get(&key(2.0)).is_some());
         assert!(c.get(&key(3.0)).is_some());
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
     }
 
     #[test]
@@ -127,8 +93,7 @@ mod tests {
         let mut c = MemoCache::new(0);
         c.insert(key(1.0), body("a"));
         assert!(c.get(&key(1.0)).is_none());
-        assert!(c.is_empty());
-        assert_eq!(c.hits(), 0);
+        assert!(c.map.is_empty());
     }
 
     #[test]
@@ -140,6 +105,6 @@ mod tests {
         c.insert(key(3.0), body("c"));
         // key(1.0) was the oldest single entry; it must be the one gone.
         assert!(c.get(&key(1.0)).is_none());
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
     }
 }

@@ -195,7 +195,7 @@ impl HttpResponse {
 
     /// Typed 503: the backpressure response, carrying the shed reason
     /// and a deterministic `Retry-After`.
-    pub fn unavailable(reason: &str, retry_after_s: u32) -> Self {
+    pub(crate) fn unavailable(reason: &str, retry_after_s: u32) -> Self {
         HttpResponse {
             status: 503,
             content_type: "text/plain",

@@ -15,35 +15,34 @@
 //! arrivals, batch deadlines and service completions are simulated
 //! events, while parsing, evaluation, lookup and serialization are real
 //! computation over real bytes. Service durations come from an integer
-//! [`CostModel`], so every latency percentile, counter and response
+//! `CostModel`, so every latency percentile, counter and response
 //! digest is a pure function of the schedule and configuration —
 //! bit-identical across hosts, runs and shim thread counts. That is
 //! what lets CI gate on the numbers.
 //!
 //! Layout:
 //!
-//! * [`http`] — minimal deterministic HTTP/1.1 parse/serialize;
-//! * [`cache`] — bounded FIFO memoization of what-if bodies;
-//! * [`shard`] — sharded timestep index over the Cinema database;
-//! * [`batch`] — the micro-batch accumulator;
-//! * [`load`] — seeded load-schedule generation;
+//! * `http` — minimal deterministic HTTP/1.1 parse/serialize;
+//! * `cache` — bounded FIFO memoization of what-if bodies;
+//! * `shard` — sharded timestep index over the Cinema database;
+//! * `batch` — the micro-batch accumulator;
+//! * `load` — seeded load-schedule generation;
 //! * `num` — byte-exact `{:.6}` / `{:.9e}` / `{}` writers for bodies;
-//! * [`server`] — the reactor, [`Server::run_load`] and [`LoadReport`].
+//! * `server` — the reactor, [`Server::run_load`] and [`LoadReport`].
 
-pub mod batch;
-pub mod cache;
-pub mod http;
-pub mod load;
+pub(crate) mod batch;
+pub(crate) mod cache;
+pub(crate) mod http;
+pub(crate) mod load;
 mod num;
-pub mod server;
-pub mod shard;
+pub(crate) mod server;
+pub(crate) mod shard;
 
-pub use batch::{BatchAdd, Batcher, ClosedBatch};
 pub use cache::MemoCache;
-pub use http::{format_get, parse_request, HttpError, HttpRequest, HttpResponse};
+pub use http::{format_get, parse_request, HttpRequest, HttpResponse};
 pub use load::{LoadMix, LoadSchedule};
 pub use server::{
-    expected_whatif_response, frame_target, render_whatif_body, whatif_target, Class, ClassStats,
-    CostModel, LoadReport, ServeStats, Server, ServerConfig, ShedReason,
+    expected_whatif_response, frame_target, render_whatif_body, whatif_target, LoadReport,
+    ServeStats, Server, ServerConfig,
 };
 pub use shard::ShardedFrameIndex;

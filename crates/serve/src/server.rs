@@ -146,7 +146,7 @@ impl Default for ServerConfig {
 
 /// Why a request was shed with a 503.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
+pub(crate) enum ShedReason {
     /// The connection budget was exhausted at arrival.
     Connections,
     /// The service queue was full when the work unit was submitted.
@@ -155,7 +155,7 @@ pub enum ShedReason {
 
 impl ShedReason {
     /// Stable label used in 503 bodies and trace events.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ShedReason::Connections => "connection budget exhausted",
             ShedReason::QueueFull => "queue full",
@@ -165,7 +165,7 @@ impl ShedReason {
 
 /// Latency class a finished request is accounted under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Class {
+pub(crate) enum Class {
     /// `/whatif` — model evaluations (batched).
     WhatIf,
     /// `/frame` — Cinema lookups.
@@ -322,15 +322,6 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Fraction of requests shed, 0..=1.
-    pub fn shed_fraction(&self) -> f64 {
-        if self.stats.requests == 0 {
-            0.0
-        } else {
-            self.stats.shed() as f64 / self.stats.requests as f64
-        }
-    }
-
     /// The stats digest plus per-class percentiles — one comparable line.
     pub fn digest(&self) -> String {
         format!(

@@ -36,7 +36,7 @@ impl ShardedFrameIndex {
     }
 
     /// Which shard holds `timestep`.
-    pub fn shard_of(&self, timestep: u64) -> usize {
+    pub(crate) fn shard_of(&self, timestep: u64) -> usize {
         (timestep % self.shards.len() as u64) as usize
     }
 
@@ -54,13 +54,9 @@ impl ShardedFrameIndex {
     }
 
     /// Total frames indexed (sum over shards).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.shards.iter().map(Vec::len).sum()
-    }
-
-    /// Whether the index holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(Vec::is_empty)
     }
 }
 
@@ -133,6 +129,6 @@ mod tests {
         let idx = ShardedFrameIndex::build(&db, 0);
         assert_eq!(idx.shards.len(), 1);
         assert!(idx.lookup(&db, 16).is_some());
-        assert!(!idx.is_empty());
+        assert_eq!(idx.len(), 4);
     }
 }

@@ -43,7 +43,7 @@ struct Entry<T> {
 
 /// A slab of event payloads with O(1) insert/remove and generation-checked
 /// handles. See the module docs for the role it plays in the engine.
-pub struct EventArena<T> {
+pub(crate) struct EventArena<T> {
     entries: Vec<Entry<T>>,
     free_head: u32,
 }
@@ -51,7 +51,7 @@ pub struct EventArena<T> {
 impl<T> EventArena<T> {
     /// An arena with `cap` slots pre-reserved, so the first `cap`
     /// concurrent events never grow the slab.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         EventArena {
             entries: Vec::with_capacity(cap),
             free_head: u32::MAX,
@@ -62,7 +62,7 @@ impl<T> EventArena<T> {
     ///
     /// # Panics
     /// Panics if the arena would exceed `u32::MAX - 1` slots.
-    pub fn insert(&mut self, value: T) -> EventHandle {
+    pub(crate) fn insert(&mut self, value: T) -> EventHandle {
         if self.free_head != u32::MAX {
             let index = self.free_head;
             let entry = &mut self.entries[index as usize];
@@ -92,7 +92,7 @@ impl<T> EventArena<T> {
     /// Take the payload behind `handle`, freeing its slot. Returns `None`
     /// if the handle is stale (already fired or cancelled) — never panics,
     /// which is what lazy cancellation relies on.
-    pub fn remove(&mut self, handle: EventHandle) -> Option<T> {
+    pub(crate) fn remove(&mut self, handle: EventHandle) -> Option<T> {
         let entry = self.entries.get_mut(handle.index as usize)?;
         if entry.generation != handle.generation || !matches!(entry.slot, Slot::Occupied(_)) {
             return None;

@@ -102,7 +102,7 @@ impl<E> DesEngine<E> {
     ///
     /// # Panics
     /// Panics with "simulated time overflow" if the current time plus
-    /// `delay` is past [`SimTime::MAX`].
+    /// `delay` is past `SimTime::MAX`.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventHandle {
         self.schedule_at(self.now + delay, event)
     }

@@ -46,7 +46,7 @@ impl<W> Ord for Scheduled<W> {
 ///
 /// The simulation owns only the clock and the event calendar; all domain
 /// state lives in `W`, which is threaded through every event by `&mut`.
-pub struct Simulation<W> {
+pub(crate) struct Simulation<W> {
     now: SimTime,
     seq: u64,
     executed: u64,
@@ -61,7 +61,7 @@ impl<W> Default for Simulation<W> {
 
 impl<W> Simulation<W> {
     /// Create an empty simulation with the clock at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Simulation {
             now: SimTime::ZERO,
             seq: 0,
@@ -71,17 +71,17 @@ impl<W> Simulation<W> {
     }
 
     /// The current simulated time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
     /// Number of events executed so far.
-    pub fn events_executed(&self) -> u64 {
+    pub(crate) fn events_executed(&self) -> u64 {
         self.executed
     }
 
     /// Number of events still pending.
-    pub fn events_pending(&self) -> usize {
+    pub(crate) fn events_pending(&self) -> usize {
         self.queue.len()
     }
 
@@ -89,7 +89,7 @@ impl<W> Simulation<W> {
     ///
     /// # Panics
     /// Panics if `at` is in the past (before the current clock).
-    pub fn schedule_at(
+    pub(crate) fn schedule_at(
         &mut self,
         at: SimTime,
         action: impl FnOnce(&mut Simulation<W>, &mut W) + 'static,
@@ -109,7 +109,7 @@ impl<W> Simulation<W> {
     }
 
     /// Schedule an event `delay` after the current time.
-    pub fn schedule_in(
+    pub(crate) fn schedule_in(
         &mut self,
         delay: SimDuration,
         action: impl FnOnce(&mut Simulation<W>, &mut W) + 'static,
@@ -118,14 +118,14 @@ impl<W> Simulation<W> {
     }
 
     /// Run until the calendar is empty. Returns the final clock value.
-    pub fn run(&mut self, world: &mut W) -> SimTime {
+    pub(crate) fn run(&mut self, world: &mut W) -> SimTime {
         self.run_until(world, SimTime::MAX)
     }
 
     /// Run until the calendar is empty or the next event lies beyond
     /// `deadline`. The clock is left at the last executed event (or at
     /// `deadline` if events beyond it remain pending).
-    pub fn run_until(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
+    pub(crate) fn run_until(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
         while let Some(head) = self.queue.peek() {
             if head.at > deadline {
                 self.now = deadline;
@@ -142,7 +142,7 @@ impl<W> Simulation<W> {
 
     /// Execute at most one pending event. Returns `false` if the calendar is
     /// empty.
-    pub fn step(&mut self, world: &mut W) -> bool {
+    pub(crate) fn step(&mut self, world: &mut W) -> bool {
         match self.queue.pop() {
             None => false,
             Some(ev) => {

@@ -16,26 +16,26 @@
 //! * [`resource`] — analytic queueing servers: a processor-sharing
 //!   [`resource::FairShareServer`] (models bandwidth-shared storage servers)
 //!   and a FIFO [`resource::FcfsServer`] (models metadata servers).
-//! * [`rng`] — the workspace's one deterministic PRNG, small and
+//! * `rng` — the workspace's one deterministic PRNG, small and
 //!   dependency-free (SplitMix64-seeded xoshiro256++) with uniform and
 //!   normal samplers, so simulated measurements, eddy seeds and load
 //!   schedules are reproducible across runs and platforms.
 //! * [`stats`] — the workspace's one percentile.
-//! * [`trace`] — time-series recording with step-function integration and
+//! * `trace` — time-series recording with step-function integration and
 //!   fixed-interval resampling (this is what the simulated power meters use).
 //!
 //! The engine contains no I/O and no global state; every simulation is a
 //! value.
 
 mod arena;
-pub mod engine;
+pub(crate) mod engine;
 #[cfg(test)]
 mod event;
 pub mod resource;
-pub mod rng;
+pub(crate) mod rng;
 pub mod stats;
-pub mod time;
-pub mod trace;
+pub(crate) mod time;
+pub(crate) mod trace;
 
 pub use arena::EventHandle;
 pub use engine::DesEngine;

@@ -7,9 +7,6 @@
 //! * [`FcfsServer`] — a single first-come-first-served server with explicit
 //!   per-request service times. This models a metadata server (MDS) handling
 //!   opens/creates serially.
-//!
-//! Both servers track their cumulative busy time so callers can compute
-//! utilization over any window, which the power models consume.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -57,7 +54,6 @@ pub struct FairShareServer {
     next_id: u64,
     active: Vec<PsJob>,
     pending: Vec<Completion>,
-    busy: SimDuration,
     work_done: f64,
 }
 
@@ -77,30 +73,19 @@ impl FairShareServer {
             next_id: 0,
             active: Vec::new(),
             pending: Vec::new(),
-            busy: SimDuration::ZERO,
             work_done: 0.0,
         }
     }
 
     /// The configured capacity in work units per second.
-    pub fn capacity(&self) -> f64 {
+    #[cfg(test)]
+    fn capacity(&self) -> f64 {
         self.capacity
-    }
-
-    /// Total time the server has spent with at least one active job,
-    /// up to its internal clock.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
     }
 
     /// Total work completed so far.
     pub fn work_done(&self) -> f64 {
         self.work_done
-    }
-
-    /// Internal clock (the latest time the server state reflects).
-    pub fn clock(&self) -> SimTime {
-        self.clock
     }
 
     /// Change the service capacity at time `t` — e.g. a bandwidth brownout
@@ -159,7 +144,7 @@ impl FairShareServer {
     /// nearest could leave a sub-microsecond residue of work that never
     /// completes, stalling the drain loops. Ceiling guarantees that
     /// advancing to the returned time retires at least the smallest job.
-    pub fn next_completion_at(&self) -> Option<SimTime> {
+    pub(crate) fn next_completion_at(&self) -> Option<SimTime> {
         let min_rem = self
             .active
             .iter()
@@ -229,107 +214,39 @@ impl FairShareServer {
                 j.remaining -= per_job.min(j.remaining);
                 self.work_done += used;
             }
-            self.busy += t - self.clock;
         }
         self.clock = t;
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct FcfsJob {
-    id: JobId,
-    completes_at: SimTime,
-}
-
 /// A single FCFS server: requests are served one at a time in arrival order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FcfsServer {
     clock: SimTime,
-    next_id: u64,
     /// Time at which the server becomes free of all queued work.
     free_at: SimTime,
-    pending: Vec<FcfsJob>,
-    busy: SimDuration,
-    served: u64,
-}
-
-impl Default for FcfsServer {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl FcfsServer {
     /// Create an idle server with its clock at zero.
     pub fn new() -> Self {
-        FcfsServer {
-            clock: SimTime::ZERO,
-            next_id: 0,
-            free_at: SimTime::ZERO,
-            pending: Vec::new(),
-            busy: SimDuration::ZERO,
-            served: 0,
-        }
+        Self::default()
     }
 
-    /// Submit a request at `now` requiring `service` time. Returns the job id
-    /// and the time at which the request will complete (after queueing).
+    /// Submit a request at `now` requiring `service` time. Returns the time
+    /// at which the request will complete (after queueing).
     ///
     /// # Panics
     /// Panics if `now` precedes the server clock.
-    pub fn submit(&mut self, now: SimTime, service: SimDuration) -> (JobId, SimTime) {
+    pub fn submit(&mut self, now: SimTime, service: SimDuration) -> SimTime {
         assert!(
             now >= self.clock,
             "submit at {now} precedes server clock {}",
             self.clock
         );
         self.clock = now;
-        let start = self.free_at.max(now);
-        let completes_at = start + service;
-        self.free_at = completes_at;
-        self.busy += service;
-        let id = JobId(self.next_id);
-        self.next_id += 1;
-        self.pending.push(FcfsJob { id, completes_at });
-        (id, completes_at)
-    }
-
-    /// Collect completions up to and including `t`, in completion order.
-    pub fn drain_until(&mut self, t: SimTime) -> Vec<Completion> {
-        self.clock = self.clock.max(t);
-        let mut done: Vec<Completion> = self
-            .pending
-            .iter()
-            .filter(|j| j.completes_at <= t)
-            .map(|j| Completion {
-                job: j.id,
-                at: j.completes_at,
-            })
-            .collect();
-        done.sort_by_key(|c| c.at);
-        self.pending.retain(|j| j.completes_at > t);
-        self.served += done.len() as u64;
-        done
-    }
-
-    /// The time at which all queued work completes.
-    pub fn free_at(&self) -> SimTime {
+        self.free_at = self.free_at.max(now) + service;
         self.free_at
-    }
-
-    /// Cumulative busy (service) time.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Requests fully served so far (i.e. drained).
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Requests submitted but not yet drained.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -344,7 +261,6 @@ mod tests {
         let done = srv.drain_until(SimTime::from_secs(10));
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].at, SimTime::from_secs(2));
-        assert_eq!(srv.busy_time(), SimDuration::from_secs(2));
     }
 
     #[test]
@@ -413,16 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_time_excludes_idle_gaps() {
-        let mut srv = FairShareServer::new(10.0);
-        srv.submit(SimTime::ZERO, 10.0); // busy [0,1]
-        srv.drain_until(SimTime::from_secs(5)); // idle (1,5]
-        srv.submit(SimTime::from_secs(5), 20.0); // busy [5,7]
-        srv.drain_until(SimTime::from_secs(10));
-        assert_eq!(srv.busy_time(), SimDuration::from_secs(3));
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = FairShareServer::new(0.0);
@@ -461,25 +367,17 @@ mod tests {
     #[test]
     fn fcfs_serializes_requests() {
         let mut srv = FcfsServer::new();
-        let (_, t1) = srv.submit(SimTime::ZERO, SimDuration::from_secs(2));
-        let (_, t2) = srv.submit(SimTime::ZERO, SimDuration::from_secs(3));
+        let t1 = srv.submit(SimTime::ZERO, SimDuration::from_secs(2));
+        let t2 = srv.submit(SimTime::ZERO, SimDuration::from_secs(3));
         assert_eq!(t1, SimTime::from_secs(2));
         assert_eq!(t2, SimTime::from_secs(5));
-        let done = srv.drain_until(SimTime::from_secs(4));
-        assert_eq!(done.len(), 1);
-        assert_eq!(srv.pending(), 1);
-        let done = srv.drain_until(SimTime::from_secs(5));
-        assert_eq!(done.len(), 1);
-        assert_eq!(srv.served(), 2);
     }
 
     #[test]
     fn fcfs_idle_gap_then_new_request() {
         let mut srv = FcfsServer::new();
         srv.submit(SimTime::ZERO, SimDuration::from_secs(1));
-        srv.drain_until(SimTime::from_secs(10));
-        let (_, t) = srv.submit(SimTime::from_secs(10), SimDuration::from_secs(1));
+        let t = srv.submit(SimTime::from_secs(10), SimDuration::from_secs(1));
         assert_eq!(t, SimTime::from_secs(11));
-        assert_eq!(srv.busy_time(), SimDuration::from_secs(2));
     }
 }

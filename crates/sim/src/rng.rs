@@ -86,7 +86,7 @@ impl SimRng {
     }
 
     /// Standard normal deviate (Box-Muller, with caching of the pair).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
@@ -102,12 +102,6 @@ impl SimRng {
         let theta = 2.0 * std::f64::consts::PI * v;
         self.spare_normal = Some(r * theta.sin());
         r * theta.cos()
-    }
-
-    /// Normal deviate with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0, "std_dev must be >= 0");
-        mean + std_dev * self.standard_normal()
     }
 
     /// A multiplicative noise factor `max(floor, 1 + N(0, rel))`.
@@ -176,7 +170,7 @@ mod tests {
     fn normal_moments() {
         let mut rng = SimRng::new(5);
         let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(3.0, 2.0)).collect();
+        let samples: Vec<f64> = (0..n).map(|_| 3.0 + 2.0 * rng.standard_normal()).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean={mean}");

@@ -11,7 +11,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Microseconds per second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+pub(crate) const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// An instant in simulated time, measured from the start of the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -24,8 +24,9 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
-    /// The greatest representable instant; used as an "infinity" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    /// The greatest representable instant.
+    #[cfg(test)]
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from whole microseconds.
     pub const fn from_micros(us: u64) -> Self {
@@ -60,7 +61,7 @@ impl SimTime {
     }
 
     /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+    pub(crate) fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
 }
@@ -115,11 +116,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
 }
 
 fn secs_to_micros(s: f64) -> u64 {
@@ -129,7 +125,7 @@ fn secs_to_micros(s: f64) -> u64 {
     (s * MICROS_PER_SEC as f64).round() as u64
 }
 
-/// Panics with "simulated time overflow" past [`SimTime::MAX`], in
+/// Panics with "simulated time overflow" past `u64::MAX` microseconds, in
 /// release builds too: a wrapped instant would read as earlier than the
 /// one it was computed from.
 impl Add<SimDuration> for SimTime {
@@ -266,14 +262,6 @@ mod tests {
         assert!(SimTime::from_secs(1) < SimTime::from_secs(2));
         assert!(SimTime::MAX > SimTime::from_secs(u64::MAX / MICROS_PER_SEC));
         assert_eq!(format!("{}", SimTime::from_secs(1)), "1.000000s");
-    }
-
-    #[test]
-    fn saturating_sub_duration() {
-        let a = SimDuration::from_secs(1);
-        let b = SimDuration::from_secs(2);
-        assert_eq!(a.saturating_sub(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_sub(a), SimDuration::from_secs(1));
     }
 
     #[test]

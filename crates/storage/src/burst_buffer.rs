@@ -45,7 +45,6 @@ struct Drain {
 pub struct BurstBuffer {
     config: BurstBufferConfig,
     drains: Vec<Drain>,
-    bytes_absorbed: u64,
 }
 
 impl BurstBuffer {
@@ -62,12 +61,11 @@ impl BurstBuffer {
         BurstBuffer {
             config,
             drains: Vec::new(),
-            bytes_absorbed: 0,
         }
     }
 
     /// Bytes still occupied (absorbed but not yet drained) at `now`.
-    pub fn occupied_at(&self, now: SimTime) -> u64 {
+    pub(crate) fn occupied_at(&self, now: SimTime) -> u64 {
         self.drains
             .iter()
             .filter(|d| d.completes_at > now)
@@ -76,13 +74,8 @@ impl BurstBuffer {
     }
 
     /// Free NVRAM at `now`.
-    pub fn free_at(&self, now: SimTime) -> u64 {
+    pub(crate) fn free_at(&self, now: SimTime) -> u64 {
         self.config.capacity_bytes - self.occupied_at(now)
-    }
-
-    /// Total bytes ever absorbed.
-    pub fn bytes_absorbed(&self) -> u64 {
-        self.bytes_absorbed
     }
 
     /// When the last scheduled drain finishes (or `now` if none pending).
@@ -141,7 +134,6 @@ impl BurstBuffer {
             completes_at: drain_done,
             bytes,
         });
-        self.bytes_absorbed += bytes;
         Ok(absorb_done)
     }
 }
@@ -193,7 +185,6 @@ mod tests {
         assert_eq!(buf.occupied_at(SimTime::from_secs(5)), 1_000);
         assert_eq!(buf.occupied_at(SimTime::from_secs(12)), 0);
         assert_eq!(buf.free_at(SimTime::from_secs(5)), 9_000);
-        assert_eq!(buf.bytes_absorbed(), 1_000);
     }
 
     #[test]
@@ -258,7 +249,6 @@ mod tests {
         assert!(matches!(err, PfsError::Io { .. }));
         // The failed write left no drain and absorbed nothing, so a retry
         // behaves exactly like a first attempt.
-        assert_eq!(buf.bytes_absorbed(), 0);
         assert_eq!(buf.occupied_at(SimTime::from_secs(5)), 0);
         let unblocked = buf.write(&mut fs, SimTime::ZERO, "/a", 1_000).unwrap();
         assert_eq!(unblocked, SimTime::from_secs(1));

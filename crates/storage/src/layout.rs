@@ -34,7 +34,7 @@ impl StripeLayout {
     }
 
     /// Which OST index holds the stripe containing byte `offset`.
-    pub fn ost_of(&self, offset: u64) -> usize {
+    pub(crate) fn ost_of(&self, offset: u64) -> usize {
         ((offset / self.stripe_size) % self.stripe_count as u64) as usize
     }
 

@@ -11,7 +11,7 @@
 //!   accounting, MDS open/create costs (FCFS queueing) and OSS data
 //!   transfers (processor-sharing bandwidth), returning exact completion
 //!   times for every operation.
-//! * [`power`] — the rack's power model: 2273 W idle → 2302 W at full
+//! * `power` — the rack's power model: 2273 W idle → 2302 W at full
 //!   bandwidth (the paper's measured, nearly-flat curve) with a
 //!   Raritan-style meter attached.
 //! * [`ncdf`] — *ncdf-lite*, a real self-describing array file format
@@ -24,9 +24,7 @@ pub mod burst_buffer;
 pub mod layout;
 pub mod ncdf;
 pub mod pfs;
-pub mod power;
+pub(crate) mod power;
 
-pub use layout::StripeLayout;
-pub use ncdf::{DataType, NcFile, NcVariable};
-pub use pfs::{ParallelFileSystem, PfsConfig, PfsError};
+pub use pfs::{ParallelFileSystem, PfsError};
 pub use power::StoragePowerModel;

@@ -23,15 +23,15 @@
 //! A variable has at most 255 dimensions: its rank is one byte.
 
 /// Magic bytes identifying an ncdf-lite file.
-pub const MAGIC: &[u8; 4] = b"NCDL";
+pub(crate) const MAGIC: &[u8; 4] = b"NCDL";
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 /// Most dimensions one variable can have (`ndims` is a `u8` on the wire).
 const MAX_DIMS: usize = u8::MAX as usize;
 
 /// Element type of a variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataType {
+pub(crate) enum DataType {
     /// 32-bit IEEE float.
     F32,
     /// 64-bit IEEE float.
@@ -63,7 +63,7 @@ impl DataType {
     }
 
     /// Bytes per element.
-    pub fn size(self) -> usize {
+    pub(crate) fn size(self) -> usize {
         match self {
             DataType::F32 | DataType::I32 => 4,
             DataType::F64 => 8,
@@ -87,7 +87,7 @@ pub enum VarData {
 
 impl VarData {
     /// The element type of this payload.
-    pub fn dtype(&self) -> DataType {
+    pub(crate) fn dtype(&self) -> DataType {
         match self {
             VarData::F32(_) => DataType::F32,
             VarData::F64(_) => DataType::F64,
@@ -97,18 +97,13 @@ impl VarData {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             VarData::F32(v) => v.len(),
             VarData::F64(v) => v.len(),
             VarData::I32(v) => v.len(),
             VarData::U8(v) => v.len(),
         }
-    }
-
-    /// `true` iff there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -13,8 +13,7 @@
 //! far**. Under processor sharing a *later* submission would extend earlier
 //! jobs; the coupled pipelines in this workspace always submit I/O in
 //! barrier-synchronized batches (all ranks write, then everyone waits), for
-//! which these semantics are exact. [`ParallelFileSystem::batch_write`] is
-//! the batch form used by the pipeline executors.
+//! which these semantics are exact.
 
 use std::collections::HashMap;
 
@@ -45,9 +44,9 @@ pub enum PfsError {
     /// ([`ParallelFileSystem::arm_transient_failures`]); a real deployment
     /// would surface dropped RPCs or OST evictions this way.
     Io {
-        /// Which operation failed (`"write"`, `"read"`, `"batch_write"`).
+        /// Which operation failed (`"write"` or `"read"`).
         op: &'static str,
-        /// The path (or first path of a batch) the operation targeted.
+        /// The path the operation targeted.
         path: String,
     },
 }
@@ -127,8 +126,6 @@ pub struct ParallelFileSystem {
     files: HashMap<String, u64>,
     used: u64,
     transfers: Vec<Transfer>,
-    bytes_written: u64,
-    bytes_read: u64,
     /// Current OSS bandwidth derating (fault injection; 1.0 = nominal).
     oss_scale: f64,
     /// Extra latency added to every metadata operation (fault injection).
@@ -159,8 +156,6 @@ impl ParallelFileSystem {
             files: HashMap::new(),
             used: 0,
             transfers: Vec::new(),
-            bytes_written: 0,
-            bytes_read: 0,
             oss_scale: 1.0,
             mds_surcharge: SimDuration::ZERO,
             reserved: 0,
@@ -245,8 +240,7 @@ impl ParallelFileSystem {
         self.reserved
     }
 
-    /// Arm the next `n` data operations (`write`, `read`, or one whole
-    /// `batch_write`) to fail with [`PfsError::Io`] *before* mutating any
+    /// Arm the next `n` data operations (`write` or `read`) to fail with [`PfsError::Io`] *before* mutating any
     /// state — the failed operation consumes no capacity, creates no file
     /// and queues no transfer, so retrying it is always safe.
     pub fn arm_transient_failures(&mut self, n: u32) {
@@ -254,7 +248,8 @@ impl ParallelFileSystem {
     }
 
     /// Injected failures still pending.
-    pub fn armed_failures(&self) -> u32 {
+    #[cfg(test)]
+    fn armed_failures(&self) -> u32 {
         self.armed_failures
     }
 
@@ -270,19 +265,9 @@ impl ParallelFileSystem {
         Ok(())
     }
 
-    /// Total bytes ever written / read (traffic counters).
-    pub fn traffic(&self) -> (u64, u64) {
-        (self.bytes_written, self.bytes_read)
-    }
-
     /// Number of files present.
     pub fn num_files(&self) -> usize {
         self.files.len()
-    }
-
-    /// Whether `path` exists.
-    pub fn exists(&self, path: &str) -> bool {
-        self.files.contains_key(path)
     }
 
     /// Size of `path` in bytes.
@@ -305,13 +290,13 @@ impl ParallelFileSystem {
 
     /// Create an empty file. Returns the completion time of the metadata
     /// operation.
-    pub fn create(&mut self, now: SimTime, path: &str) -> Result<SimTime, PfsError> {
+    pub(crate) fn create(&mut self, now: SimTime, path: &str) -> Result<SimTime, PfsError> {
         if self.files.contains_key(path) {
             return Err(PfsError::AlreadyExists(path.to_string()));
         }
         let mds = self.mds_for(path);
         let service = self.config.mds_op_time + self.mds_surcharge;
-        let (_, done) = self.mds[mds].submit(now, service);
+        let done = self.mds[mds].submit(now, service);
         self.files.insert(path.to_string(), 0);
         Ok(done)
     }
@@ -336,7 +321,6 @@ impl ParallelFileSystem {
         let offset = *size;
         *size += bytes;
         self.used += bytes;
-        self.bytes_written += bytes;
         if bytes == 0 {
             return Ok(mds_done);
         }
@@ -360,7 +344,6 @@ impl ParallelFileSystem {
     pub fn read(&mut self, now: SimTime, path: &str) -> Result<SimTime, PfsError> {
         self.take_armed("read", path)?;
         let size = self.size_of(path)?;
-        self.bytes_read += size;
         if size == 0 {
             return Ok(now);
         }
@@ -380,37 +363,6 @@ impl ParallelFileSystem {
         Ok(done)
     }
 
-    /// Submit many writes at once and return the barrier completion time
-    /// (when *all* of them are durable). This is how the PIO-style
-    /// collective output path uses the rack.
-    ///
-    /// The batch is atomic with respect to failure: total capacity is
-    /// validated up front and one armed transient failure fails the whole
-    /// batch at its entry gate, so an `Err` never leaves a prefix of the
-    /// batch applied — the executors rely on this to retry batches safely
-    /// instead of assuming success.
-    pub fn batch_write(
-        &mut self,
-        now: SimTime,
-        writes: &[(String, u64)],
-    ) -> Result<SimTime, PfsError> {
-        let first = writes.first().map(|w| w.0.as_str()).unwrap_or("");
-        self.take_armed("batch_write", first)?;
-        let total: u64 = writes.iter().map(|w| w.1).sum();
-        let free = self.free_bytes();
-        if total > free {
-            return Err(PfsError::NoSpace {
-                needed: total,
-                free,
-            });
-        }
-        let mut done = now;
-        for (path, bytes) in writes {
-            done = done.max(self.write(now, path, *bytes)?);
-        }
-        Ok(done)
-    }
-
     /// Delete a file, freeing its space. Metadata-only cost.
     pub fn delete(&mut self, now: SimTime, path: &str) -> Result<SimTime, PfsError> {
         let size = self
@@ -419,7 +371,7 @@ impl ParallelFileSystem {
             .ok_or_else(|| PfsError::NotFound(path.to_string()))?;
         self.used -= size;
         let mds = self.mds_for(path);
-        let (_, done) = self.mds[mds].submit(now, self.config.mds_op_time);
+        let done = self.mds[mds].submit(now, self.config.mds_op_time);
         Ok(done)
     }
 
@@ -553,7 +505,7 @@ mod tests {
             }
         );
         assert_eq!(fs.used_bytes(), 9_000);
-        assert!(!fs.exists("/b"));
+        assert!(fs.size_of("/b").is_err());
     }
 
     #[test]
@@ -578,28 +530,7 @@ mod tests {
         let wrote = fs.write(SimTime::ZERO, "/a", 1000).unwrap();
         let read_done = fs.read(wrote, "/a").unwrap();
         assert_eq!(read_done - wrote, SimDuration::from_secs(10));
-        assert_eq!(fs.traffic(), (1000, 1000));
-    }
-
-    #[test]
-    fn batch_write_barrier_semantics() {
-        let mut fs = ParallelFileSystem::new(test_config());
-        // Two 500-B files concurrently: 1000 B total over 100 B/s => 10 s.
-        let writes = vec![("/r0".to_string(), 500), ("/r1".to_string(), 500)];
-        let done = fs.batch_write(SimTime::ZERO, &writes).unwrap();
-        assert_eq!(done, t(10));
-        assert_eq!(fs.num_files(), 2);
-    }
-
-    #[test]
-    fn batch_write_checks_total_size_upfront() {
-        let mut fs = ParallelFileSystem::new(test_config());
-        let writes = vec![("/r0".to_string(), 6_000), ("/r1".to_string(), 6_000)];
-        assert!(matches!(
-            fs.batch_write(SimTime::ZERO, &writes),
-            Err(PfsError::NoSpace { .. })
-        ));
-        assert_eq!(fs.used_bytes(), 0, "failed batch must not consume space");
+        assert_eq!(fs.transfer_count(), 2);
     }
 
     #[test]
@@ -608,7 +539,7 @@ mod tests {
         fs.write(SimTime::ZERO, "/a", 4_000).unwrap();
         fs.delete(t(100), "/a").unwrap();
         assert_eq!(fs.used_bytes(), 0);
-        assert!(!fs.exists("/a"));
+        assert!(fs.size_of("/a").is_err());
         assert!(matches!(
             fs.delete(t(101), "/a"),
             Err(PfsError::NotFound(_))
@@ -710,32 +641,12 @@ mod tests {
             }
         );
         // Nothing happened: no file, no space, no transfer queued.
-        assert!(!fs.exists("/a"));
+        assert!(fs.size_of("/a").is_err());
         assert_eq!(fs.used_bytes(), 0);
         assert_eq!(fs.transfer_count(), 0);
         assert_eq!(fs.armed_failures(), 0);
         // The retry succeeds at full speed.
         let done = fs.write(SimTime::ZERO, "/a", 1000).unwrap();
-        assert_eq!(done, t(10));
-    }
-
-    #[test]
-    fn armed_failure_fails_whole_batch_atomically() {
-        let mut fs = ParallelFileSystem::new(test_config());
-        fs.arm_transient_failures(1);
-        let writes = vec![("/r0".to_string(), 500), ("/r1".to_string(), 500)];
-        let err = fs.batch_write(SimTime::ZERO, &writes).unwrap_err();
-        assert!(matches!(
-            err,
-            PfsError::Io {
-                op: "batch_write",
-                ..
-            }
-        ));
-        assert_eq!(fs.num_files(), 0, "failed batch must apply nothing");
-        assert_eq!(fs.used_bytes(), 0);
-        // One armed failure fails exactly one batch.
-        let done = fs.batch_write(SimTime::ZERO, &writes).unwrap();
         assert_eq!(done, t(10));
     }
 
@@ -748,9 +659,9 @@ mod tests {
             fs.read(t(10), "/a"),
             Err(PfsError::Io { op: "read", .. })
         ));
-        assert_eq!(fs.traffic(), (1000, 0), "failed read moves no bytes");
+        assert_eq!(fs.transfer_count(), 1, "failed read moves no bytes");
         fs.read(t(10), "/a").unwrap();
-        assert_eq!(fs.traffic(), (1000, 1000));
+        assert_eq!(fs.transfer_count(), 2);
     }
 
     #[test]

@@ -22,7 +22,7 @@ impl StoragePowerModel {
     ///
     /// # Panics
     /// Panics if `full < idle`.
-    pub fn new(idle: Watts, full: Watts) -> Self {
+    pub(crate) fn new(idle: Watts, full: Watts) -> Self {
         assert!(
             full.watts() >= idle.watts(),
             "full-load power below idle power"
@@ -50,13 +50,8 @@ impl StoragePowerModel {
     }
 
     /// Idle power.
-    pub fn idle(&self) -> Watts {
+    pub(crate) fn idle(&self) -> Watts {
         self.idle
-    }
-
-    /// Full-load power.
-    pub fn full(&self) -> Watts {
-        self.full
     }
 
     /// The proportionality characterization of this rack.
@@ -90,7 +85,7 @@ mod tests {
     fn hypothetical_proportional_rack() {
         let m = StoragePowerModel::with_proportional_fraction(Watts(2302.0), 0.8);
         assert!((m.idle().watts() - 460.4).abs() < 1e-9);
-        assert_eq!(m.full(), Watts(2302.0));
+        assert_eq!(m.full, Watts(2302.0));
     }
 
     #[test]

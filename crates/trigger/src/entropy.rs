@@ -22,7 +22,7 @@ fn luma(r: u8, g: u8, b: u8) -> u8 {
 
 /// Shannon entropy of the image's 8-bit luminance histogram, in bits
 /// (`0.0` for an empty or constant image, at most `8.0`).
-pub fn image_entropy_bits(img: &ImageBuffer) -> f64 {
+pub(crate) fn image_entropy_bits(img: &ImageBuffer) -> f64 {
     let mut hist = [0u64; 256];
     for p in img.pixels() {
         hist[luma(p.r, p.g, p.b) as usize] += 1;
@@ -31,7 +31,7 @@ pub fn image_entropy_bits(img: &ImageBuffer) -> f64 {
 }
 
 /// Shannon entropy of an arbitrary 256-bin histogram, in bits.
-pub fn histogram_entropy_bits(hist: &[u64; 256]) -> f64 {
+pub(crate) fn histogram_entropy_bits(hist: &[u64; 256]) -> f64 {
     let total: u64 = hist.iter().sum();
     if total == 0 {
         return 0.0;

@@ -5,7 +5,7 @@
 //! rate a *dynamic output*: following the vizlab-kobe InSituVis design
 //! (Kageyama & Yamada, arXiv:1301.4546), each analysis step renders a
 //! grid of candidate viewpoints ([`ViewpointGrid::spherical`]), scores
-//! every frame by Shannon image entropy ([`image_entropy_bits`]) and by
+//! every frame by Shannon image entropy (`image_entropy_bits`) and by
 //! the Okubo-Weiss census mass visible in its window, keeps the
 //! max-entropy camera, and adapts the sampling interval between
 //! configured bounds with a hysteresis loop on census activity
@@ -15,12 +15,11 @@
 //! never thread count — so adaptive campaigns replay bit-identically at
 //! any `ZSIM_THREADS`.
 
-pub mod entropy;
-pub mod trigger;
-pub mod viewpoint;
+pub(crate) mod entropy;
+pub(crate) mod trigger;
+pub(crate) mod viewpoint;
 
-pub use entropy::{histogram_entropy_bits, image_entropy_bits};
 pub use trigger::{
     score_viewpoints, select_best, AdaptiveTrigger, TriggerConfig, TriggerDecision, ViewpointScore,
 };
-pub use viewpoint::{extract_window, sample_periodic, ViewWindow, Viewpoint, ViewpointGrid};
+pub use viewpoint::{extract_window, ViewpointGrid};

@@ -226,16 +226,6 @@ impl AdaptiveTrigger {
         }
     }
 
-    /// The configuration this trigger runs under.
-    pub fn config(&self) -> &TriggerConfig {
-        &self.cfg
-    }
-
-    /// The emission interval currently in force, steps.
-    pub fn interval_steps(&self) -> u64 {
-        self.interval
-    }
-
     /// Census activity between consecutive analyses: the eddy-count
     /// delta plus the relative swing in total core mass. Zero when
     /// nothing changed; ≥ 1 whenever an eddy was born, died, or merged.
@@ -339,7 +329,7 @@ mod tests {
         for k in 0..10 {
             t.analyze(k * 8, &c, &flat_scores(1));
         }
-        assert_eq!(t.interval_steps(), max);
+        assert_eq!(t.interval, max);
     }
 
     #[test]
@@ -355,7 +345,7 @@ mod tests {
                 &flat_scores(1),
             );
         }
-        assert_eq!(t.interval_steps(), min);
+        assert_eq!(t.interval, min);
     }
 
     #[test]

@@ -120,22 +120,12 @@ impl ViewpointGrid {
     pub fn views(&self) -> &[Viewpoint] {
         &self.views
     }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.views.len()
-    }
-
-    /// Always false — a grid holds at least the polar overview.
-    pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
-    }
 }
 
 /// Sample `field` at fractional coordinates (`u`, `v` in `[0, 1)` of the
 /// domain) with bilinear interpolation, wrapping x periodically and
 /// clamping y at the walls — the channel topology the solver uses.
-pub fn sample_periodic(field: &Field2D, u: f64, v: f64) -> f64 {
+pub(crate) fn sample_periodic(field: &Field2D, u: f64, v: f64) -> f64 {
     let (nx, ny) = (field.nx(), field.ny());
     let fx = u.rem_euclid(1.0) * nx as f64 - 0.5;
     let fy = (v * ny as f64 - 0.5).clamp(0.0, (ny - 1) as f64);
@@ -173,7 +163,7 @@ mod tests {
     fn grid_always_has_polar_overview() {
         for n in [1, 5, 10, 37] {
             let g = ViewpointGrid::spherical(n);
-            assert_eq!(g.len(), n);
+            assert_eq!(g.views.len(), n);
             assert_eq!(g.views()[0].theta, 0.0, "candidate 0 is the overview");
             let w = g.views()[0].window(0.5);
             assert_eq!((w.half_w, w.half_h), (0.5, 0.5));
@@ -182,7 +172,7 @@ mod tests {
 
     #[test]
     fn zero_candidates_clamps_to_one() {
-        assert_eq!(ViewpointGrid::spherical(0).len(), 1);
+        assert_eq!(ViewpointGrid::spherical(0).views.len(), 1);
     }
 
     #[test]

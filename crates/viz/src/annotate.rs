@@ -10,7 +10,7 @@ use crate::color::{Colormap, Rgb};
 use crate::raster::ImageBuffer;
 
 /// Glyph width in pixels (plus 1 pixel spacing when drawing text).
-pub const GLYPH_W: usize = 5;
+pub(crate) const GLYPH_W: usize = 5;
 /// Glyph height in pixels.
 pub const GLYPH_H: usize = 7;
 
@@ -90,7 +90,7 @@ pub fn draw_text(img: &mut ImageBuffer, x: usize, y: usize, text: &str, color: R
 }
 
 /// Pixel width of `text` when drawn with [`draw_text`].
-pub fn text_width(text: &str) -> usize {
+pub(crate) fn text_width(text: &str) -> usize {
     let n = text.chars().count();
     if n == 0 {
         0
@@ -133,7 +133,7 @@ pub fn draw_colorbar(
 
 /// Compact scientific-ish formatting for labels (the font has no lowercase,
 /// so exponents use 'E').
-pub fn format_sci(v: f64) -> String {
+pub(crate) fn format_sci(v: f64) -> String {
     if v == 0.0 {
         return "0".to_string();
     }

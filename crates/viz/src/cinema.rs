@@ -47,13 +47,8 @@ impl CinemaDatabase {
         }
     }
 
-    /// Database name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Add an image captured at `timestep` / `sim_hours`.
-    pub fn add_image(&mut self, timestep: u64, sim_hours: f64, img: &ImageBuffer) {
+    pub(crate) fn add_image(&mut self, timestep: u64, sim_hours: f64, img: &ImageBuffer) {
         let mut data = Vec::with_capacity(encoded_png_size(img.width(), img.height()) as usize);
         self.encoder.encode_into(img, &mut data);
         self.add_encoded(timestep, sim_hours, data);

@@ -28,10 +28,11 @@ impl Rgb {
     /// Black.
     pub const BLACK: Rgb = Rgb::new(0, 0, 0);
     /// White.
-    pub const WHITE: Rgb = Rgb::new(255, 255, 255);
+    #[cfg(test)]
+    pub(crate) const WHITE: Rgb = Rgb::new(255, 255, 255);
 
     /// Linear interpolation between two colors, `t ∈ [0, 1]`.
-    pub fn lerp(a: Rgb, b: Rgb, t: f64) -> Rgb {
+    pub(crate) fn lerp(a: Rgb, b: Rgb, t: f64) -> Rgb {
         let t = t.clamp(0.0, 1.0);
         // The blend stays in [0, 255], where adding 0.5 is exact (0.5 is
         // a multiple of the ulp), so truncation equals `.round()`'s
@@ -92,17 +93,8 @@ impl Colormap {
     ///
     /// Reads the map's colour table, which gives exactly what the
     /// piecewise-linear definition gives for every `f64` (DESIGN.md §8).
-    pub fn sample(&self, t: f64) -> Rgb {
+    pub(crate) fn sample(&self, t: f64) -> Rgb {
         self.lookup(self.table(), unit(t))
-    }
-
-    /// Map a raw value into the palette given a `(lo, hi)` range.
-    ///
-    /// # Panics
-    /// Panics if `hi <= lo`.
-    pub fn map(&self, value: f64, lo: f64, hi: f64) -> Rgb {
-        assert!(hi > lo, "colormap range must have hi > lo");
-        self.sample((value - lo) / (hi - lo))
     }
 
     /// The colour at `t`, already clamped by [`unit`], read from `table`
@@ -335,14 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn map_applies_range() {
-        let cm = Colormap::Gray;
-        assert_eq!(cm.map(-1.0, -1.0, 1.0), Rgb::BLACK);
-        assert_eq!(cm.map(1.0, -1.0, 1.0), Rgb::WHITE);
-        assert_eq!(cm.map(0.0, -1.0, 1.0), Rgb::new(128, 128, 128));
-    }
-
-    #[test]
     fn viridis_is_monotone_in_luma() {
         // Approximate luma must increase monotonically along viridis.
         let luma = |c: Rgb| 0.2126 * c.r as f64 + 0.7152 * c.g as f64 + 0.0722 * c.b as f64;
@@ -352,11 +336,5 @@ mod tests {
             assert!(l >= prev - 1.0, "viridis luma dipped at {i}");
             prev = l;
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "hi > lo")]
-    fn bad_range_rejected() {
-        let _ = Colormap::Gray.map(0.0, 1.0, 1.0);
     }
 }

@@ -12,7 +12,7 @@ use crate::raster::{sample_bilinear, ImageBuffer};
 
 /// Draw a line from `(x0, y0)` to `(x1, y1)` (pixel coordinates, clipped to
 /// the image) using Bresenham's algorithm.
-pub fn draw_line(img: &mut ImageBuffer, x0: i64, y0: i64, x1: i64, y1: i64, color: Rgb) {
+pub(crate) fn draw_line(img: &mut ImageBuffer, x0: i64, y0: i64, x1: i64, y1: i64, color: Rgb) {
     let dx = (x1 - x0).abs();
     let dy = -(y1 - y0).abs();
     let sx = if x0 < x1 { 1 } else { -1 };
@@ -39,7 +39,7 @@ pub fn draw_line(img: &mut ImageBuffer, x0: i64, y0: i64, x1: i64, y1: i64, colo
 }
 
 /// Draw an arrow from `(x0, y0)` toward `(x1, y1)` with a two-stroke head.
-pub fn draw_arrow(img: &mut ImageBuffer, x0: i64, y0: i64, x1: i64, y1: i64, color: Rgb) {
+pub(crate) fn draw_arrow(img: &mut ImageBuffer, x0: i64, y0: i64, x1: i64, y1: i64, color: Rgb) {
     draw_line(img, x0, y0, x1, y1, color);
     let dx = (x1 - x0) as f64;
     let dy = (y1 - y0) as f64;

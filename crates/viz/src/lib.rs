@@ -29,6 +29,5 @@ pub mod raster;
 pub mod render;
 
 pub use cinema::CinemaDatabase;
-pub use color::{Colormap, Rgb};
+pub use color::Colormap;
 pub use raster::ImageBuffer;
-pub use render::FieldRenderer;

@@ -20,7 +20,7 @@
 //! `zlib_stored` → chunk payload copy) survives only as the test oracle
 //! the encoder is proptested against. The stored-block layout (and
 //! therefore the exact file size) comes from one shared function,
-//! [`png_layout`], so [`encoded_png_size`] is exact *by construction*.
+//! `png_layout`, so [`encoded_png_size`] is exact *by construction*.
 //!
 //! ## Checksums
 //!
@@ -275,7 +275,7 @@ pub fn adler32(data: &[u8]) -> u32 {
 /// derive from this one function, which is what keeps the prediction exact
 /// by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PngLayout {
+pub(crate) struct PngLayout {
     /// Filtered scanline bytes: `h · (1 + 3·w)`.
     pub raw_len: usize,
     /// Stored deflate blocks needed (≥ 1 even for empty payloads).
@@ -287,7 +287,7 @@ pub struct PngLayout {
 }
 
 /// Compute the [`PngLayout`] for a `w × h` RGB image.
-pub fn png_layout(w: usize, h: usize) -> PngLayout {
+pub(crate) fn png_layout(w: usize, h: usize) -> PngLayout {
     let raw_len = h * (1 + 3 * w);
     let n_blocks = raw_len.div_ceil(STORED_BLOCK_MAX).max(1);
     let zlib_len = 2 + raw_len + 5 * n_blocks + 4;
@@ -358,7 +358,7 @@ impl PngEncoder {
     }
 
     /// Encode `img` into `out` (cleared first). Appends exactly
-    /// [`png_layout`]`(w, h).file_len` bytes.
+    /// `png_layout(w, h).file_len` bytes.
     pub fn encode_into(&mut self, img: &ImageBuffer, out: &mut Vec<u8>) {
         let (w, h) = (img.width(), img.height());
         let layout = png_layout(w, h);
@@ -459,7 +459,7 @@ pub fn encode_png(img: &ImageBuffer) -> Vec<u8> {
 
 /// Exact size in bytes of the PNG this encoder produces for a `w × h` image,
 /// without encoding. Used for byte accounting in the pipelines. Derived
-/// from the same [`png_layout`] the encoder frames blocks with.
+/// from the same `png_layout` the encoder frames blocks with.
 pub fn encoded_png_size(w: usize, h: usize) -> u64 {
     png_layout(w, h).file_len
 }

@@ -42,8 +42,8 @@ impl ImageBuffer {
     }
 
     /// Pixel at `(x, y)`.
-    #[inline]
-    pub fn get(&self, x: usize, y: usize) -> Rgb {
+    #[cfg(test)]
+    pub(crate) fn get(&self, x: usize, y: usize) -> Rgb {
         debug_assert!(x < self.width && y < self.height);
         self.pixels[y * self.width + x]
     }
@@ -67,7 +67,8 @@ impl ImageBuffer {
     }
 
     /// Raw RGB bytes (3 per pixel), for encoders.
-    pub fn to_rgb_bytes(&self) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn to_rgb_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.pixels.len() * 3);
         for p in &self.pixels {
             out.extend_from_slice(&[p.r, p.g, p.b]);
@@ -77,7 +78,8 @@ impl ImageBuffer {
 
     /// Fraction of pixels for which `pred` holds — a cheap way to assert
     /// image content in tests.
-    pub fn fraction_where(&self, pred: impl Fn(Rgb) -> bool) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn fraction_where(&self, pred: impl Fn(Rgb) -> bool) -> f64 {
         let n = self.pixels.iter().filter(|&&p| pred(p)).count();
         n as f64 / self.pixels.len() as f64
     }
@@ -230,7 +232,7 @@ impl SampleTables {
     /// values are baked into the tables at construction, so per pixel only
     /// the vertical blend — exactly the operations and ordering of
     /// [`sample_bilinear`] — the normalisation into `(lo, hi)` and a
-    /// colour-table read run. The row goes in blocks of [`SHADE_BLOCK`]
+    /// colour-table read run. The row goes in blocks of `SHADE_BLOCK`
     /// pixels, two passes each: blend, normalise, NaN → 0 and clamp into a
     /// stack buffer, then the table reads, so the first pass is free of
     /// the second's data-dependent loads and branch.
@@ -317,7 +319,7 @@ mod tests {
             for x in 0..width {
                 let fx = (x as f64 + 0.5) / width as f64 * nx - 0.5;
                 let v = sample_bilinear(field, fx, fy);
-                img.set(x, y, colormap.map(v, lo, hi));
+                img.set(x, y, colormap.sample((v - lo) / (hi - lo)));
             }
         }
         img
