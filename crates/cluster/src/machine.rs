@@ -2,7 +2,7 @@
 //!
 //! A [`Machine`] is what a pipeline executor drives: it announces phase
 //! transitions ([`Machine::begin_phase`]) and the machine converts them into
-//! node loads, node watts, and per-cage meter observations — exactly the
+//! partition loads, node watts, and per-cage meter observations — exactly the
 //! measurement pathway on *Caddy* (15 Appro cage monitors covering 150
 //! nodes, one averaged sample per minute each).
 //!
@@ -22,9 +22,7 @@
 //! remembered per distinct partition the same way, on first request.
 //! [`Machine::cage_meters`] replays the log into meters when somebody asks
 //! and keeps them until the next observation; memory is O(phase changes),
-//! not O(cages × samples). Only [`Machine::set_node_load`] materialises a
-//! per-node table (and, without noise, the per-cage powers), which the
-//! next phase change drops again.
+//! not O(cages × samples).
 //!
 //! # Summation order
 //!
@@ -55,7 +53,7 @@ use ivis_power::units::Watts;
 use ivis_sim::{SimRng, SimTime, TimeSeries};
 
 use crate::phase::{IoWaitPolicy, JobPhase, PhaseRecord, PhaseTimeline};
-use crate::topology::{ClusterTopology, NodeId};
+use crate::topology::ClusterTopology;
 
 /// Optional multiplicative measurement noise on cage power.
 #[derive(Debug, Clone)]
@@ -89,15 +87,6 @@ fn cage_order_sum(cage_watts: impl IntoIterator<Item = f64>) -> f64 {
         .into_iter()
         .reduce(|acc, c| acc + c)
         .expect("a machine has at least one cage")
-}
-
-/// The loads of a partitioned machine: the last `staging` nodes carry
-/// `staged`, the rest carry `compute`.
-#[derive(Debug, Clone, Copy)]
-struct Partition {
-    staging: usize,
-    compute: NodeLoad,
-    staged: NodeLoad,
 }
 
 /// A partition as the meters see it: nodes from `first_staging` on draw
@@ -173,15 +162,6 @@ fn cage_baselines(
     repeat_n(idle_cage, topology.num_cages)
 }
 
-/// One logged observation: what [`Machine::cage_meters`] replays.
-#[derive(Debug, Clone, Copy)]
-enum Observation {
-    /// Every cage re-observed under a partition.
-    Partition(SimTime, PartitionPower),
-    /// One cage re-observed at `raw` power.
-    Cage { t: SimTime, cage: usize, raw: Watts },
-}
-
 /// An instrumented compute cluster.
 ///
 /// ```
@@ -201,18 +181,11 @@ pub struct Machine {
     topology: ClusterTopology,
     node_model: NodePowerModel,
     policy: IoWaitPolicy,
-    partition: Partition,
-    /// One load per node, overriding `partition`; exists only between a
-    /// [`Machine::set_node_load`] and the next phase change.
-    per_node: Option<Vec<NodeLoad>>,
-    /// Every observation so far, oldest first.
-    log: Vec<Observation>,
+    /// Every observation so far, oldest first: each re-observes every
+    /// cage under a partition.
+    log: Vec<(SimTime, PartitionPower)>,
     /// The cage meters `log` replays to; emptied by every observation.
     cage_meters: OnceCell<Vec<MeteredPdu>>,
-    /// Each cage's latest observed power. Exists only while the cages can
-    /// differ from their class values: with noise on, or between a
-    /// [`Machine::set_node_load`] and the next phase change.
-    cage_watts: Option<Vec<f64>>,
     /// One entry per distinct partition seen; `sums[current_sums]` is the
     /// current one.
     sums: Vec<PartitionSums>,
@@ -246,15 +219,8 @@ impl Machine {
             topology,
             node_model,
             policy,
-            partition: Partition {
-                staging: 0,
-                compute: NodeLoad::IDLE,
-                staged: NodeLoad::IDLE,
-            },
-            per_node: None,
             log: Vec::new(),
             cage_meters: OnceCell::new(),
-            cage_watts: None,
             sums: vec![PartitionSums::of(idle)],
             current_sums: 0,
             cluster_signal: TimeSeries::new(),
@@ -318,9 +284,6 @@ impl Machine {
     /// Instantaneous whole-cluster power implied by current node loads
     /// (true signal, before metering).
     pub fn power_now(&self) -> Watts {
-        if let Some(table) = &self.per_node {
-            return table.iter().map(|&l| self.node_model.power(l)).sum();
-        }
         let sums = &self.sums[self.current_sums];
         *sums.power_now.get_or_init(|| {
             let first_staging = sums.of.first_staging;
@@ -364,43 +327,6 @@ impl Machine {
         );
     }
 
-    /// Set one node's load (for heterogeneous experiments); does not affect
-    /// the phase timeline.
-    pub fn set_node_load(&mut self, t: SimTime, node: NodeId, load: NodeLoad) {
-        let n = self.topology.num_nodes();
-        assert!(node.0 < n, "node out of range");
-        let Partition {
-            staging,
-            compute,
-            staged,
-        } = self.partition;
-        let table = self.per_node.get_or_insert_with(|| {
-            let mut table = vec![compute; n - staging];
-            table.resize(n, staged);
-            table
-        });
-        table[node.0] = load;
-        let cage = self.topology.cage_of(node);
-        let raw = self
-            .topology
-            .nodes_in(cage)
-            .map(|n| self.node_model.power(table[n.0]))
-            .sum();
-        let mut cage_watts = self
-            .cage_watts
-            .take()
-            .unwrap_or_else(|| self.class_cage_watts());
-        self.observe(Observation::Cage {
-            t,
-            cage: cage.0,
-            raw,
-        });
-        cage_watts[cage.0] = observed(&mut self.noise, raw).watts();
-        self.cluster_signal
-            .push(t, cage_order_sum(cage_watts.iter().copied()));
-        self.cage_watts = Some(cage_watts);
-    }
-
     /// End the job at time `t`: closes the current phase and returns the
     /// machine to idle.
     pub fn finish(&mut self, t: SimTime) {
@@ -420,40 +346,26 @@ impl Machine {
 
     /// Put the last `staging` nodes at `staged` and the rest at `compute`,
     /// and re-observe every cage: the remembered cage-order sum of the
-    /// class values without noise, one draw per cage with it.
+    /// class values without noise, one draw per cage with it. The log
+    /// gains the observation, so the meters replayed so far are dropped.
     fn set_partition(&mut self, t: SimTime, staging: usize, compute: NodeLoad, staged: NodeLoad) {
-        self.partition = Partition {
-            staging,
-            compute,
-            staged,
-        };
-        self.per_node = None;
         let power = PartitionPower {
             first_staging: self.topology.num_nodes() - staging,
             compute: self.node_model.power(compute),
             staged: self.node_model.power(staged),
         };
-        self.observe(Observation::Partition(t, power));
+        self.log.push((t, power));
+        self.cage_meters.take();
         self.current_sums = self.sums_index(power);
+        let cage_raws = power.cage_raws(&self.topology);
         let total = if self.noise.is_none() {
-            self.cage_watts = None;
             *self.sums[self.current_sums]
                 .cluster
-                .get_or_init(|| cage_order_sum(power.cage_raws(&self.topology).map(Watts::watts)))
+                .get_or_init(|| cage_order_sum(cage_raws.map(Watts::watts)))
         } else {
-            let cage_raws = power.cage_raws(&self.topology);
-            let cage_watts = self.cage_watts.get_or_insert_with(Vec::new);
-            cage_watts.clear();
-            cage_watts.extend(cage_raws.map(|raw| observed(&mut self.noise, raw).watts()));
-            cage_order_sum(cage_watts.iter().copied())
+            cage_order_sum(cage_raws.map(|raw| observed(&mut self.noise, raw).watts()))
         };
         self.cluster_signal.push(t, total);
-    }
-
-    /// Log `observation`; the meters replayed so far no longer cover it.
-    fn observe(&mut self, observation: Observation) {
-        self.log.push(observation);
-        self.cage_meters.take();
     }
 
     /// The index in `sums` of the entry for `power`, added if new. A run
@@ -466,22 +378,8 @@ impl Machine {
         })
     }
 
-    /// Every cage's latest power when no `cage_watts` is kept: its class
-    /// value under the latest partition, its baseline if never observed.
-    fn class_cage_watts(&self) -> Vec<f64> {
-        match self.log.last() {
-            None => cage_baselines(&self.node_model, &self.topology).collect(),
-            Some(Observation::Partition(_, power)) => {
-                power.cage_raws(&self.topology).map(Watts::watts).collect()
-            }
-            Some(Observation::Cage { .. }) => {
-                unreachable!("a single-cage observation keeps cage_watts")
-            }
-        }
-    }
-
     /// Replay the log into fresh meters: one `observe` per cage per
-    /// partition entry, noise re-drawn from the generator's starting state.
+    /// entry, noise re-drawn from the generator's starting state.
     fn replay_cage_meters(&self) -> Vec<MeteredPdu> {
         let mut meters: Vec<MeteredPdu> = cage_baselines(&self.node_model, &self.topology)
             .enumerate()
@@ -491,16 +389,9 @@ impl Machine {
             .noise
             .as_ref()
             .map(|n| PowerNoise::new(n.seed, n.rel_std));
-        for &observation in &self.log {
-            match observation {
-                Observation::Partition(t, power) => {
-                    for (meter, raw) in meters.iter_mut().zip(power.cage_raws(&self.topology)) {
-                        meter.observe(t, observed(&mut noise, raw));
-                    }
-                }
-                Observation::Cage { t, cage, raw } => {
-                    meters[cage].observe(t, observed(&mut noise, raw));
-                }
+        for &(t, power) in &self.log {
+            for (meter, raw) in meters.iter_mut().zip(power.cage_raws(&self.topology)) {
+                meter.observe(t, observed(&mut noise, raw));
             }
         }
         meters
@@ -609,12 +500,6 @@ mod tests {
             self.observe_all(t);
         }
 
-        fn set_node_load(&mut self, t: SimTime, node: NodeId, load: NodeLoad) {
-            self.node_loads[node.0] = load;
-            let cage = self.topology.cage_of(node);
-            self.observe_cage(t, cage);
-        }
-
         fn cage_power(&mut self, cage: CageId) -> Watts {
             let raw: Watts = self
                 .topology
@@ -639,12 +524,11 @@ mod tests {
         }
     }
 
-    /// One call into the machine's phase/load API.
+    /// One call into the machine's phase API.
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Phase(JobPhase),
         Split(usize, JobPhase, JobPhase),
-        Node(usize, NodeLoad),
         Finish,
         /// Read the cage meters, filling the machine's cell.
         ReadCages,
@@ -658,14 +542,6 @@ mod tests {
         JobPhase::Visualize,
         JobPhase::ReadInput,
         JobPhase::Idle,
-    ];
-
-    const LOADS: [NodeLoad; 5] = [
-        NodeLoad::IDLE,
-        NodeLoad::COMPUTE,
-        NodeLoad::RENDER,
-        NodeLoad::IO_BUSY_WAIT,
-        NodeLoad::IO_DEEP_IDLE,
     ];
 
     fn assert_cage_meters_match(m: &Machine, oracle: &PerNodeOracle, when: &str) {
@@ -693,10 +569,6 @@ mod tests {
                 Op::Split(staging, c, s) => {
                     m.begin_split_phase(now, staging, c, s);
                     oracle.begin_split_phase(now, staging, c, s);
-                }
-                Op::Node(node, load) => {
-                    m.set_node_load(now, NodeId(node), load);
-                    oracle.set_node_load(now, NodeId(node), load);
                 }
                 Op::Finish => {
                     m.finish(now);
@@ -731,8 +603,8 @@ mod tests {
     }
 
     fn op_strategy() -> impl Strategy<Value = (u64, u8, usize, usize, usize)> {
-        // (time step selector, op kind, node/staging selector, two table indices)
-        (0u64..4, 0u8..11, 0usize..10_000, 0usize..5, 0usize..5)
+        // (time step selector, op kind, staging selector, two table indices)
+        (0u64..4, 0u8..9, 0usize..10_000, 0usize..5, 0usize..5)
     }
 
     proptest! {
@@ -774,9 +646,8 @@ mod tests {
                     let op = match kind {
                         0 | 1 => Op::Phase(PHASES[a]),
                         2..=4 => Op::Split(pick % n, PHASES[a], PHASES[b]),
-                        5 | 6 => Op::Node(pick % n, LOADS[a]),
-                        7 => Op::Finish,
-                        8 | 9 => Op::ReadCages,
+                        5 => Op::Finish,
+                        6 | 7 => Op::ReadCages,
                         _ => Op::CloneFilled,
                     };
                     (dt, op)
@@ -803,7 +674,6 @@ mod tests {
                 nodes_per_cage,
                 ..ClusterTopology::caddy()
             };
-            let last = topology.num_nodes() - 1;
             let ops = [
                 (0, Op::Split(staging, JobPhase::Simulate, JobPhase::Idle)),
                 (0, Op::ReadCages),
@@ -814,8 +684,7 @@ mod tests {
                 (0, Op::Split(staging, JobPhase::Simulate, JobPhase::Idle)),
                 (25_000_000, Op::Phase(JobPhase::WriteOutput)),
                 (0, Op::CloneFilled),
-                (5_000_000, Op::Node(last, NodeLoad::RENDER)),
-                (0, Op::ReadCages),
+                (5_000_000, Op::ReadCages),
                 (5_000_000, Op::Finish),
             ];
             for seed in [None, Some(11)] {
@@ -855,41 +724,6 @@ mod tests {
                 (9_000_000, Op::Finish),
             ],
         );
-    }
-
-    #[test]
-    fn node_load_before_any_phase_sums_the_other_cages_baselines() {
-        // The untouched cages still read their construction-time baseline
-        // `idle × nodes_per_cage`, which is not bitwise the node-order sum
-        // of idle powers.
-        let node_model = NodePowerModel::caddy().calibrated(Watts(100.1), Watts(293.3));
-        let idle = node_model.idle();
-        assert_ne!(
-            (idle * 10.0).watts().to_bits(),
-            PartitionPower {
-                first_staging: 10,
-                compute: idle,
-                staged: idle,
-            }
-            .node_order_sum(10, 0)
-            .watts()
-            .to_bits()
-        );
-        let machine = || {
-            Machine::new(
-                ClusterTopology::caddy(),
-                node_model.clone(),
-                IoWaitPolicy::DeepIdle,
-            )
-        };
-        let ops = [
-            (3_000_000, Op::Node(17, NodeLoad::COMPUTE)),
-            (0, Op::Node(18, NodeLoad::RENDER)),
-            (4_000_000, Op::Node(149, NodeLoad::IO_DEEP_IDLE)),
-            (60_000_000, Op::Phase(JobPhase::Simulate)),
-        ];
-        assert_matches_oracle(machine(), &ops);
-        assert_matches_oracle(machine().with_power_noise(5, 0.02), &ops);
     }
 
     #[test]
@@ -1025,25 +859,6 @@ mod tests {
         let meter = m.cluster_meter();
         let e = meter.energy_from_samples(SimTime::ZERO, t(600)).joules();
         assert!((e - 44_000.0 * 600.0).abs() / e < 1e-6);
-    }
-
-    #[test]
-    fn per_node_load_affects_only_its_cage() {
-        let mut m = Machine::new(
-            ClusterTopology::tiny(),
-            NodePowerModel::caddy(),
-            IoWaitPolicy::BusyWait,
-        );
-        m.begin_phase(t(0), JobPhase::Idle);
-        m.set_node_load(t(10), NodeId(0), NodeLoad::COMPUTE);
-        let idle_node = m.node_model().idle().watts();
-        let loaded_node = m.node_model().loaded().watts();
-        let cage0 = &m.cage_meters()[0];
-        let cage1 = &m.cage_meters()[1];
-        let p0 = cage0.true_signal().value_at(t(10), 0.0);
-        let p1 = cage1.true_signal().value_at(t(10), 2.0 * idle_node);
-        assert!((p0 - (idle_node + loaded_node)).abs() < 1e-6);
-        assert!((p1 - 2.0 * idle_node).abs() < 1e-6);
     }
 
     #[test]

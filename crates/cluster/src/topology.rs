@@ -4,7 +4,9 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
-/// Identifier of a cage (a power-monitored group of nodes).
+/// Identifier of a cage (a power-monitored group of nodes). Only tests name
+/// one: the machine's per-node reference and the topology's own.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct CageId(pub usize);
 
@@ -88,7 +90,8 @@ impl ClusterTopology {
     ///
     /// # Panics
     /// Panics if `node` is out of range.
-    pub(crate) fn cage_of(&self, node: NodeId) -> CageId {
+    #[cfg(test)]
+    fn cage_of(&self, node: NodeId) -> CageId {
         assert!(node.0 < self.num_nodes(), "node {node:?} out of range");
         CageId(node.0 / self.nodes_per_cage)
     }
@@ -97,6 +100,7 @@ impl ClusterTopology {
     ///
     /// # Panics
     /// Panics if `cage` is out of range.
+    #[cfg(test)]
     pub(crate) fn nodes_in(&self, cage: CageId) -> impl Iterator<Item = NodeId> + '_ {
         assert!(cage.0 < self.num_cages, "cage {cage:?} out of range");
         let start = cage.0 * self.nodes_per_cage;

@@ -85,7 +85,7 @@ pub(crate) fn run(
     let grid = cfg.grid();
     let renderer = FieldRenderer::okubo_weiss(cfg.image_width, cfg.image_height);
     let vgrid = ViewpointGrid::spherical(tc.candidates);
-    let mut trigger = AdaptiveTrigger::new(tc.clone());
+    let mut trigger = AdaptiveTrigger::new(tc.clone()).map_err(PipelineError::invalid)?;
     let mut emitted = 0u64;
     render_pass(
         cfg,

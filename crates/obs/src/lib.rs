@@ -20,7 +20,7 @@
 //!   HDR-style quarter-octave buckets with boundaries derived from the
 //!   value's bit pattern, so distributions (queue depths, retry
 //!   latencies, transport stalls) are deterministic across platforms and
-//!   merge exactly across per-thread recorders.
+//!   thread counts.
 //! * [`telemetry`] — **time-resolved power telemetry**: a
 //!   [`PowerTimeline`] resamples a harvested power profile (or a phase
 //!   timeline joined with a node power model) through [`MeteredPdu`]

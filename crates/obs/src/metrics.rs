@@ -17,8 +17,9 @@ pub enum MetricKind {
     Gauge,
     /// Distribution of individual observations in deterministic
     /// log-spaced buckets (see `log_bucket_upper`); every raw
-    /// observation is retained, so merges replay exactly and percentiles
-    /// are computed from the data, not from bucket midpoints.
+    /// observation is retained, because the JSONL export writes each one
+    /// and the snapshot's sum, min and max come from the data, not from
+    /// bucket midpoints.
     Histogram,
 }
 
@@ -176,11 +177,6 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Create an empty registry.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     fn position(&self, name: &str) -> Option<usize> {
         let metrics = &self.metrics;
         metrics
@@ -226,10 +222,10 @@ impl MetricsRegistry {
     }
 
     /// Record one observation of `value` in the histogram `name` at time
-    /// `t`. The raw sample is retained (merges replay it exactly); the
+    /// `t`. The raw sample is retained for the JSONL export; the
     /// step-function view tracks the cumulative observation count and
     /// `last_value` the running sum of observed values.
-    pub fn histogram_record(&mut self, t: SimTime, name: &'static str, value: f64) {
+    pub(crate) fn histogram_record(&mut self, t: SimTime, name: &'static str, value: f64) {
         let m = self.slot(name, MetricKind::Histogram);
         m.observations.push((t, value));
         m.total += value;
@@ -251,55 +247,6 @@ impl MetricsRegistry {
     pub(crate) fn len(&self) -> usize {
         self.metrics.len()
     }
-
-    /// Merge several registries (e.g. one per worker thread) into one by
-    /// replaying every update in sim-time order.
-    ///
-    /// Counter series store cumulative totals, so each part's series is
-    /// first converted back to per-update deltas; re-accumulating the
-    /// time-sorted deltas yields the cumulative total the union of writers
-    /// would have produced. Gauges replay last-write-wins; histograms
-    /// replay their raw observations one by one. Ties in time break by
-    /// part index, then by each part's own update order, so the result
-    /// does not depend on which thread produced which part.
-    pub(crate) fn merge(parts: Vec<MetricsRegistry>) -> MetricsRegistry {
-        let mut updates: Vec<(SimTime, usize, &'static str, MetricKind, f64)> = Vec::new();
-        for (part_idx, part) in parts.iter().enumerate() {
-            for m in part.iter() {
-                match m.kind {
-                    MetricKind::Histogram => {
-                        for &(t, v) in m.observations() {
-                            updates.push((t, part_idx, m.name, m.kind, v));
-                        }
-                    }
-                    MetricKind::Counter | MetricKind::Gauge => {
-                        let mut prev = 0.0;
-                        for &(t, v) in m.series.samples() {
-                            let x = match m.kind {
-                                MetricKind::Counter => {
-                                    let delta = v - prev;
-                                    prev = v;
-                                    delta
-                                }
-                                _ => v,
-                            };
-                            updates.push((t, part_idx, m.name, m.kind, x));
-                        }
-                    }
-                }
-            }
-        }
-        updates.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut merged = MetricsRegistry::new();
-        for (t, _, name, kind, x) in updates {
-            match kind {
-                MetricKind::Counter => merged.counter_add(t, name, x),
-                MetricKind::Gauge => merged.gauge_set(t, name, x),
-                MetricKind::Histogram => merged.histogram_record(t, name, x),
-            }
-        }
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +259,7 @@ mod tests {
 
     #[test]
     fn counter_accumulates_cumulative_total() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.counter_add(t(0.0), "outputs", 1.0);
         reg.counter_add(t(10.0), "outputs", 1.0);
         reg.counter_add(t(20.0), "outputs", 3.0);
@@ -324,7 +271,7 @@ mod tests {
 
     #[test]
     fn gauge_is_last_write_wins_step_function() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.gauge_set(t(0.0), "util", 0.0);
         reg.gauge_set(t(10.0), "util", 1.0);
         reg.gauge_set(t(30.0), "util", 0.5);
@@ -335,28 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_reconstructs_counter_deltas_and_replays_gauges() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add(t(0.0), "outputs", 1.0);
-        a.counter_add(t(20.0), "outputs", 2.0);
-        a.gauge_set(t(5.0), "util", 0.25);
-        let mut b = MetricsRegistry::new();
-        b.counter_add(t(10.0), "outputs", 4.0);
-        b.gauge_set(t(15.0), "util", 0.75);
-        let merged = MetricsRegistry::merge(vec![a, b]);
-        let m = merged.get("outputs").unwrap();
-        assert_eq!(m.last_value(), 7.0);
-        // Cumulative total interleaves: 1 @0, 5 @10, 7 @20.
-        assert_eq!(m.series().value_at(t(15.0), 0.0), 5.0);
-        let g = merged.get("util").unwrap();
-        assert_eq!(g.last_value(), 0.75);
-        assert_eq!(g.series().value_at(t(10.0), 0.0), 0.25);
-    }
-
-    #[test]
     #[should_panic(expected = "registered as")]
     fn kind_mismatch_panics() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.counter_add(t(0.0), "x", 1.0);
         reg.gauge_set(t(1.0), "x", 2.0);
     }
@@ -365,7 +293,7 @@ mod tests {
     fn one_name_at_two_addresses_is_one_metric() {
         let copy: &'static str = String::from("outputs").leak();
         assert!(!std::ptr::eq(copy, "outputs"));
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.counter_add(t(0.0), "outputs", 1.0);
         reg.counter_add(t(10.0), copy, 2.0);
         reg.counter_add(t(20.0), "outputs", 4.0);
@@ -381,7 +309,7 @@ mod tests {
     #[should_panic(expected = "metric 'x' registered as Counter, used as Gauge")]
     fn kind_mismatch_through_a_copied_name_panics() {
         let copy: &'static str = String::from("x").leak();
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.counter_add(t(0.0), "x", 1.0);
         reg.gauge_set(t(1.0), copy, 2.0);
     }
@@ -414,7 +342,7 @@ mod tests {
 
     #[test]
     fn histogram_metric_records_and_snapshots() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         for (at, v) in [(0.0, 1.1), (1.0, 1.2), (2.0, 1.9), (3.0, 8.0)] {
             reg.histogram_record(t(at), "lat", v);
         }
@@ -433,49 +361,5 @@ mod tests {
         // Counters and gauges have no histogram view.
         reg.counter_add(t(0.0), "c", 1.0);
         assert!(reg.get("c").unwrap().histogram().is_none());
-    }
-
-    #[test]
-    fn merge_replays_histogram_observations_in_time_order() {
-        let mut a = MetricsRegistry::new();
-        a.histogram_record(t(0.0), "lat", 3.0);
-        a.histogram_record(t(20.0), "lat", 5.0);
-        let mut b = MetricsRegistry::new();
-        b.histogram_record(t(10.0), "lat", 4.0);
-        let merged = MetricsRegistry::merge(vec![a, b]);
-        let m = merged.get("lat").unwrap();
-        assert_eq!(
-            m.observations(),
-            &[(t(0.0), 3.0), (t(10.0), 4.0), (t(20.0), 5.0)]
-        );
-        assert_eq!(m.series().value_at(t(15.0), 0.0), 2.0);
-        let h = m.histogram().unwrap();
-        assert_eq!(h.count, 3);
-        assert!((h.sum - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_of_histograms_is_thread_count_invariant() {
-        // The same observations split across 1, 2 or 3 parts merge to an
-        // identical registry — the contract the fault artifacts test
-        // exercises end-to-end.
-        let obs = [(0.0, 0.5), (1.0, 0.7), (1.0, 0.9), (2.0, 4.0), (5.0, 2.2)];
-        let build = |splits: &[usize]| {
-            let mut parts: Vec<MetricsRegistry> = Vec::new();
-            for chunk in obs.chunks(splits.len().max(1)) {
-                let mut r = MetricsRegistry::new();
-                for &(at, v) in chunk {
-                    r.histogram_record(t(at), "lat", v);
-                }
-                parts.push(r);
-            }
-            MetricsRegistry::merge(parts)
-        };
-        let one = build(&[1]);
-        let two = build(&[1, 2]);
-        let m1 = one.get("lat").unwrap();
-        let m2 = two.get("lat").unwrap();
-        assert_eq!(m1.observations(), m2.observations());
-        assert_eq!(m1.series().samples(), m2.series().samples());
     }
 }

@@ -12,7 +12,7 @@
 //! meters; the native backend maps its wall-clock measurements onto
 //! `SimTime` before recording.
 
-use std::cell::{Ref, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use ivis_cluster::{JobPhase, PhaseRecord, PhaseTimeline};
@@ -139,7 +139,7 @@ pub struct TraceBuffer {
 
 impl TraceBuffer {
     /// Open a span at `t`, parented to the innermost open span.
-    pub fn open_span(
+    pub(crate) fn open_span(
         &mut self,
         t: SimTime,
         name: &'static str,
@@ -162,7 +162,7 @@ impl TraceBuffer {
     }
 
     /// Close span `id` at `t`. Panics on double close or `t` before open.
-    pub fn close_span(&mut self, t: SimTime, id: SpanId) {
+    pub(crate) fn close_span(&mut self, t: SimTime, id: SpanId) {
         let span = &mut self.spans[id.0 as usize];
         assert!(span.end.is_none(), "span '{}' closed twice", span.name);
         assert!(
@@ -209,87 +209,6 @@ impl TraceBuffer {
     /// All events, in record order.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// Merge per-thread buffers into one, ordered by sim time.
-    ///
-    /// `TraceBuffer` is `Send` (unlike [`Recorder`], whose sink is an
-    /// `Rc`), so concurrent instrumentation gives each worker thread its
-    /// own buffer and merges after joining. Spans are reordered by
-    /// `(start, part index, open order)` and their parent ids remapped to
-    /// the merged numbering; events likewise by `(time, part index, record
-    /// order)`; metrics merge via `MetricsRegistry::merge`. The result
-    /// depends only on the recorded sim times and the order of `parts` —
-    /// not on thread scheduling — and satisfies [`Self::phase_timeline`]'s
-    /// chronological invariant as long as the parts' phase spans do not
-    /// overlap in sim time.
-    ///
-    /// # Panics
-    /// Panics if any part still has an open span.
-    pub fn merge(parts: Vec<TraceBuffer>) -> TraceBuffer {
-        for (i, part) in parts.iter().enumerate() {
-            assert!(
-                part.stack.is_empty(),
-                "part {i} still has {} open span(s)",
-                part.stack.len()
-            );
-        }
-        // Sort span identities by (start, part, open order), then remap.
-        let mut span_keys: Vec<(SimTime, usize, usize)> = parts
-            .iter()
-            .enumerate()
-            .flat_map(|(p, part)| {
-                part.spans
-                    .iter()
-                    .enumerate()
-                    .map(move |(s, span)| (span.start, p, s))
-            })
-            .collect();
-        span_keys.sort();
-        let nspans: Vec<usize> = parts.iter().map(|part| part.spans.len()).collect();
-        let mut new_id = vec![SpanId::NONE; nspans.iter().sum()];
-        let base: Vec<usize> = nspans
-            .iter()
-            .scan(0, |acc, &n| {
-                let b = *acc;
-                *acc += n;
-                Some(b)
-            })
-            .collect();
-        for (new, &(_, p, s)) in span_keys.iter().enumerate() {
-            new_id[base[p] + s] = SpanId(new as u32);
-        }
-        let remap = |p: usize, id: SpanId| -> SpanId {
-            if id.is_none() {
-                SpanId::NONE
-            } else {
-                new_id[base[p] + id.0 as usize]
-            }
-        };
-        let mut merged = TraceBuffer::default();
-        for &(_, p, s) in &span_keys {
-            let mut span = parts[p].spans[s].clone();
-            span.parent = remap(p, span.parent);
-            merged.spans.push(span);
-        }
-        let mut event_keys: Vec<(SimTime, usize, usize)> = parts
-            .iter()
-            .enumerate()
-            .flat_map(|(p, part)| {
-                part.events
-                    .iter()
-                    .enumerate()
-                    .map(move |(e, ev)| (ev.at, p, e))
-            })
-            .collect();
-        event_keys.sort();
-        for &(_, p, e) in &event_keys {
-            let mut ev = parts[p].events[e].clone();
-            ev.parent = remap(p, ev.parent);
-            merged.events.push(ev);
-        }
-        merged.metrics = MetricsRegistry::merge(parts.into_iter().map(|b| b.metrics).collect());
-        merged
     }
 
     /// Rebuild a [`PhaseTimeline`] from the closed phase spans.
@@ -432,16 +351,8 @@ impl Recorder {
         }
     }
 
-    /// Borrow the buffer, if recording. Panics if the buffer is already
-    /// mutably borrowed (i.e. called from inside a recording hook).
-    pub fn buffer(&self) -> Option<Ref<'_, TraceBuffer>> {
-        match &self.sink {
-            Sink::Off => None,
-            Sink::Memory(buf) => Some(buf.borrow()),
-        }
-    }
-
-    /// Run `f` against the buffer, if recording.
+    /// Run `f` against the buffer, if recording. Panics if the buffer is
+    /// already mutably borrowed (i.e. called from inside a recording hook).
     pub fn with_buffer<R>(&self, f: impl FnOnce(&TraceBuffer) -> R) -> Option<R> {
         match &self.sink {
             Sink::Off => None,
@@ -449,9 +360,9 @@ impl Recorder {
         }
     }
 
-    /// Take sole ownership of the buffer, e.g. to hand it to
-    /// [`TraceBuffer::merge`] after a worker finishes. Returns `None` when
-    /// the sink is off or other clones of this recorder are still alive.
+    /// Take sole ownership of the buffer once the run is over. Returns
+    /// `None` when the sink is off or other clones of this recorder are
+    /// still alive.
     pub fn into_buffer(self) -> Option<TraceBuffer> {
         match self.sink {
             Sink::Off => None,
@@ -480,7 +391,7 @@ mod tests {
         rec.gauge_set(t(1.0), "g", 2.0);
         rec.histogram_record(t(1.0), "h", 3.0);
         rec.close(t(2.0), id);
-        assert!(rec.buffer().is_none());
+        assert!(rec.with_buffer(|_| ()).is_none());
     }
 
     #[test]
@@ -497,13 +408,15 @@ mod tests {
         rec.close(t(1.0), phase);
         rec.close(t(1.0), root);
 
-        let buf = rec.buffer().unwrap();
-        assert_eq!(buf.spans().len(), 2);
-        assert_eq!(buf.spans()[1].parent, root);
-        assert_eq!(buf.spans()[1].phase, Some(JobPhase::Simulate));
-        assert_eq!(buf.events().len(), 1);
-        assert_eq!(buf.events()[0].parent, phase);
-        assert_eq!(buf.events()[0].attrs[0], ("k", AttrValue::U64(3)));
+        rec.with_buffer(|buf| {
+            assert_eq!(buf.spans().len(), 2);
+            assert_eq!(buf.spans()[1].parent, root);
+            assert_eq!(buf.spans()[1].phase, Some(JobPhase::Simulate));
+            assert_eq!(buf.events().len(), 1);
+            assert_eq!(buf.events()[0].parent, phase);
+            assert_eq!(buf.events()[0].attrs[0], ("k", AttrValue::U64(3)));
+        })
+        .unwrap();
     }
 
     #[test]
@@ -524,46 +437,6 @@ mod tests {
         assert_eq!(tl.records().len(), 3);
         assert_eq!(tl.makespan().as_secs_f64(), 15.0);
         assert_eq!(tl.time_in(JobPhase::Visualize).as_secs_f64(), 2.0);
-    }
-
-    #[test]
-    fn merge_orders_spans_by_sim_time_and_remaps_parents() {
-        // Two workers trace disjoint sim-time windows, out of order.
-        let late = Recorder::in_memory();
-        let root_b = late.span(t(10.0), "window-b", Component::Compute);
-        let inner_b = late.phase_span(t(11.0), JobPhase::Visualize, Component::Viz);
-        late.event(t(11.5), "tick", Component::Viz, &[]);
-        late.close(t(12.0), inner_b);
-        late.close(t(15.0), root_b);
-
-        let early = Recorder::in_memory();
-        let root_a = early.span(t(0.0), "window-a", Component::Compute);
-        let inner_a = early.phase_span(t(1.0), JobPhase::Simulate, Component::Compute);
-        early.close(t(5.0), inner_a);
-        early.close(t(9.0), root_a);
-
-        let merged = TraceBuffer::merge(vec![
-            late.into_buffer().unwrap(),
-            early.into_buffer().unwrap(),
-        ]);
-        let names: Vec<_> = merged.spans().iter().map(|s| s.name).collect();
-        assert_eq!(names, ["window-a", "simulate", "window-b", "visualize"]);
-        // Parent links survive the renumbering.
-        assert_eq!(merged.spans()[1].parent, SpanId(0));
-        assert_eq!(merged.spans()[3].parent, SpanId(2));
-        assert_eq!(merged.events()[0].parent, SpanId(3));
-        // Phase spans land in chronological order, so the timeline builds.
-        let tl = merged.phase_timeline();
-        assert_eq!(tl.records().len(), 2);
-        assert_eq!(tl.time_in(JobPhase::Simulate).as_secs_f64(), 4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "open span")]
-    fn merge_rejects_open_spans() {
-        let rec = Recorder::in_memory();
-        let _open = rec.span(t(0.0), "dangling", Component::Compute);
-        let _ = TraceBuffer::merge(vec![rec.into_buffer().unwrap()]);
     }
 
     #[test]

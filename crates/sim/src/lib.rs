@@ -14,8 +14,11 @@
 //!   `BinaryHeap`-of-closures calendar survives as a test-only model
 //!   queue the engine is property-tested against.)
 //! * [`resource`] — analytic queueing servers: a processor-sharing
-//!   [`resource::FairShareServer`] (models bandwidth-shared storage servers)
-//!   and a FIFO [`resource::FcfsServer`] (models metadata servers).
+//!   [`resource::FairShareServer`] (models bandwidth-shared storage servers;
+//!   it answers only "when is everything queued done", but keeps each job's
+//!   remaining work because per-job completions land on whole microseconds
+//!   and those rounded steps are in the pinned digests) and a FIFO
+//!   [`resource::FcfsServer`] (models metadata servers).
 //! * `rng` — the workspace's one deterministic PRNG, small and
 //!   dependency-free (SplitMix64-seeded xoshiro256++) with uniform and
 //!   normal samplers, so simulated measurements, eddy seeds and load

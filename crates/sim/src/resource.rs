@@ -3,32 +3,17 @@
 //! * [`FairShareServer`] — an exact processor-sharing (PS) server: all active
 //!   jobs share the capacity equally. This models a bandwidth-shared object
 //!   storage server (OSS): N clients writing concurrently each see `C/N`
-//!   bytes/s, and the aggregate never exceeds `C`.
+//!   bytes/s, and the aggregate never exceeds `C`. Callers read only the
+//!   drain horizon ([`FairShareServer::drained_at`]), yet the server keeps
+//!   each job's remaining work: a job leaves at the next whole microsecond
+//!   after it finishes, and those rounded steps are part of every pinned
+//!   run digest — a server that kept only the total backlog drifts by a
+//!   few microseconds.
 //! * [`FcfsServer`] — a single first-come-first-served server with explicit
 //!   per-request service times. This models a metadata server (MDS) handling
 //!   opens/creates serially.
 
 use crate::time::{SimDuration, SimTime};
-
-/// Identifier of a job inside a server. Unique per server instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct JobId(pub u64);
-
-/// A completion record returned when draining a server.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Completion {
-    /// Which job completed.
-    pub job: JobId,
-    /// When it completed.
-    pub at: SimTime,
-}
-
-#[derive(Debug, Clone)]
-struct PsJob {
-    id: JobId,
-    /// Remaining work, in abstract units (e.g. bytes).
-    remaining: f64,
-}
 
 /// An exact processor-sharing server with capacity `capacity` work-units/sec.
 ///
@@ -37,24 +22,18 @@ struct PsJob {
 /// use ivis_sim::SimTime;
 ///
 /// // 100 units/s; two jobs of 100 units submitted together share the
-/// // capacity, so both finish at t = 2 s.
+/// // capacity, so the server is empty at t = 2 s.
 /// let mut srv = FairShareServer::new(100.0);
-/// let a = srv.submit(SimTime::ZERO, 100.0);
-/// let b = srv.submit(SimTime::ZERO, 100.0);
-/// let done = srv.drain_until(SimTime::from_secs(10));
-/// assert_eq!(done.len(), 2);
-/// assert_eq!(done[0].at, SimTime::from_secs(2));
-/// assert_eq!(done[1].at, SimTime::from_secs(2));
-/// assert!(done.iter().any(|c| c.job == a) && done.iter().any(|c| c.job == b));
+/// srv.submit(SimTime::ZERO, 100.0);
+/// srv.submit(SimTime::ZERO, 100.0);
+/// assert_eq!(srv.drained_at(), SimTime::from_secs(2));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FairShareServer {
     capacity: f64,
     clock: SimTime,
-    next_id: u64,
-    active: Vec<PsJob>,
-    pending: Vec<Completion>,
-    work_done: f64,
+    /// Remaining work of each active job, in abstract units (e.g. bytes).
+    active: Vec<f64>,
 }
 
 impl FairShareServer {
@@ -70,10 +49,7 @@ impl FairShareServer {
         FairShareServer {
             capacity,
             clock: SimTime::ZERO,
-            next_id: 0,
             active: Vec::new(),
-            pending: Vec::new(),
-            work_done: 0.0,
         }
     }
 
@@ -81,11 +57,6 @@ impl FairShareServer {
     #[cfg(test)]
     fn capacity(&self) -> f64 {
         self.capacity
-    }
-
-    /// Total work completed so far.
-    pub fn work_done(&self) -> f64 {
-        self.work_done
     }
 
     /// Change the service capacity at time `t` — e.g. a bandwidth brownout
@@ -113,15 +84,12 @@ impl FairShareServer {
         self.capacity = new_capacity;
     }
 
-    /// Submit a job of `work` units at time `now`.
-    ///
-    /// Jobs that complete strictly before `now` are buffered and surfaced by
-    /// the next [`drain_until`](Self::drain_until) call; the arithmetic is
-    /// exact regardless of interleaving.
+    /// Submit a job of `work` units at time `now`, first retiring every job
+    /// that completes by `now`.
     ///
     /// # Panics
     /// Panics if `now` precedes the server clock or `work` is not positive.
-    pub fn submit(&mut self, now: SimTime, work: f64) -> JobId {
+    pub fn submit(&mut self, now: SimTime, work: f64) {
         assert!(work.is_finite() && work > 0.0, "work must be positive");
         assert!(
             now >= self.clock,
@@ -129,27 +97,17 @@ impl FairShareServer {
             self.clock
         );
         self.advance(now);
-        let id = JobId(self.next_id);
-        self.next_id += 1;
-        self.active.push(PsJob {
-            id,
-            remaining: work,
-        });
-        id
+        self.active.push(work);
     }
 
     /// Earliest pending completion time, if any job is active.
     ///
     /// The delta is rounded *up* to the next microsecond: rounding to
     /// nearest could leave a sub-microsecond residue of work that never
-    /// completes, stalling the drain loops. Ceiling guarantees that
+    /// completes, stalling the advance loop. Ceiling guarantees that
     /// advancing to the returned time retires at least the smallest job.
-    pub(crate) fn next_completion_at(&self) -> Option<SimTime> {
-        let min_rem = self
-            .active
-            .iter()
-            .map(|j| j.remaining)
-            .fold(f64::INFINITY, f64::min);
+    fn next_completion_at(&self) -> Option<SimTime> {
+        let min_rem = self.active.iter().copied().fold(f64::INFINITY, f64::min);
         if min_rem.is_finite() {
             let n = self.active.len() as f64;
             let dt = min_rem * n / self.capacity;
@@ -160,24 +118,15 @@ impl FairShareServer {
         }
     }
 
-    /// Advance the server to `t` and return every completion at or before
-    /// `t` (including any buffered by intervening [`submit`](Self::submit)
-    /// calls), with exact completion times, in completion order.
-    pub fn drain_until(&mut self, t: SimTime) -> Vec<Completion> {
-        self.advance(t);
-        let mut out = std::mem::take(&mut self.pending);
-        out.sort_by_key(|c| (c.at, c.job));
-        out
-    }
-
     /// Time at which all currently queued work completes, assuming no new
     /// arrivals. Returns the server clock if idle.
     pub fn drained_at(&self) -> SimTime {
-        let total: f64 = self.active.iter().map(|j| j.remaining).sum();
+        let total: f64 = self.active.iter().sum();
         self.clock + SimDuration::from_secs_f64(total / self.capacity)
     }
 
-    /// Advance the processor-sharing state to `t`, buffering completions.
+    /// Advance the processor-sharing state to `t`, retiring every job that
+    /// completes on the way.
     fn advance(&mut self, t: SimTime) {
         while let Some(at) = self.next_completion_at() {
             if at > t {
@@ -185,11 +134,11 @@ impl FairShareServer {
             }
             self.consume(at);
             // Remove all jobs whose remaining hit ~0 (ties complete together).
+            // `swap_remove`, not `retain`: `drained_at` sums in this order.
             let mut i = 0;
             while i < self.active.len() {
-                if self.active[i].remaining <= 1e-9 {
-                    let job = self.active.swap_remove(i);
-                    self.pending.push(Completion { job: job.id, at });
+                if self.active[i] <= 1e-9 {
+                    self.active.swap_remove(i);
                 } else {
                     i += 1;
                 }
@@ -209,10 +158,8 @@ impl FairShareServer {
         let n = self.active.len();
         if n > 0 {
             let per_job = self.capacity * dt / n as f64;
-            for j in &mut self.active {
-                let used = per_job.min(j.remaining);
-                j.remaining -= per_job.min(j.remaining);
-                self.work_done += used;
+            for remaining in &mut self.active {
+                *remaining -= per_job.min(*remaining);
             }
         }
         self.clock = t;
@@ -258,9 +205,7 @@ mod tests {
     fn single_job_runs_at_full_capacity() {
         let mut srv = FairShareServer::new(50.0);
         srv.submit(SimTime::ZERO, 100.0);
-        let done = srv.drain_until(SimTime::from_secs(10));
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].at, SimTime::from_secs(2));
+        assert_eq!(srv.drained_at(), SimTime::from_secs(2));
     }
 
     #[test]
@@ -269,11 +214,8 @@ mod tests {
         for _ in 0..4 {
             srv.submit(SimTime::ZERO, 25.0);
         }
-        let done = srv.drain_until(SimTime::from_secs(10));
-        assert_eq!(done.len(), 4);
-        for c in &done {
-            assert_eq!(c.at, SimTime::from_secs(1)); // 100 units total / 100 per sec
-        }
+        // 100 units total / 100 per sec.
+        assert_eq!(srv.drained_at(), SimTime::from_secs(1));
     }
 
     #[test]
@@ -282,14 +224,9 @@ mod tests {
         // Small job done at t=2 (10/5). Then big has 30-10=20 left at 10/s,
         // done at t=2+2=4.
         let mut srv = FairShareServer::new(10.0);
-        let small = srv.submit(SimTime::ZERO, 10.0);
-        let big = srv.submit(SimTime::ZERO, 30.0);
-        let done = srv.drain_until(SimTime::from_secs(10));
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[0].job, small);
-        assert_eq!(done[0].at, SimTime::from_secs(2));
-        assert_eq!(done[1].job, big);
-        assert_eq!(done[1].at, SimTime::from_secs(4));
+        srv.submit(SimTime::ZERO, 10.0);
+        srv.submit(SimTime::ZERO, 30.0);
+        assert_eq!(srv.drained_at(), SimTime::from_secs(4));
     }
 
     #[test]
@@ -298,13 +235,22 @@ mod tests {
         // Job B = 10 units arrives at t=2; both run at 5/s. B done at t=4;
         // A then has 10 left at 10/s, done at t=5.
         let mut srv = FairShareServer::new(10.0);
-        let a = srv.submit(SimTime::ZERO, 40.0);
-        let b = srv.submit(SimTime::from_secs(2), 10.0);
-        let done = srv.drain_until(SimTime::from_secs(10));
-        assert_eq!(done[0].job, b);
-        assert_eq!(done[0].at, SimTime::from_secs(4));
-        assert_eq!(done[1].job, a);
-        assert_eq!(done[1].at, SimTime::from_secs(5));
+        srv.submit(SimTime::ZERO, 40.0);
+        srv.submit(SimTime::from_secs(2), 10.0);
+        assert_eq!(srv.active, [20.0, 10.0]);
+        assert_eq!(srv.drained_at(), SimTime::from_secs(5));
+    }
+
+    #[test]
+    fn finished_jobs_leave_the_server() {
+        // Each 10-unit job is done 1 s after it arrives; the next arrives
+        // 2 s after it, so the server never holds more than the newest.
+        let mut srv = FairShareServer::new(10.0);
+        for k in 0..1_000 {
+            srv.submit(SimTime::from_secs(2 * k), 10.0);
+            assert_eq!(srv.active.len(), 1);
+        }
+        assert_eq!(srv.drained_at(), SimTime::from_secs(1_999));
     }
 
     #[test]
@@ -314,10 +260,7 @@ mod tests {
             srv.submit(SimTime::ZERO, 10.0);
         }
         // 640 units at 160/s => all done at t=4, not earlier.
-        let done = srv.drain_until(SimTime::from_secs(100));
-        let last = done.iter().map(|c| c.at).max().unwrap();
-        assert_eq!(last, SimTime::from_secs(4));
-        assert!((srv.work_done() - 640.0).abs() < 1e-6);
+        assert_eq!(srv.drained_at(), SimTime::from_secs(4));
     }
 
     #[test]
@@ -343,9 +286,6 @@ mod tests {
         srv.set_capacity(SimTime::from_secs(5), 5.0);
         assert_eq!(srv.capacity(), 5.0);
         assert_eq!(srv.drained_at(), SimTime::from_secs(15));
-        let done = srv.drain_until(SimTime::from_secs(20));
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].at, SimTime::from_secs(15));
     }
 
     #[test]

@@ -94,6 +94,10 @@ impl BurstBuffer {
     /// drain proceeds asynchronously and its completion is visible through
     /// [`drained_at`](Self::drained_at). Writes larger than the whole buffer
     /// bypass it and go straight to the filesystem.
+    ///
+    /// Callers write at non-decreasing times, so a drain that has landed by
+    /// `now` counts in no later `occupied_at` or `drained_at` and is dropped
+    /// here: the buffer holds only the drains still in flight.
     pub fn write(
         &mut self,
         fs: &mut ParallelFileSystem,
@@ -101,18 +105,14 @@ impl BurstBuffer {
         path: &str,
         bytes: u64,
     ) -> Result<SimTime, PfsError> {
+        self.drains.retain(|d| d.completes_at > now);
         if bytes > self.config.capacity_bytes {
             return fs.write(now, path, bytes);
         }
         // Wait (if needed) until enough earlier data has drained.
         let mut start = now;
         if bytes > self.free_at(start) {
-            let mut deadlines: Vec<SimTime> = self
-                .drains
-                .iter()
-                .filter(|d| d.completes_at > now)
-                .map(|d| d.completes_at)
-                .collect();
+            let mut deadlines: Vec<SimTime> = self.drains.iter().map(|d| d.completes_at).collect();
             deadlines.sort_unstable();
             for t in deadlines {
                 if bytes <= self.free_at(t) {
@@ -238,6 +238,20 @@ mod tests {
         assert!((now.as_secs_f64() - 1.0).abs() < 0.01, "now = {now}");
         // Backing store needs 100 s total.
         assert!(buf.drained_at(now) >= SimTime::from_secs(100));
+    }
+
+    #[test]
+    fn landed_drains_are_dropped() {
+        // 10 B at 1 kB/s absorbs in 10 ms and drains through one 50 B/s
+        // OSS by 210 ms; each write comes 1 s after the previous one.
+        let mut fs = slow_fs();
+        let mut buf = bb(10_000, 1_000.0);
+        for k in 0..1_000 {
+            let now = SimTime::from_secs(k);
+            buf.write(&mut fs, now, &format!("/f{k}"), 10).unwrap();
+            assert!(buf.drains.len() <= 1, "{} drains held", buf.drains.len());
+            assert_eq!(buf.occupied_at(now), 10);
+        }
     }
 
     #[test]

@@ -208,22 +208,20 @@ impl AdaptiveTrigger {
     /// Build a trigger; starts at the configured `analysis_interval`
     /// clamped into the `[min, max]` band.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// If [`TriggerConfig::validate`] rejects `cfg`.
-    pub fn new(cfg: TriggerConfig) -> Self {
-        if let Err(detail) = cfg.validate() {
-            panic!("invalid trigger configuration: {detail}");
-        }
+    /// The rule [`TriggerConfig::validate`] names, if it rejects `cfg`.
+    pub fn new(cfg: TriggerConfig) -> Result<Self, String> {
+        cfg.validate()?;
         let interval = cfg
             .analysis_interval
             .clamp(cfg.min_interval, cfg.max_interval);
-        AdaptiveTrigger {
+        Ok(AdaptiveTrigger {
             cfg,
             interval,
             last_emit: None,
             prev: None,
-        }
+        })
     }
 
     /// Census activity between consecutive analyses: the eddy-count
@@ -315,7 +313,7 @@ mod tests {
 
     #[test]
     fn first_analysis_always_emits() {
-        let mut t = AdaptiveTrigger::new(TriggerConfig::new(8, 5));
+        let mut t = AdaptiveTrigger::new(TriggerConfig::new(8, 5)).expect("valid config");
         let d = t.analyze(0, &census(0, 0.0), &flat_scores(5));
         assert!(d.emit);
     }
@@ -324,7 +322,7 @@ mod tests {
     fn quiet_field_relaxes_to_max_interval() {
         let cfg = TriggerConfig::new(8, 1);
         let max = cfg.max_interval;
-        let mut t = AdaptiveTrigger::new(cfg);
+        let mut t = AdaptiveTrigger::new(cfg).expect("valid config");
         let c = census(2, 100.0);
         for k in 0..10 {
             t.analyze(k * 8, &c, &flat_scores(1));
@@ -336,7 +334,7 @@ mod tests {
     fn births_tighten_to_min_interval() {
         let cfg = TriggerConfig::new(8, 1);
         let min = cfg.min_interval;
-        let mut t = AdaptiveTrigger::new(cfg);
+        let mut t = AdaptiveTrigger::new(cfg).expect("valid config");
         // Eddy count climbs every analysis: sustained activity.
         for k in 0..10u64 {
             t.analyze(
@@ -353,7 +351,7 @@ mod tests {
         let mut cfg = TriggerConfig::new(4, 1);
         cfg.min_interval = 8;
         cfg.max_interval = 8;
-        let mut t = AdaptiveTrigger::new(cfg);
+        let mut t = AdaptiveTrigger::new(cfg).expect("valid config");
         let c = census(1, 10.0);
         let emitted: Vec<u64> = (0..8u64)
             .filter(|k| t.analyze(k * 4, &c, &flat_scores(1)).emit)
@@ -407,12 +405,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "min_interval")]
-    fn inverted_band_panics_at_construction() {
+    fn inverted_band_is_rejected_at_construction() {
         let mut cfg = TriggerConfig::new(8, 1);
         cfg.min_interval = 32;
         cfg.max_interval = 8;
-        AdaptiveTrigger::new(cfg);
+        let err = AdaptiveTrigger::new(cfg).expect_err("inverted band");
+        assert_eq!(err, "min_interval 32 must be ≤ max_interval 8");
     }
 
     #[test]
@@ -445,7 +443,7 @@ mod tests {
             cfg.min_interval = 4u64 << min_pow;
             cfg.max_interval = cfg.min_interval << span_pow;
             let (min, max) = (cfg.min_interval, cfg.max_interval);
-            let mut t = AdaptiveTrigger::new(cfg);
+            let mut t = AdaptiveTrigger::new(cfg).expect("valid config");
             for (k, (count, mass)) in seq.into_iter().enumerate() {
                 let d = t.analyze(k as u64 * 4, &census(count, mass), &flat_scores(1));
                 prop_assert!(d.interval_steps >= min);
@@ -459,7 +457,7 @@ mod tests {
             seq in prop::collection::vec((0usize..10, 0.0f64..1e10), 1..20),
         ) {
             let run = |seq: &[(usize, f64)]| -> Vec<TriggerDecision> {
-                let mut t = AdaptiveTrigger::new(TriggerConfig::new(4, 3));
+                let mut t = AdaptiveTrigger::new(TriggerConfig::new(4, 3)).expect("valid config");
                 seq.iter()
                     .enumerate()
                     .map(|(k, (c, m))| t.analyze(k as u64 * 4, &census(*c, *m), &flat_scores(3)))

@@ -31,13 +31,13 @@
 mod common;
 
 use common::{at_all_thread_counts, blob, parse, stats_line, Golden};
-use insitu_vis::cluster::{ClusterTopology, IoWaitPolicy, JobPhase, Machine, NodeId};
+use insitu_vis::cluster::{ClusterTopology, IoWaitPolicy, JobPhase, Machine};
 use insitu_vis::fault::{FaultPlan, FaultScenario};
 use insitu_vis::pipeline::campaign::{Campaign, CampaignConfig, Plan};
 use insitu_vis::pipeline::intransit::{reported_kind, InTransitConfig};
 use insitu_vis::pipeline::{CompressionConfig, PipelineConfig, PipelineKind, TransportConfig};
 use insitu_vis::power::meter::MeteredPdu;
-use insitu_vis::power::node::{NodeLoad, NodePowerModel};
+use insitu_vis::power::node::NodePowerModel;
 use insitu_vis::power::units::Watts;
 use insitu_vis::sim::{SimDuration, SimTime};
 use insitu_vis::storage::burst_buffer::BurstBufferConfig;
@@ -382,11 +382,10 @@ fn meters_blob(meters: &[MeteredPdu]) -> String {
     blob(&text)
 }
 
-/// Drive a `cages` × 10 machine through a fixed script — a node load before
-/// any phase, uniform phases, splits at a cage-aligned and a mid-cage
-/// boundary, two changes in one instant, node loads after a split (one in
-/// the straddling cage), `finish` — and render everything it exposes: the
-/// cage meters (read mid-script and at the end), the cluster meter,
+/// Drive a `cages` × 10 machine through a fixed script — uniform phases,
+/// splits at a cage-aligned and a mid-cage boundary, two changes in one
+/// instant, `finish` — and render everything it exposes: the cage meters
+/// (read right after the mid-cage split and at the end), the cluster meter,
 /// `power_now` after each op, and the profile energy.
 fn machine_script_line(cages: usize, aligned: usize, mid: usize, noise: Option<u64>) -> String {
     let topology = ClusterTopology {
@@ -394,7 +393,6 @@ fn machine_script_line(cages: usize, aligned: usize, mid: usize, noise: Option<u
         nodes_per_cage: 10,
         ..ClusterTopology::caddy()
     };
-    let n = topology.num_nodes();
     // A non-round idle draw, so sums are inexact and their order shows.
     let node_model = NodePowerModel::caddy().calibrated(Watts(100.1), Watts(293.3));
     let mut m = Machine::new(topology, node_model, IoWaitPolicy::BusyWait);
@@ -404,7 +402,6 @@ fn machine_script_line(cages: usize, aligned: usize, mid: usize, noise: Option<u
     let t = SimTime::from_secs;
     type Op = Box<dyn Fn(&mut Machine)>;
     let ops: Vec<Op> = vec![
-        Box::new(move |m| m.set_node_load(t(3), NodeId(17), NodeLoad::COMPUTE)),
         Box::new(move |m| m.begin_phase(t(10), JobPhase::Simulate)),
         Box::new(move |m| m.begin_phase(t(95), JobPhase::WriteOutput)),
         Box::new(move |m| {
@@ -416,8 +413,6 @@ fn machine_script_line(cages: usize, aligned: usize, mid: usize, noise: Option<u
         Box::new(move |m| {
             m.begin_split_phase(t(260), mid, JobPhase::WriteOutput, JobPhase::Visualize)
         }),
-        Box::new(move |m| m.set_node_load(t(270), NodeId(n - 1), NodeLoad::RENDER)),
-        Box::new(move |m| m.set_node_load(t(270), NodeId(n - mid), NodeLoad::IDLE)),
         Box::new(move |m| m.begin_phase(t(300), JobPhase::Visualize)),
         Box::new(move |m| m.finish(t(360))),
     ];
@@ -426,7 +421,7 @@ fn machine_script_line(cages: usize, aligned: usize, mid: usize, noise: Option<u
     for (i, op) in ops.iter().enumerate() {
         op(&mut m);
         power_now.push_str(&format!("{:x};", m.power_now().watts().to_bits()));
-        if i == 4 {
+        if i == 3 {
             cages_mid = meters_blob(m.cage_meters());
         }
     }

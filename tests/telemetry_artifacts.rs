@@ -1,8 +1,6 @@
 //! Determinism of the exported observability artifacts: a seeded fault
 //! run must produce bit-identical Perfetto (Chrome trace-event) and
-//! Prometheus snapshots at 1, 2 and 8 shim threads, and
-//! `TraceBuffer::merge` must replay histogram observations from
-//! per-thread parts into one deterministic registry.
+//! Prometheus snapshots at 1, 2 and 8 shim threads.
 //!
 //! This is the artifact-level counterpart of `fault_injection.rs`: that
 //! suite pins the JSONL trace and the run digest; this one pins the two
@@ -16,9 +14,9 @@ use insitu_vis::pipeline::intransit::{reported_kind, InTransitConfig};
 use insitu_vis::pipeline::{
     CompressionConfig, PipelineConfig, PipelineKind, RunTelemetry, TransportConfig,
 };
-use insitu_vis::sim::{SimDuration, SimTime};
+use insitu_vis::sim::SimDuration;
 use ivis_obs::telemetry::paper_cadence;
-use ivis_obs::{to_chrome_trace, to_prometheus, Component, Recorder, TraceBuffer};
+use ivis_obs::{to_chrome_trace, to_prometheus, Recorder};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -82,37 +80,4 @@ fn faulted_run_exports_bit_identical_artifacts_across_thread_counts() {
     assert!(prom.contains("# TYPE power_compute_w gauge"));
     assert!(chrome.contains("\"name\":\"power.compute_w\""));
     assert!(chrome.contains("\"name\":\"transport\""));
-}
-
-#[test]
-fn merge_replays_histogram_parts_regardless_of_partitioning() {
-    // The same observation stream, split across per-thread parts two
-    // different ways, must merge into identical registries — the property
-    // the thread-count invariance above rests on.
-    let obs: Vec<(u64, f64)> = (0..24).map(|i| (i, (i % 7) as f64 * 0.25)).collect();
-    let build = |split: &dyn Fn(usize) -> usize, nparts: usize| {
-        let mut parts: Vec<TraceBuffer> = (0..nparts).map(|_| TraceBuffer::default()).collect();
-        for (i, &(secs, v)) in obs.iter().enumerate() {
-            let part = &mut parts[split(i)];
-            let t = SimTime::from_secs(secs);
-            let id = part.open_span(t, "work", Component::Transport, None);
-            part.metrics
-                .histogram_record(t, "transport.stall_seconds", v);
-            part.close_span(t, id);
-        }
-        TraceBuffer::merge(parts)
-    };
-    let by_half = build(&|i| usize::from(i >= 12), 2);
-    let round_robin = build(&|i| i % 3, 3);
-    assert_eq!(
-        to_prometheus(&by_half.metrics),
-        to_prometheus(&round_robin.metrics)
-    );
-    let h = by_half
-        .metrics
-        .get("transport.stall_seconds")
-        .and_then(|m| m.histogram())
-        .expect("merged histogram survives");
-    assert_eq!(h.count, 24);
-    assert_eq!(to_chrome_trace(&by_half), to_chrome_trace(&round_robin));
 }
