@@ -515,8 +515,8 @@ fn power_trace(kind: PipelineKind, hours: f64) {
     let m = campaign.run(&ivis_core::PipelineConfig::paper(kind, hours));
     let tel = ivis_core::RunTelemetry::from_metrics(&m, paper_cadence());
     println!("  minute | compute kW | storage kW |   total kW");
-    let storage = tel.storage.rows();
-    for (i, (minute, cw)) in tel.compute.rows().iter().enumerate() {
+    let storage = tel.storage.as_rows();
+    for (i, (minute, cw)) in tel.compute.as_rows().iter().enumerate() {
         let sw = storage.get(i).map_or(0.0, |&(_, w)| w);
         println!(
             "  {minute:>6.1} | {:>10.2} | {:>10.3} | {:>10.2}",
@@ -525,11 +525,10 @@ fn power_trace(kind: PipelineKind, hours: f64) {
             (cw + sw) / 1e3
         );
     }
-    for tl in [&tel.compute, &tel.storage] {
-        let s = tl.stats();
+    for (label, profile) in [("compute", &tel.compute), ("storage", &tel.storage)] {
+        let s = profile.stats();
         println!(
-            "  {:<7}: peak {:>8.2} kW | mean {:>8.2} kW | p50 {:>8.2} | p95 {:>8.2} | p99 {:>8.2} kW",
-            tl.label(),
+            "  {label:<7}: peak {:>8.2} kW | mean {:>8.2} kW | p50 {:>8.2} | p95 {:>8.2} | p99 {:>8.2} kW",
             s.peak.watts() / 1e3,
             s.mean.watts() / 1e3,
             s.p50.watts() / 1e3,

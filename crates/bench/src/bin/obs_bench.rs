@@ -3,9 +3,9 @@
 //! Two questions, answered across the paper's six measured
 //! configurations:
 //!
-//! 1. **Sampling cost** (gated): reconstructing the per-component W(t)
-//!    [`PowerTimeline`]s from a finished run's power profiles at the
-//!    paper cadence, timed by itself (`telemetry_s`) and reported as a
+//! 1. **Sampling cost** (gated): resampling a finished run's
+//!    per-component power profiles into W(t) at the paper cadence
+//!    ([`RunTelemetry::from_metrics`]), timed by itself (`telemetry_s`) and reported as a
 //!    share of the untraced (`Recorder::off()`) run (`overhead_pct`).
 //!    Timing it alone rather than as the difference of two full runs
 //!    keeps run-to-run noise out of a sub-percent figure. The
@@ -26,7 +26,7 @@
 //! snapshot of the traced in-situ @ 72 h run next to it — the artifacts
 //! the CI obs job uploads.
 //!
-//! [`PowerTimeline`]: ivis_obs::telemetry::PowerTimeline
+//! [`RunTelemetry::from_metrics`]: ivis_core::RunTelemetry::from_metrics
 
 use ivis_bench::obj;
 use ivis_bench::report::{time_min_s, Bench, Json};

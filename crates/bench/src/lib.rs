@@ -3,8 +3,8 @@
 //! Each `figN_rows()` function regenerates the data behind one artifact of
 //! the paper's evaluation, pairing our measured value with the paper's
 //! published one where the paper states a number. The `experiments` binary
-//! prints them, the `des`, `native`, `obs` and `parallel` `*_bench`
-//! binaries time the underlying machinery, and the integration tests
+//! prints them, the `des`, `native` and `obs` `*_bench` binaries time
+//! the underlying machinery, and the integration tests
 //! assert the shapes and hold every deterministic claim.
 
 pub mod adaptive;

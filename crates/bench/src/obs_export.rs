@@ -10,8 +10,9 @@ use ivis_cluster::IoWaitPolicy;
 use ivis_core::campaign::Campaign;
 use ivis_core::metrics::PipelineMetrics;
 use ivis_core::{PipelineConfig, PipelineKind, RunTelemetry};
-use ivis_obs::telemetry::{paper_cadence, PowerTimeline};
+use ivis_obs::telemetry::paper_cadence;
 use ivis_obs::{csv as obs_csv, render_fig4, to_jsonl, EnergyAttribution, Recorder};
+use ivis_power::profile::PowerProfile;
 
 /// One traced run: metrics, attribution report, and the raw recorder.
 pub struct TracedRun {
@@ -62,11 +63,11 @@ pub fn phase_energy_csv() -> String {
 /// component per configuration.
 pub(crate) const POWER_CSV_HEADER: &str = "config,component,minute,watts";
 
-/// Append one timeline's `(minute, watts)` rows to `out`.
-fn power_csv_rows(out: &mut String, config: &str, tl: &PowerTimeline) {
+/// Append one component's `(minute, watts)` rows to `out`.
+fn power_csv_rows(out: &mut String, config: &str, component: &str, profile: &PowerProfile) {
     use std::fmt::Write as _;
-    for (minute, watts) in tl.rows() {
-        let _ = writeln!(out, "{config},{},{minute},{watts}", tl.label());
+    for (minute, watts) in profile.as_rows() {
+        let _ = writeln!(out, "{config},{component},{minute},{watts}");
     }
 }
 
@@ -81,8 +82,8 @@ pub fn phase_power_csv() -> String {
         let m = campaign.run(&pc);
         let tel = RunTelemetry::from_metrics(&m, paper_cadence());
         let label = config_label(pc.kind, pc.rate.every_hours);
-        power_csv_rows(&mut out, &label, &tel.compute);
-        power_csv_rows(&mut out, &label, &tel.storage);
+        power_csv_rows(&mut out, &label, "compute", &tel.compute);
+        power_csv_rows(&mut out, &label, "storage", &tel.storage);
     }
     out
 }

@@ -857,7 +857,7 @@ mod tests {
         m.begin_phase(t(0), JobPhase::Simulate);
         m.finish(t(600));
         let meter = m.cluster_meter();
-        let e = meter.energy_from_samples(SimTime::ZERO, t(600)).joules();
+        let e = meter.profile(SimTime::ZERO, t(600)).energy().joules();
         assert!((e - 44_000.0 * 600.0).abs() / e < 1e-6);
     }
 

@@ -33,7 +33,7 @@ use ivis_ocean::cost::SimulationCostModel;
 use ivis_ocean::ProblemSpec;
 use ivis_power::node::NodePowerModel;
 use ivis_power::units::Joules;
-use ivis_sim::{SimRng, SimTime};
+use ivis_sim::{SimDuration, SimRng, SimTime};
 use ivis_storage::burst_buffer::BurstBufferConfig;
 use ivis_storage::ParallelFileSystem;
 
@@ -42,6 +42,14 @@ use crate::intransit::InTransitConfig;
 use crate::metrics::PipelineMetrics;
 use crate::resilience::PipelineError;
 use crate::transport::TransportStats;
+
+/// The longest makespan a run may meter: 2^20 one-minute meter samples
+/// (≈ 728 days; the paper's longest run is ≈ 35 minutes), which bounds
+/// each harvested power profile at 16 MiB. [`Plan`] validation refuses a
+/// compute span, summed MDS surcharges or a retry backoff past it, and
+/// the executors return [`PipelineError::MakespanPastBudget`] rather than
+/// harvest a longer makespan.
+pub(crate) const METER_SAMPLE_BUDGET: SimDuration = SimDuration::from_mins(1 << 20);
 
 /// Knobs of the measurement campaign.
 #[derive(Debug, Clone)]
@@ -146,6 +154,16 @@ impl Plan {
         cost: &SimulationCostModel,
     ) -> Result<(), PipelineError> {
         validate_spec(&self.pipeline.spec, cost)?;
+        if let Some(delay) = self
+            .faults
+            .as_ref()
+            .and_then(|f| f.delay_past(METER_SAMPLE_BUDGET))
+        {
+            return Err(PipelineError::invalid(format!(
+                "{delay} exceeds the {} s meter-sample budget",
+                METER_SAMPLE_BUDGET.as_secs_f64()
+            )));
+        }
         if let Some(it) = &self.staging {
             it.validate(total_nodes)?;
         }
@@ -176,8 +194,8 @@ impl Plan {
 
 /// Reject a problem no executor can step: a time step or duration that is
 /// not finite and positive, an empty mesh, a raw output whose size does
-/// not fit `u64`, or a compute span under `cost` past the last instant
-/// `SimTime` holds.
+/// not fit `u64`, or a compute span under `cost` past
+/// `METER_SAMPLE_BUDGET`.
 fn validate_spec(spec: &ProblemSpec, cost: &SimulationCostModel) -> Result<(), PipelineError> {
     for (name, v) in [
         ("step_minutes", spec.step_minutes),
@@ -207,10 +225,10 @@ fn validate_spec(spec: &ProblemSpec, cost: &SimulationCostModel) -> Result<(), P
         )));
     }
     let span = cost.step_seconds(spec) * spec.total_steps() as f64;
-    let limit = SimTime::from_micros(u64::MAX).as_secs_f64();
-    if !(span.is_finite() && span < limit) {
+    let budget = METER_SAMPLE_BUDGET.as_secs_f64();
+    if !(span.is_finite() && span <= budget) {
         return Err(PipelineError::invalid(format!(
-            "{} steps of compute take {span} s, past the {limit} s simulated time holds",
+            "{} steps of compute take {span} s, past the {budget} s meter-sample budget",
             spec.total_steps()
         )));
     }
@@ -244,9 +262,12 @@ impl Run {
         transport: Option<TransportStats>,
         events: u64,
     ) -> Self {
-        let retry_energy = metrics
-            .compute_profile
-            .energy_over(session.backoff_windows());
+        let retry_energy = session
+            .backoff_windows()
+            .iter()
+            .fold(Joules::ZERO, |acc, &(from, to)| {
+                acc + metrics.compute_profile.energy_between(from, to)
+            });
         Run {
             metrics,
             stats: session.into_stats(),
@@ -421,7 +442,10 @@ impl Campaign {
     /// and harvest the meters.
     ///
     /// An invalid plan is [`PipelineError::InvalidConfig`] and nothing is
-    /// simulated; a storage failure no retry absorbs is a typed error too.
+    /// simulated; a storage failure no retry absorbs is a typed error too,
+    /// and so is a run whose makespan outgrows the meter-sample budget
+    /// (2^20 minutes), [`PipelineError::MakespanPastBudget`], returned
+    /// before its meters are harvested.
     /// Under faults the run degrades gracefully (retries, sheds) — never a
     /// panic. With `faults: Some(FaultScenario::none())` the metrics are
     /// bit-identical to the clean run's, and so is the trace, up to the
@@ -516,14 +540,18 @@ impl Campaign {
         pfs: &ParallelFileSystem,
         end: SimTime,
         num_outputs: u64,
-    ) -> PipelineMetrics {
+    ) -> Result<PipelineMetrics, PipelineError> {
+        let makespan = end - SimTime::ZERO;
+        if makespan > METER_SAMPLE_BUDGET {
+            return Err(PipelineError::MakespanPastBudget { makespan });
+        }
         let (t_sim, t_io, t_viz) = machine.timeline().decompose();
         let compute_profile = machine.cluster_meter().profile(SimTime::ZERO, end);
         let storage_profile = pfs.rack_meter().profile(SimTime::ZERO, end);
-        PipelineMetrics {
+        Ok(PipelineMetrics {
             kind: pc.kind,
             rate_hours: pc.rate.every_hours,
-            execution_time: end - SimTime::ZERO,
+            execution_time: makespan,
             t_sim,
             t_io,
             t_viz,
@@ -531,7 +559,7 @@ impl Campaign {
             num_outputs,
             compute_profile,
             storage_profile,
-        }
+        })
     }
 }
 
@@ -595,6 +623,7 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::metrics::compare;
+    use ivis_fault::{FaultKind, FaultPlan, FaultWindow};
 
     fn run(kind: PipelineKind, hours: f64) -> PipelineMetrics {
         Campaign::paper().run(&PipelineConfig::paper(kind, hours))
@@ -940,6 +969,75 @@ mod tests {
         // Caddy compute on this mesh take ≈2.4e13 s, past SimTime's
         // ≈1.8e13 s: the run used to panic after ~420 outputs.
         let detail = rejected(&spec_plan(|s| s.num_cells = 28_000_000_000_000_000));
-        assert!(detail.contains("simulated time holds"), "{detail}");
+        assert!(detail.contains("meter-sample budget"), "{detail}");
+    }
+
+    /// The paper's in-situ run stretched `factor`-fold in simulated
+    /// duration, writing `outputs` outputs.
+    fn stretched(factor: f64, outputs: f64) -> Plan {
+        let mut pipeline = PipelineConfig::paper(PipelineKind::InSitu, 8.0);
+        pipeline.spec.duration_hours *= factor;
+        pipeline.rate.every_hours = pipeline.spec.duration_hours / outputs;
+        Plan::new(pipeline)
+    }
+
+    /// A paper in-situ run under `scenario`.
+    fn faulted(scenario: FaultScenario) -> Plan {
+        Plan {
+            faults: Some(scenario),
+            ..Plan::new(PipelineConfig::paper(PipelineKind::InSitu, 8.0))
+        }
+    }
+
+    // Unrefused, each `hostile_plan_*` plan allocates gigabytes of meter
+    // samples; CI runs them under `ulimit -v` so that a regression fails
+    // as an allocation error.
+
+    #[test]
+    fn hostile_plan_stretched_duration_is_rejected() {
+        // One output over 6.03e9 s of compute: ≈1e8 meter minutes.
+        let detail = rejected(&stretched(1e7, 1.0));
+        assert!(detail.contains("meter-sample budget"), "{detail}");
+    }
+
+    #[test]
+    fn hostile_plan_mds_stall_is_rejected() {
+        let stall = FaultPlan::new(1).inject(
+            FaultWindow::of_secs(0, 100_000),
+            FaultKind::MdsStall {
+                surcharge: SimDuration::from_micros(1 << 62),
+            },
+        );
+        let detail = rejected(&faulted(FaultScenario::with_plan(stall)));
+        assert!(detail.contains("MDS surcharges"), "{detail}");
+    }
+
+    #[test]
+    fn hostile_plan_retry_backoff_is_rejected() {
+        let failing = FaultPlan::new(1).inject(
+            FaultWindow::of_secs(0, 100_000),
+            FaultKind::TransientIo { fail_prob: 1.0 },
+        );
+        let mut scenario = FaultScenario::with_plan(failing);
+        scenario.retry.base_backoff = SimDuration::from_micros(u64::MAX / 4);
+        scenario.retry.max_backoff = SimDuration::from_micros(u64::MAX / 4);
+        let detail = rejected(&faulted(scenario));
+        assert!(detail.contains("retry backoff"), "{detail}");
+    }
+
+    #[test]
+    fn makespan_past_the_budget_is_not_harvested() {
+        // The compute span (603 s × 104 335) fits the budget; the 1 000
+        // renders push the makespan past it.
+        let plan = stretched(104_335.0, 1_000.0);
+        match Campaign::paper().execute(&plan) {
+            Err(PipelineError::MakespanPastBudget { makespan }) => {
+                assert!(makespan > METER_SAMPLE_BUDGET, "{makespan:?}")
+            }
+            other => panic!(
+                "expected MakespanPastBudget, got {:?}",
+                other.map(|r| r.metrics.execution_time)
+            ),
+        }
     }
 }

@@ -200,7 +200,7 @@ impl Campaign {
         }
         tracer.finish(&mut machine, end);
         rec.close(end, root);
-        let metrics = self.harvest(pc, machine, &pfs, end, written);
+        let metrics = self.harvest(pc, machine, &pfs, end, written)?;
         let events = engine.events_executed();
         Ok(Run::finish(metrics, session, None, events))
     }
@@ -364,7 +364,7 @@ impl Campaign {
         }
         tracer.finish(&mut machine, end);
         rec.close(end, root);
-        let metrics = self.harvest(pc, machine, &pfs, end, written);
+        let metrics = self.harvest(pc, machine, &pfs, end, written)?;
         let events = engine.events_executed();
         Ok(Run::finish(metrics, session, None, events))
     }
@@ -644,7 +644,7 @@ impl Campaign {
         if let Some(e) = error {
             return Err(e);
         }
-        let metrics = self.harvest(pc, machine, &pfs, end, written);
+        let metrics = self.harvest(pc, machine, &pfs, end, written)?;
         let events = engine.events_executed();
         Ok(Run::finish(metrics, session, Some(stats), events))
     }

@@ -40,8 +40,8 @@
 //! degrades gracefully instead of panicking; a clean run is the same code under an empty plan.
 //!
 //! Every campaign executor also feeds one observability hook: `telemetry`
-//! turns a finished run's harvested power profiles into sampled W(t)
-//! [`ivis_obs::telemetry::PowerTimeline`]s at a configurable cadence — the
+//! resamples a finished run's harvested power profiles into sampled W(t)
+//! [`ivis_power::profile::PowerProfile`]s at a configurable cadence — the
 //! paper's per-minute PDU view.
 
 pub(crate) mod adaptive;

@@ -33,7 +33,7 @@
 
 use ivis_fault::FaultSession;
 use ivis_obs::{AttrValue, Component, Recorder};
-use ivis_sim::SimTime;
+use ivis_sim::{SimDuration, SimTime};
 use ivis_storage::burst_buffer::BurstBuffer;
 use ivis_storage::{ParallelFileSystem, PfsError};
 
@@ -81,6 +81,12 @@ pub enum PipelineError {
         /// Which setting was rejected, and why.
         detail: String,
     },
+    /// The run's makespan outgrew the meter-sample budget (2^20 one-minute
+    /// samples per meter); its meters were not harvested.
+    MakespanPastBudget {
+        /// How long the run took.
+        makespan: SimDuration,
+    },
 }
 
 impl PipelineError {
@@ -118,6 +124,12 @@ impl std::fmt::Display for PipelineError {
             PipelineError::InvalidConfig { detail } => {
                 write!(f, "invalid configuration: {detail}")
             }
+            PipelineError::MakespanPastBudget { makespan } => {
+                write!(
+                    f,
+                    "a makespan of {makespan} is past the meter-sample budget"
+                )
+            }
         }
     }
 }
@@ -127,7 +139,9 @@ impl std::error::Error for PipelineError {
         match self {
             PipelineError::Storage { source, .. }
             | PipelineError::RetriesExhausted { source, .. } => Some(source),
-            PipelineError::CorruptFrame { .. } | PipelineError::InvalidConfig { .. } => None,
+            PipelineError::CorruptFrame { .. }
+            | PipelineError::InvalidConfig { .. }
+            | PipelineError::MakespanPastBudget { .. } => None,
         }
     }
 }

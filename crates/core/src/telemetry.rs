@@ -2,55 +2,58 @@
 //!
 //! Each executor — in-situ, post-hoc and staged in-transit, clean or
 //! faulted ([`Campaign::execute`]) — already harvests its power pathway
-//! into [`PipelineMetrics`] profiles. [`RunTelemetry::from_metrics`] turns that
-//! harvest into one sampled W(t) [`PowerTimeline`] per
+//! into [`PipelineMetrics`] profiles. [`RunTelemetry::from_metrics`]
+//! resamples that harvest into one sampled W(t) [`PowerProfile`] per
 //! metered component at the requested cadence (the paper's per-minute
-//! PDU view at [`paper_cadence`], or down to 1 s for debugging), plus
-//! helpers to publish the signals as power gauges so the Prometheus
-//! snapshot carries them.
+//! PDU view at [`paper_cadence`], or down to 1 s for debugging), and
+//! publishes the signals as power gauges so the Prometheus snapshot
+//! carries them.
 //!
 //! [`Campaign::execute`]: crate::campaign::Campaign::execute
 //! [`paper_cadence`]: ivis_obs::telemetry::paper_cadence
 
-use ivis_obs::telemetry::PowerTimeline;
 use ivis_obs::Recorder;
+use ivis_power::profile::PowerProfile;
 use ivis_sim::SimDuration;
 
 use crate::metrics::PipelineMetrics;
 
-/// Sampled per-component power timelines for one pipeline run.
+/// Sampled per-component power signals for one pipeline run.
 #[derive(Debug, Clone)]
 pub struct RunTelemetry {
     /// The Appro-cage view of the compute cluster, resampled.
-    pub compute: PowerTimeline,
+    pub compute: PowerProfile,
     /// The Raritan-PDU view of the storage rack, resampled.
-    pub storage: PowerTimeline,
+    pub storage: PowerProfile,
 }
 
 impl RunTelemetry {
-    /// Reconstruct both component timelines from a run's harvested
-    /// profiles at `cadence` — the same profiles the energy accounting
-    /// uses, so the timelines' integrals match `energy_between`
-    /// attribution exactly, whichever executor produced `metrics`.
+    /// Resample both component profiles of a run at `cadence` — the same
+    /// profiles the energy accounting uses, so the resampled integrals
+    /// match `energy_between` attribution exactly, whichever executor
+    /// produced `metrics`.
     ///
     /// # Panics
     /// Panics if `cadence` is zero.
     pub fn from_metrics(metrics: &PipelineMetrics, cadence: SimDuration) -> Self {
         RunTelemetry {
-            compute: PowerTimeline::from_profile("compute", &metrics.compute_profile, cadence),
-            storage: PowerTimeline::from_profile("storage", &metrics.storage_profile, cadence),
+            compute: metrics.compute_profile.resample(cadence),
+            storage: metrics.storage_profile.resample(cadence),
         }
     }
 
-    /// Publish both timelines into `rec` as the gauges
-    /// `power.compute_w` / `power.storage_w` (no-op when the recorder is
-    /// off), so exported snapshots carry the sampled power signal.
+    /// Publish both signals into `rec` as the gauges `power.compute_w` /
+    /// `power.storage_w`, one step per sample from the start of its
+    /// interval (no-op when the recorder is off), so exported snapshots
+    /// carry the sampled power signal.
     pub fn record_gauges(&self, rec: &Recorder) {
-        for (at, w) in self.compute.gauge_samples() {
-            rec.gauge_set(at, "power.compute_w", w.watts());
-        }
-        for (at, w) in self.storage.gauge_samples() {
-            rec.gauge_set(at, "power.storage_w", w.watts());
+        for (name, profile) in [
+            ("power.compute_w", &self.compute),
+            ("power.storage_w", &self.storage),
+        ] {
+            for (from, s) in profile.steps() {
+                rec.gauge_set(from, name, s.avg.watts());
+            }
         }
     }
 }
@@ -63,9 +66,9 @@ mod tests {
     use ivis_fault::{FaultPlan, FaultScenario};
     use ivis_obs::telemetry::paper_cadence;
 
-    /// The tentpole invariant, end-to-end: for every paper configuration
-    /// and several cadences, the sampled timelines integrate to exactly
-    /// the energy the run metered.
+    /// End to end: for every paper configuration and several cadences,
+    /// the resampled signals integrate to exactly the energy the run
+    /// metered.
     #[test]
     fn timeline_integrals_match_metered_energy_for_all_configs() {
         let campaign = Campaign::paper();
@@ -121,7 +124,7 @@ mod tests {
         rec.with_buffer(|buf| {
             let g = buf.metrics.get("power.compute_w").expect("gauge recorded");
             // The gauge's time-weighted mean over the run window equals
-            // the timeline's mean power.
+            // the resampled signal's mean power.
             let mean = g.mean_over(tel.compute.start(), tel.compute.end(), 0.0);
             assert!((mean - tel.compute.stats().mean.watts()).abs() < 1e-6);
             assert!(buf.metrics.get("power.storage_w").is_some());

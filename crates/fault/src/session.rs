@@ -41,6 +41,31 @@ impl FaultScenario {
             degradation: DegradationPolicy::standard(),
         }
     }
+
+    /// Describes the first delay this scenario can add to one storage
+    /// operation that is longer than `limit`: the MDS surcharges of all
+    /// its stalls together (overlapping stalls add), or the longest
+    /// backoff its retry policy draws (`max_backoff` stretched by the
+    /// jitter). `None` when both fit.
+    pub fn delay_past(&self, limit: SimDuration) -> Option<String> {
+        let mds = self
+            .plan
+            .faults()
+            .iter()
+            .filter_map(|f| match f.kind {
+                FaultKind::MdsStall { surcharge } => Some(surcharge.as_micros()),
+                _ => None,
+            })
+            .fold(0u64, u64::saturating_add);
+        if mds > limit.as_micros() {
+            return Some(format!("MDS surcharges of {mds} us in all"));
+        }
+        let backoff = self.retry.max_backoff.as_secs_f64() * (1.0 + self.retry.jitter_rel.max(0.0));
+        if backoff > limit.as_secs_f64() {
+            return Some(format!("a retry backoff of up to {backoff} s"));
+        }
+        None
+    }
 }
 
 /// The aggregate storage-side degradation at one instant, folded from
@@ -267,6 +292,28 @@ mod tests {
                     surcharge: SimDuration::from_millis(5),
                 },
             )
+    }
+
+    #[test]
+    fn delay_past_adds_stalls_and_stretches_backoff() {
+        let limit = SimDuration::from_secs(100);
+        let stalls = |a, b| {
+            let stall = |s| FaultKind::MdsStall {
+                surcharge: SimDuration::from_secs(s),
+            };
+            let plan = FaultPlan::new(1)
+                .inject(FaultWindow::of_secs(0, 10), stall(a))
+                .inject(FaultWindow::of_secs(50, 60), stall(b));
+            FaultScenario::with_plan(plan).delay_past(limit)
+        };
+        assert_eq!(stalls(50, 50), None);
+        assert!(stalls(50, 51).is_some());
+        let mut s = FaultScenario::none();
+        s.retry.max_backoff = SimDuration::from_secs(80);
+        for (jitter, past) in [(0.25, false), (0.3, true), (f64::INFINITY, true)] {
+            s.retry.jitter_rel = jitter;
+            assert_eq!(s.delay_past(limit).is_some(), past, "jitter {jitter}");
+        }
     }
 
     #[test]

@@ -21,12 +21,9 @@
 //!   value's bit pattern, so distributions (queue depths, retry
 //!   latencies, transport stalls) are deterministic across platforms and
 //!   thread counts.
-//! * [`telemetry`] — **time-resolved power telemetry**: a
-//!   [`PowerTimeline`] resamples a harvested power profile (or a phase
-//!   timeline joined with a node power model) through [`MeteredPdu`]
-//!   interval averaging at a configurable cadence — the paper's
-//!   one-sample-per-minute PDU pathway — with exact time-weighted
-//!   peak/mean/percentile stats.
+//! * [`telemetry`] — the paper's one-sample-per-minute PDU cadence,
+//!   [`paper_cadence`](telemetry::paper_cadence), at which a harvested
+//!   [`PowerProfile`] is resampled into the sampled W(t) signal.
 //! * [`jsonl`], [`csv`], `gantt`, `exporters` — sinks: a
 //!   stable-schema JSONL trace exporter (one record per line), CSV
 //!   rows that plug into the bench harness's CSV export, an ASCII
@@ -41,8 +38,6 @@
 //!   ablation) directly inspectable.
 //!
 //! [`PowerProfile`]: ivis_power::profile::PowerProfile
-//! [`PowerTimeline`]: telemetry::PowerTimeline
-//! [`MeteredPdu`]: ivis_power::meter::MeteredPdu
 
 pub mod csv;
 pub(crate) mod energy;

@@ -9,17 +9,17 @@
 //!   a node model.
 //! * [`node`] — node-level power models, including the calibrated *Caddy*
 //!   compute node (150 nodes ⇒ 15 kW idle, 44 kW at full load, the paper's
-//!   published endpoints).
+//!   published endpoints) and its per-component split of that wall power.
 //! * [`meter`] — simulated metered PDUs: they observe a continuous power
 //!   signal and report **one averaged sample per minute**, exactly like the
 //!   Raritan rack meter and the Appro cage monitors in the paper.
 //! * [`profile`] — power profiles (the paper's Fig. 4): energy integration,
-//!   time-weighted average power, peaks.
+//!   time-weighted average power, peaks, resampling at another meter
+//!   cadence and time-weighted percentiles.
 //! * [`proportionality`] — power-proportionality metrics: dynamic range,
 //!   the idle/full-load ratios the paper reports (storage: +1.3 %,
 //!   compute: +193 %).
 
-pub mod attribution;
 pub(crate) mod component;
 pub mod cost;
 pub mod meter;

@@ -12,7 +12,7 @@
 use ivis_sim::{SimDuration, SimTime, TimeSeries};
 
 use crate::profile::PowerProfile;
-use crate::units::{Joules, Watts};
+use crate::units::Watts;
 
 /// One reported meter sample: the average power over the interval ending at
 /// `at`.
@@ -112,23 +112,11 @@ impl MeteredPdu {
         PowerProfile::from_meter_samples(from, self.report(from, to))
     }
 
-    /// Energy over `[from, to]` computed from reported samples (the paper's
-    /// method: average power × interval, summed).
-    pub fn energy_from_samples(&self, from: SimTime, to: SimTime) -> Joules {
-        let mut total = Joules::ZERO;
-        let mut prev = from;
-        for s in self.report(from, to) {
-            total += s.avg.over(s.at - prev);
-            prev = s.at;
-        }
-        total
-    }
-
     /// Exact energy over `[from, to]` from the true signal: the oracle
     /// the sampled energy is tested against.
     #[cfg(test)]
-    fn true_energy(&self, from: SimTime, to: SimTime) -> Joules {
-        Joules(self.signal.integrate(from, to, self.baseline.watts()))
+    fn true_energy(&self, from: SimTime, to: SimTime) -> crate::units::Joules {
+        crate::units::Joules(self.signal.integrate(from, to, self.baseline.watts()))
     }
 }
 
@@ -190,27 +178,27 @@ mod tests {
     }
 
     #[test]
-    fn energy_from_samples_equals_true_energy_for_aligned_signal() {
+    fn sampled_energy_equals_true_energy_for_aligned_signal() {
         // When power changes only at minute boundaries, metering is lossless.
         let mut pdu = MeteredPdu::raritan_rack("m", Watts(100.0));
         pdu.observe(t(0), Watts(100.0));
         pdu.observe(t(60), Watts(200.0));
         pdu.observe(t(120), Watts(100.0));
-        let e_meter = pdu.energy_from_samples(t(0), t(180));
+        let e_meter = pdu.profile(t(0), t(180)).energy();
         let e_true = pdu.true_energy(t(0), t(180));
         assert!((e_meter.joules() - e_true.joules()).abs() < 1e-6);
         assert!((e_true.joules() - (100.0 * 120.0 + 200.0 * 60.0)).abs() < 1e-6);
     }
 
     #[test]
-    fn energy_from_samples_equals_true_energy_even_when_quantized() {
+    fn sampled_energy_equals_true_energy_even_when_quantized() {
         // Interval averaging preserves the integral exactly (it only loses
         // the shape within the interval).
         let mut pdu = MeteredPdu::raritan_rack("m", Watts(0.0));
         pdu.observe(t(10), Watts(500.0));
         pdu.observe(t(70), Watts(0.0));
         pdu.observe(t(95), Watts(300.0));
-        let e_meter = pdu.energy_from_samples(t(0), t(180));
+        let e_meter = pdu.profile(t(0), t(180)).energy();
         let e_true = pdu.true_energy(t(0), t(180));
         assert!((e_meter.joules() - e_true.joules()).abs() < 1e-6);
     }

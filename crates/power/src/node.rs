@@ -62,6 +62,20 @@ impl NodeLoad {
     };
 }
 
+/// One node's wall power split by component, in watts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ComponentPower {
+    /// CPU sockets.
+    pub cpu: Watts,
+    /// DRAM.
+    pub dram: Watts,
+    /// NIC/HCA.
+    pub nic: Watts,
+    /// Everything else the wall meter sees: fans, boards, VRMs, PSU
+    /// conversion loss and the calibration offset.
+    pub platform: Watts,
+}
+
 /// A calibrated whole-node power model.
 #[derive(Debug, Clone)]
 pub struct NodePowerModel {
@@ -137,13 +151,34 @@ impl NodePowerModel {
         .calibrated(Watts(100.0), Watts(44_000.0 / 150.0))
     }
 
+    /// The DC draw of the CPU sockets, DRAM and NIC at `load`.
+    fn dc_parts(&self, load: NodeLoad) -> [Watts; 3] {
+        [
+            self.cpu.power(load.cpu) * self.sockets as f64,
+            self.dram.power(load.mem),
+            self.nic.power(load.nic),
+        ]
+    }
+
     /// Wall power at the given load.
     pub fn power(&self, load: NodeLoad) -> Watts {
-        let dc = self.cpu.power(load.cpu) * self.sockets as f64
-            + self.dram.power(load.mem)
-            + self.nic.power(load.nic);
-        let wall = self.psu.wall_power(dc);
+        let [cpu, dram, nic] = self.dc_parts(load);
+        let wall = self.psu.wall_power(cpu + dram + nic);
         Watts(self.cal_a * wall.watts() + self.cal_b).clamp_non_negative()
+    }
+
+    /// The wall power at `load`, split the way RAPL-style counters would
+    /// split it. The four parts sum to [`power`](Self::power): `platform`
+    /// is the remainder, so it carries fans, PSU loss and the calibration
+    /// to the meters.
+    pub fn components(&self, load: NodeLoad) -> ComponentPower {
+        let [cpu, dram, nic] = self.dc_parts(load);
+        ComponentPower {
+            cpu,
+            dram,
+            nic,
+            platform: self.power(load) - (cpu + dram + nic),
+        }
     }
 
     /// Idle wall power.
@@ -246,5 +281,68 @@ mod tests {
         let node = NodePowerModel::caddy();
         let render = node.power(NodeLoad::RENDER).watts();
         assert!(render > 0.85 * node.loaded().watts());
+    }
+
+    fn total(c: &ComponentPower) -> f64 {
+        (c.cpu + c.dram + c.nic + c.platform).watts()
+    }
+
+    #[test]
+    fn cpu_dominates_under_compute_load() {
+        let c = NodePowerModel::caddy().components(NodeLoad::COMPUTE);
+        let cpu_fraction = c.cpu.watts() / total(&c);
+        assert!(cpu_fraction > 0.5, "cpu fraction {cpu_fraction}");
+        assert!(c.dram > Watts::ZERO && c.nic > Watts::ZERO && c.platform > Watts::ZERO);
+    }
+
+    #[test]
+    fn idle_platform_share_is_larger() {
+        let node = NodePowerModel::caddy();
+        let platform_share = |c: ComponentPower| c.platform.watts() / total(&c);
+        let busy = platform_share(node.components(NodeLoad::COMPUTE));
+        let idle = platform_share(node.components(NodeLoad::IDLE));
+        assert!(idle > busy, "idle {idle} vs busy {busy}");
+    }
+
+    #[test]
+    fn busy_wait_io_burns_cpu_energy() {
+        // The §V explanation: I/O waits that spin keep CPU power high.
+        let node = NodePowerModel::caddy();
+        let spin = node.components(NodeLoad::IO_BUSY_WAIT).cpu.watts();
+        let sleep = node.components(NodeLoad::IO_DEEP_IDLE).cpu.watts();
+        assert!(spin > 2.0 * sleep, "spin {spin} vs sleep {sleep}");
+    }
+
+    mod split_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A utilization in `[0, 1]`, out of range, or NaN (the component
+        /// curves clamp the last two).
+        fn utilization() -> impl Strategy<Value = f64> {
+            prop_oneof![0.0f64..1.0, -3.0f64..4.0, (0u8..1).prop_map(|_| f64::NAN)]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The split is of the calibrated wall power the meters read,
+            /// not of an uncalibrated twin: the parts sum to `power`.
+            #[test]
+            fn components_sum_to_wall_power(
+                cpu in utilization(),
+                mem in utilization(),
+                nic in utilization(),
+            ) {
+                let node = NodePowerModel::caddy();
+                let load = NodeLoad { cpu, mem, nic };
+                let wall = node.power(load).watts();
+                let sum = total(&node.components(load));
+                prop_assert!(
+                    (sum - wall).abs() <= 1e-9 * wall,
+                    "{load:?}: parts {sum} W vs wall {wall} W"
+                );
+            }
+        }
     }
 }

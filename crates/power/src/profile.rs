@@ -3,11 +3,19 @@
 //! A [`PowerProfile`] is a sequence of interval-averaged power samples over a
 //! window, as reported by a meter, with the derived metrics the paper uses:
 //! time-weighted **average power** (Fig. 5), **energy** `E = P̄·t` (Fig. 6)
-//! and peak power.
+//! and peak power. It is also the one sampled W(t) signal: a harvested
+//! profile [resampled](PowerProfile::resample) at the paper's one-minute
+//! cadence (or down to one second) is what the telemetry exports and
+//! [`PowerProfile::stats`] summarizes.
+//!
+//! Interval averaging moves power *within* a reporting interval but never
+//! creates or destroys energy, so a resampled profile integrates to the
+//! exact integral of its source; the property test at the bottom of this
+//! module pins that to 1e-6 against [`PowerProfile::energy_between`].
 
 use ivis_sim::{SimDuration, SimTime};
 
-use crate::meter::MeterSample;
+use crate::meter::{MeterSample, MeteredPdu};
 use crate::units::{Joules, Watts};
 
 /// An interval-averaged power profile over `[start, end]`.
@@ -15,6 +23,22 @@ use crate::units::{Joules, Watts};
 pub struct PowerProfile {
     start: SimTime,
     samples: Vec<MeterSample>,
+}
+
+/// Summary of a [`PowerProfile`]'s step signal: peak, time-weighted mean
+/// and exact time-weighted percentiles.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ProfileStats {
+    /// Highest sample.
+    pub peak: Watts,
+    /// Time-weighted mean power.
+    pub mean: Watts,
+    /// Exact time-weighted median.
+    pub p50: Watts,
+    /// Exact time-weighted 95th percentile.
+    pub p95: Watts,
+    /// Exact time-weighted 99th percentile.
+    pub p99: Watts,
 }
 
 impl PowerProfile {
@@ -25,12 +49,12 @@ impl PowerProfile {
     /// Panics if samples are not strictly time-ordered or start before
     /// `start`.
     pub fn from_meter_samples(start: SimTime, samples: Vec<MeterSample>) -> Self {
-        let mut prev = start;
-        for s in &samples {
-            assert!(s.at > prev, "meter samples must be strictly time-ordered");
-            prev = s.at;
-        }
-        PowerProfile { start, samples }
+        let profile = PowerProfile { start, samples };
+        assert!(
+            profile.steps().all(|(from, s)| s.at > from),
+            "meter samples must be strictly time-ordered"
+        );
+        profile
     }
 
     /// Beginning of the profile window.
@@ -48,20 +72,19 @@ impl PowerProfile {
         self.end() - self.start
     }
 
-    /// The raw samples.
-    pub fn samples(&self) -> &[MeterSample] {
-        &self.samples
+    /// Each sample with the start of its averaging interval: the step
+    /// signal as `(from, sample)`, the sample holding over
+    /// `[from, sample.at]`.
+    pub fn steps(&self) -> impl Iterator<Item = (SimTime, MeterSample)> + '_ {
+        let starts = std::iter::once(self.start).chain(self.samples.iter().map(|s| s.at));
+        starts.zip(self.samples.iter().copied())
     }
 
     /// Exact energy implied by the samples (Σ avg·interval).
     pub fn energy(&self) -> Joules {
-        let mut prev = self.start;
-        let mut total = Joules::ZERO;
-        for s in &self.samples {
-            total += s.avg.over(s.at - prev);
-            prev = s.at;
-        }
-        total
+        self.steps().fold(Joules::ZERO, |total, (from, s)| {
+            total + s.avg.over(s.at - from)
+        })
     }
 
     /// Exact energy over the sub-window `[from, to]`, clipping each
@@ -73,33 +96,18 @@ impl PowerProfile {
     /// Panics if `to < from`.
     pub fn energy_between(&self, from: SimTime, to: SimTime) -> Joules {
         assert!(to >= from, "energy window end precedes start");
-        let mut prev = self.start;
         let mut total = Joules::ZERO;
-        for s in &self.samples {
-            let lo = if prev > from { prev } else { from };
+        for (start, s) in self.steps() {
+            let lo = if start > from { start } else { from };
             let hi = if s.at < to { s.at } else { to };
             if hi > lo {
                 total += s.avg.over(hi - lo);
             }
-            prev = s.at;
-            if prev >= to {
+            if s.at >= to {
                 break;
             }
         }
         total
-    }
-
-    /// Total energy over a set of disjoint windows: the sum of
-    /// [`energy_between`](Self::energy_between) over each. The fault layer
-    /// uses this to attribute the energy spent inside retry/backoff
-    /// intervals of a degraded run.
-    ///
-    /// # Panics
-    /// Panics if any window's end precedes its start.
-    pub fn energy_over(&self, windows: &[(SimTime, SimTime)]) -> Joules {
-        windows.iter().fold(Joules::ZERO, |acc, &(from, to)| {
-            acc + self.energy_between(from, to)
-        })
     }
 
     /// Time-weighted average power over the window.
@@ -126,18 +134,7 @@ impl PowerProfile {
         self.samples
             .iter()
             .map(|s| s.avg)
-            .fold(None, |acc: Option<Watts>, b| {
-                Some(match acc {
-                    None => b,
-                    Some(a) => {
-                        if b < a {
-                            b
-                        } else {
-                            a
-                        }
-                    }
-                })
-            })
+            .reduce(|a, b| if b < a { b } else { a })
             .unwrap_or(Watts::ZERO)
     }
 
@@ -148,6 +145,54 @@ impl PowerProfile {
             .iter()
             .map(|s| ((s.at - self.start).as_secs_f64() / 60.0, s.avg.watts()))
             .collect()
+    }
+
+    /// This profile as a meter reporting every `cadence` would have seen
+    /// it: the samples replay as a step signal into a fresh
+    /// [`MeteredPdu`], read back over the same window.
+    ///
+    /// # Panics
+    /// Panics if `cadence` is zero.
+    pub fn resample(&self, cadence: SimDuration) -> PowerProfile {
+        let mut pdu = MeteredPdu::new("", cadence, Watts::ZERO);
+        for (from, s) in self.steps() {
+            pdu.observe(from, s.avg);
+        }
+        pdu.profile(self.start, self.end())
+    }
+
+    /// Peak, mean and percentiles of the step signal. A percentile is
+    /// exact and time-weighted: the power level below which the signal
+    /// spent that share of the window. All-zero for an empty profile.
+    pub fn stats(&self) -> ProfileStats {
+        let mut intervals: Vec<(f64, Watts)> = self
+            .steps()
+            .map(|(from, s)| ((s.at - from).as_secs_f64(), s.avg))
+            .collect();
+        let total: f64 = intervals.iter().map(|&(s, _)| s).sum();
+        if total <= 0.0 {
+            return ProfileStats::default();
+        }
+        let joules: f64 = intervals.iter().map(|&(s, w)| s * w.watts()).sum();
+        intervals.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("watt samples are finite"));
+        let quantile = |q: f64| -> Watts {
+            let target = q * total;
+            let mut cum = 0.0;
+            for &(secs, w) in &intervals {
+                cum += secs;
+                if cum >= target {
+                    return w;
+                }
+            }
+            intervals.last().expect("window is non-empty").1
+        };
+        ProfileStats {
+            peak: self.peak(),
+            mean: Watts(joules / total),
+            p50: quantile(0.5),
+            p95: quantile(0.95),
+            p99: quantile(0.99),
+        }
     }
 }
 
@@ -205,6 +250,10 @@ mod tests {
         assert_eq!(p.average_power(), Watts::ZERO);
         assert_eq!(p.duration(), SimDuration::ZERO);
         assert_eq!(p.end(), t(5));
+        assert_eq!(p.stats(), ProfileStats::default());
+        let r = p.resample(SimDuration::from_secs(60));
+        assert!(r.samples.is_empty());
+        assert_eq!(r.stats(), ProfileStats::default());
     }
 
     #[test]
@@ -234,5 +283,106 @@ mod tests {
         assert!((rows[0].0 - 1.0).abs() < 1e-12);
         assert!((rows[1].0 - 2.0).abs() < 1e-12);
         assert_eq!(rows[1].1, 20.0);
+    }
+
+    /// A 3-minute profile at 1-min cadence: 100 W, 300 W, 100 W.
+    fn square_profile() -> PowerProfile {
+        PowerProfile::from_meter_samples(
+            SimTime::ZERO,
+            vec![sample(60, 100.0), sample(120, 300.0), sample(180, 100.0)],
+        )
+    }
+
+    #[test]
+    fn resampling_preserves_energy_at_every_cadence() {
+        let p = square_profile();
+        for secs in [1, 7, 30, 60, 90, 600] {
+            let r = p.resample(SimDuration::from_secs(secs));
+            assert!(
+                (r.energy().joules() - p.energy().joules()).abs() < 1e-6,
+                "cadence {secs}s: {} vs {}",
+                r.energy().joules(),
+                p.energy().joules()
+            );
+        }
+    }
+
+    #[test]
+    fn fine_cadence_reproduces_the_signal() {
+        let p = square_profile();
+        let fine = p.resample(SimDuration::from_secs(1));
+        assert_eq!(fine.samples.len(), 180);
+        assert_eq!(fine.samples[0].avg, Watts(100.0));
+        assert_eq!(fine.samples[90].avg, Watts(300.0));
+        assert_eq!(fine.end(), t(180));
+        // Coarse cadence averages across the steps.
+        let coarse = p.resample(SimDuration::from_secs(90));
+        assert_eq!(coarse.samples.len(), 2);
+        assert!(
+            (coarse.samples[0].avg.watts() - (60.0 * 100.0 + 30.0 * 300.0) / 90.0).abs() < 1e-9
+        );
+    }
+
+    #[test]
+    fn stats_are_exact_time_weighted_quantiles() {
+        let st = square_profile()
+            .resample(SimDuration::from_secs(60))
+            .stats();
+        assert_eq!(st.peak, Watts(300.0));
+        // 2 min at 100 W + 1 min at 300 W.
+        assert!((st.mean.watts() - (2.0 * 100.0 + 300.0) / 3.0).abs() < 1e-9);
+        assert_eq!(st.p50, Watts(100.0)); // signal is <= 100 W for 2/3 of the time
+        assert_eq!(st.p95, Watts(300.0));
+        assert_eq!(st.p99, Watts(300.0));
+    }
+
+    mod energy_conservation_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Strategy: a step signal as (dwell seconds, watts) pairs.
+        fn signal() -> impl Strategy<Value = Vec<(u32, f64)>> {
+            prop::collection::vec(((1u32..600), (0.0f64..50_000.0)), 1..24)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// For an arbitrary power signal metered at an arbitrary
+            /// interval, resampling the harvested profile at an arbitrary
+            /// cadence preserves the integral to 1e-6: the sampled W(t)
+            /// carries exactly the energy `energy_between` attributes over
+            /// the same window.
+            #[test]
+            fn resampled_integral_matches_energy_between(
+                sig in signal(),
+                meter_secs in 1u64..120,
+                cadence_secs in 1u64..600,
+            ) {
+                let mut pdu = MeteredPdu::new(
+                    "m",
+                    SimDuration::from_secs(meter_secs),
+                    Watts::ZERO,
+                );
+                let mut now = SimTime::ZERO;
+                for &(dwell, watts) in &sig {
+                    pdu.observe(now, Watts(watts));
+                    now += SimDuration::from_secs(dwell as u64);
+                }
+                let profile = pdu.profile(SimTime::ZERO, now);
+                let got = profile
+                    .resample(SimDuration::from_secs(cadence_secs))
+                    .energy()
+                    .joules();
+                let want = profile
+                    .energy_between(profile.start(), profile.end())
+                    .joules();
+                let tol = 1e-6 * (1.0 + want.abs());
+                prop_assert!(
+                    (got - want).abs() < tol,
+                    "resampled {got} J vs energy_between {want} J"
+                );
+            }
+        }
     }
 }

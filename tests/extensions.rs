@@ -1,16 +1,15 @@
 //! Integration tests of the extension features: in-transit staging, the
 //! burst buffer, the dollar-cost planner, machine-size scaling, and the
-//! RAPL-style energy attribution — each exercised through the public API.
+//! node model's RAPL-style per-component power split — each exercised
+//! through the public API.
 
 use insitu_vis::cluster::interconnect::Interconnect;
 use insitu_vis::model::tradeoff::{Constraints, Planner};
 use insitu_vis::pipeline::campaign::{Campaign, Plan};
 use insitu_vis::pipeline::intransit::InTransitConfig;
 use insitu_vis::pipeline::{PipelineConfig, PipelineKind};
-use insitu_vis::power::attribution::{EnergyAttributor, PhaseEnergyLedger};
 use insitu_vis::power::cost::EnergyPrice;
-use insitu_vis::power::node::NodeLoad;
-use insitu_vis::sim::SimDuration;
+use insitu_vis::power::node::{NodeLoad, NodePowerModel};
 use insitu_vis::storage::burst_buffer::BurstBufferConfig;
 
 #[test]
@@ -108,26 +107,14 @@ fn scaling_preserves_findings_on_other_machines() {
 
 #[test]
 fn attribution_explains_flat_power() {
-    // RAPL-style attribution of a post-processing-shaped phase mix: the CPU
-    // energy during busy-wait I/O is close to the CPU energy during compute
-    // — the §V mechanism for the flat power profile.
-    let attr = EnergyAttributor::caddy();
-    let mut ledger = PhaseEnergyLedger::new();
-    ledger.charge(
-        "simulate",
-        attr.attribute(NodeLoad::COMPUTE, SimDuration::from_secs(603)),
-    );
-    ledger.charge(
-        "write",
-        attr.attribute(NodeLoad::IO_BUSY_WAIT, SimDuration::from_secs(1449)),
-    );
-    let sim = ledger.phase("simulate");
-    let write = ledger.phase("write");
-    let sim_cpu_rate = sim.cpu.joules() / 603.0;
-    let write_cpu_rate = write.cpu.joules() / 1449.0;
+    // RAPL-style split of the calibrated node: the CPU power during
+    // busy-wait I/O is close to the CPU power during compute — the §V
+    // mechanism for the flat power profile.
+    let node = NodePowerModel::caddy();
+    let sim_cpu = node.components(NodeLoad::COMPUTE).cpu.watts();
+    let write_cpu = node.components(NodeLoad::IO_BUSY_WAIT).cpu.watts();
     assert!(
-        write_cpu_rate > 0.9 * sim_cpu_rate,
-        "busy-wait CPU power {write_cpu_rate} vs compute {sim_cpu_rate}"
+        write_cpu > 0.9 * sim_cpu,
+        "busy-wait CPU power {write_cpu} vs compute {sim_cpu}"
     );
-    assert!(ledger.total().joules() > 0.0);
 }

@@ -293,11 +293,13 @@ proptest! {
             // The typed failure paths are the only acceptable errors.
             Err(PipelineError::Storage { .. }) | Err(PipelineError::RetriesExhausted { .. }) => {}
             // The campaign backend never decodes raw frame bytes and the
-            // paper configuration is valid, so either of these would be a
-            // bug.
-            Err(e @ (PipelineError::CorruptFrame { .. } | PipelineError::InvalidConfig { .. })) => {
-                prop_assert!(false, "campaign executor reported {e}")
-            }
+            // paper configuration is valid and lasts minutes, so any of
+            // these would be a bug.
+            Err(
+                e @ (PipelineError::CorruptFrame { .. }
+                | PipelineError::InvalidConfig { .. }
+                | PipelineError::MakespanPastBudget { .. }),
+            ) => prop_assert!(false, "campaign executor reported {e}"),
         }
     }
 
