@@ -15,10 +15,12 @@
 //! cage reads the value of its *class* — all compute, all staging, or the
 //! at most one cage that straddles the boundary — so the cluster value is a
 //! pure function of the partition: it is folded once per *distinct*
-//! partition and remembered, and a phase change costs O(1) amortised (two
-//! power-model evaluations, one log entry, one lookup among the handful of
-//! partitions a run visits). With noise each cage draws its own factor, so
-//! a phase change costs O(cages) draws and adds. [`Machine::power_now`] is
+//! partition and remembered. The node power of each [`JobPhase`] under the
+//! machine's I/O policy is evaluated once, at construction, into a
+//! five-entry table, so a phase change costs O(1) amortised and evaluates
+//! no power model: two table reads, one log entry, one lookup among the
+//! handful of partitions a run visits. With noise each cage draws its own
+//! factor, so a phase change costs O(cages) draws and adds. [`Machine::power_now`] is
 //! remembered per distinct partition the same way, on first request.
 //! [`Machine::cage_meters`] replays the log into meters when somebody asks
 //! and keeps them until the next observation; memory is O(phase changes),
@@ -48,7 +50,7 @@ use std::cell::OnceCell;
 use std::iter::repeat_n;
 
 use ivis_power::meter::{aggregate, MeteredPdu};
-use ivis_power::node::{NodeLoad, NodePowerModel};
+use ivis_power::node::NodePowerModel;
 use ivis_power::units::Watts;
 use ivis_sim::{SimRng, SimTime, TimeSeries};
 
@@ -180,7 +182,9 @@ fn cage_baselines(
 pub struct Machine {
     topology: ClusterTopology,
     node_model: NodePowerModel,
-    policy: IoWaitPolicy,
+    /// `node_model.power(phase.load(policy))` at `phase.index()`: every
+    /// node power a phase change can set.
+    phase_power: [Watts; 5],
     /// Every observation so far, oldest first: each re-observes every
     /// cage under a partition.
     log: Vec<(SimTime, PartitionPower)>,
@@ -216,9 +220,9 @@ impl Machine {
         };
         Machine {
             cluster_baseline: Watts(cage_baselines(&node_model, &topology).sum()),
+            phase_power: JobPhase::ALL.map(|phase| node_model.power(phase.load(policy))),
             topology,
             node_model,
-            policy,
             log: Vec::new(),
             cage_meters: OnceCell::new(),
             sums: vec![PartitionSums::of(idle)],
@@ -269,12 +273,6 @@ impl Machine {
         &self.topology
     }
 
-    /// The configured I/O wait policy.
-    #[cfg(test)]
-    fn io_policy(&self) -> IoWaitPolicy {
-        self.policy
-    }
-
     /// The node power model in use.
     #[cfg(test)]
     fn node_model(&self) -> &NodePowerModel {
@@ -297,8 +295,8 @@ impl Machine {
     pub fn begin_phase(&mut self, t: SimTime, phase: JobPhase) {
         self.close_current(t);
         self.current = Some((phase, t));
-        let load = phase.load(self.policy);
-        self.set_partition(t, 0, load, load);
+        let power = self.phase_power[phase.index()];
+        self.set_partition(t, 0, power, power);
     }
 
     /// Begin a *split* phase at `t`: the last `staging` nodes run
@@ -322,8 +320,8 @@ impl Machine {
         self.set_partition(
             t,
             staging,
-            compute_phase.load(self.policy),
-            staging_phase.load(self.policy),
+            self.phase_power[compute_phase.index()],
+            self.phase_power[staging_phase.index()],
         );
     }
 
@@ -331,7 +329,8 @@ impl Machine {
     /// machine to idle.
     pub fn finish(&mut self, t: SimTime) {
         self.close_current(t);
-        self.set_partition(t, 0, NodeLoad::IDLE, NodeLoad::IDLE);
+        let idle = self.phase_power[JobPhase::Idle.index()];
+        self.set_partition(t, 0, idle, idle);
     }
 
     fn close_current(&mut self, t: SimTime) {
@@ -344,15 +343,15 @@ impl Machine {
         }
     }
 
-    /// Put the last `staging` nodes at `staged` and the rest at `compute`,
-    /// and re-observe every cage: the remembered cage-order sum of the
+    /// Put the last `staging` nodes at `staged` watts and the rest at
+    /// `compute`, and re-observe every cage: the remembered cage-order sum of the
     /// class values without noise, one draw per cage with it. The log
     /// gains the observation, so the meters replayed so far are dropped.
-    fn set_partition(&mut self, t: SimTime, staging: usize, compute: NodeLoad, staged: NodeLoad) {
+    fn set_partition(&mut self, t: SimTime, staging: usize, compute: Watts, staged: Watts) {
         let power = PartitionPower {
             first_staging: self.topology.num_nodes() - staging,
-            compute: self.node_model.power(compute),
-            staged: self.node_model.power(staged),
+            compute,
+            staged,
         };
         self.log.push((t, power));
         self.cage_meters.take();
@@ -448,6 +447,7 @@ fn same_meter(a: &MeteredPdu, b: &MeteredPdu) -> bool {
 mod tests {
     use super::*;
     use crate::topology::CageId;
+    use ivis_power::node::NodeLoad;
     use ivis_sim::SimDuration;
     use proptest::prelude::*;
 
@@ -469,12 +469,12 @@ mod tests {
     }
 
     impl PerNodeOracle {
-        fn of(m: &Machine) -> Self {
+        fn of(m: &Machine, policy: IoWaitPolicy) -> Self {
             let topology = m.topology.clone();
             let idle_cage = Watts(m.node_model.idle().watts() * topology.nodes_per_cage as f64);
             PerNodeOracle {
                 node_model: m.node_model.clone(),
-                policy: m.policy,
+                policy,
                 node_loads: vec![NodeLoad::IDLE; topology.num_nodes()],
                 cage_meters: (0..topology.num_cages)
                     .map(|i| MeteredPdu::appro_cage(format!("cage{i}"), idle_cage))
@@ -536,14 +536,6 @@ mod tests {
         CloneFilled,
     }
 
-    const PHASES: [JobPhase; 5] = [
-        JobPhase::Simulate,
-        JobPhase::WriteOutput,
-        JobPhase::Visualize,
-        JobPhase::ReadInput,
-        JobPhase::Idle,
-    ];
-
     fn assert_cage_meters_match(m: &Machine, oracle: &PerNodeOracle, when: &str) {
         assert_eq!(m.cage_meters().len(), oracle.cage_meters.len());
         for (mine, reference) in m.cage_meters().iter().zip(&oracle.cage_meters) {
@@ -552,12 +544,13 @@ mod tests {
         }
     }
 
-    /// Drive `m` and the per-node oracle through `ops` (each after a time
-    /// step that may be zero) and hold every output to the oracle's bits —
-    /// the cage meters at every mid-sequence read, not only at the end, so
-    /// a stale replay shows in release builds too.
-    fn assert_matches_oracle(mut m: Machine, ops: &[(u64, Op)]) {
-        let mut oracle = PerNodeOracle::of(&m);
+    /// Drive `m`, built with `policy`, and the per-node oracle through
+    /// `ops` (each after a time step that may be zero) and hold every
+    /// output to the oracle's bits — the cage meters at every mid-sequence
+    /// read, not only at the end, so a stale replay shows in release
+    /// builds too.
+    fn assert_matches_oracle(mut m: Machine, policy: IoWaitPolicy, ops: &[(u64, Op)]) {
+        let mut oracle = PerNodeOracle::of(&m, policy);
         let mut now = SimTime::ZERO;
         for &(dt, op) in ops {
             now += SimDuration::from_micros(dt);
@@ -644,8 +637,8 @@ mod tests {
                     // Half the steps repeat the previous timestamp.
                     let dt = [0, 0, 7_300_000, 61_000_001][step as usize];
                     let op = match kind {
-                        0 | 1 => Op::Phase(PHASES[a]),
-                        2..=4 => Op::Split(pick % n, PHASES[a], PHASES[b]),
+                        0 | 1 => Op::Phase(JobPhase::ALL[a]),
+                        2..=4 => Op::Split(pick % n, JobPhase::ALL[a], JobPhase::ALL[b]),
                         5 => Op::Finish,
                         6 | 7 => Op::ReadCages,
                         _ => Op::CloneFilled,
@@ -653,7 +646,7 @@ mod tests {
                     (dt, op)
                 })
                 .collect();
-            assert_matches_oracle(m, &ops);
+            assert_matches_oracle(m, policy, &ops);
         }
     }
 
@@ -696,7 +689,7 @@ mod tests {
                 if let Some(seed) = seed {
                     m = m.with_power_noise(seed, 0.005);
                 }
-                assert_matches_oracle(m, &ops);
+                assert_matches_oracle(m, IoWaitPolicy::BusyWait, &ops);
             }
         }
     }
@@ -716,6 +709,7 @@ mod tests {
         assert_eq!(m.cluster_meter().true_signal().len(), 1);
         assert_matches_oracle(
             Machine::caddy(IoWaitPolicy::BusyWait),
+            IoWaitPolicy::BusyWait,
             &[
                 (0, Op::Phase(JobPhase::Simulate)),
                 (5_000_000, Op::Phase(JobPhase::Idle)),
@@ -753,12 +747,36 @@ mod tests {
             let staging = n * 64 / 1000;
             let mut m = Machine::caddy_scaled(n, IoWaitPolicy::BusyWait);
             m.begin_split_phase(t(0), staging, JobPhase::Simulate, JobPhase::Visualize);
-            let p = |phase: JobPhase| m.node_model().power(phase.load(m.io_policy())).watts();
+            let p = |phase: JobPhase| {
+                let load = phase.load(IoWaitPolicy::BusyWait);
+                m.node_model().power(load).watts()
+            };
             let expect = (n - staging) as f64 * p(JobPhase::Simulate)
                 + staging as f64 * p(JobPhase::Visualize);
             let metered = m.cluster_meter().true_signal().samples()[0].1;
             assert!(close(m.power_now().watts(), expect), "{n} nodes: power_now");
             assert!(close(metered, expect), "{n} nodes: first cluster sample");
+        }
+    }
+
+    #[test]
+    fn phase_power_table_is_the_node_model_bit_for_bit() {
+        let models = [
+            NodePowerModel::caddy(),
+            NodePowerModel::caddy().calibrated(Watts(97.31), Watts(293.3)),
+        ];
+        for model in models {
+            for policy in [IoWaitPolicy::BusyWait, IoWaitPolicy::DeepIdle] {
+                let m = Machine::new(ClusterTopology::tiny(), model.clone(), policy);
+                for (i, phase) in JobPhase::ALL.into_iter().enumerate() {
+                    assert_eq!(phase.index(), i);
+                    assert_eq!(
+                        m.phase_power[i].watts().to_bits(),
+                        model.power(phase.load(policy)).watts().to_bits(),
+                        "{phase:?} under {policy:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -40,6 +40,20 @@ pub enum JobPhase {
 }
 
 impl JobPhase {
+    /// Every phase, in declaration order: `ALL[p.index()] == p`.
+    pub(crate) const ALL: [JobPhase; 5] = [
+        JobPhase::Simulate,
+        JobPhase::WriteOutput,
+        JobPhase::Visualize,
+        JobPhase::ReadInput,
+        JobPhase::Idle,
+    ];
+
+    /// This phase's position in [`JobPhase::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
     /// The node-load signature of this phase under the given I/O policy.
     pub(crate) fn load(self, policy: IoWaitPolicy) -> NodeLoad {
         match self {

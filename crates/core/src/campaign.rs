@@ -40,7 +40,7 @@ use ivis_storage::ParallelFileSystem;
 use crate::config::{PipelineConfig, PipelineKind};
 use crate::intransit::InTransitConfig;
 use crate::metrics::PipelineMetrics;
-use crate::resilience::PipelineError;
+use crate::resilience::{validate_retry, PipelineError};
 use crate::transport::TransportStats;
 
 /// The longest makespan a run may meter: 2^20 one-minute meter samples
@@ -154,6 +154,7 @@ impl Plan {
         cost: &SimulationCostModel,
     ) -> Result<(), PipelineError> {
         validate_spec(&self.pipeline.spec, cost)?;
+        validate_retry(self.faults.as_ref())?;
         if let Some(delay) = self
             .faults
             .as_ref()
@@ -623,7 +624,7 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::metrics::compare;
-    use ivis_fault::{FaultKind, FaultPlan, FaultWindow};
+    use ivis_fault::{FaultKind, FaultPlan, FaultWindow, RetryPolicy};
 
     fn run(kind: PipelineKind, hours: f64) -> PipelineMetrics {
         Campaign::paper().run(&PipelineConfig::paper(kind, hours))
@@ -1023,6 +1024,32 @@ mod tests {
         scenario.retry.max_backoff = SimDuration::from_micros(u64::MAX / 4);
         let detail = rejected(&faulted(scenario));
         assert!(detail.contains("retry backoff"), "{detail}");
+    }
+
+    #[test]
+    fn hostile_plan_retry_attempts_are_capped() {
+        // Every attempt fails and backs off 1 µs: unrefused, the first
+        // write retries 2^32 times, logging a backoff window each.
+        let failing = FaultPlan::new(1).inject(
+            FaultWindow::of_secs(0, 100_000),
+            FaultKind::TransientIo { fail_prob: 1.0 },
+        );
+        let mut scenario = FaultScenario::with_plan(failing);
+        scenario.retry.max_attempts = u32::MAX;
+        scenario.retry.base_backoff = SimDuration::from_micros(1);
+        scenario.retry.max_backoff = SimDuration::from_micros(1);
+        let started = std::time::Instant::now();
+        let detail = rejected(&faulted(scenario.clone()));
+        assert!(started.elapsed() < std::time::Duration::from_millis(10));
+        assert!(detail.contains("max_attempts"), "{detail}");
+        // At the cap the plan runs, and fails typed once the cap is spent.
+        scenario.retry.max_attempts = RetryPolicy::MAX_ATTEMPTS;
+        match Campaign::paper().execute(&faulted(scenario)) {
+            Err(PipelineError::RetriesExhausted { attempts, .. }) => {
+                assert_eq!(attempts, RetryPolicy::MAX_ATTEMPTS)
+            }
+            other => panic!("expected RetriesExhausted, got {:?}", other.err()),
+        }
     }
 
     #[test]

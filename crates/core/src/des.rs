@@ -38,6 +38,7 @@ use std::collections::VecDeque;
 
 use ivis_cluster::{JobPhase, SharedLink};
 use ivis_fault::{FaultScenario, FaultSession};
+use ivis_obs::jsonl::{digits_before, pairs_before};
 use ivis_obs::{AttrValue, Component};
 use ivis_ocean::cost::SimulationCostModel;
 use ivis_sim::{DesEngine, SimDuration, SimRng, SimTime};
@@ -51,6 +52,54 @@ use crate::resilience::{
     note_degraded_shed, resilient_write, PipelineError, WriteOp, WriteOutcome,
 };
 use crate::transport::{per_node_payload, TransportStats};
+
+/// The in-situ image set of sample `k`: `{prefix}{k:06}{suffix}`.
+const INSITU_IMAGES: (&str, &str) = ("/insitu/cinema/ts_", ".png");
+/// The post-hoc raw dump of sample `k`.
+const POSTPROC_RAW: (&str, &str) = ("/postproc/raw/out_", ".nc");
+/// The in-transit image set of sample `k`.
+const INTRANSIT_IMAGES: (&str, &str) = ("/intransit/cinema/ts_", ".png");
+
+/// One run's per-sample output paths, written into one `String`.
+///
+/// [`OutputPath::of`] gives the bytes `format!("{prefix}{k:06}{suffix}")`
+/// gives, for every `k`: the path picks the MDS a new file queues on, and
+/// that queue is in the pinned completion times. The index is written
+/// with the pair-table digit writer the trace exporters share, so no
+/// write goes through `core::fmt` or allocates.
+struct OutputPath {
+    buf: String,
+    prefix: usize,
+    suffix: &'static str,
+}
+
+impl OutputPath {
+    fn new((prefix, suffix): (&str, &'static str)) -> Self {
+        let mut buf = String::with_capacity(prefix.len() + 20 + suffix.len());
+        buf.push_str(prefix);
+        OutputPath {
+            buf,
+            prefix: prefix.len(),
+            suffix,
+        }
+    }
+
+    /// The path of sample `k`, valid until the next call.
+    fn of(&mut self, k: u64) -> &str {
+        let mut digits = [0u8; 20];
+        // `{:06}` pads to six digits and never truncates.
+        let start = if k < 1_000_000 {
+            pairs_before(&mut digits, 20, k, 3)
+        } else {
+            digits_before(&mut digits, 20, k)
+        };
+        self.buf.truncate(self.prefix);
+        self.buf
+            .push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+        self.buf.push_str(self.suffix);
+        &self.buf
+    }
+}
 
 /// Event chain of the in-situ family.
 enum InsituEvent {
@@ -121,6 +170,7 @@ impl Campaign {
         let mut written = 0u64;
         let mut end = SimTime::ZERO;
         let mut error: Option<PipelineError> = None;
+        let mut paths = OutputPath::new(INSITU_IMAGES);
 
         let next_sim = |k: u64| {
             if k + 1 < n_out {
@@ -162,9 +212,8 @@ impl Campaign {
             }
             InsituEvent::Write(k) => {
                 tracer.begin(&mut machine, t, JobPhase::WriteOutput);
-                let path = format!("/insitu/cinema/ts_{k:06}.png");
                 let op = WriteOp {
-                    path: &path,
+                    path: paths.of(k),
                     bytes: self.config.image_bytes_per_output,
                     index: k,
                     counts: true,
@@ -244,6 +293,7 @@ impl Campaign {
         let mut written = 0u64;
         let mut end = SimTime::ZERO;
         let mut error: Option<PipelineError> = None;
+        let mut paths = OutputPath::new(POSTPROC_RAW);
 
         let next_sim = |k: u64| {
             if k + 1 < n_out {
@@ -278,9 +328,8 @@ impl Campaign {
                 }
                 PostprocEvent::RawWrite(k) => {
                     tracer.begin(&mut machine, t, JobPhase::WriteOutput);
-                    let path = format!("/postproc/raw/out_{k:06}.nc");
                     let op = WriteOp {
-                        path: &path,
+                        path: paths.of(k),
                         bytes: raw,
                         index: k,
                         counts: true,
@@ -451,6 +500,7 @@ impl Campaign {
         let mut written = 0u64;
         let mut end = SimTime::ZERO;
         let mut error: Option<PipelineError> = None;
+        let mut paths = OutputPath::new(INTRANSIT_IMAGES);
 
         let next_chunk = |k: u64| {
             if k + 1 < n_out {
@@ -584,9 +634,8 @@ impl Campaign {
                 let service_start = xfer.done.max(staging_busy_until);
                 let render_done = service_start + decompress_t + render;
                 stats.decompress_time += decompress_t;
-                let path = format!("/intransit/cinema/ts_{k:06}.png");
                 let op = WriteOp {
-                    path: &path,
+                    path: paths.of(k),
                     bytes: self.config.image_bytes_per_output,
                     index: k,
                     counts: true,
@@ -655,6 +704,37 @@ mod tests {
     use super::*;
     use crate::config::PipelineKind;
     use ivis_storage::burst_buffer::BurstBufferConfig;
+    use proptest::prelude::*;
+
+    const FAMILIES: [(&str, &str); 3] = [INSITU_IMAGES, POSTPROC_RAW, INTRANSIT_IMAGES];
+
+    #[test]
+    fn output_paths_equal_format_at_the_padding_edges() {
+        for family in FAMILIES {
+            let (prefix, suffix) = family;
+            let mut paths = OutputPath::new(family);
+            for k in [0, 9, 10, 99_999, 999_999, 1_000_000, u64::MAX] {
+                assert_eq!(paths.of(k), format!("{prefix}{k:06}{suffix}"));
+            }
+        }
+    }
+
+    proptest! {
+        /// Any index, in any order of calls: a shorter path after a longer
+        /// one leaves nothing of it behind.
+        #[test]
+        fn output_paths_equal_format(
+            ks in prop::collection::vec((0..u64::MAX, 0u32..64).prop_map(|(k, s)| k >> s), 1..16),
+        ) {
+            for family in FAMILIES {
+                let (prefix, suffix) = family;
+                let mut paths = OutputPath::new(family);
+                for &k in &ks {
+                    prop_assert_eq!(paths.of(k), format!("{prefix}{k:06}{suffix}"));
+                }
+            }
+        }
+    }
 
     #[test]
     fn chains_fire_a_fixed_number_of_events_per_sample() {

@@ -59,7 +59,7 @@ use rayon::prelude::*;
 
 use crate::adaptor::{CatalystAdaptor, VizSnapshot};
 use crate::config::PipelineKind;
-use crate::resilience::PipelineError;
+use crate::resilience::{validate_retry, PipelineError};
 
 /// Configuration of a native run.
 #[derive(Debug, Clone)]
@@ -175,6 +175,7 @@ impl NativePlan {
 
     /// Reject what would hang, panic or mean nothing, before anything runs.
     fn validate(&self) -> Result<(), PipelineError> {
+        validate_retry(self.faults.as_ref())?;
         let cfg = &self.config;
         let problem = match (&self.trigger, self.kind) {
             _ if self.depth == 0 => "pipeline depth must be at least 1",
@@ -1361,6 +1362,25 @@ mod tests {
             ..NativePlan::new(NativeConfig::tiny(), PipelineKind::PostProcessing)
         };
         assert!(rejected(&plan).contains("post-processing"));
+    }
+
+    #[test]
+    fn hostile_plan_native_retry_attempts_are_capped() {
+        use ivis_fault::{FaultKind, FaultPlan, FaultWindow};
+        // Unrefused, every sample would roll its failure die 2^32 times.
+        let failing = FaultPlan::new(1).inject(
+            FaultWindow::of_secs(0, 100_000),
+            FaultKind::TransientIo { fail_prob: 1.0 },
+        );
+        let mut scenario = FaultScenario::with_plan(failing);
+        scenario.retry.max_attempts = u32::MAX;
+        for kind in [PipelineKind::InSitu, PipelineKind::PostProcessing] {
+            let plan = NativePlan {
+                faults: Some(scenario.clone()),
+                ..NativePlan::new(NativeConfig::tiny(), kind)
+            };
+            assert!(rejected(&plan).contains("max_attempts"));
+        }
     }
 
     #[test]

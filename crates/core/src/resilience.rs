@@ -31,7 +31,7 @@
 //! replays bit-for-bit at any host thread count; the CI fault matrix
 //! enforces it.
 
-use ivis_fault::FaultSession;
+use ivis_fault::{FaultScenario, FaultSession, RetryPolicy};
 use ivis_obs::{AttrValue, Component, Recorder};
 use ivis_sim::{SimDuration, SimTime};
 use ivis_storage::burst_buffer::BurstBuffer;
@@ -152,6 +152,18 @@ pub(crate) enum WriteOutcome {
     Written(SimTime),
     /// Shed under disk pressure; the clock did not advance past `at`.
     SpaceShed(SimTime),
+}
+
+/// Refuse a retry policy that allows more than
+/// [`RetryPolicy::MAX_ATTEMPTS`] attempts per operation.
+pub(crate) fn validate_retry(faults: Option<&FaultScenario>) -> Result<(), PipelineError> {
+    match faults.map(|f| f.retry.max_attempts) {
+        Some(n) if n > RetryPolicy::MAX_ATTEMPTS => Err(PipelineError::invalid(format!(
+            "retry.max_attempts = {n} exceeds the cap of {}",
+            RetryPolicy::MAX_ATTEMPTS
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// One storage write request as the resilient path sees it.

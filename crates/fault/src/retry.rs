@@ -11,7 +11,9 @@ use ivis_sim::{SimDuration, SimRng};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts allowed per operation (first try included).
-    /// When exhausted the executor fails with a typed error.
+    /// When exhausted the executor fails with a typed error. A plan whose
+    /// policy allows more than [`RetryPolicy::MAX_ATTEMPTS`] is refused
+    /// before it runs.
     pub max_attempts: u32,
     /// Backoff before the second attempt.
     pub base_backoff: SimDuration,
@@ -26,6 +28,12 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// The most attempts per operation a plan may allow. Every retry of a
+    /// campaign write logs a backoff window and trace events, so an
+    /// unbounded count lets one always-failing write loop until memory
+    /// runs out; ten times the most any pinned plan uses is plenty.
+    pub const MAX_ATTEMPTS: u32 = 100;
+
     /// The default storage policy: 5 attempts, 2 s base backoff capped at
     /// 60 s, ±25 % jitter, 120 s per-op SLO.
     pub(crate) fn storage_default() -> Self {

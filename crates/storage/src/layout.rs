@@ -33,52 +33,97 @@ impl StripeLayout {
         StripeLayout::new(1 << 20, num_osts)
     }
 
-    /// Which OST index holds the stripe containing byte `offset`.
-    pub(crate) fn ost_of(&self, offset: u64) -> usize {
-        ((offset / self.stripe_size) % self.stripe_count as u64) as usize
+    /// Bytes of the range `[offset, offset+len)` that land on OST `ost`:
+    /// the one split routine, which [`distribute`](Self::distribute) and
+    /// the filesystem's data path both call. It counts the bytes of each
+    /// end's prefix `[0, x)` on the OST — whole stripe cycles, then the
+    /// part of the last cycle past the OST's first byte — and takes the
+    /// difference, so it costs the same at any length and allocates
+    /// nothing.
+    ///
+    /// `offset + len` must fit `u64`.
+    pub(crate) fn bytes_on(&self, ost: usize, offset: u64, len: u64) -> u64 {
+        let cycle = self.stripe_size * self.stripe_count as u64;
+        let first = ost as u64 * self.stripe_size;
+        let prefix = |x: u64| {
+            (x / cycle) * self.stripe_size + (x % cycle).saturating_sub(first).min(self.stripe_size)
+        };
+        prefix(offset + len) - prefix(offset)
     }
 
     /// Bytes of the range `[offset, offset+len)` that land on each OST.
     ///
     /// Returns a vector of length `stripe_count`; entries sum to `len`.
     pub fn distribute(&self, offset: u64, len: u64) -> Vec<u64> {
-        let mut per_ost = vec![0u64; self.stripe_count];
-        if len == 0 {
-            return per_ost;
-        }
-        // Walk whole stripes; cheap because we aggregate full cycles first.
-        let cycle = self.stripe_size * self.stripe_count as u64;
-        let full_cycles = len / cycle;
-        if full_cycles > 0 {
-            for slot in per_ost.iter_mut() {
-                *slot += full_cycles * self.stripe_size;
-            }
-        }
-        let mut rem = len - full_cycles * cycle;
-        let mut pos = offset + full_cycles * cycle;
-        while rem > 0 {
-            let within = pos % self.stripe_size;
-            let take = (self.stripe_size - within).min(rem);
-            per_ost[self.ost_of(pos)] += take;
-            pos += take;
-            rem -= take;
-        }
-        per_ost
+        (0..self.stripe_count)
+            .map(|ost| self.bytes_on(ost, offset, len))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The stripe walk `distribute` used to be: whole cycles first, then
+    /// the remainder one stripe piece at a time.
+    fn walked(l: &StripeLayout, offset: u64, len: u64) -> Vec<u64> {
+        let mut per_ost = vec![0u64; l.stripe_count];
+        let cycle = l.stripe_size * l.stripe_count as u64;
+        let full_cycles = len / cycle;
+        for slot in per_ost.iter_mut() {
+            *slot += full_cycles * l.stripe_size;
+        }
+        let mut rem = len - full_cycles * cycle;
+        let mut pos = offset + full_cycles * cycle;
+        while rem > 0 {
+            let take = (l.stripe_size - pos % l.stripe_size).min(rem);
+            per_ost[((pos / l.stripe_size) % l.stripe_count as u64) as usize] += take;
+            pos += take;
+            rem -= take;
+        }
+        per_ost
+    }
 
     #[test]
     fn round_robin_assignment() {
         let l = StripeLayout::new(100, 3);
-        assert_eq!(l.ost_of(0), 0);
-        assert_eq!(l.ost_of(99), 0);
-        assert_eq!(l.ost_of(100), 1);
-        assert_eq!(l.ost_of(250), 2);
-        assert_eq!(l.ost_of(300), 0);
+        for (offset, ost) in [(0, 0), (99, 0), (100, 1), (250, 2), (300, 0)] {
+            assert_eq!(l.bytes_on(ost, offset, 1), 1, "byte {offset}");
+        }
+    }
+
+    #[test]
+    fn bytes_on_matches_the_stripe_walk_at_rack_scale() {
+        for count in [1, 2, 3, 8] {
+            let l = StripeLayout::lustre_default(count);
+            for (offset, len) in [
+                (0, 1 << 30),
+                (123, 999_999_999),
+                (1_111_111 * 539, 1_111_111),
+                (7_699_999_000_000, 1_000_000),
+            ] {
+                assert_eq!(l.distribute(offset, len), walked(&l, offset, len));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any stripe size and count (the experiments sweep 1–8 OSS), any
+        /// range: the closed form equals the stripe walk.
+        #[test]
+        fn bytes_on_matches_the_stripe_walk(
+            stripe_size in 1u64..5_000,
+            count in 1usize..12,
+            offset in 0u64..200_000,
+            len in 0u64..200_000,
+        ) {
+            let l = StripeLayout::new(stripe_size, count);
+            prop_assert_eq!(l.distribute(offset, len), walked(&l, offset, len));
+        }
     }
 
     #[test]

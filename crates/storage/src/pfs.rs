@@ -16,6 +16,7 @@
 //! which these semantics are exact.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use ivis_power::meter::MeteredPdu;
 use ivis_sim::resource::{FairShareServer, FcfsServer};
@@ -36,8 +37,6 @@ pub enum PfsError {
     },
     /// The path does not exist.
     NotFound(String),
-    /// The path already exists.
-    AlreadyExists(String),
     /// A transient I/O failure: the operation did not start and left no
     /// trace in the namespace or the queues — retrying it is safe. Raised
     /// by the fault-injection hooks
@@ -58,7 +57,6 @@ impl std::fmt::Display for PfsError {
                 write!(f, "no space: need {needed} B, {free} B free")
             }
             PfsError::NotFound(p) => write!(f, "not found: {p}"),
-            PfsError::AlreadyExists(p) => write!(f, "already exists: {p}"),
             PfsError::Io { op, path } => write!(f, "transient I/O failure: {op} {path}"),
         }
     }
@@ -109,6 +107,38 @@ impl PfsConfig {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from the state `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+/// The namespace's hasher: the FNV-1a that places a path on its MDS. It
+/// has no per-process seed, so the map is the same in every run.
+#[derive(Debug, Clone, Copy)]
+struct PathHasher(u64);
+
+impl Default for PathHasher {
+    fn default() -> Self {
+        PathHasher(FNV_OFFSET)
+    }
+}
+
+impl Hasher for PathHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One recorded data transfer (for power reconstruction).
 #[derive(Debug, Clone, Copy)]
 struct Transfer {
@@ -122,8 +152,10 @@ pub struct ParallelFileSystem {
     config: PfsConfig,
     oss: Vec<FairShareServer>,
     mds: Vec<FcfsServer>,
-    /// Path → size in bytes.
-    files: HashMap<String, u64>,
+    /// Path → size in bytes, hashed with FNV-1a. Nothing iterates it, so
+    /// the hash moves no output; a write looks its path up once, and only
+    /// a new file allocates its key.
+    files: HashMap<String, u64, BuildHasherDefault<PathHasher>>,
     used: u64,
     transfers: Vec<Transfer>,
     /// Current OSS bandwidth derating (fault injection; 1.0 = nominal).
@@ -153,7 +185,7 @@ impl ParallelFileSystem {
             config,
             oss,
             mds,
-            files: HashMap::new(),
+            files: HashMap::default(),
             used: 0,
             transfers: Vec::new(),
             oss_scale: 1.0,
@@ -279,30 +311,26 @@ impl ParallelFileSystem {
     }
 
     fn mds_for(&self, path: &str) -> usize {
-        // Stable cheap hash (FNV-1a) to pick an MDS.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in path.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        (h % self.config.num_mds as u64) as usize
+        (fnv1a(FNV_OFFSET, path.as_bytes()) % self.config.num_mds as u64) as usize
     }
 
-    /// Create an empty file. Returns the completion time of the metadata
-    /// operation.
-    pub(crate) fn create(&mut self, now: SimTime, path: &str) -> Result<SimTime, PfsError> {
-        if self.files.contains_key(path) {
-            return Err(PfsError::AlreadyExists(path.to_string()));
-        }
+    /// Enter the absent `path` at `size` bytes: the file's one metadata
+    /// operation and its one key allocation. Returns when the metadata
+    /// operation completes.
+    fn create(&mut self, now: SimTime, path: &str, size: u64) -> SimTime {
         let mds = self.mds_for(path);
         let service = self.config.mds_op_time + self.mds_surcharge;
         let done = self.mds[mds].submit(now, service);
-        self.files.insert(path.to_string(), 0);
-        Ok(done)
+        self.files.insert(path.to_owned(), size);
+        done
     }
 
     /// Append `bytes` to `path` (creating it if absent), returning the time
     /// the data is durable on the OSTs.
+    ///
+    /// The path is looked up once. An existing file grows in place; a new
+    /// one pays its metadata operation first ([`PfsConfig::mds_op_time`]
+    /// plus any MDS surcharge), and its data starts when that completes.
     pub fn write(&mut self, now: SimTime, path: &str, bytes: u64) -> Result<SimTime, PfsError> {
         self.take_armed("write", path)?;
         let free = self.free_bytes();
@@ -312,32 +340,19 @@ impl ParallelFileSystem {
                 free,
             });
         }
-        let mds_done = if self.files.contains_key(path) {
-            now
-        } else {
-            self.create(now, path)?
+        let (offset, start) = match self.files.get_mut(path) {
+            Some(size) => {
+                let offset = *size;
+                *size += bytes;
+                (offset, now)
+            }
+            None => (0, self.create(now, path, bytes)),
         };
-        let size = self.files.get_mut(path).expect("file just ensured");
-        let offset = *size;
-        *size += bytes;
         self.used += bytes;
         if bytes == 0 {
-            return Ok(mds_done);
+            return Ok(start);
         }
-        let per_ost = self.config.stripe.distribute(offset, bytes);
-        let mut done = mds_done;
-        for (ost, &b) in per_ost.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            self.oss[ost].submit(mds_done, b as f64);
-            done = done.max(self.oss[ost].drained_at());
-        }
-        self.transfers.push(Transfer {
-            start: mds_done,
-            end: done,
-        });
-        Ok(done)
+        Ok(self.transfer(start, offset, bytes))
     }
 
     /// Read the whole of `path`, returning the completion time.
@@ -347,20 +362,25 @@ impl ParallelFileSystem {
         if size == 0 {
             return Ok(now);
         }
-        let per_ost = self.config.stripe.distribute(0, size);
-        let mut done = now;
-        for (ost, &b) in per_ost.iter().enumerate() {
+        Ok(self.transfer(now, 0, size))
+    }
+
+    /// Move bytes `[offset, offset+len)` of a file from `start`: each
+    /// OST's share is one submission to its OSS, in OST order. Records the
+    /// transfer and returns when the last OSS drains.
+    fn transfer(&mut self, start: SimTime, offset: u64, len: u64) -> SimTime {
+        let stripe = self.config.stripe;
+        let mut done = start;
+        for ost in 0..stripe.stripe_count {
+            let b = stripe.bytes_on(ost, offset, len);
             if b == 0 {
                 continue;
             }
-            self.oss[ost].submit(now, b as f64);
+            self.oss[ost].submit(start, b as f64);
             done = done.max(self.oss[ost].drained_at());
         }
-        self.transfers.push(Transfer {
-            start: now,
-            end: done,
-        });
-        Ok(done)
+        self.transfers.push(Transfer { start, end: done });
+        done
     }
 
     /// Delete a file, freeing its space. Metadata-only cost.
@@ -506,16 +526,6 @@ mod tests {
         );
         assert_eq!(fs.used_bytes(), 9_000);
         assert!(fs.size_of("/b").is_err());
-    }
-
-    #[test]
-    fn create_then_duplicate_create_fails() {
-        let mut fs = ParallelFileSystem::new(test_config());
-        fs.create(SimTime::ZERO, "/x").unwrap();
-        assert!(matches!(
-            fs.create(t(1), "/x"),
-            Err(PfsError::AlreadyExists(_))
-        ));
     }
 
     #[test]
