@@ -9,7 +9,7 @@
 //! * **identity** — each run's metrics digest is recorded, so the
 //!   artifact doubles as a cross-machine determinism witness
 //!   (`tests/des_identity.rs` is the full contract);
-//! * **speed** — the heap/arena engine sustains millions of events per
+//! * **speed** — the one-heap engine sustains millions of events per
 //!   second, and a campaign's cost follows its event count, not the size
 //!   of the simulated machine.
 //!

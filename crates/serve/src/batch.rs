@@ -6,8 +6,9 @@
 //! A batch stays open for at most the configured window of simulated
 //! time and at most `max_batch` members, whichever closes it first.
 //! The batcher itself is plain state — the reactor owns the clock and
-//! schedules/cancels the deadline events, keyed by the batch id the
-//! batcher hands out.
+//! schedules the deadline events, keyed by the batch id the batcher
+//! hands out. A deadline always fires; once its batch has filled it is
+//! stale, and `Batcher::close_deadline` turns it into a no-op.
 
 /// What happened when a request joined the batcher.
 #[derive(Debug, PartialEq, Eq)]
@@ -18,7 +19,7 @@ pub(crate) enum BatchAdd {
     /// The request joined the already-open batch.
     Joined,
     /// The request filled the batch to `max_batch`: it closes
-    /// immediately and the reactor must cancel the pending deadline.
+    /// immediately, and its pending deadline will find nothing to close.
     Full(ClosedBatch),
 }
 

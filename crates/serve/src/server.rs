@@ -51,7 +51,7 @@ use std::rc::Rc;
 
 use ivis_model::{SpecId, WhatIfAnalyzer, WhatIfRequest};
 use ivis_obs::{AttrValue, Component, Recorder, SpanId};
-use ivis_sim::{DesEngine, EventHandle, SimDuration, SimTime};
+use ivis_sim::{DesEngine, SimDuration, SimTime};
 use ivis_viz::CinemaDatabase;
 
 use crate::batch::{BatchAdd, Batcher, ClosedBatch};
@@ -562,7 +562,6 @@ struct World<'a> {
     rec: &'a Recorder,
     cache: MemoCache,
     batcher: Batcher,
-    open_deadline: Option<(u64, EventHandle)>,
     queue: VecDeque<Work>,
     free_slots: usize,
     in_flight: usize,
@@ -640,7 +639,6 @@ impl Server {
             rec: recorder,
             cache: MemoCache::new(self.config.cache_capacity),
             batcher: Batcher::new(self.config.max_batch.max(1)),
-            open_deadline: None,
             queue: VecDeque::new(),
             free_slots: self.config.service_slots.max(1),
             in_flight: 0,
@@ -671,13 +669,8 @@ impl<'a> World<'a> {
         match ev {
             ServeEvent::Arrival(i) => self.on_arrival(eng, at, i),
             ServeEvent::BatchDeadline(id) => {
-                if self
-                    .open_deadline
-                    .as_ref()
-                    .is_some_and(|(open, _)| *open == id)
-                {
-                    self.open_deadline = None;
-                }
+                // A batch that filled first has already been submitted;
+                // its deadline then closes nothing.
                 if let Some(batch) = self.batcher.close_deadline(id) {
                     self.submit(eng, at, Work::Batch(batch));
                 }
@@ -714,18 +707,10 @@ impl<'a> World<'a> {
         match class {
             Class::WhatIf => match self.batcher.add(i) {
                 BatchAdd::Opened(id) => {
-                    let handle =
-                        eng.schedule_in(self.cfg.batch_window, ServeEvent::BatchDeadline(id));
-                    self.open_deadline = Some((id, handle));
+                    eng.schedule_in(self.cfg.batch_window, ServeEvent::BatchDeadline(id));
                 }
                 BatchAdd::Joined => {}
-                BatchAdd::Full(batch) => {
-                    if let Some((id, handle)) = self.open_deadline.take() {
-                        debug_assert_eq!(id, batch.id, "deadline tracks the open batch");
-                        eng.cancel(handle);
-                    }
-                    self.submit(eng, at, Work::Batch(batch));
-                }
+                BatchAdd::Full(batch) => self.submit(eng, at, Work::Batch(batch)),
             },
             _ => self.submit(eng, at, Work::Single(i)),
         }
@@ -822,8 +807,6 @@ impl<'a> World<'a> {
                                 self.stats.cache_misses += 1;
                                 self.rec.counter_add(at, "serve.cache_misses", 1.0);
                                 service_us += key.curve_points as u64 * cost.whatif_point_us;
-                                // The answer itself evaluates its sweep curve
-                                // through the deterministic parallel iterators.
                                 let body = Rc::new(render_whatif_body(self.analyzer, &key));
                                 self.cache.insert(key, Rc::clone(&body));
                                 body
@@ -1236,6 +1219,34 @@ mod tests {
             (zero.stats.ok, zero.stats.batches, zero.stats.max_batch_fill),
             (3, 2, 1)
         );
+    }
+
+    #[test]
+    fn a_batch_that_fills_in_its_window_is_submitted_once() {
+        let key = WhatIfRequest::new(SpecId::Paper100yr, ivis_core::PipelineKind::InSitu, 8.0, 5)
+            .unwrap();
+        // Two what-ifs 10 us apart fill a two-member batch long before its
+        // 200 us deadline, which then fires with nothing left to close.
+        let sched = schedule_of(vec![whatif_target(&key), whatif_target(&key)]);
+        let cfg = ServerConfig {
+            max_batch: 2,
+            ..ServerConfig::default()
+        };
+        let srv = Server::new(
+            cfg,
+            WhatIfAnalyzer::paper(),
+            CinemaDatabase::synthetic("t", 4, 4, 4, 16),
+        );
+        let report = srv.run_load(&sched, &Recorder::off(), true);
+        assert!(srv.config().batch_window > SimDuration::from_micros(10));
+        assert_eq!((report.stats.batches, report.stats.max_batch_fill), (1, 2));
+        let responses = report.responses.as_ref().unwrap();
+        assert_eq!(responses.len(), 2);
+        for resp in responses {
+            assert!(resp.as_ref().unwrap().starts_with(b"HTTP/1.1 200"));
+        }
+        assert_eq!(report.stats.ok, 2);
+        assert_eq!(report, srv.run_load(&sched, &Recorder::off(), true));
     }
 
     fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {

@@ -1,6 +1,6 @@
 //! The model event calendar: a `BinaryHeap` of boxed closures, compiled
 //! for tests only. It is the obviously-correct `(time, seq)` queue the
-//! indexed [`DesEngine`](crate::engine::DesEngine) is property-tested
+//! value-carrying [`DesEngine`](crate::engine::DesEngine) is property-tested
 //! against (`engine::tests::properties`).
 //!
 //! Events are `FnOnce(&mut Simulation<W>, &mut W)` closures, so any component

@@ -6,13 +6,13 @@
 //! The engine is deliberately minimal but complete:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time.
-//! * [`DesEngine`] — the event engine: events are plain values in a
-//!   private slab arena, ordered by one `BinaryHeap` of `(time, seq,
-//!   handle)` keys, with O(1) lazy cancellation via [`EventHandle`]s.
-//!   Determinism is guaranteed by a monotonically increasing sequence
-//!   number that breaks timestamp ties in insertion order. (A
-//!   `BinaryHeap`-of-closures calendar survives as a test-only model
-//!   queue the engine is property-tested against.)
+//! * [`DesEngine`] — the event engine: one `BinaryHeap` of `(time, seq,
+//!   event)` entries, where events are plain values and every scheduled
+//!   event fires (there is no cancellation). Determinism is guaranteed
+//!   by a monotonically increasing sequence number that breaks timestamp
+//!   ties in insertion order. (A `BinaryHeap`-of-closures calendar
+//!   survives as a test-only model queue the engine is property-tested
+//!   against.)
 //! * [`resource`] — analytic queueing servers: a processor-sharing
 //!   [`resource::FairShareServer`] (models bandwidth-shared storage servers;
 //!   it answers only "when is everything queued done", but keeps each job's
@@ -30,7 +30,6 @@
 //! The engine contains no I/O and no global state; every simulation is a
 //! value.
 
-mod arena;
 pub(crate) mod engine;
 #[cfg(test)]
 mod event;
@@ -40,7 +39,6 @@ pub mod stats;
 pub(crate) mod time;
 pub(crate) mod trace;
 
-pub use arena::EventHandle;
 pub use engine::DesEngine;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

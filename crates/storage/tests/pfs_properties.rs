@@ -1,10 +1,12 @@
 //! Property-based tests of the parallel-filesystem model: random operation
 //! sequences must preserve the accounting invariants no matter how they
-//! interleave, and must behave exactly as the write path did before it
-//! looked each path up once (`OldPfs`).
+//! interleave, must behave exactly as the write path did before it
+//! looked each path up once (`OldPfs`), and must meter the rack exactly as
+//! a sweep over one record per transfer does.
 
 use std::collections::HashMap;
 
+use ivis_power::meter::MeteredPdu;
 use ivis_sim::resource::{FairShareServer, FcfsServer};
 use ivis_sim::{SimDuration, SimTime};
 use ivis_storage::layout::StripeLayout;
@@ -150,7 +152,8 @@ proptest! {
 /// The filesystem as it was before a write looked its path up once: a
 /// SipHash namespace, `contains_key` then a create that checks again and
 /// inserts an empty file, `get_mut` to grow it, and a `Vec` per write for
-/// the per-OST split. Only what the differential test drives is kept.
+/// the per-OST split, and one `(start, end)` record per data transfer.
+/// Only what the differential tests drive is kept.
 struct OldPfs {
     config: PfsConfig,
     oss: Vec<FairShareServer>,
@@ -160,6 +163,9 @@ struct OldPfs {
     mds_surcharge: SimDuration,
     reserved: u64,
     armed_failures: u32,
+    transfers: Vec<(SimTime, SimTime)>,
+    /// Each OSS's latest submission: it takes none before that.
+    submitted: Vec<SimTime>,
 }
 
 impl OldPfs {
@@ -169,12 +175,14 @@ impl OldPfs {
                 .map(|_| FairShareServer::new(config.oss_bandwidth_bps))
                 .collect(),
             mds: (0..config.num_mds).map(|_| FcfsServer::new()).collect(),
+            submitted: vec![SimTime::ZERO; config.num_oss],
             config,
             files: HashMap::new(),
             used: 0,
             mds_surcharge: SimDuration::ZERO,
             reserved: 0,
             armed_failures: 0,
+            transfers: Vec::new(),
         }
     }
 
@@ -246,8 +254,10 @@ impl OldPfs {
                 continue;
             }
             self.oss[ost].submit(mds_done, b as f64);
+            self.submitted[ost] = mds_done;
             done = done.max(self.oss[ost].drained_at());
         }
+        self.transfers.push((mds_done, done));
         Ok(done)
     }
 
@@ -264,8 +274,10 @@ impl OldPfs {
                 continue;
             }
             self.oss[ost].submit(now, b as f64);
+            self.submitted[ost] = now;
             done = done.max(self.oss[ost].drained_at());
         }
+        self.transfers.push((now, done));
         Ok(done)
     }
 
@@ -277,6 +289,40 @@ impl OldPfs {
         self.used -= size;
         let mds = self.mds_for(path);
         Ok(self.mds[mds].submit(now, self.config.mds_op_time))
+    }
+
+    /// The earliest time from `now` at which bytes `[offset, offset+len)`
+    /// reach no OSS before its latest submission.
+    fn clear_of_the_past(&self, now: SimTime, offset: u64, len: u64) -> SimTime {
+        let per_ost = self.config.stripe.distribute(offset, len);
+        per_ost
+            .iter()
+            .zip(&self.submitted)
+            .filter(|&(&b, _)| b > 0)
+            .fold(now, |t, (_, &at)| t.max(at))
+    }
+
+    /// The rack meter as a sweep over every transfer's own record.
+    fn rack_meter(&self) -> MeteredPdu {
+        let power = &self.config.power;
+        let mut meter = MeteredPdu::raritan_rack("lustre-rack", power.power(0.0));
+        let mut events: Vec<(SimTime, i32)> = Vec::with_capacity(self.transfers.len() * 2);
+        for &(start, end) in &self.transfers {
+            events.push((start, 1));
+            events.push((end, -1));
+        }
+        events.sort_by_key(|e| (e.0, -e.1));
+        let mut depth = 0;
+        for (t, delta) in events {
+            let was_busy = depth > 0;
+            depth += delta;
+            let is_busy = depth > 0;
+            if was_busy != is_busy {
+                let u = if is_busy { 1.0 } else { 0.0 };
+                meter.observe(t, power.power(u));
+            }
+        }
+        meter
     }
 }
 
@@ -403,5 +449,109 @@ proptest! {
                 prop_assert_eq!(fs.size_of(path), old.size_of(path));
             }
         }
+    }
+}
+
+/// One step of the rack-meter test: when it starts, then what it moves.
+#[derive(Debug, Clone)]
+enum MeterStep {
+    /// This many microseconds after the last transfer drained: zero is
+    /// back to back, one or two leave the rack idle for that long.
+    AfterLastDone(u64),
+    /// At the same instant as the step before.
+    Now,
+    /// This many milliseconds after the step before.
+    Later(u64),
+}
+
+#[derive(Debug, Clone)]
+enum MeterOp {
+    /// A new file, whose data waits for a create stalled this many ms.
+    New { bytes: u64, stall_ms: u64 },
+    /// More bytes on a file: no create, so its data can start before a
+    /// stalled create's does.
+    Append { file: usize, bytes: u64 },
+    /// Read back one of the files written so far.
+    Read { file: usize },
+}
+
+fn meter_step_strategy() -> impl Strategy<Value = (MeterStep, MeterOp)> {
+    let step = (0u8..3, 1u64..200, 0u64..3).prop_map(|(kind, ms, us)| match kind {
+        0 => MeterStep::AfterLastDone(us),
+        1 => MeterStep::Now,
+        _ => MeterStep::Later(ms),
+    });
+    let op = prop_oneof![
+        (1u64..12_000, 0u64..50).prop_map(|(bytes, stall_ms)| MeterOp::New { bytes, stall_ms }),
+        (0usize..64, 1u64..12_000).prop_map(|(file, bytes)| MeterOp::Append { file, bytes }),
+        (0usize..64).prop_map(|file| MeterOp::Read { file }),
+    ];
+    (step, op)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Back-to-back, overlapping, MDS-delayed and out-of-order transfers
+    /// meter the rack to the same sample bits whether each transfer keeps
+    /// its own record or extends the one before it.
+    #[test]
+    fn rack_meter_matches_the_per_transfer_sweep(
+        stripes in (1_000u64..9_000, 1usize..5),
+        steps in prop::collection::vec(meter_step_strategy(), 1..60),
+    ) {
+        let config = PfsConfig {
+            num_oss: stripes.1,
+            stripe: StripeLayout::new(stripes.0, stripes.1),
+            capacity_bytes: u64::MAX / 2,
+            ..small_fs().config().clone()
+        };
+        let mut fs = ParallelFileSystem::new(config.clone());
+        let mut old = OldPfs::new(config);
+        let (mut now, mut last_done) = (SimTime::ZERO, SimTime::ZERO);
+        let mut files = 0usize;
+        for (step, op) in &steps {
+            now = match *step {
+                MeterStep::AfterLastDone(us) => now.max(last_done + SimDuration::from_micros(us)),
+                MeterStep::Now => now,
+                MeterStep::Later(ms) => now + SimDuration::from_millis(ms),
+            };
+            // Every op starts no earlier than `now`, and no earlier than
+            // the latest submission to an OSS it touches (the servers
+            // refuse the past). A stalled create's data may still start
+            // after a later op's, on other servers.
+            let (got, want) = match *op {
+                MeterOp::New { bytes, stall_ms } => {
+                    now = old.clear_of_the_past(now, 0, bytes);
+                    fs.set_mds_surcharge(SimDuration::from_millis(stall_ms));
+                    old.mds_surcharge = SimDuration::from_millis(stall_ms);
+                    let path = format!("/m{files}");
+                    files += 1;
+                    (fs.write(now, &path, bytes), old.write(now, &path, bytes))
+                }
+                MeterOp::Append { file, bytes } if files > 0 => {
+                    let path = format!("/m{}", file % files);
+                    now = old.clear_of_the_past(now, old.size_of(&path).unwrap(), bytes);
+                    (fs.write(now, &path, bytes), old.write(now, &path, bytes))
+                }
+                MeterOp::Read { file } if files > 0 => {
+                    let path = format!("/m{}", file % files);
+                    now = old.clear_of_the_past(now, 0, old.size_of(&path).unwrap());
+                    (fs.read(now, &path), old.read(now, &path))
+                }
+                _ => continue,
+            };
+            prop_assert_eq!(&got, &want, "{:?} at {}", op, now);
+            last_done = last_done.max(got.expect("capacity is never reached"));
+        }
+        let end = last_done + SimDuration::from_mins(2);
+        let bits = |meter: MeteredPdu| -> Vec<(SimTime, u64)> {
+            meter
+                .report(SimTime::ZERO, end)
+                .into_iter()
+                .map(|s| (s.at, s.avg.watts().to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(bits(fs.rack_meter()), bits(old.rack_meter()));
     }
 }
