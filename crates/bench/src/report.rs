@@ -546,10 +546,7 @@ impl Bench {
             })
         });
         let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let host = obj! {
-            "available_parallelism" => host_threads,
-            "zsim_threads" => std::env::var("ZSIM_THREADS").ok(),
-        };
+        let host = obj! { "available_parallelism" => host_threads };
         Bench {
             out_path: out_path.unwrap_or(&committed_path).clone(),
             committed,
@@ -632,19 +629,19 @@ mod tests {
     #[test]
     fn parses_and_flattens_bench_shapes() {
         let out = leaves(
-            r#"{ "host": { "available_parallelism": 1, "zsim_threads": null },
+            r#"{ "host": { "available_parallelism": 1 },
                  "rows": [
                    { "config": "in-situ@8h", "clean_s": 0.5, "ok": true },
                    { "config": "post@8h", "clean_s": 0.25 }
                  ],
-                 "end_to_end": { "pipelined_fps": 12.5, "note": "x" } }"#,
+                 "end_to_end": { "pipelined_fps": 12.5, "note": "x", "speedup": null } }"#,
         );
         assert_eq!(out.get("rows.in-situ@8h.clean_s"), Some(&Json::Num(0.5)));
         assert_eq!(out.get("rows.in-situ@8h.ok"), Some(&Json::Bool(true)));
         assert_eq!(out.get("end_to_end.pipelined_fps"), Some(&Json::Num(12.5)));
         assert_eq!(out.get("end_to_end.note"), Some(&Json::Str("x".into())));
         // nulls vanish; host stays at this layer (compare ignores it).
-        assert!(!out.contains_key("host.zsim_threads"));
+        assert!(!out.contains_key("end_to_end.speedup"));
         assert!(out.contains_key("host.available_parallelism"));
     }
 

@@ -14,12 +14,12 @@
 //! commit policy of its own. The *work* — segmentation, candidate
 //! windows, evaluation renders, entropy, the full-resolution render of
 //! the winning camera — is a pure function of the snapshot, so up to
-//! `depth` analyses run speculatively on the worker pool, with the
-//! candidate evaluations fanned out underneath by
+//! `depth` analyses run speculatively on the frame loop's threads, each
+//! scoring its candidates sequentially with
 //! [`ivis_trigger::score_viewpoints`]. The *commit policy* is the trigger,
 //! whose state is inherently sequential; it runs in analysis order and
 //! only flips the emit bit. All outputs are therefore **bit-identical** at
-//! every depth and thread count (the `adaptive/` keys of
+//! every depth (the `adaptive/` keys of
 //! `tests/golden/native_identity.txt`).
 //!
 //! The winner renders through [`FieldRenderer::render`] and
@@ -46,7 +46,7 @@ use crate::native::{
 use crate::resilience::PipelineError;
 
 /// One analysis step, a pure function of the snapshot and so safe to run
-/// speculatively on any worker: segment, score every candidate, pick the
+/// speculatively on any frame worker: segment, score every candidate, pick the
 /// winner and render it at full resolution. [`score_viewpoints`] scores
 /// the candidates sequentially; the frame loop runs analyses in parallel.
 fn analyze_snapshot(

@@ -14,19 +14,23 @@
 //! faulted or adaptive) and both passes of post-processing — is the same
 //! private depth-*k* producer/consumer, `frame_loop`: a producer thread
 //! pulls snapshots off a *source* (the solver and adaptor, or the stored
-//! raw dumps) while the calling thread works on up to *k* of them
-//! **frame-parallel** on the worker pool (the work is a pure function of
-//! the deep-copied [`VizSnapshot`]) and commits strictly in frame order
-//! under a *commit policy*. In-situ renders, then stores or sheds each
-//! frame under a [`FaultSession`] — a clean run **is** a faulted run under
-//! [`FaultScenario::none`]; `crate::adaptive` analyzes and lets the
-//! trigger decide; post-processing encodes raw dumps and stores or sheds
-//! them, then decodes them one at a time and renders every one. A strictly
-//! serialized run is depth 1.
+//! raw dumps) while the calling thread and *k* − 1 helper threads work on
+//! up to *k* of them **frame-parallel** (the work is a pure function of
+//! the deep-copied [`VizSnapshot`]) and the calling thread commits
+//! strictly in frame order under a *commit policy*. In-situ renders, then
+//! stores or sheds each frame under a [`FaultSession`] — a clean run
+//! **is** a faulted run under [`FaultScenario::none`]; `crate::adaptive`
+//! analyzes and lets the trigger decide; post-processing encodes raw
+//! dumps and stores or sheds them, then decodes them one at a time and
+//! renders every one. A strictly serialized run is depth 1.
 //!
-//! Chunk placement never changes *what* is computed, so all outputs are
-//! **bit-identical** at every depth and thread count; the serial loops
-//! this replaced live on as `tests/golden/native_identity.txt`.
+//! The depth is the backend's only parallelism: one producer thread plus
+//! *k* frame workers, spawned once per loop. Nothing reads a thread-count
+//! setting.
+//!
+//! Which thread works a frame never changes *what* is computed, so all
+//! outputs are **bit-identical** at every depth; the serial loops this
+//! replaced live on as `tests/golden/native_identity.txt`.
 //!
 //! Both pipelines render through `render_frame`, so comparing their frames
 //! checks the raw round trip, not a second renderer; the live differential
@@ -55,7 +59,6 @@ use ivis_viz::png::{encoded_png_size, PngEncoder};
 use ivis_viz::raster::{ImageBuffer, SampleTables};
 use ivis_viz::render::FieldRenderer;
 use ivis_viz::CinemaDatabase;
-use rayon::prelude::*;
 
 use crate::adaptor::{CatalystAdaptor, VizSnapshot};
 use crate::config::PipelineKind;
@@ -151,7 +154,9 @@ pub struct NativePlan {
     pub config: NativeConfig,
     /// In-situ or post-processing.
     pub kind: PipelineKind,
-    /// Frames in flight at once (≥ 1). Outputs never depend on it.
+    /// Frames in flight at once, from 1 to [`NativePlan::MAX_DEPTH`]:
+    /// the frame loop works them on `depth` threads (itself and
+    /// `depth − 1` helpers). Outputs never depend on it.
     pub depth: usize,
     /// Analyze every `analysis_interval` steps and let the trigger decide
     /// which analyses emit a frame (in-situ only).
@@ -162,6 +167,10 @@ pub struct NativePlan {
 }
 
 impl NativePlan {
+    /// The deepest plan [`execute`] accepts: each unit of depth is a
+    /// thread and a queued snapshot.
+    pub const MAX_DEPTH: usize = 64;
+
     /// A clean, fixed-rate run of `kind` at [`default_pipeline_depth`].
     pub fn new(config: NativeConfig, kind: PipelineKind) -> Self {
         NativePlan {
@@ -179,6 +188,7 @@ impl NativePlan {
         let cfg = &self.config;
         let problem = match (&self.trigger, self.kind) {
             _ if self.depth == 0 => "pipeline depth must be at least 1",
+            _ if self.depth > Self::MAX_DEPTH => "pipeline depth must be at most 64",
             _ if cfg.nx < 4 || cfg.ny < 4 => "the grid needs at least 4×4 cells",
             _ if !(cfg.cell_m.is_finite() && cfg.cell_m > 0.0) => {
                 "cell size must be finite and positive"
@@ -256,7 +266,7 @@ impl NativeRun {
     /// candidate and its entropy bits), the Cinema index, every PNG byte,
     /// the track count and the final census. Two runs are interchangeable
     /// iff their digests match; the identity tests hold this to the
-    /// committed goldens across thread counts and depths.
+    /// committed goldens across depths.
     pub fn digest(&self) -> String {
         let mut head = Vec::new();
         for d in &self.decisions {
@@ -412,7 +422,9 @@ pub(crate) struct RenderedFrame {
 /// Per-thread rendering scratch, reused across frames: the sample tables
 /// (rebuilt in place when the frame shape repeats), the RGB image buffer
 /// and the PNG encoder's scanline scratch. With these, a steady-state
-/// frame allocates only its own output PNG.
+/// frame allocates only its own output PNG. The calling thread keeps its
+/// scratch between runs; a frame loop's helper builds its own once per
+/// run.
 #[derive(Default)]
 struct FrameScratch {
     tables: Option<SampleTables>,
@@ -425,7 +437,7 @@ thread_local! {
 }
 
 /// Segment, extract, rasterize, annotate and PNG-encode one snapshot — a
-/// pure function of the snapshot, safe to run on any worker. Pixels and
+/// pure function of the snapshot, safe to run on any frame worker. Pixels and
 /// bytes are bit-identical to [`FieldRenderer::render`] + PNG encode: the
 /// rebuilt tables equal freshly built ones, rows are shaded with the same
 /// [`SampleTables::shade_row`], and the encoder is deterministic.
@@ -440,32 +452,29 @@ fn render_frame(
     let feats = extract_features(grid, w, &seg);
     let census = frame_census(&feats);
     let (lo, hi) = renderer.resolve_range(w);
-    // The scratch is taken out of the cell, not borrowed in place: a
-    // thread that waits on the pool runs other queued work meanwhile, so
-    // should anything under this call ever fan out, a nested
-    // `render_frame` finds an empty scratch and builds its own.
-    let mut scratch = FRAME_SCRATCH.take();
-    let FrameScratch { tables, img, enc } = &mut scratch;
-    let tables = match tables {
-        Some(t) if t.matches(w, renderer.width, renderer.height) => {
-            t.rebuild(w);
-            t
+    let png = FRAME_SCRATCH.with_borrow_mut(|FrameScratch { tables, img, enc }| {
+        let tables = match tables {
+            Some(t) if t.matches(w, renderer.width, renderer.height) => {
+                t.rebuild(w);
+                t
+            }
+            slot => slot.insert(SampleTables::new(w, renderer.width, renderer.height)),
+        };
+        let img = match img {
+            Some(i) if i.width() == renderer.width && i.height() == renderer.height => i,
+            slot => slot.insert(ImageBuffer::new(renderer.width, renderer.height)),
+        };
+        for (y, row) in img.pixels_mut().chunks_mut(renderer.width).enumerate() {
+            tables.shade_row(y, renderer.colormap, lo, hi, row);
         }
-        slot => slot.insert(SampleTables::new(w, renderer.width, renderer.height)),
-    };
-    let img = match img {
-        Some(i) if i.width() == renderer.width && i.height() == renderer.height => i,
-        slot => slot.insert(ImageBuffer::new(renderer.width, renderer.height)),
-    };
-    for (y, row) in img.pixels_mut().chunks_mut(renderer.width).enumerate() {
-        tables.shade_row(y, renderer.colormap, lo, hi, row);
-    }
-    if annotate {
-        annotate_frame(renderer, img, snap, lo, hi);
-    }
-    let mut png = Vec::with_capacity(encoded_png_size(renderer.width, renderer.height) as usize);
-    enc.encode_into(img, &mut png);
-    FRAME_SCRATCH.set(scratch);
+        if annotate {
+            annotate_frame(renderer, img, snap, lo, hi);
+        }
+        let mut png =
+            Vec::with_capacity(encoded_png_size(renderer.width, renderer.height) as usize);
+        enc.encode_into(img, &mut png);
+        png
+    });
     RenderedFrame { feats, census, png }
 }
 
@@ -549,14 +558,15 @@ pub(crate) enum Commit {
 /// pulls samples off `source` — called with a committed snapshot to
 /// recycle, if one has come back — at most `depth` ahead of the oldest
 /// uncommitted one. The calling thread drains up to `depth` queued
-/// samples, runs `work` on them in parallel — it must be a pure function
-/// of the snapshot, and is speculative: a frame the policy then sheds or
-/// skips was worked on and is thrown away — and calls `commit` strictly
-/// in source order, the sample's `after` grown by its work time.
-/// Everything stateful (fault RNG, trigger hysteresis, tracker, Cinema
-/// index, trace) therefore sees the order a serialized run would, at any
-/// depth and thread count. The first source error, in source order, ends
-/// the loop.
+/// samples, hands all but the oldest to the loop's `depth − 1` helper
+/// threads (spawned once per call), runs `work` on the oldest itself —
+/// `work` must be a pure function of the snapshot, and is speculative: a
+/// frame the policy then sheds or skips was worked on and is thrown away
+/// — and calls `commit` strictly in source order, the sample's `after`
+/// grown by its work time. Everything stateful (fault RNG, trigger
+/// hysteresis, tracker, Cinema index, trace) therefore sees the order a
+/// serialized run would, at any depth. The first source error, in source
+/// order, ends the loop.
 pub(crate) fn frame_loop<Y: Send>(
     depth: usize,
     mut source: impl FnMut(Option<VizSnapshot>) -> Pulled + Send,
@@ -567,11 +577,17 @@ pub(crate) fn frame_loop<Y: Send>(
     // Committed snapshots flow back to the producer for recycling, so
     // steady-state adaptation reuses buffers instead of allocating.
     let (ret_tx, ret_rx) = mpsc::channel();
+    let timed = |mut sample: Sample| {
+        let t0 = Instant::now();
+        let out = work(&sample.snap);
+        sample.after += t0.elapsed();
+        (sample, out)
+    };
     std::thread::scope(|s| {
-        // Owned by the consumer: if it unwinds or returns an error, the
-        // receiver drops and the producer's next `send` fails instead of
-        // blocking on a full queue that the scope would then wait on
-        // forever.
+        // Owned by the consumer: if it unwinds or returns, the receiver
+        // and the helpers' job senders drop, so the producer's next `send`
+        // fails instead of blocking on a full queue, and every helper's
+        // job queue ends — none is left for the scope to wait on forever.
         let rx = rx;
         s.spawn(move || {
             while let Some(sample) = source(ret_rx.try_recv().ok()) {
@@ -580,24 +596,40 @@ pub(crate) fn frame_loop<Y: Send>(
                 }
             }
         });
-        let mut batch = Vec::with_capacity(depth);
+        let helpers: Vec<_> = (1..depth)
+            .map(|_| {
+                let (job_tx, job_rx) = mpsc::channel();
+                let (out_tx, out_rx) = mpsc::channel();
+                let timed = &timed;
+                s.spawn(move || {
+                    for sample in job_rx {
+                        let _ = out_tx.send(timed(sample)); // consumer may be gone
+                    }
+                });
+                (job_tx, out_rx)
+            })
+            .collect();
         // Loop ends when the producer is done and the queue drained.
-        while let Ok(first) = rx.recv() {
-            batch.push(first?);
-            for next in rx.try_iter().take(depth - 1) {
-                batch.push(next?);
+        while let Ok(oldest) = rx.recv() {
+            let oldest = oldest?;
+            let mut handed = 0;
+            // Helpers first: `zip` asks them before taking a sample.
+            for ((job, _), next) in helpers.iter().zip(rx.try_iter()) {
+                if job.send(next?).is_err() {
+                    return Ok(()); // helper panicked; the scope re-raises it
+                }
+                handed += 1;
             }
-            let worked: Vec<_> = batch
-                .par_iter()
-                .map(|s: &Sample| {
-                    let t0 = Instant::now();
-                    (work(&s.snap), t0.elapsed())
-                })
-                .collect();
-            for (mut sample, (out, took)) in batch.drain(..).zip(worked) {
-                sample.after += took;
+            let mut done = |(sample, out): (Sample, Y)| {
                 commit(&sample, out);
                 let _ = ret_tx.send(sample.snap); // producer may already be done
+            };
+            done(timed(oldest));
+            for (_, out) in &helpers[..handed] {
+                match out.recv() {
+                    Ok(worked) => done(worked),
+                    Err(_) => return Ok(()), // helper panicked; the scope re-raises it
+                }
             }
         }
         Ok(())
@@ -649,7 +681,7 @@ pub(crate) fn render_pass<X: Send>(
 ///
 /// An invalid plan is [`PipelineError::InvalidConfig`] and nothing runs; a
 /// raw dump that fails to decode is [`PipelineError::CorruptFrame`].
-/// Outputs are bit-identical at every depth and thread count.
+/// Outputs are bit-identical at every depth.
 ///
 /// Faults act on the in-memory per-sample store — the image in-situ, the
 /// raw dump in post-processing — through `TransientIo` windows in
@@ -1353,6 +1385,29 @@ mod tests {
     fn zero_depth_is_rejected() {
         let detail = rejected(&plan(NativeConfig::tiny(), PipelineKind::InSitu, 0));
         assert!(detail.contains("depth"), "{detail}");
+    }
+
+    #[test]
+    fn hostile_plan_native_depth_is_capped() {
+        // Unrefused, each unit of depth is a queue slot and a thread: 2^40
+        // aborts on the queue's allocation, `usize::MAX` overflows it.
+        for depth in [NativePlan::MAX_DEPTH + 1, 1 << 40, usize::MAX] {
+            for kind in [PipelineKind::InSitu, PipelineKind::PostProcessing] {
+                let t0 = Instant::now();
+                let detail = rejected(&plan(NativeConfig::tiny(), kind, depth));
+                assert!(t0.elapsed() < Duration::from_millis(10), "depth {depth}");
+                assert!(
+                    detail.contains(&NativePlan::MAX_DEPTH.to_string()),
+                    "{detail}"
+                );
+            }
+        }
+        let deepest = plan(
+            NativeConfig::tiny(),
+            PipelineKind::InSitu,
+            NativePlan::MAX_DEPTH,
+        );
+        assert_eq!(run(&deepest).report.frames, 3);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! empty plan — the fault RNG is never consulted, the storage hooks stay
 //! at their nominal values, and every arithmetic path multiplies by
 //! exactly `1.0`. With a seeded plan the run (metrics, trace and stats)
-//! replays bit-for-bit at any host thread count; the CI fault matrix
-//! enforces it.
+//! replays bit-for-bit; the CI fault matrix and `des_identity`'s
+//! `fault/seed…` goldens enforce it.
 
 use ivis_fault::{FaultScenario, FaultSession, RetryPolicy};
 use ivis_obs::{AttrValue, Component, Recorder};

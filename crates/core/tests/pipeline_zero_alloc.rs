@@ -47,9 +47,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_frame_chain_is_allocation_free() {
-    // One thread: parallel fan-outs take the shim's allocation-free
-    // sequential path, so the count below audits the pipeline itself.
-    rayon::set_num_threads(1);
     let (width, height) = (96, 64);
     let grid = Grid::channel(96, 64, 60_000.0);
     let params = SwParams::eddy_channel(&grid);
@@ -101,5 +98,4 @@ fn steady_state_frame_chain_is_allocation_free() {
     assert_eq!(model.steps(), 88);
     assert_eq!(snap.timestep, 88);
     assert_eq!(png.len(), encoded_png_size(width, height) as usize);
-    rayon::set_num_threads(0);
 }

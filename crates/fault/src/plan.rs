@@ -170,7 +170,7 @@ impl FaultPlan {
     /// A random but fully seed-determined plan over `[0, horizon)`:
     /// 1–4 faults of mixed kinds with windows inside the horizon. The
     /// same `(seed, horizon)` always yields the same plan — this is what
-    /// the CI fault matrix replays at different thread counts.
+    /// the CI fault matrix replays per seed.
     pub fn random(seed: u64, horizon: SimDuration) -> Self {
         let mut rng = SimRng::new(seed ^ 0xF417_F417);
         let h = horizon.as_secs_f64();

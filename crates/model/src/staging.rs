@@ -18,16 +18,14 @@
 //!   staging service chain.
 //!
 //! [`StagingSweep::run`] measures every grid point on the simulated
-//! machine (in parallel — points are independent) and carries the
-//! analytic prediction alongside, so the sweep doubles as a §VI-style
-//! validation of the transport model.
+//! machine and carries the analytic prediction alongside, so the sweep
+//! doubles as a §VI-style validation of the transport model.
 
 use ivis_core::campaign::{Campaign, Plan};
 use ivis_core::intransit::{reported_kind, InTransitConfig};
 use ivis_core::{
     per_node_payload, CompressionConfig, PipelineConfig, PipelineKind, TransportConfig,
 };
-use rayon::prelude::*;
 
 use crate::perf::PerfModel;
 
@@ -74,13 +72,10 @@ pub struct StagingSweep {
 impl StagingSweep {
     /// Measure `stagings × depths × ratios` at the `hours` sampling rate.
     ///
-    /// `make` constructs a fresh campaign per point (the campaign's
-    /// recorder is thread-local, exactly as in the bench harness's
-    /// parallel matrix); points evaluate in parallel and the output order
-    /// is the deterministic input order, so the sweep is bit-stable at
-    /// any thread count.
+    /// `make` constructs a fresh campaign per point; points come out in
+    /// input order.
     pub fn run(
-        make: impl Fn() -> Campaign + Sync,
+        make: impl Fn() -> Campaign,
         hours: f64,
         stagings: &[usize],
         depths: &[usize],
@@ -96,7 +91,7 @@ impl StagingSweep {
             .collect();
         let model = PerfModel::paper();
         let points = grid
-            .par_iter()
+            .iter()
             .map(|&(staging_nodes, depth, ratio)| {
                 let campaign = make();
                 let mut pc = PipelineConfig::paper(PipelineKind::InSitu, hours);

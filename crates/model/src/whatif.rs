@@ -282,4 +282,26 @@ mod tests {
             );
         }
     }
+
+    /// The Eq. 4 curves are element-wise maps: bit for bit the point-wise
+    /// `storage_bytes` and `energy` over the same intervals.
+    #[test]
+    fn eq4_curves_equal_the_elementwise_maps_bit_for_bit() {
+        let a = WhatIfAnalyzer::paper();
+        let spec = ProblemSpec::paper_100yr();
+        let hours: Vec<f64> = (1..=96).map(|i| i as f64 * 4.0).collect();
+        for kind in [PipelineKind::InSitu, PipelineKind::PostProcessing] {
+            let storage = a.storage_curve(kind, &spec, &hours);
+            let energy = a.energy_curve(kind, &spec, &hours);
+            assert_eq!(storage.len(), hours.len());
+            assert_eq!(energy.len(), hours.len());
+            for ((&h, &(hs, bytes)), &(he, joules)) in hours.iter().zip(&storage).zip(&energy) {
+                let rate = SamplingRate::every_hours(h);
+                assert_eq!((hs.to_bits(), he.to_bits()), (h.to_bits(), h.to_bits()));
+                assert_eq!(bytes, a.storage_bytes(kind, &spec, rate));
+                let pointwise = a.energy(kind, &spec, rate).joules();
+                assert_eq!(joules.joules().to_bits(), pointwise.to_bits());
+            }
+        }
+    }
 }

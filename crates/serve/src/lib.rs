@@ -17,7 +17,7 @@
 //! computation over real bytes. Service durations come from an integer
 //! `CostModel`, so every latency percentile, counter and response
 //! digest is a pure function of the schedule and configuration —
-//! bit-identical across hosts, runs and shim thread counts. That is
+//! bit-identical across hosts and runs. That is
 //! what lets CI gate on the numbers.
 //!
 //! Layout:

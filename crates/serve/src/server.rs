@@ -8,8 +8,8 @@
 //! sharded frame lookup, response serialization — is real computation on
 //! real bytes. Service durations are charged from an explicit integer
 //! [`CostModel`], so the latency distribution is a pure function of the
-//! schedule and the configuration: bit-identical on every host and at
-//! every shim thread count, which is what the CI gates compare.
+//! schedule and the configuration: bit-identical on every host and in
+//! every run, which is what the CI gates compare.
 //!
 //! Production concerns are first-class:
 //!

@@ -12,8 +12,8 @@
 //! ([`AdaptiveTrigger`]).
 //!
 //! Every decision is a pure function of field state — never wall clock,
-//! never thread count — so adaptive campaigns replay bit-identically at
-//! any `ZSIM_THREADS`.
+//! never which thread analyzed a frame — so adaptive campaigns replay
+//! bit-identically at any native frame-loop depth.
 
 pub(crate) mod entropy;
 pub(crate) mod trigger;

@@ -2,10 +2,12 @@
 //! the hysteresis controller takes, every PNG it emits and every trace
 //! record it writes must be **bit-identical** to what the sequential
 //! reference loop produced — pinned under the `adaptive/` keys of
-//! `tests/golden/native_identity.txt` — at every thread count and every
-//! candidate-grid size. Wall-clock microseconds are the one thing two
-//! real executions can never agree on, so traces are normalized before
-//! they are pinned; everything else is byte-compared.
+//! `tests/golden/native_identity.txt` — at every depth (a depth-*k* run
+//! analyzes on *k* threads; this suite runs the default depth and
+//! `ivis-core`'s unit tests sweep 1/2/4) and every candidate-grid size.
+//! Wall-clock microseconds are the one thing two real executions can
+//! never agree on, so traces are normalized before they are pinned;
+//! everything else is byte-compared.
 //!
 //! Also here: the adaptive campaign must beat the fixed 72 h rate at
 //! equal recall, and a proptest that the *measured* effective rate — the
@@ -14,7 +16,7 @@
 
 mod common;
 
-use common::{at_all_thread_counts, blob, decisions_line, frames_line, normalize_trace, Golden};
+use common::{blob, decisions_line, frames_line, normalize_trace, Golden};
 use ivis_bench::adaptive::AdaptiveComparison;
 use ivis_core::native::{execute, NativeConfig, NativePlan, NativeRun};
 use ivis_core::PipelineKind;
@@ -68,7 +70,7 @@ fn adaptive_outputs_are_bit_identical_at_all_thread_and_candidate_counts() {
     cases.push(("small/c5".into(), &small, scenario));
     for (key, cfg, tc) in &cases {
         // At the default depth; ivis-core's unit tests sweep depths 1/2/4.
-        let [digest, decisions, frames, trace] = at_all_thread_counts(|| traced(cfg, tc));
+        let [digest, decisions, frames, trace] = traced(cfg, tc);
         golden.check(&format!("adaptive/{key}/digest"), &digest);
         golden.check(&format!("adaptive/{key}/decisions"), &decisions);
         golden.check(&format!("adaptive/{key}/frames"), &frames);

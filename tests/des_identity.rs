@@ -1,8 +1,7 @@
 //! The identity harness of the pipeline executors: every executor
 //! family must reproduce the committed golden file
 //! (`tests/golden/executor_identity.txt`) **bit-for-bit** — metrics
-//! digests, JSONL traces and exporter artifacts — at 1, 2 and 8 shim
-//! threads.
+//! digests, JSONL traces and exporter artifacts.
 //!
 //! The golden file holds what the loop executors that used to live in
 //! `campaign`/`resilience`/`transport` produced; the event chains on
@@ -30,7 +29,7 @@
 
 mod common;
 
-use common::{at_all_thread_counts, blob, parse, stats_line, Golden};
+use common::{blob, parse, stats_line, Golden};
 use insitu_vis::cluster::{ClusterTopology, IoWaitPolicy, JobPhase, Machine};
 use insitu_vis::fault::{FaultPlan, FaultScenario};
 use insitu_vis::pipeline::campaign::{Campaign, CampaignConfig, Plan};
@@ -177,14 +176,11 @@ fn clean_paper_matrix_is_bit_identical_with_traces() {
     let golden = Golden::load();
     for pc in PipelineConfig::paper_matrix() {
         let label = format!("matrix/{}@{}h", pc.kind.label(), pc.rate.every_hours);
-        let (digest, trace) = at_all_thread_counts(|| {
-            let (campaign, rec) = traced_campaign(11);
-            let m = campaign.run(&pc);
-            let trace = rec.with_buffer(to_jsonl).expect("recorder is on");
-            (m.digest(), blob(&trace))
-        });
+        let (campaign, rec) = traced_campaign(11);
+        let digest = campaign.run(&pc).digest();
+        let trace = rec.with_buffer(to_jsonl).expect("recorder is on");
         golden.check(&format!("{label}/digest"), &digest);
-        golden.check(&format!("{label}/jsonl"), &trace);
+        golden.check(&format!("{label}/jsonl"), &blob(&trace));
     }
 }
 
@@ -201,12 +197,10 @@ fn faulted_runs_agree_across_the_seed_matrix() {
                 faults: Some(FaultScenario::with_plan(FaultPlan::random(seed, horizon))),
                 ..Plan::new(pc)
             };
-            let digest = at_all_thread_counts(|| {
-                Campaign::paper()
-                    .execute(&plan)
-                    .expect("random plans degrade runs, they do not kill them")
-                    .digest()
-            });
+            let digest = Campaign::paper()
+                .execute(&plan)
+                .expect("random plans degrade runs, they do not kill them")
+                .digest();
             golden.check(&format!("fault/seed{seed}/{}@8h", kind.label()), &digest);
         }
     }
@@ -224,14 +218,9 @@ fn staging_sweep_agrees_including_transport_stats() {
     let pc = intransit_pc(24.0);
     for (label, staging, transport) in sweeps {
         let plan = staged(&pc, staging, transport);
-        let (digest, stats) = at_all_thread_counts(|| {
-            let run = Campaign::paper_noisy(7).execute(&plan).expect("valid plan");
-            (
-                run.metrics.digest(),
-                stats_line(&run.transport.expect("a staged run")),
-            )
-        });
-        golden.check(&format!("sweep/{label}@24h/digest"), &digest);
+        let run = Campaign::paper_noisy(7).execute(&plan).expect("valid plan");
+        let stats = stats_line(&run.transport.expect("a staged run"));
+        golden.check(&format!("sweep/{label}@24h/digest"), &run.metrics.digest());
         golden.check(&format!("sweep/{label}@24h/stats"), &stats);
     }
 }
@@ -248,23 +237,25 @@ fn faulted_staged_run_exports_identical_artifacts() {
         faults: Some(FaultScenario::with_plan(plan)),
         ..staged(&intransit_pc(8.0), 25, depth2_zfp())
     };
-    let (digest, chrome, prom, has_queue_hist) = at_all_thread_counts(|| {
-        let (campaign, rec) = traced_campaign(42);
-        let run = campaign
-            .execute(&plan)
-            .expect("random plans degrade runs, they do not kill them");
-        let chrome = rec.with_buffer(to_chrome_trace).expect("recorder is on");
-        let prom = rec
-            .with_buffer(|b| to_prometheus(&b.metrics))
-            .expect("recorder is on");
-        let has_queue_hist = prom.contains("# TYPE transport_queue_depth_dist histogram");
-        (run.digest(), blob(&chrome), blob(&prom), has_queue_hist)
-    });
-    golden.check("faulted-staged/s25-d2-zfp@8h/seed42/digest", &digest);
-    golden.check("faulted-staged/s25-d2-zfp@8h/seed42/perfetto", &chrome);
-    golden.check("faulted-staged/s25-d2-zfp@8h/seed42/prometheus", &prom);
+    let (campaign, rec) = traced_campaign(42);
+    let run = campaign
+        .execute(&plan)
+        .expect("random plans degrade runs, they do not kill them");
+    let chrome = rec.with_buffer(to_chrome_trace).expect("recorder is on");
+    let prom = rec
+        .with_buffer(|b| to_prometheus(&b.metrics))
+        .expect("recorder is on");
+    golden.check("faulted-staged/s25-d2-zfp@8h/seed42/digest", &run.digest());
+    golden.check(
+        "faulted-staged/s25-d2-zfp@8h/seed42/perfetto",
+        &blob(&chrome),
+    );
+    golden.check(
+        "faulted-staged/s25-d2-zfp@8h/seed42/prometheus",
+        &blob(&prom),
+    );
     // The run actually exercised the staged-transport telemetry.
-    assert!(has_queue_hist);
+    assert!(prom.contains("# TYPE transport_queue_depth_dist histogram"));
 }
 
 #[test]
@@ -357,13 +348,10 @@ fn burst_buffer_digests_match_golden() {
                     burst_buffer: Some(bb.clone()),
                     ..Plan::new(PipelineConfig::paper(PipelineKind::PostProcessing, hours))
                 };
-                let digest = at_all_thread_counts(|| {
-                    let run = campaign.execute(&plan).expect("valid plan");
-                    run.metrics.digest()
-                });
+                let run = campaign.execute(&plan).expect("valid plan");
                 golden.check(
                     &format!("bb/{machine}/{buffer}/post-processing@{hours}h/digest"),
-                    &digest,
+                    &run.metrics.digest(),
                 );
             }
         }
@@ -441,7 +429,7 @@ fn machine_meters_and_power_match_golden() {
     let golden = Golden::load();
     for (cages, aligned, mid) in [(15usize, 60usize, 65usize), (1_000, 640, 645)] {
         for (label, noise) in [("clean", None), ("noisy11", Some(11))] {
-            let line = at_all_thread_counts(|| machine_script_line(cages, aligned, mid, noise));
+            let line = machine_script_line(cages, aligned, mid, noise);
             golden.check(&format!("machine/{cages}x10/{label}"), &line);
         }
     }
@@ -454,13 +442,11 @@ fn traced_caddy_10k_jsonl_matches_golden() {
     // every phase change.
     let golden = Golden::load();
     let traced = |run: &dyn Fn(&Campaign)| {
-        at_all_thread_counts(|| {
-            let mut campaign = Campaign::caddy_scaled(10_000);
-            let rec = Recorder::in_memory();
-            campaign.config.recorder = rec.clone();
-            run(&campaign);
-            blob(&rec.with_buffer(to_jsonl).expect("recorder is on"))
-        })
+        let mut campaign = Campaign::caddy_scaled(10_000);
+        let rec = Recorder::in_memory();
+        campaign.config.recorder = rec.clone();
+        run(&campaign);
+        blob(&rec.with_buffer(to_jsonl).expect("recorder is on"))
     };
     let insitu = traced(&|c| {
         c.run(&PipelineConfig::paper(PipelineKind::InSitu, 24.0));

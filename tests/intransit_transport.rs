@@ -3,8 +3,8 @@
 //! * **Bit-identity**: the staged executor at depth 1 with compression off
 //!   must reproduce the seed's synchronous in-transit loop bit-for-bit —
 //!   every duration in exact microseconds, every energy as raw f64 bits —
-//!   at every thread count, because the transport runs on sim time and
-//!   never consults the host. What that loop produced is pinned in
+//!   because the transport runs on sim time, on one thread, and never
+//!   consults the host. What that loop produced is pinned in
 //!   `tests/golden/executor_identity.txt` (`sync/…` keys); the depth-4
 //!   runs at the staging-bound 8 h point are pinned there too.
 //! * **Queue invariants** (property-tested): in-flight samples never
@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{at_all_thread_counts, Golden};
+use common::Golden;
 use ivis_core::campaign::{Campaign, Plan};
 use ivis_core::intransit::{reported_kind, InTransitConfig};
 use ivis_core::metrics::PipelineMetrics;
@@ -82,19 +82,16 @@ fn depth1_reproduces_synchronous_reference_bit_identically() {
 
 #[test]
 fn depth1_bit_identity_holds_at_all_thread_counts() {
-    // The transport is sim-time-only: thread count must not perturb a
-    // single bit, and noisy campaigns (which exercise the RNG draw order
-    // the equivalence depends on) agree too.
+    // The transport is sim-time-only, so noisy campaigns (which exercise
+    // the RNG draw order the equivalence depends on) agree too.
     let golden = Golden::load();
-    at_all_thread_counts(|| {
-        check_sync(
-            &golden,
-            "sync-noisy23/s10@8h",
-            &Campaign::paper_noisy(23),
-            8.0,
-            10,
-        );
-    });
+    check_sync(
+        &golden,
+        "sync-noisy23/s10@8h",
+        &Campaign::paper_noisy(23),
+        8.0,
+        10,
+    );
 }
 
 #[test]
@@ -179,11 +176,8 @@ fn depth4_digests_match_golden() {
         .clone()
         .with_compression(CompressionConfig::zfp_like());
     for (key, transport) in [("s10-d4", depth4), ("s10-d4-zfp", zfp)] {
-        let digest = at_all_thread_counts(|| {
-            let (m, _) = run_staged(&Campaign::paper(), 8.0, &it_config(10, transport.clone()));
-            m.digest()
-        });
-        golden.check(&format!("paper/in-transit-{key}@8h/digest"), &digest);
+        let (m, _) = run_staged(&Campaign::paper(), 8.0, &it_config(10, transport));
+        golden.check(&format!("paper/in-transit-{key}@8h/digest"), &m.digest());
     }
 }
 

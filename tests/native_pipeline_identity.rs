@@ -2,7 +2,8 @@
 //! output it produces — PNG bytes, the Cinema index JSON, eddy tracks and
 //! census, fault statistics and the recorded trace — must be
 //! **bit-identical** to what the sequential loops produced, at every
-//! pipeline depth and thread count. Those outputs are pinned under the
+//! pipeline depth — and so at every thread count, since a depth-*k* run
+//! works its frames on *k* threads. Those outputs are pinned under the
 //! `native/` keys of `tests/golden/native_identity.txt`. Wall-clock
 //! timestamps are the one thing two real executions can never agree on,
 //! so traces are normalized (microsecond fields zeroed) before they are
@@ -11,7 +12,7 @@
 
 mod common;
 
-use common::{at_all_thread_counts, blob, frames_line, normalize_trace, Golden};
+use common::{blob, frames_line, normalize_trace, Golden};
 use ivis_core::native::{execute, NativeConfig, NativePlan, NativeRun};
 use ivis_core::PipelineKind;
 use ivis_fault::{FaultKind, FaultPlan, FaultScenario, FaultWindow, RetryPolicy};
@@ -71,7 +72,7 @@ fn pipelined_outputs_are_bit_identical_to_sequential_at_all_thread_counts() {
     ] {
         // A clean run is a faulted run under the empty scenario.
         let none = FaultScenario::none();
-        let runs = at_all_thread_counts(|| DEPTHS.map(|d| traced(&cfg, d, &none)));
+        let runs = DEPTHS.map(|d| traced(&cfg, d, &none));
         for [frames, trace, _] in &runs {
             golden.check(&format!("native/{name}/frames"), frames);
             golden.check(&format!("native/{name}/trace"), trace);
@@ -94,18 +95,16 @@ fn postproc_outputs_match_the_sequential_goldens() {
         ("tiny-annotate", annotated),
         ("small", NativeConfig::small()),
     ] {
-        let runs = at_all_thread_counts(|| {
-            DEPTHS.map(|depth| {
-                let rec = Recorder::in_memory();
-                let none = FaultScenario::none();
-                let r = run(&cfg, PipelineKind::PostProcessing, depth, &none, &rec).report;
-                let trace = normalize_trace(&rec.with_buffer(to_jsonl).unwrap());
-                [
-                    frames_line(&r.cinema, &r.tracks, &r.final_census),
-                    blob(&trace),
-                    r.raw_bytes.to_string(),
-                ]
-            })
+        let runs = DEPTHS.map(|depth| {
+            let rec = Recorder::in_memory();
+            let none = FaultScenario::none();
+            let r = run(&cfg, PipelineKind::PostProcessing, depth, &none, &rec).report;
+            let trace = normalize_trace(&rec.with_buffer(to_jsonl).unwrap());
+            [
+                frames_line(&r.cinema, &r.tracks, &r.final_census),
+                blob(&trace),
+                r.raw_bytes.to_string(),
+            ]
         });
         for [frames, trace, raw_bytes] in &runs {
             golden.check(&format!("native/{name}/postproc/frames"), frames);
@@ -129,9 +128,8 @@ fn bench_configuration_digest_matches_golden() {
         annotate: true,
         ..NativeConfig::small()
     };
-    // Once, at the ambient thread count: the bench itself re-checks the
-    // digest at every depth, and the small configurations above cover the
-    // thread × depth grid.
+    // Depths 1 and 4 only: the bench itself re-checks the digest at every
+    // depth, and the small configurations above cover depth 2.
     let (golden, none) = (Golden::load(), FaultScenario::none());
     for depth in [1, 4] {
         for (kind, key) in [
@@ -147,7 +145,7 @@ fn bench_configuration_digest_matches_golden() {
 /// Faulted runs: a shed frame was rendered speculatively, yet leaves no
 /// image, no index entry and no Visualize phase, and every fault decision
 /// is a function of the plan seed and the frame order alone — never of
-/// the depth or the thread count.
+/// the depth.
 #[test]
 fn faulted_outputs_match_the_sequential_goldens() {
     let golden = Golden::load();
@@ -179,7 +177,7 @@ fn faulted_outputs_match_the_sequential_goldens() {
         }
     }
     for (key, cfg, scenario) in &scenarios {
-        let runs = at_all_thread_counts(|| DEPTHS.map(|d| traced(cfg, d, scenario)));
+        let runs = DEPTHS.map(|d| traced(cfg, d, scenario));
         for [frames, trace, stats] in &runs {
             golden.check(&format!("native/{key}/frames"), frames);
             golden.check(&format!("native/{key}/trace"), trace);

@@ -15,7 +15,6 @@ use insitu_vis::viz::raster::{rasterize, sample_bilinear};
 use insitu_vis::viz::Colormap;
 use insitu_vis::viz::ImageBuffer;
 use proptest::prelude::*;
-use rayon::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -215,17 +214,6 @@ proptest! {
         let e = Watts(p).over(SimDuration::from_secs(secs));
         let back = e.average_over(SimDuration::from_secs(secs));
         prop_assert!((back.watts() - p).abs() < 1e-9 * p.max(1.0));
-    }
-
-    // --- rayon shim: the threaded backend agrees with std iterators ---
-
-    #[test]
-    fn par_collect_preserves_input_order(
-        xs in prop::collection::vec(0u64..1_000_000, 0..4000),
-    ) {
-        let doubled: Vec<u64> = xs.par_iter().map(|&x| x * 2).collect();
-        let expect: Vec<u64> = xs.iter().map(|&x| x * 2).collect();
-        prop_assert_eq!(doubled, expect);
     }
 
     // --- one recorder over consecutive windows still tiles metered energy ---

@@ -2,10 +2,10 @@
 //! `LoadReport::digest()` — every counter, both response-byte digests,
 //! the latency percentiles and the makespan — and the JSONL trace of the
 //! same replay with the recorder on, under the `serve/` keys of
-//! `tests/golden/serve_identity.txt`, at 1, 2 and 8 shim threads.
+//! `tests/golden/serve_identity.txt`.
 //!
 //! `tests/serve_determinism.rs` proves a replay agrees with *itself*
-//! across thread counts; this suite holds it to what the reply path
+//! from seed to replay; this suite holds it to what the reply path
 //! produced when the file was recorded, so a change to how responses are
 //! built, carried or hashed cannot move a byte, a simulated microsecond
 //! or a recorder call unnoticed.
@@ -17,7 +17,7 @@
 
 mod common;
 
-use common::{at_all_thread_counts, blob, Golden};
+use common::{blob, Golden};
 use insitu_vis::model::{SpecId, WhatIfAnalyzer, WhatIfRequest};
 use insitu_vis::pipeline::PipelineKind;
 use insitu_vis::serve::{
@@ -28,18 +28,16 @@ use insitu_vis::sim::SimTime;
 use insitu_vis::viz::CinemaDatabase;
 use ivis_obs::{to_jsonl, Recorder};
 
-/// Replay `schedule` with the recorder off and on at every thread count
-/// and hold both artifacts to the golden file. The two replays must also
+/// Replay `schedule` with the recorder off and on and hold both
+/// artifacts to the golden file. The two replays must also
 /// agree with each other: recording never changes a reply. Returns the
 /// replay's counters.
 fn check(golden: &Golden, key: &str, srv: &Server, schedule: &LoadSchedule) -> ServeStats {
-    let (report, trace) = at_all_thread_counts(|| {
-        let report = srv.run_load(schedule, &Recorder::off(), false);
-        let rec = Recorder::in_memory();
-        let traced = srv.run_load(schedule, &rec, false);
-        assert_eq!(traced, report, "{key}: the recorder changed the replay");
-        (report, rec.with_buffer(to_jsonl).expect("recorder is on"))
-    });
+    let report = srv.run_load(schedule, &Recorder::off(), false);
+    let rec = Recorder::in_memory();
+    let traced = srv.run_load(schedule, &rec, false);
+    assert_eq!(traced, report, "{key}: the recorder changed the replay");
+    let trace = rec.with_buffer(to_jsonl).expect("recorder is on");
     golden.check(&format!("serve/{key}/digest"), &report.digest());
     golden.check(&format!("serve/{key}/trace"), &blob(&trace));
     report.stats
@@ -156,14 +154,14 @@ fn bench_tier_and_overload_digests_match_golden() {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "the 100k tier replays 200 128 requests per thread count; run with --release"
+    ignore = "the 100k tier replays 200 128 requests; run with --release"
 )]
 fn bench_10k_and_100k_tiers_match_golden() {
     let golden = Golden::load();
     let srv = bench::server(ServerConfig::default());
     for (label, clients, reqs) in [("10k", 10_000, 4), ("100k", 100_000, 2)] {
         let schedule = bench::tier(clients, reqs);
-        let stats = at_all_thread_counts(|| srv.run_load(&schedule, &Recorder::off(), false).stats);
+        let stats = srv.run_load(&schedule, &Recorder::off(), false).stats;
         assert_eq!(stats.shed(), 0, "the below-capacity {label} tier shed");
         golden.check(&format!("serve/bench/{label}/stats"), &stats.digest());
     }
@@ -185,7 +183,7 @@ fn memoized_whatif_p99_beats_cold_tenfold_with_equal_bytes() {
         (r.whatif.p99_us, r.stats.content_digest)
     };
     let ((cold_p99, cold_bytes), (warm_p99, warm_bytes)) =
-        at_all_thread_counts(|| (replay(0), replay(ServerConfig::default().cache_capacity)));
+        (replay(0), replay(ServerConfig::default().cache_capacity));
     assert!(
         cold_p99 >= 10 * warm_p99.max(1),
         "memoized p99 {warm_p99} µs is not 10x under cold {cold_p99} µs"

@@ -1,6 +1,8 @@
-//! Determinism of the exported observability artifacts: a seeded fault
-//! run must produce bit-identical Perfetto (Chrome trace-event) and
-//! Prometheus snapshots at 1, 2 and 8 shim threads.
+//! The exported observability artifacts of a seeded fault run: its
+//! Perfetto (Chrome trace-event) and Prometheus snapshots must carry the
+//! staged-transport and fault telemetry. The run is a simulation on the
+//! calling thread; `des_identity` pins a staged faulted run's exports
+//! byte-for-byte.
 //!
 //! This is the artifact-level counterpart of `fault_injection.rs`: that
 //! suite pins the JSONL trace and the run digest; this one pins the two
@@ -18,23 +20,6 @@ use insitu_vis::sim::SimDuration;
 use ivis_obs::telemetry::paper_cadence;
 use ivis_obs::{to_chrome_trace, to_prometheus, Recorder};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Run `f` at each thread count and assert every result equals the first.
-fn identical_at_all_thread_counts<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) -> R {
-    let mut out = None;
-    for n in THREAD_COUNTS {
-        rayon::set_num_threads(n);
-        let r = f();
-        match &out {
-            None => out = Some(r),
-            Some(first) => assert_eq!(&r, first, "artifacts changed at {n} threads"),
-        }
-    }
-    rayon::set_num_threads(0);
-    out.unwrap()
-}
-
 /// Staged in-transit transport (depth 2, zfp-class compression) so the
 /// run populates the transport histograms as well as the fault ones.
 fn staged_config() -> InTransitConfig {
@@ -50,25 +35,22 @@ fn faulted_run_exports_bit_identical_artifacts_across_thread_counts() {
     let plan = FaultPlan::random(42, SimDuration::from_secs(1_300));
     let mut pc = PipelineConfig::paper(PipelineKind::InSitu, 8.0);
     pc.kind = reported_kind();
-    let (chrome, prom) = identical_at_all_thread_counts(|| {
-        let mut campaign = Campaign::paper_noisy(42);
-        let rec = Recorder::in_memory();
-        campaign.config.recorder = rec.clone();
-        let run = campaign
-            .execute(&Plan {
-                staging: Some(staged_config()),
-                faults: Some(FaultScenario::with_plan(plan.clone())),
-                ..Plan::new(pc.clone())
-            })
-            .expect("random plans degrade runs, they do not kill them");
-        let tel = RunTelemetry::from_metrics(&run.metrics, paper_cadence());
-        tel.record_gauges(&rec);
-        let chrome = rec.with_buffer(to_chrome_trace).expect("recorder is on");
-        let prom = rec
-            .with_buffer(|b| to_prometheus(&b.metrics))
-            .expect("recorder is on");
-        (chrome, prom)
-    });
+    let mut campaign = Campaign::paper_noisy(42);
+    let rec = Recorder::in_memory();
+    campaign.config.recorder = rec.clone();
+    let run = campaign
+        .execute(&Plan {
+            staging: Some(staged_config()),
+            faults: Some(FaultScenario::with_plan(plan)),
+            ..Plan::new(pc)
+        })
+        .expect("random plans degrade runs, they do not kill them");
+    let tel = RunTelemetry::from_metrics(&run.metrics, paper_cadence());
+    tel.record_gauges(&rec);
+    let chrome = rec.with_buffer(to_chrome_trace).expect("recorder is on");
+    let prom = rec
+        .with_buffer(|b| to_prometheus(&b.metrics))
+        .expect("recorder is on");
     // The staged faulted run must actually exercise the new telemetry:
     // histogram metrics in the Prometheus view, counter tracks and the
     // sampled power gauges in the Perfetto view.
