@@ -9,6 +9,9 @@
 //! and [`WhatIfAnalyzer::answer`] maps a key to a [`WhatIfAnswer`] using
 //! nothing but the analyzer's calibrated constants.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use ivis_core::PipelineKind;
 use ivis_ocean::{ProblemSpec, SamplingRate};
 
@@ -17,6 +20,26 @@ use crate::whatif::WhatIfAnalyzer;
 /// Sampling-rate quantum: one millionth of a simulated hour (3.6 ms).
 /// Rates closer together than this are the same query.
 pub(crate) const RATE_QUANTUM_PER_HOUR: f64 = 1e6;
+
+/// Largest curve whose factors are kept once built: the most points the
+/// serving layer accepts.
+const KEPT_CURVE_POINTS: usize = 512;
+
+/// The sweep grid's factors `10^(i / n)` for `i` in `0..n`, `n` the
+/// curve size: one table per size up to [`KEPT_CURVE_POINTS`], built on
+/// first use; a larger curve builds its own.
+fn curve_factors(points: u16) -> Cow<'static, [f64]> {
+    static TABLES: [OnceLock<Box<[f64]>>; KEPT_CURVE_POINTS + 1] =
+        [const { OnceLock::new() }; KEPT_CURVE_POINTS + 1];
+    let build = || -> Box<[f64]> {
+        let n = f64::from(points.max(1));
+        (0..points).map(|i| 10f64.powf(f64::from(i) / n)).collect()
+    };
+    match TABLES.get(usize::from(points)) {
+        Some(table) => Cow::Borrowed(table.get_or_init(build)),
+        None => Cow::Owned(build().into_vec()),
+    }
+}
 
 /// The closed set of problem specifications the query surface exposes.
 ///
@@ -119,7 +142,9 @@ impl WhatIfRequest {
     /// Point `i` of the sweep grid: `curve_points` intervals spaced
     /// geometrically over one decade starting at the query rate. A pure
     /// function of the key, so memoized and cold evaluations see the same
-    /// grid.
+    /// grid. [`WhatIfAnalyzer::answer`] reads the factors from
+    /// `curve_factors` instead; this is the definition it is held to.
+    #[cfg(test)]
     fn curve_hour(&self, i: u16) -> f64 {
         let n = f64::from(self.curve_points.max(1));
         self.rate_hours() * 10f64.powf(f64::from(i) / n)
@@ -168,9 +193,10 @@ impl WhatIfAnalyzer {
     /// bit for bit.
     pub fn answer(&self, req: &WhatIfRequest) -> WhatIfAnswer {
         let spec = req.spec.spec();
+        let rate_hours = req.rate_hours();
         let mut curve = Vec::with_capacity(usize::from(req.curve_points));
-        for i in 0..req.curve_points {
-            let hours = req.curve_hour(i);
+        for &factor in curve_factors(req.curve_points).iter() {
+            let hours = rate_hours * factor;
             let at = SamplingRate::every_hours(hours);
             curve.push(CurvePoint {
                 hours,
@@ -261,6 +287,23 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn curves_past_the_kept_tables_build_the_same_grid() {
+        let a = WhatIfAnalyzer::paper();
+        for points in [0, 511, 513, 2_000] {
+            let req =
+                WhatIfRequest::new(SpecId::Paper100yr, PipelineKind::InSitu, 24.0, points).unwrap();
+            let hours: Vec<u64> = req.curve_hours().iter().map(|h| h.to_bits()).collect();
+            let answered: Vec<u64> = a
+                .answer(&req)
+                .curve
+                .iter()
+                .map(|p| p.hours.to_bits())
+                .collect();
+            assert_eq!(answered, hours, "{points} points");
         }
     }
 

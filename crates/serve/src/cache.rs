@@ -6,6 +6,11 @@
 //! with FIFO eviction — eviction order is the insertion order, never the
 //! map's internal order, so a replay of the same request sequence hits
 //! and evicts identically on every host and at every thread count.
+//!
+//! A body is any cheaply cloned handle `B`. The server keeps
+//! `Arc<Vec<u8>>` bodies, because its replies cross to the thread that
+//! folds their digests; the default `Rc<Vec<u8>>` serves single-threaded
+//! callers.
 
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -15,13 +20,13 @@ use ivis_model::WhatIfRequest;
 /// A bounded memo table from canonical keys to rendered
 /// response bodies.
 #[derive(Debug, Default)]
-pub struct MemoCache {
+pub struct MemoCache<B = Rc<Vec<u8>>> {
     capacity: usize,
-    map: HashMap<WhatIfRequest, Rc<Vec<u8>>>,
+    map: HashMap<WhatIfRequest, B>,
     order: VecDeque<WhatIfRequest>,
 }
 
-impl MemoCache {
+impl<B: Clone> MemoCache<B> {
     /// A cache holding at most `capacity` bodies. Zero disables
     /// memoization (every lookup misses, nothing is stored) — the
     /// "cold" configuration the benchmark compares against.
@@ -34,13 +39,13 @@ impl MemoCache {
     }
 
     /// Look up a key.
-    pub fn get(&self, key: &WhatIfRequest) -> Option<Rc<Vec<u8>>> {
-        self.map.get(key).map(Rc::clone)
+    pub fn get(&self, key: &WhatIfRequest) -> Option<B> {
+        self.map.get(key).cloned()
     }
 
     /// Insert a freshly evaluated body, evicting the oldest insertion
     /// when full. A no-op at capacity zero.
-    pub fn insert(&mut self, key: WhatIfRequest, body: Rc<Vec<u8>>) {
+    pub fn insert(&mut self, key: WhatIfRequest, body: B) {
         if self.capacity == 0 {
             return;
         }
@@ -106,5 +111,24 @@ mod tests {
         // key(1.0) was the oldest single entry; it must be the one gone.
         assert!(c.get(&key(1.0)).is_none());
         assert_eq!(c.map.len(), 2);
+    }
+
+    #[test]
+    fn arc_bodies_round_trip_evict_and_share_one_allocation() {
+        use std::sync::Arc;
+        let mut c: MemoCache<Arc<Vec<u8>>> = MemoCache::new(1);
+        let a = Arc::new(b"a".to_vec());
+        c.insert(key(1.0), Arc::clone(&a));
+        let hit = c.get(&key(1.0)).unwrap();
+        assert!(Arc::ptr_eq(&hit, &a), "a hit shares the cached body");
+        assert_eq!(Arc::strong_count(&a), 3);
+        c.insert(key(2.0), Arc::new(b"b".to_vec())); // evicts key(1.0)
+        assert!(c.get(&key(1.0)).is_none());
+        assert_eq!(c.get(&key(2.0)).unwrap().as_slice(), b"b");
+        assert_eq!(
+            Arc::strong_count(&a),
+            2,
+            "eviction drops the cache's handle"
+        );
     }
 }

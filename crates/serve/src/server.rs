@@ -32,22 +32,39 @@
 //! A response is never assembled on the serving path. A service unit
 //! builds one `Reply` per request: the status line and headers, written
 //! once by [`crate::http`]'s head writer, and a handle on the body where
-//! it already lives — the `Rc` the memo cache and the rest of the batch
+//! it already lives — the `Arc` the memo cache and the rest of the batch
 //! share, the PNG inside the Cinema entry the shard lookup returned, or
 //! the line of text a 400/404/503 or `/healthz` was built with. The
-//! egress cost is charged on head plus body. Delivery reads the bytes
-//! exactly once — request id (little-endian), head, body — and advances
-//! both FNV-1a digests in that one loop: the stream chain carries on
-//! from the previous reply, the content chain restarts at the offset
-//! basis and is wrapping-added to the total, so it does not depend on
-//! delivery order. Both equal what hashing the contiguous response once
-//! per digest gives; a `#[cfg(test)]` oracle holds the loop to that, and
+//! egress cost is charged on head plus body.
+//!
+//! Delivery is split over two threads. The reactor keeps everything
+//! stateful — the engine, the batcher, the memo cache, the recorder,
+//! latency accounting and span closes — and then hands the reply itself,
+//! in delivery order, to a fold thread that each replay spawns beside
+//! it. The fold thread reads the bytes exactly once — request id
+//! (little-endian), head, body — and advances both FNV-1a digests in
+//! that one loop: the stream chain carries on from the previous reply,
+//! the content chain restarts at the offset basis and is wrapping-added
+//! to the total, so it does not depend on delivery order. Each step of a
+//! chain needs the previous step's product, so no kernel makes it
+//! shorter; on a core of its own it stops lengthening the reactor's
+//! path. Both digests equal what hashing the contiguous response once
+//! per digest gives; a `#[cfg(test)]` oracle holds the fold to that, and
 //! `tests/golden/serve_identity.txt` to the values the owned path
 //! produced. The contiguous form is built only when
 //! [`Server::run_load`] is asked to keep responses, for tests to read.
+//!
+//! Replies cross in batches of about `HANDOFF_BYTES`, with at most
+//! `HANDOFFS_QUEUED` waiting, so a fold that falls behind stalls the
+//! reactor instead of piling up bodies the cache does not keep. The fold
+//! thread sends every batch vector back with its replies still in it:
+//! the reactor frees them and refills the vector, so the fold thread
+//! neither allocates nor frees.
 
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
+use std::thread;
 
 use ivis_model::{SpecId, WhatIfAnalyzer, WhatIfRequest};
 use ivis_obs::{AttrValue, Component, Recorder, SpanId};
@@ -65,6 +82,19 @@ use crate::shard::ShardedFrameIndex;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Reply bytes (head plus body) the reactor gathers before it hands
+/// them to the fold thread as one batch.
+const HANDOFF_BYTES: usize = 16 << 10;
+
+/// Batches that may wait for the fold thread; the reactor blocks on the
+/// next one.
+const HANDOFFS_QUEUED: usize = 1;
+
+/// Batch vectors in circulation: the ones queued, the one being folded
+/// and the one the reactor fills. The channel that returns them holds
+/// them all, so the fold thread never waits to send one back.
+const BATCHES_IN_CIRCULATION: usize = HANDOFFS_QUEUED + 2;
 
 /// Simulated service costs, all integer microseconds (or bytes per
 /// microsecond), so charged durations never depend on float rounding.
@@ -476,7 +506,7 @@ enum ServeEvent<'a> {
 enum Body<'a> {
     /// A what-if body shared with the memo cache and with every other
     /// member of the batch that asked for the same key.
-    Shared(Rc<Vec<u8>>),
+    Shared(Arc<Vec<u8>>),
     /// A PNG borrowed from the Cinema entry the shard lookup returned.
     Frame(&'a [u8]),
     /// Text built for this one reply: 400, 404, 503, `/healthz`.
@@ -502,6 +532,13 @@ struct Reply<'a> {
     head: Vec<u8>,
     body: Body<'a>,
 }
+
+// Replies cross to the fold thread, so nothing on the reply path may be
+// an `Rc`.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Reply<'static>>();
+};
 
 impl<'a> Reply<'a> {
     fn new(
@@ -544,6 +581,158 @@ impl<'a> Reply<'a> {
     }
 }
 
+/// Run `reactor` on the calling thread and `fold` on a scoped thread of
+/// its own, joined by a channel that holds at most [`HANDOFFS_QUEUED`]
+/// messages. The reactor owns the only sender, so when it returns or
+/// unwinds the fold's receiver ends and the scope can join the thread.
+/// If the fold panics, every later send fails, and its panic is
+/// re-raised here once the reactor is done.
+fn beside_fold<M: Send, T, U: Send>(
+    reactor: impl FnOnce(SyncSender<M>) -> T,
+    fold: impl FnOnce(Receiver<M>) -> U + Send,
+) -> (T, U) {
+    thread::scope(|s| {
+        let (to_fold, from_reactor) = sync_channel(HANDOFFS_QUEUED);
+        let folder = s.spawn(move || fold(from_reactor));
+        let out = reactor(to_fold);
+        match folder.join() {
+            Ok(folded) => (out, folded),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
+/// The reactor's end of the hand-off: delivered replies gather here, in
+/// delivery order, until they reach [`HANDOFF_BYTES`].
+struct Handoff<'a> {
+    /// `None` once closed; dropping the sender is what ends the fold.
+    to_fold: Option<SyncSender<Vec<Reply<'a>>>>,
+    /// Batches the fold thread is done with, their replies still in them.
+    spent: Receiver<Vec<Reply<'a>>>,
+    batch: Vec<Reply<'a>>,
+    bytes: usize,
+    /// Reply bytes handed off and not yet back from the fold thread.
+    #[cfg(test)]
+    unreturned: usize,
+    /// The most `unreturned` ever reached.
+    #[cfg(test)]
+    max_unreturned: usize,
+}
+
+impl<'a> Handoff<'a> {
+    fn new(to_fold: SyncSender<Vec<Reply<'a>>>, spent: Receiver<Vec<Reply<'a>>>) -> Self {
+        Handoff {
+            to_fold: Some(to_fold),
+            spent,
+            batch: Vec::new(),
+            bytes: 0,
+            #[cfg(test)]
+            unreturned: 0,
+            #[cfg(test)]
+            max_unreturned: 0,
+        }
+    }
+
+    fn push(&mut self, reply: Reply<'a>) {
+        self.bytes += reply.wire_len();
+        self.batch.push(reply);
+        if self.bytes >= HANDOFF_BYTES {
+            self.hand_off();
+        }
+    }
+
+    /// Send the batch, then refill from a spent one if the fold thread
+    /// has returned one: its replies are dropped here.
+    fn hand_off(&mut self) {
+        #[cfg(test)]
+        {
+            self.unreturned += self.bytes;
+            self.max_unreturned = self.max_unreturned.max(self.unreturned);
+        }
+        self.bytes = 0;
+        let batch = std::mem::take(&mut self.batch);
+        if let Some(to_fold) = &self.to_fold {
+            // A send fails only once the fold thread has panicked;
+            // `beside_fold` re-raises that panic when the reactor is done.
+            let _ = to_fold.send(batch);
+        }
+        if let Ok(spent) = self.spent.try_recv() {
+            self.batch = self.recycle(spent);
+        }
+    }
+
+    fn recycle(&mut self, mut spent: Vec<Reply<'a>>) -> Vec<Reply<'a>> {
+        #[cfg(test)]
+        {
+            self.unreturned -= spent.iter().map(Reply::wire_len).sum::<usize>();
+        }
+        spent.clear();
+        spent
+    }
+
+    /// Hand off what is left, end the fold, and free every batch it
+    /// sends back until its thread is gone.
+    fn close(&mut self) {
+        if !self.batch.is_empty() {
+            self.hand_off();
+        }
+        self.to_fold = None;
+        while let Ok(spent) = self.spent.recv() {
+            self.recycle(spent);
+        }
+    }
+}
+
+/// The fold thread's state: both digest chains and, when asked for, the
+/// contiguous responses in delivery order.
+struct Folded {
+    stream: u64,
+    content: u64,
+    responses: Option<Vec<(u32, Vec<u8>)>>,
+}
+
+impl Folded {
+    /// Fold every batch the reactor hands off, in order, and send each
+    /// vector back, replies and all.
+    fn run<'a>(
+        mut self,
+        batches: Receiver<Vec<Reply<'a>>>,
+        spent: SyncSender<Vec<Reply<'a>>>,
+    ) -> Folded {
+        for batch in batches {
+            for reply in &batch {
+                self.fold(reply);
+            }
+            // Fails only if the reactor unwound.
+            let _ = spent.send(batch);
+        }
+        self
+    }
+
+    /// Fold one reply's bytes — request id, head, body, in that order —
+    /// into both digests. This loop is the only place response bytes
+    /// are read.
+    fn fold(&mut self, reply: &Reply<'_>) {
+        let (head, body) = (reply.head.as_slice(), reply.body.bytes());
+        // Two independent FNV-1a chains advanced together: the stream
+        // chain continues from every earlier reply, the content chain
+        // starts fresh so its per-reply values can be summed in any order.
+        let mut stream = self.stream ^ FNV_OFFSET;
+        let mut content = FNV_OFFSET;
+        for part in [&reply.id.to_le_bytes()[..], head, body] {
+            for &b in part {
+                stream = (stream ^ b as u64).wrapping_mul(FNV_PRIME);
+                content = (content ^ b as u64).wrapping_mul(FNV_PRIME);
+            }
+        }
+        self.stream = stream;
+        self.content = self.content.wrapping_add(content);
+        if let Some(kept) = &mut self.responses {
+            kept.push((reply.id, [head, body].concat()));
+        }
+    }
+}
+
 struct ReqState {
     arrival: SimTime,
     span: SpanId,
@@ -560,7 +749,7 @@ struct World<'a> {
     index: &'a ShardedFrameIndex,
     schedule: &'a [(SimTime, Vec<u8>)],
     rec: &'a Recorder,
-    cache: MemoCache,
+    cache: MemoCache<Arc<Vec<u8>>>,
     batcher: Batcher,
     queue: VecDeque<Work>,
     free_slots: usize,
@@ -570,8 +759,10 @@ struct World<'a> {
     stats: ServeStats,
     last_completion: SimTime,
     completed: u64,
+    /// Where delivered replies go to be folded.
+    out: Handoff<'a>,
     /// `(request id, contiguous response bytes)` in delivery order, when
-    /// the caller asked to keep them.
+    /// the caller asked to keep them; set once the fold thread is done.
     responses: Option<Vec<(u32, Vec<u8>)>>,
 }
 
@@ -620,46 +811,64 @@ impl Server {
         self.replay(schedule, recorder, keep_responses).finish()
     }
 
-    /// Run the reactor to quiescence and hand back everything it
-    /// accumulated, not yet summarised.
+    /// Run the reactor to quiescence, with the digests folded on a
+    /// thread beside it, and hand back everything it accumulated, not
+    /// yet summarised.
     fn replay<'a>(
         &'a self,
         schedule: &'a LoadSchedule,
         recorder: &'a Recorder,
         keep_responses: bool,
     ) -> World<'a> {
-        let mut engine: DesEngine<ServeEvent<'a>> =
-            DesEngine::with_capacity(schedule.arrivals.len().min(1 << 16) + 8);
-        let mut world = World {
-            cfg: &self.config,
-            analyzer: &self.analyzer,
-            db: &self.db,
-            index: &self.index,
-            schedule: &schedule.arrivals,
-            rec: recorder,
-            cache: MemoCache::new(self.config.cache_capacity),
-            batcher: Batcher::new(self.config.max_batch.max(1)),
-            queue: VecDeque::new(),
-            free_slots: self.config.service_slots.max(1),
-            in_flight: 0,
-            req: Vec::with_capacity(schedule.arrivals.len()),
-            latencies: std::array::from_fn(|_| Vec::new()),
-            stats: ServeStats::default(),
-            last_completion: SimTime::ZERO,
-            completed: 0,
+        let (spent_tx, spent_rx) = sync_channel(BATCHES_IN_CIRCULATION);
+        let folded = Folded {
+            stream: 0,
+            content: 0,
             responses: keep_responses.then(|| Vec::with_capacity(schedule.arrivals.len())),
         };
-        for (i, (t, _)) in schedule.arrivals.iter().enumerate() {
-            world.req.push(ReqState {
-                arrival: *t,
-                span: SpanId::NONE,
-                class: Class::Other,
-                routed: None,
-            });
-            engine.schedule_at(*t, ServeEvent::Arrival(i as u32));
-        }
-        engine.run(|eng, at, ev| world.on_event(eng, at, ev));
-        debug_assert_eq!(world.in_flight, 0, "every admitted request must finish");
+        let (mut world, folded) = beside_fold(
+            |to_fold| {
+                let mut engine: DesEngine<ServeEvent<'a>> =
+                    DesEngine::with_capacity(schedule.arrivals.len().min(1 << 16) + 8);
+                let mut world = World {
+                    cfg: &self.config,
+                    analyzer: &self.analyzer,
+                    db: &self.db,
+                    index: &self.index,
+                    schedule: &schedule.arrivals,
+                    rec: recorder,
+                    cache: MemoCache::new(self.config.cache_capacity),
+                    batcher: Batcher::new(self.config.max_batch.max(1)),
+                    queue: VecDeque::new(),
+                    free_slots: self.config.service_slots.max(1),
+                    in_flight: 0,
+                    req: Vec::with_capacity(schedule.arrivals.len()),
+                    latencies: std::array::from_fn(|_| Vec::new()),
+                    stats: ServeStats::default(),
+                    last_completion: SimTime::ZERO,
+                    completed: 0,
+                    out: Handoff::new(to_fold, spent_rx),
+                    responses: None,
+                };
+                for (i, (t, _)) in schedule.arrivals.iter().enumerate() {
+                    world.req.push(ReqState {
+                        arrival: *t,
+                        span: SpanId::NONE,
+                        class: Class::Other,
+                        routed: None,
+                    });
+                    engine.schedule_at(*t, ServeEvent::Arrival(i as u32));
+                }
+                engine.run(|eng, at, ev| world.on_event(eng, at, ev));
+                debug_assert_eq!(world.in_flight, 0, "every admitted request must finish");
+                world.out.close();
+                world
+            },
+            move |batches| folded.run(batches, spent_tx),
+        );
+        world.stats.stream_digest = folded.stream;
+        world.stats.content_digest = folded.content;
+        world.responses = folded.responses;
         world
     }
 }
@@ -785,7 +994,7 @@ impl<'a> World<'a> {
                 // key resolves its body, from the cache or by evaluating
                 // it; later members share that body (batch-local dedup)
                 // and pay the hit cost.
-                let mut resolved: HashMap<WhatIfRequest, Rc<Vec<u8>>> =
+                let mut resolved: HashMap<WhatIfRequest, Arc<Vec<u8>>> =
                     HashMap::with_capacity(fill);
                 for &m in &batch.members {
                     let Some(Routed::WhatIf(key)) = self.req[m as usize].routed.take() else {
@@ -794,7 +1003,7 @@ impl<'a> World<'a> {
                     let body = if let Some(body) = resolved.get(&key) {
                         self.stats.batch_dedups += 1;
                         service_us += cost.memo_hit_us;
-                        Rc::clone(body)
+                        Arc::clone(body)
                     } else {
                         let body = match self.cache.get(&key) {
                             Some(body) => {
@@ -807,12 +1016,12 @@ impl<'a> World<'a> {
                                 self.stats.cache_misses += 1;
                                 self.rec.counter_add(at, "serve.cache_misses", 1.0);
                                 service_us += key.curve_points as u64 * cost.whatif_point_us;
-                                let body = Rc::new(render_whatif_body(self.analyzer, &key));
-                                self.cache.insert(key, Rc::clone(&body));
+                                let body = Arc::new(render_whatif_body(self.analyzer, &key));
+                                self.cache.insert(key, Arc::clone(&body));
                                 body
                             }
                         };
-                        resolved.insert(key, Rc::clone(&body));
+                        resolved.insert(key, Arc::clone(&body));
                         body
                     };
                     let reply = Reply::new(m, 200, JSON, None, Body::Shared(body));
@@ -833,7 +1042,7 @@ impl<'a> World<'a> {
         at: SimTime,
         replies: Vec<Reply<'a>>,
     ) {
-        for reply in &replies {
+        for reply in replies {
             match reply.status {
                 200 => self.stats.ok += 1,
                 400 => self.stats.bad_requests += 1,
@@ -841,7 +1050,8 @@ impl<'a> World<'a> {
                 _ => {}
             }
             self.in_flight -= 1;
-            self.finalize(at, self.req[reply.id as usize].class, reply);
+            let class = self.req[reply.id as usize].class;
+            self.finalize(at, class, reply);
         }
         self.free_slots += 1;
         if let Some(work) = self.queue.pop_front() {
@@ -861,13 +1071,12 @@ impl<'a> World<'a> {
             &[("reason", AttrValue::Str(reason.label()))],
         );
         let resp = HttpResponse::unavailable(reason.label(), self.cfg.retry_after_s);
-        self.finalize(at, Class::Shed, &Reply::owned(i, resp));
+        self.finalize(at, Class::Shed, Reply::owned(i, resp));
     }
 
-    /// Deliver one reply: account its latency, close its span, and fold
-    /// its bytes — request id, head, body, in that order — into both
-    /// digests. This loop is the only place response bytes are read.
-    fn finalize(&mut self, at: SimTime, class: Class, reply: &Reply<'_>) {
+    /// Deliver one reply: account its latency, close its span, and hand
+    /// it on to be folded into the digests.
+    fn finalize(&mut self, at: SimTime, class: Class, reply: Reply<'a>) {
         let state = &self.req[reply.id as usize];
         let latency_us = at.duration_since(state.arrival).as_micros();
         self.latencies[class.index()].push(latency_us);
@@ -876,25 +1085,9 @@ impl<'a> World<'a> {
         self.rec
             .set_attr(state.span, "class_final", AttrValue::Str(class.label()));
         self.rec.close(at, state.span);
-        let (head, body) = (reply.head.as_slice(), reply.body.bytes());
-        // Two independent FNV-1a chains advanced together: the stream
-        // chain continues from every earlier reply, the content chain
-        // starts fresh so its per-reply values can be summed in any order.
-        let mut stream = self.stats.stream_digest ^ FNV_OFFSET;
-        let mut content = FNV_OFFSET;
-        for part in [&reply.id.to_le_bytes()[..], head, body] {
-            for &b in part {
-                stream = (stream ^ b as u64).wrapping_mul(FNV_PRIME);
-                content = (content ^ b as u64).wrapping_mul(FNV_PRIME);
-            }
-        }
-        self.stats.stream_digest = stream;
-        self.stats.content_digest = self.stats.content_digest.wrapping_add(content);
-        if let Some(kept) = &mut self.responses {
-            kept.push((reply.id, [head, body].concat()));
-        }
         self.last_completion = self.last_completion.max(at);
         self.completed += 1;
+        self.out.push(reply);
     }
 
     fn finish(self) -> LoadReport {
@@ -1412,6 +1605,98 @@ mod tests {
         for (id, (&(slow, len), &(fast, _))) in metered.iter().zip(&free).enumerate() {
             assert_eq!(slow - fast, len, "request {id} was not charged its length");
         }
+    }
+
+    /// Run `beside_fold` over 64 messages, the reactor panicking at
+    /// message `reactor_dies_at` and the fold at `fold_dies_at`, under a
+    /// 60 s watchdog: the message of the panic it re-raised, if any.
+    fn pair_panics(reactor_dies_at: Option<u32>, fold_dies_at: Option<u32>) -> Option<String> {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = || {
+                beside_fold(
+                    |to_fold: SyncSender<u32>| {
+                        for i in 0..64 {
+                            assert_ne!(Some(i), reactor_dies_at, "the reactor blew up");
+                            let _ = to_fold.send(i);
+                        }
+                    },
+                    |from_reactor: Receiver<u32>| {
+                        for i in from_reactor {
+                            assert_ne!(Some(i), fold_dies_at, "the fold blew up");
+                        }
+                    },
+                )
+            };
+            let reraised = std::panic::catch_unwind(run).err().map(|panic| {
+                panic
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_else(|| "a panic without a message".into())
+            });
+            let _ = done_tx.send(reraised);
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the replay hung instead of unwinding")
+    }
+
+    #[test]
+    fn a_panicking_reactor_unwinds_instead_of_hanging() {
+        // The fold thread is blocked on an empty channel when the reactor
+        // dies; dropping the sender is all that wakes it.
+        let reraised = pair_panics(Some(10), None).expect("the panic was re-raised");
+        assert!(reraised.contains("the reactor blew up"), "{reraised}");
+    }
+
+    #[test]
+    fn a_panicking_fold_unwinds_instead_of_hanging() {
+        // The reactor is blocked on the full channel when the fold dies.
+        let reraised = pair_panics(None, Some(3)).expect("the panic was re-raised");
+        assert!(reraised.contains("the fold blew up"), "{reraised}");
+        assert_eq!(pair_panics(None, None), None);
+    }
+
+    #[test]
+    fn cache_off_overload_keeps_the_hand_off_bounded() {
+        // `check_once`'s cold replay: no cache and unbounded admission,
+        // so every one of 400 cold 129-point bodies is rendered, delivered
+        // and dropped, far faster than its service time.
+        let config = ServerConfig {
+            cache_capacity: 0,
+            queue_capacity: usize::MAX,
+            max_connections: usize::MAX,
+            ..ServerConfig::default()
+        };
+        let srv = mix_server(config);
+        let arrivals = (0..400u32)
+            .map(|i| {
+                let rate = 1.0 + 0.001 * f64::from(i);
+                let key = WhatIfRequest::new(
+                    SpecId::Paper100yr,
+                    ivis_core::PipelineKind::InSitu,
+                    rate,
+                    129,
+                )
+                .unwrap();
+                (SimTime::from_micros(10 * u64::from(i)), whatif_target(&key))
+            })
+            .collect();
+        let schedule = LoadSchedule { arrivals };
+        let off = Recorder::off();
+        let world = srv.replay(&schedule, &off, true);
+        assert_eq!((world.stats.ok, world.stats.shed()), (400, 0));
+        let kept = world.responses.as_ref().unwrap();
+        let largest = kept.iter().map(|(_, r)| r.len()).max().unwrap();
+        let total: usize = kept.iter().map(|(_, r)| r.len()).sum();
+        let bound = BATCHES_IN_CIRCULATION * (HANDOFF_BYTES + largest);
+        assert!(total > 10 * bound, "the schedule is too small to test");
+        assert!(
+            world.out.max_unreturned <= bound,
+            "{} reply bytes were out with the fold thread; the bound is {bound}",
+            world.out.max_unreturned
+        );
+        assert_eq!(world.out.unreturned, 0, "every batch came back");
     }
 
     proptest! {
